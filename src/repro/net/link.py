@@ -46,7 +46,8 @@ class _TxQueue:
         self.up = True
         self._deliver = deliver
         self._queue: list[tuple[Packet, "Interface"]] = []
-        self._busy = False
+        #: the ``(packet, sender)`` occupying the medium; None when idle
+        self._sending: tuple[Packet, "Interface"] | None = None
         self.stats = LinkStats()
         self.monitor = LoadMonitor()
         self.send_taps: list[Callable[[Packet, "Interface"], None]] = []
@@ -83,7 +84,7 @@ class _TxQueue:
             self._dropped(packet, sender, "queue")
             return
         self._queue.append((packet, sender))
-        if not self._busy:
+        if self._sending is None:
             self._transmit_next()
 
     def clear(self) -> None:
@@ -105,45 +106,47 @@ class _TxQueue:
 
     def _transmit_next(self) -> None:
         if not self._queue:
-            self._busy = False
+            self._sending = None
             return
-        self._busy = True
-        packet, sender = self._queue.pop(0)
-        tx_delay = packet.size * 8 / self.bandwidth_bps
-        self.monitor.record(self._sim.now, packet.size)
+        packet, sender = self._sending = self._queue.pop(0)
+        size = packet.size
+        self.monitor.record(self._sim.now, size)
         self.stats.packets_sent += 1
-        self.stats.bytes_sent += packet.size
+        self.stats.bytes_sent += size
         if self.send_taps:
             for tap in self.send_taps:
                 tap(packet, sender)
+        self._sim.schedule(size * 8 / self.bandwidth_bps, self._tx_done,
+                           context=self.ctx)
 
-        def done() -> None:
-            # Random loss models a noisy medium; it happens after the
-            # medium was occupied (collisions still consume airtime).
-            # A medium that went down mid-transmission loses the frame.
-            if not self.up or (self.loss_rate > 0.0
-                               and self.ctx.entropy.random()
-                               < self.loss_rate):
-                self.stats.packets_lost += 1
-                self.stats.bytes_lost += packet.size
-                if self.drop_taps:
-                    for tap in self.drop_taps:
-                        tap(packet, sender, "loss")
-            elif self.boundary_emit is not None:
-                self.boundary_emit(packet, sender,
-                                   self._sim.now + self.latency,
-                                   self.ctx.lp, self.ctx.next_lseq())
-            else:
-                self._sim.schedule(
-                    self.latency,
-                    lambda: self._deliver(packet, sender),
-                    context=self.ctx)
-            self._transmit_next()
-
-        self._sim.schedule(tx_delay, done, context=self.ctx)
+    def _tx_done(self) -> None:
+        """The medium is free again: lose, hand over or propagate the
+        frame that occupied it, then start on the next one."""
+        packet, sender = self._sending
+        # Random loss models a noisy medium; it happens after the
+        # medium was occupied (collisions still consume airtime).
+        # A medium that went down mid-transmission loses the frame.
+        if not self.up or (self.loss_rate > 0.0
+                           and self.ctx.entropy.random()
+                           < self.loss_rate):
+            self.stats.packets_lost += 1
+            self.stats.bytes_lost += packet.size
+            if self.drop_taps:
+                for tap in self.drop_taps:
+                    tap(packet, sender, "loss")
+        elif self.boundary_emit is not None:
+            self.boundary_emit(packet, sender,
+                               self._sim.now + self.latency,
+                               self.ctx.lp, self.ctx.next_lseq())
+        else:
+            self._sim.schedule(
+                self.latency,
+                lambda: self._deliver(packet, sender),
+                context=self.ctx)
+        self._transmit_next()
 
     def queue_length(self) -> int:
-        return len(self._queue) + (1 if self._busy else 0)
+        return len(self._queue) + (0 if self._sending is None else 1)
 
     def load_kbps(self) -> int:
         return self.monitor.rate_kbps(self._sim.now)

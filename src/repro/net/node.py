@@ -98,6 +98,10 @@ class Node:
         #: don't depend on which segment simulator runs it
         self.ctx = sim.context(f"node:{name}")
         self.interfaces: list[Interface] = []
+        #: every interface's address, maintained by :meth:`add_interface`
+        #: — the "is this packet for me" test on the receive and send
+        #: paths, O(1) however many interfaces a cluster router has
+        self._addresses: set[HostAddr] = set()
         self.routes = RoutingTable()
         self.stats = NodeStats()
         self.planp: "PlanPLayer | None" = None
@@ -134,6 +138,7 @@ class Node:
     def add_interface(self, medium: Medium, address: HostAddr) -> Interface:
         iface = Interface(self, medium, address)
         self.interfaces.append(iface)
+        self._addresses.add(address)
         return iface
 
     @property
@@ -258,11 +263,10 @@ class Node:
         MPEG capture ASP of paper §3.3 does)."""
         if self.forwarding:
             return True
-        if self.planp is not None and getattr(self.planp, "promiscuous",
-                                              False):
+        if self.planp is not None and self.planp.promiscuous:
             return True
         dst = packet.ip.dst
-        return (dst in self.addresses or dst.is_broadcast
+        return (dst in self._addresses or dst.is_broadcast
                 or dst in self.multicast_groups)
 
     def standard_processing(self, packet: Packet,
@@ -274,7 +278,7 @@ class Node:
             if dst in self.multicast_groups:
                 self.deliver_local(packet)
             return
-        if dst in self.addresses or dst.is_broadcast:
+        if dst in self._addresses or dst.is_broadcast:
             self.deliver_local(packet)
             return
         if self.forwarding:
@@ -349,7 +353,7 @@ class Node:
             if dst in self.multicast_groups:
                 self.deliver_local(packet)
             return
-        if dst in self.addresses:
+        if dst in self._addresses:
             if (not from_planp and self.planp is not None
                     and self.planp.wants(packet, None)):
                 self.stats.asp_handled += 1

@@ -8,14 +8,16 @@ existing applications are untagged and match ``network`` channels by type.
 
 Headers are immutable value objects; PLAN-P primitives such as
 ``ipDestSet`` perform functional update and return new headers, which
-keeps the interpreter and the JIT referentially transparent.
+keeps the interpreter and the JIT referentially transparent.  The update
+helpers call the constructor directly — ``hop`` runs once per router per
+packet, and a generic field-table replace costs several constructions.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import itertools
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 from .addresses import ANY_ADDR, HostAddr
 
@@ -43,21 +45,22 @@ class IpHeader:
     tos: int = 0
 
     def with_dst(self, dst: HostAddr) -> "IpHeader":
-        return replace(self, dst=dst)
+        return IpHeader(self.src, dst, self.ttl, self.proto, self.tos)
 
     def with_src(self, src: HostAddr) -> "IpHeader":
-        return replace(self, src=src)
+        return IpHeader(src, self.dst, self.ttl, self.proto, self.tos)
 
     def with_ttl(self, ttl: int) -> "IpHeader":
-        return replace(self, ttl=ttl)
+        return IpHeader(self.src, self.dst, ttl, self.proto, self.tos)
 
     def decremented(self) -> "IpHeader":
         """The header after one hop (ttl - 1)."""
-        return replace(self, ttl=self.ttl - 1)
+        return IpHeader(self.src, self.dst, self.ttl - 1, self.proto,
+                        self.tos)
 
     def swapped(self) -> "IpHeader":
         """Source and destination exchanged — used when building replies."""
-        return replace(self, src=self.dst, dst=self.src)
+        return IpHeader(self.dst, self.src, self.ttl, self.proto, self.tos)
 
 
 @dataclass(frozen=True)
@@ -74,14 +77,18 @@ class TcpHeader:
     rst: bool = False
     window: int = 65535
 
+    def _with_ports(self, src_port: int, dst_port: int) -> "TcpHeader":
+        return TcpHeader(src_port, dst_port, self.seq, self.ack, self.syn,
+                         self.fin, self.ack_flag, self.rst, self.window)
+
     def with_dst_port(self, port: int) -> "TcpHeader":
-        return replace(self, dst_port=port)
+        return self._with_ports(self.src_port, port)
 
     def with_src_port(self, port: int) -> "TcpHeader":
-        return replace(self, src_port=port)
+        return self._with_ports(port, self.dst_port)
 
     def swapped(self) -> "TcpHeader":
-        return replace(self, src_port=self.dst_port, dst_port=self.src_port)
+        return self._with_ports(self.dst_port, self.src_port)
 
     @property
     def flags(self) -> int:
@@ -98,13 +105,13 @@ class UdpHeader:
     dst_port: int = 0
 
     def with_dst_port(self, port: int) -> "UdpHeader":
-        return replace(self, dst_port=port)
+        return UdpHeader(self.src_port, port)
 
     def with_src_port(self, port: int) -> "UdpHeader":
-        return replace(self, src_port=port)
+        return UdpHeader(port, self.dst_port)
 
     def swapped(self) -> "UdpHeader":
-        return replace(self, src_port=self.dst_port, dst_port=self.src_port)
+        return UdpHeader(self.dst_port, self.src_port)
 
 
 _uid_counter = itertools.count(1)
@@ -133,8 +140,9 @@ class Packet:
         expected = {TcpHeader: PROTO_TCP, UdpHeader: PROTO_UDP}
         if self.transport is not None:
             proto = expected[type(self.transport)]
-            if self.ip.proto != proto:
-                self.ip = replace(self.ip, proto=proto)
+            ip = self.ip
+            if ip.proto != proto:
+                self.ip = IpHeader(ip.src, ip.dst, ip.ttl, proto, ip.tos)
 
     @property
     def size(self) -> int:
@@ -154,7 +162,9 @@ class Packet:
 
     def hop(self) -> "Packet":
         """The packet after traversing one router (ttl decremented)."""
-        return dataclasses.replace(self, ip=self.ip.decremented())
+        return Packet(self.ip.decremented(), self.transport, self.payload,
+                      self.channel, self.uid, self.copied_from,
+                      self.created_at)
 
     def __repr__(self) -> str:
         kind = type(self.transport).__name__ if self.transport else "raw"

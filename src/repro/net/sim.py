@@ -106,15 +106,13 @@ def derive_rng(seed: Any, name: str) -> random.Random:
 
 
 class _Event:
-    """One queue entry.  Ordered by ``(time, lp, lseq)``."""
+    """The payload of one queue entry: what to run, under which
+    context, and the lazy-deletion flags.  Deliberately unordered — see
+    :data:`_Entry`."""
 
-    __slots__ = ("time", "lp", "lseq", "fn", "ctx", "cancelled", "done")
+    __slots__ = ("fn", "ctx", "cancelled", "done")
 
-    def __init__(self, time: float, lp: int, lseq: int,
-                 fn: Callable[[], None], ctx: SchedulingContext):
-        self.time = time
-        self.lp = lp
-        self.lseq = lseq
+    def __init__(self, fn: Callable[[], None], ctx: SchedulingContext):
         self.fn = fn
         self.ctx = ctx
         #: flagged for lazy deletion
@@ -122,38 +120,39 @@ class _Event:
         #: popped from the queue (ran or was swept); cancelling is a no-op
         self.done = False
 
-    @property
-    def key(self) -> EventKey:
-        return (self.time, self.lp, self.lseq)
 
-    def __lt__(self, other: "_Event") -> bool:
-        return ((self.time, self.lp, self.lseq)
-                < (other.time, other.lp, other.lseq))
+#: One heap entry, ``(time, lp, lseq, event)``.  ``heapq`` orders entries
+#: by C tuple comparison; the leading event key is unique per entry (a
+#: context never repeats an ``lseq``), so comparison always stops before
+#: the event object, which therefore needs no ordering of its own.  For
+#: the same reason ``entry < key`` and ``entry >= key`` against a bare
+#: :data:`EventKey` order by the entry's key alone.
+_Entry = tuple[float, int, int, _Event]
 
 
 class EventHandle:
     """Returned by ``schedule``; allows cancelling a pending event."""
 
-    __slots__ = ("_event", "_sim")
+    __slots__ = ("_entry", "_sim")
 
-    def __init__(self, event: _Event, sim: "Simulator"):
-        self._event = event
+    def __init__(self, entry: _Entry, sim: "Simulator"):
+        self._entry = entry
         self._sim = sim
 
     def cancel(self) -> None:
-        self._sim._cancel(self._event)
+        self._sim._cancel(self._entry[3])
 
     @property
     def cancelled(self) -> bool:
-        return self._event.cancelled
+        return self._entry[3].cancelled
 
     @property
     def time(self) -> float:
-        return self._event.time
+        return self._entry[0]
 
     @property
     def key(self) -> EventKey:
-        return self._event.key
+        return self._entry[:3]
 
 
 #: Queues smaller than this are never compacted (the sweep would cost
@@ -183,7 +182,7 @@ class Simulator:
     def __init__(self, *, seed: int = 0,
                  lp_alloc: Callable[[], int] | None = None,
                  root: SchedulingContext | None = None):
-        self._queue: list[_Event] = []
+        self._queue: list[_Entry] = []
         self.now = 0.0
         self.seed = seed
         self.rng = random.Random(seed)
@@ -276,10 +275,10 @@ class Simulator:
         if delay < 0:
             raise ValueError(f"negative delay {delay}")
         ctx = context if context is not None else self._current
-        event = _Event(self.now + delay, ctx.lp, ctx.next_lseq(), fn, ctx)
-        heapq.heappush(self._queue, event)
+        entry = (self.now + delay, ctx.lp, ctx.next_lseq(), _Event(fn, ctx))
+        heapq.heappush(self._queue, entry)
         self._live += 1
-        return EventHandle(event, self)
+        return EventHandle(entry, self)
 
     def at(self, when: float, fn: Callable[[], None], *,
            context: SchedulingContext | None = None) -> EventHandle:
@@ -298,16 +297,17 @@ class Simulator:
 
         ``ctx`` is the context the callback will run under (defaults to
         this simulator's root).  ``time`` must not lie in this
-        simulator's past.
+        simulator's past, and ``(time, lp, lseq)`` must not repeat the
+        key of another pending event (keys are a total order).
         """
         if time < self.now:
             raise ValueError(
                 f"post at {time} is in the past (now={self.now})")
-        event = _Event(time, lp, lseq, fn,
-                       ctx if ctx is not None else self.root)
-        heapq.heappush(self._queue, event)
+        entry = (time, lp, lseq,
+                 _Event(fn, ctx if ctx is not None else self.root))
+        heapq.heappush(self._queue, entry)
         self._live += 1
-        return EventHandle(event, self)
+        return EventHandle(entry, self)
 
     # -- lazy deletion -----------------------------------------------------------
 
@@ -323,34 +323,35 @@ class Simulator:
 
     def _compact(self) -> None:
         """Sweep cancelled entries out of the heap and re-heapify."""
-        for event in self._queue:
-            if event.cancelled:
-                event.done = True
-        self._queue = [e for e in self._queue if not e.cancelled]
+        for entry in self._queue:
+            if entry[3].cancelled:
+                entry[3].done = True
+        self._queue = [e for e in self._queue if not e[3].cancelled]
         heapq.heapify(self._queue)
         self._cancelled = 0
 
-    def _pop(self) -> _Event | None:
-        """Pop the next live event (skipping cancelled ones), or None."""
+    def _pop(self) -> _Entry | None:
+        """Pop the next live entry (skipping cancelled ones), or None."""
         while self._queue:
-            event = heapq.heappop(self._queue)
+            entry = heapq.heappop(self._queue)
+            event = entry[3]
             event.done = True
             if event.cancelled:
                 self._cancelled -= 1
                 continue
             self._live -= 1
-            return event
+            return entry
         return None
 
-    def _peek(self) -> _Event | None:
-        """The next live event without popping it (sweeps cancelled
+    def _peek(self) -> _Entry | None:
+        """The next live entry without popping it (sweeps cancelled
         heads), or None."""
         while self._queue:
-            event = self._queue[0]
-            if not event.cancelled:
-                return event
+            entry = self._queue[0]
+            if not entry[3].cancelled:
+                return entry
             heapq.heappop(self._queue)
-            event.done = True
+            entry[3].done = True
             self._cancelled -= 1
         return None
 
@@ -358,13 +359,13 @@ class Simulator:
 
     def next_event_time(self) -> float | None:
         """The timestamp of the next live event, or None when idle."""
-        event = self._peek()
-        return event.time if event is not None else None
+        entry = self._peek()
+        return entry[0] if entry is not None else None
 
     def next_event_key(self) -> EventKey | None:
         """The full key of the next live event, or None when idle."""
-        event = self._peek()
-        return event.key if event is not None else None
+        entry = self._peek()
+        return entry[:3] if entry is not None else None
 
     # -- randomness helpers -------------------------------------------------------
 
@@ -411,15 +412,16 @@ class Simulator:
         """
         processed = 0
         while self._queue:
-            event = self._queue[0]
+            entry = self._queue[0]
+            event = entry[3]
             if event.cancelled:
                 heapq.heappop(self._queue)
                 event.done = True
                 self._cancelled -= 1
                 continue
-            if until is not None and event.time > until:
+            if until is not None and entry[0] > until:
                 break
-            if until_key is not None and event.key >= until_key:
+            if until_key is not None and entry >= until_key:
                 break
             if max_events is not None and processed >= max_events:
                 raise RuntimeError(
@@ -428,10 +430,10 @@ class Simulator:
             heapq.heappop(self._queue)
             event.done = True
             self._live -= 1
-            self.now = event.time
+            self.now = entry[0]
             self.events_processed += 1
             processed += 1
-            self._dispatch(event)
+            self._dispatch(entry)
         if until is not None and self.now < until:
             self.now = until
         if until_key is not None and self.now < until_key[0]:
@@ -442,12 +444,12 @@ class Simulator:
         """Run exactly the next event; False when idle.  The sequential
         shard driver steps the controller with this while segments hold
         at the controller's key."""
-        event = self._pop()
-        if event is None:
+        entry = self._pop()
+        if entry is None:
             return False
-        self.now = event.time
+        self.now = entry[0]
         self.events_processed += 1
-        self._dispatch(event)
+        self._dispatch(entry)
         return True
 
     def run_until_idle(self, max_events: int = 10_000_000) -> int:
@@ -456,19 +458,21 @@ class Simulator:
         ``run(max_events=...)``."""
         return self.run(max_events=max_events)
 
-    def _dispatch(self, event: _Event) -> None:
+    def _dispatch(self, entry: _Entry) -> None:
         """Run one event callback under its context, then drain its
         microtasks (including ones enqueued by other microtasks) under
         theirs."""
         tasks = self._microtasks
+        event = entry[3]
         self._in_event = True
         prev = self._current
         self._current = event.ctx
-        self.current_event_key = (event.time, event.lp, event.lseq)
+        self.current_event_key = entry[:3]
         try:
             event.fn()
-            while tasks:
-                fn, ctx = tasks.pop(0)
+            # The list may grow while it drains; iteration picks the
+            # late arrivals up in order.
+            for fn, ctx in tasks:
                 self._current = ctx
                 fn()
         finally:
@@ -476,7 +480,7 @@ class Simulator:
             self._in_event = False
             self.current_event_key = None
             if tasks:
-                del tasks[:]
+                tasks.clear()
 
     # -- scheduler state (the shard barrier's bookkeeping pair) ------------------
 

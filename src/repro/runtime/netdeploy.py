@@ -485,8 +485,6 @@ class _TargetTransfer:
 class DeploymentManager:
     """Pushes programs to DeploymentServices across the network."""
 
-    _ids = itertools.count(1)
-
     def __init__(self, net: Network, host: Host,
                  port: int = DEPLOY_PORT,
                  policy: RetryPolicy | None = None):
@@ -495,6 +493,10 @@ class DeploymentManager:
         self.port = port
         self.policy = policy or RetryPolicy()
         self.pushes: dict[str, dict[HostAddr, PushStatus]] = {}
+        #: per manager, not per process: a transfer's id seeds its
+        #: retry-jitter stream, so it must depend only on this
+        #: manager's own push history
+        self._ids = itertools.count(1)
         self._socket = net.udp(host).bind()
         self._socket.on_datagram = self._on_ack
         #: push parameters kept for retransmission and re-push

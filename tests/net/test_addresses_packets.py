@@ -1,5 +1,7 @@
 """Address and packet model tests."""
 
+from dataclasses import replace
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -89,6 +91,34 @@ class TestHeaders:
         u = UdpHeader(src_port=1, dst_port=2).swapped()
         assert (u.src_port, u.dst_port) == (2, 1)
 
+    def test_every_update_helper_equals_a_field_replace(self):
+        # The helpers call the constructor directly; pin them, field
+        # for field, to the generic replace they stand in for.
+        other = addr("9.9.9.9")
+        ip = IpHeader(src=addr("1.1.1.1"), dst=addr("2.2.2.2"), ttl=17,
+                      proto=17, tos=3)
+        tcp = TcpHeader(src_port=1234, dst_port=80, seq=7, ack=9, syn=True,
+                        fin=True, ack_flag=True, rst=True, window=4096)
+        udp = UdpHeader(src_port=5000, dst_port=53)
+        cases = [
+            (ip.with_dst(other), replace(ip, dst=other)),
+            (ip.with_src(other), replace(ip, src=other)),
+            (ip.with_ttl(5), replace(ip, ttl=5)),
+            (ip.decremented(), replace(ip, ttl=16)),
+            (ip.swapped(), replace(ip, src=ip.dst, dst=ip.src)),
+            (tcp.with_dst_port(8080), replace(tcp, dst_port=8080)),
+            (tcp.with_src_port(4321), replace(tcp, src_port=4321)),
+            (tcp.swapped(), replace(tcp, src_port=80, dst_port=1234)),
+            (udp.with_dst_port(54), replace(udp, dst_port=54)),
+            (udp.with_src_port(5001), replace(udp, src_port=5001)),
+            (udp.swapped(), replace(udp, src_port=53, dst_port=5000)),
+        ]
+        for got, want in cases:
+            assert type(got) is type(want)
+            assert got == want
+        with pytest.raises(AttributeError):
+            ip.decremented().ttl = 1  # still frozen
+
 
 class TestPacket:
     def test_size_includes_headers(self):
@@ -119,6 +149,23 @@ class TestPacket:
         a = udp_packet(ANY_ADDR, ANY_ADDR, 0, 0, b"")
         assert a.hop().ip.ttl == DEFAULT_TTL - 1
         assert a.ip.ttl == DEFAULT_TTL
+
+    def test_hop_equals_a_field_replace(self):
+        a = tcp_packet(addr("1.1.1.1"), addr("2.2.2.2"), 1, 2, b"body",
+                       seq=5, channel="chan").copy()
+        a.created_at = 1.25
+        hopped = a.hop()
+        # Dataclass equality covers every field: uid, copied_from and
+        # created_at ride along unchanged.
+        assert hopped == replace(a, ip=replace(a.ip, ttl=a.ip.ttl - 1))
+        assert (hopped.uid, hopped.copied_from) == (a.uid, a.copied_from)
+        assert hopped.transport is a.transport
+        assert hopped.payload is a.payload
+
+    def test_hop_still_runs_post_init(self):
+        a = Packet(ip=IpHeader(), transport=UdpHeader())
+        a.ip = IpHeader(ttl=9)  # reassigned with the raw default proto
+        assert a.hop().ip == IpHeader(ttl=8, proto=17)
 
     def test_default_ttl(self):
         assert udp_packet(ANY_ADDR, ANY_ADDR, 0, 0, b"").ip.ttl == 64

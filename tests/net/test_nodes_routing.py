@@ -88,6 +88,36 @@ class TestForwarding:
         assert c.stats.forwarded == 0
 
 
+class TestNodeAddresses:
+    def test_address_set_tracks_add_interface(self):
+        # "Is this packet for me" is answered from a set kept by
+        # add_interface: an interface added to a live node must start
+        # accepting at once, on the receive path and on the send path.
+        net, a, r1, _r2, b = line_topology()
+        spare = net.add_host("spare")
+        net.link(r1, spare)
+        new_addr = r1.interfaces[-1].address
+        assert len(r1.interfaces) == 3
+        assert r1.addresses == [i.address for i in r1.interfaces]
+        assert r1.addresses is not r1.addresses  # a fresh list each time
+        compute_routes(net.nodes)
+        got = []
+        r1.delivery_taps.append(got.append)
+        a.ip_send(udp_packet(a.address, new_addr, 1, 2, b"in"))
+        r1.ip_send(udp_packet(r1.address, new_addr, 1, 2, b"self"))
+        net.run()
+        assert sorted(p.payload for p in got) == [b"in", b"self"]
+        assert r1.stats.forwarded == 0
+
+    def test_traffic_for_a_neighbour_is_not_mine(self):
+        net, a, r1, _r2, b = line_topology()
+        got = []
+        r1.delivery_taps.append(got.append)
+        a.ip_send(udp_packet(a.address, b.address, 1, 2, b"through"))
+        net.run()
+        assert got == [] and r1.stats.forwarded == 1
+
+
 class TestRoutingTable:
     def test_routes_are_symmetric(self):
         net, a, r1, r2, b = line_topology()

@@ -134,7 +134,7 @@ class TestLazyDeletion:
         # ones, physically shrinking the heap (it fired at the 51st
         # cancel, so at most the post-sweep stragglers remain flagged).
         assert sim.pending_events == 40
-        assert len(sim._queue) < 60
+        assert sim.stats()["heap_size"] < 60
         sim.run()
         assert sim.events_processed == 40
         assert sim.pending_events == 0
@@ -146,7 +146,7 @@ class TestLazyDeletion:
         for handle in handles[:9]:
             handle.cancel()
         # Below the compaction floor the garbage just sits in the heap…
-        assert len(sim._queue) == 10
+        assert sim.stats()["heap_size"] == 10
         assert sim.pending_events == 1
         # …and is skipped, not executed, when popped.
         sim.run()
@@ -241,8 +241,9 @@ class TestSerialResource:
 # compaction, and the heap itself.  These properties drive random
 # interleavings of schedule / cancel / run (including cancelling
 # already-run and already-cancelled events, which must be no-ops) and
-# check the counters against a brute-force walk of the heap after every
-# operation.
+# check ``stats()`` against the test's own count of live events after
+# every operation — through the public counters only, so the heap's
+# entry layout stays private to the simulator.
 
 _ops = st.lists(
     st.one_of(
@@ -253,12 +254,11 @@ _ops = st.lists(
     min_size=1, max_size=80)
 
 
-def _check_counters(sim):
-    live = sum(1 for e in sim._queue if not e.cancelled)
-    cancelled = sum(1 for e in sim._queue if e.cancelled)
-    assert sim.pending_events == live
-    assert sim._cancelled == cancelled
-    assert sim._live == live
+def _check_counters(sim, live):
+    stats = sim.stats()
+    assert sim.pending_events == stats["pending_events"] == live
+    assert stats["cancelled_pending"] >= 0
+    assert stats["heap_size"] == live + stats["cancelled_pending"]
 
 
 class TestSchedulerInvariants:
@@ -267,19 +267,26 @@ class TestSchedulerInvariants:
     def test_counters_match_heap_under_interleaving(self, ops):
         sim = Simulator()
         handles = []
+        live = set()  # indices scheduled, not yet run, not cancelled
         for op, arg in ops:
             if op == "schedule":
-                handles.append(sim.schedule(arg / 10.0, lambda: None))
+                i = len(handles)
+                live.add(i)
+                handles.append(sim.schedule(
+                    arg / 10.0, lambda i=i: live.remove(i)))
             elif op == "cancel" and handles:
                 # May hit pending, already-cancelled, or already-run
                 # events — the latter two must be no-ops.
-                handles[arg % len(handles)].cancel()
+                i = arg % len(handles)
+                handles[i].cancel()
+                assert handles[i].cancelled or i not in live
+                live.discard(i)
             elif op == "run":
                 sim.run(until=sim.now + arg / 10.0)
-            _check_counters(sim)
+            _check_counters(sim, len(live))
         sim.run()
-        _check_counters(sim)
-        assert sim.pending_events == 0
+        _check_counters(sim, 0)
+        assert not live
 
     @settings(max_examples=50, deadline=None)
     @given(n=st.integers(64, 120), seed=st.integers(0, 2**16))
@@ -290,13 +297,17 @@ class TestSchedulerInvariants:
                    for i in range(n)]
         rng = random.Random(seed)
         victims = rng.sample(range(n), int(n * 0.8))
-        for i in victims:
+        for done, i in enumerate(victims, start=1):
             handles[i].cancel()  # past n/2 cancels this compacts
-            _check_counters(sim)
+            _check_counters(sim, n - done)
+            stats = sim.stats()
+            if stats["heap_size"] >= 64:  # garbage stays a minority
+                assert stats["cancelled_pending"] * 2 <= stats["heap_size"]
+        assert sim.stats()["heap_size"] < n  # a sweep did happen
         sim.run()
         survivors = sorted(set(range(n)) - set(victims))
         assert ran == survivors  # order survives the re-heapify
-        _check_counters(sim)
+        _check_counters(sim, 0)
 
     def test_cancel_after_run_is_noop(self):
         sim = Simulator()
@@ -313,7 +324,7 @@ class TestSchedulerInvariants:
         handle = sim.schedule(1.0, lambda: None)
         handle.cancel()
         handle.cancel()
-        assert sim._cancelled == 1
+        assert sim.stats()["cancelled_pending"] == 1
         assert sim.pending_events == 0
 
     def test_stats_shape(self):

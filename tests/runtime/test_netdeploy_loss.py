@@ -167,16 +167,28 @@ class TestCrashDrill:
         # ...and identically running programs.
         assert r0.planp.current_sha == r1.planp.current_sha is not None
 
-    def test_drill_is_reproducible_under_a_fixed_seed(self):
-        def snapshot(seed):
-            net, routers, services, manager, first, second = \
-                self.drill(seed)
-            return ([(s.ok, s.detail, s.retries, s.restarts,
-                      s.chunks_sent, s.late_acks)
-                     for s in manager.status(second).values()],
-                    [entry for entry in net.faults.log])
+    def snapshot(self, seed):
+        net, routers, services, manager, first, second = self.drill(seed)
+        return ((first, second),
+                [(s.ok, s.detail, s.retries, s.restarts,
+                  s.chunks_sent, s.late_acks)
+                 for s in manager.status(second).values()],
+                list(net.faults.log))
 
-        assert snapshot(31) == snapshot(31)
+    def test_drill_is_reproducible_under_a_fixed_seed(self):
+        assert self.snapshot(31) == self.snapshot(31)
+
+    def test_drill_does_not_depend_on_process_history(self):
+        # Transfer ids seed each transfer's retry-jitter stream, so they
+        # must be a function of the manager's own pushes — not of how
+        # many pushes other managers made earlier in this process.
+        fresh = self.snapshot(31)
+        net, routers, services, other = star_net(1, seed=77)
+        for _ in range(5):
+            xfer = other.push(COUNTER, [routers[0].address])
+            assert other.await_converged(xfer)
+        assert fresh[0] == ("asp1", "asp2")
+        assert self.snapshot(31) == fresh
 
     def test_crash_without_restart_times_out(self):
         net, routers, services, manager = star_net(2, seed=33)
