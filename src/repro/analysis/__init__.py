@@ -2,7 +2,7 @@
 
 from .delivery import DeliveryReport, check_delivery
 from .duplication import DuplicationReport, check_duplication
-from .paths import PathSummary, channel_paths
+from .paths import PathSummary, channel_paths, program_paths
 from .termination import (GlobalTerminationReport, check_global_termination,
                           check_local_termination)
 from .verifier import (ANALYSES, AnalysisResult, VerificationReport,
@@ -32,6 +32,7 @@ __all__ = [
     "check_duplication",
     "check_global_termination",
     "check_local_termination",
+    "program_paths",
     "verify_program",
     "verify_report",
     "wire_summary",

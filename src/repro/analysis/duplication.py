@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 from ..lang.errors import VerificationError
 from ..lang.typechecker import ProgramInfo
-from .paths import PathSummary, channel_paths
+from .paths import PathSummary, ProgramPaths, program_paths
 
 
 @dataclass
@@ -32,15 +32,18 @@ class DuplicationReport:
     max_emissions_per_path: int = 0
 
 
-def check_duplication(info: ProgramInfo) -> DuplicationReport:
+def check_duplication(info: ProgramInfo,
+                      paths: ProgramPaths | None = None) -> DuplicationReport:
     """Raises :class:`VerificationError` if duplication may be
-    exponential; otherwise returns which channels multiply packets."""
-    paths_of: dict[str, list[PathSummary]] = {}
-    for name, overloads in info.channels.items():
-        paths: list[PathSummary] = []
-        for decl in overloads:
-            paths.extend(channel_paths(info, decl))
-        paths_of[name] = paths
+    exponential; otherwise returns which channels multiply packets.
+    ``paths`` is ``program_paths(info)`` when the caller already has it."""
+    if paths is None:
+        paths = program_paths(info)
+    # Overloads of one name are one channel here.
+    paths_of: dict[str, list[PathSummary]] = {
+        name: [] for name in info.channels}
+    for (name, _), summaries in paths.items():
+        paths_of[name].extend(summaries)
 
     # Least fix-point of mult().
     mult: dict[str, bool] = {name: False for name in info.channels}

@@ -677,3 +677,16 @@ def channel_paths(info: ProgramInfo,
                   decl: ast.ChannelDecl) -> list[PathSummary]:
     """All execution paths of one channel declaration."""
     return PathWalker(info, decl).paths()
+
+
+#: Every overload's paths, keyed by (channel name, overload index).
+ProgramPaths = dict[tuple[str, int], list[PathSummary]]
+
+
+def program_paths(info: ProgramInfo) -> ProgramPaths:
+    """Enumerate each channel declaration of the program once.  The
+    analyses that consume paths take the result as an argument so that
+    one verification walks every body a single time; they only read it."""
+    return {(name, i): channel_paths(info, decl)
+            for name, overloads in info.channels.items()
+            for i, decl in enumerate(overloads)}

@@ -27,8 +27,8 @@ import networkx as nx
 from ..lang import ast
 from ..lang.errors import VerificationError
 from ..lang.typechecker import ProgramInfo
-from .paths import (Dst, DstKind, Emission, PathSummary, Port, PortKind,
-                    channel_paths)
+from .paths import (Dst, DstKind, Emission, Port, PortKind, ProgramPaths,
+                    program_paths)
 
 
 # ---------------------------------------------------------------------------
@@ -127,28 +127,23 @@ class GlobalTerminationReport:
     emission_sites: int = 0
 
 
-def check_global_termination(info: ProgramInfo) -> GlobalTerminationReport:
+def check_global_termination(
+        info: ProgramInfo,
+        paths: ProgramPaths | None = None) -> GlobalTerminationReport:
     """Explore the abstract state space and reject cycling programs.
 
     Raises :class:`VerificationError` if a reachable abstract cycle
     contains a destination-rewriting emission (a packet could then visit
     the same channel in the same abstract configuration indefinitely,
-    i.e. cycle through the network)."""
-    decls: list[tuple[str, int, ast.ChannelDecl]] = []
-    for name, overloads in info.channels.items():
-        for i, decl in enumerate(overloads):
-            decls.append((name, i, decl))
-
-    paths_of: dict[tuple[str, int], list[PathSummary]] = {}
-    emission_sites = 0
-    for name, i, decl in decls:
-        summaries = channel_paths(info, decl)
-        paths_of[(name, i)] = summaries
-        emission_sites += sum(len(p.emissions) for p in summaries)
+    i.e. cycle through the network).  ``paths`` is ``program_paths(info)``
+    when the caller already has it."""
+    paths_of = program_paths(info) if paths is None else paths
+    emission_sites = sum(len(p.emissions) for summaries in paths_of.values()
+                         for p in summaries)
 
     graph = nx.DiGraph()
     # Every channel can receive a fresh application packet.
-    frontier = [_State(name, i, DST_APP, PORT_APP) for name, i, _ in decls]
+    frontier = [_State(name, i, DST_APP, PORT_APP) for name, i in paths_of]
     seen: set[_State] = set(frontier)
     rewrite_edges: list[tuple[_State, _State, Emission]] = []
 

@@ -27,6 +27,7 @@ from ..lang.typechecker import ProgramInfo
 from ..obs.spans import span
 from .delivery import DeliveryReport, check_delivery
 from .duplication import DuplicationReport, check_duplication
+from .paths import ProgramPaths, program_paths
 from .termination import (GlobalTerminationReport, check_global_termination,
                           check_local_termination)
 
@@ -94,10 +95,21 @@ def verify_report(info: ProgramInfo) -> VerificationReport:
                 AnalysisResult(name, False, timer.elapsed_ms,
                                detail=err.message))
 
+    # Global termination and duplication read the same execution paths:
+    # enumerate them once, inside the first consumer's span and error
+    # capture.  If enumeration itself is refused the second consumer
+    # finds no paths, enumerates again and reports the same refusal.
+    paths: ProgramPaths | None = None
+
+    def global_termination(info: ProgramInfo) -> GlobalTerminationReport:
+        nonlocal paths
+        paths = program_paths(info)
+        return check_global_termination(info, paths)
+
     run("local-termination", check_local_termination)
-    run("global-termination", check_global_termination)
+    run("global-termination", global_termination)
     run("delivery", check_delivery)
-    run("duplication", check_duplication)
+    run("duplication", lambda info: check_duplication(info, paths))
     return report
 
 
@@ -107,7 +119,8 @@ def verify_program(info: ProgramInfo) -> VerificationReport:
     This is the install-time gate of the run-time system."""
     check_local_termination(info)
     report = VerificationReport()
-    report.global_termination = check_global_termination(info)
+    paths = program_paths(info)
+    report.global_termination = check_global_termination(info, paths)
     report.delivery = check_delivery(info)
-    report.duplication = check_duplication(info)
+    report.duplication = check_duplication(info, paths)
     return report

@@ -154,10 +154,12 @@ class ProgramCache:
 
     # -- cached stages ------------------------------------------------------------
 
-    def frontend(self, source: str,
-                 source_name: str = "<planp>") -> tuple[str, ProgramInfo]:
-        """Parse + type check, memoized by content digest."""
-        key = self.digest(source)
+    def frontend(self, source: str, source_name: str = "<planp>",
+                 key: str | None = None) -> tuple[str, ProgramInfo]:
+        """Parse + type check, memoized by content digest (``key``, when
+        the caller has already taken it)."""
+        if key is None:
+            key = self.digest(source)
         info = self._frontend.get(key)
         if info is not None:
             self.stats.frontend_hits += 1
@@ -305,7 +307,9 @@ def load_program(source: str, *, backend: str = "closure",
                  verify: bool = True,
                  ctx: ExecutionContext | None = None,
                  source_name: str = "<planp>",
-                 cache: ProgramCache | None = None) -> LoadedProgram:
+                 cache: ProgramCache | None = None,
+                 key: str | None = None,
+                 source_lines: int | None = None) -> LoadedProgram:
     """The full download path of the paper's run-time system.
 
     Raises :class:`repro.lang.errors.VerificationError` if any of the four
@@ -316,12 +320,16 @@ def load_program(source: str, *, backend: str = "closure",
     ``cache`` (default: the process-wide :data:`PROGRAM_CACHE`) skips
     parsing, type checking, verification, and the node-independent part
     of code generation; only per-node engine instantiation remains.
+    A caller that loads one source on many nodes passes the digest
+    (``key``) and ``count_source_lines`` result it already has.
     """
     cache = PROGRAM_CACHE if cache is None else cache
     before = cache.stats.total_hits
-    key, info = cache.frontend(source, source_name)
+    key, info = cache.frontend(source, source_name, key)
     if verify:
         cache.check_verified(key, info)
+    if source_lines is None:
+        source_lines = count_source_lines(source)
     with GLOBAL.metrics.span("jit.codegen_ms") as timer:
         artifact = cache.engine_artifact(key, info, backend)
         engine = make_engine(info, backend, ctx, artifact=artifact)
@@ -333,7 +341,7 @@ def load_program(source: str, *, backend: str = "closure",
                        cache_hit=hit, verified=verify)
     return LoadedProgram(info=info, engine=engine, backend=backend,
                          codegen_ms=timer.elapsed_ms,
-                         source_lines=count_source_lines(source),
+                         source_lines=source_lines,
                          source_sha=key,
                          cache_hit=hit,
                          source=source,

@@ -8,12 +8,12 @@ router before being installed).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 
-@dataclass(frozen=True, order=True)
-class SourcePos:
-    """A position in PLAN-P source text (1-based line and column)."""
+class SourcePos(NamedTuple):
+    """A position in PLAN-P source text (1-based line and column);
+    positions order as (line, column)."""
 
     line: int = 0
     column: int = 0

@@ -1,4 +1,4 @@
-"""Hand-written lexer for PLAN-P.
+"""Single-pass scanner for PLAN-P, driven by one compiled pattern.
 
 PLAN-P keeps PLAN's SML-like lexical syntax:
 
@@ -10,18 +10,25 @@ PLAN-P keeps PLAN's SML-like lexical syntax:
 * Strings use double quotes with ``\\`` escapes; characters use ``#"c"``
   as in SML — but since ``#`` also introduces tuple projection (``#1 p``),
   the lexer only treats ``#"`` as a character literal.
+
+``_TOKEN`` below *is* the lexical grammar: one ``match`` per token skips
+the trivia in front of it and says, by which group took part, what the
+token is.  The scanner reads untrusted text, so every class in it is
+spelled out rather than borrowed from ``\\d`` or ``[A-Za-z]``: digits
+are ASCII only (``int()`` rejects ``²``), an identifier starts with
+``str.isalpha()`` or ``_`` and continues with ``str.isalnum()``, ``_``
+or ``'`` — ``\\w`` is exactly ``isalnum()`` plus ``_``, but nothing in
+``re`` is ``isalpha()``, so a word with a non-ASCII first character is
+its own group and checked in Python.
 """
 
 from __future__ import annotations
 
+import re
+from bisect import bisect_right
+
 from .errors import LexError, SourcePos
-from .tokens import KEYWORDS, Token, TokenKind
-
-def _is_ascii_digit(ch: str) -> bool:
-    """ASCII digits only: ``str.isdigit()`` also accepts Unicode digits
-    (e.g. superscripts) that ``int()`` rejects."""
-    return "0" <= ch <= "9"
-
+from .tokens import KEYWORDS, OPERATORS, Token, TokenKind
 
 _STRING_ESCAPES = {
     "n": "\n",
@@ -32,212 +39,113 @@ _STRING_ESCAPES = {
     "0": "\0",
 }
 
+_ESCAPE = r'\\[ntr"\\0]'
+#: What may stand between a string's quotes (no raw newline).
+_STRING_BODY = rf'[^"\\\n]*(?:{_ESCAPE}[^"\\\n]*)*'
 
-class Lexer:
-    """Converts PLAN-P source text into a list of tokens."""
+_TOKEN = re.compile(rf"""
+    (?: [ \t\r\n]+ | --[^\n]* )*        # whitespace and line comments
+    (?: ([A-Za-z_][\w']*)               # 1 identifier or keyword
+      | ([0-9]+(?:\.[0-9]+)*)           # 2 integer or dotted literal
+      | ("{_STRING_BODY}")              # 3 string literal
+      | (\#"(?:[^\\]|{_ESCAPE})")        # 4 character literal
+      | (\(\*)                          # 5 block-comment opener
+      | (\(\)|<>|<=|>=|=>|::|\#(?!")|[(),;:*+\-/^=<>])    # 6 operator
+      | (\w[\w']*)                      # 7 word, non-ASCII first character
+      | (\Z)                            # 8 end of input
+      | (.)                             # 9 no token starts here
+    )""", re.VERBOSE | re.DOTALL)
 
-    def __init__(self, source: str):
-        self._src = source
-        self._pos = 0
-        self._line = 1
-        self._col = 1
+_STRING_PREFIX = re.compile(_STRING_BODY)
+_ESCAPED = re.compile(r"\\(.)", re.DOTALL)
+_COMMENT_EDGE = re.compile(r"\(\*|\*\)")
+_NEWLINE = re.compile("\n")
 
-    # -- Character-level helpers -------------------------------------------
 
-    def _peek(self, ahead: int = 0) -> str:
-        idx = self._pos + ahead
-        if idx < len(self._src):
-            return self._src[idx]
-        return ""
+def _unescape(body: str) -> str:
+    if "\\" not in body:
+        return body
+    return _ESCAPED.sub(lambda m: _STRING_ESCAPES[m.group(1)], body)
 
-    def _advance(self) -> str:
-        ch = self._src[self._pos]
-        self._pos += 1
-        if ch == "\n":
-            self._line += 1
-            self._col = 1
-        else:
-            self._col += 1
-        return ch
 
-    def _here(self) -> SourcePos:
-        return SourcePos(self._line, self._col)
+def _skip_block_comment(source: str, start: int, pos: SourcePos) -> int:
+    """The offset just past the ``*)`` closing the comment whose ``(*``
+    is at ``start``; comments nest."""
+    depth, at = 1, start + 2
+    while depth:
+        edge = _COMMENT_EDGE.search(source, at)
+        if edge is None:
+            raise LexError("unterminated block comment", pos)
+        depth += 1 if edge.group() == "(*" else -1
+        at = edge.end()
+    return at
 
-    def _at_end(self) -> bool:
-        return self._pos >= len(self._src)
 
-    # -- Public API ---------------------------------------------------------
+def _malformed(source: str, start: int, pos: SourcePos) -> LexError:
+    """Why no token starts at ``start``: group 9 of ``_TOKEN`` matched,
+    so a ``"`` or ``#"`` here opens a literal that is not well formed."""
+    ch = source[start]
+    if ch == '"':
+        stop = _STRING_PREFIX.match(source, start + 1).end()
+        if source[stop:stop + 1] == "\\":
+            esc = source[stop + 1:stop + 2]
+            return LexError(f"bad string escape \\{esc}", pos)
+        return LexError("unterminated string literal", pos)
+    if ch == "#":
+        esc = source[start + 3:start + 4]
+        if source[start + 2:start + 3] == "\\" and esc not in _STRING_ESCAPES:
+            return LexError(f"bad char escape \\{esc}", pos)
+        return LexError("unterminated char literal", pos)
+    return LexError(f"unexpected character {ch!r}", pos)
 
-    def tokens(self) -> list[Token]:
-        """Lex the whole input, returning tokens ending with EOF."""
-        out: list[Token] = []
-        while True:
-            tok = self._next_token()
-            out.append(tok)
-            if tok.kind is TokenKind.EOF:
-                return out
 
-    # -- Scanner ------------------------------------------------------------
-
-    def _next_token(self) -> Token:
-        self._skip_trivia()
-        pos = self._here()
-        if self._at_end():
-            return Token(TokenKind.EOF, "", pos)
-
-        ch = self._peek()
-        if _is_ascii_digit(ch):
-            return self._number(pos)
-        if ch.isalpha() or ch == "_":
-            return self._ident_or_keyword(pos)
-        if ch == '"':
-            return self._string(pos)
-        if ch == "#" and self._peek(1) == '"':
-            return self._char(pos)
-        return self._operator(pos)
-
-    def _skip_trivia(self) -> None:
-        """Skip whitespace, line comments and nested block comments."""
-        while not self._at_end():
-            ch = self._peek()
-            if ch in " \t\r\n":
-                self._advance()
-            elif ch == "-" and self._peek(1) == "-":
-                while not self._at_end() and self._peek() != "\n":
-                    self._advance()
-            elif ch == "(" and self._peek(1) == "*":
-                self._block_comment()
-            else:
-                return
-
-    def _block_comment(self) -> None:
-        open_pos = self._here()
-        self._advance()  # (
-        self._advance()  # *
-        depth = 1
-        while depth > 0:
-            if self._at_end():
-                raise LexError("unterminated block comment", open_pos)
-            if self._peek() == "(" and self._peek(1) == "*":
-                self._advance()
-                self._advance()
-                depth += 1
-            elif self._peek() == "*" and self._peek(1) == ")":
-                self._advance()
-                self._advance()
-                depth -= 1
-            else:
-                self._advance()
-
-    def _number(self, pos: SourcePos) -> Token:
-        start = self._pos
-        while not self._at_end() and _is_ascii_digit(self._peek()):
-            self._advance()
-        # An IP-address literal is four dotted decimal groups.
-        if self._peek() == "." and _is_ascii_digit(self._peek(1)):
-            return self._ip_address(pos, start)
-        text = self._src[start:self._pos]
+def _number(text: str, pos: SourcePos) -> Token:
+    if "." not in text:
         return Token(TokenKind.INT, text, pos, int(text))
-
-    def _ip_address(self, pos: SourcePos, start: int) -> Token:
-        groups = 1
-        while self._peek() == "." and _is_ascii_digit(self._peek(1)):
-            self._advance()  # .
-            while not self._at_end() and _is_ascii_digit(self._peek()):
-                self._advance()
-            groups += 1
-        text = self._src[start:self._pos]
-        if groups != 4:
-            raise LexError(f"malformed IP address literal {text!r}", pos)
-        if any(int(g) > 255 for g in text.split(".")):
-            raise LexError(f"IP address group out of range in {text!r}", pos)
-        return Token(TokenKind.IPADDR, text, pos, text)
-
-    def _ident_or_keyword(self, pos: SourcePos) -> Token:
-        start = self._pos
-        while not self._at_end() and (self._peek().isalnum()
-                                      or self._peek() in "_'"):
-            self._advance()
-        text = self._src[start:self._pos]
-        kind = KEYWORDS.get(text)
-        if kind is not None:
-            return Token(kind, text, pos)
-        return Token(TokenKind.IDENT, text, pos, text)
-
-    def _string(self, pos: SourcePos) -> Token:
-        self._advance()  # opening quote
-        chars: list[str] = []
-        while True:
-            if self._at_end() or self._peek() == "\n":
-                raise LexError("unterminated string literal", pos)
-            ch = self._advance()
-            if ch == '"':
-                break
-            if ch == "\\":
-                esc = self._advance() if not self._at_end() else ""
-                if esc not in _STRING_ESCAPES:
-                    raise LexError(f"bad string escape \\{esc}", pos)
-                chars.append(_STRING_ESCAPES[esc])
-            else:
-                chars.append(ch)
-        text = "".join(chars)
-        return Token(TokenKind.STRING, text, pos, text)
-
-    def _char(self, pos: SourcePos) -> Token:
-        self._advance()  # '#'
-        self._advance()  # opening quote
-        if self._at_end():
-            raise LexError("unterminated char literal", pos)
-        ch = self._advance()
-        if ch == "\\":
-            esc = self._advance() if not self._at_end() else ""
-            if esc not in _STRING_ESCAPES:
-                raise LexError(f"bad char escape \\{esc}", pos)
-            ch = _STRING_ESCAPES[esc]
-        if self._at_end() or self._advance() != '"':
-            raise LexError("unterminated char literal", pos)
-        return Token(TokenKind.CHAR, ch, pos, ch)
-
-    def _operator(self, pos: SourcePos) -> Token:
-        two = self._peek() + self._peek(1)
-        if two == "()":
-            self._advance()
-            self._advance()
-            return Token(TokenKind.UNIT, "()", pos)
-        two_char = {
-            "<>": TokenKind.NEQ,
-            "<=": TokenKind.LE,
-            ">=": TokenKind.GE,
-            "=>": TokenKind.ARROW,
-            "::": TokenKind.CONS,
-        }
-        if two in two_char:
-            self._advance()
-            self._advance()
-            return Token(two_char[two], two, pos)
-        one_char = {
-            "(": TokenKind.LPAREN,
-            ")": TokenKind.RPAREN,
-            ",": TokenKind.COMMA,
-            ";": TokenKind.SEMI,
-            ":": TokenKind.COLON,
-            "*": TokenKind.STAR,
-            "+": TokenKind.PLUS,
-            "-": TokenKind.MINUS,
-            "/": TokenKind.SLASH,
-            "^": TokenKind.CARET,
-            "=": TokenKind.EQ,
-            "<": TokenKind.LT,
-            ">": TokenKind.GT,
-            "#": TokenKind.HASH,
-        }
-        ch = self._peek()
-        if ch in one_char:
-            self._advance()
-            return Token(one_char[ch], ch, pos)
-        raise LexError(f"unexpected character {ch!r}", pos)
+    # An IP-address literal is four dotted decimal groups.
+    groups = text.split(".")
+    if len(groups) != 4:
+        raise LexError(f"malformed IP address literal {text!r}", pos)
+    if any(int(g) > 255 for g in groups):
+        raise LexError(f"IP address group out of range in {text!r}", pos)
+    return Token(TokenKind.IPADDR, text, pos, text)
 
 
 def tokenize(source: str) -> list[Token]:
-    """Convenience wrapper: lex ``source`` into a token list ending in EOF."""
-    return Lexer(source).tokens()
+    """Lex ``source`` into a token list ending in EOF."""
+    line_starts = [0]
+    line_starts.extend(m.end() for m in _NEWLINE.finditer(source))
+    out: list[Token] = []
+    at = 0
+    while True:
+        m = _TOKEN.match(source, at)
+        group = m.lastindex
+        start, at = m.span(group)
+        line = bisect_right(line_starts, start)
+        pos = SourcePos(line, start - line_starts[line - 1] + 1)
+        text = m.group(group)
+        if group == 1:
+            kind = KEYWORDS.get(text)
+            if kind is None:
+                out.append(Token(TokenKind.IDENT, text, pos, text))
+            else:
+                out.append(Token(kind, text, pos))
+        elif group == 6:
+            out.append(Token(OPERATORS[text], text, pos))
+        elif group == 2:
+            out.append(_number(text, pos))
+        elif group == 3:
+            text = _unescape(text[1:-1])
+            out.append(Token(TokenKind.STRING, text, pos, text))
+        elif group == 4:
+            text = _unescape(text[2:-1])
+            out.append(Token(TokenKind.CHAR, text, pos, text))
+        elif group == 5:
+            at = _skip_block_comment(source, start, pos)
+        elif group == 7 and text[0].isalpha():
+            out.append(Token(TokenKind.IDENT, text, pos, text))
+        elif group == 8:
+            out.append(Token(TokenKind.EOF, "", pos))
+            return out
+        else:
+            raise _malformed(source, start, pos)

@@ -54,23 +54,34 @@ _MULTIPLICATIVE = {
 _TYPE_KEYWORD_TOKENS = set(_BASE_TYPES) | {TokenKind.THASHTABLE,
                                            TokenKind.TLIST}
 
+#: How deep an expression or a type may nest.  The parser and every pass
+#: after it recurse on that depth, and the text comes off the wire: a
+#: fixed bound (the descent spends about 11 Python frames on a level of
+#: parentheses) keeps a hostile download a ParseError, whatever
+#: ``sys.getrecursionlimit()`` is.
+MAX_NESTING = 64
+
 
 class Parser:
     """Parses a token stream into a :class:`repro.lang.ast.Program`."""
 
     def __init__(self, tokens: list[Token], source_name: str = "<planp>"):
+        # ``_advance`` never steps past an EOF, so with one at the end
+        # the cursor needs no bounds check.
+        if not tokens or tokens[-1].kind is not TokenKind.EOF:
+            tokens = [*tokens, Token(TokenKind.EOF, "")]
         self._toks = tokens
         self._idx = 0
+        self._depth = 0
         self._source_name = source_name
 
     # -- Token-stream helpers ------------------------------------------------
 
-    def _peek(self, ahead: int = 0) -> Token:
-        idx = min(self._idx + ahead, len(self._toks) - 1)
-        return self._toks[idx]
+    def _peek(self) -> Token:
+        return self._toks[self._idx]
 
-    def _at(self, kind: TokenKind, ahead: int = 0) -> bool:
-        return self._peek(ahead).kind is kind
+    def _at(self, kind: TokenKind) -> bool:
+        return self._toks[self._idx].kind is kind
 
     def _advance(self) -> Token:
         tok = self._toks[self._idx]
@@ -89,6 +100,15 @@ class Parser:
 
     def _pos(self) -> SourcePos:
         return self._peek().pos
+
+    def _deeper(self, pos: SourcePos, what: str = "expression") -> None:
+        """Count one more level of nesting.  ``_expr`` and ``_type``
+        forget what was counted inside them when they return; operator
+        chains between two such calls only add up, since each operator
+        puts the tree one node deeper."""
+        self._depth += 1
+        if self._depth > MAX_NESTING:
+            raise ParseError(f"{what} nested deeper than {MAX_NESTING}", pos)
 
     def _expect_name(self, context: str) -> Token:
         """An identifier, allowing type keywords used as plain names."""
@@ -189,26 +209,27 @@ class Parser:
     # -- Types -----------------------------------------------------------------
 
     def _type(self) -> T.Type:
-        first = self._type_postfix()
-        elems = [first]
+        outer = self._depth
+        self._deeper(self._pos(), "type")
+        elems = [self._type_postfix()]
         while self._at(TokenKind.STAR):
             self._advance()
             elems.append(self._type_postfix())
+        self._depth = outer
         if len(elems) == 1:
-            return first
+            return elems[0]
         return T.TupleType(tuple(elems))
 
     def _type_postfix(self) -> T.Type:
         t = self._type_atom()
         while True:
             if self._at(TokenKind.THASHTABLE):
-                self._advance()
                 t = T.HashTableType(t)
             elif self._at(TokenKind.TLIST):
-                self._advance()
                 t = T.ListType(t)
             else:
                 return t
+            self._deeper(self._advance().pos, "type")
 
     def _type_atom(self) -> T.Type:
         tok = self._peek()
@@ -227,15 +248,20 @@ class Parser:
 
     def _expr(self) -> ast.Expr:
         tok = self._peek()
+        outer = self._depth
+        self._deeper(tok.pos)
         if tok.kind is TokenKind.LET:
-            return self._let()
-        if tok.kind is TokenKind.IF:
-            return self._if()
-        if tok.kind is TokenKind.TRY:
-            return self._try()
-        if tok.kind is TokenKind.RAISE:
-            return self._raise()
-        return self._orelse()
+            expr: ast.Expr = self._let()
+        elif tok.kind is TokenKind.IF:
+            expr = self._if()
+        elif tok.kind is TokenKind.TRY:
+            expr = self._try()
+        elif tok.kind is TokenKind.RAISE:
+            expr = self._raise()
+        else:
+            expr = self._orelse()
+        self._depth = outer
+        return expr
 
     def _let(self) -> ast.Let:
         pos = self._pos()
@@ -287,8 +313,8 @@ class Parser:
     def _orelse(self) -> ast.Expr:
         left = self._andalso()
         while self._at(TokenKind.ORELSE):
-            pos = self._pos()
-            self._advance()
+            pos = self._advance().pos
+            self._deeper(pos)
             right = self._andalso()
             left = ast.BinOp(op="orelse", left=left, right=right, pos=pos)
         return left
@@ -296,8 +322,8 @@ class Parser:
     def _andalso(self) -> ast.Expr:
         left = self._comparison()
         while self._at(TokenKind.ANDALSO):
-            pos = self._pos()
-            self._advance()
+            pos = self._advance().pos
+            self._deeper(pos)
             right = self._comparison()
             left = ast.BinOp(op="andalso", left=left, right=right, pos=pos)
         return left
@@ -315,8 +341,8 @@ class Parser:
     def _cons(self) -> ast.Expr:
         left = self._additive()
         if self._at(TokenKind.CONS):
-            pos = self._pos()
-            self._advance()
+            pos = self._advance().pos
+            self._deeper(pos)
             right = self._cons()  # right-associative
             return ast.BinOp(op="::", left=left, right=right, pos=pos)
         return left
@@ -325,6 +351,7 @@ class Parser:
         left = self._multiplicative()
         while self._peek().kind in _ADDITIVE:
             tok = self._advance()
+            self._deeper(tok.pos)
             right = self._multiplicative()
             left = ast.BinOp(op=_ADDITIVE[tok.kind], left=left, right=right,
                              pos=tok.pos)
@@ -334,6 +361,7 @@ class Parser:
         left = self._unary()
         while self._peek().kind in _MULTIPLICATIVE:
             tok = self._advance()
+            self._deeper(tok.pos)
             right = self._unary()
             left = ast.BinOp(op=_MULTIPLICATIVE[tok.kind], left=left,
                              right=right, pos=tok.pos)
@@ -341,18 +369,16 @@ class Parser:
 
     def _unary(self) -> ast.Expr:
         tok = self._peek()
-        if tok.kind is TokenKind.NOT:
+        if tok.kind is TokenKind.NOT or tok.kind is TokenKind.MINUS:
             self._advance()
-            return ast.UnOp(op="not", operand=self._unary(), pos=tok.pos)
-        if tok.kind is TokenKind.MINUS:
-            self._advance()
-            return ast.UnOp(op="-", operand=self._unary(), pos=tok.pos)
+            self._deeper(tok.pos)
+            return ast.UnOp(op=tok.text, operand=self._unary(), pos=tok.pos)
         return self._projection()
 
     def _projection(self) -> ast.Expr:
         if self._at(TokenKind.HASH):
-            pos = self._pos()
-            self._advance()
+            pos = self._advance().pos
+            self._deeper(pos)
             idx_tok = self._expect(TokenKind.INT, "tuple projection")
             index = int(idx_tok.value)  # type: ignore[arg-type]
             if index < 1:

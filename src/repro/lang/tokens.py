@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .errors import SourcePos
 
@@ -118,9 +118,16 @@ KEYWORDS: dict[str, TokenKind] = {
     "list": TokenKind.TLIST,
 }
 
+#: Operator and punctuation kinds by their text, which is their value.
+OPERATORS: dict[str, TokenKind] = {kind.value: kind for kind in (
+    TokenKind.LPAREN, TokenKind.RPAREN, TokenKind.COMMA, TokenKind.SEMI,
+    TokenKind.COLON, TokenKind.STAR, TokenKind.PLUS, TokenKind.MINUS,
+    TokenKind.SLASH, TokenKind.CARET, TokenKind.EQ, TokenKind.NEQ,
+    TokenKind.LT, TokenKind.GT, TokenKind.LE, TokenKind.GE, TokenKind.HASH,
+    TokenKind.ARROW, TokenKind.CONS, TokenKind.UNIT)}
 
-@dataclass(frozen=True)
-class Token:
+
+class Token(NamedTuple):
     """A single lexeme with its source position.
 
     ``value`` holds the decoded payload for literal tokens: an ``int`` for
@@ -130,7 +137,7 @@ class Token:
 
     kind: TokenKind
     text: str
-    pos: SourcePos = field(default_factory=SourcePos)
+    pos: SourcePos = SourcePos()
     value: object | None = None
 
     def __str__(self) -> str:

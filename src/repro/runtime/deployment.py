@@ -83,11 +83,13 @@ class Deployment:
                                   nodes=[n.name for n in nodes],
                                   backend=backend, verified=verify,
                                   report=report, source_sha=key)
+        source_lines = pipeline.count_source_lines(source)
         for node in nodes:
             layer = self.layer_of(node)
             loaded = pipeline.load_program(
                 source, backend=backend, verify=False, ctx=layer,
-                source_name=source_name, cache=cache)
+                source_name=source_name, cache=cache, key=key,
+                source_lines=source_lines)
             layer.install_loaded(loaded)
             record.codegen_ms[node.name] = loaded.codegen_ms
         after = cache.stats

@@ -13,7 +13,8 @@ writing, checking and shipping ASPs, §2):
 * ``verify``  — run the four safety analyses, print the report,
   exit 1 on rejection.
 * ``compile`` — time JIT code generation; with the source backend,
-  ``--emit`` prints the generated Python.
+  ``--emit`` prints the generated Python; ``--stages`` prints what each
+  stage of one cold download of the program cost.
 * ``fmt``     — re-print the program from its AST (canonical form).
 * ``bench``   — measure per-invocation cost of every execution engine
   on synthetic packets matching the first network channel.
@@ -28,9 +29,11 @@ import time
 from ..analysis.verifier import verify_report
 from ..interp.context import RecordingContext
 from ..interp.values import default_value
-from ..jit.pipeline import count_source_lines, make_engine
+from ..jit.pipeline import (ProgramCache, count_source_lines, load_program,
+                            make_engine)
 from ..lang import PlanPError, parse, typecheck
 from ..lang.unparse import unparse
+from ..obs import GLOBAL
 from ..runtime import codec
 
 
@@ -63,15 +66,29 @@ def cmd_verify(args: argparse.Namespace) -> int:
     return 1
 
 
+#: The download pipeline's stages and the span each one times into.
+_STAGES = (("lex+parse", "jit.parse_ms"), ("typecheck", "jit.typecheck_ms"),
+           ("verify", "jit.verify_ms"), ("wire", "jit.wire_ms"),
+           ("codegen", "jit.codegen_ms"))
+
+
 def cmd_compile(args: argparse.Namespace) -> int:
-    info = typecheck(parse(_load(args.program), args.program))
-    start = time.perf_counter()
-    engine = make_engine(info, args.backend, RecordingContext())
-    elapsed = (time.perf_counter() - start) * 1000
+    spans = [(label, GLOBAL.metrics.histogram(name))
+             for label, name in _STAGES]
+    before = [span.total for _, span in spans]
+    # A cache of its own, so every stage runs (once) and is timed.
+    cache = ProgramCache()
+    loaded = load_program(_load(args.program), backend=args.backend,
+                          verify=False, source_name=args.program,
+                          cache=cache)
     print(f"{args.program}: compiled with {args.backend} backend in "
-          f"{elapsed:.2f} ms")
+          f"{loaded.codegen_ms:.2f} ms")
+    if args.stages:
+        cache.verification(loaded.source_sha, loaded.info)
+        for (label, span), start in zip(spans, before):
+            print(f"  {label:10s}{span.total - start:8.2f} ms")
     if args.emit:
-        generated = getattr(engine, "generated_source", None)
+        generated = getattr(loaded.engine, "generated_source", None)
         if generated is None:
             print("(--emit requires --backend source)", file=sys.stderr)
             return 2
@@ -139,6 +156,8 @@ def build_parser() -> argparse.ArgumentParser:
                            choices=("interpreter", "closure", "source"))
     p_compile.add_argument("--emit", action="store_true",
                            help="print generated Python (source backend)")
+    p_compile.add_argument("--stages", action="store_true",
+                           help="print per-stage milliseconds")
     p_compile.set_defaults(fn=cmd_compile)
 
     p_fmt = sub.add_parser("fmt", help="canonical re-print")

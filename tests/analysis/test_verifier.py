@@ -1,12 +1,18 @@
 """Verifier integration: the shipped ASPs pass, adversaries fail."""
 
+import copy
+
 import pytest
 
-from repro.analysis import verify_program, verify_report
+from repro.analysis import (check_duplication, check_global_termination,
+                            program_paths, verify_program, verify_report)
+from repro.analysis.paths import PathWalker
 from repro.asps import (audio_client_asp, audio_router_asp,
                         http_gateway_asp, mpeg_client_asp,
                         mpeg_monitor_asp)
+from repro.jit.pipeline import ProgramCache, load_program
 from repro.lang import VerificationError, parse, typecheck
+from tests.corpora import REJECTED, SHIPPED, corpus_programs
 
 ALL_ASPS = {
     "audio-router": audio_router_asp(),
@@ -77,3 +83,120 @@ def test_analysis_timings_recorded():
     assert [r.name for r in report.results] == [
         "local-termination", "global-termination", "delivery",
         "duplication"]
+
+
+# -- one path enumeration per verification ---------------------------------------
+
+PROGRAMS = {**SHIPPED, **corpus_programs()}
+
+#: 2^16 paths through one body: more than PATH_BUDGET allows.
+PATH_BOMB = (
+    "channel network(ps : int, ss : unit, p : ip*udp*blob) is (\n"
+    + "".join(f'  (if ps = {i} then print("a") else print("b"));\n'
+              for i in range(16))
+    + "  OnRemote(network, p); (ps, ss))")
+
+
+@pytest.fixture
+def walks(monkeypatch):
+    """The channel declarations ``PathWalker.paths`` enumerates, in
+    order, while the test runs."""
+    seen = []
+    paths = PathWalker.paths
+
+    def counted(self):
+        seen.append(self._decl)
+        return paths(self)
+
+    monkeypatch.setattr(PathWalker, "paths", counted)
+    return seen
+
+
+def _unshared(analysis, info):
+    try:
+        return True, analysis(info)
+    except VerificationError as err:
+        return False, err.message
+
+
+class TestOneEnumeration:
+    @pytest.mark.parametrize("name", sorted(PROGRAMS))
+    def test_each_channel_is_walked_exactly_once(self, name, walks):
+        info = check(PROGRAMS[name])
+        verify_report(info)
+        assert sorted(map(id, walks)) == sorted(
+            id(decl) for decl in info.all_channels())
+
+    @pytest.mark.parametrize("name", sorted(PROGRAMS))
+    def test_reports_equal_the_unshared_analyses(self, name):
+        info = check(PROGRAMS[name])
+        report = verify_report(info)
+        by_name = {r.name: r for r in report.results}
+        for analysis, attr, fn in (
+                ("global-termination", "global_termination",
+                 check_global_termination),
+                ("duplication", "duplication", check_duplication)):
+            passed, value = _unshared(fn, info)
+            assert by_name[analysis].passed is passed
+            if passed:
+                assert by_name[analysis].detail == ""
+                assert getattr(report, attr) == value
+            else:
+                assert by_name[analysis].detail == value
+                assert getattr(report, attr) is None
+        if report.passed:
+            strict = verify_program(info)
+            assert strict.global_termination == report.global_termination
+            assert strict.duplication == report.duplication
+
+    def test_shipped_verdicts(self):
+        for name, source in SHIPPED.items():
+            failed = [r.name for r in verify_report(check(source)).failures]
+            assert failed == (["delivery"] if name in REJECTED else []), name
+
+    def test_consumers_do_not_mutate_the_shared_paths(self):
+        for source in PROGRAMS.values():
+            info = check(source)
+            paths = program_paths(info)
+            snapshot = copy.deepcopy(paths)
+            for analysis in (check_global_termination, check_duplication):
+                try:
+                    analysis(info, paths)
+                except VerificationError:
+                    pass
+            assert paths == snapshot
+            assert list(paths) == list(snapshot)
+
+    def test_refused_enumeration_fails_both_consumers_alike(self, walks):
+        report = verify_report(check(PATH_BOMB))
+        by_name = {r.name: r for r in report.results}
+        for analysis in ("global-termination", "duplication"):
+            assert not by_name[analysis].passed
+            assert "budget exceeded" in by_name[analysis].detail
+        assert (by_name["global-termination"].detail
+                == by_name["duplication"].detail)
+        with pytest.raises(VerificationError, match="budget exceeded"):
+            verify_program(check(PATH_BOMB))
+
+    def test_two_programs_never_share_summaries(self, walks):
+        """Sharing is scoped to one ``verify_report`` call: the same text
+        checked twice is two ``ProgramInfo``s and two enumerations."""
+        source = PROGRAMS["http_gateway_asp"]
+        first, second = check(source), check(source)
+        verify_report(first)
+        verify_report(second)
+        verify_report(first)
+        channels = len(first.all_channels())
+        assert len(walks) == 3 * channels
+        assert {id(d) for d in walks} == {
+            id(d) for info in (first, second) for d in info.all_channels()}
+
+    def test_cold_cache_still_runs_every_stage_once(self, walks):
+        for name in ("http_gateway_asp", "mpeg_monitor_asp"):
+            del walks[:]
+            cache = ProgramCache()
+            loaded = load_program(PROGRAMS[name], cache=cache)
+            assert cache.stats.frontend_misses == 1
+            assert cache.stats.verify_misses == 1
+            assert cache.stats.total_hits == 0
+            assert len(walks) == len(loaded.info.all_channels())

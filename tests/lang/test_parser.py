@@ -2,9 +2,10 @@
 
 import pytest
 
-from repro.lang import ParseError, parse, parse_expr
+from repro.lang import ParseError, parse, parse_expr, tokenize
 from repro.lang import ast
 from repro.lang import types as T
+from repro.lang.parser import MAX_NESTING, Parser
 
 
 class TestDeclarations:
@@ -200,6 +201,100 @@ class TestExpressions:
         with pytest.raises(ParseError) as err:
             parse_expr("let val a : int = 1 in a")
         assert "end" in str(err.value)
+
+
+def _channel(body):
+    return ("channel network(ps : int, ss : unit, p : ip*tcp*blob) is "
+            + body)
+
+
+#: One-token-per-level ways to nest: what opens a level, the innermost
+#: text, what closes a level.
+NESTERS = {
+    "parens": ("(", "1", ")"),
+    "tuple": ("(1, ", "1", ")"),
+    "sequence": ("(1; ", "1", ")"),
+    "call": ("f(", "1", ")"),
+    "let": ("let val a : int = 1 in ", "1", " end"),
+    "let-binding": ("let val a : int = ", "1", " in a end"),
+    "if-else": ("if true then 1 else ", "1", ""),
+    "if-cond": ("if ", "true", " then 1 else 1"),
+    "try": ("try ", "1", " handle E => 1"),
+    "not": ("not ", "true", ""),
+    "negate": ("- ", "1", ""),
+    "projection": ("#1 ", "p", ""),
+    "cons": ("1 :: ", "xs", ""),
+    "plus": ("1 + ", "1", ""),
+    "times": ("1 * ", "1", ""),
+    "orelse": ("true orelse ", "true", ""),
+    "andalso": ("true andalso ", "true", ""),
+}
+
+
+class TestNestingLimit:
+    """Source text comes off the wire; no amount of nesting in it may
+    reach the interpreter's recursion limit (it used to: ninety
+    parentheses, a 200-byte program, raised RecursionError)."""
+
+    def test_ninety_parentheses_are_a_parse_error(self):
+        source = _channel("(" * 90 + "(ps, ss)" + ")" * 90)
+        with pytest.raises(ParseError,
+                           match=f"nested deeper than {MAX_NESTING}"):
+            parse(source)
+
+    def test_error_points_at_the_level_that_went_too_far(self):
+        with pytest.raises(ParseError) as err:
+            parse_expr("(" * 200 + "1" + ")" * 200)
+        assert err.value.pos.line == 1
+        # The whole expression is level 1, so paren n opens level n + 1.
+        assert err.value.pos.column == MAX_NESTING + 1
+
+    def test_limit_does_not_follow_the_recursion_limit(self):
+        import sys
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(20_000)
+        try:
+            with pytest.raises(ParseError, match="nested deeper"):
+                parse_expr("(" * 300 + "1" + ")" * 300)
+        finally:
+            sys.setrecursionlimit(limit)
+
+    @pytest.mark.parametrize("name", sorted(NESTERS))
+    def test_every_way_to_nest_is_bounded(self, name):
+        opener, core, closer = NESTERS[name]
+        just_under = MAX_NESTING - 2
+        parse_expr(opener * just_under + core + closer * just_under)
+        with pytest.raises(ParseError, match="nested deeper"):
+            parse_expr(opener * 5000 + core + closer * 5000)
+
+    @pytest.mark.parametrize("opener,closer", [
+        ("(", ")"), ("", " list"), ("", " hash_table")])
+    def test_types_are_bounded_too(self, opener, closer):
+        def declare(n):
+            return f"val x : {opener * n}int{closer * n} = y"
+        parse(declare(MAX_NESTING - 2))
+        with pytest.raises(ParseError, match="type nested deeper"):
+            parse(declare(5000))
+
+    def test_shipped_programs_are_nowhere_near_the_limit(self):
+        from tests.corpora import SHIPPED
+
+        deepest = 0
+
+        class Probe(Parser):
+            def _deeper(self, pos, what="expression"):
+                nonlocal deepest
+                super()._deeper(pos, what)
+                deepest = max(deepest, self._depth)
+
+        for source in SHIPPED.values():
+            Probe(tokenize(source)).parse_program()
+        assert 0 < deepest <= MAX_NESTING // 4
+
+    def test_siblings_do_not_add_up(self):
+        wide = "(" + ", ".join(["(1, (2, 3))"] * 500) + ")"
+        assert len(parse_expr(wide).elems) == 500
+        parse(_channel("(" + "print(\"x\"); " * 500 + "(ps, ss))"))
 
 
 class TestPaperFragments:

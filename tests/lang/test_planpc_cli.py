@@ -75,6 +75,30 @@ class TestCompile:
         assert main(["compile", good, "--backend", backend]) == 0
         assert "compiled" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("backend", ["interpreter", "closure",
+                                         "source"])
+    def test_stages_prints_the_five_pipeline_stages(self, good, backend,
+                                                    capsys):
+        assert main(["compile", good, "--backend", backend,
+                     "--stages"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert "compiled" in lines[0]
+        stages = [line.split() for line in lines[1:]]
+        assert [s[0] for s in stages] == [
+            "lex+parse", "typecheck", "verify", "wire", "codegen"]
+        assert all(s[2] == "ms" and float(s[1]) >= 0 for s in stages)
+        # the front end really ran inside this call, not an earlier one
+        assert float(stages[0][1]) > 0 and float(stages[2][1]) > 0
+
+    def test_stages_covers_an_unverifiable_program(self, unsafe, capsys):
+        """The stage view is a cost report, not the install gate."""
+        assert main(["compile", unsafe, "--stages"]) == 0
+        assert "verify" in capsys.readouterr().out
+
+    def test_without_stages_prints_one_line(self, good, capsys):
+        assert main(["compile", good]) == 0
+        assert len(capsys.readouterr().out.splitlines()) == 1
+
     def test_emit_requires_source_backend(self, good, capsys):
         assert main(["compile", good, "--emit"]) == 2
 

@@ -98,6 +98,41 @@ class TestRejection:
         status = manager.status(xfer)[routers[0].address]
         assert status.ok is False
 
+    def test_deeply_nested_program_rejected_not_fatal(self):
+        """Ninety parentheses fit one chunk and used to take the event
+        loop down with a RecursionError from inside the parser."""
+        net, admin, routers, endpoint, services, manager = managed_net()
+        bomb = ("channel network(ps : int, ss : unit, p : ip*tcp*blob) is "
+                + "(" * 90 + "(ps, ss)" + ")" * 90)
+        assert len(bomb.encode()) <= CHUNK_BYTES
+        xfer = manager.push(bomb, [routers[0].address])
+        net.run(until=1.0)
+        status = manager.status(xfer)[routers[0].address]
+        assert status.ok is False
+        assert "nested deeper" in status.detail
+        assert services[0].rejected and not services[0].installed
+        assert routers[0].planp.loaded is None
+        # The router is still in business.
+        follow_up = manager.push(FORWARD, [routers[0].address])
+        net.run(until=2.0)
+        assert manager.all_ok(follow_up)
+
+    def test_nesting_under_the_limit_installs_from_the_event_loop(self):
+        """The limit has to hold where downloads really happen: at the
+        bottom of the simulator's, the transport's and the service's
+        frames, not just in a bare ``parse()`` call."""
+        from repro.lang.parser import MAX_NESTING
+
+        net, admin, routers, endpoint, services, manager = managed_net()
+        # the body, its sequence, the pair and its ``+`` are levels too
+        depth = MAX_NESTING - 4
+        source = ("channel network(ps : int, ss : unit, p : ip*tcp*blob) is "
+                  "(OnRemote(network, p); "
+                  + "(" * depth + "(ps + 1, ss)" + ")" * depth + ")")
+        xfer = manager.push(source, [routers[0].address])
+        net.run(until=1.0)
+        assert manager.all_ok(xfer)
+
     def test_commit_without_begin_rejected(self):
         net, admin, routers, endpoint, services, manager = managed_net()
         sock = net.udp(admin).bind()

@@ -5,7 +5,7 @@ import pytest
 
 from repro.jit import pipeline
 from repro.jit.pipeline import ProgramCache
-from repro.lang import VerificationError
+from repro.lang import ParseError, VerificationError
 from repro.net import Network
 from repro.net.packet import tcp_packet
 from repro.runtime import Deployment
@@ -85,6 +85,40 @@ class TestDeploymentAmortization:
         # Rejected centrally: no node even grew a PLAN-P layer.
         assert all(r.planp is None or r.planp.loaded is None
                    for r in routers)
+
+    def test_n_node_deploy_hashes_and_counts_lines_once(self, monkeypatch):
+        """The digest and the line count belong to the source, not to
+        the node: an N-node install takes each once (``ProgramCache``
+        counters are unchanged by that — see the test above)."""
+        digests, counts = [], []
+        digest, count = ProgramCache.digest, pipeline.count_source_lines
+        monkeypatch.setattr(
+            ProgramCache, "digest",
+            staticmethod(lambda src: digests.append(src) or digest(src)))
+        monkeypatch.setattr(
+            pipeline, "count_source_lines",
+            lambda src: counts.append(src) or count(src))
+        net, a, routers, b = chain(4)
+        record = Deployment(cache=ProgramCache()).install(
+            WITH_VALS, routers, source_name="fw")
+        assert digests == [WITH_VALS] and counts == [WITH_VALS]
+        assert record.source_sha == digest(WITH_VALS)
+        for router in routers:
+            assert router.planp.loaded.source_sha == record.source_sha
+            assert router.planp.loaded.source_lines == 2
+
+    def test_over_nested_program_touches_no_node(self):
+        net, a, routers, b = chain(2)
+        bomb = ("channel network(ps : int, ss : unit, p : ip*tcp*blob) is "
+                + "(" * 90 + "(ps, ss)" + ")" * 90)
+        with pytest.raises(ParseError, match="nested deeper"):
+            Deployment(cache=ProgramCache()).install(bomb, routers)
+        assert all(r.planp is None for r in routers)
+
+    def test_load_program_without_hints_still_hashes_and_counts(self):
+        loaded = pipeline.load_program(WITH_VALS, cache=ProgramCache())
+        assert loaded.source_sha == ProgramCache.digest(WITH_VALS)
+        assert loaded.source_lines == 2
 
 
 class TestArtifactSharing:
