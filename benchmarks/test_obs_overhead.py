@@ -87,7 +87,7 @@ def _bare_layer():
 def _dispatch_once(layer, batch) -> float:
     start = time.perf_counter()
     for p in batch:
-        decl, decoder, _plan = layer._lookup(p)
+        decl, decoder, _plan = layer.core.lookup(p)
         decoder(p)
     return time.perf_counter() - start
 

@@ -1,21 +1,22 @@
 """Differential execution oracle.
 
 One (program, stream) pair runs through every engine backend in serial
-and batch modes — six traces — against a standalone mirror of the
-PlanPLayer's dispatch and containment semantics:
+and batch modes — six traces — by driving the shipped
+:class:`~repro.runtime.dispatch.DispatchCore` off-node: classification,
+grouping, decode containment, the batch tier's prefix-commit / contain
+/ resume loop and the per-packet replay are the code a router runs, not
+a model of it.  The oracle only names what the core reports:
 
-* classification uses the same (channel tag, transport class) match
-  table with payload-length admission, first declared overload wins;
-* decode errors are contained per packet (outcome ``decode:<err>``)
-  exactly like the layer's reason="decode" path;
-* contained runtime errors (``PlanPError``/``CodecError``) commit
-  nothing and record the exception name, mirroring reason="runtime";
-* the batch mode replays the layer's :class:`BatchFault` recovery:
-  prefix commit, contained faulted row, sub-batch resume, and the
-  per-packet fallback when batch decode fails before row zero;
+* a packet no overload admits is ``pass`` (standard IP would take it);
+* a decode failure is ``decode`` (``decode-leak:<type>`` if the codec
+  raised outside its own error taxonomy — the layer contains that too,
+  but it should be loud);
+* a contained runtime error is ``err:<exception name>`` and commits
+  nothing;
 * any *other* exception is an uncontained leak — the thing that would
   take a router down — and is recorded on the trace as ``crash``.
 
+Serial mode caps every run at one packet, batch mode at ``batch_size``.
 Two traces are equal iff their final protocol state, per-channel
 states, per-packet outcome strings, emission streams, console output,
 and crash status all agree.  The reference is the interpreter in
@@ -29,10 +30,10 @@ from dataclasses import dataclass
 from ..interp import RecordingContext
 from ..interp.values import PlanPList, PlanPTable, default_value
 from ..jit import make_engine
-from ..jit.batching import BatchFault, run_rows
 from ..lang.errors import PlanPError, PlanPRuntimeError
 from ..net.addresses import HostAddr
 from ..runtime import codec
+from ..runtime.dispatch import DispatchCore, group_runs
 from .streams import PacketSpec
 
 DEFAULT_BACKENDS = ("interpreter", "closure", "source")
@@ -112,185 +113,96 @@ def _err_name(err: Exception) -> str:
     return type(err).__name__
 
 
-class _Runner:
-    """One trace execution: engine + mirrored layer semantics."""
+class _WireContext(RecordingContext):
+    """Records an emission only once it has encoded, so a value that
+    does not fit the wire fails inside the invocation — where the
+    layer's ``emit_*``/``deliver`` raise it — not silently later."""
 
-    def __init__(self, info, backend: str, *, seed: int = 7,
-                 batch_size: int = 4):
-        self.info = info
-        self.batch_size = batch_size
-        self.ctx = RecordingContext(seed=seed)
+    def emit_remote(self, channel, packet_value):
+        codec.encode(packet_value)
+        super().emit_remote(channel, packet_value)
+
+    def emit_neighbor(self, channel, packet_value, neighbor):
+        codec.encode(packet_value)
+        super().emit_neighbor(channel, packet_value, neighbor)
+
+    def deliver(self, packet_value):
+        codec.encode(packet_value)
+        super().deliver(packet_value)
+
+
+class _Runner:
+    """One trace execution: a :class:`DispatchCore` plus the outcome
+    strings and crash capture of what it reports."""
+
+    def __init__(self, info, backend: str, *, seed: int = 7):
+        self.ctx = _WireContext(seed=seed)
         self.crash: str | None = None
         self.outcomes: list[str] = []
         self.channels = info.all_channels()
-        # (tag, transport class) -> [(decl, plan)] in declaration order,
-        # the PlanPLayer._build_dispatch_table shape.
-        self.table: dict[tuple, list[tuple]] = {}
-        for decl in self.channels:
-            plan = codec.dispatch_plan(decl.packet_type)
-            if plan is None:
-                continue
-            tag = None if decl.name == "network" else decl.name
-            self.table.setdefault((tag, plan.transport_cls),
-                                  []).append((decl, plan))
-        self.ps = default_value(self.channels[0].protocol_state_type)
-        self.states: dict[int, object] = {}
-        self.engine = None
+        self.core: DispatchCore | None = None
         try:
-            self.engine = make_engine(info, backend, RecordingContext())
-            for decl in self.channels:
-                self.states[id(decl)] = (
-                    self.engine.initial_channel_state(decl, self.ctx))
+            self.core = DispatchCore.fresh(
+                self.channels,
+                make_engine(info, backend, RecordingContext()), self.ctx)
         except PlanPError as err:
             self.outcomes.append(f"install:{_err_name(err)}")
         except Exception as err:  # install-time leak
             self.crash = f"install:{type(err).__name__}"
 
-    def _lookup(self, packet):
-        key = (packet.channel, type(packet.transport))
-        for decl, plan in self.table.get(key, ()):
-            if plan.admits(len(packet.payload)):
-                return decl, plan
-        return None
-
-    def _serial_step(self, packet, hit) -> None:
-        decl, plan = hit
-        try:
-            value = plan.decode(packet)
-        except codec.CodecError:
-            self.outcomes.append("decode")
-            return
-        except Exception as err:
-            # The layer would contain this too, but it violates the
-            # codec error taxonomy — surface it loudly.
-            self.outcomes.append(f"decode-leak:{type(err).__name__}")
-            return
-        try:
-            ps, ss = self.engine.run_channel(
-                decl, self.ps, self.states[id(decl)], value, self.ctx)
-        except (PlanPError, codec.CodecError) as err:
-            self.outcomes.append(f"err:{_err_name(err)}")
-            return
-        except Exception as err:
-            self.crash = type(err).__name__
-            self.outcomes.append(f"leak:{type(err).__name__}")
-            return
-        self.ps = ps
-        self.states[id(decl)] = ss
-        self.outcomes.append("ok")
-
-    def run_serial(self, packets) -> None:
-        for packet in packets:
-            if self.crash:
-                return
-            hit = self._lookup(packet)
-            if hit is None:
-                self.outcomes.append("pass")
+    def run(self, packets: list, limit: int) -> None:
+        """Feed the stream as one burst, runs capped at ``limit``."""
+        core = self.core
+        hits = [core.lookup(packet) for packet in packets]
+        for i, j in group_runs(hits, limit):
+            if hits[i] is None:
+                self.outcomes.extend(["pass"] * (j - i))
                 continue
-            self._serial_step(packet, hit)
-
-    def _runs(self, packets):
-        """Maximal same-entry runs, the classify_batches grouping: a
-        run extends only over packets with the head's transport class,
-        channel tag, and payload length, capped at batch_size."""
-        n = len(packets)
-        i = 0
-        while i < n:
-            p = packets[i]
-            hit = self._lookup(p)
-            if hit is None:
-                yield None, [p]
-                i += 1
-                continue
-            tcls = p.transport.__class__
-            plen = len(p.payload)
-            j = i + 1
-            while (j < min(n, i + self.batch_size)
-                   and packets[j].transport.__class__ is tcls
-                   and packets[j].channel == p.channel
-                   and len(packets[j].payload) == plen):
-                j += 1
-            yield hit, packets[i:j]
-            i = j
-
-    def run_batch(self, packets) -> None:
-        for hit, run_pkts in self._runs(packets):
-            if self.crash:
-                return
-            if hit is None:
-                self.outcomes.append("pass")
-                continue
-            if len(run_pkts) == 1:
-                self._serial_step(run_pkts[0], hit)
-                continue
-            self._run_batch(run_pkts, hit)
-
-    def _run_batch(self, packets, hit) -> None:
-        decl, plan = hit
-        run = getattr(self.engine, "run_channel_batch", None)
-        n = len(packets)
-        start = 0
-        while start < n:
-            batch = plan.batch_decoder().batch(packets[start:])
             try:
-                if run is not None:
-                    ps, ss = run(decl, self.ps, self.states[id(decl)],
-                                 batch, self.ctx)
-                else:
-                    ps, ss = run_rows(self.engine.run_channel, decl,
-                                      self.ps, self.states[id(decl)],
-                                      batch, self.ctx)
-            except BatchFault as fault:
-                self.outcomes.extend(["ok"] * fault.index)
-                self.ps = fault.ps
-                self.states[id(decl)] = fault.ss
-                err = fault.err
-                if not isinstance(err, (PlanPError, codec.CodecError)):
-                    self.crash = type(err).__name__
-                    self.outcomes.append(f"leak:{type(err).__name__}")
-                    return
-                self.outcomes.append(f"err:{_err_name(err)}")
-                start += fault.index + 1
-            except Exception:
-                # Batch decode/setup failed before row zero: the layer
-                # replays the rest per packet, locating the malformed
-                # row(s) with serial-identical containment.
-                for packet in packets[start:]:
-                    if self.crash:
-                        return
-                    self._serial_step(packet, (decl, plan))
+                core.run(packets[i:j], hits[i], self.ctx,
+                         self._on_ok, self._on_fault)
+            except Exception as err:
+                self.crash = type(err).__name__
+                self.outcomes.append(f"leak:{self.crash}")
                 return
-            else:
-                self.outcomes.extend(["ok"] * (n - start))
-                self.ps = ps
-                self.states[id(decl)] = ss
-                return
+
+    def _on_ok(self, rows: int) -> None:
+        self.outcomes.extend(["ok"] * rows)
+
+    def _on_fault(self, row: int, reason: str, err: Exception) -> bool:
+        if reason == "runtime":
+            self.outcomes.append(f"err:{_err_name(err)}")
+        elif isinstance(err, codec.CodecError):
+            self.outcomes.append("decode")
+        else:
+            self.outcomes.append(f"decode-leak:{type(err).__name__}")
+        return True
 
     def trace(self) -> Trace:
         emissions = tuple(
             (e.kind, e.channel, canon(e.packet_value),
              e.neighbor.value if e.neighbor is not None else None)
             for e in self.ctx.emissions)
-        return Trace(ps=canon(self.ps),
-                     states=tuple(canon(self.states[id(d)])
-                                  for d in self.channels
-                                  if id(d) in self.states),
-                     outcomes=tuple(self.outcomes),
-                     emissions=emissions,
-                     printed=tuple(self.ctx.printed),
-                     crash=self.crash)
+        core = self.core
+        if core is None:  # install failed: initial ps, no channel state
+            ps = default_value(self.channels[0].protocol_state_type)
+            states = ()
+        else:
+            ps = core.protocol_state
+            states = tuple(canon(core.channel_states[id(d)])
+                           for d in self.channels)
+        return Trace(ps=canon(ps), states=states,
+                     outcomes=tuple(self.outcomes), emissions=emissions,
+                     printed=tuple(self.ctx.printed), crash=self.crash)
 
 
 def run_trace(info, backend: str, mode: str, specs: list[PacketSpec],
               *, batch_size: int = 4, seed: int = 7) -> Trace:
     """Execute one stream on one backend in one mode."""
-    runner = _Runner(info, backend, seed=seed, batch_size=batch_size)
-    packets = [s.to_packet() for s in specs]
-    if not runner.crash and not runner.outcomes:
-        if mode == "batch":
-            runner.run_batch(packets)
-        else:
-            runner.run_serial(packets)
+    runner = _Runner(info, backend, seed=seed)
+    if runner.core is not None:
+        runner.run([s.to_packet() for s in specs],
+                   batch_size if mode == "batch" else 1)
     return runner.trace()
 
 

@@ -8,10 +8,10 @@ retype, overload add/remove, tail toggle, or an unrelated rewrite) —
 and differentially validates the checker's verdict against an actual
 packet exchange.
 
-The exchange oracle (:class:`_WireView`) mirrors exactly what a mixed
-fleet observes at the dispatch boundary: the PlanPLayer's
-``(channel tag, transport class)`` match table, first-declared
-admitting overload wins, the real codec decode.  Two generations
+The exchange oracle (:class:`_WireView`) reads each probe through the
+shipped :class:`~repro.runtime.dispatch.DispatchCore` classification —
+what a mixed fleet observes at the dispatch boundary — and the real
+codec decode.  Two generations
 *diverge* when some probe packet is read differently — decoded to
 different values, decoded by one and passed to standard IP by the
 other, or contained as a decode error on one side only.  Probes follow
@@ -43,6 +43,7 @@ from ..analysis.wire import check_compatible, wire_summary
 from ..lang import parse, typecheck
 from ..obs import GLOBAL
 from ..runtime import codec
+from ..runtime.dispatch import DispatchCore
 from .grammar import PACKET_TYPES, gen_program
 from .oracle import canon
 from .replay import save_case
@@ -160,32 +161,24 @@ def gen_pair(rng: random.Random) -> tuple[str, str, str]:
 
 
 class _WireView:
-    """One generation's read of the wire — the PlanPLayer's dispatch
-    semantics ((tag, transport class) table, first declared admitting
-    overload wins) plus the real codec decode, nothing else."""
+    """One generation's read of the wire: the dispatch core's
+    classification plus the overload's decoder, nothing else (no engine
+    runs, so the core holds none)."""
 
     def __init__(self, info):
-        self.table: dict[tuple, list] = {}
-        for decl in info.all_channels():
-            plan = codec.dispatch_plan(decl.packet_type)
-            if plan is None:
-                continue
-            tag = None if decl.name == "network" else decl.name
-            self.table.setdefault((tag, plan.transport_cls),
-                                  []).append(plan)
+        self.core = DispatchCore(info.all_channels())
 
     def read(self, spec: PacketSpec) -> tuple:
         packet = spec.to_packet()
-        key = (packet.channel, type(packet.transport))
-        for plan in self.table.get(key, ()):
-            if plan.admits(len(packet.payload)):
-                try:
-                    return ("decoded", canon(plan.decode(packet)))
-                except codec.CodecError:
-                    # Contained identically on any node; the message
-                    # text is not wire-observable.
-                    return ("decode-error",)
-        return ("pass",)  # standard IP passthrough
+        hit = self.core.lookup(packet)
+        if hit is None:
+            return ("pass",)  # standard IP passthrough
+        try:
+            return ("decoded", canon(hit[1](packet)))
+        except codec.CodecError:
+            # Contained identically on any node; the message text is
+            # not wire-observable.
+            return ("decode-error",)
 
 
 def pair_specs(rng: random.Random, info_a, info_b,

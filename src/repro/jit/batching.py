@@ -16,6 +16,8 @@ in one call.  The containment contract between engines and
 
 from __future__ import annotations
 
+from functools import partial
+
 
 class BatchFault(Exception):
     """Row ``index`` of a batch raised ``err``; ``ps``/``ss`` are the
@@ -46,3 +48,12 @@ def run_rows(run_channel, decl, ps, ss, batch, ctx):
     except Exception as err:
         raise BatchFault(i, ps, ss, err) from err
     return ps, ss
+
+
+def batch_runner(engine):
+    """The engine's batch entry point ``run(decl, ps, ss, batch, ctx)``:
+    its own ``run_channel_batch`` when it has one, else the generic
+    :func:`run_rows` fold over its ``run_channel``."""
+    run = getattr(engine, "run_channel_batch", None)
+    return run if run is not None else partial(run_rows,
+                                               engine.run_channel)

@@ -283,10 +283,6 @@ class LoadedProgram:
     source: str = ""
     #: did this load run the four safety analyses?
     verified: bool = True
-    #: does the engine expose the tier-3 ``run_channel_batch`` entry
-    #: point (batched execution with the BatchFault containment
-    #: contract)?
-    batch_capable: bool = False
     #: the per-channel wire-protocol summary (packet shapes + emission
     #: topology) the lifecycle manager compares across generations
     #: before opening a canary window
@@ -346,6 +342,4 @@ def load_program(source: str, *, backend: str = "closure",
                          cache_hit=hit,
                          source=source,
                          verified=verify,
-                         batch_capable=hasattr(engine,
-                                               "run_channel_batch"),
                          wire=wire)

@@ -288,7 +288,7 @@ class NodeLifecycle:
             installed_at=self.manager.net.sim.now))
         self.breaker.close()
 
-    # -- packet hooks (called from PlanPLayer._process_now) --------------------
+    # -- packet hooks (called from PlanPLayer._on_ok and _contain) -------------
 
     def on_packet_ok(self) -> None:
         if self.breaker.record_ok():

@@ -1,8 +1,9 @@
 """The IP/PLAN-P layer of a node (paper figure 1).
 
-One instance per node holds the downloaded program, its execution engine
-(interpreter or JIT), the shared protocol state and per-channel states,
-and implements the :class:`ExecutionContext` primitives against the node.
+One instance per node holds the downloaded program and its dispatch core
+(match table, interpreter or JIT engine, shared protocol state and
+per-channel states), and implements the :class:`ExecutionContext`
+primitives against the node.
 
 Dispatch rules (paper §2 and §2.3):
 
@@ -11,13 +12,11 @@ Dispatch rules (paper §2 and §2.3):
   packet type matches the wire packet;
 * unmatched packets fall through to standard IP processing.
 
-Steady-state dispatch takes a fast path precomputed at install time: a
-table keyed by (channel tag, transport-header class) maps straight to
-the candidate :class:`~repro.lang.ast.ChannelDecl`\\ s with their payload
-size constraints and prebuilt decoders, so classifying a packet is one
-dict lookup plus a length check instead of a structural type walk — and
-the decl matched in :meth:`PlanPLayer.wants` is carried into
-:meth:`PlanPLayer.process`, so each packet is matched exactly once.
+Classification, grouping, decoding, execution and the commit-or-contain
+rule live in :class:`~repro.runtime.dispatch.DispatchCore`; this module
+is the part that needs a node.  A packet is classified exactly once: the
+hit :meth:`PlanPLayer.wants` computes is carried into
+:meth:`PlanPLayer.process`.
 
 A verified program cannot raise at run time on any *delivered* path, but
 the layer still guards: if a channel invocation fails — including a
@@ -40,18 +39,15 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
-from ..interp.values import default_value
-from ..jit.batching import BatchFault, run_rows
 from ..jit.pipeline import Engine, LoadedProgram, load_program
 from ..lang import ast
-from ..lang import types as T
-from ..lang.errors import PlanPError
 from ..net.addresses import HostAddr
 from ..net.node import Interface, Node
 from ..net.packet import Packet
 from ..net.sim import SerialResource
 from ..obs.metrics import Histogram
 from . import codec
+from .dispatch import DispatchCore, group_runs
 
 if TYPE_CHECKING:
     from .lifecycle import NodeLifecycle
@@ -66,7 +62,8 @@ class PlanPStats:
     runtime_errors: int = 0
     #: dispatch decisions answered by the precomputed match table
     fastpath_dispatches: int = 0
-    #: dispatch decisions that fell back to the structural matcher
+    #: always 0: the structural matcher is gone.  The field stays until
+    #: the next re-pin of the golden digests, which cover every key
     structural_dispatches: int = 0
     #: tier-3 batch executions (same-entry runs of two or more packets
     #: folded through one specialized loop)
@@ -90,24 +87,6 @@ class ProgramSnapshot:
     channel_states: dict[int, object] = field(default_factory=dict)
 
 
-#: missing-channel-state sentinel (``None`` is a legal state value)
-_NO_STATE = object()
-
-
-class _DispatchEntry:
-    """One channel overload in the fast-path match table."""
-
-    __slots__ = ("decl", "plan", "hit")
-
-    def __init__(self, decl: ast.ChannelDecl, plan: codec.DispatchPlan):
-        self.decl = decl
-        self.plan = plan
-        #: the classification result handed out for every packet this
-        #: entry admits — one stable tuple, so the batch drain can group
-        #: same-entry runs by identity with no per-packet allocation
-        self.hit = (decl, plan.decode, plan)
-
-
 class PlanPLayer:
     """The extensible packet-processing layer of one node."""
 
@@ -118,9 +97,9 @@ class PlanPLayer:
         #: (hosts only; the MPEG capture ASP needs this, paper §3.3)
         self.promiscuous = promiscuous
         self.loaded: LoadedProgram | None = None
-        self.engine: Engine | None = None
-        self.protocol_state: object = None
-        self.channel_states: dict[int, object] = {}
+        #: the installed program's match table, engine and live state
+        #: (``None`` while nothing is installed)
+        self.core: DispatchCore | None = None
         self.stats = PlanPStats()
         self.console: list[str] = []
         #: content digests of every program installed on this layer, in
@@ -130,15 +109,6 @@ class PlanPLayer:
         #: per-packet execution cost charged to the node (0 = free);
         #: models the CPU the paper's gateway burns per packet
         self.cpu = SerialResource(node.sim)
-        #: interface/packet being processed (passthrough re-emissions of
-        #: the unchanged packet must not reflect back out of the arrival
-        #: interface; new or modified packets route normally)
-        self._arrival_iface: Interface | None = None
-        self._arrival_packet: Packet | None = None
-        #: fast-path match table: (channel tag, transport-header class)
-        #: -> candidate entries in declaration order
-        self._dispatch: dict[tuple[str | None, type],
-                             list[_DispatchEntry]] | None = None
         #: the match computed by wants(), carried into process() so a
         #: packet is classified exactly once: (packet uid, hit | None)
         self._carry: tuple[int, tuple | None] | None = None
@@ -146,19 +116,20 @@ class PlanPLayer:
         #: scheduler activation run through a single specialized batch
         #: loop (0 disables; routers default it on via Node.batch_size)
         self.batch_size = int(getattr(node, "batch_size", 0) or 0)
-        #: packets enqueued during the current event, drained at its end
-        self._pending: list[tuple[Packet, Interface | None, tuple]] = []
+        #: packets enqueued during the current event, drained at its
+        #: end: parallel lists of packets, arrival interfaces and hits
+        self._pending: tuple[list, list, list] = ([], [], [])
         self._drain_scheduled = False
-        #: the chunk being batch-executed (for per-row passthrough
-        #: exclusion) and the row offset of the current sub-batch
-        self._batch_chunk: list | None = None
-        self._batch_base = 0
-        #: row index the engine is currently executing (engines assign
-        #: ``ctx._row`` before each row) and the last row that emitted
-        #: or delivered — together they reproduce the serial path's
-        #: "did the failed invocation already emit?" check per row
-        self._row = -1
-        self._last_emit_row = -1
+        #: the run being executed — (packets, their arrival interfaces,
+        #: the hit they share) — and the row the engine has in hand: the
+        #: core sets ``_base`` to the row an engine call starts at,
+        #: engines count ``_row`` from there
+        self._run: tuple[list, list, tuple] | None = None
+        self._base = 0
+        self._row = 0
+        #: the last row of the run that emitted or delivered (a failed
+        #: row that already emitted must not also be forwarded)
+        self._emit_row = -1
         self._batch_hist: Histogram | None = None
         #: opt-in per-packet processing-time histogram (ms); ``None``
         #: keeps the hot path at a single truthiness check
@@ -205,51 +176,55 @@ class PlanPLayer:
             # Versioned history: snapshot the superseded generation's
             # program + state so a rollback can restore it.
             self.lifecycle.before_install(loaded)
-        self.loaded = loaded
-        self.engine = loaded.engine
-        if loaded.source_sha:
-            self.manifest.append(loaded.source_sha)
-        # (Re)installation hook: an engine moved from another node must
-        # drop node-bound state (the interpreter's cached globals env).
-        on_install = getattr(self.engine, "on_install", None)
-        if on_install is not None:
-            on_install(self)
-        channels = loaded.info.all_channels()
-        self.protocol_state = default_value(
-            channels[0].protocol_state_type)
-        self.channel_states = {
-            id(decl): self.engine.initial_channel_state(decl, self)
-            for decl in channels}
-        self._dispatch = self._build_dispatch_table(channels)
-        self._carry = None
-        # A fresh install replaces whatever was quarantined.
-        self.quarantined = False
-        obs = self.node.obs
-        if obs is not None:
-            obs.events.emit("deploy", node=self.node.name,
-                            action="install",
-                            sha=loaded.source_sha or "",
-                            engine=type(self.engine).__name__)
+        self._adopt(loaded, "install")
         if self.lifecycle is not None:
             self.lifecycle.on_install(loaded)
 
-    def _build_dispatch_table(
-            self, channels: list[ast.ChannelDecl],
-    ) -> dict[tuple[str | None, type], list[_DispatchEntry]]:
-        """Precompute the packet-signature match table (once per
-        install, so per-packet dispatch does no structural matching)."""
-        table: dict[tuple[str | None, type], list[_DispatchEntry]] = {}
-        for decl in channels:
-            pkt_type = decl.packet_type
-            if not isinstance(pkt_type, T.TupleType):
-                continue
-            plan = codec.dispatch_plan(pkt_type)
-            if plan is None:  # malformed layout: never matches
-                continue
-            tag = None if decl.name == "network" else decl.name
-            table.setdefault((tag, plan.transport_cls),
-                             []).append(_DispatchEntry(decl, plan))
-        return table
+    def _adopt(self, loaded: LoadedProgram, action: str,
+               snap: ProgramSnapshot | None = None) -> None:
+        """Make ``loaded`` the running program, in its initial state or
+        in the state ``snap`` captured."""
+        engine = loaded.engine
+        # (Re)installation hook: an engine moved from another node must
+        # drop node-bound state (the interpreter's cached globals env).
+        on_install = getattr(engine, "on_install", None)
+        if on_install is not None:
+            on_install(self)
+        channels = loaded.info.all_channels()
+        if snap is None:
+            self.core = DispatchCore.fresh(channels, engine, self)
+        else:
+            self.core = DispatchCore(channels, engine, snap.protocol_state,
+                                     dict(snap.channel_states))
+        self.loaded = loaded
+        if loaded.source_sha:
+            self.manifest.append(loaded.source_sha)
+        self._carry = None
+        # Whatever was quarantined is gone.
+        self.quarantined = False
+        obs = self.node.obs
+        if obs is not None:
+            obs.events.emit("deploy", node=self.node.name, action=action,
+                            sha=loaded.source_sha or "",
+                            engine=type(engine).__name__)
+
+    @property
+    def engine(self) -> Engine | None:
+        return self.core.engine if self.core is not None else None
+
+    @engine.setter
+    def engine(self, engine: Engine) -> None:
+        """Swap the running program's engine in place (fault drills
+        wrap it); state and classification are untouched."""
+        self.core.use_engine(engine)
+
+    @property
+    def protocol_state(self) -> object:
+        return self.core.protocol_state if self.core is not None else None
+
+    @property
+    def channel_states(self) -> dict[int, object]:
+        return self.core.channel_states if self.core is not None else {}
 
     @property
     def current_sha(self) -> str | None:
@@ -261,10 +236,7 @@ class PlanPLayer:
         (protocol state, per-channel states, the match table), so a
         later reinstall starts from a clean slate."""
         self.loaded = None
-        self.engine = None
-        self.protocol_state = None
-        self.channel_states = {}
-        self._dispatch = None
+        self.core = None
         self._carry = None
 
     # -- lifecycle support (rollback with state) ---------------------------------
@@ -286,77 +258,19 @@ class PlanPLayer:
         back exactly as the generation left them.  Lifecycle hooks are
         *not* re-entered — the manager that restores also bookkeeps.
         """
-        self.loaded = snap.loaded
-        self.engine = snap.loaded.engine
-        on_install = getattr(self.engine, "on_install", None)
-        if on_install is not None:
-            on_install(self)
-        self.protocol_state = snap.protocol_state
-        self.channel_states = dict(snap.channel_states)
-        self._dispatch = self._build_dispatch_table(
-            snap.loaded.info.all_channels())
-        self._carry = None
-        self.quarantined = False
-        if snap.loaded.source_sha:
-            self.manifest.append(snap.loaded.source_sha)
-        obs = self.node.obs
-        if obs is not None:
-            obs.events.emit("deploy", node=self.node.name,
-                            action="restore",
-                            sha=snap.loaded.source_sha or "",
-                            engine=type(self.engine).__name__)
+        self._adopt(snap.loaded, "restore", snap)
 
     # -- dispatch -----------------------------------------------------------------
 
-    def _match(self, packet: Packet) -> ast.ChannelDecl | None:
-        if self.loaded is None:
-            return None
-        info = self.loaded.info
-        if packet.channel is not None:
-            overloads = info.channel_overloads(packet.channel)
-            for decl in overloads:
-                pkt_type = decl.packet_type
-                if isinstance(pkt_type, T.TupleType) and \
-                        codec.matches(packet, pkt_type):
-                    return decl
-            return None
-        for decl in info.channel_overloads("network"):
-            pkt_type = decl.packet_type
-            if isinstance(pkt_type, T.TupleType) and \
-                    codec.matches(packet, pkt_type):
-                return decl
-        return None
-
-    def _lookup(self, packet: Packet) -> tuple | None:
-        """Classify a packet once: ``(decl, decoder | None, plan | None)``
-        or None.
-
-        The fast path answers from the precomputed table; the structural
-        matcher only runs when no table exists (a program installed by
-        poking internals rather than :meth:`install_loaded`).  Fast-path
-        hits are the entry's one stable tuple, so consecutive packets
-        admitted by the same overload compare identical by identity —
-        structural hits are fresh tuples and therefore never batch.
-        """
-        table = self._dispatch
-        if table is None:
-            self.stats.structural_dispatches += 1
-            decl = self._match(packet)
-            return None if decl is None else (decl, None, None)
-        entries = table.get((packet.channel, packet.transport.__class__))
-        if not entries:
-            return None
-        self.stats.fastpath_dispatches += 1
-        payload_len = len(packet.payload)
-        for entry in entries:
-            if entry.plan.admits(payload_len):
-                return entry.hit
-        return None
-
     def wants(self, packet: Packet, iface: Interface | None) -> bool:
-        if self.loaded is None or self.quarantined:
-            return False
-        hit = self._lookup(packet)
+        core = self.core
+        hit = None
+        if core is not None and not self.quarantined:
+            hit = core.lookup(packet)
+            # Counted whenever the program declares an overload for the
+            # packet's tag and transport class, admitted or not.
+            if hit is not None or core.candidates(packet):
+                self.stats.fastpath_dispatches += 1
         self._carry = (packet.uid, hit)
         return hit is not None
 
@@ -367,100 +281,45 @@ class PlanPLayer:
         Reuses the match :meth:`wants` just computed for this packet, so
         the wants()/process() pair classifies it exactly once.
         """
-        carry = self._carry
-        if carry is not None and carry[0] == packet.uid:
-            hit = carry[1]
-            self._carry = None
-        else:
-            hit = self._lookup(packet)
+        if self._carry is None or self._carry[0] != packet.uid:
+            self.wants(packet, iface)  # process() without wants()
+        hit = self._carry[1]
+        self._carry = None
         if self.cpu.per_item_s > 0:
-            self.cpu.submit(lambda: self._process_now(packet, iface, hit))
+            # A crash powers the CPU queue off with the node: work that
+            # was waiting must not run on, or be forwarded by, a node
+            # that has been down since it was queued.
+            crashes = self.node.stats.crashes
+            self.cpu.submit(lambda: self._execute([packet], [iface], hit)
+                            if self.node.stats.crashes == crashes
+                            else self._drop_down(packet))
             return
-        if (self.batch_size > 1 and hit is not None and hit[2] is not None
-                and self.profile is None):
+        if self.batch_size > 1 and hit is not None and self.profile is None:
             # Tier 3: defer to the end of the current event, so several
             # packets delivered by one scheduler activation coalesce
-            # into same-entry runs.  Profiling stays per-packet.
-            self._pending.append((packet, iface, hit))
+            # into same-overload runs.  Profiling stays per-packet.
+            packets, ifaces, hits = self._pending
+            packets.append(packet)
+            ifaces.append(iface)
+            hits.append(hit)
             if not self._drain_scheduled:
                 self._drain_scheduled = True
                 self.node.sim.call_soon(self._drain_batch)
             return
-        self._process_now(packet, iface, hit)
-
-    # -- tier 3: batched execution -------------------------------------------------
+        self._execute([packet], [iface], hit)
 
     def _drain_batch(self) -> None:
-        """Run everything enqueued during the event that just finished:
-        maximal same-entry runs (capped at ``batch_size``) go through
-        the engine's batch loop, singletons through the per-packet path.
+        """Run everything enqueued during the event that just finished,
+        grouped by the core's rule with runs capped at ``batch_size``.
         Packet order — and therefore every emission's scheduling order —
         is exactly the enqueue order."""
         self._drain_scheduled = False
-        pending = self._pending
-        if not pending:
+        packets, ifaces, hits = self._pending
+        if not packets:
             return
-        self._pending = []
-        limit = self.batch_size
-        n = len(pending)
-        i = 0
-        while i < n:
-            hit = pending[i][2]
-            end = i + limit
-            if end > n:
-                end = n
-            j = i + 1
-            while j < end and pending[j][2] is hit:
-                j += 1
-            if j - i == 1:
-                packet, iface, hit = pending[i]
-                self._process_now(packet, iface, hit)
-            else:
-                self._run_batch(pending[i:j])
-            i = j
-
-    def classify_batches(self, packets: list[Packet],
-                         batch_size: int = 64) -> list:
-        """The standalone tier-3 front door for a pre-queued stream:
-        split it into maximal same-entry runs of at most ``batch_size``
-        and wrap each in its lazily-decoded struct-of-arrays
-        :class:`~repro.runtime.codec.PacketBatch` — one classification
-        and one decoder setup per run instead of per packet.
-
-        A run only extends over packets with the same transport class,
-        channel tag, *and payload length* as its head: equal length
-        guarantees every overload's ``admits`` answers identically, so
-        the head's match-table entry is provably the entry each
-        follower would get.
-        """
-        out: list[tuple[ast.ChannelDecl, codec.PacketBatch]] = []
-        lookup = self._lookup
-        n = len(packets)
-        i = 0
-        while i < n:
-            p = packets[i]
-            hit = lookup(p)
-            if hit is None or hit[2] is None:
-                i += 1
-                continue
-            decl, _decoder, plan = hit
-            tcls = p.transport.__class__
-            chan = p.channel
-            plen = len(p.payload)
-            end = i + batch_size
-            if end > n:
-                end = n
-            j = i + 1
-            while j < end:
-                q = packets[j]
-                if (q.transport.__class__ is not tcls
-                        or q.channel != chan
-                        or len(q.payload) != plen):
-                    break
-                j += 1
-            out.append((decl, plan.batch_decoder().batch(packets[i:j])))
-            i = j
-        return out
+        self._pending = ([], [], [])
+        for i, j in group_runs(hits, self.batch_size):
+            self._execute(packets[i:j], ifaces[i:j], hits[i])
 
     def _batch_histogram(self) -> Histogram | None:
         hist = self._batch_hist
@@ -472,167 +331,67 @@ class PlanPLayer:
                 f"node.{self.node.name}.planp.batch_size")
         return hist
 
-    def _run_batch(self, chunk: list) -> None:
-        """Execute one same-entry run (two or more packets) through the
-        engine's batch entry point, preserving the serial path's
-        observable behaviour packet for packet:
-
-        * a row that raises a contained error is accounted exactly like
-          the serial path (state committed up to it, ``_contain``, and
-          standard-IP fallback unless that row already emitted), and the
-          remaining rows resume in a fresh sub-batch — no stale
-          struct-of-arrays state survives a fault;
-        * a decode/setup failure reaches here with *zero* rows executed
-          (the :class:`BatchFault` contract), so the whole run replays
-          through the per-packet path, which locates and contains the
-          malformed packet(s);
-        * any other exception commits the completed rows and propagates,
-          as it would have from the serial path.
-        """
-        decl, _decoder, plan = chunk[0][2]
-        engine = self.engine
-        state = self.channel_states.get(id(decl), _NO_STATE)
-        if engine is None or state is _NO_STATE:
-            # Stale classification (program removed or replaced between
-            # wants() and the drain): standard treatment, like the
-            # per-packet stale path.
-            for packet, iface, _hit in chunk:
-                self.node.standard_processing(packet, iface)
+    def _execute(self, packets: list, ifaces: list,
+                 hit: tuple | None) -> None:
+        """Hand one same-overload run to the dispatch core.  What the
+        core commits or contains comes back through :meth:`_on_ok` /
+        :meth:`_on_fault`, which keep the accounting packet for packet
+        what a run of one would have produced."""
+        core = self.core
+        if (hit is None or core is None
+                or id(hit[0]) not in core.channel_states):
+            # No match (wants() gates this), or a stale one: the program
+            # was uninstalled, quarantined or replaced between wants()
+            # and a deferred execution.  Not an error — the packet
+            # simply predates the change; give it standard treatment.
+            for packet, iface in zip(packets, ifaces):
+                self._fallback(packet, iface)
             return
-        self.stats.fastpath_batches += 1
-        self.stats.batched_packets += len(chunk)
-        hist = self._batch_histogram()
-        if hist is not None:
-            hist.observe(len(chunk))
-        run = getattr(engine, "run_channel_batch", None)
-        packets = [c[0] for c in chunk]
-        lifecycle = self.lifecycle
-        chunk_len = len(chunk)
-        start = 0
-        while start < chunk_len:
-            batch = plan.batch_decoder().batch(
-                packets[start:] if start else packets)
-            self._batch_chunk = chunk
-            self._batch_base = start
-            self._last_emit_row = -1
-            self._row = -1
-            try:
-                if run is not None:
-                    ps, ss = run(decl, self.protocol_state, state, batch,
-                                 self)
-                else:
-                    ps, ss = run_rows(engine.run_channel, decl,
-                                      self.protocol_state, state, batch,
-                                      self)
-            except BatchFault as fault:
-                # Rows before the fault committed; replay their
-                # accounting, then contain the faulted row.
-                self.stats.packets_processed += fault.index
-                self.protocol_state = fault.ps
-                self.channel_states[id(decl)] = fault.ss
-                state = fault.ss
-                if lifecycle is not None:
-                    for _ in range(fault.index):
-                        lifecycle.on_packet_ok()
-                err = fault.err
-                if not isinstance(err, (PlanPError, codec.CodecError)):
-                    raise err
-                self.stats.packets_processed += 1
-                self._contain(decl, err, reason="runtime")
-                fi = start + fault.index
-                packet_f, iface_f, _hit = chunk[fi]
-                if self._last_emit_row != fault.index:
-                    self.node.standard_processing(packet_f, iface_f)
-                start = fi + 1
-                if self.quarantined and start < chunk_len:
-                    # Serial execution re-classifies each packet, so the
-                    # ones behind a breaker trip would have failed
-                    # wants(); mirror that — including the node-level
-                    # asp_handled accounting done at enqueue time.
-                    for packet_r, iface_r, _hit2 in chunk[start:]:
-                        self.node.stats.asp_handled -= 1
-                        self.node.standard_processing(packet_r, iface_r)
-                    return
-            except Exception:
-                # Decode or setup failed before any row ran: replay the
-                # rest packet by packet for serial-identical containment
-                # of the malformed packet(s).
-                for packet_r, iface_r, hit_r in chunk[start:]:
-                    self._process_now(packet_r, iface_r, hit_r)
-                return
-            else:
-                rows = chunk_len - start
-                self.stats.packets_processed += rows
-                self.protocol_state = ps
-                self.channel_states[id(decl)] = ss
-                if lifecycle is not None:
-                    for _ in range(rows):
-                        lifecycle.on_packet_ok()
-                return
-            finally:
-                self._batch_chunk = None
-                self._row = -1
-
-    def _process_now(self, packet: Packet, iface: Interface | None,
-                     hit: tuple | None) -> None:
-        if hit is None:  # pragma: no cover - wants() gates this
-            self.node.standard_processing(packet, iface)
-            return
-        decl, decoder, _plan = hit
-        engine = self.engine
-        state = self.channel_states.get(id(decl), _NO_STATE)
-        if engine is None or state is _NO_STATE:
-            # Stale classification: the program was uninstalled,
-            # quarantined, or replaced between wants() and a
-            # CPU-deferred execution.  Not an error — the packet simply
-            # predates the change; give it standard treatment.
-            self.node.standard_processing(packet, iface)
-            return
-        self.stats.packets_processed += 1
-        try:
-            if decoder is not None:
-                value = decoder(packet)
-            else:
-                value = codec.decode(packet, decl.packet_type)  # type: ignore[arg-type]
-        except Exception as err:
-            # A truncated or garbage payload must not take the node
-            # down: decoding is driven entirely by wire data, so any
-            # failure here is the packet's fault, never the program's.
-            self._contain(decl, err, reason="decode")
-            self.node.standard_processing(packet, iface)
-            return
-        self._arrival_iface = iface
-        self._arrival_packet = packet
-        emitted_before = (self.stats.packets_emitted
-                          + self.stats.packets_delivered)
+        if len(packets) > 1:
+            self.stats.fastpath_batches += 1
+            self.stats.batched_packets += len(packets)
+            hist = self._batch_histogram()
+            if hist is not None:
+                hist.observe(len(packets))
+        self._run = (packets, ifaces, hit)
+        self._emit_row = -1
         try:
             if self.profile is None:
-                ps, ss = engine.run_channel(
-                    decl, self.protocol_state, state, value, self)
+                core.run(packets, hit, self, self._on_ok, self._on_fault)
             else:
                 with self.profile.time():
-                    ps, ss = engine.run_channel(
-                        decl, self.protocol_state, state, value, self)
-        except (PlanPError, codec.CodecError) as err:
-            # Fail open: the node survives and the error is visible in
-            # stats.  The packet gets standard treatment only if the
-            # failed invocation had not already emitted it - otherwise
-            # falling back would duplicate it.  CodecError covers an
-            # unverified program emitting a value that cannot be
-            # encoded — previously that escaped containment entirely.
-            self._contain(decl, err, reason="runtime")
-            emitted_after = (self.stats.packets_emitted
-                             + self.stats.packets_delivered)
-            if emitted_after == emitted_before:
-                self.node.standard_processing(packet, iface)
-            return
+                    core.run(packets, hit, self, self._on_ok,
+                             self._on_fault)
         finally:
-            self._arrival_iface = None
-            self._arrival_packet = None
-        self.protocol_state = ps
-        self.channel_states[id(decl)] = ss
-        if self.lifecycle is not None:
-            self.lifecycle.on_packet_ok()
+            self._run = None
+
+    def _on_ok(self, rows: int) -> None:
+        self.stats.packets_processed += rows
+        lifecycle = self.lifecycle
+        if lifecycle is not None:
+            for _ in range(rows):
+                lifecycle.on_packet_ok()
+
+    def _on_fault(self, row: int, reason: str, err: Exception) -> bool:
+        """Fail open: the node survives, the error is counted and fed to
+        the circuit breaker, and the packet gets standard treatment —
+        unless the failed invocation had already emitted it, when
+        falling back would duplicate it."""
+        packets, ifaces, hit = self._run
+        self.stats.packets_processed += 1
+        self._contain(hit[0], err, reason)
+        if self._emit_row != row:
+            self._fallback(packets[row], ifaces[row])
+        if not self.quarantined:
+            return True
+        # The breaker tripped.  Packet-at-a-time execution classifies
+        # each packet as it arrives, so the rows behind the trip would
+        # have failed wants(): give them that treatment, including the
+        # node-level asp_handled count taken when they were enqueued.
+        for packet, iface in zip(packets[row + 1:], ifaces[row + 1:]):
+            self.node.stats.asp_handled -= 1
+            self._fallback(packet, iface)
+        return False
 
     def _contain(self, decl: ast.ChannelDecl, err: Exception,
                  reason: str) -> None:
@@ -647,6 +406,17 @@ class PlanPLayer:
         if self.lifecycle is not None:
             self.lifecycle.on_packet_error(reason)
 
+    def _fallback(self, packet: Packet, iface: Interface | None) -> None:
+        """Standard IP treatment for a packet the ASP did not take."""
+        if self.node.up:
+            self.node.standard_processing(packet, iface)
+        else:
+            self._drop_down(packet)
+
+    def _drop_down(self, packet: Packet) -> None:
+        self.node.stats.dropped_down += 1
+        self.node._drop(packet, "node-down")
+
     # -- ExecutionContext implementation ---------------------------------------------
 
     def emit_remote(self, channel: str, packet_value: tuple) -> None:
@@ -654,7 +424,7 @@ class PlanPLayer:
         packet = codec.encode(packet_value, channel=tag,
                               created_at=self.node.sim.now)
         self.stats.packets_emitted += 1
-        self._last_emit_row = self._row
+        self._emit_row = self._base + self._row
         self.node.ip_send(packet,
                           exclude_iface=self._passthrough_exclusion(packet),
                           from_planp=True)
@@ -664,15 +434,12 @@ class PlanPLayer:
         observing ASP's ``OnRemote(network, p)``) must not be sent back
         out of the interface it arrived on — the original transmission
         is already on that wire.  Anything new or modified routes
-        normally.  During a batch execution the arrival packet/interface
-        of the *current row* apply."""
-        orig = self._arrival_packet
-        iface = self._arrival_iface
-        if orig is None:
-            chunk = self._batch_chunk
-            if chunk is None:
-                return None
-            orig, iface, _hit = chunk[self._batch_base + self._row]
+        normally."""
+        run = self._run
+        if run is None:
+            return None
+        row = self._base + self._row
+        orig, iface = run[0][row], run[1][row]
         same = (packet.ip.src == orig.ip.src
                 and packet.ip.dst == orig.ip.dst
                 and packet.transport == orig.transport
@@ -685,7 +452,7 @@ class PlanPLayer:
         packet = codec.encode(packet_value, channel=tag,
                               created_at=self.node.sim.now)
         self.stats.packets_emitted += 1
-        self._last_emit_row = self._row
+        self._emit_row = self._base + self._row
         out = self.node.iface_toward(neighbor)
         if out is not None:
             out.send(packet)
@@ -693,7 +460,7 @@ class PlanPLayer:
     def deliver(self, packet_value: tuple) -> None:
         packet = codec.encode(packet_value, created_at=self.node.sim.now)
         self.stats.packets_delivered += 1
-        self._last_emit_row = self._row
+        self._emit_row = self._base + self._row
         self.node.deliver_local(packet)
 
     def drop(self, packet_value: tuple) -> None:

@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 from repro.interp import RecordingContext
 from repro.interp.values import default_value
 from repro.jit import make_engine
-from repro.jit.batching import BatchFault, run_rows
+from repro.jit.batching import BatchFault, batch_runner
 from repro.lang import parse, typecheck
 from repro.runtime import codec
 
@@ -72,11 +72,7 @@ def _batched(info, backend, packets):
     ss = engine.initial_channel_state(decl, ctx)
     outcome = None
     try:
-        if hasattr(engine, "run_channel_batch"):
-            ps, ss = engine.run_channel_batch(decl, ps, ss, batch, ctx)
-        else:
-            ps, ss = run_rows(engine.run_channel, decl, ps, ss, batch,
-                              ctx)
+        ps, ss = batch_runner(engine)(decl, ps, ss, batch, ctx)
     except BatchFault as fault:
         # A fault commits the prefix: states entering the faulted row.
         ps, ss = fault.ps, fault.ss
@@ -120,12 +116,8 @@ def test_faulting_row_matches_serial_prefix(backend):
     ctx = RecordingContext(seed=7)
     ps = default_value(decl.protocol_state_type)
     ss = engine.initial_channel_state(decl, ctx)
-    run = getattr(engine, "run_channel_batch", None)
     with pytest.raises(BatchFault) as exc:
-        if run is not None:
-            run(decl, ps, ss, batch, ctx)
-        else:
-            run_rows(engine.run_channel, decl, ps, ss, batch, ctx)
+        batch_runner(engine)(decl, ps, ss, batch, ctx)
     fault = exc.value
     assert fault.index == 2
     assert (fault.ps, fault.ss) == (serial[0], serial[1])

@@ -1,9 +1,11 @@
 """Dispatch fast path: table-driven classification must be observably
-identical to the structural matcher, while matching each packet once."""
+identical to a structural walk over the declarations, while matching
+each packet once."""
 
 import pytest
 from hypothesis import given, settings
 
+from repro.lang import types as T
 from repro.net import Network
 from repro.net.packet import tcp_packet, udp_packet
 from repro.runtime import PlanPLayer, codec
@@ -40,6 +42,17 @@ channel network(ps : int, ss : unit, p : ip*udp*string) is
 }
 
 
+def structural_match(info, packet):
+    """The reference the match table is checked against: walk the
+    overloads of the packet's channel in declaration order and take the
+    first whose type structurally matches (``codec.matches``)."""
+    for decl in info.channel_overloads(packet.channel or "network"):
+        if isinstance(decl.packet_type, T.TupleType) \
+                and codec.matches(packet, decl.packet_type):
+            return decl
+    return None
+
+
 def layer_on_router():
     net = Network(seed=9)
     a = net.add_host("a")
@@ -57,8 +70,8 @@ def layer_on_router():
 def test_fastpath_selects_same_decl_as_structural_match(name, packet):
     net, a, r, b, layer = layer_on_router()
     layer.install(PROGRAMS[name])
-    structural = layer._match(packet)
-    hit = layer._lookup(packet)
+    structural = structural_match(layer.loaded.info, packet)
+    hit = layer.core.lookup(packet)
     if structural is None:
         assert hit is None
     else:
@@ -79,8 +92,8 @@ def test_fastpath_equivalence_with_globals(packet):
               "  (OnRemote(network, p); (ps + k0, ss))\n")
     net, a, r, b, layer = layer_on_router()
     layer.install(source)
-    structural = layer._match(packet)
-    hit = layer._lookup(packet)
+    structural = structural_match(layer.loaded.info, packet)
+    hit = layer.core.lookup(packet)
     assert (structural is None) == (hit is None)
     if hit is not None:
         assert hit[0] is structural
@@ -159,8 +172,9 @@ class TestOverloadOrder:
         tagged = udp_packet(a.address, b.address, 1, 2, b"x",
                             channel="mine")
         untagged = udp_packet(a.address, b.address, 1, 2, b"x")
-        assert layer._lookup(tagged) is not None
-        assert layer._lookup(untagged) is None  # no udp network overload
+        assert layer.core.lookup(tagged) is not None
+        # no udp network overload
+        assert layer.core.lookup(untagged) is None
 
     def test_uninstall_clears_table(self):
         net, a, r, b, layer = layer_on_router()

@@ -290,3 +290,69 @@ class TestDecodeContainment:
         net.run()
         assert layer.stats.runtime_errors == 0
         assert len(got) == 1
+
+
+class TestCrashedNodeDoesNotForward:
+    """A crash takes the work queued on the node's CPU model — and the
+    burst waiting for the end-of-event drain — down with it: a
+    powered-off router forwards nothing, and nothing it had queued runs
+    after a restart."""
+
+    def queued_behind_cpu(self):
+        net, a, r, b, layer = router_between()
+        loaded = layer.install(COUNTING_UDP)
+        layer.cpu.per_item_s = 0.05
+        got, drops = [], []
+        b.delivery_taps.append(lambda p: got.append(net.sim.now))
+        r.drop_taps.append(lambda p, reason: drops.append(reason))
+        for _ in range(3):
+            a.ip_send(udp_packet(a.address, b.address, 1, 2, b"x"))
+        return net, a, r, b, layer, loaded, got, drops
+
+    def test_cpu_queue_dies_with_the_node(self):
+        net, a, r, b, layer, _loaded, got, drops = self.queued_behind_cpu()
+        net.sim.at(0.06, r.crash)  # one done, two still queued
+        net.run()
+        assert len(got) == 1 and got[0] < 0.06
+        assert r.stats.forwarded == 0
+        assert r.stats.dropped_down == 2
+        assert drops == ["node-down", "node-down"]
+        assert layer.stats.packets_processed == 1
+
+    def test_nothing_queued_before_a_crash_runs_after_the_restart(self):
+        from repro.net.faults import FaultController
+
+        net, a, r, b, layer, loaded, got, drops = self.queued_behind_cpu()
+        faults = FaultController(net)
+        # The same LoadedProgram comes back, so the queued hits would
+        # classify as current if the queue had survived.
+        r.restart_hooks.append(lambda: layer.install_loaded(loaded))
+        faults.script([(0.06, faults.crash, "r"),
+                       (0.08, faults.restart, "r")])
+        net.run()  # the queued slots (0.10, 0.15) fall after the restart
+        assert len(got) == 1
+        assert drops == ["node-down", "node-down"]
+        assert r.stats.dropped_down == 2 and r.stats.forwarded == 0
+        assert layer.stats.packets_processed == 1
+        assert layer.protocol_state == 0  # restarted from a clean slate
+        a.ip_send(udp_packet(a.address, b.address, 1, 2, b"y"))
+        net.run()
+        assert len(got) == 2 and layer.protocol_state == 1
+
+    def test_burst_awaiting_the_drain_dies_with_the_node(self):
+        net, a, r, b, layer = router_between()
+        layer.install(COUNTING_UDP)
+        got, drops = [], []
+        b.delivery_taps.append(got.append)
+        r.drop_taps.append(lambda p, reason: drops.append(reason))
+
+        def burst_then_crash():
+            for _ in range(3):
+                r.receive(udp_packet(a.address, b.address, 1, 2, b"x"),
+                          None)
+            r.crash()
+        net.sim.schedule(0.0, burst_then_crash)
+        net.run()
+        assert got == [] and drops == ["node-down"] * 3
+        assert r.stats.dropped_down == 3
+        assert layer.stats.packets_processed == 0
