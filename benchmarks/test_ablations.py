@@ -24,11 +24,11 @@ class TestLoadBalancingStrategies:
     def results(self):
         trace = generate_trace(4000, seed=21)
         out = {strategy: run_http_experiment(
-            "asp", 6, duration=10.0, warmup=3.0, strategy=strategy,
-            trace=trace, seed=21)
+            mode="asp", n_clients=6, duration=10.0, warmup=3.0,
+            strategy=strategy, trace=trace, seed=21)
             for strategy in ("modulo", "srchash", "random")}
-        rows = [[s, f"{r.throughput_rps:.1f}",
-                 f"{r.balance_ratio:.2f}", r.failures]
+        rows = [[s, f"{r.figures['throughput_rps']:.1f}",
+                 f"{r.balance_ratio:.2f}", r.figures["failures"]]
                 for s, r in out.items()]
         print_table("Ablation: load-balancing strategies",
                     ["strategy", "req/s", "balance", "failures"], rows)
@@ -37,8 +37,8 @@ class TestLoadBalancingStrategies:
     def test_all_strategies_functional(self, benchmark, results):
         shape_check(benchmark)
         for strategy, r in results.items():
-            assert r.failures == 0, strategy
-            assert r.throughput_rps > 100, strategy
+            assert r.figures["failures"] == 0, strategy
+            assert r.figures["throughput_rps"] > 100, strategy
 
     def test_modulo_balances_best(self, benchmark, results):
         shape_check(benchmark)
@@ -49,7 +49,7 @@ class TestLoadBalancingStrategies:
 
     def test_throughput_insensitive_to_strategy(self, benchmark, results):
         shape_check(benchmark)
-        rates = [r.throughput_rps for r in results.values()]
+        rates = [r.figures["throughput_rps"] for r in results.values()]
         assert max(rates) / min(rates) < 1.1
 
 
@@ -121,5 +121,5 @@ class TestBackendAtSystemLevel:
         print(f"\nsystem-level wall time: closure={jit_wall:.2f}s "
               f"interpreter={interp_wall:.2f}s")
         # Identical simulated behaviour...
-        assert interp.frames_received == jit.frames_received
-        assert interp.quality_fractions == jit.quality_fractions
+        for key in ("frames_received", "quality_fractions"):
+            assert interp.figures[key] == jit.figures[key]

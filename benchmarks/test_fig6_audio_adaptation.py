@@ -67,8 +67,8 @@ def test_fig6_adaptation_immediate(benchmark, result):
 
 def test_fig6_client_transparency(benchmark, result):
     shape_check(benchmark)
-    assert result.restored
-    assert result.frames_received == result.frames_sent
+    assert result.figures["restored"]
+    assert result.figures["frames_received"] == result.figures["frames_sent"]
 
 
 def test_fig6_benchmark(benchmark):

@@ -22,7 +22,7 @@ DURATION = 25.0
 
 @pytest.fixture(scope="module")
 def sweep():
-    return run_gap_sweep(LOADS, duration=DURATION)
+    return run_gap_sweep(load_levels_bps=LOADS, duration=DURATION)
 
 
 def test_fig7_gap_table(benchmark, sweep):
@@ -56,5 +56,6 @@ def test_fig7_adaptation_preserves_frames(benchmark, sweep):
 def test_fig7_benchmark(benchmark):
     benchmark.group = "fig7 experiment"
     benchmark.pedantic(
-        lambda: run_gap_sweep([1_900_000], duration=10.0),
+        lambda: run_gap_sweep(load_levels_bps=[1_900_000],
+                              duration=10.0),
         rounds=1, iterations=1)

@@ -24,12 +24,13 @@ def curves():
     out = {}
     for mode in ("single", "asp", "builtin", "disjoint"):
         out[mode] = {
-            n: run_http_experiment(mode, n, duration=DURATION,
-                                   warmup=WARMUP, trace=trace)
+            n: run_http_experiment(mode=mode, n_clients=n,
+                                   duration=DURATION, warmup=WARMUP,
+                                   trace=trace)
             for n in CLIENTS}
     rows = []
     for n in CLIENTS:
-        rows.append([n] + [f"{out[mode][n].throughput_rps:.1f}"
+        rows.append([n] + [f"{out[mode][n].figures['throughput_rps']:.1f}"
                            for mode in ("single", "asp", "builtin",
                                         "disjoint")])
     print_table("Figure 8: throughput (req/s) vs number of clients",
@@ -42,8 +43,8 @@ def test_fig8_asp_equals_builtin(benchmark, curves):
     shape_check(benchmark)
     """Curves b and c coincide (paper: 'little or no difference')."""
     for n in CLIENTS:
-        asp = curves["asp"][n].throughput_rps
-        builtin = curves["builtin"][n].throughput_rps
+        asp = curves["asp"][n].figures["throughput_rps"]
+        builtin = curves["builtin"][n].figures["throughput_rps"]
         assert asp == pytest.approx(builtin, rel=0.05), f"n={n}"
 
 
@@ -51,8 +52,8 @@ def test_fig8_headline_ratio_vs_single(benchmark, curves):
     shape_check(benchmark)
     """At saturation the ASP cluster serves ~1.75x one server."""
     n = CLIENTS[-1]
-    ratio = (curves["asp"][n].throughput_rps
-             / curves["single"][n].throughput_rps)
+    ratio = (curves["asp"][n].figures["throughput_rps"]
+             / curves["single"][n].figures["throughput_rps"])
     assert 1.55 < ratio < 1.95
     print(f"\nASP/single at {n} clients: {ratio:.2f} (paper: 1.75)")
 
@@ -61,8 +62,8 @@ def test_fig8_gateway_contention(benchmark, curves):
     shape_check(benchmark)
     """~85% of two servers with disjoint clients."""
     n = CLIENTS[-1]
-    ratio = (curves["asp"][n].throughput_rps
-             / curves["disjoint"][n].throughput_rps)
+    ratio = (curves["asp"][n].figures["throughput_rps"]
+             / curves["disjoint"][n].figures["throughput_rps"])
     assert 0.75 < ratio < 0.95
     print(f"ASP/disjoint at {n} clients: {ratio:.2f} (paper: ~0.85)")
 
@@ -71,10 +72,10 @@ def test_fig8_saturation_plateau(benchmark, curves):
     shape_check(benchmark)
     """The single-server curve saturates: doubling clients from 4 to 8
     barely moves it, while the cluster still gains."""
-    single_gain = (curves["single"][8].throughput_rps
-                   / curves["single"][4].throughput_rps)
-    asp_gain = (curves["asp"][8].throughput_rps
-                / curves["asp"][4].throughput_rps)
+    single_gain = (curves["single"][8].figures["throughput_rps"]
+                   / curves["single"][4].figures["throughput_rps"])
+    asp_gain = (curves["asp"][8].figures["throughput_rps"]
+                / curves["asp"][4].figures["throughput_rps"])
     assert single_gain < 1.15
     assert asp_gain > single_gain
 
@@ -88,6 +89,7 @@ def test_fig8_benchmark(benchmark):
     trace = generate_trace(2000, seed=11)
     benchmark.group = "fig8 experiment"
     benchmark.pedantic(
-        lambda: run_http_experiment("asp", 4, duration=8.0, warmup=2.0,
+        lambda: run_http_experiment(mode="asp", n_clients=4,
+                                    duration=8.0, warmup=2.0,
                                     trace=trace),
         rounds=1, iterations=1)

@@ -25,11 +25,13 @@ def pair():
                                   duration=DURATION, warmup=2.0)
     rows = []
     for r in (without, with_asps):
-        rows.append(["ASPs" if r.use_asps else "plain",
-                     r.server_sessions,
-                     f"{r.uplink_bytes / 1e6:.2f} MB",
-                     ", ".join(f"{x:.1f}" for x in r.per_client_rate),
-                     "/".join(r.modes)])
+        fig = r.figures
+        rows.append(["ASPs" if r.params["use_asps"] else "plain",
+                     fig["server_sessions"],
+                     f"{fig['uplink_bytes'] / 1e6:.2f} MB",
+                     ", ".join(f"{x:.1f}"
+                               for x in fig["per_client_rate"]),
+                     "/".join(fig["modes"])])
     print_table(f"MPEG multipoint: {N_CLIENTS} viewers of one stream",
                 ["config", "server sessions", "uplink", "client fps",
                  "modes"], rows)
@@ -39,14 +41,14 @@ def pair():
 def test_mpeg_single_upstream_session(benchmark, pair):
     shape_check(benchmark)
     with_asps, without = pair
-    assert with_asps.server_sessions == 1
-    assert without.server_sessions == N_CLIENTS
+    assert with_asps.figures["server_sessions"] == 1
+    assert without.figures["server_sessions"] == N_CLIENTS
 
 
 def test_mpeg_uplink_reduction(benchmark, pair):
     shape_check(benchmark)
     with_asps, without = pair
-    ratio = with_asps.uplink_bytes / without.uplink_bytes
+    ratio = with_asps.figures["uplink_bytes"] / without.figures["uplink_bytes"]
     assert ratio < 1.25 / N_CLIENTS + 0.15  # ~1/N plus control traffic
     print(f"\nuplink ratio with/without ASPs: {ratio:.2f} "
           f"(ideal 1/{N_CLIENTS} = {1 / N_CLIENTS:.2f})")
@@ -58,15 +60,16 @@ def test_mpeg_no_rate_degradation(benchmark, pair):
     any viewer receives."""
     with_asps, _ = pair
     assert with_asps.all_clients_at_full_rate
-    spread = max(with_asps.per_client_rate) - min(
-        with_asps.per_client_rate)
-    assert spread < 0.1 * with_asps.nominal_fps
+    spread = max(with_asps.figures["per_client_rate"]) - min(
+        with_asps.figures["per_client_rate"])
+    assert spread < 0.1 * with_asps.figures["nominal_fps"]
 
 
 def test_mpeg_later_clients_shared(benchmark, pair):
     shape_check(benchmark)
     with_asps, _ = pair
-    assert with_asps.modes == ["direct"] + ["shared"] * (N_CLIENTS - 1)
+    assert with_asps.figures["modes"] \
+        == ["direct"] + ["shared"] * (N_CLIENTS - 1)
 
 
 def test_mpeg_benchmark(benchmark):

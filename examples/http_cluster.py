@@ -22,14 +22,14 @@ def main() -> None:
     print(f"{'configuration':12s} {'throughput':>12s} {'latency':>9s} "
           f"{'balance':>8s}")
     for mode, r in results.items():
-        print(f"{mode:12s} {r.throughput_rps:9.1f} rps "
-              f"{r.mean_latency_s * 1000:6.1f} ms "
+        print(f"{mode:12s} {r.figures['throughput_rps']:9.1f} rps "
+              f"{r.figures['mean_latency_s'] * 1000:6.1f} ms "
               f"{r.balance_ratio:8.2f}")
 
-    asp = results["asp"].throughput_rps
-    single = results["single"].throughput_rps
-    builtin = results["builtin"].throughput_rps
-    disjoint = results["disjoint"].throughput_rps
+    asp = results["asp"].figures["throughput_rps"]
+    single = results["single"].figures["throughput_rps"]
+    builtin = results["builtin"].figures["throughput_rps"]
+    disjoint = results["disjoint"].figures["throughput_rps"]
     print(f"\nASP gateway vs single server: {asp / single:.2f}x "
           f"(paper: 1.75x)")
     print(f"ASP gateway vs disjoint pair:  {asp / disjoint:.2f} "

@@ -18,7 +18,7 @@ def main() -> None:
 
     print(f"{'image':20s} {'original':>9s} {'plain-lat':>10s} "
           f"{'distilled':>10s} {'dist-lat':>9s} {'size':>11s}")
-    for p in plain.fetches:
+    for p in plain.figures["fetches"]:
         d = distilled.result_for(p.name)
         print(f"{p.name:20s} {p.original_bytes:8d}B "
               f"{p.latency * 1000:8.1f}ms {d.received_bytes:8d}B "
@@ -28,8 +28,8 @@ def main() -> None:
     print(f"\nmean fetch latency: {plain.mean_latency() * 1000:.0f} ms -> "
           f"{distilled.mean_latency() * 1000:.0f} ms "
           f"({speedup:.1f}x faster)")
-    print(f"images distilled: {distilled.distilled_count} of "
-          f"{len(distilled.fetches)}")
+    print(f"images distilled: {distilled.figures['distilled_count']} of "
+          f"{len(distilled.figures['fetches'])}")
 
 
 if __name__ == "__main__":

@@ -21,13 +21,15 @@ def main() -> None:
                                   duration=15.0, warmup=2.0)
 
     for result in (without, with_asps):
-        label = "with ASPs" if result.use_asps else "no ASPs"
-        rates = ", ".join(f"{r:.1f}" for r in result.per_client_rate)
-        print(f"{label:10s} server sessions: {result.server_sessions}  "
-              f"uplink: {result.uplink_bytes / 1e6:5.2f} MB  "
-              f"client fps: [{rates}]  modes: {result.modes}")
+        label = "with ASPs" if result.params["use_asps"] else "no ASPs"
+        fig = result.figures
+        rates = ", ".join(f"{r:.1f}" for r in fig["per_client_rate"])
+        print(f"{label:10s} server sessions: {fig['server_sessions']}  "
+              f"uplink: {fig['uplink_bytes'] / 1e6:5.2f} MB  "
+              f"client fps: [{rates}]  modes: {fig['modes']}")
 
-    saved = 1 - with_asps.uplink_bytes / without.uplink_bytes
+    saved = 1 - (with_asps.figures["uplink_bytes"]
+                 / without.figures["uplink_bytes"])
     print(f"\nupstream traffic saved by sharing: {saved:.0%}")
     print(f"no traffic-rate degradation: "
           f"{with_asps.all_clients_at_full_rate}")

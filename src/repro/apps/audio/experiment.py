@@ -16,8 +16,7 @@ from typing import Callable
 
 from ...asps.audio import (AUDIO_PORT, FMT_MONO16, FMT_MONO8, FMT_STEREO16,
                            audio_client_asp, audio_router_asp)
-from ...experiments.compat import keyword_only
-from ...experiments.result import LegacyResult
+from ...experiments.result import ExperimentResult
 from ...net.topology import Network
 from ...obs import Observability
 from ...runtime.deployment import Deployment
@@ -76,19 +75,16 @@ class _WireTap:
         return out
 
 
-class AudioExperimentResult(LegacyResult):
+class AudioExperimentResult(ExperimentResult):
     """Unified result of the figure 5/6/7 audio run.
 
     ``params``: ``adaptation``, ``duration``; ``figures``:
     ``bandwidth_series`` (list of :class:`BandwidthSample`),
     ``silent_periods``, ``frames_sent``, ``frames_received``,
-    ``quality_fractions``, ``restored``, ``segment_drops``.  The flat
-    legacy attributes (``result.silent_periods`` …) keep resolving for
-    one release.
+    ``quality_fractions``, ``restored``, ``segment_drops``.
     """
 
     _EXPERIMENT = "audio"
-    _PARAM_FIELDS = ("adaptation", "duration")
 
     def _rehydrate(self) -> None:
         series = self.figures.get("bandwidth_series")
@@ -107,7 +103,7 @@ class AudioExperimentResult(LegacyResult):
         """The most common quality level in a time window (for asserting
         the figure 6 phases)."""
         counts: dict[int, int] = {}
-        for sample in self.bandwidth_series:
+        for sample in self.figures["bandwidth_series"]:
             if start <= sample.time < end:
                 counts[sample.quality] = counts.get(sample.quality, 0) + 1
         if not counts:
@@ -115,14 +111,14 @@ class AudioExperimentResult(LegacyResult):
         return max(counts.items(), key=lambda kv: kv[1])[0]
 
     def mean_kbps_between(self, start: float, end: float) -> float:
-        vals = [s.kbps for s in self.bandwidth_series
+        vals = [s.kbps for s in self.figures["bandwidth_series"]
                 if start <= s.time < end]
         return sum(vals) / len(vals) if vals else 0.0
 
     def qualities_between(self, start: float, end: float) -> set[int]:
         """Every format observed on the wire in a time window."""
         out: set[int] = set()
-        for s in self.bandwidth_series:
+        for s in self.figures["bandwidth_series"]:
             if start <= s.time < end:
                 out.update(s.formats)
         return out
@@ -195,21 +191,22 @@ def run_audio_experiment(*, adaptation: bool = True,
 
     return AudioExperimentResult(
         seed=seed,
-        adaptation=adaptation,
-        duration=duration,
-        bandwidth_series=wire.series(),
-        silent_periods=len(client.silent_periods),
-        frames_sent=source.frames_sent,
-        frames_received=client.frames_received,
-        quality_fractions={fmt: client.quality_fraction(fmt)
-                           for fmt in (FMT_STEREO16, FMT_MONO16,
-                                       FMT_MONO8)},
-        restored=client.restored,
-        segment_drops=segment.stats.packets_dropped,
-        metrics=net.metrics_snapshot())
+        params={"adaptation": adaptation, "duration": duration},
+        metrics=net.metrics_snapshot(),
+        figures={
+            "bandwidth_series": wire.series(),
+            "silent_periods": len(client.silent_periods),
+            "frames_sent": source.frames_sent,
+            "frames_received": client.frames_received,
+            "quality_fractions": {fmt: client.quality_fraction(fmt)
+                                  for fmt in (FMT_STEREO16, FMT_MONO16,
+                                              FMT_MONO8)},
+            "restored": client.restored,
+            "segment_drops": segment.stats.packets_dropped,
+        })
 
 
-class GapSweepResult(LegacyResult):
+class GapSweepResult(ExperimentResult):
     """Unified result of the figure 7 sweep.  ``figures["sweep"]`` maps
     ``str(offered bps)`` to the with/without silent-period and frame
     counts."""
@@ -220,7 +217,6 @@ class GapSweepResult(LegacyResult):
         return self.figures["sweep"][str(load_bps)]
 
 
-@keyword_only("load_levels_bps")
 def run_gap_sweep(*, load_levels_bps: list[float],
                   duration: float = 60.0, backend: str = "closure",
                   seed: int = 7) -> dict[float, dict[str, int]]:
@@ -235,9 +231,9 @@ def run_gap_sweep(*, load_levels_bps: list[float],
             adaptation=False, duration=duration, constant_load_bps=load,
             backend=backend, seed=seed)
         results[load] = {
-            "with_adaptation": with_adapt.silent_periods,
-            "without_adaptation": without.silent_periods,
-            "with_frames": with_adapt.frames_received,
-            "without_frames": without.frames_received,
+            "with_adaptation": with_adapt.figures["silent_periods"],
+            "without_adaptation": without.figures["silent_periods"],
+            "with_frames": with_adapt.figures["frames_received"],
+            "without_frames": without.figures["frames_received"],
         }
     return results

@@ -14,7 +14,7 @@ from __future__ import annotations
 from typing import Callable
 
 from ...asps.mpeg import mpeg_client_asp, mpeg_monitor_asp
-from ...experiments.result import LegacyResult
+from ...experiments.result import ExperimentResult
 from ...net.topology import Network
 from ...obs import Observability
 from ...runtime.deployment import Deployment
@@ -24,25 +24,23 @@ from .server import MpegServer
 from .stream import MpegStream
 
 
-class MpegExperimentResult(LegacyResult):
+class MpegExperimentResult(ExperimentResult):
     """Unified result of the §3.3 multipoint run.
 
     ``params``: ``use_asps``, ``n_clients``, ``duration``; ``figures``:
     ``server_sessions``, ``server_video_bytes``, ``uplink_bytes``,
     ``per_client_frames``, ``per_client_rate``, ``modes``,
-    ``nominal_fps``.  Flat legacy attribute access keeps working for
-    one release.
+    ``nominal_fps``.
     """
 
     _EXPERIMENT = "mpeg"
-    _PARAM_FIELDS = ("use_asps", "n_clients", "duration")
 
     @property
     def all_clients_at_full_rate(self) -> bool:
         """No traffic-rate degradation: every client receives (almost)
         the nominal frame rate."""
-        return all(rate >= 0.9 * self.nominal_fps
-                   for rate in self.per_client_rate)
+        return all(rate >= 0.9 * self.figures["nominal_fps"]
+                   for rate in self.figures["per_client_rate"])
 
 
 def run_mpeg_experiment(*, use_asps: bool = True, n_clients: int = 3,
@@ -103,14 +101,15 @@ def run_mpeg_experiment(*, use_asps: bool = True, n_clients: int = 3,
     uplink_tx = uplink.tx_queue(uplink.interfaces[0])
     return MpegExperimentResult(
         seed=seed,
-        use_asps=use_asps,
-        n_clients=n_clients,
-        duration=duration,
-        server_sessions=len(server.sessions),
-        server_video_bytes=server.total_video_bytes,
-        uplink_bytes=uplink_tx.stats.bytes_sent,
-        per_client_frames=[c.frames_received for c in clients],
-        per_client_rate=[c.frame_rate(window) for c in clients],
-        modes=[c.mode.value for c in clients],
-        nominal_fps=stream.fps,
-        metrics=net.metrics_snapshot())
+        params={"use_asps": use_asps, "n_clients": n_clients,
+                "duration": duration},
+        metrics=net.metrics_snapshot(),
+        figures={
+            "server_sessions": len(server.sessions),
+            "server_video_bytes": server.total_video_bytes,
+            "uplink_bytes": uplink_tx.stats.bytes_sent,
+            "per_client_frames": [c.frames_received for c in clients],
+            "per_client_rate": [c.frame_rate(window) for c in clients],
+            "modes": [c.mode.value for c in clients],
+            "nominal_fps": stream.fps,
+        })

@@ -3,8 +3,7 @@
 from .fig3 import Fig3Result, Fig3Row, fig3_codegen_table, format_fig3_table
 from .microbench import (BRIDGE_ASP, MicrobenchResult, make_bridge_packets,
                          run_engine_microbench)
-from .result import (ExperimentResult, LegacyResult, deterministic_metrics,
-                     jsonify)
+from .result import ExperimentResult, deterministic_metrics, jsonify
 from .upgrade import UpgradeResult, run_upgrade_experiment
 from .web import ATTACKS, WebResult, run_web_experiment
 
@@ -14,7 +13,6 @@ __all__ = [
     "ExperimentResult",
     "Fig3Result",
     "Fig3Row",
-    "LegacyResult",
     "MicrobenchResult",
     "UpgradeResult",
     "WebResult",

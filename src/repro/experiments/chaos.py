@@ -30,7 +30,7 @@ from ..obs import Observability
 from ..runtime.deployment import Deployment
 from ..runtime.lifecycle import (LifecycleManager, LifecyclePolicy,
                                  RolloutState)
-from .result import LegacyResult
+from .result import ExperimentResult
 
 #: Generation 1: a verified pass-through forwarder.
 GOOD_ASP = """\
@@ -57,14 +57,13 @@ channel network(ps : int, ss : unit, p : ip*udp*blob) is
 """
 
 
-class ChaosResult(LegacyResult):
+class ChaosResult(ExperimentResult):
     """Unified result of one chaos drill.  ``params``: ``profile`` and
     the topology/timing knobs; ``figures``: the drill verdict
     (``healthy``, ``canary_aborted``, ``trips``, ``rollbacks``,
     ``quarantined_at_end``, ``recovery_ratio``, ...)."""
 
     _EXPERIMENT = "chaos"
-    _PARAM_FIELDS = ("profile", "n_routers", "duration")
 
     @property
     def healthy(self) -> bool:
@@ -186,9 +185,11 @@ def _run_drill(*, seed: int, n_routers: int, duration: float,
             1 for e in net.obs.events.filter()
             if e.kind in ("rollout", "quarantine", "rollback")),
     }
-    return ChaosResult(seed=seed, profile="drill", n_routers=n_routers,
-                       duration=duration,
-                       metrics=net.metrics_snapshot(), **figures)
+    return ChaosResult(seed=seed,
+                       params={"profile": "drill",
+                               "n_routers": n_routers,
+                               "duration": duration},
+                       metrics=net.metrics_snapshot(), figures=figures)
 
 
 # ---------------------------------------------------------------------------
@@ -237,9 +238,10 @@ def _run_audio_faults(*, seed: int, duration: float,
     figures["frames_sent"] = result.figures.get("frames_sent", 0)
     figures["frames_received"] = result.figures.get("frames_received", 0)
     figures["silent_periods"] = result.figures.get("silent_periods", 0)
-    return ChaosResult(seed=seed, profile="audio", n_routers=1,
-                       duration=duration,
-                       metrics=net.metrics_snapshot(), **figures)
+    return ChaosResult(seed=seed,
+                       params={"profile": "audio", "n_routers": 1,
+                               "duration": duration},
+                       metrics=net.metrics_snapshot(), figures=figures)
 
 
 def _run_http_faults(*, seed: int, duration: float,
@@ -262,6 +264,7 @@ def _run_http_faults(*, seed: int, duration: float,
     figures = _fault_figures(net)
     figures["completed"] = result.figures.get("completed", 0)
     figures["failures"] = result.figures.get("failures", 0)
-    return ChaosResult(seed=seed, profile="http", n_routers=1,
-                       duration=duration,
-                       metrics=net.metrics_snapshot(), **figures)
+    return ChaosResult(seed=seed,
+                       params={"profile": "http", "n_routers": 1,
+                               "duration": duration},
+                       metrics=net.metrics_snapshot(), figures=figures)

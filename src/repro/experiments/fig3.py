@@ -18,7 +18,7 @@ from ..interp.context import RecordingContext
 from ..jit.pipeline import count_source_lines, make_engine
 from ..lang import parse, typecheck
 from ..obs.spans import span
-from .result import LegacyResult
+from .result import ExperimentResult
 
 #: name -> (source, paper lines, paper codegen ms), for side-by-side
 #: reporting.  Paper values are from Figure 3.
@@ -41,7 +41,7 @@ class Fig3Row:
     codegen_ms: dict[str, float]  # backend -> measured ms (median)
 
 
-class Fig3Result(LegacyResult):
+class Fig3Result(ExperimentResult):
     """Unified result of the figure 3 table.  ``figures["rows"]`` holds
     the :class:`Fig3Row` list — wall-clock codegen timings, so the
     whole payload is volatile (excluded from the canonical record)."""

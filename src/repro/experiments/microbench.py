@@ -26,8 +26,7 @@ from ..net.addresses import HostAddr
 from ..net.packet import IpHeader, TcpHeader
 from ..obs import GLOBAL
 from ..obs.spans import span
-from .compat import keyword_only
-from .result import LegacyResult
+from .result import ExperimentResult
 
 #: The bridge-class workload: per-flow packet accounting + forwarding.
 BRIDGE_ASP = """\
@@ -71,29 +70,23 @@ def builtin_bridge(ctx, table: PlanPTable, ps: int,
     return ps + 1
 
 
-class MicrobenchResult(LegacyResult):
+class MicrobenchResult(ExperimentResult):
     """Unified result of one engine microbenchmark.  ``params``:
     ``engine``, ``packets``; ``figures``: the wall-clock ``elapsed_s``
-    (volatile: excluded from the canonical record).  The legacy
-    positional constructor and flat attribute access keep working for
-    one release."""
+    (volatile: excluded from the canonical record)."""
 
     _EXPERIMENT = "microbench"
-    _PARAM_FIELDS = ("engine", "packets")
     _VOLATILE_FIGURES = ("elapsed_s",)
-
-    def __init__(self, engine: str, packets: int, elapsed_s: float,
-                 **kwargs):
-        super().__init__(engine=engine, packets=packets,
-                         elapsed_s=elapsed_s, **kwargs)
 
     @property
     def us_per_packet(self) -> float:
-        return self.elapsed_s / self.packets * 1e6
+        return (self.figures["elapsed_s"] / self.params["packets"]
+                * 1e6)
 
     @property
     def packets_per_second(self) -> float:
-        return self.packets / self.elapsed_s if self.elapsed_s else 0.0
+        elapsed = self.figures["elapsed_s"]
+        return self.params["packets"] / elapsed if elapsed else 0.0
 
 
 def _process_metrics() -> dict:
@@ -113,7 +106,6 @@ class _NullContext(RecordingContext):
         pass
 
 
-@keyword_only("engine", "n_packets", "n_flows")
 def run_engine_microbench(*, engine: str, n_packets: int = 20_000,
                           n_flows: int = 16,
                           seed: int = 0) -> MicrobenchResult:
@@ -134,20 +126,20 @@ def run_engine_microbench(*, engine: str, n_packets: int = 20_000,
         with span("microbench.builtin_ms") as timer:
             for i in range(n_packets):
                 ps = builtin_bridge(ctx, table, ps, packets[i % n_flows])
-        return MicrobenchResult("builtin", n_packets, timer.elapsed_s,
-                                metrics=_process_metrics())
-
-    info = typecheck(parse(BRIDGE_ASP))
-    engine = make_engine(info, engine_name, ctx)
-    decl = info.channels["network"][0]
-    ps: object = 0
-    ss = engine.initial_channel_state(decl, ctx)
-    with span(f"microbench.{engine_name}_ms") as timer:
-        for i in range(n_packets):
-            ps, ss = engine.run_channel(decl, ps, ss,
-                                        packets[i % n_flows], ctx)
-    return MicrobenchResult(engine_name, n_packets, timer.elapsed_s,
-                            metrics=_process_metrics())
+    else:
+        info = typecheck(parse(BRIDGE_ASP))
+        engine = make_engine(info, engine_name, ctx)
+        decl = info.channels["network"][0]
+        ps: object = 0
+        ss = engine.initial_channel_state(decl, ctx)
+        with span(f"microbench.{engine_name}_ms") as timer:
+            for i in range(n_packets):
+                ps, ss = engine.run_channel(decl, ps, ss,
+                                            packets[i % n_flows], ctx)
+    return MicrobenchResult(
+        params={"engine": engine_name, "packets": n_packets},
+        metrics=_process_metrics(),
+        figures={"elapsed_s": timer.elapsed_s})
 
 
 ENGINES = ("interpreter", "closure", "source", "builtin")
@@ -180,12 +172,11 @@ def main(argv: list[str] | None = None) -> int:
     results = [run_engine_microbench(engine=name, n_packets=n_packets)
                for name in args.engines]
     for r in results:
-        print(f"{r.engine:>12s}  {r.us_per_packet:8.2f} us/packet  "
-              f"({r.packets} packets)")
+        print(f"{r.params['engine']:>12s}  {r.us_per_packet:8.2f} "
+              f"us/packet  ({r.params['packets']} packets)")
     if args.json:
         doc = {"smoke": args.smoke,
-               "results": [{"engine": r.engine, "packets": r.packets,
-                            "elapsed_s": r.elapsed_s,
+               "results": [{**r.params, **r.figures,
                             "us_per_packet": r.us_per_packet}
                            for r in results],
                "metrics": GLOBAL.snapshot()}

@@ -139,17 +139,17 @@ def section_fig8(results: Results, scale: Scale) -> str:
     by_mode = {mode: results[f"{scale.name}/fig8/{mode}"]
                for mode in modes}
     _stash_metrics("fig8 (http, asp mode)", by_mode["asp"].metrics)
-    rows = [[mode, f"{r.throughput_rps:.1f}",
-             f"{r.mean_latency_s * 1000:.1f}",
+    rows = [[mode, f"{r.figures['throughput_rps']:.1f}",
+             f"{r.figures['mean_latency_s'] * 1000:.1f}",
              f"{r.balance_ratio:.2f}"]
             for mode, r in by_mode.items()]
-    asp = by_mode["asp"].throughput_rps
-    footer = (f"\nASP/single = "
-              f"{asp / by_mode['single'].throughput_rps:.2f} "
+    rps = {mode: r.figures["throughput_rps"]
+           for mode, r in by_mode.items()}
+    footer = (f"\nASP/single = {rps['asp'] / rps['single']:.2f} "
               f"(paper 1.75); ASP/disjoint = "
-              f"{asp / by_mode['disjoint'].throughput_rps:.2f} "
+              f"{rps['asp'] / rps['disjoint']:.2f} "
               f"(paper ~0.85); ASP/builtin = "
-              f"{asp / by_mode['builtin'].throughput_rps:.2f} "
+              f"{rps['asp'] / rps['builtin']:.2f} "
               f"(paper: no difference)")
     return ("## Figure 8 — HTTP cluster throughput\n\n"
             + md_table(["configuration", "req/s", "latency ms",
@@ -162,10 +162,11 @@ def section_mpeg(results: Results, scale: Scale) -> str:
     _stash_metrics("mpeg (with ASPs)", with_asps.metrics)
     rows = []
     for r in (without, with_asps):
-        rows.append(["ASPs" if r.use_asps else "plain",
-                     r.server_sessions,
-                     f"{r.uplink_bytes / 1e6:.2f} MB",
-                     ", ".join(f"{x:.1f}" for x in r.per_client_rate)])
+        rows.append(["ASPs" if r.params["use_asps"] else "plain",
+                     r.figures["server_sessions"],
+                     f"{r.figures['uplink_bytes'] / 1e6:.2f} MB",
+                     ", ".join(f"{x:.1f}"
+                               for x in r.figures["per_client_rate"])])
     return ("## Section 3.3 — MPEG multipoint (3 viewers)\n\n"
             + md_table(["config", "server sessions", "uplink",
                         "client fps"], rows))

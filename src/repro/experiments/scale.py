@@ -256,7 +256,7 @@ def run_scale_experiment(*, seed: int = 0, shard_segments: int = 1,
                     and key.endswith(".forwarded")
                     and isinstance(value, (int, float)))
     return ScaleResult(
-        name="scale", seed=seed,
+        seed=seed,
         params={key: params[key] for key in sorted(params)},
         metrics=metrics,
         figures={

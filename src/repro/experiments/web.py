@@ -46,7 +46,7 @@ from ..net.topology import Network
 from ..obs import Observability
 from ..runtime.deployment import Deployment
 from ..runtime.lifecycle import LifecycleManager, LifecyclePolicy
-from .result import LegacyResult
+from .result import ExperimentResult
 
 ATTACKS = ("none", "flash", "syn", "elephant")
 
@@ -65,14 +65,12 @@ SYN_FLOOD_RATE = 150.0
 SYN_BACKLOG = 64
 
 
-class WebResult(LegacyResult):
+class WebResult(ExperimentResult):
     """Unified result of one web overload cell.  ``params``: the
     scenario coordinates; ``figures``: goodput, shed/retry/abandon
     accounting, defense counters and the lifecycle verdict."""
 
     _EXPERIMENT = "web"
-    _PARAM_FIELDS = ("attack", "shedding", "n_good", "n_attackers",
-                     "duration", "warmup")
     #: execution strategy, not measurement
     _VOLATILE_FIGURES = ("segments",)
 
@@ -274,7 +272,44 @@ def run_web_experiment(*, attack: str = "none", shedding: bool = False,
                     and quarantined == 0),
         "segments": shard_segments,
     }
-    return WebResult(seed=seed, attack=attack, shedding=shedding,
-                     n_good=n_good, n_attackers=n_attackers,
-                     duration=duration, warmup=warmup,
-                     metrics=net.metrics_snapshot(), **figures)
+    return WebResult(
+        seed=seed,
+        params={"attack": attack, "shedding": shedding,
+                "n_good": n_good, "n_attackers": n_attackers,
+                "duration": duration, "warmup": warmup},
+        metrics=net.metrics_snapshot(), figures=figures)
+
+
+def overload_summary(events: list[dict]) -> dict:
+    """Fold an event list into the ``obsdump --view overload`` view:
+    endpoint shed and expiry decisions grouped per node and reason,
+    plus the lifecycle verdict on the shedding ASP (trips /
+    rollbacks), so one glance shows where the overload went and
+    whether the defense itself stayed healthy."""
+    totals = {"shed": 0, "expired": 0, "trips": 0, "rollbacks": 0}
+    nodes: dict[str, dict] = {}
+
+    def node(name: str) -> dict:
+        return nodes.setdefault(name, {"shed": 0, "expired": 0,
+                                       "reasons": {}})
+
+    for event in events:
+        kind = event.get("kind")
+        if kind == "overload":
+            entry = node(event.get("node", "?"))
+            action = event.get("action", "")
+            if action == "shed":
+                totals["shed"] += 1
+                entry["shed"] += 1
+                reason = event.get("reason", "")
+                entry["reasons"][reason] = (
+                    entry["reasons"].get(reason, 0) + 1)
+            elif action == "expired":
+                totals["expired"] += 1
+                entry["expired"] += 1
+        elif kind == "quarantine" and event.get("action") == "trip":
+            totals["trips"] += 1
+        elif kind == "rollback" and event.get("action") == "start":
+            totals["rollbacks"] += 1
+    return {"totals": totals,
+            "nodes": {name: nodes[name] for name in sorted(nodes)}}

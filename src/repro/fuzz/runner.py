@@ -8,8 +8,8 @@ Divergences are minimized and written as replayable case files.
 
 Progress is visible through ``repro.obs`` counters —
 ``fuzz.programs`` / ``fuzz.streams`` / ``fuzz.pairs`` /
-``fuzz.divergences`` / ``fuzz.minimizer_steps`` — so ``obsdump``
-summarizes fuzz runs like any other workload.
+``fuzz.divergences`` / ``fuzz.minimizer_steps`` in the process-wide
+scope — and the same totals ride the ``fuzzx run --json`` report.
 """
 
 from __future__ import annotations

@@ -1,18 +1,26 @@
 """The experiment registry: one ``run(scenario)`` for every experiment.
 
-Each entry wraps one of the repo's ``run_*`` entry points behind the
-uniform shape ``fn(*, seed, **params) -> ExperimentResult``, and names
-the result class used to rehydrate stored records (so report code gets
-back objects with the domain helper methods, not bare dicts).
+Each entry is one of the repo's ``run_*`` entry points — all share the
+shape ``fn(*, seed, **params) -> ExperimentResult`` — plus the result
+class used to rehydrate stored records (so report code gets back
+objects with the domain helper methods, not bare dicts) and the
+``views`` that ``obsdump --view NAME`` can print for it.
 """
 
 from __future__ import annotations
 
+import inspect
 from dataclasses import dataclass
-from typing import Any, Callable
+from typing import Any, Callable, Mapping
 
 from ..experiments.result import ExperimentResult
+from ..obs import Observability
 from .scenario import Scenario
+
+#: a view is ``(section, fold)``: which half of a run's observability
+#: dump the fold reads — ``"events"`` (the event log as dicts) or
+#: ``"metrics"`` (the snapshot) — and the fold that summarizes it
+View = tuple[str, Callable[[Any], dict]]
 
 
 @dataclass(frozen=True)
@@ -21,17 +29,19 @@ class RegisteredExperiment:
     fn: Callable[..., ExperimentResult]
     result_cls: type[ExperimentResult]
     description: str
+    views: Mapping[str, View]
 
 
 _REGISTRY: dict[str, RegisteredExperiment] = {}
 
 
 def register(name: str, *, result_cls: type[ExperimentResult],
-             description: str = "") -> Callable:
+             description: str = "",
+             views: Mapping[str, View] | None = None) -> Callable:
     def decorate(fn: Callable[..., ExperimentResult]) -> Callable:
         _REGISTRY[name] = RegisteredExperiment(
             name=name, fn=fn, result_cls=result_cls,
-            description=description)
+            description=description, views=dict(views or {}))
         return fn
     return decorate
 
@@ -48,10 +58,16 @@ def names() -> list[str]:
     return sorted(_REGISTRY)
 
 
-def run(scenario: Scenario) -> ExperimentResult:
-    """Run one scenario and stamp the result with its identity."""
+def run(scenario: Scenario, *,
+        obs: Observability | None = None) -> ExperimentResult:
+    """Run one scenario and stamp the result with its identity.  An
+    ``obs`` scope is handed to every experiment whose signature takes
+    one (``obsdump`` reads the event log back out of it)."""
     reg = get(scenario.experiment)
-    result = reg.fn(seed=scenario.seed, **scenario.params)
+    extra = {}
+    if obs is not None and "obs" in inspect.signature(reg.fn).parameters:
+        extra["obs"] = obs
+    result = reg.fn(seed=scenario.seed, **scenario.params, **extra)
     result.name = scenario.name
     result.seed = scenario.seed
     result.params = {**result.params, **scenario.params}
@@ -91,11 +107,14 @@ def _register_all() -> None:
     from ..experiments.microbench import (MicrobenchResult,
                                           run_engine_microbench)
     from ..experiments.scale import ScaleResult, run_scale_experiment
-    from ..experiments.web import WebResult, run_web_experiment
+    from ..experiments.web import (WebResult, overload_summary,
+                                   run_web_experiment)
+    from ..net.shard import shard_summary
+    from ..runtime.lifecycle import lifecycle_summary
 
     register("audio", result_cls=AudioExperimentResult,
              description="figure 5/6 audio adaptation run"
-             )(lambda *, seed, **p: run_audio_experiment(seed=seed, **p))
+             )(run_audio_experiment)
 
     @register("audio_gap_sweep", result_cls=GapSweepResult,
               description="figure 7 silent-period sweep over loads")
@@ -105,11 +124,12 @@ def _register_all() -> None:
                               seed=seed, **params)
         return GapSweepResult(
             seed=seed,
-            sweep={str(load): counts for load, counts in sweep.items()})
+            figures={"sweep": {str(load): counts
+                               for load, counts in sweep.items()}})
 
     register("http", result_cls=HttpExperimentResult,
              description="one figure 8 HTTP cluster configuration"
-             )(lambda *, seed, **p: run_http_experiment(seed=seed, **p))
+             )(run_http_experiment)
 
     @register("http_fig8_sweep", result_cls=Fig8SweepResult,
               description="figure 8 throughput-vs-load sweep per mode")
@@ -120,22 +140,23 @@ def _register_all() -> None:
                                 modes=tuple(modes), seed=seed, **params)
         return Fig8SweepResult(
             seed=seed,
-            curves={mode: [{"n_clients": r.n_clients,
-                            "throughput_rps": r.throughput_rps,
-                            "mean_latency_s": r.mean_latency_s,
-                            "balance_ratio": r.balance_ratio,
-                            "completed": r.completed,
-                            "failures": r.failures}
-                           for r in results]
-                    for mode, results in curves.items()})
+            figures={"curves": {
+                mode: [{"n_clients": r.params["n_clients"],
+                        "throughput_rps": r.figures["throughput_rps"],
+                        "mean_latency_s": r.figures["mean_latency_s"],
+                        "balance_ratio": r.balance_ratio,
+                        "completed": r.figures["completed"],
+                        "failures": r.figures["failures"]}
+                       for r in results]
+                for mode, results in curves.items()}})
 
     register("mpeg", result_cls=MpegExperimentResult,
              description="§3.3 point-to-point→multipoint MPEG run"
-             )(lambda *, seed, **p: run_mpeg_experiment(seed=seed, **p))
+             )(run_mpeg_experiment)
 
     register("images", result_cls=ImageExperimentResult,
              description="§5 image distillation over a slow link"
-             )(lambda *, seed, **p: run_image_experiment(seed=seed, **p))
+             )(run_image_experiment)
 
     @register("fig3", result_cls=Fig3Result,
               description="figure 3 codegen-time table for the ASPs")
@@ -143,34 +164,34 @@ def _register_all() -> None:
               repeats: int = 5) -> ExperimentResult:
         rows = fig3_codegen_table(backends=tuple(backends),
                                   repeats=repeats)
-        return Fig3Result(seed=seed, rows=rows)
+        return Fig3Result(seed=seed, figures={"rows": rows})
 
     register("microbench", result_cls=MicrobenchResult,
              description="§2.4 engine microbenchmark (one engine)"
-             )(lambda *, seed, **p: run_engine_microbench(seed=seed,
-                                                          **p))
+             )(run_engine_microbench)
 
     register("chaos", result_cls=ChaosResult,
-             description="lifecycle/fault chaos drill (one profile)"
-             )(lambda *, seed, **p: run_chaos_experiment(seed=seed,
-                                                         **p))
+             description="lifecycle/fault chaos drill (one profile)",
+             views={"lifecycle": ("events", lifecycle_summary)}
+             )(run_chaos_experiment)
 
     register("scale", result_cls=ScaleResult,
              description="sharded-core ring-of-clusters scale run "
-                         "(shard_segments picks the partition)"
-             )(lambda *, seed, **p: run_scale_experiment(seed=seed,
-                                                         **p))
+                         "(shard_segments picks the partition)",
+             views={"shards": ("metrics", shard_summary)}
+             )(run_scale_experiment)
 
     register("web", result_cls=WebResult,
              description="overload drill: flash/syn/elephant attacks "
-                         "with in-network shedding on or off"
-             )(lambda *, seed, **p: run_web_experiment(seed=seed, **p))
+                         "with in-network shedding on or off",
+             views={"overload": ("events", overload_summary)}
+             )(run_web_experiment)
 
     register("upgrade", result_cls=UpgradeResult,
              description="rolling-upgrade drill: wire-compat veto "
-                         "plus a compatible canary promotion"
-             )(lambda *, seed, **p: run_upgrade_experiment(seed=seed,
-                                                           **p))
+                         "plus a compatible canary promotion",
+             views={"lifecycle": ("events", lifecycle_summary)}
+             )(run_upgrade_experiment)
 
 
 _register_all()

@@ -222,6 +222,9 @@ class ShardRunner:
         self.horizon_stalls = [0] * k
         self.boundary_in = [0] * k
         self.boundary_out = [0] * k
+        self._segment_nodes = [0] * k
+        for segment in plan.assignment.values():
+            self._segment_nodes[segment] += 1
         #: emit a ``shard-boundary`` obs event per crossing (off by
         #: default: tracing every crossing is too hot for benches)
         self.trace_boundary = False
@@ -359,6 +362,9 @@ class ShardRunner:
         d["boundary_in"] = self.boundary_in[i]
         d["boundary_out"] = self.boundary_out[i]
         d["windows"] = self.windows
+        d["nodes"] = self._segment_nodes[i]
+        d["lookahead"] = self.plan.lookahead
+        d["cross_links"] = len(self.plan.cross_links)
         return d
 
     def merged_sim_stats(self) -> dict[str, float]:
@@ -374,3 +380,29 @@ class ShardRunner:
                 "pending_events": sum(s.pending_events for s in sims),
                 "cancelled_pending": sum(s._cancelled for s in sims),
                 "heap_size": sum(len(s._queue) for s in sims)}
+
+
+def shard_summary(metrics: dict) -> dict:
+    """Fold a metrics snapshot into the ``obsdump --view shards`` view:
+    windows, lookahead, cut-link count, and per-segment node and event
+    counts, horizon stalls and boundary crossings — read back from the
+    per-segment ``sim.<net>.<segment>.*`` scopes, which exist only
+    when the run was sharded."""
+    keep = ("nodes", "events_processed", "pending_events",
+            "horizon_stalls", "boundary_in", "boundary_out")
+    plan_wide = ("windows", "lookahead", "cross_links")
+    segments: dict[int, dict] = {}
+    for key, value in metrics.items():
+        parts = key.split(".")
+        if (len(parts) == 4 and parts[0].startswith("sim")
+                and parts[2].isdigit()):
+            segments.setdefault(int(parts[2]), {})[parts[3]] = value
+    if not segments:
+        return {"windows": 0, "segments": [],
+                "note": "serial run (shard_segments=1)"}
+    return {
+        **{key: segments[0][key] for key in plan_wide},
+        "segments": [{"segment": i,
+                      **{key: segments[i][key] for key in keep}}
+                     for i in sorted(segments)],
+    }

@@ -39,10 +39,7 @@ from __future__ import annotations
 
 import heapq
 import random
-import warnings
 from typing import Any, Callable
-
-from .._compat import keyword_only_init
 
 #: The total-order key events are sorted by; see the module docstring.
 EventKey = tuple[float, int, int]
@@ -171,14 +168,12 @@ class Simulator:
     garbage in the heap).  Live/cancelled counts are maintained
     incrementally, making :attr:`pending_events` O(1).
 
-    Constructor arguments are keyword-only (legacy positional ``seed``
-    still works for one release, with a :class:`DeprecationWarning`).
-    ``lp_alloc`` and ``root`` let a :class:`~repro.net.topology.Network`
-    share one context-id allocator and one root context across all of
-    its segment simulators, keeping event keys mode-independent.
+    Constructor arguments are keyword-only.  ``lp_alloc`` and ``root``
+    let a :class:`~repro.net.topology.Network` share one context-id
+    allocator and one root context across all of its segment
+    simulators, keeping event keys mode-independent.
     """
 
-    @keyword_only_init("seed")
     def __init__(self, *, seed: int = 0,
                  lp_alloc: Callable[[], int] | None = None,
                  root: SchedulingContext | None = None):

@@ -821,3 +821,58 @@ class LifecycleManager:
 
     def _emit(self, kind: str, **data) -> None:
         self.net.obs.events.emit(kind, **data)
+
+
+def lifecycle_summary(events: list[dict]) -> dict:
+    """Fold an event list into the ``obsdump --view lifecycle`` view:
+    rollout totals (including wire-compatibility vetoes with their
+    verdicts), plus per-node installs, breaker trips, half-opens,
+    closes, rollbacks, and the generation each node ended on."""
+    totals = {"rollouts": 0, "promoted": 0, "aborted": 0,
+              "vetoed": 0, "fleet_rollbacks": 0, "rollback_skips": 0}
+    vetoes: list[dict] = []
+    nodes: dict[str, dict] = {}
+
+    def node(name: str) -> dict:
+        return nodes.setdefault(name, {
+            "installs": 0, "trips": 0, "half_opens": 0, "closes": 0,
+            "rollbacks": 0, "generation": None})
+
+    for event in events:
+        kind = event.get("kind")
+        action = event.get("action", "")
+        if kind == "deploy" and action in ("install", "restore"):
+            node(event["node"])["installs"] += 1
+        elif kind == "rollout":
+            if action == "stage":
+                totals["rollouts"] += 1
+            elif action in ("promote", "force-promote"):
+                totals["promoted"] += 1
+            elif action == "abort":
+                totals["aborted"] += 1
+            elif action == "veto":
+                totals["vetoed"] += 1
+                vetoes.append({
+                    "rollout": event.get("rollout"),
+                    "sha": event.get("sha"),
+                    "against": event.get("against"),
+                    "nodes": event.get("nodes"),
+                    "verdict": event.get("verdict"),
+                })
+        elif kind == "quarantine":
+            key = {"trip": "trips", "half-open": "half_opens",
+                   "close": "closes"}.get(action)
+            if key is not None:
+                node(event["node"])[key] += 1
+        elif kind == "rollback":
+            if action == "start":
+                totals["fleet_rollbacks"] += 1
+            elif action == "skip":
+                totals["rollback_skips"] += 1
+            elif action == "node":
+                entry = node(event["node"])
+                entry["rollbacks"] += 1
+                entry["generation"] = event.get("to_generation")
+    return {"totals": totals,
+            "vetoes": vetoes,
+            "nodes": {name: nodes[name] for name in sorted(nodes)}}

@@ -1,47 +1,41 @@
 """``obsdump`` — inspect the observability layer from the shell.
 
     python -m repro.tools.obsdump demo
-    python -m repro.tools.obsdump audio --quick
-    python -m repro.tools.obsdump http --quick --events-limit 50
-    python -m repro.tools.obsdump images --json out.json
-    python -m repro.tools.obsdump mpeg --quick
-    python -m repro.tools.obsdump microbench
-    python -m repro.tools.obsdump chaos --lifecycle
-    python -m repro.tools.obsdump upgrade --lifecycle
-    python -m repro.tools.obsdump fuzz --quick
-    python -m repro.tools.obsdump scale --shards 4
-    python -m repro.tools.obsdump web --quick --overload
+    python -m repro.tools.obsdump smoke/http-asp --events --events-limit 50
+    python -m repro.tools.obsdump smoke/images --json out.json
+    python -m repro.tools.obsdump chaos/drill-4 --view lifecycle
+    python -m repro.tools.obsdump chaos/upgrade-16 --view lifecycle
+    python -m repro.tools.obsdump web/syn-shed --view overload
+    python -m repro.tools.obsdump smoke/scale-sharded --view shards
 
-Each mode runs one scenario and dumps its metrics snapshot as sorted
-JSON on stdout; ``--events`` additionally prints the structured event
-log as JSON lines (``demo`` prints events by default — that is what it
-is for).  ``--json PATH`` writes ``{"metrics": ..., "events": [...]}``
-to a file instead, which is the shape the CI artifact uses.
+The argument is ``demo`` or any scenario name ``runx list`` prints.
+The scenario runs through the harness registry with a fresh
+:class:`~repro.obs.Observability` scope (handed to every experiment
+that takes ``obs``), and its metrics snapshot is dumped as sorted JSON
+on stdout; ``--events`` additionally prints the structured event log
+as JSON lines, at most ``--events-limit`` of them (``demo`` prints
+events by default — that is what it is for).
+
+``--view NAME`` prints one of the folds registered beside the
+experiment instead of the raw metrics: ``lifecycle`` (chaos, upgrade —
+rollout generations, wire-compat vetoes, breaker trips and rollbacks
+per node), ``overload`` (web — shed/expired decisions per node and the
+shedding ASP's lifecycle verdict), ``shards`` (scale — windows,
+lookahead, and per-segment events, horizon stalls and boundary
+crossings).
+
+``--json PATH`` writes ``{"scenario", "metrics", "events", <view>:
+fold for every registered view}`` to a file instead — the shape the CI
+artifacts use.
 
 ``demo`` builds a deliberately eventful little network: an ASP deployed
 over the wire, a congested bottleneck link dropping packets, and a
 scripted link flap — so every event kind (``deploy``, ``drop``,
 ``fault``, ``jit``) shows up in one run.
 
-``scale`` runs the ring-of-clusters workload through the sharded core
-(DESIGN §13) with ``--shards N`` segments and prints the per-segment
-window summary — events processed, horizon stalls, and boundary
-crossings per segment — instead of raw metrics (use ``--json`` for
-both).  Boundary-crossing tracing is enabled, so ``shard-boundary``
-events show up under ``--events``.
-
-``chaos`` runs the poisoned-ASP lifecycle drill (rollouts, breaker
-trips, quarantine, automatic rollback); ``upgrade`` runs the
-rolling-upgrade drill (a wire-incompatible generation vetoed before
-its canary window, a compatible one promoted).  Combined with
-``--lifecycle`` either prints the per-node lifecycle summary —
-rollout generations, vetoes, trips, and rollbacks folded from the
-event log — instead of raw metrics.
-
-``web`` runs the overload drill (a SYN flood against the cluster with
-the shedding defense on); ``--overload`` prints the per-node
-shed/expired fold with the shedding ASP's lifecycle verdict, and
-``--json`` always includes it as the ``overload`` key.
+The process-wide snapshots have their own emitters:
+``python -m repro.experiments.microbench --json`` (all four engines)
+and ``python -m repro.tools.fuzzx run --json`` (``fuzz.*`` counters).
 """
 
 from __future__ import annotations
@@ -50,24 +44,18 @@ import argparse
 import json
 import sys
 
-from ..obs import GLOBAL
-
-MODES = ("demo", "audio", "http", "images", "mpeg", "microbench",
-         "chaos", "upgrade", "fuzz", "scale", "web")
+from ..harness import matrix, registry
+from ..obs import Observability
 
 
-# ---------------------------------------------------------------------------
-# Scenarios
-# ---------------------------------------------------------------------------
-
-
-def _run_demo() -> tuple[dict, list]:
-    """A small network exercising every event kind."""
+def demo(obs: Observability) -> dict:
+    """A small network exercising every event kind; returns its
+    metrics snapshot (the events land in ``obs``)."""
     from ..asps import audio_router_asp
     from ..net.topology import Network
     from ..runtime.netdeploy import DeploymentManager, DeploymentService
 
-    net = Network(seed=7)
+    net = Network(seed=7, obs=obs)
     manager_host = net.add_host("mgr")
     router = net.add_router("r1")
     sink = net.add_host("sink")
@@ -92,341 +80,76 @@ def _run_demo() -> tuple[dict, list]:
     net.faults.at(1.5, net.faults.link_up, uplink)
 
     net.run(until=3.0)
-    events = [record.to_dict() for record in net.obs.events.filter()]
-    return net.metrics_snapshot(), events
+    return net.metrics_snapshot()
 
 
-def _run_audio(quick: bool) -> tuple[dict, list]:
-    from ..apps.audio import run_audio_experiment
-
-    result = run_audio_experiment(duration=10.0 if quick else 45.0)
-    return result.metrics, []
-
-
-def _run_http(quick: bool) -> tuple[dict, list]:
-    from ..apps.http import run_http_experiment
-
-    result = run_http_experiment(mode="asp", n_clients=4,
-                                 duration=4.0 if quick else 12.0,
-                                 warmup=1.0 if quick else 3.0)
-    return result.metrics, []
-
-
-def _run_images(quick: bool) -> tuple[dict, list]:
-    from ..apps.images import run_image_experiment
-
-    result = run_image_experiment(distillation=True)
-    return result.metrics, []
-
-
-def _run_mpeg(quick: bool) -> tuple[dict, list]:
-    from ..apps.mpeg import run_mpeg_experiment
-
-    result = run_mpeg_experiment(use_asps=True, n_clients=3,
-                                 duration=5.0 if quick else 15.0)
-    return result.metrics, []
-
-
-def _run_chaos(quick: bool) -> tuple[dict, list]:
-    """The poisoned-ASP lifecycle drill, with its full event log."""
-    from ..experiments.chaos import run_chaos_experiment
-    from ..obs import Observability
-
-    obs = Observability()
-    result = run_chaos_experiment(profile="drill",
-                                  n_routers=4 if quick else 16,
-                                  duration=8.0 if quick else 12.0,
-                                  seed=5, obs=obs)
-    events = [record.to_dict() for record in obs.events.filter()]
-    return result.metrics, events
-
-
-def _run_upgrade(quick: bool) -> tuple[dict, list]:
-    """The rolling-upgrade drill: wire-compat veto + promotion, with
-    its full event log (the CI veto/rollout artifact)."""
-    from ..experiments.upgrade import run_upgrade_experiment
-    from ..obs import Observability
-
-    obs = Observability()
-    result = run_upgrade_experiment(n_routers=4 if quick else 16,
-                                    duration=8.0, seed=5, obs=obs)
-    events = [record.to_dict() for record in obs.events.filter()]
-    return result.metrics, events
-
-
-def lifecycle_summary(events: list[dict]) -> dict:
-    """Fold an event list into the ``--lifecycle`` view: rollout
-    totals (including wire-compatibility vetoes with their verdicts),
-    plus per-node installs, breaker trips, half-opens, closes,
-    rollbacks, and the generation each node ended on."""
-    totals = {"rollouts": 0, "promoted": 0, "aborted": 0,
-              "vetoed": 0, "fleet_rollbacks": 0, "rollback_skips": 0}
-    vetoes: list[dict] = []
-    nodes: dict[str, dict] = {}
-
-    def node(name: str) -> dict:
-        return nodes.setdefault(name, {
-            "installs": 0, "trips": 0, "half_opens": 0, "closes": 0,
-            "rollbacks": 0, "generation": None})
-
-    for event in events:
-        kind = event.get("kind")
-        action = event.get("action", "")
-        if kind == "deploy" and action in ("install", "restore"):
-            node(event["node"])["installs"] += 1
-        elif kind == "rollout":
-            if action == "stage":
-                totals["rollouts"] += 1
-            elif action in ("promote", "force-promote"):
-                totals["promoted"] += 1
-            elif action == "abort":
-                totals["aborted"] += 1
-            elif action == "veto":
-                totals["vetoed"] += 1
-                vetoes.append({
-                    "rollout": event.get("rollout"),
-                    "sha": event.get("sha"),
-                    "against": event.get("against"),
-                    "nodes": event.get("nodes"),
-                    "verdict": event.get("verdict"),
-                })
-        elif kind == "quarantine":
-            key = {"trip": "trips", "half-open": "half_opens",
-                   "close": "closes"}.get(action)
-            if key is not None:
-                node(event["node"])[key] += 1
-        elif kind == "rollback":
-            if action == "start":
-                totals["fleet_rollbacks"] += 1
-            elif action == "skip":
-                totals["rollback_skips"] += 1
-            elif action == "node":
-                entry = node(event["node"])
-                entry["rollbacks"] += 1
-                entry["generation"] = event.get("to_generation")
-    return {"totals": totals,
-            "vetoes": vetoes,
-            "nodes": {name: nodes[name] for name in sorted(nodes)}}
-
-
-def _run_web(quick: bool) -> tuple[dict, list]:
-    """The overload drill (SYN flood with the shedding defense on),
-    with its event log — shed/expired decisions at the endpoint,
-    lifecycle events at the gateway."""
-    from ..experiments.web import run_web_experiment
-    from ..obs import Observability
-
-    obs = Observability()
-    result = run_web_experiment(attack="syn", shedding=True,
-                                duration=5.0 if quick else 10.0,
-                                warmup=1.5 if quick else 2.5,
-                                seed=17, obs=obs)
-    events = [record.to_dict() for record in obs.events.filter()]
-    return result.metrics, events
-
-
-def overload_summary(events: list[dict]) -> dict:
-    """Fold an event list into the ``--overload`` view: endpoint shed
-    and expiry decisions grouped per node and reason, plus the
-    lifecycle verdict on the shedding ASP (trips / rollbacks), so one
-    glance shows where the overload went and whether the defense
-    itself stayed healthy."""
-    totals = {"shed": 0, "expired": 0, "trips": 0, "rollbacks": 0}
-    nodes: dict[str, dict] = {}
-
-    def node(name: str) -> dict:
-        return nodes.setdefault(name, {"shed": 0, "expired": 0,
-                                       "reasons": {}})
-
-    for event in events:
-        kind = event.get("kind")
-        if kind == "overload":
-            entry = node(event.get("node", "?"))
-            action = event.get("action", "")
-            if action == "shed":
-                totals["shed"] += 1
-                entry["shed"] += 1
-                reason = event.get("reason", "")
-                entry["reasons"][reason] = (
-                    entry["reasons"].get(reason, 0) + 1)
-            elif action == "expired":
-                totals["expired"] += 1
-                entry["expired"] += 1
-        elif kind == "quarantine" and event.get("action") == "trip":
-            totals["trips"] += 1
-        elif kind == "rollback" and event.get("action") == "start":
-            totals["rollbacks"] += 1
-    return {"totals": totals,
-            "nodes": {name: nodes[name] for name in sorted(nodes)}}
-
-
-def _run_fuzz(quick: bool) -> tuple[dict, list]:
-    """A short differential-fuzzing campaign; the snapshot shows the
-    ``fuzz.*`` counters (programs, streams, pairs, divergences,
-    minimizer steps) a real ``fuzzx`` run would emit."""
-    from ..fuzz import run_campaign
-
-    run_campaign(7, budget_s=0.0, min_pairs=40 if quick else 200,
-                 minimize=False)
-    events = [record.to_dict() for record in GLOBAL.events.filter()]
-    return GLOBAL.snapshot(), events
-
-
-def _run_scale(quick: bool, shards: int) -> tuple[dict, list, dict]:
-    """The ring-of-clusters workload on the sharded core, with
-    boundary tracing on and a per-segment window summary."""
-    from ..experiments.scale import build_scale_net, scale_until
-
-    params = dict(n_clusters=4 if quick else 8,
-                  hosts_per_cluster=3 if quick else 6,
-                  packets_per_host=4)
-    net = build_scale_net(params=params, seed=7, shard_segments=shards)
-    if net._shard is not None:
-        net._shard.trace_boundary = True
-    net.run(until=scale_until(params))
-    events = [record.to_dict() for record in net.obs.events.filter()]
-    return net.metrics_snapshot(), events, shard_summary(net)
-
-
-def shard_summary(net) -> dict:
-    """Fold a sharded network's runner state into the ``scale`` view:
-    windows, lookahead, cut links, and per-segment event counts,
-    horizon stalls, and boundary crossings."""
-    runner = net._shard
-    if runner is None:
-        return {"windows": 0, "segments": [],
-                "note": "serial run (shard_segments=1)"}
-    plan = runner.plan
-    keep = ("events_processed", "pending_events", "horizon_stalls",
-            "boundary_in", "boundary_out")
-    return {
-        "windows": runner.windows,
-        "lookahead": plan.lookahead,
-        "cross_links": plan.cross_links,
-        "segments": [
-            {"segment": i,
-             "nodes": sum(1 for s in plan.assignment.values()
-                          if s == i),
-             **{key: value
-                for key, value in runner._segment_stats(i).items()
-                if key in keep}}
-            for i in range(plan.segments)],
-    }
-
-
-def _run_microbench(quick: bool) -> tuple[dict, list]:
-    from ..experiments.microbench import run_engine_microbench
-
-    n = 2_000 if quick else 20_000
-    for engine in ("interpreter", "closure", "source", "builtin"):
-        run_engine_microbench(engine=engine, n_packets=n)
-    events = [record.to_dict() for record in GLOBAL.events.filter()]
-    return GLOBAL.snapshot(), events
-
-
-# ---------------------------------------------------------------------------
-# CLI
-# ---------------------------------------------------------------------------
+def _dump(doc: object, fp) -> None:
+    json.dump(doc, fp, indent=2, sort_keys=True, default=str)
+    fp.write("\n")
 
 
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro.tools.obsdump",
         description="dump metrics snapshots and event logs")
-    parser.add_argument("mode", choices=MODES, nargs="?", default="demo")
-    parser.add_argument("--quick", action="store_true",
-                        help="shrink scenario durations")
+    parser.add_argument("scenario", nargs="?", default="demo",
+                        help="'demo' or a scenario name from "
+                             "`runx list` (default: demo)")
+    parser.add_argument("--view", metavar="NAME",
+                        help="print a fold registered beside the "
+                             "experiment (lifecycle / overload / "
+                             "shards) instead of raw metrics")
     parser.add_argument("--events", action="store_true",
                         help="also print the event log as JSON lines")
     parser.add_argument("--events-limit", type=int, default=None,
-                        metavar="N", help="print at most N events")
+                        metavar="N", help="dump at most N events")
     parser.add_argument("--json", metavar="PATH",
-                        help="write {metrics, events} JSON to a file")
-    parser.add_argument("--lifecycle", action="store_true",
-                        help="summarize rollout generations, breaker "
-                             "trips and rollbacks per node from the "
-                             "event log (instead of raw metrics)")
-    parser.add_argument("--overload", action="store_true",
-                        help="summarize shed/expired decisions per "
-                             "node and the shedding ASP's lifecycle "
-                             "verdict from the event log (instead of "
-                             "raw metrics)")
-    parser.add_argument("--shards", type=int, default=None, metavar="N",
-                        help="scale mode: run the topology sharded "
-                             "into N segments (default 2) and print "
-                             "the per-segment window summary")
+                        help="write {scenario, metrics, events, "
+                             "views...} JSON to a file")
     args = parser.parse_args(argv)
 
-    shards_doc = None
-    if args.mode == "demo":
-        metrics, events = _run_demo()
-        show_events = True
-    elif args.mode == "microbench":
-        metrics, events = _run_microbench(args.quick)
-        show_events = args.events
-    elif args.mode == "chaos":
-        metrics, events = _run_chaos(args.quick)
-        show_events = args.events
-    elif args.mode == "upgrade":
-        metrics, events = _run_upgrade(args.quick)
-        show_events = args.events
-    elif args.mode == "fuzz":
-        metrics, events = _run_fuzz(args.quick)
-        show_events = args.events
-    elif args.mode == "web":
-        metrics, events = _run_web(args.quick)
-        show_events = args.events
-    elif args.mode == "scale":
-        metrics, events, shards_doc = _run_scale(
-            args.quick, args.shards if args.shards is not None else 2)
-        show_events = args.events
+    scenario = None
+    views = {}
+    if args.scenario != "demo":
+        scenario = next((s for s in matrix("all")
+                         if s.name == args.scenario), None)
+        if scenario is None:
+            print(f"unknown scenario {args.scenario!r} (see `runx list`)",
+                  file=sys.stderr)
+            return 2
+        views = registry.get(scenario.experiment).views
+    if args.view is not None and args.view not in views:
+        print(f"{args.scenario} has no view {args.view!r}; registered: "
+              f"{sorted(views)}", file=sys.stderr)
+        return 2
+
+    obs = Observability()
+    if scenario is None:
+        metrics = demo(obs)
     else:
-        runner = {"audio": _run_audio, "http": _run_http,
-                  "images": _run_images, "mpeg": _run_mpeg}[args.mode]
-        metrics, events = runner(args.quick)
-        show_events = args.events and events
+        metrics = registry.run(scenario, obs=obs).metrics
+    events = [record.to_dict() for record in obs.events.filter()]
+    # the folds see the whole log; --events-limit bounds what is dumped
+    sections = {"metrics": metrics, "events": events}
+    folds = {name: fold(sections[section])
+             for name, (section, fold) in views.items()}
+    shown = events[:args.events_limit]
+    show_events = args.events or scenario is None
+    if (args.json or show_events) and len(shown) < len(events):
+        print(f"... {len(events) - len(shown)} more events",
+              file=sys.stderr)
 
     if args.json:
-        doc = {"mode": args.mode, "metrics": metrics, "events": events}
-        if args.lifecycle:
-            doc["lifecycle"] = lifecycle_summary(events)
-        if args.overload or args.mode == "web":
-            doc["overload"] = overload_summary(events)
-        if shards_doc is not None:
-            doc["shards"] = shards_doc
         with open(args.json, "w") as fp:
-            json.dump(doc, fp, indent=2, sort_keys=True, default=str)
+            _dump({"scenario": args.scenario, "metrics": metrics,
+                   "events": shown, **folds}, fp)
         print(f"wrote {args.json}", file=sys.stderr)
         return 0
 
-    if args.lifecycle:
-        json.dump(lifecycle_summary(events), sys.stdout, indent=2,
-                  sort_keys=True, default=str)
-        sys.stdout.write("\n")
-        return 0
-
-    if args.overload:
-        json.dump(overload_summary(events), sys.stdout, indent=2,
-                  sort_keys=True, default=str)
-        sys.stdout.write("\n")
-        return 0
-
-    if shards_doc is not None:
-        json.dump(shards_doc, sys.stdout, indent=2, sort_keys=True,
-                  default=str)
-        sys.stdout.write("\n")
-        return 0
-
-    json.dump(metrics, sys.stdout, indent=2, sort_keys=True, default=str)
-    sys.stdout.write("\n")
+    _dump(folds[args.view] if args.view else metrics, sys.stdout)
     if show_events:
-        limited = events[:args.events_limit] \
-            if args.events_limit is not None else events
-        for record in limited:
+        for record in shown:
             sys.stdout.write(json.dumps(record, default=str) + "\n")
-        if len(limited) < len(events):
-            print(f"... {len(events) - len(limited)} more events",
-                  file=sys.stderr)
     return 0
 
 

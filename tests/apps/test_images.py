@@ -71,8 +71,8 @@ class TestExperiment:
 
     def test_all_images_fetched(self, pair):
         plain, distilled = pair
-        assert len(plain.fetches) == 5
-        assert len(distilled.fetches) == 5
+        assert len(plain.figures["fetches"]) == 5
+        assert len(distilled.figures["fetches"]) == 5
 
     def test_large_images_distilled(self, pair):
         _plain, distilled = pair
@@ -99,9 +99,9 @@ class TestExperiment:
     def test_quantize_policy_variant(self):
         result = run_image_experiment(distillation=True,
                                       quantize_bits=4)
-        assert result.distilled_count >= 3
+        assert result.figures["distilled_count"] >= 3
 
     def test_interpreter_backend(self):
         result = run_image_experiment(distillation=True,
                                       backend="interpreter")
-        assert result.distilled_count >= 3
+        assert result.figures["distilled_count"] >= 3

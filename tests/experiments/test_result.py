@@ -1,4 +1,4 @@
-"""The unified ExperimentResult and the legacy compat shims."""
+"""The unified ExperimentResult: params/figures out, keyword-only in."""
 
 import json
 
@@ -10,6 +10,8 @@ from repro.apps.mpeg import run_mpeg_experiment
 from repro.experiments import run_engine_microbench
 from repro.experiments.result import (ExperimentResult,
                                       deterministic_metrics, jsonify)
+from repro.net.sim import Simulator
+from repro.net.topology import Network
 
 
 class TestUnifiedShape:
@@ -22,12 +24,13 @@ class TestUnifiedShape:
         assert "silent_periods" in result.figures
         assert isinstance(result.metrics, dict)
 
-    def test_legacy_attribute_access_still_works(self):
-        result = run_audio_experiment(duration=3.0, seed=5)
-        assert result.adaptation is True
-        assert result.duration == 3.0
-        assert result.silent_periods == result.figures["silent_periods"]
-        assert result.frames_received > 0
+    def test_flat_attribute_access_is_gone(self):
+        result = run_audio_experiment(duration=2.0, seed=5)
+        assert result.figures["frames_received"] > 0
+        with pytest.raises(AttributeError):
+            result.frames_received
+        with pytest.raises(AttributeError):
+            result.adaptation
 
     def test_unknown_attribute_raises(self):
         result = run_audio_experiment(duration=2.0, seed=5)
@@ -37,21 +40,21 @@ class TestUnifiedShape:
     def test_http_legacy_surface(self):
         result = run_http_experiment(mode="single", n_clients=2,
                                      duration=3.0, warmup=1.0)
-        assert result.mode == "single"
-        assert result.n_clients == 2
-        assert result.throughput_rps > 0
+        assert result.params["mode"] == "single"
+        assert result.params["n_clients"] == 2
+        assert result.figures["throughput_rps"] > 0
         assert 0 < result.balance_ratio <= 1.0
 
     def test_json_roundtrip_rehydrates_domain_objects(self):
         result = run_audio_experiment(duration=3.0, seed=5)
         loaded = type(result).from_json(result.to_json())
         assert loaded.to_json() == result.to_json()
-        sample = loaded.bandwidth_series[0]
+        sample = loaded.figures["bandwidth_series"][0]
         assert hasattr(sample, "kbps")  # a BandwidthSample again
         assert loaded.dominant_quality_between(0, 3.0) \
             == result.dominant_quality_between(0, 3.0)
-        assert set(loaded.quality_fractions) \
-            == set(result.quality_fractions)
+        assert set(loaded.figures["quality_fractions"]) \
+            == set(result.figures["quality_fractions"])
 
     def test_record_is_json_types_only(self):
         result = run_mpeg_experiment(n_clients=2, duration=4.0)
@@ -61,7 +64,7 @@ class TestUnifiedShape:
         result = run_mpeg_experiment(n_clients=2, duration=4.0)
         base = ExperimentResult.from_json(result.to_json())
         assert base.figures["server_sessions"] \
-            == result.server_sessions
+            == result.figures["server_sessions"]
 
 
 class TestVolatileAndDeterminism:
@@ -70,7 +73,7 @@ class TestVolatileAndDeterminism:
                                      duration=3.0, warmup=1.0)
         assert "codegen_ms" not in result.record()["figures"]
         assert result.volatile()["codegen_ms"] > 0
-        assert result.codegen_ms is not None  # legacy access intact
+        assert result.figures["codegen_ms"] is not None
 
     def test_microbench_elapsed_is_volatile(self):
         result = run_engine_microbench(engine="builtin", n_packets=200)
@@ -115,33 +118,20 @@ class TestVolatileAndDeterminism:
                        "k": {"3": [4, 5]}, "s": [1, 2]}
 
 
-class TestDeprecatedPositionalForms:
-    def test_http_positional_warns_and_works(self):
-        with pytest.warns(DeprecationWarning, match="mode=.*n_clients="):
-            result = run_http_experiment("single", 2, duration=3.0,
-                                         warmup=1.0)
-        assert result.mode == "single"
+class TestKeywordOnly:
+    """Every entry point that carried a one-release positional shim is
+    plain keyword-only now: Python itself raises the ``TypeError``."""
 
-    def test_gap_sweep_positional_warns(self):
-        with pytest.warns(DeprecationWarning, match="load_levels_bps="):
-            sweep = run_gap_sweep([1_900_000], duration=2.0)
-        assert 1_900_000 in sweep
-
-    def test_fig8_sweep_positional_warns(self):
-        with pytest.warns(DeprecationWarning, match="client_counts="):
-            curves = run_fig8_sweep([2], modes=("single",),
-                                    duration=3.0)
-        assert len(curves["single"]) == 1
-
-    def test_microbench_positional_warns(self):
-        with pytest.warns(DeprecationWarning, match="engine="):
-            result = run_engine_microbench("builtin", 100)
-        assert result.packets == 100
-
-    def test_too_many_positionals_is_an_error(self):
+    @pytest.mark.parametrize("call", [
+        lambda: Simulator(7),
+        lambda: Network(7),
+        lambda: run_http_experiment("single", 2, duration=3.0),
+        lambda: run_fig8_sweep([2], modes=("single",), duration=3.0),
+        lambda: run_gap_sweep([1_900_000], duration=2.0),
+        lambda: run_engine_microbench("builtin", 100),
+    ], ids=["Simulator", "Network", "run_http_experiment",
+            "run_fig8_sweep", "run_gap_sweep", "run_engine_microbench"])
+    def test_positional_call_raises(self, call, recwarn):
         with pytest.raises(TypeError, match="positional"):
-            run_gap_sweep([1], 2.0, "closure", 7, "extra")
-
-    def test_positional_keyword_clash_is_an_error(self):
-        with pytest.raises(TypeError, match="multiple values"):
-            run_http_experiment("single", 2, mode="asp")
+            call()
+        assert not recwarn.list  # no DeprecationWarning path left

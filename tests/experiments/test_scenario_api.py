@@ -14,7 +14,6 @@ from repro.harness import registry
 
 class CountingResult(ExperimentResult):
     _EXPERIMENT = "_counting"
-    _PARAM_FIELDS = ("knob",)
 
 
 @pytest.fixture
@@ -91,7 +90,7 @@ class TestRegistry:
             Scenario("my/run", "_counting", {"knob": 2}, seed=1))
         result = rehydrate(line)
         assert isinstance(result, CountingResult)
-        assert result.knob == 2  # legacy param attribute works
+        assert result.params["knob"] == 2
 
 
 class TestCache:

@@ -199,4 +199,4 @@ class TestMalformedTraffic:
     def test_monitor_ignores_malformed_queries(self):
         result = run_mpeg_experiment(use_asps=True, n_clients=2,
                                      duration=10.0)
-        assert result.modes == ["direct", "shared"]
+        assert result.figures["modes"] == ["direct", "shared"]

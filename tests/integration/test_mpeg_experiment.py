@@ -19,27 +19,28 @@ def unshared():
 
 class TestSharing:
     def test_single_server_session_with_asps(self, shared):
-        assert shared.server_sessions == 1
+        assert shared.figures["server_sessions"] == 1
 
     def test_one_session_per_client_without(self, unshared):
-        assert unshared.server_sessions == 3
+        assert unshared.figures["server_sessions"] == 3
 
     def test_later_clients_capture(self, shared):
-        assert shared.modes == ["direct", "shared", "shared"]
+        assert shared.figures["modes"] == ["direct", "shared", "shared"]
 
     def test_uplink_traffic_reduced(self, shared, unshared):
-        assert shared.uplink_bytes < 0.45 * unshared.uplink_bytes
+        assert (shared.figures["uplink_bytes"]
+                < 0.45 * unshared.figures["uplink_bytes"])
 
     def test_no_traffic_rate_degradation(self, shared):
         """Every viewer gets (essentially) the nominal frame rate."""
         assert shared.all_clients_at_full_rate
 
     def test_shared_and_direct_rates_match(self, shared):
-        rates = shared.per_client_rate
-        assert max(rates) - min(rates) < 0.1 * shared.nominal_fps
+        rates = shared.figures["per_client_rate"]
+        assert max(rates) - min(rates) < 0.1 * shared.figures["nominal_fps"]
 
     def test_all_clients_receive_frames(self, shared):
-        assert all(n > 100 for n in shared.per_client_frames)
+        assert all(n > 100 for n in shared.figures["per_client_frames"])
 
 
 class TestScalingClients:
@@ -49,16 +50,16 @@ class TestScalingClients:
         four = run_mpeg_experiment(use_asps=True, n_clients=4,
                                    duration=12.0)
         # One upstream stream regardless of audience size.
-        assert four.server_sessions == 1
-        assert four.uplink_bytes == pytest.approx(two.uplink_bytes,
-                                                  rel=0.1)
+        assert four.figures["server_sessions"] == 1
+        assert four.figures["uplink_bytes"] == pytest.approx(
+            two.figures["uplink_bytes"], rel=0.1)
 
     def test_without_asps_uplink_scales_linearly(self):
         two = run_mpeg_experiment(use_asps=False, n_clients=2,
                                   duration=12.0)
         four = run_mpeg_experiment(use_asps=False, n_clients=4,
                                    duration=12.0)
-        assert four.uplink_bytes > 1.6 * two.uplink_bytes
+        assert four.figures["uplink_bytes"] > 1.6 * two.figures["uplink_bytes"]
 
 
 class TestBackends:
@@ -66,5 +67,5 @@ class TestBackends:
         result = run_mpeg_experiment(use_asps=True, n_clients=2,
                                      duration=10.0,
                                      backend="interpreter")
-        assert result.server_sessions == 1
-        assert result.modes == ["direct", "shared"]
+        assert result.figures["server_sessions"] == 1
+        assert result.figures["modes"] == ["direct", "shared"]

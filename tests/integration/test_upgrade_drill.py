@@ -13,7 +13,7 @@ import json
 from repro.experiments.upgrade import run_upgrade_experiment
 from repro.harness import ResultStore, Runner, matrix
 from repro.obs import Observability
-from repro.tools.obsdump import lifecycle_summary
+from repro.runtime.lifecycle import lifecycle_summary
 
 
 class TestVetoBeforeCanary:

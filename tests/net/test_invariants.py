@@ -105,9 +105,10 @@ class TestDeterminism:
 
             result = run_audio_experiment(duration=8.0, seed=seed,
                                           constant_load_bps=1_600_000)
-            return (result.frames_received, result.silent_periods,
+            fig = result.figures
+            return (fig["frames_received"], fig["silent_periods"],
                     [(s.time, s.kbps, s.quality)
-                     for s in result.bandwidth_series])
+                     for s in fig["bandwidth_series"]])
 
         assert run(5) == run(5)
 

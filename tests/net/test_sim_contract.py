@@ -98,20 +98,6 @@ class TestRunBounds:
         assert sim.events_processed == 1
 
 
-class TestKeywordOnlyShims:
-    def test_simulator_positional_seed_warns_but_works(self):
-        with pytest.warns(DeprecationWarning, match="keyword"):
-            sim = Simulator(7)
-        assert sim.seed == 7
-        assert Simulator(seed=7).seed == 7  # no warning path
-
-    def test_network_positional_seed_warns_but_works(self):
-        with pytest.warns(DeprecationWarning, match="keyword"):
-            net = Network(7)
-        assert net.seed == 7
-        assert Network(seed=7).seed == 7
-
-
 class TestContextAttribution:
     def test_context_names_fold_in_the_lp(self):
         sim = Simulator(seed=0)

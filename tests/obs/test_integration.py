@@ -213,7 +213,7 @@ class TestErrorCounting:
 
 
 class TestLifecycleSummary:
-    """The ``obsdump --lifecycle`` fold over an event list."""
+    """The ``obsdump --view lifecycle`` fold over an event list."""
 
     EVENTS = [
         {"kind": "deploy", "action": "install", "node": "r0"},
@@ -241,7 +241,7 @@ class TestLifecycleSummary:
     ]
 
     def test_fold(self):
-        from repro.tools.obsdump import lifecycle_summary
+        from repro.runtime.lifecycle import lifecycle_summary
 
         summary = lifecycle_summary(self.EVENTS)
         assert summary["totals"] == {"rollouts": 3, "promoted": 1,
@@ -261,7 +261,7 @@ class TestLifecycleSummary:
     def test_fold_matches_live_drill(self):
         from repro.experiments.chaos import run_chaos_experiment
         from repro.obs import Observability
-        from repro.tools.obsdump import lifecycle_summary
+        from repro.runtime.lifecycle import lifecycle_summary
 
         obs = Observability()
         run_chaos_experiment(profile="drill", n_routers=4,
@@ -276,18 +276,18 @@ class TestLifecycleSummary:
 
 
 class TestShardSummary:
-    """The ``obsdump scale --shards`` per-segment fold."""
+    """The ``obsdump --view shards`` per-segment fold."""
 
     def test_summary_from_live_sharded_run(self):
         from repro.experiments.scale import build_scale_net, scale_until
-        from repro.tools.obsdump import shard_summary
+        from repro.net.shard import shard_summary
 
         params = dict(n_clusters=4, hosts_per_cluster=3,
                       packets_per_host=4)
         net = build_scale_net(params=params, seed=7, shard_segments=2)
         net._shard.trace_boundary = True
         net.run(until=scale_until(params))
-        summary = shard_summary(net)
+        summary = shard_summary(net.metrics_snapshot())
         assert summary["windows"] >= 1
         assert summary["lookahead"] == 0.01
         assert len(summary["segments"]) == 2
@@ -305,9 +305,9 @@ class TestShardSummary:
 
     def test_serial_run_summarizes_as_unsharded(self):
         from repro.experiments.scale import build_scale_net
-        from repro.tools.obsdump import shard_summary
+        from repro.net.shard import shard_summary
 
         net = build_scale_net(
             params=dict(n_clusters=2, hosts_per_cluster=2,
                         packets_per_host=1), seed=7)
-        assert shard_summary(net)["segments"] == []
+        assert shard_summary(net.metrics_snapshot())["segments"] == []
