@@ -17,13 +17,9 @@ one route per local host and default clockwise around the ring.  No
 datagram travels more than one ring hop, so the default TTL is never
 at risk.
 
-The same builder serves three execution modes — serial, in-process
-sharded (:class:`~repro.net.shard.ShardRunner`), and one process per
-segment (:mod:`~repro.net.shard_proc`).  Serial and in-process runs
-produce byte-identical records; process runs reproduce the identical
-delivery stream and figures but merge a reduced metrics view (see
-``shard_proc``), so record-level comparisons should use the in-process
-driver.
+The same builder runs serially and, with ``shard_segments > 1``,
+through the windowed :class:`~repro.net.shard.ShardRunner`; the two
+produce byte-identical records.
 """
 
 from __future__ import annotations
@@ -45,7 +41,7 @@ class ScaleResult(ExperimentResult):
     #: execution-strategy outputs: real, but not part of the record
     #: (a serial run and a sharded run of the same scenario must
     #: produce the same record)
-    _VOLATILE_FIGURES = ("segments", "driver", "windows")
+    _VOLATILE_FIGURES = ("segments", "windows")
 
 
 @dataclass
@@ -69,13 +65,7 @@ def _cluster_of(name: str) -> int:
 
 def build_scale_net(*, params: dict, seed: int,
                     shard_segments: int = 1) -> Network:
-    """Build the ring-of-clusters topology and schedule its traffic.
-
-    Top-level and a pure function of ``(params, seed,
-    shard_segments)``, so :func:`repro.net.shard_proc
-    .run_sharded_processes` can replicate it in every worker by
-    reference (``"repro.experiments.scale:build_scale_net"``).
-    """
+    """Build the ring-of-clusters topology and schedule its traffic."""
     n_clusters = int(params.get("n_clusters", 8))
     hosts_per_cluster = int(params.get("hosts_per_cluster", 4))
     packets_per_host = int(params.get("packets_per_host", 6))
@@ -170,27 +160,16 @@ def build_scale_net(*, params: dict, seed: int,
                     state.sent += 1
 
                 # scheduled on the host's own simulator under the
-                # host's context: the event key — and, in process mode,
-                # the owning worker — is the host's, whichever segment
-                # it lands in
+                # host's context: the event key is the host's,
+                # whichever segment it lands in
                 host.sim.at(warmup + k * interval, send,
                             context=host.ctx)
     return net
 
 
-def collect_scale(net: Network, owned: set[str]) -> dict[str, Any]:
-    """Worker-side harvest for process-sharded runs (referenced as
-    ``"repro.experiments.scale:collect_scale"``)."""
-    state = net.scale_state
-    return {
-        "deliveries": [d for d in state.deliveries if d[1] in owned],
-        "sent": state.sent,
-    }
-
-
 def scale_until(params: dict) -> float:
     """When the run ends — a pure function of params, so every
-    execution mode and every worker agrees."""
+    execution mode agrees."""
     packets = int(params.get("packets_per_host", 6))
     interval = float(params.get("interval", 0.02))
     warmup = float(params.get("warmup", 0.05))
@@ -214,43 +193,18 @@ def delivery_stream_sha256(deliveries: list[tuple]) -> str:
 
 
 def run_scale_experiment(*, seed: int = 0, shard_segments: int = 1,
-                         driver: str = "inline",
                          **params: Any) -> ScaleResult:
     """Run the scale workload and summarize it.
 
-    ``shard_segments`` / ``driver`` pick the execution strategy:
-    ``inline`` runs serially (1 segment) or via the in-process
-    :class:`~repro.net.shard.ShardRunner`; ``process`` runs one OS
-    process per segment.  The strategy shows up only in the volatile
-    figures — the record is identical whichever produced it (process
-    mode: identical figures over a reduced metrics view).
+    ``shard_segments`` picks the execution strategy — serial, or the
+    windowed :class:`~repro.net.shard.ShardRunner`.  It shows up only
+    in the volatile figures; the record is identical either way.
     """
-    until = scale_until(params)
-    if driver == "process" and shard_segments > 1:
-        from ..net.shard_proc import run_sharded_processes
-
-        report = run_sharded_processes(
-            "repro.experiments.scale:build_scale_net", params=params,
-            seed=seed, segments=shard_segments, until=until,
-            collect="repro.experiments.scale:collect_scale")
-        deliveries = [d for got in report.collected
-                      for d in got["deliveries"]]
-        sent = sum(got["sent"] for got in report.collected)
-        metrics = report.metrics
-        windows = report.windows
-        nodes = sum(1 for key in metrics if key.startswith("node.")
-                    and key.endswith(".delivered"))
-    elif driver not in ("inline", "process"):
-        raise ValueError(f"unknown scale driver {driver!r}")
-    else:
-        net = build_scale_net(params=params, seed=seed,
-                              shard_segments=shard_segments)
-        net.run(until=until)
-        state = net.scale_state
-        deliveries, sent = state.deliveries, state.sent
-        metrics = net.metrics_snapshot()
-        windows = net._shard.windows if net._shard is not None else 0
-        nodes = len(net.nodes)
+    net = build_scale_net(params=params, seed=seed,
+                          shard_segments=shard_segments)
+    net.run(until=scale_until(params))
+    state, runner = net.scale_state, net._shard
+    metrics = net.metrics_snapshot()
     forwarded = sum(value for key, value in metrics.items()
                     if key.startswith("node.")
                     and key.endswith(".forwarded")
@@ -260,14 +214,13 @@ def run_scale_experiment(*, seed: int = 0, shard_segments: int = 1,
         params={key: params[key] for key in sorted(params)},
         metrics=metrics,
         figures={
-            "nodes": nodes,
-            "sent": sent,
-            "delivered": len(deliveries),
+            "nodes": len(net.nodes),
+            "sent": state.sent,
+            "delivered": len(state.deliveries),
             "forwarded": int(forwarded),
             "events": metrics.get("sim.events_processed"),
-            "delivery_sha256": delivery_stream_sha256(deliveries),
+            "delivery_sha256": delivery_stream_sha256(state.deliveries),
             # volatile (execution strategy, not measurement):
             "segments": shard_segments,
-            "driver": driver,
-            "windows": windows,
+            "windows": runner.windows if runner is not None else 0,
         })

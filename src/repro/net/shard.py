@@ -1,12 +1,12 @@
-"""Conservative-parallel sharded execution of one topology.
+"""Conservative sharded execution of one topology.
 
-The discrete-event engine itself is single-threaded; this module is
-what makes "web-scale" topologies tractable: the topology is
-partitioned into **segments**, each owning its own
+The topology is partitioned into **segments**, each owning its own
 :class:`~repro.net.sim.Simulator`, and the segments advance through
 synchronized **windows** bounded by a lower-bound-timestamp horizon —
 classic conservative parallel DES with cross-segment link latency as
-the lookahead (DESIGN.md §13).
+the lookahead (DESIGN.md §13).  One process drives every segment: the
+point is to check the scheduling contract of :mod:`repro.net.sim`
+(execution split across heaps ≡ serial, byte for byte), not speed.
 
 The window protocol
 -------------------
@@ -20,13 +20,12 @@ event executed in the window ``[T_min, H)`` with ``H = T_min + L`` has
 time ``>= T_min``, so any packet it pushes across a cut arrives at
 ``time + L_link >= T_min + L = H`` — never inside the current window.
 Segments can therefore execute the window's events independently, in
-any order or in parallel, and exchange the boundary crossings at the
-barrier.
+any order, and exchange the boundary crossings at the barrier.
 
 Byte-identical to serial
 ------------------------
 
-Correct *parallel* simulation is the easy half; this runner also
+Correct *windowed* simulation is the easy half; this runner also
 reproduces the serial engine's execution **exactly** (the bar PR 4 set
 for the parallel harness and PR 6 for batching).  That is what the
 formalized scheduling contract in :mod:`repro.net.sim` buys: events are
@@ -44,15 +43,17 @@ mutate exactly the state they would have seen serially.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable
 
 from .link import Link, Segment
 from .node import Node
 from .packet import Packet
-from .sim import BEFORE_ANY_LP, EventKey, Simulator
+from .sim import BEFORE_ANY_LP, EventKey, RunawayError, Simulator
 
 if TYPE_CHECKING:
+    from .node import Interface
     from .topology import Network
 
 
@@ -66,17 +67,14 @@ class BoundaryMessage:
 
     Carries everything the receiving segment needs to replay the
     delivery exactly as serial execution would have: the cut link and
-    sending node identify the delivery path; ``arrival`` is the
+    sending interface identify the delivery path; ``arrival`` is the
     absolute delivery time (send time + link latency); ``(lp, lseq)``
     is the event key the sender's transmit-queue context drew for the
-    delivery.  All fields are plain data (the packet is dataclasses of
-    frozen dataclasses and bytes), so messages pickle across process
-    boundaries unchanged.
+    delivery.
     """
 
-    link: str
-    sender_node: str
-    src_segment: int
+    link: Link
+    sender: "Interface"
     dst_segment: int
     arrival: float
     lp: int
@@ -97,14 +95,12 @@ class ShardPlan:
     #: names of the cut links
     cross_links: list[str] = field(default_factory=list)
 
-    def segment_of(self, node: "Node | str") -> int:
-        name = node if isinstance(node, str) else node.name
-        return self.assignment[name]
+    def segment_of(self, node: Node) -> int:
+        return self.assignment[node.name]
 
 
 def default_shard_of(nodes: list[Node], segments: int) -> dict[str, int]:
-    """Contiguous blocks in construction order — the default partition.
-    Deterministic, so every worker process derives the same plan."""
+    """Contiguous blocks in construction order — the default partition."""
     n = len(nodes)
     return {node.name: min(i * segments // n, segments - 1)
             for i, node in enumerate(nodes)}
@@ -141,7 +137,6 @@ def build_plan(net: "Network", segments: int,
 
     cross: list[str] = []
     lookahead = float("inf")
-    seen_names: set[str] = set()
     for medium in net.media:
         segs = {assignment[iface.node.name]
                 for iface in medium.interfaces}
@@ -157,55 +152,20 @@ def build_plan(net: "Network", segments: int,
             raise ShardError(
                 f"cut link {medium.name!r} has zero latency — a cut link's"
                 f" latency is the conservative lookahead and must be > 0")
-        if medium.name in seen_names:
-            raise ShardError(
-                f"two cut links share the name {medium.name!r}; boundary "
-                f"messages identify links by name — name them uniquely")
-        seen_names.add(medium.name)
         cross.append(medium.name)
         lookahead = min(lookahead, latency)
     return ShardPlan(segments=segments, assignment=assignment,
                      lookahead=lookahead, cross_links=cross)
 
 
-def run_window(net: "Network", sims: list[Simulator],
-               until: float | None, until_key: EventKey | None,
-               max_events: int | None = None) -> None:
-    """Execute one conservative window over ``sims``, interleaving the
-    controller at full key precision: the segments hold at each
-    controller event's key, the controller event runs, repeat; then the
-    segments drain to the window bound.  Shared by the in-process
-    driver (all segments) and the process workers (their own segment).
-    """
-    ctrl = net.sim
-    while True:
-        ck = ctrl.next_event_key()
-        if ck is None:
-            break
-        if until_key is not None and ck >= until_key:
-            break
-        if until is not None and ck[0] > until:
-            break
-        for s in sims:
-            net._active_sim = s
-            s.run(until_key=ck, max_events=max_events)
-        net._active_sim = ctrl
-        ctrl.step()
-    for s in sims:
-        net._active_sim = s
-        s.run(until=until, until_key=until_key, max_events=max_events)
-    net._active_sim = ctrl
-    ctrl.run(until=until, until_key=until_key)
-
-
 class ShardRunner:
     """Drives one partitioned network through the window protocol,
-    round-robining the segment simulators in-process.
+    round-robining the segment simulators in one process.
 
-    (The in-process driver is what guarantees — and lets tests verify —
-    byte-identical execution; :mod:`repro.net.shard_proc` runs the same
-    protocol with one OS process per segment for wall-clock speedup on
-    multi-core hosts.)
+    This is an executable check of the scheduling contract, not a speed
+    feature: it is what guarantees — and lets tests verify — that
+    execution split across heaps is byte-identical to serial (DESIGN
+    §13 records why the process-per-segment driver was rejected).
     """
 
     def __init__(self, net: "Network", plan: ShardPlan):
@@ -228,8 +188,6 @@ class ShardRunner:
         #: emit a ``shard-boundary`` obs event per crossing (off by
         #: default: tracing every crossing is too hot for benches)
         self.trace_boundary = False
-        self._media_by_name = {m.name: m for m in net.media
-                               if m.name in plan.cross_links}
         self._rewire()
         base = f"{net._sim_metric_name}.{net.name}"
         for i in range(k):
@@ -263,16 +221,14 @@ class ShardRunner:
                     continue
                 dst = plan.segment_of(other.node)
                 if dst != src:
-                    txq.boundary_emit = self._make_emit(
-                        medium, iface, src, dst)
+                    txq.boundary_emit = self._make_emit(medium, src, dst)
 
-    def _make_emit(self, medium: Link, sender, src: int, dst: int):
-        def emit(packet: Packet, _sender, arrival: float,
+    def _make_emit(self, medium: Link, src: int, dst: int):
+        def emit(packet: Packet, sender: "Interface", arrival: float,
                  lp: int, lseq: int) -> None:
             self._outbox.append(BoundaryMessage(
-                link=medium.name, sender_node=sender.node.name,
-                src_segment=src, dst_segment=dst, arrival=arrival,
-                lp=lp, lseq=lseq, packet=packet))
+                link=medium, sender=sender, dst_segment=dst,
+                arrival=arrival, lp=lp, lseq=lseq, packet=packet))
             self.boundary_out[src] += 1
             if self.trace_boundary:
                 self.net.obs.events.emit(
@@ -293,20 +249,12 @@ class ShardRunner:
         self._outbox = []
         msgs.sort(key=lambda m: (m.arrival, m.lp, m.lseq))
         for msg in msgs:
-            self.inject(msg)
-
-    def inject(self, msg: BoundaryMessage) -> None:
-        """Enqueue one boundary delivery (also the entry point worker
-        processes use for messages arriving over the wire)."""
-        medium = self._media_by_name[msg.link]
-        sender = next(i for i in medium.interfaces
-                      if i.node.name == msg.sender_node)
-        packet = msg.packet
-        self.sims[msg.dst_segment].post(
-            msg.arrival,
-            lambda: medium.deliver_opposite(sender, packet),
-            lp=msg.lp, lseq=msg.lseq)
-        self.boundary_in[msg.dst_segment] += 1
+            self.sims[msg.dst_segment].post(
+                msg.arrival,
+                functools.partial(msg.link.deliver_opposite, msg.sender,
+                                  msg.packet),
+                lp=msg.lp, lseq=msg.lseq)
+            self.boundary_in[msg.dst_segment] += 1
 
     def _next_time(self) -> float | None:
         times = [t for t in
@@ -316,37 +264,69 @@ class ShardRunner:
         return min(times) if times else None
 
     def _run_window(self, until: float | None,
-                    until_key: EventKey | None,
-                    max_events: int | None) -> None:
-        """One window over every segment (see :func:`run_window`),
-        with horizon-stall accounting via the snapshot pair."""
-        before = [s.snapshot() for s in self.sims]
-        run_window(self.net, self.sims, until, until_key, max_events)
-        for i, s in enumerate(self.sims):
-            if s.snapshot()["events_processed"] \
-                    == before[i]["events_processed"]:
+                    until_key: EventKey | None, budget: float) -> float:
+        """Execute one conservative window, interleaving the controller
+        at full key precision: the segments hold at each controller
+        event's key, the controller event runs, repeat; then everything
+        drains to the window bound.  ``budget`` is what the ``run()``
+        call has left of its ``max_events``: every simulator runs
+        against the remainder (so a zero-delay storm inside one window
+        still stops), and what is left afterwards is returned."""
+        net, ctrl, sims = self.net, self.net.sim, self.sims
+        before = [s.events_processed for s in sims]
+        while True:
+            ck = ctrl.next_event_key()
+            if (ck is None
+                    or (until_key is not None and ck >= until_key)
+                    or (until is not None and ck[0] > until)):
+                break
+            for s in sims:
+                net._active_sim = s
+                budget -= s.run(until_key=ck, max_events=budget)
+            if budget <= 0:
+                raise RunawayError(budget)
+            net._active_sim = ctrl
+            ctrl.step()
+            budget -= 1
+        for s in (*sims, ctrl):
+            net._active_sim = s
+            budget -= s.run(until=until, until_key=until_key,
+                            max_events=budget)
+        for i, s in enumerate(sims):
+            if s.events_processed == before[i]:
                 self.horizon_stalls[i] += 1
         self.windows += 1
+        return budget
 
     def run(self, until: float | None = None, *,
             max_events: int | None = None) -> None:
-        """The :meth:`Simulator.run` contract, executed shard-wise."""
-        while True:
-            self._flush_outbox()
-            t_min = self._next_time()
-            if t_min is None or (until is not None and t_min > until):
-                break
-            horizon = t_min + self.plan.lookahead
-            if until is not None and horizon > until:
-                # Tail window: everything left is within the horizon,
-                # so run straight to `until` (inclusive, matching the
-                # serial contract).  Crossings emitted here arrive at
-                # >= horizon > until; they are still enqueued (below)
-                # so pending-event counts match serial exactly.
-                self._run_window(until, None, max_events)
-            else:
-                self._run_window(None, (horizon, BEFORE_ANY_LP, 0),
-                                 max_events)
+        """The :meth:`Simulator.run` contract, executed shard-wise:
+        ``max_events`` bounds the whole call — controller and segments
+        together — so the guard fires in exactly the runs it fires in
+        serially."""
+        budget = math.inf if max_events is None else max_events
+        try:
+            while True:
+                self._flush_outbox()
+                t_min = self._next_time()
+                if t_min is None or (until is not None
+                                     and t_min > until):
+                    break
+                horizon = t_min + self.plan.lookahead
+                if until is not None and horizon > until:
+                    # Tail window: everything left is within the
+                    # horizon, so run straight to `until` (inclusive,
+                    # matching the serial contract).  Crossings emitted
+                    # here arrive at >= horizon > until; they are still
+                    # enqueued (below) so pending-event counts match
+                    # serial exactly.
+                    budget = self._run_window(until, None, budget)
+                else:
+                    budget = self._run_window(
+                        None, (horizon, BEFORE_ANY_LP, 0), budget)
+        except RunawayError:
+            # raised against a remainder; report the caller's limit
+            raise RunawayError(max_events) from None
         self._flush_outbox()
         if until is not None:
             for s in [self.net.sim] + self.sims:

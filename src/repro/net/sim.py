@@ -102,6 +102,16 @@ def derive_rng(seed: Any, name: str) -> random.Random:
     return random.Random(f"{seed}/{name}")
 
 
+class RunawayError(RuntimeError):
+    """``max_events`` ran out with events still due — the runaway guard
+    of :meth:`Simulator.run`."""
+
+    def __init__(self, max_events: float):
+        super().__init__(
+            f"simulation did not converge within {max_events} events — "
+            f"possible packet storm")
+
+
 class _Event:
     """The payload of one queue entry: what to run, under which
     context, and the lazy-deletion flags.  Deliberately unordered — see
@@ -362,18 +372,7 @@ class Simulator:
         entry = self._peek()
         return entry[:3] if entry is not None else None
 
-    # -- randomness helpers -------------------------------------------------------
-
-    def jittered(self, delay: float, frac: float = 0.5, *,
-                 entropy: random.Random | None = None) -> float:
-        """``delay`` perturbed uniformly by ±``frac`` — retry timers use
-        this so synchronized failures don't retransmit in lockstep,
-        while runs stay reproducible.  Pass a per-entity ``entropy``
-        stream (see :meth:`entropy`) to keep the draw independent of
-        unrelated traffic; the default draws from the shared root
-        stream (deprecated for entities that can run sharded)."""
-        rng = entropy if entropy is not None else self.rng
-        return delay * (1.0 + frac * (2.0 * rng.random() - 1.0))
+    # -- periodic work -------------------------------------------------------------
 
     def every(self, interval: float, fn: Callable[[], None],
               start: float | None = None,
@@ -389,8 +388,8 @@ class Simulator:
         """Process events in key order; returns how many ran.
 
         One documented contract for every caller (experiments,
-        :meth:`Topology.run <repro.net.topology.Network.run>`, segment
-        workers):
+        :meth:`Topology.run <repro.net.topology.Network.run>`, the
+        shard runner's windows):
 
         * ``until`` — process events with ``time <= until`` (inclusive);
           afterwards ``now`` is advanced to exactly ``until`` even if
@@ -400,8 +399,8 @@ class Simulator:
           (exclusive); afterwards ``now`` advances to ``until_key[0]``.
           This is the shard barrier's bound: a window closes *before*
           any event of the next window, at full key precision.
-        * ``max_events`` — runaway guard: raise ``RuntimeError`` if more
-          than this many events are due within the bounds.
+        * ``max_events`` — runaway guard: raise :class:`RunawayError` if
+          more than this many events are due within the bounds.
 
         With no arguments the queue is drained completely.
         """
@@ -419,9 +418,7 @@ class Simulator:
             if until_key is not None and entry >= until_key:
                 break
             if max_events is not None and processed >= max_events:
-                raise RuntimeError(
-                    f"simulation did not converge within {max_events} "
-                    f"events — possible packet storm")
+                raise RunawayError(max_events)
             heapq.heappop(self._queue)
             event.done = True
             self._live -= 1
@@ -447,12 +444,6 @@ class Simulator:
         self._dispatch(entry)
         return True
 
-    def run_until_idle(self, max_events: int = 10_000_000) -> int:
-        """Drain the queue completely (guarding against runaways).
-        Shim for the pre-shard API: equivalent to
-        ``run(max_events=...)``."""
-        return self.run(max_events=max_events)
-
     def _dispatch(self, entry: _Entry) -> None:
         """Run one event callback under its context, then drain its
         microtasks (including ones enqueued by other microtasks) under
@@ -477,7 +468,7 @@ class Simulator:
             if tasks:
                 tasks.clear()
 
-    # -- scheduler state (the shard barrier's bookkeeping pair) ------------------
+    # -- scheduler state -----------------------------------------------------------
 
     def advance_to(self, when: float) -> None:
         """Move the clock forward to ``when`` without processing events
@@ -487,22 +478,6 @@ class Simulator:
             raise ValueError(
                 f"cannot advance clock backwards ({when} < {self.now})")
         self.now = when
-
-    def snapshot(self) -> dict[str, float | int]:
-        """The scheduler's position, as plain data.  Paired with
-        :meth:`restore`; the shard barrier snapshots each segment at
-        window close and diffs against the previous window to account
-        events-per-window and horizon stalls."""
-        return {"now": self.now,
-                "events_processed": self.events_processed,
-                "pending_events": self._live}
-
-    def restore(self, snap: dict[str, float | int]) -> None:
-        """Restore a :meth:`snapshot`'s clock and counters.  Pending
-        events are untouched — this rewinds the scheduler's *position*
-        (e.g. undoing an :meth:`advance_to` probe), not history."""
-        self.now = float(snap["now"])
-        self.events_processed = int(snap["events_processed"])
 
     @property
     def pending_events(self) -> int:

@@ -36,7 +36,7 @@ if TYPE_CHECKING:
     from .faults import FaultController
     from .node import Interface
     from .packet import Packet
-    from .shard import ShardPlan, ShardRunner
+    from .shard import ShardRunner
 
 
 class Network:
@@ -248,18 +248,14 @@ class Network:
         ``max_events`` contract as :meth:`Simulator.run
         <repro.net.sim.Simulator.run>`, which this delegates to
         (serial) or drives per segment through the conservative window
-        protocol (sharded)."""
+        protocol (sharded; ``max_events`` then bounds controller and
+        segments together)."""
         if not self._finalized:
             raise RuntimeError("call finalize() before running")
         if self._shard is not None:
             self._shard.run(until=until, max_events=max_events)
         else:
             self.sim.run(until=until, max_events=max_events)
-
-    @property
-    def shard_plan(self) -> "ShardPlan | None":
-        """The partition in force (None when running serially)."""
-        return self._shard.plan if self._shard is not None else None
 
     def metrics_snapshot(self,
                          include_global: bool = True) -> dict[str, object]:

@@ -1,12 +1,11 @@
 """The scale experiment: execution-mode identity, the volatile
-figure split, harness registration, and process-driver error paths."""
+figure split, and harness registration."""
 
 import pytest
 
 from repro.experiments.scale import (ScaleResult, build_scale_net,
                                      run_scale_experiment, scale_until)
 from repro.harness import registry
-from repro.net.shard_proc import ShardError, run_sharded_processes
 
 SMALL = dict(n_clusters=4, hosts_per_cluster=3, packets_per_host=4)
 
@@ -24,20 +23,9 @@ class TestExecutionModes:
                                            **SMALL)
             assert sharded.to_json() == serial.to_json()
 
-    def test_process_driver_reproduces_figures(self, serial):
-        proc = run_scale_experiment(seed=11, shard_segments=2,
-                                    driver="process", **SMALL)
-        assert proc.record()["figures"] == serial.record()["figures"]
-        assert proc.figures["delivery_sha256"] \
-            == serial.figures["delivery_sha256"]
-
     def test_everything_sent_is_delivered(self, serial):
         assert serial.figures["sent"] > 0
         assert serial.figures["delivered"] == serial.figures["sent"]
-
-    def test_unknown_driver_rejected(self):
-        with pytest.raises(ValueError, match="driver"):
-            run_scale_experiment(seed=11, driver="threads", **SMALL)
 
 
 class TestResultShape:
@@ -45,7 +33,7 @@ class TestResultShape:
         sharded = run_scale_experiment(seed=11, shard_segments=2,
                                        **SMALL)
         record = sharded.record()
-        for key in ("segments", "driver", "windows"):
+        for key in ("segments", "windows"):
             assert key not in record["figures"]
             assert key in sharded.volatile()
         assert sharded.volatile()["segments"] == 2
@@ -67,18 +55,3 @@ class TestBuilderValidation:
 
     def test_until_is_a_pure_function_of_params(self):
         assert scale_until(SMALL) == scale_until(dict(SMALL))
-
-
-class TestProcessDriverErrors:
-    def test_worker_failure_propagates_with_traceback(self):
-        with pytest.raises(ShardError, match="shard worker failed"):
-            run_sharded_processes(
-                "repro.experiments.scale:no_such_builder",
-                params=SMALL, seed=0, segments=2,
-                until=scale_until(SMALL))
-
-    def test_explicit_until_required(self):
-        with pytest.raises(ShardError, match="until"):
-            run_sharded_processes(
-                "repro.experiments.scale:build_scale_net",
-                params=SMALL, seed=0, segments=2, until=None)

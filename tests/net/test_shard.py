@@ -2,14 +2,13 @@
 validation, the boundary-message protocol, the per-segment metric
 namespace, and the window counters."""
 
-import pickle
+import functools
+import itertools
 
 import pytest
 
 from repro.experiments.result import deterministic_metrics
-from repro.net.addresses import addr
-from repro.net.packet import udp_packet
-from repro.net.shard import BoundaryMessage, ShardError, build_plan
+from repro.net.shard import ShardError, build_plan
 from repro.net.topology import Network
 from repro.obs import Observability
 
@@ -67,14 +66,6 @@ class TestPlanValidation:
 
 
 class TestBoundaryProtocol:
-    def test_boundary_message_pickles_unchanged(self):
-        msg = BoundaryMessage(
-            link="a--b", sender_node="a", src_segment=0,
-            dst_segment=1, arrival=1.5, lp=3, lseq=7,
-            packet=udp_packet(addr("10.0.1.1"), addr("10.0.1.2"),
-                              SPORT, SPORT, b"payload"))
-        assert pickle.loads(pickle.dumps(msg)) == msg
-
     def test_boundary_counters_track_crossings(self):
         net, a, b = linked_pair(segments=2)
         net.finalize()
@@ -99,6 +90,48 @@ class TestBoundaryProtocol:
         assert runner.windows >= 1
         assert runner.horizon_stalls[1] >= 1
         assert runner.boundary_out == [0, 0]
+
+
+    def test_parallel_cut_links_match_serial(self):
+        # two links between the same pair share the name "a--b"; a
+        # boundary message carries the link and sending interface
+        # themselves, so both may be cut
+        def run(segments):
+            net, a, b = linked_pair(segments=segments)
+            second = net.link(a, b, latency=0.003)
+            net.finalize()
+            for near, far in ((a, b), (b, a)):
+                near.routes.add_route(far.interfaces[1].address,
+                                      near.interfaces[1])
+            deliveries = []
+            socks = {}
+            for host in (a, b):
+                socks[host] = net.udp(host).bind(SPORT)
+
+                def on_datagram(payload, src, src_port, *, host=host):
+                    deliveries.append((host.sim.current_event_key,
+                                       host.name, payload))
+
+                socks[host].on_datagram = on_datagram
+            # two rounds, both directions, over both links
+            for k, near, far, via in itertools.product(
+                    (1, 2), (a, b), (a, b), (0, 1)):
+                if near is not far:
+                    near.sim.at(
+                        0.01 * k,
+                        functools.partial(
+                            socks[near].sendto,
+                            far.interfaces[via].address, SPORT,
+                            f"{near.name}{via}:{k}".encode()),
+                        context=near.ctx)
+            net.run(until=0.1)
+            assert second.stats_dict()["packets_sent"] == 4
+            return sorted(deliveries), deterministic_metrics(
+                net.metrics_snapshot(include_global=False))
+
+        serial = run(1)
+        assert len(serial[0]) == 8
+        assert run(2) == serial
 
 
 class TestSegmentMetricNamespace:

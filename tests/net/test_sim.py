@@ -84,7 +84,7 @@ class TestScheduling:
         b = Simulator(seed=5).rng.random()
         assert a == b
 
-    def test_run_until_idle_guards_runaway(self):
+    def test_max_events_guards_runaway(self):
         sim = Simulator()
 
         def loop():
@@ -92,7 +92,7 @@ class TestScheduling:
 
         sim.schedule(0.0, loop)
         with pytest.raises(RuntimeError, match="converge"):
-            sim.run_until_idle(max_events=100)
+            sim.run(max_events=100)
 
 
 class TestLazyDeletion:

@@ -1,6 +1,6 @@
 """The formalized scheduling contract of :mod:`repro.net.sim`:
-explicit-key posting, the unified run bounds, snapshot/restore, and
-the keyword-only constructor shims."""
+explicit-key posting, the unified run bounds (serial and sharded), and
+context attribution."""
 
 import pytest
 
@@ -73,29 +73,27 @@ class TestRunBounds:
         with pytest.raises(RuntimeError, match="did not converge"):
             sim.run(max_events=100)
 
-    def test_network_run_shares_the_contract(self):
-        net = Network(seed=0)
+    @pytest.mark.parametrize("segments,owner", [
+        (1, "controller"), (1, "node"), (2, "controller"), (2, "node")])
+    def test_network_run_shares_the_contract(self, segments, owner):
+        # max_events bounds the whole run() call — controller and
+        # segments together — so the guard fires sharded iff it fires
+        # serially, whichever simulator owns the storm
+        net = Network(seed=0, shard_segments=segments)
+        a, b = net.add_host("a"), net.add_host("b")
+        net.link(a, b, latency=0.001)
         net.finalize()
+        sim, ctx = (net.sim, None) if owner == "controller" \
+            else (a.sim, a.ctx)
 
-        def storm():
-            net.sim.schedule(0.001, storm)
+        def storm():  # re-arms itself every 10 ms
+            sim.schedule(0.01, storm, context=ctx)
 
-        net.sim.schedule(0.001, storm)
-        with pytest.raises(RuntimeError, match="did not converge"):
-            net.run(max_events=50)
-
-    def test_snapshot_restore_roundtrip(self):
-        sim = Simulator(seed=0)
-        sim.at(1.0, lambda: None)
-        sim.at(2.0, lambda: None)
-        sim.run(until=1.0)
-        snap = sim.snapshot()
-        assert snap == {"now": 1.0, "events_processed": 1,
-                        "pending_events": 1}
-        sim.run()
-        sim.restore(snap)
-        assert sim.now == 1.0
-        assert sim.events_processed == 1
+        sim.schedule(0.01, storm, context=ctx)
+        net.run(until=0.505, max_events=50)  # exactly 50 due: no error
+        with pytest.raises(RuntimeError,
+                           match="did not converge within 100 events"):
+            net.run(until=10.0, max_events=100)
 
 
 class TestContextAttribution:

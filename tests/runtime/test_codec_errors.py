@@ -152,7 +152,7 @@ def test_layer_contains_encode_overflow():
         assert layer.wants(pkt, None)
         layer.process(pkt, None)
     net.sim.schedule(0.0, fire)
-    net.sim.run_until_idle()
+    net.sim.run()
     assert r.up
     assert layer.stats.runtime_errors == 1
     # contained → standard-IP fallback forwarded the original packet

@@ -228,7 +228,7 @@ class TestDecodeContainment:
         assert layer.wants(packet, None)
         packet.payload = b""
         layer.process(packet, None)
-        net.sim.run_until_idle()
+        net.sim.run()
         assert layer.stats.runtime_errors == 1
         assert layer.stats.packets_processed == 1
         assert len(got) == 1  # survived via standard forwarding
@@ -241,7 +241,7 @@ class TestDecodeContainment:
         assert layer.wants(packet, None)
         packet.payload = b""
         layer.process(packet, None)
-        net.sim.run_until_idle()
+        net.sim.run()
         errors = [e for e in net.obs.events.filter(kind="error")]
         assert len(errors) == 1
         assert errors[0].data["reason"] == "decode"
