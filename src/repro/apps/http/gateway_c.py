@@ -45,6 +45,8 @@ class BuiltinGateway:
         self.strategy = strategy
         self.counter = 0
         self.bindings: dict[tuple[HostAddr, int], int] = {}
+        #: the connection table is kernel memory: a crash loses it
+        node.crash_hooks.append(self.bindings.clear)
         self.stats = GatewayStats()
         #: same CPU model knob as the PLAN-P layer, for fair comparison
         self.cpu = SerialResource(node.sim)

@@ -91,8 +91,15 @@ def run_chaos_experiment(*, profile: str = "drill", seed: int = 5,
 # ---------------------------------------------------------------------------
 
 
-def _run_drill(*, seed: int, n_routers: int, duration: float,
-               backend: str, obs: Observability | None) -> ChaosResult:
+def _drill_fleet(*, seed: int, n_routers: int, backend: str,
+                 obs: Observability | None, gen1: str, gen1_name: str,
+                 wire_check: bool = True):
+    """The fleet both lifecycle drills run on: src → ``n_routers``
+    routers → dst at 100 Mbit / 0.2 ms under a lifecycle manager,
+    ``gen1`` force-installed fleet-wide (the initial install — there is
+    nothing to canary against yet), and a 20 ms rotating-byte UDP
+    ticker from src to dst scheduled.  Returns ``(net, routers, dst,
+    manager)``."""
     net = Network(seed=seed, obs=obs)
     src = net.add_host("src")
     routers = [net.add_router(f"r{i}") for i in range(n_routers)]
@@ -106,18 +113,13 @@ def _run_drill(*, seed: int, n_routers: int, duration: float,
 
     policy = LifecyclePolicy(canary_fraction=0.25, health_window=0.5,
                              error_budget=3, budget_window=0.5,
-                             cooldown=0.3, rollback_after_trips=2)
+                             cooldown=0.3, rollback_after_trips=2,
+                             wire_check=wire_check)
     manager = LifecycleManager(net, deployment=Deployment(),
                                policy=policy)
     manager.manage(*routers)
-
-    # Generation 1: the good forwarder, fleet-wide (initial install —
-    # there is nothing to canary against yet).
-    manager.rollout(GOOD_ASP, routers, backend=backend,
-                    source_name="chaos-good", force=True)
-
-    delivered: list[float] = []
-    dst.delivery_taps.append(lambda p: delivered.append(net.now))
+    manager.rollout(gen1, routers, backend=backend,
+                    source_name=gen1_name, force=True)
 
     tick = 0.02
     counter = [0]
@@ -130,6 +132,16 @@ def _run_drill(*, seed: int, n_routers: int, duration: float,
         net.sim.schedule(tick, send)
 
     net.sim.schedule(0.0, send)
+    return net, routers, dst, manager
+
+
+def _run_drill(*, seed: int, n_routers: int, duration: float,
+               backend: str, obs: Observability | None) -> ChaosResult:
+    net, routers, dst, manager = _drill_fleet(
+        seed=seed, n_routers=n_routers, backend=backend, obs=obs,
+        gen1=GOOD_ASP, gen1_name="chaos-good")
+    delivered: list[float] = []
+    dst.delivery_taps.append(lambda p: delivered.append(net.now))
 
     # t=2: canary rollout of the bad ASP — the health gate must abort.
     bad_rollouts: list = []

@@ -29,12 +29,9 @@ from __future__ import annotations
 
 import hashlib
 
-from ..net import Network
-from ..net.packet import udp_packet
 from ..obs import Observability
-from ..runtime.deployment import Deployment
-from ..runtime.lifecycle import (LifecycleManager, LifecyclePolicy,
-                                 RolloutState)
+from ..runtime.lifecycle import RolloutState
+from .chaos import _drill_fleet
 from .result import ExperimentResult
 
 #: Generation 1: the verified pass-through forwarder.
@@ -78,44 +75,12 @@ def run_upgrade_experiment(*, seed: int = 5, n_routers: int = 16,
                            obs: Observability | None = None
                            ) -> UpgradeResult:
     """Run the rolling-upgrade drill; see the module docstring."""
-    net = Network(seed=seed, obs=obs)
-    src = net.add_host("src")
-    routers = [net.add_router(f"r{i}") for i in range(n_routers)]
-    dst = net.add_host("dst")
-    prev = src
-    for router in routers:
-        net.link(prev, router, bandwidth=100e6, latency=0.0002)
-        prev = router
-    net.link(prev, dst, bandwidth=100e6, latency=0.0002)
-    net.finalize()
-
-    policy = LifecyclePolicy(canary_fraction=0.25, health_window=0.5,
-                             error_budget=3, budget_window=0.5,
-                             cooldown=0.3, rollback_after_trips=2,
-                             wire_check=wire_check)
-    manager = LifecycleManager(net, deployment=Deployment(),
-                               policy=policy)
-    manager.manage(*routers)
-
-    # Generation 1 fleet-wide (initial install; nothing to compare to).
-    manager.rollout(GEN1_ASP, routers, backend=backend,
-                    source_name="upgrade-gen1", force=True)
-
+    net, routers, dst, manager = _drill_fleet(
+        seed=seed, n_routers=n_routers, backend=backend, obs=obs,
+        gen1=GEN1_ASP, gen1_name="upgrade-gen1", wire_check=wire_check)
     records: list[tuple[float, bytes]] = []
     dst.delivery_taps.append(lambda p: records.append((net.now,
                                                        p.payload)))
-
-    tick = 0.02
-    counter = [0]
-
-    def send() -> None:
-        payload = bytes([counter[0] % 256])
-        counter[0] += 1
-        src.ip_send(udp_packet(src.address, dst.address, 5000, 7000,
-                               payload))
-        net.sim.schedule(tick, send)
-
-    net.sim.schedule(0.0, send)
 
     rollouts: dict[str, object] = {}
 

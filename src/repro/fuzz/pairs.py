@@ -35,7 +35,6 @@ from __future__ import annotations
 
 import json
 import random
-import time
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -45,9 +44,9 @@ from ..obs import GLOBAL
 from ..runtime import codec
 from ..runtime.dispatch import DispatchCore
 from .grammar import PACKET_TYPES, gen_program
-from .oracle import canon
-from .replay import save_case
-from .runner import derive_seed
+from .oracle import _short, canon
+from .replay import case_specs, ddmin
+from .runner import Report, derive_seed, drive, file_finding
 from .streams import PacketSpec, _spec_for
 
 WIRE_CASE_KIND = "planp-wire-case"
@@ -208,11 +207,6 @@ def pair_specs(rng: random.Random, info_a, info_b,
     return specs
 
 
-def _short(value: object, limit: int = 120) -> str:
-    text = repr(value)
-    return text if len(text) <= limit else text[:limit] + "…"
-
-
 def exchange_divergences(info_a, info_b,
                          specs: list[PacketSpec]) -> list[str]:
     """Read every probe through both generations; one human-readable
@@ -224,8 +218,8 @@ def exchange_divergences(info_a, info_b,
         if read_a != read_b:
             out.append(
                 f"packet[{i}] ({spec.transport}, tag={spec.channel!r}, "
-                f"{len(spec.payload)}B): {_short(read_a)} != "
-                f"{_short(read_b)}")
+                f"{len(spec.payload)}B): {_short(read_a, 120)} != "
+                f"{_short(read_b, 120)}")
     return out
 
 
@@ -267,59 +261,18 @@ def run_wire_case(case: dict, *,
     info_a = typecheck(parse(case["program_a"]))
     info_b = typecheck(parse(case["program_b"]))
     report = checker(wire_summary(info_a), wire_summary(info_b))
-    specs = [PacketSpec.from_dict(d) for d in case["packets"]]
-    return report, exchange_divergences(info_a, info_b, specs)
+    return report, exchange_divergences(info_a, info_b, case_specs(case))
 
 
 def minimize_wire_case(case: dict,
                        max_steps: int = 200) -> tuple[dict, int]:
-    """ddmin the packet list while a divergence persists (the checker
-    verdict depends only on the programs, so only the exchange needs
-    re-running).  Returns ``(minimized case, oracle invocations)``."""
+    """:func:`~repro.fuzz.replay.ddmin` the packet list while a
+    divergence persists (the checker verdict depends only on the
+    programs, so only the exchange needs re-running)."""
     info_a = typecheck(parse(case["program_a"]))
     info_b = typecheck(parse(case["program_b"]))
-    steps = 0
-
-    def fails(specs: list[PacketSpec]) -> bool:
-        nonlocal steps
-        if steps >= max_steps:
-            return False
-        steps += 1
-        return bool(exchange_divergences(info_a, info_b, specs))
-
-    specs = [PacketSpec.from_dict(d) for d in case["packets"]]
-    if not fails(specs):
-        return case, steps
-
-    chunk = max(1, len(specs) // 2)
-    while chunk >= 1:
-        i = 0
-        while i < len(specs) and len(specs) > 1:
-            candidate = specs[:i] + specs[i + chunk:]
-            if candidate and fails(candidate):
-                specs = candidate
-            else:
-                i += chunk
-        if chunk == 1:
-            break
-        chunk //= 2
-
-    for i in range(len(specs)):
-        while len(specs[i].payload) > 0:
-            shorter = specs[i].payload[:len(specs[i].payload) // 2]
-            candidate = specs[:i] + [replace(specs[i], payload=shorter)] \
-                + specs[i + 1:]
-            if fails(candidate):
-                specs = candidate
-            else:
-                break
-
-    minimized = dict(case)
-    minimized["packets"] = [s.to_dict() for s in specs]
-    note = case.get("note", "")
-    minimized["note"] = (note + " " if note else "") + (
-        f"[minimized to {len(specs)} packets in {steps} steps]")
-    return minimized, steps
+    return ddmin(case, lambda specs: bool(
+        exchange_divergences(info_a, info_b, specs)), max_steps)
 
 
 # ---------------------------------------------------------------------------
@@ -340,7 +293,7 @@ class PairFinding:
 
 
 @dataclass
-class PairReport:
+class PairReport(Report):
     seed: int
     elapsed_s: float = 0.0
     pairs: int = 0
@@ -357,29 +310,6 @@ class PairReport:
     def ok(self) -> bool:
         return self.false_accepts == 0
 
-    def to_dict(self) -> dict:
-        return {
-            "seed": self.seed,
-            "elapsed_s": round(self.elapsed_s, 3),
-            "pairs": self.pairs,
-            "compatible": self.compatible,
-            "degraded": self.degraded,
-            "incompatible": self.incompatible,
-            "divergent": self.divergent,
-            "false_accepts": self.false_accepts,
-            "conservative_rejects": self.conservative_rejects,
-            "minimizer_steps": self.minimizer_steps,
-            "ok": self.ok,
-            "findings": [
-                {"pair_seed": f.pair_seed,
-                 "mutation": f.mutation,
-                 "verdict": f.verdict,
-                 "detail": f.detail,
-                 "case": f.case_path,
-                 "minimized_packets": f.minimized_packets}
-                for f in self.findings],
-        }
-
 
 def run_pair_campaign(seed: int, *, budget_s: float = 60.0,
                       min_pairs: int = 150,
@@ -388,9 +318,8 @@ def run_pair_campaign(seed: int, *, budget_s: float = 60.0,
                       out_dir: str | Path | None = None,
                       minimize: bool = True, obs=None,
                       checker=check_compatible) -> PairReport:
-    """Hunt for wire-compat false accepts until the time budget is
-    spent AND ``min_pairs`` pairs ran (the floor wins over the clock,
-    like :func:`repro.fuzz.runner.run_campaign`), or ``max_pairs``.
+    """Hunt for wire-compat false accepts under
+    :func:`repro.fuzz.runner.drive`'s stopping rule, one pair per step.
 
     ``out_dir`` receives one minimized wire-case file per finding;
     ``checker`` is the verdict function under test.
@@ -400,20 +329,11 @@ def run_pair_campaign(seed: int, *, budget_s: float = 60.0,
     c_pairs = metrics.counter("fuzz.wire_pairs")
     c_divergent = metrics.counter("fuzz.wire_divergent")
     c_false = metrics.counter("fuzz.false_accepts")
-    c_minsteps = metrics.counter("fuzz.minimizer_steps")
 
     report = PairReport(seed=seed)
-    started = time.monotonic()
     out = Path(out_dir) if out_dir is not None else None
-    index = 0
-    while True:
-        elapsed = time.monotonic() - started
-        if report.pairs >= min_pairs and elapsed >= budget_s:
-            break
-        if max_pairs is not None and report.pairs >= max_pairs:
-            break
-        if report.pairs >= min_pairs and report.findings:
-            break  # findings are actionable; stop burning budget
+
+    def step(index: int) -> None:
         pair_seed = derive_seed(seed, "wire-pair", index)
         rng = random.Random(pair_seed)
         source_a, source_b, mutation = gen_pair(rng)
@@ -444,26 +364,18 @@ def run_pair_campaign(seed: int, *, budget_s: float = 60.0,
             detail = (f"mutation [{mutation}] judged {verdict} but "
                       f"{len(divergences)} probe(s) diverge; first: "
                       f"{divergences[0]}")
-            case = make_wire_case(source_a, source_b, specs,
-                                  seed=seed, mutation=mutation,
-                                  note=detail)
-            if minimize:
-                case, steps = minimize_wire_case(case)
-                report.minimizer_steps += steps
-                c_minsteps.inc(steps)
-            finding = PairFinding(pair_seed=pair_seed,
-                                  mutation=mutation, verdict=verdict,
-                                  detail=detail,
-                                  minimized_packets=len(case["packets"]))
-            if out is not None:
-                path = out / f"wire-{pair_seed:016x}.json"
-                save_case(case, path)
-                finding.case_path = str(path)
-            report.findings.append(finding)
-            obs.events.emit("error", where="fuzz",
-                            reason="false-accept", detail=detail[:200])
+            file_finding(
+                report,
+                PairFinding(pair_seed=pair_seed, mutation=mutation,
+                            verdict=verdict, detail=detail),
+                make_wire_case(source_a, source_b, specs, seed=seed,
+                               mutation=mutation, note=detail),
+                minimizer=minimize_wire_case if minimize else None,
+                path=out and out / f"wire-{pair_seed:016x}.json",
+                obs=obs, reason="false-accept")
         elif not divergences and not verdict_report.ok:
             report.conservative_rejects += 1
-        index += 1
-    report.elapsed_s = time.monotonic() - started
+
+    drive(report, step, obs=obs, budget_s=budget_s, min_pairs=min_pairs,
+          max_pairs=max_pairs)
     return report

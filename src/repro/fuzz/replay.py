@@ -7,7 +7,8 @@ JSON (payloads hex-encoded), so a found divergence is committed under
 ``tests/fuzz/corpus/`` and replayed forever by ``fuzzx replay`` and
 the corpus regression test.
 
-The minimizer is ddmin-flavoured greedy shrinking: drop packet chunks
+The minimizer (:func:`ddmin`, shared with the wire-pair cases of
+:mod:`.pairs`) is ddmin-flavoured greedy shrinking: drop packet chunks
 (halving, then singles), then shrink the surviving payloads (truncate,
 zero) and simplify tags — accepting any candidate on which the oracle
 still fails.  Every oracle invocation counts as one minimizer step
@@ -21,7 +22,7 @@ from dataclasses import replace
 from pathlib import Path
 
 from ..lang import parse, typecheck
-from .oracle import CompareResult, compare_all
+from .oracle import DEFAULT_BACKENDS, CompareResult, compare_all
 from .streams import PacketSpec
 
 CASE_KIND = "planp-fuzz-case"
@@ -59,56 +60,50 @@ def case_specs(case: dict) -> list[PacketSpec]:
     return [PacketSpec.from_dict(d) for d in case["packets"]]
 
 
+def _oracle(case: dict, backends):
+    """``specs -> CompareResult`` under the case's program and batch
+    size."""
+    info = typecheck(parse(case["program"]))
+    return lambda specs: compare_all(
+        info, specs, backends=backends or DEFAULT_BACKENDS,
+        batch_size=case.get("batch_size", 4))
+
+
 def run_case(case: dict, *, backends=None) -> CompareResult:
     """Re-run a case file through the oracle."""
-    info = typecheck(parse(case["program"]))
-    kwargs = {"batch_size": case.get("batch_size", 4)}
-    if backends is not None:
-        kwargs["backends"] = backends
-    return compare_all(info, case_specs(case), **kwargs)
+    return _oracle(case, backends)(case_specs(case))
 
 
-class _Budget:
-    def __init__(self, limit: int):
-        self.limit = limit
-        self.steps = 0
+def ddmin(case: dict, fails, max_steps: int) -> tuple[dict, int]:
+    """Greedily shrink ``case["packets"]`` while ``fails(specs)`` holds:
+    drop packet chunks (halving, then singles), then per surviving
+    packet halve the payload, zero it and drop the channel tag.
 
-    def spend(self) -> bool:
-        self.steps += 1
-        return self.steps <= self.limit
-
-
-def minimize_case(case: dict, *, max_steps: int = 400,
-                  backends=None) -> tuple[dict, int]:
-    """Greedily shrink a failing case, preserving failure.
-
-    Returns ``(minimized case, oracle invocations spent)``.  The
-    original case is returned unchanged if it no longer fails (a flaky
-    finding would otherwise minimize to noise).
+    The one minimizer under both case kinds.  Returns ``(minimized
+    case, oracle invocations spent)``; invocations past ``max_steps``
+    are refused (the candidate counts as passing).  A case that does
+    not fail to begin with comes back unchanged — a flaky finding would
+    otherwise minimize to noise.
     """
-    info = typecheck(parse(case["program"]))
-    batch_size = case.get("batch_size", 4)
-    budget = _Budget(max_steps)
+    steps = 0
 
-    def fails(specs: list[PacketSpec]) -> bool:
-        if not budget.spend():
+    def still_fails(candidate: list[PacketSpec]) -> bool:
+        nonlocal steps
+        if steps >= max_steps:
             return False
-        result = compare_all(info, specs, batch_size=batch_size,
-                             **({"backends": backends}
-                                if backends is not None else {}))
-        return not result.ok
+        steps += 1
+        return fails(candidate)
 
     specs = case_specs(case)
-    if not fails(specs):
-        return case, budget.steps
+    if not still_fails(specs):
+        return case, steps
 
-    # Phase 1: ddmin over packets — halving chunks, then singles.
     chunk = max(1, len(specs) // 2)
     while chunk >= 1:
         i = 0
         while i < len(specs) and len(specs) > 1:
             candidate = specs[:i] + specs[i + chunk:]
-            if candidate and fails(candidate):
+            if candidate and still_fails(candidate):
                 specs = candidate
             else:
                 i += chunk
@@ -116,31 +111,35 @@ def minimize_case(case: dict, *, max_steps: int = 400,
             break
         chunk //= 2
 
-    # Phase 2: shrink payloads (halve, then empty) and simplify fields.
     def try_spec(i: int, new: PacketSpec) -> bool:
         nonlocal specs
         if new == specs[i]:
             return False
         candidate = specs[:i] + [new] + specs[i + 1:]
-        if fails(candidate):
+        if still_fails(candidate):
             specs = candidate
             return True
         return False
 
     for i in range(len(specs)):
-        while len(specs[i].payload) > 0:
-            shorter = specs[i].payload[:len(specs[i].payload) // 2]
-            if not try_spec(i, replace(specs[i], payload=shorter)):
+        while specs[i].payload:
+            half = specs[i].payload[:len(specs[i].payload) // 2]
+            if not try_spec(i, replace(specs[i], payload=half)):
                 break
-        if specs[i].payload:
-            try_spec(i, replace(specs[i],
-                                payload=bytes(len(specs[i].payload))))
-        if specs[i].channel is not None:
-            try_spec(i, replace(specs[i], channel=None))
+        try_spec(i, replace(specs[i],
+                            payload=bytes(len(specs[i].payload))))
+        try_spec(i, replace(specs[i], channel=None))
 
     minimized = dict(case)
     minimized["packets"] = [s.to_dict() for s in specs]
     note = case.get("note", "")
     minimized["note"] = (note + " " if note else "") + (
-        f"[minimized to {len(specs)} packets in {budget.steps} steps]")
-    return minimized, budget.steps
+        f"[minimized to {len(specs)} packets in {steps} steps]")
+    return minimized, steps
+
+
+def minimize_case(case: dict, *, max_steps: int = 400,
+                  backends=None) -> tuple[dict, int]:
+    """:func:`ddmin` a failing oracle case, preserving failure."""
+    run = _oracle(case, backends)
+    return ddmin(case, lambda specs: not run(specs).ok, max_steps)

@@ -14,6 +14,7 @@ scope — and the same totals ride the ``fuzzx run --json`` report.
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import random
 import time
@@ -35,6 +36,45 @@ def derive_seed(campaign_seed: int, *parts: object) -> int:
     return int.from_bytes(digest[:8], "big") >> 1
 
 
+def drive(report, step, *, obs, budget_s: float, min_pairs: int,
+          max_pairs: int | None) -> None:
+    """The campaign loop under both campaigns: call ``step(0)``,
+    ``step(1)``, … until the time budget is spent AND ``min_pairs``
+    pairs ran (the floor wins over the clock, so short CI budgets still
+    execute a meaningful matrix), or ``max_pairs`` ran, or — past the
+    floor — a finding exists (actionable; stop burning budget)."""
+    obs.metrics.counter("fuzz.minimizer_steps")  # reads 0 when clean
+    started = time.monotonic()
+    index = 0
+    while True:
+        elapsed = time.monotonic() - started
+        if report.pairs >= min_pairs and (elapsed >= budget_s
+                                          or report.findings):
+            break
+        if max_pairs is not None and report.pairs >= max_pairs:
+            break
+        step(index)
+        index += 1
+    report.elapsed_s = time.monotonic() - started
+
+
+def file_finding(report, finding, case: dict, *, minimizer, path,
+                 obs, reason: str) -> None:
+    """Book one finding: shrink its case (``minimizer`` None skips),
+    save it (``path`` None skips), count and announce it."""
+    if minimizer is not None:
+        case, steps = minimizer(case)
+        report.minimizer_steps += steps
+        obs.metrics.counter("fuzz.minimizer_steps").inc(steps)
+    finding.minimized_packets = len(case["packets"])
+    if path is not None:
+        save_case(case, path)
+        finding.case_path = str(path)
+    report.findings.append(finding)
+    obs.events.emit("error", where="fuzz", reason=reason,
+                    detail=finding.detail[:200])
+
+
 @dataclass
 class Finding:
     """One divergence (or containment leak) found by a campaign."""
@@ -46,8 +86,21 @@ class Finding:
     minimized_packets: int = 0
 
 
+class Report:
+    """The JSON form both campaign reports share: every field, plus
+    ``ok``, with each finding's ``case_path`` under ``case``."""
+
+    def to_dict(self) -> dict:
+        doc = dataclasses.asdict(self)
+        doc["elapsed_s"] = round(self.elapsed_s, 3)
+        doc["ok"] = self.ok
+        for finding in doc["findings"]:
+            finding["case"] = finding.pop("case_path")
+        return doc
+
+
 @dataclass
-class FuzzReport:
+class FuzzReport(Report):
     seed: int
     elapsed_s: float = 0.0
     programs: int = 0
@@ -61,25 +114,6 @@ class FuzzReport:
     def ok(self) -> bool:
         return self.divergences == 0
 
-    def to_dict(self) -> dict:
-        return {
-            "seed": self.seed,
-            "elapsed_s": round(self.elapsed_s, 3),
-            "programs": self.programs,
-            "streams": self.streams,
-            "pairs": self.pairs,
-            "divergences": self.divergences,
-            "minimizer_steps": self.minimizer_steps,
-            "ok": self.ok,
-            "findings": [
-                {"program_seed": f.program_seed,
-                 "stream_seed": f.stream_seed,
-                 "detail": f.detail,
-                 "case": f.case_path,
-                 "minimized_packets": f.minimized_packets}
-                for f in self.findings],
-        }
-
 
 def run_campaign(seed: int, *, budget_s: float = 60.0,
                  min_pairs: int = 200, max_pairs: int | None = None,
@@ -88,9 +122,8 @@ def run_campaign(seed: int, *, budget_s: float = 60.0,
                  out_dir: str | Path | None = None,
                  minimize: bool = True,
                  obs=None) -> FuzzReport:
-    """Fuzz until the time budget is spent AND ``min_pairs`` pairs ran
-    (the floor wins over the clock, so short CI budgets still execute
-    a meaningful matrix), or until ``max_pairs`` pairs.
+    """Fuzz under :func:`drive`'s stopping rule, one program (and its
+    ``streams_per_program`` pairs) per step.
 
     ``out_dir`` receives one minimized JSON case per finding.
     """
@@ -100,24 +133,15 @@ def run_campaign(seed: int, *, budget_s: float = 60.0,
     c_streams = metrics.counter("fuzz.streams")
     c_pairs = metrics.counter("fuzz.pairs")
     c_divergences = metrics.counter("fuzz.divergences")
-    c_minsteps = metrics.counter("fuzz.minimizer_steps")
 
     # Rot guard first: a campaign over a stale grammar is false comfort.
     check_grammar_coverage(
         seeds=[derive_seed(seed, "coverage", i) for i in range(60)])
 
     report = FuzzReport(seed=seed)
-    started = time.monotonic()
     out = Path(out_dir) if out_dir is not None else None
-    program_index = 0
-    while True:
-        elapsed = time.monotonic() - started
-        if report.pairs >= min_pairs and elapsed >= budget_s:
-            break
-        if max_pairs is not None and report.pairs >= max_pairs:
-            break
-        if report.pairs >= min_pairs and report.findings:
-            break  # findings are actionable; stop burning budget
+
+    def step(program_index: int) -> None:
         program_seed = derive_seed(seed, "program", program_index)
         source = gen_program(random.Random(program_seed))
         info = typecheck(parse(source))
@@ -141,23 +165,18 @@ def run_campaign(seed: int, *, budget_s: float = 60.0,
             detail = "; ".join(
                 f"{d.backend}/{d.mode}: {d.detail}"
                 for d in result.divergences)
-            finding = Finding(program_seed=program_seed,
-                              stream_seed=stream_seed, detail=detail)
-            case = make_case(source, specs, seed=seed,
-                             batch_size=batch_size, note=detail)
-            if minimize:
-                case, steps = minimize_case(case, backends=backends)
-                report.minimizer_steps += steps
-                c_minsteps.inc(steps)
-            finding.minimized_packets = len(case["packets"])
-            if out is not None:
-                path = out / (f"div-{program_seed:016x}-"
-                              f"{stream_seed:016x}.json")
-                save_case(case, path)
-                finding.case_path = str(path)
-            report.findings.append(finding)
-            obs.events.emit("error", where="fuzz",
-                            reason="divergence", detail=detail[:200])
-        program_index += 1
-    report.elapsed_s = time.monotonic() - started
+            file_finding(
+                report,
+                Finding(program_seed=program_seed,
+                        stream_seed=stream_seed, detail=detail),
+                make_case(source, specs, seed=seed,
+                          batch_size=batch_size, note=detail),
+                minimizer=(lambda case: minimize_case(
+                    case, backends=backends)) if minimize else None,
+                path=out and out / (f"div-{program_seed:016x}-"
+                                    f"{stream_seed:016x}.json"),
+                obs=obs, reason="divergence")
+
+    drive(report, step, obs=obs, budget_s=budget_s, min_pairs=min_pairs,
+          max_pairs=max_pairs)
     return report

@@ -192,15 +192,19 @@ class ProgramCache:
         self._put(self._reports, key, report)
         return report
 
-    def check_verified(self, key: str, info: ProgramInfo) -> None:
-        """Raise :class:`VerificationError` unless the program passes all
-        four analyses (the install-time gate, cached)."""
+    def check_verified(self, key: str,
+                       info: ProgramInfo) -> "VerificationReport":
+        """The admission gate, and the only one: the passing report, or
+        :class:`VerificationError` naming the first failed analysis.
+        Every install path asks here, so the verdict is cached and a
+        grant that relaxes an analysis has one place to land."""
         report = self.verification(key, info)
         if not report.passed:
             failure = report.failures[0]
             raise VerificationError(
                 f"{info.program.source_name} rejected by {failure.name}: "
                 f"{failure.detail}", analysis=failure.name)
+        return report
 
     def wire(self, key: str, info: ProgramInfo) -> "WireSummary":
         """The program's per-channel wire summary, memoized.

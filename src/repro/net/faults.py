@@ -16,9 +16,10 @@ Fault model:
   arrive, frames mid-serialization are lost.
 * **Node crash** — delivery stops, the node's NIC transmit buffers are
   flushed, and volatile state (the installed PLAN-P program and its
-  engine) is lost.  Persistent state — a deployment service's install
-  manifest — survives and is replayed on restart (see
-  :class:`repro.runtime.netdeploy.DeploymentService`).
+  engine) is lost.  The packet layer's manifest — what the node should
+  be running — survives, and a
+  :class:`repro.runtime.netdeploy.DeploymentService` replays it on
+  restart.
 * **Partition** — every medium spanning two of the given node groups
   goes down; :meth:`FaultController.heal` restores exactly those media.
 
@@ -110,9 +111,9 @@ class FaultController:
         self.recompute_routes()
 
     def restart(self, node: "Node | str") -> None:
-        """Restart a crashed node; its restart hooks run (services
-        re-install from manifests) and routing reconverges to include
-        it again."""
+        """Restart a crashed node; its restart hooks run (a deployment
+        service re-installs the layer's manifest) and routing
+        reconverges to include it again."""
         node = self._resolve(node)
         if node.up:
             return

@@ -110,8 +110,8 @@ class Node:
         self.up = True
         #: run when the node crashes (services drop volatile state)
         self.crash_hooks: list[Callable[[], None]] = []
-        #: run when the node restarts (services re-install from
-        #: persistent manifests)
+        #: run when the node restarts (a deployment service re-installs
+        #: what the packet layer's manifest names)
         self.restart_hooks: list[Callable[[], None]] = []
         #: transport demultiplexing: IP proto number -> handler(packet)
         self._proto_handlers: dict[int, Callable[[Packet], None]] = {}
@@ -204,26 +204,23 @@ class Node:
 
     def crash(self) -> None:
         """Power-fail the node: delivery stops, NIC transmit buffers are
-        flushed, and all volatile state — the downloaded PLAN-P program,
-        its engine and protocol state — is lost.  Persistent state (a
-        deployment service's manifest, routing configuration) survives;
-        :meth:`restart` brings the node back and lets services rebuild
-        from it.  Idempotent while down."""
+        flushed, and every crash hook runs so whatever lives on the node
+        — its packet layer, its services — drops its volatile state.
+        What those keep (the layer's manifest, routing configuration)
+        is what :meth:`restart` rebuilds from.  Idempotent while down."""
         if not self.up:
             return
         self.up = False
         self.stats.crashes += 1
         for iface in self.interfaces:
             iface.medium.tx_queue(iface).drop_from(iface)
-        if self.planp is not None:
-            self.planp.uninstall()
         for hook in self.crash_hooks:
             hook()
 
     def restart(self) -> None:
         """Bring a crashed node back up (its interfaces re-attach to the
         same media and addresses).  Restart hooks run so services can
-        re-install from their persistent manifests."""
+        rebuild from what survived the crash."""
         if self.up:
             return
         self.up = True

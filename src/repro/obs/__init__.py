@@ -4,8 +4,8 @@ The paper's run-time system adapts on *locally measured* state (§3.1
 link load, §5 JIT timings); this package is the reproduction's single
 instrumentation substrate for those measurements.  Three pieces:
 
-* :class:`~repro.obs.metrics.MetricsRegistry` — named counters, gauges
-  and histograms, plus zero-overhead adaptation of the existing stat
+* :class:`~repro.obs.metrics.MetricsRegistry` — named counters and
+  histograms, plus zero-overhead adaptation of the existing stat
   dataclasses (``LinkStats``, ``NodeStats``, ``PlanPStats``, …) via
   snapshot-time callbacks;
 * :class:`~repro.obs.events.EventLog` — a bounded JSON-lines stream of
@@ -32,7 +32,7 @@ from __future__ import annotations
 from typing import Callable
 
 from .events import EventLog, EventRecord
-from .metrics import Counter, Gauge, Histogram, MetricsRegistry
+from .metrics import Counter, Histogram, MetricsRegistry
 from .spans import Timer, span
 
 
@@ -72,7 +72,6 @@ __all__ = [
     "EventLog",
     "EventRecord",
     "GLOBAL",
-    "Gauge",
     "Histogram",
     "MetricsRegistry",
     "Observability",

@@ -1,4 +1,4 @@
-"""The metrics substrate: named counters, gauges and histograms.
+"""The metrics substrate: named counters and histograms.
 
 One :class:`MetricsRegistry` holds every instrument of one scope — a
 :class:`~repro.net.topology.Network` owns one for everything measured
@@ -7,7 +7,7 @@ process-wide instruments (JIT pipeline timings, the program cache).
 
 Two registration styles coexist:
 
-* **Instruments** (``counter`` / ``gauge`` / ``histogram``) are created
+* **Instruments** (``counter`` / ``histogram``) are created
   once and updated on the hot path.  ``Counter.inc`` is a single integer
   add, so counting on a per-packet path is safe.
 * **Callbacks** (``register``) adapt the repo's existing stat holders —
@@ -43,32 +43,6 @@ class Counter:
 
     def __repr__(self) -> str:
         return f"Counter({self.name}={self.value})"
-
-
-class Gauge:
-    """A point-in-time value: set directly, or backed by a callable
-    that is read at snapshot time."""
-
-    __slots__ = ("name", "_value", "_fn")
-
-    def __init__(self, name: str):
-        self.name = name
-        self._value: float = 0
-        self._fn: Callable[[], float] | None = None
-
-    def set(self, value: float) -> None:
-        self._value = value
-        self._fn = None
-
-    def set_fn(self, fn: Callable[[], float]) -> None:
-        self._fn = fn
-
-    @property
-    def value(self) -> float:
-        return self._fn() if self._fn is not None else self._value
-
-    def __repr__(self) -> str:
-        return f"Gauge({self.name}={self.value})"
 
 
 class Histogram:
@@ -129,7 +103,6 @@ class MetricsRegistry:
 
     def __init__(self):
         self._counters: dict[str, Counter] = {}
-        self._gauges: dict[str, Gauge] = {}
         self._histograms: dict[str, Histogram] = {}
         self._callbacks: dict[str, Callable[[], object]] = {}
 
@@ -140,12 +113,6 @@ class MetricsRegistry:
         if counter is None:
             counter = self._counters[name] = Counter(name)
         return counter
-
-    def gauge(self, name: str) -> Gauge:
-        gauge = self._gauges.get(name)
-        if gauge is None:
-            gauge = self._gauges[name] = Gauge(name)
-        return gauge
 
     def histogram(self, name: str) -> Histogram:
         histogram = self._histograms.get(name)
@@ -169,9 +136,6 @@ class MetricsRegistry:
         """
         self._callbacks[name] = fn
 
-    def unregister(self, name: str) -> None:
-        self._callbacks.pop(name, None)
-
     def has(self, name: str) -> bool:
         """Whether a stat-holder callback is registered under ``name``."""
         return name in self._callbacks
@@ -183,8 +147,6 @@ class MetricsRegistry:
         out: dict[str, object] = {}
         for name, counter in self._counters.items():
             out[name] = counter.value
-        for name, gauge in self._gauges.items():
-            out[name] = gauge.value
         for name, histogram in self._histograms.items():
             _flatten(name, histogram.summary(), out)
         for name, fn in self._callbacks.items():
@@ -193,7 +155,6 @@ class MetricsRegistry:
 
     def clear(self) -> None:
         self._counters.clear()
-        self._gauges.clear()
         self._histograms.clear()
         self._callbacks.clear()
 
@@ -201,5 +162,4 @@ class MetricsRegistry:
         """Zero every instrument, keeping registered callbacks (which
         adapt live stat holders and stay valid across resets)."""
         self._counters.clear()
-        self._gauges.clear()
         self._histograms.clear()

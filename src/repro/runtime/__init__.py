@@ -7,8 +7,8 @@ from .deployment import Deployment, DeploymentRecord
 from .lifecycle import (BreakerState, CircuitBreaker, Generation,
                         LifecycleManager, LifecyclePolicy, NodeLifecycle,
                         Rollout, RolloutState)
-from .netdeploy import (DeploymentManager, DeploymentService,
-                        ManifestEntry, PushStatus, RetryPolicy)
+from .netdeploy import (DeploymentManager, DeploymentService, PushStatus,
+                        RetryPolicy)
 from .planp_layer import PlanPLayer, PlanPStats, ProgramSnapshot
 
 __all__ = [
@@ -23,7 +23,6 @@ __all__ = [
     "Generation",
     "LifecycleManager",
     "LifecyclePolicy",
-    "ManifestEntry",
     "NodeLifecycle",
     "ProgramSnapshot",
     "PushStatus",

@@ -469,8 +469,6 @@ def encode(value: tuple, *, channel: str | None = None,
                 raise CodecError(
                     f"int {part} does not fit the 4-byte wire "
                     f"encoding") from None
-        elif isinstance(part, str) and len(part) == 1:
-            chunks.append(part.encode("latin-1", errors="replace"))
         elif isinstance(part, str):
             chunks.append(part.encode("latin-1", errors="replace"))
         elif isinstance(part, HostAddr):

@@ -19,7 +19,6 @@ from dataclasses import dataclass, field
 
 from ..analysis.verifier import VerificationReport
 from ..jit import pipeline
-from ..lang.errors import VerificationError
 from ..net.node import Node
 from .planp_layer import PlanPLayer
 
@@ -70,14 +69,7 @@ class Deployment:
         before = cache.stats.snapshot()
         # Front-end once, centrally: a rejected program reaches no node.
         key, info = cache.frontend(source, source_name)
-        report: VerificationReport | None = None
-        if verify:
-            report = cache.verification(key, info)
-            if not report.passed:
-                failure = report.failures[0]
-                raise VerificationError(
-                    f"{source_name} rejected by {failure.name}: "
-                    f"{failure.detail}", analysis=failure.name)
+        report = cache.check_verified(key, info) if verify else None
 
         record = DeploymentRecord(source_name=source_name,
                                   nodes=[n.name for n in nodes],
@@ -86,8 +78,10 @@ class Deployment:
         source_lines = pipeline.count_source_lines(source)
         for node in nodes:
             layer = self.layer_of(node)
+            # Each node asks the gate again; the verdict is cached, so
+            # the analyses ran once and every stamp below is truthful.
             loaded = pipeline.load_program(
-                source, backend=backend, verify=False, ctx=layer,
+                source, backend=backend, verify=verify, ctx=layer,
                 source_name=source_name, cache=cache, key=key,
                 source_lines=source_lines)
             layer.install_loaded(loaded)

@@ -2,64 +2,44 @@
 
 The paper's premise is hot-loading programs into live routers (§2.1,
 §5); this module is the operational defense against a *bad* one.  A
-:class:`LifecycleManager` layers three mechanisms over
-:class:`~repro.runtime.deployment.Deployment` /
-:mod:`~repro.runtime.netdeploy`:
+:class:`LifecycleManager` installs through one
+:class:`~repro.runtime.deployment.Deployment` and adds:
 
-* **Versioned install history.**  Every managed node keeps a
-  generation-numbered list of :class:`Generation` records.  When a new
-  program supersedes a running one, the outgoing generation is
-  snapshotted *with* its protocol and channel state
-  (:class:`~repro.runtime.planp_layer.ProgramSnapshot`), so a rollback
-  restores the previous program exactly where it left off.  The history
-  is fed by a hook inside :meth:`PlanPLayer.install_loaded`, so installs
-  from any path — direct, :class:`Deployment`, a network
-  :class:`~repro.runtime.netdeploy.DeploymentService`, a manifest
-  replay after a crash — are all versioned.
+* **Versioned install history.**  A hook inside
+  :meth:`PlanPLayer.install_loaded` numbers every install on a managed
+  node, whatever path made it, as a :class:`Generation`; the outgoing
+  generation is snapshotted *with* its protocol and channel state, so a
+  rollback resumes the previous program where it left off.
 
 * **Staged, health-gated rollout.**  :meth:`LifecycleManager.rollout`
-  first proves the candidate **wire-compatible** with every generation
-  currently running on the target fleet (the per-channel
-  :class:`~repro.analysis.wire.WireSummary` comparison — packet shapes
-  and emission topology): an incompatible candidate is **vetoed** with
-  a structured reason before any canary packet flows (``rollout`` /
-  ``veto`` event; ``force=True`` is the operator override).  It then
-  installs on a canary subset first, holds for
-  ``LifecyclePolicy.health_window`` simulated seconds, and judges the
-  canaries on packets processed, the runtime-error rate, and the
-  fleet-wide delivery-drop delta from ``Network.metrics_snapshot()``.
-  Healthy canaries promote the program to the rest of the fleet;
-  anything else aborts and rolls the canaries back::
+  asks the one admission gate (``ProgramCache.check_verified``), then
+  proves the candidate **wire-compatible** with every generation the
+  target fleet runs — an incompatible one is **vetoed** before any
+  canary packet flows (``force=True`` is the operator override).  It
+  installs on a canary subset, holds ``health_window`` seconds, and
+  judges each canary on breaker state, program identity and errors
+  since the install; silent canaries extend the window rather than be
+  judged blind::
 
       STAGED ──> CANARY ──> PROMOTED
                     └─────> ABORTED  (canaries rolled back)
 
-* **Error-budget circuit breaker.**  Each managed node runs a
-  :class:`CircuitBreaker` over a sliding sim-time window: more than
-  ``error_budget`` runtime errors inside ``budget_window`` seconds
-  trips it, the ASP is **quarantined** (uninstalled — the node reverts
-  to standard IP processing), and after ``cooldown`` seconds the
-  breaker half-opens for a retrial — or, once a generation has tripped
-  ``rollback_after_trips`` times on a node, triggers **automatic
-  rollback** of that generation across the fleet::
+* **Error-budget circuit breaker.**  More than ``error_budget`` runtime
+  errors inside ``budget_window`` seconds trip a node's
+  :class:`CircuitBreaker`: the ASP is **quarantined** (uninstalled —
+  standard IP processing, and nothing for a restart to bring back).
+  After ``cooldown`` the breaker half-opens for a retrial, or, once a
+  generation has tripped ``rollback_after_trips`` times on a node,
+  that generation is **rolled back** across the fleet::
 
       CLOSED ──(budget exceeded)──> OPEN ──(cooldown)──> HALF-OPEN
          ^                                                   │
          └──(probation_packets clean)────────────────────────┤
                           OPEN <──(any error during retrial)─┘
 
-Transports: with no deployment manager, installs/rollbacks happen
-directly through :class:`Deployment` (state-preserving restore).  Given
-a :class:`~repro.runtime.netdeploy.DeploymentManager`, promotion and
-rollback ship over the wire instead — reusing the ack/backoff push
-machinery, and landing in each node's persistent install manifest so a
-crash replay converges on the rolled-back program.
-
-Everything is observable: ``rollout`` / ``quarantine`` / ``rollback``
-events in the network's event log, and a ``lifecycle.*`` metrics block
-(rollouts, trips, quarantined nodes, rollbacks) in every snapshot.
-All timing runs on the simulator clock, so drills are exactly
-reproducible under a seed.
+``rollout`` / ``quarantine`` / ``rollback`` events and a ``lifecycle.*``
+metrics block make every step observable; all timing runs on the
+simulator clock, so drills are exactly reproducible under a seed.
 """
 
 from __future__ import annotations
@@ -69,7 +49,6 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable
 
-from ..lang.errors import VerificationError
 from ..net.node import Node
 from ..net.topology import Network
 from .deployment import Deployment
@@ -77,7 +56,14 @@ from .planp_layer import PlanPLayer, ProgramSnapshot
 
 if TYPE_CHECKING:
     from ..jit.pipeline import LoadedProgram
-    from .netdeploy import DeploymentManager
+
+#: lower bound on the canary subset size
+MIN_CANARY = 1
+#: packets the canaries must process before the gate will promote; a
+#: silent canary extends the window instead of being judged blind
+MIN_CANARY_PACKETS = 1
+#: window extensions granted to a silent canary before aborting
+MAX_EXTENSIONS = 3
 
 
 class RolloutState(enum.Enum):
@@ -97,22 +83,10 @@ class BreakerState(enum.Enum):
 class LifecyclePolicy:
     """Every knob of the lifecycle manager (times in sim-seconds)."""
 
-    #: fraction of the fleet used as canaries (at least ``min_canary``)
+    #: fraction of the fleet used as canaries (at least one node)
     canary_fraction: float = 0.25
-    #: lower bound on the canary subset size
-    min_canary: int = 1
     #: how long canaries hold before the health gate judges them
     health_window: float = 1.0
-    #: canary runtime errors allowed per processed packet
-    max_error_rate: float = 0.0
-    #: fleet-wide delivery-drop increase allowed during the window
-    #: (``None`` disables the drop gate)
-    max_drop_delta: int | None = None
-    #: packets the canaries must process before the gate will promote;
-    #: a silent canary extends the window instead of judging blind
-    min_canary_packets: int = 1
-    #: window extensions granted to a silent canary before aborting
-    max_extensions: int = 3
     #: runtime errors tolerated within ``budget_window`` before the
     #: breaker trips (the error budget)
     error_budget: int = 5
@@ -231,7 +205,6 @@ class Generation:
     source: str
     backend: str
     verified: bool
-    source_name: str = ""
     #: simulated time of the install
     installed_at: float = 0.0
     #: program + live state captured when a newer generation superseded
@@ -308,6 +281,10 @@ class Rollout:
     source_name: str
     nodes: list[str]
     canary: list[str]
+    #: what promotion installs on the rest of the fleet
+    source: str
+    backend: str
+    verify: bool
     state: RolloutState = RolloutState.STAGED
     #: why the rollout aborted (empty while live / after promotion)
     reason: str = ""
@@ -316,8 +293,6 @@ class Rollout:
     wire_verdicts: dict[str, str] = field(default_factory=dict)
     #: canary health baseline: node -> (packets_processed, runtime_errors)
     baseline: dict[str, tuple[int, int]] = field(default_factory=dict)
-    #: fleet delivery-drop count at canary time
-    baseline_drops: int = 0
     #: health-window extensions granted to silent canaries
     extensions: int = 0
 
@@ -331,18 +306,12 @@ class LifecycleManager:
 
     def __init__(self, net: Network, *,
                  deployment: Deployment | None = None,
-                 netdeploy: "DeploymentManager | None" = None,
                  policy: LifecyclePolicy | None = None):
         self.net = net
         self.policy = policy or LifecyclePolicy()
         self.deployment = deployment or Deployment()
-        #: optional wire transport: installs/rollbacks go through the
-        #: ack/backoff push protocol instead of direct installation
-        self.netdeploy = netdeploy
         self.nodes: dict[str, NodeLifecycle] = {}
         self.rollouts: list[Rollout] = []
-        #: rollout number -> (source, backend, verify), for promotion
-        self._rollout_args: dict[int, tuple[str, str, bool]] = {}
         # deterministic counters (all land in metrics snapshots)
         self.promoted = 0
         self.aborted = 0
@@ -426,32 +395,24 @@ class LifecycleManager:
         """
         managed = self.manage(*nodes)
         names = [nl.node.name for nl in managed]
+        cache = self.deployment.cache
         if verify:
-            # Front-end once, centrally — a rejected program reaches no
-            # node, exactly like Deployment.install.
-            cache = self.deployment.cache
-            key, info = cache.frontend(source, source_name)
-            report = cache.verification(key, info)
-            if not report.passed:
-                failure = report.failures[0]
-                raise VerificationError(
-                    f"{source_name} rejected by {failure.name}: "
-                    f"{failure.detail}", analysis=failure.name)
-        from ..jit.pipeline import ProgramCache
-
-        sha = ProgramCache.digest(source)
+            # Before anything is staged: a rejected program reaches no
+            # node and leaves no rollout behind.
+            cache.check_verified(*cache.frontend(source, source_name))
+        sha = cache.digest(source)
         if canary is not None:
             canary_names = [self.net[n].name if isinstance(n, str)
                             else n.name for n in canary]
         else:
-            count = max(self.policy.min_canary,
+            count = max(MIN_CANARY,
                         int(len(names) * self.policy.canary_fraction))
             canary_names = names[:min(count, len(names))]
         rollout = Rollout(number=len(self.rollouts) + 1, sha=sha,
                           source_name=source_name, nodes=names,
-                          canary=list(canary_names))
+                          canary=list(canary_names), source=source,
+                          backend=backend, verify=verify)
         self.rollouts.append(rollout)
-        self._rollout_args[rollout.number] = (source, backend, verify)
         self._emit("rollout", action="stage", rollout=rollout.number,
                    sha=sha[:12], nodes=len(names),
                    canary=len(canary_names), name=source_name)
@@ -512,8 +473,8 @@ class LifecycleManager:
         for gen_sha in sorted(running):
             gen, on_nodes = running[gen_sha]
             try:
-                old_key, old_info = cache.frontend(
-                    gen.source, gen.source_name or "<running>")
+                old_key, old_info = cache.frontend(gen.source,
+                                                   "<running>")
                 old_summary = cache.wire(old_key, old_info)
             except Exception:
                 continue
@@ -535,23 +496,14 @@ class LifecycleManager:
             name: (self.nodes[name].layer.stats.packets_processed,
                    self.nodes[name].layer.stats.runtime_errors)
             for name in rollout.canary}
-        rollout.baseline_drops = self._fleet_drops()
         self.net.sim.schedule(self.policy.health_window,
                               lambda: self._judge(rollout))
-
-    def _fleet_drops(self) -> int:
-        """Fleet-wide delivery drops (the ``drops_total`` counter every
-        node and medium taps into)."""
-        snap = self.net.metrics_snapshot(include_global=False)
-        value = snap.get("drops_total", 0)
-        return int(value) if isinstance(value, (int, float)) else 0
 
     def _judge(self, rollout: Rollout) -> None:
         """The canary health gate, fired ``health_window`` after the
         canary install."""
         if rollout.state is not RolloutState.CANARY:
             return  # superseded (tripped canary already aborted it)
-        policy = self.policy
         processed = 0
         failures: list[str] = []
         for name in rollout.canary:
@@ -565,17 +517,13 @@ class LifecycleManager:
                                 f"{nl.breaker.state.value}")
             elif nl.current is None or nl.current.sha != rollout.sha:
                 failures.append(f"{name}: canary lost the program")
-            elif de > 0 and de > policy.max_error_rate * max(dp, 1):
+            elif de > 0:
                 failures.append(f"{name}: {de} errors / {dp} packets")
-        if policy.max_drop_delta is not None:
-            drop_delta = self._fleet_drops() - rollout.baseline_drops
-            if drop_delta > policy.max_drop_delta:
-                failures.append(f"fleet: {drop_delta} delivery drops")
-        if not failures and processed < policy.min_canary_packets:
-            if rollout.extensions < policy.max_extensions:
+        if not failures and processed < MIN_CANARY_PACKETS:
+            if rollout.extensions < MAX_EXTENSIONS:
                 # Silent canaries are not evidence; hold a bit longer.
                 rollout.extensions += 1
-                self.net.sim.schedule(policy.health_window,
+                self.net.sim.schedule(self.policy.health_window,
                                       lambda: self._judge(rollout))
                 return
             failures.append(f"canaries processed {processed} packets "
@@ -586,10 +534,9 @@ class LifecycleManager:
             self._promote(rollout)
 
     def _promote(self, rollout: Rollout) -> None:
-        source, backend, verify = self._rollout_args[rollout.number]
         rest = [n for n in rollout.nodes if n not in set(rollout.canary)]
-        self._install(source, rest, backend, verify,
-                      rollout.source_name)
+        self._install(rollout.source, rest, rollout.backend,
+                      rollout.verify, rollout.source_name)
         rollout.state = RolloutState.PROMOTED
         self.promoted += 1
         self._emit("rollout", action="promote", rollout=rollout.number,
@@ -604,20 +551,12 @@ class LifecycleManager:
         self._rollback_nodes(rollout.canary, rollout.sha,
                              reason=f"canary abort: {reason}")
 
-    # -- installs (direct or over the wire) ------------------------------------
-
     def _install(self, source: str, names: list[str], backend: str,
                  verify: bool, source_name: str) -> None:
-        if not names:
-            return
-        if self.netdeploy is None:
+        if names:
             self.deployment.install(
                 source, [self.nodes[n].node for n in names],
                 backend=backend, verify=verify, source_name=source_name)
-        else:
-            self.netdeploy.push(
-                source, [self.nodes[n].node.address for n in names],
-                backend=backend, verify=verify)
 
     # -- circuit breaker orchestration -----------------------------------------
 
@@ -668,7 +607,7 @@ class LifecycleManager:
         self._emit("quarantine", action="half-open", node=nl.node.name,
                    generation=gen.number, sha=gen.sha[:12])
         self._install(gen.source, [nl.node.name], gen.backend,
-                      gen.verified, gen.source_name or "<retrial>")
+                      gen.verified, "<retrial>")
 
     def _on_probation_passed(self, nl: NodeLifecycle) -> None:
         self.closes += 1
@@ -735,24 +674,17 @@ class LifecycleManager:
             bad = nl.generations[-1]
             if sha is not None and bad.sha != sha:
                 continue
-            if len(nl.generations) < 2:
-                # Nothing to return to: leave standard IP processing.
-                nl.generations.pop()
-                nl.rolled_back.append(bad)
-                nl.layer.uninstall()
-                nl.layer.quarantined = False
-                nl.quarantined = False
-                nl.breaker.close()
-                self._emit("rollback", action="node", node=name,
-                           from_generation=bad.number, to_generation=0,
-                           reason=reason)
-                rolled.append(name)
-                continue
             nl.generations.pop()
             nl.rolled_back.append(bad)
-            prev = nl.generations[-1]
+            prev = nl.current
+            action, error = "node", {}
             try:
-                self._restore(nl, prev)
+                if prev is None:
+                    # Nothing to return to: standard IP processing.
+                    nl.layer.uninstall()
+                else:
+                    self._restore(nl, prev)
+                rolled.append(name)
             except Exception as exc:  # noqa: BLE001 — never raise mid-fleet
                 # Contain the failure to this node: revert it to
                 # standard IP with a truthful (emptied) history and
@@ -760,44 +692,26 @@ class LifecycleManager:
                 nl.rolled_back.extend(reversed(nl.generations))
                 nl.generations.clear()
                 nl.layer.uninstall()
-                nl.layer.quarantined = False
-                nl.quarantined = False
-                nl.breaker.close()
-                self._emit("rollback", action="node-failed", node=name,
-                           from_generation=bad.number,
-                           to_generation=prev.number,
-                           error=f"{type(exc).__name__}: {exc}",
-                           reason=reason)
-                continue
-            nl.quarantined = False
+                action = "node-failed"
+                error = {"error": f"{type(exc).__name__}: {exc}"}
+            nl.layer.quarantined = nl.quarantined = False
             nl.breaker.close()
-            self._emit("rollback", action="node", node=name,
+            self._emit("rollback", action=action, node=name,
                        from_generation=bad.number,
-                       to_generation=prev.number, reason=reason)
-            rolled.append(name)
+                       to_generation=prev.number if prev else 0,
+                       **error, reason=reason)
         return rolled
 
     def _restore(self, nl: NodeLifecycle, gen: Generation) -> None:
-        """Reinstate ``gen`` on ``nl``'s node: a state-preserving
-        restore when its snapshot survives and we operate directly, a
-        reinstall over the wire otherwise."""
-        if self.netdeploy is not None:
-            # Over the wire: the push lands in the node's persistent
-            # install manifest, so crash replays converge on it too.
-            self.netdeploy.push(gen.source, [nl.node.address],
-                                backend=gen.backend,
-                                verify=gen.verified)
-            gen.snapshot = None
-            return
+        """Reinstate ``gen`` on ``nl``'s node: with its state when the
+        snapshot survives, from its initial state otherwise."""
         snap = gen.snapshot
         if snap is not None:
             nl.layer.restore_program(snap)
             gen.snapshot = None
         else:
-            self.deployment.install(
-                gen.source, [nl.node], backend=gen.backend,
-                verify=gen.verified,
-                source_name=gen.source_name or "<rollback>")
+            self._install(gen.source, [nl.node.name], gen.backend,
+                          gen.verified, "<rollback>")
 
     # -- helpers ----------------------------------------------------------------
 

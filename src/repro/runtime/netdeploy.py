@@ -13,14 +13,13 @@ protocol is engineered for failure (after Burgy et al.'s argument that
 robustness belongs in the messaging layer itself):
 
 * **Sliding window + ack per chunk.**  The manager holds at most
-  ``RetryPolicy.window`` unacknowledged ``CHUNK`` datagrams in flight
-  per target (bounding drop-tail queue pressure) and advances on each
-  ``CACK``.
+  ``WINDOW`` unacknowledged ``CHUNK`` datagrams in flight per target
+  (bounding drop-tail queue pressure) and advances on each ``CACK``.
 * **Retransmission with exponential backoff.**  Every protocol stage
   (``BEGIN``, outstanding chunks, ``COMMIT``) retransmits on a timer
-  that doubles up to ``max_timeout``, jittered from the simulator's
-  seeded RNG so synchronized failures don't retry in lockstep — and
-  runs stay exactly reproducible.
+  that doubles from ``INITIAL_TIMEOUT`` up to ``MAX_TIMEOUT``, jittered
+  from the simulator's seeded RNG so synchronized failures don't retry
+  in lockstep — and runs stay exactly reproducible.
 * **Terminal deadlines.**  ``RetryPolicy.deadline`` sim-seconds after a
   (re-)push, any target still pending fails with reason ``timeout`` —
   or ``unreachable`` when the manager no longer has a route to it.  No
@@ -33,10 +32,11 @@ robustness belongs in the messaging layer itself):
   transfer to targets that rejoined later.  Installs go through the
   content-addressed program cache, so re-pushes re-verify and re-compile
   at cache speed.
-* **Persistent install manifest.**  The service records every installed
-  program (digest + source) in :attr:`DeploymentService.manifest`,
-  which survives a crash; on restart the node re-installs its ASP set
-  from the manifest through the warm program cache.
+* **One record of what should run.**  The node's packet layer keeps
+  the last program it adopted and has not since removed
+  (:attr:`PlanPLayer.manifest`), across crashes; on restart the service
+  re-installs exactly that program through the warm program cache — so
+  a rolled-back, quarantined or uninstalled program stays gone.
 
 Wire protocol (one datagram per message, text headers):
 
@@ -45,7 +45,7 @@ Wire protocol (one datagram per message, text headers):
                       COMMIT <xfer>
     node -> manager:  BEGACK <xfer>
                       CACK <xfer> <index>
-                      OK <xfer> <codegen_ms> [<cache_hit>]
+                      OK <xfer> <codegen_ms> <cache_hit>
                       REJ <xfer> <reason>
 
 Transfers are idempotent per ``<xfer>`` id; a retransmitted ``COMMIT``
@@ -70,6 +70,15 @@ from .planp_layer import PlanPLayer
 DEPLOY_PORT = 9900
 CHUNK_BYTES = 900
 
+#: max unacknowledged CHUNK datagrams in flight per target
+WINDOW = 8
+#: first retransmission timeout, and the ceiling it doubles up to per
+#: silent retry (sim-seconds)
+INITIAL_TIMEOUT = 0.05
+MAX_TIMEOUT = 1.0
+#: ± fraction of jitter on every timer (from the sim's seeded RNG)
+JITTER = 0.5
+
 #: ``REJ`` reason prefixes that report lost receiver state rather than
 #: a verdict on the program itself; the manager restarts such transfers
 #: from ``BEGIN`` instead of failing them.
@@ -89,24 +98,13 @@ class _Transfer:
     chunks: dict[int, bytes] = field(default_factory=dict)
 
 
-@dataclass
-class ManifestEntry:
-    """One installed program in the service's persistent manifest."""
-
-    xfer: str
-    sha: str
-    source: str
-    backend: str
-    verify: bool
-
-
 class DeploymentService:
     """The on-node receiver: reassembles, verifies, installs.
 
     In-progress transfers and the completion memo are volatile (lost on
-    :meth:`~repro.net.node.Node.crash`); the install manifest is
-    persistent, and the service replays it through the program cache
-    when the node restarts.
+    :meth:`~repro.net.node.Node.crash`).  What the node should run is
+    the layer's :attr:`~PlanPLayer.manifest`, which the service
+    re-installs through the program cache when the node restarts.
     """
 
     def __init__(self, net: Network, node: Node,
@@ -116,9 +114,8 @@ class DeploymentService:
         self.port = port
         self.installed: list[str] = []
         self.rejected: list[tuple[str, str]] = []
-        #: persistent install manifest (survives crashes), install order
-        self.manifest: dict[str, ManifestEntry] = {}
-        #: transfers re-installed from the manifest after restarts
+        #: source digests re-installed from the layer's manifest after
+        #: restarts
         self.reinstalled: list[str] = []
         #: datagrams dropped or rejected for unparseable headers
         self.malformed = 0
@@ -233,9 +230,6 @@ class DeploymentService:
                            f"REJ {xfer} {err.message}")
             return
         self.installed.append(xfer)
-        self.manifest[xfer] = ManifestEntry(
-            xfer=xfer, sha=loaded.source_sha, source=source,
-            backend=transfer.backend, verify=transfer.verify)
         self._conclude(src, src_port, xfer,
                        f"OK {xfer} {loaded.codegen_ms:.3f} "
                        f"{1 if loaded.cache_hit else 0}")
@@ -255,22 +249,24 @@ class DeploymentService:
         self._completed.clear()
 
     def _on_restart(self) -> None:
-        """Re-install the node's ASP set from the persistent manifest —
-        through the content-addressed program cache, so the re-verify
-        and code generation are warm."""
-        assert self.node.planp is not None
-        for entry in self.manifest.values():
-            try:
-                self.node.planp.install(
-                    entry.source, backend=entry.backend,
-                    verify=entry.verify,
-                    source_name=f"<manifest:{entry.xfer}>")
-            except PlanPError:  # pragma: no cover - verdicts are cached
-                continue
-            self.reinstalled.append(entry.xfer)
-            self.net.obs.events.emit("deploy", node=self.node.name,
-                                     action="reinstall",
-                                     xfer=entry.xfer, sha=entry.sha)
+        """Re-install what the layer's manifest says this node should
+        run — through the content-addressed program cache, so the
+        re-verify and code generation are warm."""
+        layer = self.node.planp
+        assert layer is not None
+        program = layer.manifest
+        if program is None:
+            return
+        try:
+            layer.install(program.source, backend=program.backend,
+                          verify=program.verified,
+                          source_name="<manifest>")
+        except PlanPError:  # pragma: no cover - verdicts are cached
+            return
+        self.reinstalled.append(program.source_sha)
+        self.net.obs.events.emit("deploy", node=self.node.name,
+                                 action="reinstall",
+                                 sha=program.source_sha)
 
 
 # ---------------------------------------------------------------------------
@@ -280,18 +276,9 @@ class DeploymentService:
 
 @dataclass
 class RetryPolicy:
-    """Reliability knobs of one push (all times in sim-seconds)."""
+    """How long one push may take; the window and the retransmission
+    schedule are the module constants above."""
 
-    #: max unacknowledged CHUNK datagrams in flight per target
-    window: int = 8
-    #: first retransmission timeout
-    initial_timeout: float = 0.05
-    #: backoff ceiling
-    max_timeout: float = 1.0
-    #: timeout multiplier per silent retry
-    backoff: float = 2.0
-    #: ± fraction of jitter on every timer (from the sim's seeded RNG)
-    jitter: float = 0.5
     #: sim-seconds from (re-)push until a pending target fails
     deadline: float = 10.0
 
@@ -310,9 +297,8 @@ class PushStatus:
     ok: bool | None = None   # None until terminal
     detail: str = ""
     codegen_ms: float | None = None
-    #: did the node's install reuse the program cache? (None if the ack
-    #: predates the flag)
-    cache_hit: bool | None = None
+    #: did the node's install reuse the program cache?
+    cache_hit: bool = False
     #: absolute sim-time by which this push reaches a terminal state
     deadline: float | None = None
     #: retransmission timer firings
@@ -356,8 +342,7 @@ class _TargetTransfer:
         # (one jitter draw per armed timer, doubled per silent firing,
         # reset on progress).
         self.backoff = Backoff(
-            initial=policy.initial_timeout, ceiling=policy.max_timeout,
-            multiplier=policy.backoff, jitter=policy.jitter,
+            initial=INITIAL_TIMEOUT, ceiling=MAX_TIMEOUT, jitter=JITTER,
             entropy=manager.host.sim.entropy(
                 f"deploy:{xfer}:{target}"))
 
@@ -422,17 +407,16 @@ class _TargetTransfer:
 
     def _fill_window(self) -> None:
         while (self.next_idx < len(self.chunks)
-               and len(self.outstanding) < self.policy.window):
+               and len(self.outstanding) < WINDOW):
             self._send_chunk(self.next_idx)
             self.outstanding.add(self.next_idx)
             self.next_idx += 1
 
     def _send_chunk(self, index: int) -> None:
         self.status.chunks_sent += 1
-        self.manager._send_raw(
-            self.target,
-            f"CHUNK {self.xfer} {index}\n".encode("latin-1")
-            + self.chunks[index])
+        self.manager._send(self.target,
+                           f"CHUNK {self.xfer} {index}\n",
+                           self.chunks[index])
 
     def _send_commit(self) -> None:
         self.state = "commit"
@@ -579,11 +563,10 @@ class DeploymentManager:
         self._live[(xfer, target)] = transfer
         transfer.start()
 
-    def _send(self, target: HostAddr, text: str) -> None:
-        self._socket.sendto(target, self.port, text.encode("latin-1"))
-
-    def _send_raw(self, target: HostAddr, payload: bytes) -> None:
-        self._socket.sendto(target, self.port, payload)
+    def _send(self, target: HostAddr, header: str,
+              body: bytes = b"") -> None:
+        self._socket.sendto(target, self.port,
+                            header.encode("latin-1") + body)
 
     # -- acknowledgements ---------------------------------------------------------
 
@@ -605,10 +588,12 @@ class DeploymentManager:
             return
         live = self._live.get((xfer, src))
         if verdict == "OK":
+            try:
+                codegen_ms, cache_hit = float(parts[2]), parts[3] == "1"
+            except (IndexError, ValueError):
+                return  # not an ack any service sends
             status.ok = True
-            status.codegen_ms = _float_or_none(parts[2]) \
-                if len(parts) > 2 else None
-            status.cache_hit = parts[3] == "1" if len(parts) > 3 else None
+            status.codegen_ms, status.cache_hit = codegen_ms, cache_hit
             if live is not None:
                 live.finish()
             self.net.obs.events.emit("deploy", node=self.host.name,
@@ -680,10 +665,3 @@ class DeploymentManager:
             "chunks_sent": sum(s.chunks_sent for s in statuses.values()),
             "late_acks": sum(s.late_acks for s in statuses.values()),
         }
-
-
-def _float_or_none(text: str) -> float | None:
-    try:
-        return float(text)
-    except ValueError:
-        return None

@@ -102,10 +102,12 @@ class PlanPLayer:
         self.core: DispatchCore | None = None
         self.stats = PlanPStats()
         self.console: list[str] = []
-        #: content digests of every program installed on this layer, in
-        #: install order (the deployment manifest; survives uninstall
-        #: and node crashes, so recovery can check what *should* run)
-        self.manifest: list[str] = []
+        #: the one record of what this node should be running: the last
+        #: program adopted (installed or restored) and not since removed
+        #: by :meth:`uninstall`.  It survives a crash, and is what a
+        #: deployment service replays on restart.
+        self.manifest: LoadedProgram | None = None
+        node.crash_hooks.append(self.on_crash)
         #: per-packet execution cost charged to the node (0 = free);
         #: models the CPU the paper's gateway burns per packet
         self.cpu = SerialResource(node.sim)
@@ -196,9 +198,7 @@ class PlanPLayer:
         else:
             self.core = DispatchCore(channels, engine, snap.protocol_state,
                                      dict(snap.channel_states))
-        self.loaded = loaded
-        if loaded.source_sha:
-            self.manifest.append(loaded.source_sha)
+        self.loaded = self.manifest = loaded
         self._carry = None
         # Whatever was quarantined is gone.
         self.quarantined = False
@@ -232,9 +232,17 @@ class PlanPLayer:
         return self.loaded.source_sha if self.loaded is not None else None
 
     def uninstall(self) -> None:
-        """Remove the program — and every trace of its run-time state
-        (protocol state, per-channel states, the match table), so a
-        later reinstall starts from a clean slate."""
+        """Remove the program — every trace of its run-time state, so a
+        later reinstall starts from a clean slate, and the record that
+        it should run here, so no restart brings it back.  Operator
+        removal, quarantine and rollback-to-nothing all end here."""
+        self.on_crash()
+        self.manifest = None
+
+    def on_crash(self) -> None:
+        """The node's crash hook: the program, its engine, match table
+        and protocol/channel states are volatile; :attr:`manifest` is
+        not."""
         self.loaded = None
         self.core = None
         self._carry = None

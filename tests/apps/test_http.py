@@ -155,6 +155,20 @@ class TestBuiltinGateway:
         net.run(until=1.0)
         assert sources == {str(virtual)}
 
+    def test_crash_loses_the_connection_table_and_binds_again(self):
+        net, c, virtual, trace, servers, gateway = self.gateway_net()
+        worker = HttpClientWorker(net, c, virtual, trace)
+        worker.start()
+        net.run(until=1.0)
+        assert gateway.bindings
+        bound = gateway.stats.requests_bound
+        net.faults.crash("g")  # the native layer has no uninstall()
+        assert gateway.bindings == {}
+        net.faults.restart("g")
+        net.run(until=4.0)
+        assert gateway.stats.requests_bound > bound
+        assert gateway.bindings
+
     def test_needs_at_least_one_server(self):
         net = Network(seed=1)
         g = net.add_router("g")

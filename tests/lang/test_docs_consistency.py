@@ -1,11 +1,15 @@
-"""Documentation consistency: LANGUAGE.md matches the implementation."""
+"""Documentation consistency: LANGUAGE.md and DESIGN.md match the
+implementation."""
 
+import dataclasses
 import re
 from pathlib import Path
 
 from repro.interp.primitives import BUILTIN_EXCEPTIONS, PRIMITIVES
+from repro.runtime import LifecyclePolicy, RetryPolicy
 
-DOC = Path(__file__).resolve().parents[2] / "docs" / "LANGUAGE.md"
+ROOT = Path(__file__).resolve().parents[2]
+DOC = ROOT / "docs" / "LANGUAGE.md"
 
 
 def doc_text() -> str:
@@ -56,3 +60,22 @@ def test_grammar_keywords_documented():
     for keyword in ("initstate", "channel", "handle", "andalso",
                     "orelse", "hash_table"):
         assert keyword in text
+
+
+def test_policy_knobs_match_design():
+    """Every ``LifecyclePolicy``/``RetryPolicy`` field is named in
+    DESIGN.md, and everything §7a/§7b attributes to either class (as
+    ``Class.field``) is a field of it — a knob cannot outlive its
+    documentation, nor the documentation a knob."""
+    design = (ROOT / "DESIGN.md").read_text(encoding="utf-8")
+    control_plane = design[design.index("### 7a."):design.index("### 7c.")]
+    for cls in (LifecyclePolicy, RetryPolicy):
+        fields = {f.name for f in dataclasses.fields(cls)}
+        pattern = rf"`{cls.__name__}\.(\w+)`"
+        undocumented = fields - set(re.findall(pattern, design))
+        assert not undocumented, (
+            f"{cls.__name__} fields absent from DESIGN.md: {undocumented}")
+        phantom = set(re.findall(pattern, control_plane)) - fields
+        assert not phantom, (
+            f"DESIGN §7a/§7b documents non-existent {cls.__name__} "
+            f"fields: {phantom}")

@@ -116,9 +116,36 @@ class TestNodeCrash:
         assert sha
         r1.crash()
         assert layer.loaded is None and layer.engine is None
-        assert layer.manifest == [sha]  # the manifest survives
+        # The one record of what should run here survives.
+        assert layer.manifest.source_sha == sha
         r1.restart()
         assert layer.loaded is None  # nothing re-installs it by itself
+
+    def test_uninstall_clears_the_manifest_a_crash_does_not(self):
+        net, a, r1, r2, b, _links = diamond()
+        layer = PlanPLayer(r1)
+        layer.install(FORWARD)
+        layer.uninstall()
+        assert layer.manifest is None  # removed on purpose: stays gone
+        loaded = layer.install(FORWARD)
+        r1.crash()
+        assert layer.loaded is None and layer.manifest is loaded
+
+    def test_crash_asks_nothing_of_a_foreign_packet_layer(self):
+        # Node.crash knows hooks, not layers: anything duck-typed into
+        # the interception point registers its own (or none).
+        net, a, r1, r2, b, _links = diamond()
+
+        class Passthrough:
+            promiscuous = False
+
+            def wants(self, packet, iface):
+                return False
+
+        r1.planp = Passthrough()
+        net.faults.crash("r1")
+        net.faults.restart("r1")
+        assert r1.up and send_one(net, a, r1) == 1
 
     def test_crash_flushes_nic_buffers_and_counts(self):
         net = Network(seed=3)

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.obs import GLOBAL, Observability, reset_global
-from repro.obs.metrics import (Counter, Gauge, Histogram, MetricsRegistry,
+from repro.obs.metrics import (Counter, Histogram, MetricsRegistry,
                                _flatten)
 from repro.obs.spans import Timer, span
 
@@ -14,17 +14,6 @@ class TestInstruments:
         counter.inc()
         counter.inc(5)
         assert counter.value == 6
-
-    def test_gauge_set_and_fn(self):
-        gauge = Gauge("g")
-        gauge.set(3.5)
-        assert gauge.value == 3.5
-        backing = [7]
-        gauge.set_fn(lambda: backing[0])
-        backing[0] = 9
-        assert gauge.value == 9
-        gauge.set(1)  # a direct set clears the callable
-        assert gauge.value == 1
 
     def test_histogram_summary(self):
         histogram = Histogram("h")
@@ -49,19 +38,16 @@ class TestRegistry:
     def test_get_or_create_returns_same_instrument(self):
         registry = MetricsRegistry()
         assert registry.counter("a") is registry.counter("a")
-        assert registry.gauge("b") is registry.gauge("b")
         assert registry.histogram("c") is registry.histogram("c")
 
     def test_snapshot_flattens_everything(self):
         registry = MetricsRegistry()
         registry.counter("packets").inc(4)
-        registry.gauge("depth").set(2)
         registry.histogram("lat_ms").observe(5.0)
         registry.register("stats", lambda: {"sent": 1,
                                             "nested": {"lost": 2}})
         snap = registry.snapshot()
         assert snap["packets"] == 4
-        assert snap["depth"] == 2
         assert snap["lat_ms.count"] == 1
         assert snap["lat_ms.mean"] == 5.0
         assert snap["stats.sent"] == 1
@@ -76,13 +62,11 @@ class TestRegistry:
         registry.snapshot()
         assert len(calls) == 2
 
-    def test_reregister_replaces_and_unregister_removes(self):
+    def test_reregister_replaces(self):
         registry = MetricsRegistry()
         registry.register("s", lambda: {"v": 1})
         registry.register("s", lambda: {"v": 2})
         assert registry.snapshot() == {"s.v": 2}
-        registry.unregister("s")
-        assert registry.snapshot() == {}
 
     def test_reset_values_keeps_callbacks(self):
         registry = MetricsRegistry()

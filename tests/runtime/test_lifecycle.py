@@ -10,6 +10,8 @@ from repro.net import Network
 from repro.net.packet import udp_packet
 from repro.runtime import (BreakerState, CircuitBreaker, Deployment,
                            LifecycleManager, LifecyclePolicy, RolloutState)
+from repro.runtime.lifecycle import MAX_EXTENSIONS
+from repro.runtime.netdeploy import DeploymentManager, DeploymentService
 
 GOOD = ("channel network(ps : int, ss : unit, p : ip*udp*blob) is "
         "(OnRemote(network, p); (ps + 1, ss))")
@@ -298,6 +300,21 @@ class TestHistory:
         assert all(manager.of(r).current is None for r in routers)
         assert all(r.planp.loaded is None for r in routers)
 
+    def test_verified_install_is_stamped_verified_everywhere(self):
+        """One gate: the per-node load carries the caller's ``verify``
+        and is answered from the cached verdict, so no stamp lies and
+        no analysis runs twice."""
+        net, src, routers, dst = chain_net(3)
+        cache = ProgramCache()
+        manager = LifecycleManager(net, deployment=Deployment(cache=cache))
+        manager.manage(*routers)
+        record = manager.deployment.install(GOOD, routers, verify=True)
+        assert record.verified and record.report.passed
+        for r in routers:
+            assert r.planp.loaded.verified
+            assert manager.of(r).current.verified
+        assert cache.stats.verify_misses == 1
+
 
 # ---------------------------------------------------------------------------
 # staged rollout
@@ -346,7 +363,7 @@ class TestRollout:
         net.run(until=5.0)
         assert rollout.state is RolloutState.ABORTED
         assert "packets" in rollout.reason
-        assert rollout.extensions == manager.policy.max_extensions
+        assert rollout.extensions == MAX_EXTENSIONS
 
     def test_explicit_canary_selection(self):
         net, src, routers, dst = chain_net(4)
@@ -664,6 +681,74 @@ class TestCleanReinstall:
         net.run(until=0.8)
         # Quarantine gate: no further ASP processing happens.
         assert layer.stats.packets_processed == processed
+
+
+# ---------------------------------------------------------------------------
+# crash recovery: the layer's manifest is the one record a restart replays
+# ---------------------------------------------------------------------------
+
+
+def wire_managed(**overrides):
+    """One router that learns programs over the wire (so a restart
+    replays its manifest) under a lifecycle manager."""
+    net, src, routers, dst = chain_net(1)
+    DeploymentService(net, routers[0])
+    pusher = DeploymentManager(net, src)
+    manager = manager_for(net, routers, **overrides)
+
+    def push(source, **kwargs):
+        xfer = pusher.push(source, [routers[0].address], **kwargs)
+        assert pusher.await_converged(xfer) and pusher.all_ok(xfer)
+
+    return net, src, routers[0], dst, manager, push
+
+
+class TestCrashRecovery:
+    def test_rolled_back_generation_stays_gone_after_a_crash(self):
+        net, src, r0, dst, manager, push = wire_managed()
+        push(GOOD)
+        push(GOOD_V2)
+        assert manager.rollback() == ["r0"]
+        net.faults.crash(r0)
+        net.faults.restart(r0)
+        good, v2 = ProgramCache.digest(GOOD), ProgramCache.digest(GOOD_V2)
+        nl = manager.of(r0)
+        assert r0.planp.current_sha == good
+        assert [(g.number, g.sha) for g in nl.generations] == [(1, good)]
+        assert [g.sha for g in nl.rolled_back] == [v2]
+
+    def quarantine_drill(self, crash):
+        """BAD trips the breaker at ~0.1 s; optionally crash + restart
+        inside the 1 s cool-down.  Returns what the manager then did."""
+        net, src, r0, dst, manager, push = wire_managed(cooldown=1.0)
+        push(BAD, verify=False)
+        start = net.now
+        traffic(net, src, dst)
+        net.run(until=start + 0.41)
+        nl = manager.of(r0)
+        assert nl.quarantined and manager.trips == 1
+        if crash:
+            net.faults.crash(r0)
+            net.faults.restart(r0)
+        # Still cooling down: standard IP, whatever the node went
+        # through, until the manager acts.
+        errors = r0.planp.stats.runtime_errors
+        net.run(until=start + 0.9)
+        assert r0.planp.loaded is None and nl.quarantined
+        assert r0.planp.stats.runtime_errors == errors
+        net.run(until=start + 6.0)
+        settled = r0.planp.stats.runtime_errors
+        net.run(until=start + 8.0)
+        assert r0.planp.stats.runtime_errors == settled
+        return (manager.trips, manager.half_opens, manager.rollbacks,
+                nl.quarantined, nl.current, r0.planp.loaded, settled)
+
+    def test_quarantine_holds_across_a_crash(self):
+        crashed = self.quarantine_drill(crash=True)
+        # One half-open retrial, a second trip, then rollback to plain
+        # IP — exactly what happens without the crash.
+        assert crashed == self.quarantine_drill(crash=False)
+        assert crashed[:6] == (2, 1, 1, False, None, None)
 
 
 # ---------------------------------------------------------------------------

@@ -3,13 +3,15 @@
 The reliability contract under test: no push stays ``ok=None`` past its
 deadline under any loss rate, recovery is observable through the
 retry/loss counters, and a restarted node comes back running its ASP
-set (re-installed from the service manifest through the program cache).
+(re-installed from its layer's manifest through the program cache).
 """
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.jit.pipeline import ProgramCache
 from repro.net import Network
+from repro.runtime import Deployment
 from repro.runtime.netdeploy import (DeploymentManager, DeploymentService,
                                      RetryPolicy)
 
@@ -157,13 +159,12 @@ class TestCrashDrill:
         assert manager.all_ok(second)
         # The crashed node's transfer restarted from BEGIN at least once.
         assert statuses[r0.address].restarts >= 1
-        # On restart, the service replayed its manifest: the first ASP
-        # was re-installed before the second push completed.
-        assert s0.reinstalled == [first]
-        # Both nodes end up with identical manifests (same hash set)...
-        assert [e.sha for e in s0.manifest.values()] == \
-            [e.sha for e in s1.manifest.values()]
-        assert list(s0.manifest) == [first, second]
+        # On restart, the service replayed the layer's manifest: the
+        # first ASP was re-installed before the second push completed.
+        assert s0.reinstalled == [ProgramCache.digest(COUNTER)]
+        # Both nodes end up with the same record of what should run...
+        assert r0.planp.manifest.source_sha \
+            == r1.planp.manifest.source_sha == ProgramCache.digest(BIG)
         # ...and identically running programs.
         assert r0.planp.current_sha == r1.planp.current_sha is not None
 
@@ -189,6 +190,16 @@ class TestCrashDrill:
             assert other.await_converged(xfer)
         assert fresh[0] == ("asp1", "asp2")
         assert self.snapshot(31) == fresh
+
+    def test_uninstalled_program_stays_gone_after_a_crash(self):
+        net, routers, services, manager = star_net(1, seed=35)
+        xfer = manager.push(COUNTER, [routers[0].address])
+        assert manager.await_converged(xfer) and manager.all_ok(xfer)
+        Deployment().uninstall(routers)
+        net.faults.crash("r0")
+        net.faults.restart("r0")
+        assert routers[0].planp.loaded is None
+        assert services[0].reinstalled == []
 
     def test_crash_without_restart_times_out(self):
         net, routers, services, manager = star_net(2, seed=33)
