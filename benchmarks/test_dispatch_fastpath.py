@@ -148,13 +148,16 @@ def _batches(hits, packets):
 
 class TestBatchTier:
     """Tier 3: grouping a classified burst into same-overload runs and
-    decoding each run's struct-of-arrays batch must beat the per-packet
-    fast path by 3x (CI floor; the local goal recorded in
-    BENCH_dispatch.json is 5x at batch=64).  Every packet is classified
-    once in ``wants()`` whichever tier then runs it, so the batch rows
-    time what the tier adds — grouping plus decode — over hits computed
-    outside the clock; the fast-path row keeps its classification, as
-    it always has."""
+    decoding each run into the ``rows()`` both batch folds consume
+    (``ClosureEngine.run_channel_batch``, ``jit.batching.run_rows``)
+    must beat the per-packet fast path by 2x (CI floor; the local
+    figure is the ``batch`` row of BENCH_dispatch.json).  The ``soa``
+    row beside it is decode only — raw columns before value conversion,
+    which no fold reads — and is recorded, not gated.  Every packet is
+    classified once in ``wants()`` whichever tier then runs it, so the
+    batch rows time what the tier adds — grouping plus decode — over
+    hits computed outside the clock; the fast-path row keeps its
+    classification, as it always has."""
 
     @pytest.fixture(scope="class")
     def results(self):
@@ -173,14 +176,14 @@ class TestBatchTier:
                 decoder(p)
 
         def batch_soa(ps):
-            # The production tier-3 accounting unit: group the burst and
-            # decode each run's raw columns.
+            # Decode only: group the burst and unpack each run's raw
+            # columns.
             for decl, batch in _batches(hits, ps):
                 batch.soa()
 
         def batch_rows(ps):
-            # Full AoS materialization (every value converted) — the
-            # upper bound a batch loop pays when it touches every field.
+            # What production pays: every column value-converted and
+            # zipped into the packet-value tuples a fold iterates.
             for decl, batch in _batches(hits, ps):
                 batch.rows()
 
@@ -207,24 +210,25 @@ class TestBatchTier:
             f"(batch={BATCH_SIZE}, {n} packets, best of 7)",
             ["path", "us/packet"],
             [["per-packet fast path", f"{us['fastpath']:.3f}"],
-             ["batch (SoA columns)", f"{us['soa']:.3f}"],
-             ["batch (full rows)", f"{us['rows']:.3f}"],
-             ["SoA speedup", f"{soa_speedup:.1f}x"],
-             ["rows speedup", f"{rows_speedup:.1f}x"]])
+             ["batch (rows, what the folds read)", f"{us['rows']:.3f}"],
+             ["batch (SoA columns, decode only)", f"{us['soa']:.3f}"],
+             ["rows speedup", f"{rows_speedup:.1f}x"],
+             ["SoA speedup", f"{soa_speedup:.1f}x"]])
         _merge_results({"batch": {
             "batch_size": BATCH_SIZE,
             "fastpath_us_per_packet": round(us["fastpath"], 4),
-            "us_per_packet": round(us["soa"], 4),
-            "speedup_vs_fastpath": round(soa_speedup, 2),
             "rows_us_per_packet": round(us["rows"], 4),
             "rows_speedup_vs_fastpath": round(rows_speedup, 2),
+            "soa_is": "decode only: raw columns before value "
+                      "conversion; no batch fold reads them",
+            "soa_us_per_packet": round(us["soa"], 4),
+            "soa_speedup_vs_fastpath": round(soa_speedup, 2),
         }})
-        return {"us": us, "speedup": soa_speedup}
+        return {"us": us, "speedup": rows_speedup}
 
-    def test_batch_at_least_3x(self, benchmark, results):
-        # CI floor; BENCH_dispatch.json records the >=5x local figure.
+    def test_batch_rows_at_least_2x(self, benchmark, results):
         shape_check(benchmark)
-        assert results["speedup"] >= 3.0
+        assert results["speedup"] >= 2.0
 
     def test_batches_equivalent_to_serial_decode(self, benchmark):
         shape_check(benchmark)

@@ -12,9 +12,9 @@ checked :class:`~repro.lang.typechecker.ProgramInfo`:
 
 * every channel's overload **shapes** — the byte-level layout dispatch
   actually keys on (transport-header class, payload view sequence,
-  fixed size, tail-ness), reusing :func:`repro.runtime.codec
-  .packet_views` / ``dispatch_plan`` so the summary can never drift
-  from the decoder; and
+  fixed size, tail-ness), read off :func:`repro.runtime.codec.layout`
+  like ``dispatch_plan`` so the summary can never drift from the
+  decoder; and
 * the **emission topology** — which channels each channel (or a helper
   function it calls) sends to via ``OnRemote``/``OnNeighbor``, and
   whether it ``deliver``\\ s — the same syntactic walk the delivery
@@ -46,7 +46,7 @@ from dataclasses import dataclass, field
 
 from ..lang import ast
 from ..lang.typechecker import ProgramInfo
-from ..runtime.codec import CodecError, packet_views, _FIXED_SIZES
+from ..runtime.codec import CodecError, layout
 from ..lang import types as T
 
 #: Bump when the summary derivation or comparison semantics change, so
@@ -149,16 +149,13 @@ class WireSummary:
 
 def _shape_of(packet_type: T.TupleType) -> OverloadShape:
     try:
-        transport, views = packet_views(packet_type)
+        lay = layout(packet_type)
     except CodecError:
         return OverloadShape(transport="raw", views=(), fixed=0,
                              has_tail=False, matchable=False)
-    name = "raw" if transport is None else str(transport)
-    fixed = sum(_FIXED_SIZES.get(v, 0) for v in views)
-    has_tail = bool(views) and views[-1] in (T.BLOB, T.STRING)
-    return OverloadShape(transport=name,
-                         views=tuple(str(v) for v in views),
-                         fixed=fixed, has_tail=has_tail)
+    return OverloadShape(transport=lay.transport_name,
+                         views=tuple(str(v) for v in lay.views),
+                         fixed=lay.fixed, has_tail=lay.has_tail)
 
 
 class _EmissionWalk:

@@ -44,6 +44,47 @@ class CompletedRequest:
         return self.completed - self.started
 
 
+class _ResponseReader:
+    """One HTTP/1.0 response, fed TCP segments as they arrive.
+
+    :meth:`feed` returns ``(status, body_bytes)`` once the
+    ``Content-Length`` body is in, else ``None``.  The header is parsed
+    once, when its terminator arrives; body bytes after that are
+    counted, not kept.
+    """
+
+    __slots__ = ("_head", "_status", "_expected", "_body")
+
+    def __init__(self):
+        #: bytes so far, until the header terminator shows up
+        self._head: bytearray | None = bytearray()
+        self._status = 200
+        self._expected: int | None = None
+        self._body = 0
+
+    def feed(self, data: bytes) -> tuple[int, int] | None:
+        head = self._head
+        if head is None:
+            self._body += len(data)
+        else:
+            head.extend(data)
+            end = head.find(b"\r\n\r\n")
+            if end < 0:
+                return None
+            lines = bytes(head[:end]).split(b"\r\n")
+            parts = lines[0].split(b" ")
+            if len(parts) >= 2 and parts[1].isdigit():
+                self._status = int(parts[1])
+            for line in lines[1:]:
+                if line.lower().startswith(b"content-length:"):
+                    self._expected = int(line.split(b":", 1)[1])
+            self._body = len(head) - end - 4
+            self._head = None
+        if self._expected is not None and self._body >= self._expected:
+            return self._status, self._body
+        return None
+
+
 class HttpClientWorker:
     """One closed-loop request generator."""
 
@@ -82,9 +123,7 @@ class HttpClientWorker:
         self._stopped = False
         self._attempts = 0
         self._entry = None
-        self._buffer = bytearray()
-        self._expected: int | None = None
-        self._status = 200
+        self._reader = _ResponseReader()
         self._current_path = ""
         self._started_at = 0.0
         self._conn: TcpConnection | None = None
@@ -107,9 +146,7 @@ class HttpClientWorker:
             self._backoff.reset()
         self._current_path = self._entry.path
         self._started_at = self.host.sim.now
-        self._buffer = bytearray()
-        self._expected = None
-        self._status = 200
+        self._reader = _ResponseReader()
         try:
             conn = self.net.tcp(self.host).connect(self.server, self.port)
         except TcpError:
@@ -117,7 +154,6 @@ class HttpClientWorker:
             return
         conn.on_connected = self._on_connected
         conn.on_data = self._on_data
-        conn.on_close = self._on_conn_close
         conn.on_fail = lambda c: self._on_failure()
         self._conn = conn
         self._deadline = self.host.sim.schedule(self.request_timeout,
@@ -128,7 +164,6 @@ class HttpClientWorker:
             return
         conn, self._conn = self._conn, None
         conn.on_fail = None
-        conn.on_close = None
         conn.abort()
         self._on_failure()
 
@@ -137,29 +172,16 @@ class HttpClientWorker:
         conn.send(request.encode("latin-1"))
 
     def _on_data(self, conn: TcpConnection, data: bytes) -> None:
-        self._buffer.extend(data)
-        if self._expected is None and b"\r\n\r\n" in self._buffer:
-            header, _, _body = bytes(self._buffer).partition(b"\r\n\r\n")
-            lines = header.split(b"\r\n")
-            parts = lines[0].split(b" ")
-            if len(parts) >= 2 and parts[1].isdigit():
-                self._status = int(parts[1])
-            for line in lines[1:]:
-                if line.lower().startswith(b"content-length:"):
-                    self._expected = int(line.split(b":", 1)[1])
-        if self._expected is not None:
-            _header, _, body = bytes(self._buffer).partition(b"\r\n\r\n")
-            if len(body) >= self._expected:
-                self._complete(conn, len(body))
+        done = self._reader.feed(data)
+        if done is not None:
+            self._complete(conn, *done)
 
-    def _complete(self, conn: TcpConnection, body_bytes: int) -> None:
-        if self._expected is None:
-            return
-        self._expected = None
+    def _complete(self, conn: TcpConnection, status: int,
+                  body_bytes: int) -> None:
         self._conn = None
         if self._deadline is not None:
             self._deadline.cancel()
-        if self._status == 503:
+        if status == 503:
             # The server shed us: a complete exchange, but not a
             # success — back off and retry like a failure (without
             # counting a transport failure).
@@ -172,22 +194,13 @@ class HttpClientWorker:
         self.completed.append(CompletedRequest(
             path=self._current_path, bytes_received=body_bytes,
             started=self._started_at, completed=self.host.sim.now,
-            status=self._status))
+            status=status))
         self._entry = None
         conn.close()
         if self.think_time > 0:
             self.host.sim.schedule(self.think_time, self._next_request)
         else:
             self.host.sim.schedule(0.0, self._next_request)
-
-    def _on_conn_close(self, conn: TcpConnection) -> None:
-        # Server closed first; if the response was complete we already
-        # moved on, otherwise treat as failure.
-        if self._expected is not None or (not self.completed
-                                          and self._buffer):
-            body = bytes(self._buffer).partition(b"\r\n\r\n")[2]
-            if self._expected is not None and len(body) >= self._expected:
-                self._complete(conn, len(body))
 
     def _on_failure(self) -> None:
         self.failures += 1
@@ -278,9 +291,7 @@ class _OneShot:
         self.client = client
         self.path = path
         self.started = started
-        self.buffer = bytearray()
-        self.expected: int | None = None
-        self.status = 200
+        self.reader = _ResponseReader()
         self.done = False
         self.deadline = None
 
@@ -290,33 +301,23 @@ class _OneShot:
     def on_data(self, conn: TcpConnection, data: bytes) -> None:
         if self.done:
             return
-        self.buffer.extend(data)
-        if self.expected is None and b"\r\n\r\n" in self.buffer:
-            header, _, _body = bytes(self.buffer).partition(b"\r\n\r\n")
-            lines = header.split(b"\r\n")
-            parts = lines[0].split(b" ")
-            if len(parts) >= 2 and parts[1].isdigit():
-                self.status = int(parts[1])
-            for line in lines[1:]:
-                if line.lower().startswith(b"content-length:"):
-                    self.expected = int(line.split(b":", 1)[1])
-        if self.expected is not None:
-            _header, _, body = bytes(self.buffer).partition(b"\r\n\r\n")
-            if len(body) >= self.expected:
-                self._finish(conn, len(body))
+        done = self.reader.feed(data)
+        if done is not None:
+            self._finish(conn, *done)
 
-    def _finish(self, conn: TcpConnection, body_bytes: int) -> None:
+    def _finish(self, conn: TcpConnection, status: int,
+                body_bytes: int) -> None:
         self.done = True
         if self.deadline is not None:
             self.deadline.cancel()
         client = self.client
-        if self.status == 503:
+        if status == 503:
             client.shed_responses += 1
         else:
             client.completed.append(CompletedRequest(
                 path=self.path, bytes_received=body_bytes,
                 started=self.started,
-                completed=client.host.sim.now, status=self.status))
+                completed=client.host.sim.now, status=status))
         conn.close()
 
     def on_fail(self, conn: TcpConnection) -> None:

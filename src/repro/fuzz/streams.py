@@ -104,19 +104,13 @@ def _valid_payload(rng: random.Random, views: list[T.Type]) -> bytes:
 
 def _spec_for(rng: random.Random, decl, tag: str | None) -> PacketSpec:
     """A valid packet for one channel overload."""
-    transport, views = codec.packet_views(decl.packet_type)
-    if transport == T.TCP:
-        tname = "tcp"
-    elif transport == T.UDP:
-        tname = "udp"
-    else:
-        tname = "raw"
+    lay = codec.layout(decl.packet_type)
     return PacketSpec(
         src=rng.choice(_HOSTS), dst=rng.choice(_HOSTS),
         ttl=rng.choice(_TTLS), tos=rng.choice((0, 1, 0xFF)),
-        transport=tname, sport=rng.choice(_PORTS),
+        transport=lay.transport_name, sport=rng.choice(_PORTS),
         dport=rng.choice(_PORTS), syn=rng.random() < 0.5,
-        payload=_valid_payload(rng, views), channel=tag)
+        payload=_valid_payload(rng, lay.views), channel=tag)
 
 
 def _mutate(rng: random.Random, spec: PacketSpec,

@@ -1,17 +1,19 @@
 """Shared protocol for the tier-3 batch execution path.
 
-An engine's ``run_channel_batch(decl, ps, ss, batch, ctx)`` folds a
-channel over every row of a :class:`~repro.runtime.codec.PacketBatch`
-in one call.  The containment contract between engines and
-:class:`~repro.runtime.planp_layer.PlanPLayer` is carried by
-:class:`BatchFault`:
+A batch fold ``run(decl, ps, ss, batch, ctx)`` runs a channel over
+every row of a :class:`~repro.runtime.codec.PacketBatch` in one call:
+the closure engine's own ``run_channel_batch``, or the generic
+:func:`run_rows` for the interpreter and the source backend, which
+bring none (:func:`batch_runner` picks).  The containment contract
+between a fold and :class:`~repro.runtime.dispatch.DispatchCore` is
+carried by :class:`BatchFault`:
 
-* if row ``i`` raises, the engine re-raises it as ``BatchFault(i, ps,
+* if row ``i`` raises, the fold re-raises it as ``BatchFault(i, ps,
   ss, err)`` where ``ps``/``ss`` are the states *entering* row ``i`` —
   rows ``0..i-1`` committed, row ``i`` did not;
-* any *other* exception escaping ``run_channel_batch`` therefore means
-  setup or decode failed before the first row executed, so the caller
-  may safely re-run the whole batch packet-by-packet.
+* any *other* exception escaping the fold therefore means setup or
+  decode failed before the first row executed, so the caller may
+  safely re-run the whole batch packet-by-packet.
 """
 
 from __future__ import annotations
@@ -32,9 +34,9 @@ class BatchFault(Exception):
 
 
 def run_rows(run_channel, decl, ps, ss, batch, ctx):
-    """Generic batch loop for engines without a specialized entry point
-    (the interpreter): fold ``run_channel`` over the decoded rows under
-    the :class:`BatchFault` contract.  ``rows()`` is forced before the
+    """Generic batch loop for engines without a fold of their own:
+    fold ``run_channel`` over the decoded rows under the
+    :class:`BatchFault` contract.  ``rows()`` is forced before the
     loop so decode errors surface with zero rows executed."""
     rows = batch.rows()
     i = 0

@@ -35,12 +35,11 @@ from ..interp.interpreter import Interpreter, _sml_div
 from ..interp.primitives import PRIMITIVES
 from ..interp.values import UNIT, default_value, values_equal
 from ..net.addresses import HostAddr
-from .batching import BatchFault, run_rows
 
 #: Bumped whenever the shape of the generated code changes (new entry
 #: points, different lowering), so the content-addressed program cache
 #: never serves artifacts emitted by an older generator.
-CODEGEN_REV = 3
+CODEGEN_REV = 4
 
 _SIMPLE_BINOPS = {
     "+": "+",
@@ -71,98 +70,15 @@ def _init_fn_name(decl: ast.ChannelDecl, index: int) -> str:
     return f"I_{decl.name}_{index}"
 
 
-def _batch_fn_name(decl: ast.ChannelDecl, index: int) -> str:
-    return f"B_{decl.name}_{index}"
-
-
-def _packet_projections(expr: ast.Expr, pname: str) -> set[int] | None:
-    """The set of 1-based components projected from the packet parameter
-    if it is *only* ever used as a direct ``#k p`` projection (and never
-    shadowed by a ``let``); ``None`` demands whole-row mode.
-
-    This is the verifier-informed guard hoist for the batch loop: when
-    it returns a set, the generated loop reads pre-converted columns by
-    index and the packet-value tuple is never materialized per row.
-    """
-    out: set[int] = set()
-    return out if _scan_projections(expr, pname, out) else None
-
-
-def _scan_projections(expr: ast.Expr, pname: str, out: set[int]) -> bool:
-    kind = type(expr)
-    if kind is ast.Var:
-        return expr.name != pname
-    if kind is ast.Proj:
-        target = expr.tuple_expr
-        if type(target) is ast.Var and target.name == pname:
-            out.add(expr.index)
-            return True
-        return _scan_projections(target, pname, out)
-    if kind is ast.Let:
-        for binding in expr.bindings:
-            if not _scan_projections(binding.value, pname, out):
-                return False
-            if binding.name == pname:
-                return False  # shadowed: stay conservative
-        return _scan_projections(expr.body, pname, out)
-    if kind is ast.BinOp:
-        return (_scan_projections(expr.left, pname, out)
-                and _scan_projections(expr.right, pname, out))
-    if kind is ast.UnOp:
-        return _scan_projections(expr.operand, pname, out)
-    if kind is ast.If:
-        return (_scan_projections(expr.cond, pname, out)
-                and _scan_projections(expr.then, pname, out)
-                and _scan_projections(expr.orelse, pname, out))
-    if kind is ast.Seq:
-        return all(_scan_projections(e, pname, out) for e in expr.exprs)
-    if kind is ast.TupleExpr:
-        return all(_scan_projections(e, pname, out) for e in expr.elems)
-    if kind is ast.Call:
-        return all(_scan_projections(a, pname, out) for a in expr.args)
-    if kind is ast.Try:
-        return (_scan_projections(expr.body, pname, out)
-                and _scan_projections(expr.handler, pname, out))
-    return True  # literals / Raise
-
-
-def _let_bound_names(expr: ast.Expr, out: set[str]) -> set[str]:
+def _let_bound_names(expr: ast.Expr) -> set[str]:
     """Every (mangled) name bound by a ``let`` anywhere in ``expr``.
 
     ``let`` lowers to a plain Python assignment, so these locals can be
     *reassigned* mid-function when two lets reuse a name; any other
     ``L_*`` name (a parameter never shadowed by a let) is written
     exactly once."""
-    kind = type(expr)
-    if kind is ast.Let:
-        for binding in expr.bindings:
-            out.add(_mangle(binding.name))
-            _let_bound_names(binding.value, out)
-        _let_bound_names(expr.body, out)
-    elif kind is ast.BinOp:
-        _let_bound_names(expr.left, out)
-        _let_bound_names(expr.right, out)
-    elif kind is ast.UnOp:
-        _let_bound_names(expr.operand, out)
-    elif kind is ast.If:
-        _let_bound_names(expr.cond, out)
-        _let_bound_names(expr.then, out)
-        _let_bound_names(expr.orelse, out)
-    elif kind is ast.Seq:
-        for e in expr.exprs:
-            _let_bound_names(e, out)
-    elif kind is ast.TupleExpr:
-        for e in expr.elems:
-            _let_bound_names(e, out)
-    elif kind is ast.Proj:
-        _let_bound_names(expr.tuple_expr, out)
-    elif kind is ast.Call:
-        for a in expr.args:
-            _let_bound_names(a, out)
-    elif kind is ast.Try:
-        _let_bound_names(expr.body, out)
-        _let_bound_names(expr.handler, out)
-    return out
+    return {_mangle(binding.name) for node in ast.walk(expr)
+            if type(node) is ast.Let for binding in node.bindings}
 
 
 class _Emitter:
@@ -214,7 +130,6 @@ class _CodeGenerator:
         self._temp = 0
         self._global_names = {decl.name for decl in info.program.vals}
         self._host_constants: dict[str, HostAddr] = {}
-        self._batch_pname: str | None = None
         self._rebindable: set[str] = set()
 
     def build(self) -> SourceArtifact:
@@ -230,7 +145,6 @@ class _CodeGenerator:
                 emitter, _channel_fn_name(decl, i),
                 ["ctx"] + [f"L_{_mangle(p.name)}" for p in decl.params],
                 decl.body)
-            self._emit_batch_channel(emitter, decl, i)
             if decl.initstate is not None:
                 self._emit_function(emitter, _init_fn_name(decl, i),
                                     ["ctx"], decl.initstate)
@@ -245,68 +159,9 @@ class _CodeGenerator:
                        params: list[str], body: ast.Expr) -> None:
         emitter.emit(f"def {fn_name}({', '.join(params)}):")
         emitter.push()
-        self._rebindable = _let_bound_names(body, set())
+        self._rebindable = _let_bound_names(body)
         result = self._expr(emitter, body)
         emitter.emit(f"return {result}")
-        emitter.pop()
-        emitter.emit("")
-
-    def _emit_batch_channel(self, emitter: _Emitter,
-                            decl: ast.ChannelDecl, index: int) -> None:
-        """Emit ``B_<name>_<i>(ctx, _bps, _bss, _batch)``: the tier-3
-        per-channel batch loop.  Guards (classification, decode setup,
-        projection conversion) are hoisted out of the loop; per-row
-        failures are re-raised as :class:`BatchFault` carrying the exact
-        pre-row states so the caller can contain and resume."""
-        if len(decl.params) != 3:
-            return  # non-standard channel shape: per-packet fallback
-        ps_p, ss_p, pk_p = decl.params
-        projs = _packet_projections(decl.body, pk_p.name)
-        emitter.emit(f"def {_batch_fn_name(decl, index)}"
-                     "(ctx, _bps, _bss, _batch):")
-        emitter.push()
-        if projs is not None:
-            # Column mode: the body only projects fixed components, so
-            # convert exactly those columns once and index them per row
-            # — the row tuple is never built.
-            for k in sorted(projs):
-                emitter.emit(f"_c{k} = _batch.column({k - 1})")
-            emitter.emit("_n = len(_batch.packets)")
-            emitter.emit("_i = 0")
-            emitter.emit("try:")
-            emitter.push()
-            emitter.emit("while _i < _n:")
-        else:
-            emitter.emit("_rows = _batch.rows()")
-            emitter.emit("_i = 0")
-            emitter.emit("try:")
-            emitter.push()
-            emitter.emit(f"for L_{_mangle(pk_p.name)} in _rows:")
-        emitter.push()
-        emitter.emit("ctx._row = _i")
-        emitter.emit(f"L_{_mangle(ps_p.name)} = _bps")
-        emitter.emit(f"L_{_mangle(ss_p.name)} = _bss")
-        self._batch_pname = pk_p.name if projs is not None else None
-        self._rebindable = _let_bound_names(decl.body, set())
-        try:
-            result = self._expr(emitter, decl.body)
-        finally:
-            self._batch_pname = None
-        emitter.emit(f"_res = {result}")
-        emitter.emit("_bps = _res[0]")
-        emitter.emit("_bss = _res[1]")
-        emitter.emit("_i = _i + 1")
-        emitter.pop()
-        emitter.pop()
-        emitter.emit("except BatchFault:")
-        emitter.push()
-        emitter.emit("raise")
-        emitter.pop()
-        emitter.emit("except Exception as _err:")
-        emitter.push()
-        emitter.emit("raise BatchFault(_i, _bps, _bss, _err)")
-        emitter.pop()
-        emitter.emit("return (_bps, _bss)")
         emitter.pop()
         emitter.emit("")
 
@@ -394,13 +249,7 @@ class _CodeGenerator:
             elems = [self._pinned(em, e) for e in expr.elems]
             return "(" + ", ".join(elems) + ")"
         if kind is ast.Proj:
-            inner = expr.tuple_expr
-            if (self._batch_pname is not None and type(inner) is ast.Var
-                    and inner.name == self._batch_pname):
-                # Batch column mode: project straight out of the lazily
-                # converted column instead of a per-row value tuple.
-                return f"_c{expr.index}[_i]"
-            target = self._pinned(em, inner)
+            target = self._pinned(em, expr.tuple_expr)
             return f"{target}[{expr.index - 1}]"
         if kind is ast.Call:
             return self._call(em, expr)
@@ -511,7 +360,6 @@ class CompiledSourceEngine:
         self._globals: dict[str, object] = {}
         self._channel_fns: dict[int, Callable] = {}
         self._init_fns: dict[int, Callable] = {}
-        self._batch_fns: dict[int, Callable] = {}
         self._instantiate(ctx)
 
     # -- engine interface ----------------------------------------------------
@@ -529,19 +377,6 @@ class CompiledSourceEngine:
         result = self._channel_fns[id(decl)](
             ctx, protocol_state, channel_state, packet_value)
         return result[0], result[1]
-
-    def run_channel_batch(self, decl: ast.ChannelDecl,
-                          protocol_state: object, channel_state: object,
-                          batch, ctx: ExecutionContext) -> tuple[object,
-                                                                 object]:
-        """Fold a whole :class:`~repro.runtime.codec.PacketBatch` through
-        the channel's generated batch loop (see :class:`BatchFault` for
-        the containment contract)."""
-        fn = self._batch_fns.get(id(decl))
-        if fn is None:
-            return run_rows(self.run_channel, decl, protocol_state,
-                            channel_state, batch, ctx)
-        return fn(ctx, protocol_state, channel_state, batch)
 
     # -- per-node instantiation --------------------------------------------------
 
@@ -562,9 +397,6 @@ class CompiledSourceEngine:
 
         for i, decl in enumerate(self._info.all_channels()):
             self._channel_fns[id(decl)] = namespace[_channel_fn_name(decl, i)]
-            batch_fn = namespace.get(_batch_fn_name(decl, i))
-            if batch_fn is not None:
-                self._batch_fns[id(decl)] = batch_fn
             if decl.initstate is not None:
                 self._init_fns[id(decl)] = namespace[_init_fn_name(decl, i)]
 
@@ -577,7 +409,6 @@ class CompiledSourceEngine:
             "sml_div": _sml_div,
             "planp_raise": _planp_raise,
             "PlanPRuntimeError": PlanPRuntimeError,
-            "BatchFault": BatchFault,
         }
         for name, prim in PRIMITIVES.items():
             namespace[f"P_{name}"] = prim.impl

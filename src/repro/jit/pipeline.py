@@ -242,7 +242,6 @@ class ProgramCache:
         else:
             return None
         # CODEGEN_REV keys out artifacts emitted by an older generator
-        # (e.g. ones without the tier-3 batch entry points).
         akey = (key, backend, CODEGEN_REV)
         artifact = self._artifacts.get(akey)
         if artifact is not None:

@@ -272,16 +272,18 @@ class ClosureEngine:
             return lambda f, c: left(f, c) * right(f, c)  # type: ignore[operator]
         if op in ("/", "mod"):
             pos = expr.pos
+            message = "division by zero" if op == "/" else "mod by zero"
 
             def run_div(f: list, c: ExecutionContext) -> object:
+                # left first, as written: both sides may have effects
+                dividend = left(f, c)
                 divisor = right(f, c)
                 if divisor == 0:
                     raise PlanPRuntimeError(
-                        "division by zero", pos,
-                        exception_name="DivideByZero")
+                        message, pos, exception_name="DivideByZero")
                 if op == "/":
-                    return _sml_div(left(f, c), divisor)  # type: ignore[arg-type]
-                return left(f, c) % divisor  # type: ignore[operator]
+                    return _sml_div(dividend, divisor)  # type: ignore[arg-type]
+                return dividend % divisor  # type: ignore[operator]
 
             return run_div
         if op == "^":
@@ -299,7 +301,11 @@ class ClosureEngine:
         if op == ">=":
             return lambda f, c: left(f, c) >= right(f, c)  # type: ignore[operator]
         if op == "::":
-            return lambda f, c: right(f, c).cons(left(f, c))  # type: ignore[union-attr]
+            def run_cons(f: list, c: ExecutionContext) -> object:
+                head = left(f, c)  # head before list, as written
+                return right(f, c).cons(head)  # type: ignore[union-attr]
+
+            return run_cons
         raise TypeError(f"unknown operator {op!r}")
 
     def _compile_let(self, expr: ast.Let, scope: _Scope) -> Compiled:

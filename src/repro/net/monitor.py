@@ -23,21 +23,15 @@ class LoadMonitor:
     hysteresis policy tames.
     """
 
-    def __init__(self, window: float = 1.0, bucket: float = 0.1,
-                 ewma_alpha: float = 0.3):
+    def __init__(self, window: float = 1.0, bucket: float = 0.1):
         if window <= 0 or bucket <= 0 or bucket > window:
             raise ValueError("need 0 < bucket <= window")
-        if not 0 < ewma_alpha <= 1:
-            raise ValueError(f"ewma_alpha {ewma_alpha} not in (0, 1]")
         self.window = window
         self.bucket = bucket
-        self.ewma_alpha = ewma_alpha
         self._buckets: deque[tuple[float, int]] = deque()
         self.total_bytes = 0
         self.total_packets = 0
         self._latest = 0.0
-        self._ewma_bps = 0.0
-        self._ewma_primed = False
 
     def record(self, now: float, nbytes: int) -> None:
         """Account ``nbytes`` transmitted at time ``now``.
@@ -52,9 +46,6 @@ class LoadMonitor:
         self.total_packets += 1
         slot = int(now / self.bucket)
         if not self._buckets or slot > self._buckets[-1][0]:
-            if self._buckets:
-                self._fold_ewma(self._buckets[-1][1],
-                                slot - self._buckets[-1][0])
             self._buckets.append((slot, nbytes))
         elif self._buckets[-1][0] == slot:
             self._buckets[-1] = (slot, self._buckets[-1][1] + nbytes)
@@ -64,8 +55,7 @@ class LoadMonitor:
         self._expire(self._latest)
 
     def _record_late(self, slot: float, nbytes: int) -> None:
-        """Merge a late record into its (already-closed) slot.  The
-        EWMA is not revised — it folds buckets as they close — but the
+        """Merge a late record into its (already-closed) slot: the
         window sum stays exact and the deque stays sorted."""
         buckets = self._buckets
         for i in range(len(buckets) - 1, -1, -1):
@@ -77,30 +67,6 @@ class LoadMonitor:
                 buckets.insert(i + 1, (slot, nbytes))
                 return
         buckets.insert(0, (slot, nbytes))
-
-    def _fold_ewma(self, closed_bytes: int, gap_slots: float) -> None:
-        """A bucket closed: fold its rate into the EWMA; slots that
-        passed silently decay the estimate toward zero."""
-        rate = closed_bytes * 8 / self.bucket
-        a = self.ewma_alpha
-        if self._ewma_primed:
-            self._ewma_bps += a * (rate - self._ewma_bps)
-        else:
-            self._ewma_bps = rate
-            self._ewma_primed = True
-        if gap_slots > 1:
-            self._ewma_bps *= (1.0 - a) ** (gap_slots - 1)
-
-    def ewma_rate(self, now: float | None = None) -> float:
-        """Exponentially-weighted rate in bit/s, folded from closed
-        buckets.  With ``now`` given, silent slots since the last
-        record decay the estimate (without mutating state)."""
-        rate = self._ewma_bps
-        if now is not None and self._buckets:
-            gap = int(now / self.bucket) - self._buckets[-1][0]
-            if gap > 1:
-                rate *= (1.0 - self.ewma_alpha) ** (gap - 1)
-        return rate
 
     def _expire(self, now: float) -> None:
         horizon = int((now - self.window) / self.bucket)

@@ -1,6 +1,6 @@
 """Overload-control building blocks (DESIGN §14).
 
-Three mechanisms, shared by the endpoints and the deployment runtime:
+Two mechanisms, shared by the endpoints and the deployment runtime:
 
 * :class:`Backoff` — the jittered-exponential retry schedule netdeploy's
   ack/retransmit machinery always used, extracted so the HTTP client's
@@ -8,16 +8,13 @@ Three mechanisms, shared by the endpoints and the deployment runtime:
   is one ``entropy.random()`` per armed timer (the
   :meth:`~repro.net.sim.Simulator.jittered` formula), so a caller that
   feeds a per-entity entropy stream stays byte-identical under sharding.
-* :class:`EwmaLoadEstimator` — an EWMA view over a
-  :class:`~repro.net.monitor.LoadMonitor`, reporting utilization against
-  a configured capacity with trip/clear hysteresis thresholds.
 * :class:`AdmissionController` — AIMD admission: a token bucket whose
   fill rate is raised additively while the system is healthy and cut
   multiplicatively on every overload signal, the classic TCP-shaped
   response that keeps a shedding server at the knee of its capacity
   curve instead of oscillating between empty and collapsed.
 
-All three are pure mechanisms: they own no node and schedule nothing —
+Both are pure mechanisms: they own no node and schedule nothing —
 callers inject clocks/entropy, which is what keeps them usable from
 both serial and sharded simulations.
 """
@@ -26,9 +23,7 @@ from __future__ import annotations
 
 import random
 
-from .monitor import LoadMonitor
-
-__all__ = ["AdmissionController", "Backoff", "EwmaLoadEstimator"]
+__all__ = ["AdmissionController", "Backoff"]
 
 
 class Backoff:
@@ -73,43 +68,6 @@ class Backoff:
         """Progress was made: restore the initial base."""
         self.current = self.initial
         self.attempts = 0
-
-
-class EwmaLoadEstimator:
-    """Utilization estimate over a :class:`LoadMonitor`'s EWMA rate.
-
-    ``trip``/``clear`` are hysteresis thresholds on utilization (the
-    audio ASP's high/low watermark pattern): :meth:`overloaded` flips
-    to True above ``trip`` and back to False only below ``clear``.
-    """
-
-    def __init__(self, capacity_bps: float, *,
-                 monitor: LoadMonitor | None = None,
-                 trip: float = 0.9, clear: float = 0.7):
-        if capacity_bps <= 0:
-            raise ValueError(f"non-positive capacity {capacity_bps}")
-        if not 0 <= clear <= trip:
-            raise ValueError("need 0 <= clear <= trip")
-        self.capacity_bps = capacity_bps
-        self.monitor = monitor if monitor is not None else LoadMonitor()
-        self.trip = trip
-        self.clear = clear
-        self._overloaded = False
-
-    def record(self, now: float, nbytes: int) -> None:
-        self.monitor.record(now, nbytes)
-
-    def utilization(self, now: float | None = None) -> float:
-        return self.monitor.ewma_rate(now) / self.capacity_bps
-
-    def overloaded(self, now: float | None = None) -> bool:
-        util = self.utilization(now)
-        if self._overloaded:
-            if util < self.clear:
-                self._overloaded = False
-        elif util > self.trip:
-            self._overloaded = True
-        return self._overloaded
 
 
 class AdmissionController:

@@ -22,10 +22,10 @@ Two decoder shapes coexist:
 * :func:`make_batch_decoder` — the tier-3 struct-of-arrays decoder: a
   run of same-type packets decodes into parallel *columns* with one C
   call per fixed field per batch (``struct.iter_unpack`` over the
-  joined payloads when the stride is uniform), and value conversions
-  (``chr``, :class:`HostAddr`, latin-1) materialize lazily per column,
-  so a specialized batch loop that projects only some header fields
-  never pays for the rest.
+  joined payloads when the stride is uniform); value conversions
+  (``chr``, :class:`HostAddr`, latin-1) are applied per column when
+  ``rows()`` — what both batch folds consume — zips them into value
+  tuples.
 """
 
 from __future__ import annotations
@@ -42,6 +42,12 @@ _FIXED_SIZES: dict[T.Type, int] = {T.CHAR: 1, T.BOOL: 1, T.INT: 4, T.HOST: 4}
 #: struct format characters for the fixed-size views (big-endian)
 _STRUCT_FMT: dict[T.Type, str] = {T.CHAR: "B", T.BOOL: "B", T.INT: "i",
                                   T.HOST: "I"}
+
+#: packet-type transport component -> (the header class a matching
+#: packet carries, its name in summaries and packet specs)
+_TRANSPORTS: dict[T.Type | None, tuple[type, str]] = {
+    T.TCP: (TcpHeader, "tcp"), T.UDP: (UdpHeader, "udp"),
+    None: (type(None), "raw")}
 
 
 class CodecError(Exception):
@@ -70,53 +76,66 @@ def packet_views(packet_type: T.TupleType) -> tuple[T.Type | None,
     return transport, rest
 
 
-def matches(packet: Packet, packet_type: T.TupleType) -> bool:
-    """Does a wire packet match a channel's packet type?"""
-    try:
-        transport, views = packet_views(packet_type)
-    except CodecError:
-        return False
-    if transport == T.TCP and not isinstance(packet.transport, TcpHeader):
-        return False
-    if transport == T.UDP and not isinstance(packet.transport, UdpHeader):
-        return False
-    if transport is None and packet.transport is not None:
-        return False
-    fixed = sum(_FIXED_SIZES.get(v, 0) for v in views)
-    if len(packet.payload) < fixed:
-        return False
-    has_tail = bool(views) and views[-1] in (T.BLOB, T.STRING)
-    if not has_tail and len(packet.payload) != fixed:
-        return False
-    return True
+class Layout:
+    """The byte-level facts of one packet type, derived once
+    (:func:`layout`) and read by every matcher, decoder and analysis:
+    which transport header it wants, its payload views, how many bytes
+    the fixed-size views take, and whether a trailing blob/string
+    consumes whatever is left."""
 
+    __slots__ = ("packet_type", "transport", "transport_cls",
+                 "transport_name", "views", "fixed", "has_tail")
 
-class DispatchPlan:
-    """Everything dispatch needs to know about one channel's packet type,
-    computed once (at install time) instead of per packet.
-
-    A packet matches iff its transport header is an instance of
-    ``transport_cls`` (``type(None)`` for raw) and its payload length
-    fits ``fixed``/``has_tail``; ``decode`` then builds the packet value
-    with all view offsets precomputed.
-    """
-
-    __slots__ = ("transport_cls", "fixed", "has_tail", "decode",
-                 "packet_type", "_batch_decoder")
-
-    def __init__(self, transport_cls: type, fixed: int, has_tail: bool,
-                 decode, packet_type: T.TupleType | None = None):
-        self.transport_cls = transport_cls
-        self.fixed = fixed
-        self.has_tail = has_tail
-        self.decode = decode
+    def __init__(self, packet_type: T.TupleType, transport: T.Type | None,
+                 views: tuple[T.Type, ...]):
         self.packet_type = packet_type
-        self._batch_decoder = None
+        self.transport = transport
+        self.transport_cls, self.transport_name = _TRANSPORTS[transport]
+        self.views = views
+        self.fixed = sum(_FIXED_SIZES.get(v, 0) for v in views)
+        self.has_tail = bool(views) and views[-1] in (T.BLOB, T.STRING)
 
     def admits(self, payload_len: int) -> bool:
         if self.has_tail:
             return payload_len >= self.fixed
         return payload_len == self.fixed
+
+
+def layout(packet_type: T.TupleType) -> Layout:
+    """The :class:`Layout` of a packet type; :class:`CodecError` when
+    the type is malformed (see :func:`packet_views`)."""
+    transport, views = packet_views(packet_type)
+    return Layout(packet_type, transport, tuple(views))
+
+
+def matches(packet: Packet, packet_type: T.TupleType) -> bool:
+    """Does a wire packet match a channel's packet type?"""
+    try:
+        lay = layout(packet_type)
+    except CodecError:
+        return False
+    return (isinstance(packet.transport, lay.transport_cls)
+            and lay.admits(len(packet.payload)))
+
+
+class DispatchPlan:
+    """One channel overload's :class:`Layout` plus its compiled
+    decoders, computed once (at install time) instead of per packet.
+
+    A packet matches iff its transport header is an instance of
+    ``transport_cls`` and ``admits`` its payload length; ``decode`` then
+    builds the packet value with all view offsets precomputed.
+    """
+
+    __slots__ = ("layout", "transport_cls", "admits", "decode",
+                 "_batch_decoder")
+
+    def __init__(self, lay: Layout, decode):
+        self.layout = lay
+        self.transport_cls = lay.transport_cls
+        self.admits = lay.admits
+        self.decode = decode
+        self._batch_decoder = None
 
     def batch_decoder(self) -> "BatchDecoder":
         """The tier-3 struct-of-arrays decoder for this packet type,
@@ -124,12 +143,12 @@ class DispatchPlan:
         actually see batched traffic pay the codegen)."""
         bd = self._batch_decoder
         if bd is None:
-            bd = self._batch_decoder = make_batch_decoder(self.packet_type)
+            bd = self._batch_decoder = make_batch_decoder(
+                self.layout.packet_type)
         return bd
 
 
-def _check_payload_len(n: int, fixed: int, has_tail: bool,
-                       packet_type) -> None:
+def _check_payload_len(n: int, lay: Layout) -> None:
     """Reject payloads the view layout cannot consume exactly.
 
     Every decoder front door funnels malformed lengths through here so
@@ -137,14 +156,14 @@ def _check_payload_len(n: int, fixed: int, has_tail: bool,
     — never as a silent short-slice decode (``int.from_bytes`` happily
     decodes a 2-byte slice of a 4-byte view) or a leaked ``IndexError``.
     """
-    if n < fixed:
+    if n < lay.fixed:
         raise CodecError(
-            f"payload of {n} bytes is shorter than the {fixed} fixed "
-            f"bytes of {packet_type}")
-    if not has_tail and n != fixed:
+            f"payload of {n} bytes is shorter than the {lay.fixed} fixed "
+            f"bytes of {lay.packet_type}")
+    if not lay.has_tail and n != lay.fixed:
         raise CodecError(
-            f"payload of {n} bytes does not match the exact {fixed} "
-            f"bytes of tail-less {packet_type}")
+            f"payload of {n} bytes does not match the exact {lay.fixed} "
+            f"bytes of tail-less {lay.packet_type}")
 
 
 def _view_steps(views: list[T.Type]) -> list:
@@ -177,16 +196,15 @@ def _view_steps(views: list[T.Type]) -> list:
 def make_decoder(packet_type: T.TupleType):
     """Compile ``decode(packet, packet_type)`` down to a closure with the
     view walk and all offsets resolved ahead of time."""
-    transport, views = packet_views(packet_type)
-    steps = _view_steps(views)
-    fixed = sum(_FIXED_SIZES.get(v, 0) for v in views)
-    has_tail = bool(views) and views[-1] in (T.BLOB, T.STRING)
-    if transport is None:
+    lay = layout(packet_type)
+    steps = _view_steps(lay.views)
+    fixed, exact = lay.fixed, not lay.has_tail
+    if lay.transport is None:
         def decode_raw(packet: Packet) -> tuple:
             payload = packet.payload
             n = len(payload)
-            if n < fixed or (not has_tail and n != fixed):
-                _check_payload_len(n, fixed, has_tail, packet_type)
+            if n < fixed or (exact and n != fixed):
+                _check_payload_len(n, lay)
             return (packet.ip, *(step(payload) for step in steps))
 
         return decode_raw
@@ -194,8 +212,8 @@ def make_decoder(packet_type: T.TupleType):
     def decode_transport(packet: Packet) -> tuple:
         payload = packet.payload
         n = len(payload)
-        if n < fixed or (not has_tail and n != fixed):
-            _check_payload_len(n, fixed, has_tail, packet_type)
+        if n < fixed or (exact and n != fixed):
+            _check_payload_len(n, lay)
         return (packet.ip, packet.transport,
                 *(step(payload) for step in steps))
 
@@ -206,32 +224,22 @@ def dispatch_plan(packet_type: T.TupleType) -> DispatchPlan | None:
     """The precomputed matcher+decoder for a channel's packet type, or
     ``None`` if the layout is malformed (such a channel never matches)."""
     try:
-        transport, views = packet_views(packet_type)
+        lay = layout(packet_type)
     except CodecError:
         return None
-    if transport == T.TCP:
-        transport_cls: type = TcpHeader
-    elif transport == T.UDP:
-        transport_cls = UdpHeader
-    else:
-        transport_cls = type(None)
-    fixed = sum(_FIXED_SIZES.get(v, 0) for v in views)
-    has_tail = bool(views) and views[-1] in (T.BLOB, T.STRING)
-    return DispatchPlan(transport_cls, fixed, has_tail,
-                        make_decoder(packet_type), packet_type)
+    return DispatchPlan(lay, make_decoder(packet_type))
 
 
 class BatchDecoder:
     """A per-packet-type struct-of-arrays decoder for runs of matching
     packets.  ``batch(packets)`` wraps a run without touching any bytes;
     the raw columns decode on first access (one C call per fixed field
-    per batch) and value conversions materialize per column on demand.
+    per batch) and ``rows()`` applies the value conversions.
     """
 
-    __slots__ = ("packet_type", "width", "_soa_fn", "_convs")
+    __slots__ = ("width", "_soa_fn", "_convs")
 
-    def __init__(self, packet_type, width, soa_fn, convs):
-        self.packet_type = packet_type
+    def __init__(self, width, soa_fn, convs):
         self.width = width
         self._soa_fn = soa_fn
         self._convs = convs
@@ -252,13 +260,12 @@ class PacketBatch:
     no partially-consumed state left behind.
     """
 
-    __slots__ = ("packets", "decoder", "_raw", "_cols", "_rows")
+    __slots__ = ("packets", "decoder", "_raw", "_rows")
 
     def __init__(self, packets: list[Packet], decoder: BatchDecoder):
         self.packets = packets
         self.decoder = decoder
         self._raw = None
-        self._cols: dict[int, list] = {}
         self._rows = None
 
     def __len__(self) -> int:
@@ -271,13 +278,9 @@ class PacketBatch:
         return raw
 
     def column(self, i: int) -> list:
-        col = self._cols.get(i)
-        if col is None:
-            raw = self.soa()[i]
-            conv = self.decoder._convs[i]
-            col = raw if conv is None else [conv(x) for x in raw]
-            self._cols[i] = col
-        return col
+        raw = self.soa()[i]
+        conv = self.decoder._convs[i]
+        return raw if conv is None else [conv(x) for x in raw]
 
     def rows(self) -> list[tuple]:
         rows = self._rows
@@ -300,7 +303,7 @@ def make_batch_decoder(packet_type: T.TupleType) -> BatchDecoder:
 
     * header columns are plain attribute list-comprehensions;
     * with no tail view, every payload has exactly ``fixed`` bytes
-      (:meth:`DispatchPlan.admits`), so all fixed fields of the whole
+      (:meth:`Layout.admits`), so all fixed fields of the whole
       batch decode in a single ``Struct.iter_unpack`` over the joined
       payloads — a stride-count guard turns non-compensating payload
       corruption into a :class:`CodecError` instead of silent row
@@ -309,13 +312,11 @@ def make_batch_decoder(packet_type: T.TupleType) -> BatchDecoder:
       ``unpack_from`` per packet and the tail is a slice column.
 
     Value conversions (``chr``, ``bool``, :class:`HostAddr`, latin-1)
-    are *not* applied here — they belong to the lazy
-    :meth:`PacketBatch.column` so untouched fields cost nothing.
+    are *not* applied here — they belong to :meth:`PacketBatch.column`.
     """
-    transport, views = packet_views(packet_type)
+    lay = layout(packet_type)
+    transport, views, fixed = lay.transport, lay.views, lay.fixed
     fixed_views = [v for v in views if v in _FIXED_SIZES]
-    has_tail = bool(views) and views[-1] in (T.BLOB, T.STRING)
-    fixed = sum(_FIXED_SIZES[v] for v in fixed_views)
     width = 1 + (1 if transport is not None else 0) + len(views)
 
     lines = ["def _soa(_pk):"]
@@ -329,7 +330,7 @@ def make_batch_decoder(packet_type: T.TupleType) -> BatchDecoder:
         lines.append("    _tr = [_p.transport for _p in _pk]")
         cols.append("_tr")
     if fixed_views:
-        if has_tail:
+        if lay.has_tail:
             lines.append("    try:")
             lines.append("        _ts = [_unpack(_p.payload) "
                          "for _p in _pk]")
@@ -359,7 +360,7 @@ def make_batch_decoder(packet_type: T.TupleType) -> BatchDecoder:
             for k in range(len(fixed_views)):
                 lines.append(f"    _f{k} = list(_fx[{k}])")
         cols.extend(f"_f{k}" for k in range(len(fixed_views)))
-    if has_tail:
+    if lay.has_tail:
         if fixed:
             lines.append(f"    _tl = [_p.payload[{fixed}:] for _p in _pk]")
         else:
@@ -382,9 +383,9 @@ def make_batch_decoder(packet_type: T.TupleType) -> BatchDecoder:
     if transport is not None:
         convs.append(None)
     convs.extend(conv_of[v] for v in fixed_views)
-    if has_tail:
+    if lay.has_tail:
         convs.append(conv_of[views[-1]])
-    return BatchDecoder(packet_type, width, namespace["_soa"], convs)
+    return BatchDecoder(width, namespace["_soa"], convs)
 
 
 def decode(packet: Packet, packet_type: T.TupleType) -> tuple:
@@ -394,23 +395,20 @@ def decode(packet: Packet, packet_type: T.TupleType) -> tuple:
     wrong transport header, truncated payload, or a tail-less layout
     whose payload length is not exactly the fixed view size.
     """
-    transport, views = packet_views(packet_type)
-    if transport == T.TCP and not isinstance(packet.transport, TcpHeader):
-        raise CodecError(f"packet has no tcp header for {packet_type}")
-    if transport == T.UDP and not isinstance(packet.transport, UdpHeader):
-        raise CodecError(f"packet has no udp header for {packet_type}")
-    if transport is None and packet.transport is not None:
+    lay = layout(packet_type)
+    if not isinstance(packet.transport, lay.transport_cls):
+        if lay.transport is None:
+            raise CodecError(f"packet carries a transport header but "
+                             f"{packet_type} is raw")
         raise CodecError(
-            f"packet carries a transport header but {packet_type} is raw")
-    fixed = sum(_FIXED_SIZES.get(v, 0) for v in views)
-    has_tail = bool(views) and views[-1] in (T.BLOB, T.STRING)
-    _check_payload_len(len(packet.payload), fixed, has_tail, packet_type)
+            f"packet has no {lay.transport_name} header for {packet_type}")
+    _check_payload_len(len(packet.payload), lay)
     parts: list[object] = [packet.ip]
-    if transport is not None:
+    if lay.transport is not None:
         parts.append(packet.transport)
     offset = 0
     payload = packet.payload
-    for view in views:
+    for view in lay.views:
         if view == T.BLOB:
             parts.append(payload[offset:])
             offset = len(payload)

@@ -16,8 +16,8 @@ oracle (:mod:`repro.fuzz.pairs`) off one.
   uses the prebuilt per-packet decoder and ``engine.run_channel``; any
   longer run decodes as one struct-of-arrays
   :class:`~repro.runtime.codec.PacketBatch` and folds through the
-  engine's batch entry point.  The choice is made from the run length
-  alone.
+  engine's own batch fold or, when it brings none, the generic
+  ``run_rows``.  The choice is made from the run length alone.
 * **Commit or contain** — protocol and channel state change only when a
   row returns.  A row that fails is reported to the host and commits
   nothing; a decode failure is always the packet's fault and a

@@ -115,8 +115,8 @@ class PlanPLayer:
         #: packet is classified exactly once: (packet uid, hit | None)
         self._carry: tuple[int, tuple | None] | None = None
         #: tier-3 batch drain: up to this many packets queued during one
-        #: scheduler activation run through a single specialized batch
-        #: loop (0 disables; routers default it on via Node.batch_size)
+        #: scheduler activation run as batches through the engine's
+        #: fold (0 disables; routers default it on via Node.batch_size)
         self.batch_size = int(getattr(node, "batch_size", 0) or 0)
         #: packets enqueued during the current event, drained at its
         #: end: parallel lists of packets, arrival interfaces and hits

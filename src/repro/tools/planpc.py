@@ -103,20 +103,16 @@ def cmd_fmt(args: argparse.Namespace) -> int:
 
 
 def cmd_bench(args: argparse.Namespace) -> int:
-    from ..net.packet import IpHeader, TcpHeader, UdpHeader
-    from ..lang import types as T
+    from ..net.packet import IpHeader
 
     info = typecheck(parse(_load(args.program), args.program))
     decl = info.channel_overloads("network")[0] if \
         info.channel_overloads("network") else info.all_channels()[0]
-    transport_type, views = codec.packet_views(decl.packet_type)  # type: ignore[arg-type]
-    transport = TcpHeader(dst_port=80) if transport_type == T.TCP \
-        else UdpHeader(dst_port=80) if transport_type == T.UDP else None
+    lay = codec.layout(decl.packet_type)  # type: ignore[arg-type]
     parts: list[object] = [IpHeader()]
-    if transport is not None:
-        parts.append(transport)
-    for view in views:
-        parts.append(default_value(view))
+    if lay.transport is not None:
+        parts.append(lay.transport_cls(dst_port=80))
+    parts.extend(default_value(view) for view in lay.views)
     packet = tuple(parts)
 
     class _Null(RecordingContext):

@@ -1,9 +1,9 @@
 """Differential property: the tier-3 batch loop ≡ the serial loop.
 
 For random well-typed programs and random small packet streams, folding
-the stream through ``run_channel_batch`` (source JIT's generated batch
-loop, the closure JIT's batch fold, and the generic ``run_rows`` driver
-over the interpreter) must produce exactly what a per-packet
+the stream through ``batch_runner(engine)`` (the closure JIT's own
+batch fold, the generic ``run_rows`` driver over the interpreter and
+the source JIT) must produce exactly what a per-packet
 ``run_channel`` loop produces: the same final protocol state, the same
 emission stream in the same order, the same console output — and on a
 faulting row, the same committed prefix plus the same error, surfaced
@@ -140,14 +140,13 @@ def test_resume_after_fault_completes_the_tail(backend):
     ctx = RecordingContext(seed=7)
     ps = default_value(decl.protocol_state_type)
     ss = engine.initial_channel_state(decl, ctx)
+    run = batch_runner(engine)
     with pytest.raises(BatchFault) as exc:
-        engine.run_channel_batch(
-            decl, ps, ss, plan.batch_decoder().batch(packets), ctx)
+        run(decl, ps, ss, plan.batch_decoder().batch(packets), ctx)
     fault = exc.value
     assert fault.index == 1
     tail = plan.batch_decoder().batch(packets[fault.index + 1:])
-    ps, ss = engine.run_channel_batch(decl, fault.ps, fault.ss, tail,
-                                      ctx)
+    ps, ss = run(decl, fault.ps, fault.ss, tail, ctx)
     # Rows 0, 2, 3 ran: three forwards; ps goes 0 →(q=0/3) 1, then
     # after resume 1 →(q=1/2) 2 →(q=2/1) 5.
     assert len(ctx.emissions) == 3

@@ -1,12 +1,15 @@
 """JIT backend unit tests: both backends match the interpreter."""
 
+import re
+
 import pytest
 
-from repro.interp import Interpreter, RecordingContext
+from repro.interp import RecordingContext
 from repro.jit import make_engine
 from repro.lang import PlanPRuntimeError, parse, typecheck
 
 from ..conftest import tcp_packet_value, udp_packet_value
+from ..corpora import SHIPPED, corpus_programs
 
 BACKENDS = ("interpreter", "closure", "source")
 
@@ -190,6 +193,24 @@ class TestCodegenArtifacts:
         compile(engine.generated_source, "<check>", "exec")  # re-parses
         assert "def F_f(" in engine.generated_source
         assert "def C_network_0(" in engine.generated_source
+
+    @pytest.mark.parametrize("name", [*SHIPPED, "burst.planp"])
+    def test_one_function_per_declaration(self, name):
+        """The generated module holds one ``F_*`` per ``fun``, one
+        ``C_*`` per channel overload, one ``I_*`` per ``initstate`` and
+        nothing else — no second copy of a channel body."""
+        from repro.jit.codegen import generate_source_artifact
+
+        source = SHIPPED.get(name) or corpus_programs()[name]
+        info = typecheck(parse(source))
+        channels = info.all_channels()
+        expected = ([f"F_{fun}" for fun in info.funs]
+                    + [f"C_{d.name}_{i}" for i, d in enumerate(channels)]
+                    + [f"I_{d.name}_{i}" for i, d in enumerate(channels)
+                       if d.initstate is not None])
+        generated = generate_source_artifact(info).generated_source
+        defined = re.findall(r"^def (\w+)\(", generated, re.MULTILINE)
+        assert sorted(defined) == sorted(expected)
 
     def test_prime_identifiers_mangled(self):
         src = ("channel network(ps : int, ss : unit, p : ip*tcp*blob) is "

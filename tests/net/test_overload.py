@@ -1,7 +1,7 @@
 """Overload-control mechanism tests (DESIGN §14).
 
-Covers the three pure mechanisms in :mod:`repro.net.overload` —
-Backoff, EwmaLoadEstimator, AdmissionController — plus property tests
+Covers the two pure mechanisms in :mod:`repro.net.overload` —
+Backoff, AdmissionController — plus property tests
 for the hardened :class:`~repro.net.monitor.LoadMonitor` (out-of-order
 records must keep the window sum exact and the bucket deque sorted).
 """
@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.net.monitor import LoadMonitor
-from repro.net.overload import AdmissionController, Backoff, EwmaLoadEstimator
+from repro.net.overload import AdmissionController, Backoff
 
 
 class TestBackoff:
@@ -130,40 +130,6 @@ class TestAdmissionController:
             AdmissionController(decrease=1.5)
 
 
-class TestEwmaLoadEstimator:
-    def fill(self, est, start, seconds, bytes_per_bucket):
-        t = start
-        monitor = est.monitor
-        steps = int(seconds / monitor.bucket)
-        for _ in range(steps):
-            est.record(t, bytes_per_bucket)
-            t += monitor.bucket
-        return t
-
-    def test_utilization_tracks_rate(self):
-        est = EwmaLoadEstimator(80_000.0)  # 10 kB/s capacity
-        # 500 B per 0.1 s bucket = 40 kbit/s = 50% utilization
-        t = self.fill(est, 0.0, 3.0, 500)
-        assert est.utilization(t) == pytest.approx(0.5, rel=0.1)
-
-    def test_hysteresis_trip_and_clear(self):
-        est = EwmaLoadEstimator(80_000.0, trip=0.9, clear=0.7)
-        t = self.fill(est, 0.0, 3.0, 1000)  # 100% utilization
-        assert est.overloaded(t)
-        # falling to 80% stays tripped (above clear)
-        t = self.fill(est, t, 3.0, 800)
-        assert est.overloaded(t)
-        # falling to 50% clears
-        t = self.fill(est, t, 3.0, 500)
-        assert not est.overloaded(t)
-
-    def test_validates_parameters(self):
-        with pytest.raises(ValueError):
-            EwmaLoadEstimator(0.0)
-        with pytest.raises(ValueError):
-            EwmaLoadEstimator(1000.0, trip=0.5, clear=0.8)
-
-
 class TestLoadMonitorOutOfOrder:
     def test_late_record_merges_into_window(self):
         m = LoadMonitor(window=1.0, bucket=0.1)
@@ -199,37 +165,3 @@ class TestLoadMonitorOutOfOrder:
         assert m.bytes_in_window(latest) == sum(n for _, n in events)
         assert m.total_bytes == sum(n for _, n in events)
         assert m.total_packets == len(events)
-
-    @given(st.lists(st.tuples(st.floats(min_value=0.0, max_value=5.0,
-                                        allow_nan=False),
-                              st.integers(1, 5000)),
-                    min_size=1, max_size=60),
-           st.floats(min_value=5.0, max_value=20.0, allow_nan=False))
-    @settings(max_examples=50, deadline=None)
-    def test_ewma_rate_finite_and_nonnegative(self, events, query_at):
-        m = LoadMonitor(window=1.0, bucket=0.1)
-        for now, nbytes in events:
-            m.record(now, nbytes)
-        rate = m.ewma_rate(query_at)
-        assert rate >= 0.0
-        # bounded by the max single-bucket burst rate
-        assert rate <= sum(n for _, n in events) * 8 / m.bucket
-        # querying must not mutate state
-        assert m.ewma_rate(query_at) == rate
-
-    def test_ewma_converges_to_steady_rate(self):
-        m = LoadMonitor(window=1.0, bucket=0.1, ewma_alpha=0.3)
-        t = 0.0
-        for _ in range(100):
-            m.record(t, 1000)  # 1000 B / 0.1 s = 80 kbit/s
-            t += 0.1
-        assert m.ewma_rate(t) == pytest.approx(80_000.0, rel=0.05)
-
-    def test_ewma_decays_over_silence(self):
-        m = LoadMonitor(window=1.0, bucket=0.1)
-        t = 0.0
-        for _ in range(30):
-            m.record(t, 1000)
-            t += 0.1
-        busy = m.ewma_rate(t)
-        assert m.ewma_rate(t + 5.0) < busy * 0.01

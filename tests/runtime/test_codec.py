@@ -2,6 +2,9 @@
 
 import pytest
 
+from repro.analysis.wire import wire_summary
+from repro.fuzz.grammar import PACKET_TYPES
+from repro.lang import parse, typecheck
 from repro.lang import types as T
 from repro.net.addresses import HostAddr
 from repro.net.packet import (IpHeader, Packet, TcpHeader, UdpHeader,
@@ -17,6 +20,41 @@ UDP_HOST_INT = T.TupleType((T.IP, T.UDP, T.HOST, T.INT))
 def tcp_pkt(payload=b"data"):
     return tcp_packet(HostAddr.parse("1.1.1.1"),
                       HostAddr.parse("2.2.2.2"), 10, 80, payload)
+
+
+class TestLayout:
+    """One derivation of the layout facts, three readers that must
+    agree on them: ``codec.layout`` itself, the install-time
+    ``DispatchPlan`` and the wire analysis' ``OverloadShape``."""
+
+    @pytest.mark.parametrize("packet_type", PACKET_TYPES)
+    def test_layout_plan_and_wire_shape_admit_alike(self, packet_type):
+        info = typecheck(parse(
+            f"channel network(ps : int, ss : unit, p : {packet_type}) is "
+            "(ps, ss)"))
+        ty = info.channels["network"][0].packet_type
+        lay = codec.layout(ty)
+        plan = codec.dispatch_plan(ty)
+        shape = wire_summary(info).channel("network").shapes[0]
+        assert plan.transport_cls is lay.transport_cls
+        assert (shape.transport, shape.fixed, shape.has_tail) == (
+            lay.transport_name, lay.fixed, lay.has_tail)
+        assert shape.views == tuple(str(v) for v in lay.views)
+        for n in (lay.fixed - 1, lay.fixed, lay.fixed + 1):
+            if n < 0:
+                continue
+            expected = n >= lay.fixed if lay.has_tail else n == lay.fixed
+            assert lay.admits(n) == plan.admits(n) == shape.admits(n) \
+                == expected
+            packet = Packet(ip=IpHeader(), payload=bytes(n),
+                            transport=lay.transport_cls())
+            assert codec.matches(packet, ty) == expected
+
+    def test_malformed_type_has_no_layout(self):
+        bad = T.TupleType((T.IP, T.BLOB, T.INT))
+        with pytest.raises(codec.CodecError, match="final"):
+            codec.layout(bad)
+        assert codec.dispatch_plan(bad) is None
 
 
 class TestMatching:
