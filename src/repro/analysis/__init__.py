@@ -6,7 +6,7 @@ from .paths import PathSummary, channel_paths, program_paths
 from .termination import (GlobalTerminationReport, check_global_termination,
                           check_local_termination)
 from .verifier import (ANALYSES, AnalysisResult, VerificationReport,
-                       verify_program, verify_report)
+                       verify_report)
 from .wire import (WIRE_REV, ChannelSummary, CompatReport, OverloadShape,
                    Reason, Verdict, WireSummary, check_compatible,
                    wire_summary)
@@ -33,7 +33,6 @@ __all__ = [
     "check_global_termination",
     "check_local_termination",
     "program_paths",
-    "verify_program",
     "verify_report",
     "wire_summary",
 ]

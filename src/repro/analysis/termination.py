@@ -20,13 +20,12 @@ sites, d = destinations known to the program).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
-import networkx as nx
+from dataclasses import dataclass
 
 from ..lang import ast
 from ..lang.errors import VerificationError
 from ..lang.typechecker import ProgramInfo
+from ..net.routing import bfs_parents
 from .paths import (Dst, DstKind, Emission, Port, PortKind, ProgramPaths,
                     program_paths)
 
@@ -74,10 +73,6 @@ class _State:
     overload: int
     dst: Dst
     port: Port
-
-    def pretty(self) -> str:
-        return f"{self.channel}[{self.overload}] dst={self.dst} " \
-               f"port={self.port}"
 
 
 #: Resolved destination meaning "the application's original destination".
@@ -135,21 +130,24 @@ def check_global_termination(
     Raises :class:`VerificationError` if a reachable abstract cycle
     contains a destination-rewriting emission (a packet could then visit
     the same channel in the same abstract configuration indefinitely,
-    i.e. cycle through the network).  ``paths`` is ``program_paths(info)``
-    when the caller already has it."""
+    i.e. cycle through the network); the edge named is the first such,
+    in discovery order.  ``paths`` is ``program_paths(info)`` when the
+    caller already has it."""
     paths_of = program_paths(info) if paths is None else paths
     emission_sites = sum(len(p.emissions) for summaries in paths_of.values()
                          for p in summaries)
 
-    graph = nx.DiGraph()
+    # state -> successor -> (rewrites the destination?, last emission
+    # drawing the edge), both levels in discovery order
+    edges: dict[_State, dict[_State, tuple[bool, Emission]]] = {}
     # Every channel can receive a fresh application packet.
     frontier = [_State(name, i, DST_APP, PORT_APP) for name, i in paths_of]
     seen: set[_State] = set(frontier)
-    rewrite_edges: list[tuple[_State, _State, Emission]] = []
+    rewrite_edges = 0
 
     while frontier:
         state = frontier.pop()
-        graph.add_node(state)
+        out = edges[state] = {}
         for path in paths_of[(state.channel, state.overload)]:
             if not path.constraint.admits(state.port, state.dst):
                 continue
@@ -161,23 +159,18 @@ def check_global_termination(
                         info.channel_overloads(emission.target)):
                     succ = _State(emission.target, succ_i, resolved_dst,
                                   resolved_port)
-                    if graph.has_edge(state, succ):
-                        rewrite = rewrite or \
-                            graph.edges[state, succ]["rewrite"]
-                    graph.add_edge(state, succ, rewrite=rewrite,
-                                   emission=emission)
+                    if succ in out:
+                        rewrite = rewrite or out[succ][0]
+                    out[succ] = (rewrite, emission)
                     if rewrite:
-                        rewrite_edges.append((state, succ, emission))
+                        rewrite_edges += 1
                     if succ not in seen:
                         seen.add(succ)
                         frontier.append(succ)
 
-    for component in nx.strongly_connected_components(graph):
-        for u, v, data in graph.edges(component, data=True):
-            in_cycle = (u in component and v in component
-                        and (len(component) > 1 or graph.has_edge(u, u)))
-            if in_cycle and data["rewrite"]:
-                emission = data["emission"]
+    for u, out in edges.items():
+        for v, (rewrite, emission) in out.items():
+            if rewrite and u in bfs_parents(edges, v):
                 raise VerificationError(
                     f"possible packet cycle: channel {u.channel!r} "
                     f"(state dst={u.dst}, port={u.port}) re-emits on "
@@ -188,6 +181,6 @@ def check_global_termination(
 
     return GlobalTerminationReport(
         states_explored=len(seen),
-        edges=graph.number_of_edges(),
-        rewrite_edges=len(rewrite_edges),
+        edges=sum(len(out) for out in edges.values()),
+        rewrite_edges=rewrite_edges,
         emission_sites=emission_sites)

@@ -8,9 +8,10 @@ analyses of paper §2.1 run against the source before installation:
 3. guaranteed packet delivery,
 4. safe (linear) packet duplication.
 
-``verify_program`` raises :class:`VerificationError` on the first failed
-analysis; ``verify_report`` runs all of them and returns a structured
-report, which the deployment tooling prints to operators.
+``verify_report`` runs all of them and returns a structured report,
+which the deployment tooling prints to operators; the install-time gate
+over it is ``ProgramCache.check_verified``, which raises
+:class:`VerificationError` naming the first failed analysis.
 
 The paper notes that some legitimate protocols cannot be proven (e.g.
 multicast-style duplication); the run-time accepts those only from
@@ -110,17 +111,4 @@ def verify_report(info: ProgramInfo) -> VerificationReport:
     run("global-termination", global_termination)
     run("delivery", check_delivery)
     run("duplication", lambda info: check_duplication(info, paths))
-    return report
-
-
-def verify_program(info: ProgramInfo) -> VerificationReport:
-    """Run all four analyses; raise on the first failure.
-
-    This is the install-time gate of the run-time system."""
-    check_local_termination(info)
-    report = VerificationReport()
-    paths = program_paths(info)
-    report.global_termination = check_global_termination(info, paths)
-    report.delivery = check_delivery(info)
-    report.duplication = check_duplication(info, paths)
     return report

@@ -4,7 +4,6 @@ from .addresses import ANY_ADDR, BROADCAST_ADDR, AddressAllocator, HostAddr, add
 from .faults import FaultController
 from .link import Link, Segment
 from .monitor import LinkStats, LoadMonitor
-from .multicast import GroupManager
 from .node import Host, Interface, Node, NodeStats, Router
 from .packet import (IpHeader, Packet, TcpHeader, UdpHeader, tcp_packet,
                      udp_packet)
@@ -20,7 +19,6 @@ __all__ = [
     "BROADCAST_ADDR",
     "AddressAllocator",
     "FaultController",
-    "GroupManager",
     "Host",
     "HostAddr",
     "Interface",

@@ -152,92 +152,73 @@ class _TxQueue:
         return self.monitor.rate_kbps(self._sim.now)
 
 
-class Link:
-    """A full-duplex point-to-point link between exactly two interfaces."""
+class Medium:
+    """What a link and a segment share: the attached interfaces, one
+    transmission queue per sending direction, delivery to every end but
+    the sender's, the up/down switch, taps and summed counters."""
 
-    def __init__(self, sim: Simulator, bandwidth_bps: float = 10_000_000,
-                 latency: float = 0.0005, queue_limit: int = 64,
-                 loss_rate: float = 0.0, name: str = ""):
+    def __init__(self, sim: Simulator, bandwidth_bps: float,
+                 latency: float, queue_limit: int, loss_rate: float,
+                 name: str):
         self._sim = sim
         self.name = name
         self.bandwidth_bps = bandwidth_bps
+        self.latency = latency
+        self._queue_limit = queue_limit
+        self._loss_rate = loss_rate
         self._ifaces: list["Interface"] = []
-        self._tx: dict[int, _TxQueue] = {}
-        self._config = (bandwidth_bps, latency, queue_limit, loss_rate)
+        self._queues: list[_TxQueue] = []
 
-    def attach(self, iface: "Interface") -> None:
-        if len(self._ifaces) >= 2:
-            raise RuntimeError(f"link {self.name!r} already has two ends")
-        self._ifaces.append(iface)
-        bandwidth, latency, queue_limit, loss = self._config
-        self._tx[id(iface)] = _TxQueue(
-            self._sim, bandwidth, latency, queue_limit,
-            self._deliver_from(iface), loss,
-            name=f"tx:{self.name or 'link'}:{iface.node.name}")
+    def _new_queue(self, name: str) -> _TxQueue:
+        txq = _TxQueue(self._sim, self.bandwidth_bps, self.latency,
+                       self._queue_limit, self.deliver, self._loss_rate,
+                       name=name)
+        self._queues.append(txq)
+        return txq
 
-    def _deliver_from(self, sender: "Interface"):
-        def deliver(packet: Packet, _sender: "Interface") -> None:
-            for iface in self._ifaces:
-                if iface is not sender:
-                    iface.receive(packet)
-
-        return deliver
-
-    def transmit(self, packet: Packet, sender: "Interface") -> None:
-        self._tx[id(sender)].send(packet, sender)
-
-    @property
-    def up(self) -> bool:
-        """Is the link carrying traffic?  Setting ``False`` flushes both
-        transmission queues and drops everything sent until restored."""
-        return all(tx.up for tx in self._tx.values())
-
-    @up.setter
-    def up(self, value: bool) -> None:
-        for tx in self._tx.values():
-            tx.up = value
-            if not value:
-                tx.clear()
-
-    def other_end(self, iface: "Interface") -> "Interface":
-        for other in self._ifaces:
-            if other is not iface:
-                return other
-        raise RuntimeError("link has no other end attached")
-
-    def deliver_opposite(self, sender: "Interface",
-                         packet: Packet) -> None:
-        """Deliver ``packet`` to the end(s) opposite ``sender`` — the
-        receiving half of a transmission whose propagation crossed a
-        segment boundary (see :mod:`repro.net.shard`)."""
+    def deliver(self, packet: Packet, sender: "Interface") -> None:
+        """Hand ``packet`` to every attached interface but ``sender`` —
+        the receiving half of a transmission, also what a propagation
+        that crossed a segment boundary (:mod:`repro.net.shard`) ends
+        in."""
         for iface in self._ifaces:
             if iface is not sender:
                 iface.receive(packet)
 
-    def tx_queue(self, sender: "Interface") -> _TxQueue:
-        return self._tx[id(sender)]
+    @property
+    def up(self) -> bool:
+        """Is the medium carrying traffic?  Setting ``False`` flushes
+        every transmission queue and drops everything sent until
+        restored."""
+        return all(tx.up for tx in self._queues)
+
+    @up.setter
+    def up(self, value: bool) -> None:
+        for tx in self._queues:
+            tx.up = value
+            if not value:
+                tx.clear()
 
     def add_send_tap(self,
                      tap: Callable[[Packet, "Interface"], None]) -> None:
-        """Observe every packet starting transmission, either
-        direction."""
-        for tx in self._tx.values():
+        """Observe every packet starting transmission, any direction."""
+        for tx in self._queues:
             tx.send_taps.append(tap)
 
     def add_drop_tap(self, tap: Callable[[Packet, "Interface", str],
                                          None]) -> None:
-        """Observe every packet discarded on this link, either
+        """Observe every packet discarded on this medium, any
         direction, with the drop reason."""
-        for tx in self._tx.values():
+        for tx in self._queues:
             tx.drop_taps.append(tap)
 
     def stats_dict(self) -> dict[str, object]:
-        """Both directions' counters summed, plus live queue state —
+        """Every direction's counters summed, plus live queue state —
         the shape :meth:`MetricsRegistry.register` adapts."""
         out = {"packets_sent": 0, "bytes_sent": 0, "packets_dropped": 0,
                "bytes_dropped": 0, "packets_lost": 0, "bytes_lost": 0}
         queued = 0
-        for tx in self._tx.values():
+        for tx in self._queues:
             for key in out:
                 out[key] += getattr(tx.stats, key)
             queued += tx.queue_length()
@@ -250,7 +231,37 @@ class Link:
         return list(self._ifaces)
 
 
-class Segment:
+class Link(Medium):
+    """A full-duplex point-to-point link between exactly two interfaces."""
+
+    def __init__(self, sim: Simulator, bandwidth_bps: float = 10_000_000,
+                 latency: float = 0.0005, queue_limit: int = 64,
+                 loss_rate: float = 0.0, name: str = ""):
+        super().__init__(sim, bandwidth_bps, latency, queue_limit,
+                         loss_rate, name)
+        self._tx: dict[int, _TxQueue] = {}
+
+    def attach(self, iface: "Interface") -> None:
+        if len(self._ifaces) >= 2:
+            raise RuntimeError(f"link {self.name!r} already has two ends")
+        self._ifaces.append(iface)
+        self._tx[id(iface)] = self._new_queue(
+            f"tx:{self.name or 'link'}:{iface.node.name}")
+
+    def transmit(self, packet: Packet, sender: "Interface") -> None:
+        self._tx[id(sender)].send(packet, sender)
+
+    def other_end(self, iface: "Interface") -> "Interface":
+        for other in self._ifaces:
+            if other is not iface:
+                return other
+        raise RuntimeError("link has no other end attached")
+
+    def tx_queue(self, sender: "Interface") -> _TxQueue:
+        return self._tx[id(sender)]
+
+
+class Segment(Medium):
     """A shared broadcast segment (the experiments' '10 Mbit Ethernet').
 
     Half-duplex: all transmissions serialize through one queue, so any
@@ -259,16 +270,15 @@ class Segment:
     address; ASPs may listen promiscuously).
     """
 
+    #: the address block :meth:`Network.attach` allocates stations from
+    subnet: int | None = None
+
     def __init__(self, sim: Simulator, bandwidth_bps: float = 10_000_000,
                  latency: float = 0.0002, queue_limit: int = 128,
                  loss_rate: float = 0.0, name: str = ""):
-        self._sim = sim
-        self.name = name
-        self.bandwidth_bps = bandwidth_bps
-        self._ifaces: list["Interface"] = []
-        self._tx = _TxQueue(sim, bandwidth_bps, latency, queue_limit,
-                            self._broadcast, loss_rate,
-                            name=f"tx:{name or 'segment'}")
+        super().__init__(sim, bandwidth_bps, latency, queue_limit,
+                         loss_rate, name)
+        self._tx = self._new_queue(f"tx:{name or 'segment'}")
 
     def attach(self, iface: "Interface") -> None:
         self._ifaces.append(iface)
@@ -276,44 +286,8 @@ class Segment:
     def transmit(self, packet: Packet, sender: "Interface") -> None:
         self._tx.send(packet, sender)
 
-    @property
-    def up(self) -> bool:
-        """Is the segment carrying traffic?  Setting ``False`` flushes
-        the shared queue and drops everything sent until restored."""
-        return self._tx.up
-
-    @up.setter
-    def up(self, value: bool) -> None:
-        self._tx.up = value
-        if not value:
-            self._tx.clear()
-
-    def _broadcast(self, packet: Packet, sender: "Interface") -> None:
-        for iface in self._ifaces:
-            if iface is not sender:
-                iface.receive(packet)
-
     def tx_queue(self, sender: "Interface") -> _TxQueue:
         return self._tx
-
-    def add_send_tap(self,
-                     tap: Callable[[Packet, "Interface"], None]) -> None:
-        self._tx.send_taps.append(tap)
-
-    def add_drop_tap(self, tap: Callable[[Packet, "Interface", str],
-                                         None]) -> None:
-        self._tx.drop_taps.append(tap)
-
-    def stats_dict(self) -> dict[str, object]:
-        stats = self._tx.stats
-        return {"packets_sent": stats.packets_sent,
-                "bytes_sent": stats.bytes_sent,
-                "packets_dropped": stats.packets_dropped,
-                "bytes_dropped": stats.bytes_dropped,
-                "packets_lost": stats.packets_lost,
-                "bytes_lost": stats.bytes_lost,
-                "queued": self._tx.queue_length(),
-                "up": self.up}
 
     @property
     def stats(self) -> LinkStats:
@@ -321,10 +295,3 @@ class Segment:
 
     def load_kbps(self) -> int:
         return self._tx.load_kbps()
-
-    @property
-    def interfaces(self) -> list["Interface"]:
-        return list(self._ifaces)
-
-
-Medium = Link | Segment

@@ -1,74 +1,39 @@
-"""IP multicast support: group management and tree construction.
+"""IP multicast: a pre-established distribution tree per group.
 
-The audio-broadcast application sends to a class-D group address; the
-topology builder computes a shortest-path tree from the source to the
-joined receivers and installs per-node forwarding entries
-(``Node.multicast_routes``).  This models a pre-established multicast
-distribution tree (the paper's application uses IP multicast on a LAN).
+The audio-broadcast application sends to a class-D group address (the
+paper's application uses IP multicast on a LAN); the tree is the union
+of the source's breadth-first paths to the joined receivers — the very
+paths its unicast routes follow — installed as per-node forwarding
+entries (``Node.multicast_routes``).
 """
 
 from __future__ import annotations
 
-import networkx as nx
-
 from .addresses import HostAddr
-from .node import Interface, Node
+from .node import Node
+from .routing import adjacency, bfs_parents
 
 
-class GroupManager:
-    """Builds multicast trees over a set of nodes."""
-
-    def __init__(self, nodes: list[Node]):
-        self._nodes = list(nodes)
-        self._graph = self._adjacency()
-
-    def _adjacency(self) -> nx.Graph:
-        graph = nx.Graph()
-        for node in self._nodes:
-            graph.add_node(node.name)
-        media: dict[int, list[Node]] = {}
-        for node in self._nodes:
-            for iface in node.interfaces:
-                media.setdefault(id(iface.medium), []).append(node)
-        for members in media.values():
-            members = sorted(set(members), key=lambda n: n.name)
-            for i, a in enumerate(members):
-                for b in members[i + 1:]:
-                    graph.add_edge(a.name, b.name)
-        return graph
-
-    def setup_group(self, group: HostAddr, source: Node,
-                    receivers: list[Node]) -> None:
-        """Join ``receivers`` to ``group`` and install the forwarding
-        tree from ``source``."""
-        if not group.is_multicast:
-            raise ValueError(f"{group} is not a multicast address")
-        by_name = {node.name: node for node in self._nodes}
-        tree_edges: set[tuple[str, str]] = set()
-        for receiver in receivers:
-            receiver.join_group(group)
-            path = nx.shortest_path(self._graph, source.name,
-                                    receiver.name)
-            for a, b in zip(path, path[1:]):
-                tree_edges.add((a, b))
-
-        # Install, per node on the tree, the interfaces leading to its
-        # tree children.
-        for a, b in sorted(tree_edges):
-            node = by_name[a]
-            child = by_name[b]
-            iface = _iface_toward(node, child)
-            if iface is None:
-                raise RuntimeError(
-                    f"no interface from {a} toward {b} for group {group}")
-            routes = node.multicast_routes.setdefault(group, [])
-            if iface not in routes:
-                routes.append(iface)
-
-
-def _iface_toward(node: Node, neighbor: Node) -> Interface | None:
-    neighbor_media = {id(i.medium) for i in neighbor.interfaces}
-    for iface in node.interfaces:
-        if id(iface.medium) in neighbor_media:
-            return iface
-    return None
+def install_group(nodes: list[Node], group: HostAddr, source: Node,
+                  receivers: list[Node]) -> None:
+    """Join ``receivers`` to ``group`` and install the forwarding tree
+    from ``source`` over the topology ``nodes`` are wired into."""
+    if not group.is_multicast:
+        raise ValueError(f"{group} is not a multicast address")
+    adj = adjacency(nodes, live=False)
+    parents = bfs_parents(adj, source)
+    tree_edges: set[tuple[Node, Node]] = set()
+    for child in receivers:
+        child.join_group(group)
+        if child not in parents:
+            raise ValueError(f"no path from {source.name} to "
+                             f"{child.name} for group {group}")
+        while (parent := parents[child]) is not None:
+            tree_edges.add((parent, child))
+            child = parent
+    # Per node on the tree, the interfaces leading to its tree children.
+    for parent, child in sorted(tree_edges,
+                                key=lambda e: (e[0].name, e[1].name)):
+        routes = parent.multicast_routes.setdefault(group, [])
+        if adj[parent][child] not in routes:
+            routes.append(adj[parent][child])

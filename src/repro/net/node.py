@@ -12,18 +12,20 @@ the group tree.
 from __future__ import annotations
 
 import dataclasses
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable
 
 from .addresses import HostAddr
-from .link import Medium, Segment
-from .packet import PROTO_TCP, PROTO_UDP, Packet
+from .link import Medium
+from .packet import Packet
 from .routing import RoutingTable
 from .sim import Simulator
 
 if TYPE_CHECKING:
     from ..obs import Observability
     from ..runtime.planp_layer import PlanPLayer
+    from .tcp import TcpStack
+    from .udp import UdpStack
 
 #: Default tier-3 batch-drain limit for routers: up to this many packets
 #: queued by one scheduler activation run through a single specialized
@@ -50,10 +52,7 @@ class Interface:
         self.node.receive(packet, self)
 
     def load_kbps(self) -> int:
-        medium = self.medium
-        if isinstance(medium, Segment):
-            return medium.load_kbps()
-        return medium.tx_queue(self).load_kbps()
+        return self.medium.tx_queue(self).load_kbps()
 
     def bandwidth_kbps(self) -> int:
         return int(self.medium.bandwidth_bps // 1000)
@@ -105,6 +104,10 @@ class Node:
         self.routes = RoutingTable()
         self.stats = NodeStats()
         self.planp: "PlanPLayer | None" = None
+        #: transport stacks, created on first use by ``Network.udp`` /
+        #: ``Network.tcp``
+        self.udp_stack: "UdpStack | None" = None
+        self.tcp_stack: "TcpStack | None" = None
         #: is the node running?  A crashed node neither receives nor
         #: sends; see :meth:`crash` / :meth:`restart`.
         self.up = True
@@ -191,13 +194,11 @@ class Node:
         out["up"] = self.up
         if self.planp is not None:
             out["planp"] = dataclasses.asdict(self.planp.stats)
-        tcp = getattr(self, "_tcp_stack", None)
-        if tcp is not None:
-            out["tcp"] = tcp.stats_dict()
-        udp = getattr(self, "_udp_stack", None)
-        if udp is not None:
-            out["udp"] = {"datagrams_in": udp.datagrams_in,
-                          "datagrams_out": udp.datagrams_out}
+        if self.tcp_stack is not None:
+            out["tcp"] = self.tcp_stack.stats_dict()
+        if self.udp_stack is not None:
+            out["udp"] = {"datagrams_in": self.udp_stack.datagrams_in,
+                          "datagrams_out": self.udp_stack.datagrams_out}
         return out
 
     # -- failure model --------------------------------------------------------------

@@ -5,9 +5,8 @@ Two mechanisms, shared by the endpoints and the deployment runtime:
 * :class:`Backoff` — the jittered-exponential retry schedule netdeploy's
   ack/retransmit machinery always used, extracted so the HTTP client's
   retry policy draws from exactly the same mechanism.  The jitter draw
-  is one ``entropy.random()`` per armed timer (the
-  :meth:`~repro.net.sim.Simulator.jittered` formula), so a caller that
-  feeds a per-entity entropy stream stays byte-identical under sharding.
+  is one ``entropy.random()`` per armed timer, so a caller that feeds a
+  per-entity entropy stream stays byte-identical under sharding.
 * :class:`AdmissionController` — AIMD admission: a token bucket whose
   fill rate is raised additively while the system is healthy and cut
   multiplicatively on every overload signal, the classic TCP-shaped

@@ -8,13 +8,12 @@ except in fault-injection tests, which recompute after removing nodes.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING
-
-import networkx as nx
+from typing import TYPE_CHECKING, Iterable, Mapping, TypeVar
 
 from .addresses import HostAddr
 
 if TYPE_CHECKING:
+    from .link import Medium
     from .node import Interface, Node
 
 
@@ -41,9 +40,6 @@ class RoutingTable:
             return route
         return self._default
 
-    def remove_route(self, dst: HostAddr) -> None:
-        self._routes.pop(dst, None)
-
     def __len__(self) -> int:
         return len(self._routes)
 
@@ -51,78 +47,100 @@ class RoutingTable:
         return dict(self._routes)
 
 
-def compute_routes(nodes: list["Node"]) -> None:
-    """Fill every node's routing table with shortest-path routes.
+Adjacency = dict["Node", dict["Node", "Interface"]]
+T = TypeVar("T")
 
-    Builds the node adjacency graph from shared media, runs all-pairs
-    shortest paths, and installs one host route per (node, destination
-    address).  Deterministic: ties break on node name.
+
+def adjacency(nodes: list["Node"], *, live: bool) -> Adjacency:
+    """Who neighbours whom, through which interface, in which order.
+
+    Two nodes on one medium are neighbours.  ``adj[a][b]`` is the
+    interface ``a`` reaches ``b`` through: the first of ``a``'s own, in
+    attachment order, whose medium ``b`` is on too.  ``adj[a]`` lists
+    neighbours by the medium that first joins them to ``a`` — media in
+    the order ``nodes`` first attach to them — and by name within one
+    medium.  That order is the whole equal-cost tie-break of
+    :func:`bfs_parents`, hence of every route and multicast tree.
+
+    ``live=True`` leaves out crashed nodes and down media (routes
+    reconverge onto what survives); ``live=False`` is the topology as
+    wired (a multicast tree is provisioned once, not rerouted).
+    """
+    if live:
+        nodes = [node for node in nodes if node.up]
+    members: dict["Medium", set["Node"]] = {}
+    for node in nodes:
+        for iface in node.interfaces:
+            if not live or iface.medium.up:
+                members.setdefault(iface.medium, set()).add(node)
+
+    def egress(a: "Node", b: "Node") -> "Interface":
+        return next(iface for iface in a.interfaces
+                    if b in members.get(iface.medium, ()))
+
+    adj: Adjacency = {node: {} for node in nodes}
+    for group in members.values():
+        group = sorted(group, key=lambda node: node.name)
+        for i, a in enumerate(group):
+            for b in group[i + 1:]:
+                if b not in adj[a]:
+                    adj[a][b] = egress(a, b)
+                    adj[b][a] = egress(b, a)
+    return adj
+
+
+def bfs_parents(adj: Mapping[T, Iterable[T]],
+                source: T) -> dict[T, T | None]:
+    """FIFO breadth-first search: every node reachable from ``source``
+    mapped to the node it was discovered from (``source`` to ``None``),
+    in discovery order.  Of equal-cost paths the one through the
+    earliest-discovered parent wins, neighbours tried in ``adj`` order.
+    Any graph will do: the verifier's cycle check walks its abstract
+    states with it too."""
+    parents: dict[T, T | None] = {source: None}
+    frontier = [source]
+    for node in frontier:
+        for neighbour in adj[node]:
+            if neighbour not in parents:
+                parents[neighbour] = node
+                frontier.append(neighbour)
+    return parents
+
+
+def compute_routes(nodes: list["Node"]) -> None:
+    """Fill every node's routing table with shortest-path routes: one
+    host route per (node, destination address), out of the interface
+    toward the first hop of the node's breadth-first tree.
+    Deterministic, and not by node name: of equal-cost paths the one
+    whose media were attached first wins (see :func:`adjacency`).
 
     Fault-aware: crashed nodes (``up == False``) and down media are
-    excluded from the graph, so a recompute after an injected fault
-    reconverges onto the surviving topology.  A default route installed
-    by a topology builder (:meth:`RoutingTable.set_default`) is
-    preserved across the recompute — or re-derived onto the node's
-    first live interface if its old egress went down — rather than
-    silently dropped with the rest of the table.
+    left out, so a recompute after an injected fault reconverges onto
+    the surviving topology.  A default route installed by a topology
+    builder (:meth:`RoutingTable.set_default`) is preserved across the
+    recompute — or re-derived onto the node's first live interface if
+    its old egress went down — rather than silently dropped with the
+    rest of the table.
     """
-    alive = [node for node in nodes if node.up]
-    graph = nx.Graph()
-    for node in alive:
-        graph.add_node(node.name)
-    by_name = {node.name: node for node in alive}
-
-    # Adjacency: two live nodes sharing any up medium are neighbours.
-    medium_members: dict[int, list] = {}
-    for node in alive:
-        for iface in node.interfaces:
-            if getattr(iface.medium, "up", True):
-                medium_members.setdefault(id(iface.medium),
-                                          []).append(node)
-    for members in medium_members.values():
-        members = sorted(set(members), key=lambda n: n.name)
-        for i, a in enumerate(members):
-            for b in members[i + 1:]:
-                graph.add_edge(a.name, b.name)
-
-    paths = dict(nx.all_pairs_shortest_path(graph))
-
-    for node in alive:
+    adj = adjacency(nodes, live=True)
+    for node, neighbours in adj.items():
         node.routes = _recomputed_table(node, node.routes.default)
-        for target in alive:
-            if target is node:
+        out: dict["Node", "Interface"] = {}
+        for target, parent in bfs_parents(adj, node).items():
+            if parent is None:
                 continue
-            path = paths.get(node.name, {}).get(target.name)
-            if path is None or len(path) < 2:
-                continue
-            next_hop = by_name[path[1]]
-            iface = _iface_toward(node, next_hop)
-            if iface is None:
-                continue
+            out[target] = neighbours[target] if parent is node else out[parent]
             for addr in target.addresses:
-                node.routes.add_route(addr, iface)
+                node.routes.add_route(addr, out[target])
 
 
 def _recomputed_table(node: "Node",
                       old_default: "Interface | None") -> RoutingTable:
     """A fresh table carrying over (or re-deriving) the default route."""
     table = RoutingTable()
-    if old_default is None:
-        return table
-    if getattr(old_default.medium, "up", True):
-        table.set_default(old_default)
-        return table
-    for iface in node.interfaces:
-        if getattr(iface.medium, "up", True):
-            table.set_default(iface)
-            break
+    if old_default is not None:
+        for iface in (old_default, *node.interfaces):
+            if iface.medium.up:
+                table.set_default(iface)
+                break
     return table
-
-
-def _iface_toward(node: "Node", neighbor: "Node") -> "Interface | None":
-    neighbor_media = {id(i.medium) for i in neighbor.interfaces
-                      if getattr(i.medium, "up", True)}
-    for iface in node.interfaces:
-        if id(iface.medium) in neighbor_media:
-            return iface
-    return None

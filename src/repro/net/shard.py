@@ -147,7 +147,7 @@ def build_plan(net: "Network", segments: int,
                 f"shared segment {medium.name!r} spans shards {sorted(segs)}"
                 f" — a collision domain cannot be cut; keep its stations "
                 f"in one shard")
-        latency = medium._config[1]
+        latency = medium.latency
         if latency <= 0.0:
             raise ShardError(
                 f"cut link {medium.name!r} has zero latency — a cut link's"
@@ -251,8 +251,8 @@ class ShardRunner:
         for msg in msgs:
             self.sims[msg.dst_segment].post(
                 msg.arrival,
-                functools.partial(msg.link.deliver_opposite, msg.sender,
-                                  msg.packet),
+                functools.partial(msg.link.deliver, msg.packet,
+                                  msg.sender),
                 lp=msg.lp, lseq=msg.lseq)
             self.boundary_in[msg.dst_segment] += 1
 

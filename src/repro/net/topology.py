@@ -24,8 +24,8 @@ from typing import TYPE_CHECKING, Callable
 
 from ..obs import Observability
 from .addresses import AddressAllocator, HostAddr
-from .link import Link, Segment
-from .multicast import GroupManager
+from .link import Link, Medium, Segment
+from .multicast import install_group
 from .node import Host, Node, Router
 from .routing import compute_routes as _compute_routes
 from .sim import Simulator
@@ -96,7 +96,7 @@ class Network:
             self._sim_metric_name = f"sim{n}"
         self.obs.metrics.register(self._sim_metric_name, self._sim_stats)
         self.nodes: list[Node] = []
-        self.media: list[Link | Segment] = []
+        self.media: list[Medium] = []
         self._alloc = AddressAllocator(base_addr)
         self._by_name: dict[str, Node] = {}
         self._finalized = False
@@ -167,15 +167,14 @@ class Network:
         seg = Segment(self.sim, bandwidth_bps=bandwidth, latency=latency,
                       queue_limit=queue_limit, loss_rate=loss_rate,
                       name=name)
-        seg._subnet = self._alloc.new_subnet()  # type: ignore[attr-defined]
+        seg.subnet = self._alloc.new_subnet()
         self._register_medium(seg)
         return seg
 
     def attach(self, node: Node, seg: Segment) -> None:
-        addr = self._alloc.new_host(seg._subnet)  # type: ignore[attr-defined]
-        node.add_interface(seg, addr)
+        node.add_interface(seg, self._alloc.new_host(seg.subnet))
 
-    def _register_medium(self, medium: Link | Segment) -> None:
+    def _register_medium(self, medium: Medium) -> None:
         self.media.append(medium)
         self.obs.metrics.register(f"link.{medium.name}",
                                   medium.stats_dict)
@@ -195,15 +194,15 @@ class Network:
 
     def udp(self, node: Node) -> UdpStack:
         """The node's UDP stack (created on first use)."""
-        if not hasattr(node, "_udp_stack"):
-            node._udp_stack = UdpStack(node)  # type: ignore[attr-defined]
-        return node._udp_stack  # type: ignore[attr-defined]
+        if node.udp_stack is None:
+            node.udp_stack = UdpStack(node)
+        return node.udp_stack
 
     def tcp(self, node: Node) -> TcpStack:
         """The node's TCP stack (created on first use)."""
-        if not hasattr(node, "_tcp_stack"):
-            node._tcp_stack = TcpStack(node)  # type: ignore[attr-defined]
-        return node._tcp_stack  # type: ignore[attr-defined]
+        if node.tcp_stack is None:
+            node.tcp_stack = TcpStack(node)
+        return node.tcp_stack
 
     @property
     def faults(self) -> "FaultController":
@@ -239,7 +238,7 @@ class Network:
         """Install a multicast tree for ``group`` rooted at ``source``."""
         if isinstance(group, str):
             group = HostAddr.parse(group)
-        GroupManager(self.nodes).setup_group(group, source, receivers)
+        install_group(self.nodes, group, source, receivers)
         return group
 
     def run(self, until: float | None = None, *,

@@ -141,11 +141,6 @@ class CircuitBreaker:
         while errors and errors[0] < horizon:
             errors.popleft()
 
-    @property
-    def errors_in_window(self) -> int:
-        self._expire(self.clock())
-        return len(self._errors)
-
     def record_error(self) -> bool:
         """Account one runtime error; True when it trips the breaker.
 
@@ -714,24 +709,6 @@ class LifecycleManager:
                           gen.verified, "<rollback>")
 
     # -- helpers ----------------------------------------------------------------
-
-    def settle(self, timeout: float = 30.0, poll: float = 0.05) -> bool:
-        """Drive the simulation until no rollout is undecided and no
-        node is quarantined (or ``timeout`` sim-seconds pass).  Returns
-        True when the fleet settled healthy."""
-        sim = self.net.sim
-        horizon = sim.now + timeout
-
-        def settled() -> bool:
-            return (all(r.decided for r in self.rollouts)
-                    and not any(nl.quarantined
-                                for nl in self.nodes.values()))
-
-        while sim.now < horizon and not settled():
-            # Through the network façade, so sharded topologies poll
-            # correctly too.
-            self.net.run(until=min(sim.now + poll, horizon))
-        return settled()
 
     def _emit(self, kind: str, **data) -> None:
         self.net.obs.events.emit(kind, **data)

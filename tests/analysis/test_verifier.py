@@ -5,7 +5,7 @@ import copy
 import pytest
 
 from repro.analysis import (check_duplication, check_global_termination,
-                            program_paths, verify_program, verify_report)
+                            program_paths, verify_report)
 from repro.analysis.paths import PathWalker
 from repro.asps import (audio_client_asp, audio_router_asp,
                         http_gateway_asp, mpeg_client_asp,
@@ -32,9 +32,17 @@ def check(source: str):
     return typecheck(parse(source))
 
 
+def gate(source: str):
+    """The install-time gate (``ProgramCache.check_verified``) on a cache
+    of its own: the passing report, or :class:`VerificationError` on the
+    first failed analysis."""
+    cache = ProgramCache()
+    return cache.check_verified(*cache.frontend(source))
+
+
 @pytest.mark.parametrize("name", sorted(ALL_ASPS))
 def test_shipped_asp_verifies(name):
-    report = verify_program(check(ALL_ASPS[name]))
+    report = gate(ALL_ASPS[name])
     assert report.global_termination is not None
     assert report.delivery is not None
     assert report.duplication is not None
@@ -56,9 +64,11 @@ def test_report_mode_collects_failures():
     assert "duplication" in failed
     assert "FAIL duplication" in report.summary()
 
-    # verify_program raises instead.
-    with pytest.raises(VerificationError):
-        verify_program(check(bad))
+    # The gate raises instead, naming the first analysis that failed.
+    with pytest.raises(VerificationError,
+                       match="rejected by duplication") as err:
+        gate(bad)
+    assert err.value.analysis == "duplication"
 
 
 def test_multicast_style_program_needs_privilege():
@@ -145,7 +155,7 @@ class TestOneEnumeration:
                 assert by_name[analysis].detail == value
                 assert getattr(report, attr) is None
         if report.passed:
-            strict = verify_program(info)
+            strict = gate(PROGRAMS[name])
             assert strict.global_termination == report.global_termination
             assert strict.duplication == report.duplication
 
@@ -175,8 +185,10 @@ class TestOneEnumeration:
             assert "budget exceeded" in by_name[analysis].detail
         assert (by_name["global-termination"].detail
                 == by_name["duplication"].detail)
-        with pytest.raises(VerificationError, match="budget exceeded"):
-            verify_program(check(PATH_BOMB))
+        with pytest.raises(
+                VerificationError,
+                match="rejected by global-termination.*budget exceeded"):
+            gate(PATH_BOMB)
 
     def test_two_programs_never_share_summaries(self, walks):
         """Sharing is scoped to one ``verify_report`` call: the same text

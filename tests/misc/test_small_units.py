@@ -141,7 +141,7 @@ class TestTopologyGuards:
         assert net["a"] is a
 
     def test_link_is_two_ended(self):
-        from repro.net import Link, Network
+        from repro.net import Network
 
         net = Network()
         a = net.add_host("a")
@@ -153,6 +153,19 @@ class TestTopologyGuards:
                             __import__("repro.net.addresses",
                                        fromlist=["HostAddr"])
                             .HostAddr.parse("10.9.9.9"))
+
+
+class TestDeclaredDependencies:
+    def test_runtime_never_imports_networkx(self):
+        """``pyproject.toml`` declares numpy alone; the frozen routing and
+        termination oracles under ``tests/`` are networkx's only users."""
+        import subprocess
+        import sys
+
+        code = ("import sys, repro.net, repro.analysis, repro.runtime, "
+                "repro.apps.http, repro.apps.audio, repro.experiments; "
+                "assert 'networkx' not in sys.modules")
+        subprocess.run([sys.executable, "-c", code], check=True)
 
 
 class TestChannelStateIsolation:

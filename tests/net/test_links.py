@@ -2,9 +2,11 @@
 
 import pytest
 
-from repro.net import Network
+from repro.net import Link, Network, Segment
+from repro.net.link import Medium
 from repro.net.monitor import LoadMonitor
 from repro.net.packet import udp_packet
+from repro.net.routing import adjacency
 
 
 def two_hosts(bandwidth=8_000_000, latency=0.001, queue_limit=4,
@@ -127,6 +129,59 @@ class TestSegment:
         net.run(until=1.2)
         # 100 kB/s ~ 800 kbit/s over the 1-second window
         assert 600 < seg.load_kbps() <= 1000
+
+
+class TestMedium:
+    def wired(self):
+        """r0 =link= r1 =lan= r2, and r0 on the lan too."""
+        net = Network(seed=1)
+        r0, r1, r2 = (net.add_router(f"r{i}") for i in range(3))
+        link = net.link(r0, r1)
+        lan = net.segment("lan")
+        for r in (r1, r2, r0):
+            net.attach(r, lan)
+        net.finalize()
+        return net, (r0, r1, r2), link, lan
+
+    def test_link_and_segment_are_media(self):
+        _net, _routers, link, lan = self.wired()
+        assert type(link) is Link and type(lan) is Segment
+        assert isinstance(link, Medium) and isinstance(lan, Medium)
+        assert link.latency == 0.0005 and lan.latency == 0.0002
+
+    def test_stats_dict_keys_and_order(self):
+        net, (r0, r1, _r2), link, lan = self.wired()
+        r0.ip_send(udp_packet(r0.address, r1.address, 1, 2, b"x" * 72))
+        r1.ip_send(udp_packet(r1.address, r0.address, 1, 2, b"x" * 72))
+        net.run()
+        keys = ["packets_sent", "bytes_sent", "packets_dropped",
+                "bytes_dropped", "packets_lost", "bytes_lost", "queued",
+                "up"]
+        assert list(link.stats_dict()) == list(lan.stats_dict()) == keys
+        # Both directions of the link, summed.
+        assert link.stats_dict() == dict(
+            zip(keys, [2, 200, 0, 0, 0, 0, 0, True]))
+        assert lan.stats_dict() == dict(
+            zip(keys, [0, 0, 0, 0, 0, 0, 0, True]))
+
+    def test_downed_medium_of_either_kind_leaves_the_live_adjacency(self):
+        net, (r0, r1, r2), link, lan = self.wired()
+        def via(adj):
+            return {a.name: {b.name: iface.medium for b, iface in row.items()}
+                    for a, row in adj.items()}
+
+        both = {"r0": {"r1": link, "r2": lan}, "r1": {"r0": link, "r2": lan},
+                "r2": {"r0": lan, "r1": lan}}
+        assert via(adjacency(net.nodes, live=True)) == both
+        link.up = False
+        assert via(adjacency(net.nodes, live=True)) == {
+            "r0": {"r1": lan, "r2": lan}, "r1": {"r0": lan, "r2": lan},
+            "r2": {"r0": lan, "r1": lan}}
+        link.up, lan.up = True, False
+        assert via(adjacency(net.nodes, live=True)) == {
+            "r0": {"r1": link}, "r1": {"r0": link}, "r2": {}}
+        # The topology as wired does not look at ``up``.
+        assert via(adjacency(net.nodes, live=False)) == both
 
 
 class TestLoadMonitor:

@@ -132,6 +132,41 @@ class TestRoutingTable:
         r2_media = {id(i.medium) for i in r2.interfaces}
         assert id(out.medium) in r2_media
 
+    @pytest.mark.parametrize("wiring, leaves_on", [
+        (("ac", "ab", "cd", "bd"), "a--c"),
+        (("ab", "ac", "bd", "cd"), "a--b"),
+        (("cd", "bd", "ab", "ac"), "a--b"),
+    ])
+    def test_equal_cost_tie_breaks_on_attachment_order(self, wiring,
+                                                       leaves_on):
+        """A diamond a–{b,c}–d: both paths cost two hops, and the one
+        whose link ``a`` attached first wins — not the lower name."""
+        net = Network(seed=0)
+        routers = {name: net.add_router(name) for name in "abcd"}
+        for x, y in wiring:
+            net.link(routers[x], routers[y])
+        net.finalize()
+        a, d = routers["a"], routers["d"]
+        assert a.routes.lookup(d.address).medium.name == leaves_on
+        assert a.routes.lookup(d.address) is a.interfaces[0]
+
+    def test_parallel_links_route_over_the_earlier_interface(self):
+        net = Network(seed=0)
+        a, r1, r2 = net.add_host("a"), net.add_router("r1"), \
+            net.add_router("r2")
+        net.link(a, r1)
+        first, second = net.link(r1, r2), net.link(r2, r1)
+        net.finalize()
+        for addr in r2.addresses:
+            assert r1.routes.lookup(addr).medium is first
+            assert a.routes.lookup(addr) is a.interfaces[0]
+        for addr in r1.addresses:
+            assert r2.routes.lookup(addr).medium is first
+        first.up = False
+        compute_routes(net.nodes)
+        assert all(r1.routes.lookup(addr).medium is second
+                   for addr in r2.addresses)
+
     def test_recompute_after_node_removal(self):
         """Fault injection: recompute routes around a dead router."""
         net = Network(seed=0)
