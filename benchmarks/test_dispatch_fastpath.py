@@ -150,8 +150,15 @@ class TestBatchTier:
     """Tier 3: grouping a classified burst into same-overload runs and
     decoding each run into the ``rows()`` both batch folds consume
     (``ClosureEngine.run_channel_batch``, ``jit.batching.run_rows``)
-    must beat the per-packet fast path by 2x (CI floor; the local
-    figure is the ``batch`` row of BENCH_dispatch.json).  The ``soa``
+    must beat the per-packet fast path by 1.5x (CI floor; the local
+    figure is the ``batch`` row of BENCH_dispatch.json).  The floor was
+    2x until PR 21 compiled the per-packet decoder per layout and
+    halved this ratio's *denominator* (lookup + decode 1.21 -> 0.64
+    us/packet, docs/results/PR21.md) with ``rows`` where it was (0.34
+    us): the batch path is no slower, its margin over the singleton
+    path is smaller (~1.9x on a quiet host), and that smaller margin is
+    an input to ROADMAP's batch-tier decision rule, not something to
+    tune away.  The ``soa``
     row beside it is decode only — raw columns before value conversion,
     which no fold reads — and is recorded, not gated.  Every packet is
     classified once in ``wants()`` whichever tier then runs it, so the
@@ -226,9 +233,9 @@ class TestBatchTier:
         }})
         return {"us": us, "speedup": rows_speedup}
 
-    def test_batch_rows_at_least_2x(self, benchmark, results):
+    def test_batch_rows_at_least_1_5x(self, benchmark, results):
         shape_check(benchmark)
-        assert results["speedup"] >= 2.0
+        assert results["speedup"] >= 1.5
 
     def test_batches_equivalent_to_serial_decode(self, benchmark):
         shape_check(benchmark)

@@ -36,8 +36,7 @@ channel network(ps : int, ss : unit, p : ip*tcp*blob) is
 def main() -> None:
     # load_program runs the full download path: parse, type check, the
     # four safety analyses of the paper, then JIT compilation.
-    loaded = load_program(SOURCE, backend="closure",
-                          source_name="quickstart")
+    loaded = load_program(SOURCE, source_name="quickstart")
     print(f"verified + compiled {loaded.source_lines} lines in "
           f"{loaded.codegen_ms:.2f} ms")
 

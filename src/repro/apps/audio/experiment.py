@@ -17,6 +17,7 @@ from typing import Callable
 from ...asps.audio import (AUDIO_PORT, FMT_MONO16, FMT_MONO8, FMT_STEREO16,
                            audio_client_asp, audio_router_asp)
 from ...experiments.result import ExperimentResult
+from ...jit.pipeline import DEFAULT_BACKEND
 from ...net.topology import Network
 from ...obs import Observability
 from ...runtime.deployment import Deployment
@@ -129,7 +130,7 @@ def run_audio_experiment(*, adaptation: bool = True,
                          load_schedule: list[tuple[float, float]]
                          | None = None,
                          constant_load_bps: float | None = None,
-                         backend: str = "closure",
+                         backend: str = DEFAULT_BACKEND,
                          seed: int = 7,
                          obs: Observability | None = None,
                          tracer: Callable[[Network], object]
@@ -218,7 +219,7 @@ class GapSweepResult(ExperimentResult):
 
 
 def run_gap_sweep(*, load_levels_bps: list[float],
-                  duration: float = 60.0, backend: str = "closure",
+                  duration: float = 60.0, backend: str = DEFAULT_BACKEND,
                   seed: int = 7) -> dict[float, dict[str, int]]:
     """The figure 7 sweep: silent periods with and without adaptation
     across segment load levels."""

@@ -22,6 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from ...asps.http import http_gateway_asp
+from ...jit.pipeline import DEFAULT_BACKEND
 from ...net.addresses import HostAddr
 from ...net.node import Host, Router
 from ...net.topology import Network
@@ -70,7 +71,7 @@ class ClusterManager:
                  health_port: int = HEALTH_PORT,
                  check_interval: float = 1.0,
                  timeout: float = 0.5,
-                 backend: str = "closure"):
+                 backend: str = DEFAULT_BACKEND):
         self.net = net
         self.gateway = gateway
         self.virtual = virtual

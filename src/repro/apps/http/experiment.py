@@ -20,6 +20,7 @@ from typing import Callable
 
 from ...asps.http import http_gateway_asp
 from ...experiments.result import ExperimentResult
+from ...jit.pipeline import DEFAULT_BACKEND
 from ...net.topology import Network
 from ...obs import Observability
 from ...runtime.deployment import Deployment
@@ -65,7 +66,7 @@ GATEWAY_CPU_S = 160e-6
 def run_http_experiment(*, mode: str, n_clients: int,
                         duration: float = 30.0, warmup: float = 5.0,
                         n_servers: int = 2, workers_per_client: int = 1,
-                        backend: str = "closure",
+                        backend: str = DEFAULT_BACKEND,
                         strategy: str = "modulo",
                         gateway_cpu_s: float = GATEWAY_CPU_S,
                         trace: Trace | None = None,
@@ -172,7 +173,7 @@ class Fig8SweepResult(ExperimentResult):
 
 def run_fig8_sweep(*, client_counts: list[int],
                    modes: tuple[str, ...] = ("single", "asp", "builtin"),
-                   duration: float = 30.0, backend: str = "closure",
+                   duration: float = 30.0, backend: str = DEFAULT_BACKEND,
                    seed: int = 11) -> dict[str, list[HttpExperimentResult]]:
     """The full figure 8 sweep: throughput vs offered load per mode."""
     trace = generate_trace(8000, seed=seed)

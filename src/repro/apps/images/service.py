@@ -16,6 +16,7 @@ from typing import Callable
 from ...asps.images import IMAGE_PORT, image_distiller_asp
 from ...experiments.result import ExperimentResult
 from ...interp.image_prims import decode_image
+from ...jit.pipeline import DEFAULT_BACKEND
 from ...lang.errors import PlanPError
 from ...net.addresses import HostAddr
 from ...net.node import Host
@@ -157,7 +158,7 @@ def run_image_experiment(*, distillation: bool = True,
                          slow_link_bps: float = 64_000,
                          budget_bytes: int = 3000,
                          quantize_bits: int = 0,
-                         backend: str = "closure",
+                         backend: str = DEFAULT_BACKEND,
                          seed: int = 31,
                          obs: Observability | None = None,
                          tracer: Callable[[Network], object]

@@ -15,6 +15,7 @@ from typing import Callable
 
 from ...asps.mpeg import mpeg_client_asp, mpeg_monitor_asp
 from ...experiments.result import ExperimentResult
+from ...jit.pipeline import DEFAULT_BACKEND
 from ...net.topology import Network
 from ...obs import Observability
 from ...runtime.deployment import Deployment
@@ -46,7 +47,7 @@ class MpegExperimentResult(ExperimentResult):
 def run_mpeg_experiment(*, use_asps: bool = True, n_clients: int = 3,
                         duration: float = 20.0, warmup: float = 5.0,
                         bitrate_bps: int = 1_200_000,
-                        backend: str = "closure",
+                        backend: str = DEFAULT_BACKEND,
                         seed: int = 23,
                         obs: Observability | None = None,
                         tracer: Callable[[Network], object]

@@ -24,6 +24,7 @@ their verdict in ``figures`` (``healthy``, ``quarantined_at_end``,
 
 from __future__ import annotations
 
+from ..jit.pipeline import DEFAULT_BACKEND
 from ..net import Network
 from ..net.packet import udp_packet
 from ..obs import Observability
@@ -72,7 +73,7 @@ class ChaosResult(ExperimentResult):
 
 def run_chaos_experiment(*, profile: str = "drill", seed: int = 5,
                          n_routers: int = 16, duration: float = 12.0,
-                         backend: str = "closure",
+                         backend: str = DEFAULT_BACKEND,
                          obs: Observability | None = None) -> ChaosResult:
     """Run one chaos profile; see the module docstring."""
     if profile == "drill":

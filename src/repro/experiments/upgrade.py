@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import hashlib
 
+from ..jit.pipeline import DEFAULT_BACKEND
 from ..obs import Observability
 from ..runtime.lifecycle import RolloutState
 from .chaos import _drill_fleet
@@ -69,7 +70,7 @@ class UpgradeResult(ExperimentResult):
 
 def run_upgrade_experiment(*, seed: int = 5, n_routers: int = 16,
                            duration: float = 8.0,
-                           backend: str = "closure",
+                           backend: str = DEFAULT_BACKEND,
                            wire_check: bool = True,
                            attempt_incompatible: bool = True,
                            obs: Observability | None = None

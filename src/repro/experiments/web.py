@@ -39,6 +39,7 @@ from ..apps.http.server import HttpServer
 from ..apps.http.trace import (Trace, TraceEntry, flood_times,
                                generate_trace, open_loop_arrivals)
 from ..asps.overload import shedding_asp
+from ..jit.pipeline import DEFAULT_BACKEND
 from ..net.node import Node
 from ..net.overload import AdmissionController
 from ..net.packet import tcp_packet
@@ -83,7 +84,7 @@ def run_web_experiment(*, attack: str = "none", shedding: bool = False,
                        n_good: int = 4, n_attackers: int = 4,
                        duration: float = 10.0, warmup: float = 2.5,
                        seed: int = 17, shard_segments: int = 1,
-                       backend: str = "closure",
+                       backend: str = DEFAULT_BACKEND,
                        obs: Observability | None = None,
                        poison_at: float | None = None) -> WebResult:
     """Run one cell of the overload matrix.

@@ -4,7 +4,9 @@ Following the paper (§2.3), each primitive is a pair of functions: one
 performs the calculation, the other computes the result type from the
 argument types.  Registering a new primitive automatically extends the
 interpreter, the type checker, *and* the generated JIT (which calls the
-same implementations), reproducing the "extend the interpreter, then
+same implementations — or, for a primitive given as an ``inline=``
+expression template, pastes the expression its implementation is
+derived from), reproducing the "extend the interpreter, then
 regenerate the specializer" workflow.
 
 The emission primitives ``OnRemote`` and ``OnNeighbor`` are *not* in this
@@ -31,6 +33,13 @@ from .values import UNIT, PlanPList, PlanPTable, format_value
 TypeRule = Callable[[list[T.Type], SourcePos], T.Type]
 Impl = Callable[[ExecutionContext, list[object]], object]
 
+#: What an ``inline=`` template may name besides its arguments and the
+#: Python builtins; the source backend puts the same names in the
+#: namespace of every generated module.
+INLINE_NAMES: dict[str, object] = {
+    "IpHeader": IpHeader, "TcpHeader": TcpHeader, "UdpHeader": UdpHeader,
+    "PlanPList": PlanPList, "PlanPTable": PlanPTable}
+
 #: Names of channel-argument emission primitives, special-cased everywhere.
 EMISSION_PRIMS = ("OnRemote", "OnNeighbor")
 
@@ -52,20 +61,39 @@ class Primitive:
     is_exit: bool = False
     #: reads or writes the outside world through the context
     effectful: bool = False
+    #: the body as a Python expression over ``{0}``, ``{1}``, ... when
+    #: it is one total expression of the arguments (see :func:`register`)
+    inline: str | None = None
 
 
 PRIMITIVES: dict[str, Primitive] = {}
 
 
-def register(name: str, type_rule: TypeRule, impl: Impl, *,
+def register(name: str, type_rule: TypeRule, impl: Impl | None = None, *,
+             inline: str | None = None,
              may_raise: tuple[str, ...] = (), is_exit: bool = False,
              effectful: bool = False) -> None:
     """Add a primitive to the global registry (idempotent re-registration
-    is an error to catch accidental name collisions)."""
+    is an error to catch accidental name collisions).
+
+    A primitive whose body is one *total* expression over its arguments
+    — no bounds check, no PLAN-P exception, no ``ctx`` — is given as a
+    template instead of a function: ``inline="{0}.dst_port"``.  ``impl``
+    is derived from it, so the interpreter and the closure backend call
+    exactly what the source backend pastes over its (atomic) argument
+    names.  Templates may use Python builtins and :data:`INLINE_NAMES`.
+    """
     if name in PRIMITIVES:
         raise ValueError(f"primitive {name!r} already registered")
+    if (impl is None) == (inline is None):
+        raise ValueError(f"primitive {name!r} needs exactly one of impl "
+                         f"and inline")
+    if inline is not None:
+        impl = eval("lambda ctx, a: " + inline.format("a[0]", "a[1]", "a[2]"),
+                    dict(INLINE_NAMES))
     PRIMITIVES[name] = Primitive(name, type_rule, impl, may_raise=may_raise,
-                                 is_exit=is_exit, effectful=effectful)
+                                 is_exit=is_exit, effectful=effectful,
+                                 inline=inline)
 
 
 def _raise(exn: str, message: str) -> PlanPRuntimeError:
@@ -116,27 +144,17 @@ def _packet_rule(arg_types: list[T.Type], pos: SourcePos) -> T.Type:
 # ---------------------------------------------------------------------------
 
 
-register("ipSrc", sig([T.IP], T.HOST),
-         lambda ctx, a: a[0].src)
-register("ipDst", sig([T.IP], T.HOST),
-         lambda ctx, a: a[0].dst)
-register("ipSrcSet", sig([T.IP, T.HOST], T.IP),
-         lambda ctx, a: a[0].with_src(a[1]))
-register("ipDestSet", sig([T.IP, T.HOST], T.IP),
-         lambda ctx, a: a[0].with_dst(a[1]))
-register("ipTTL", sig([T.IP], T.INT),
-         lambda ctx, a: a[0].ttl)
-register("ipProto", sig([T.IP], T.INT),
-         lambda ctx, a: a[0].proto)
-register("ipTos", sig([T.IP], T.INT),
-         lambda ctx, a: a[0].tos)
+register("ipSrc", sig([T.IP], T.HOST), inline="{0}.src")
+register("ipDst", sig([T.IP], T.HOST), inline="{0}.dst")
+register("ipSrcSet", sig([T.IP, T.HOST], T.IP), inline="{0}.with_src({1})")
+register("ipDestSet", sig([T.IP, T.HOST], T.IP), inline="{0}.with_dst({1})")
+register("ipTTL", sig([T.IP], T.INT), inline="{0}.ttl")
+register("ipProto", sig([T.IP], T.INT), inline="{0}.proto")
+register("ipTos", sig([T.IP], T.INT), inline="{0}.tos")
 register("ipTosSet", sig([T.IP, T.INT], T.IP),
-         lambda ctx, a: IpHeader(src=a[0].src, dst=a[0].dst, ttl=a[0].ttl,
-                                 proto=a[0].proto, tos=a[1]))
-register("ipSwap", sig([T.IP], T.IP),
-         lambda ctx, a: a[0].swapped())
-register("ipMk", sig([T.HOST, T.HOST], T.IP),
-         lambda ctx, a: IpHeader(src=a[0], dst=a[1]))
+         inline="IpHeader({0}.src, {0}.dst, {0}.ttl, {0}.proto, {1})")
+register("ipSwap", sig([T.IP], T.IP), inline="{0}.swapped()")
+register("ipMk", sig([T.HOST, T.HOST], T.IP), inline="IpHeader({0}, {1})")
 
 
 # ---------------------------------------------------------------------------
@@ -144,30 +162,20 @@ register("ipMk", sig([T.HOST, T.HOST], T.IP),
 # ---------------------------------------------------------------------------
 
 
-register("tcpSrc", sig([T.TCP], T.INT),
-         lambda ctx, a: a[0].src_port)
-register("tcpDst", sig([T.TCP], T.INT),
-         lambda ctx, a: a[0].dst_port)
+register("tcpSrc", sig([T.TCP], T.INT), inline="{0}.src_port")
+register("tcpDst", sig([T.TCP], T.INT), inline="{0}.dst_port")
 register("tcpSrcSet", sig([T.TCP, T.INT], T.TCP),
-         lambda ctx, a: a[0].with_src_port(a[1]))
+         inline="{0}.with_src_port({1})")
 register("tcpDstSet", sig([T.TCP, T.INT], T.TCP),
-         lambda ctx, a: a[0].with_dst_port(a[1]))
-register("tcpSeq", sig([T.TCP], T.INT),
-         lambda ctx, a: a[0].seq)
-register("tcpAck", sig([T.TCP], T.INT),
-         lambda ctx, a: a[0].ack)
-register("tcpSyn", sig([T.TCP], T.BOOL),
-         lambda ctx, a: a[0].syn)
-register("tcpFin", sig([T.TCP], T.BOOL),
-         lambda ctx, a: a[0].fin)
-register("tcpAckFlag", sig([T.TCP], T.BOOL),
-         lambda ctx, a: a[0].ack_flag)
-register("tcpRst", sig([T.TCP], T.BOOL),
-         lambda ctx, a: a[0].rst)
-register("tcpSwap", sig([T.TCP], T.TCP),
-         lambda ctx, a: a[0].swapped())
-register("tcpMk", sig([T.INT, T.INT], T.TCP),
-         lambda ctx, a: TcpHeader(src_port=a[0], dst_port=a[1]))
+         inline="{0}.with_dst_port({1})")
+register("tcpSeq", sig([T.TCP], T.INT), inline="{0}.seq")
+register("tcpAck", sig([T.TCP], T.INT), inline="{0}.ack")
+register("tcpSyn", sig([T.TCP], T.BOOL), inline="{0}.syn")
+register("tcpFin", sig([T.TCP], T.BOOL), inline="{0}.fin")
+register("tcpAckFlag", sig([T.TCP], T.BOOL), inline="{0}.ack_flag")
+register("tcpRst", sig([T.TCP], T.BOOL), inline="{0}.rst")
+register("tcpSwap", sig([T.TCP], T.TCP), inline="{0}.swapped()")
+register("tcpMk", sig([T.INT, T.INT], T.TCP), inline="TcpHeader({0}, {1})")
 
 
 # ---------------------------------------------------------------------------
@@ -175,18 +183,14 @@ register("tcpMk", sig([T.INT, T.INT], T.TCP),
 # ---------------------------------------------------------------------------
 
 
-register("udpSrc", sig([T.UDP], T.INT),
-         lambda ctx, a: a[0].src_port)
-register("udpDst", sig([T.UDP], T.INT),
-         lambda ctx, a: a[0].dst_port)
+register("udpSrc", sig([T.UDP], T.INT), inline="{0}.src_port")
+register("udpDst", sig([T.UDP], T.INT), inline="{0}.dst_port")
 register("udpSrcSet", sig([T.UDP, T.INT], T.UDP),
-         lambda ctx, a: a[0].with_src_port(a[1]))
+         inline="{0}.with_src_port({1})")
 register("udpDstSet", sig([T.UDP, T.INT], T.UDP),
-         lambda ctx, a: a[0].with_dst_port(a[1]))
-register("udpSwap", sig([T.UDP], T.UDP),
-         lambda ctx, a: a[0].swapped())
-register("udpMk", sig([T.INT, T.INT], T.UDP),
-         lambda ctx, a: UdpHeader(src_port=a[0], dst_port=a[1]))
+         inline="{0}.with_dst_port({1})")
+register("udpSwap", sig([T.UDP], T.UDP), inline="{0}.swapped()")
+register("udpMk", sig([T.INT, T.INT], T.UDP), inline="UdpHeader({0}, {1})")
 
 
 # ---------------------------------------------------------------------------
@@ -254,13 +258,12 @@ def _impl_blob_with_byte(ctx: ExecutionContext, a: list[object]) -> object:
     return blob[:idx] + bytes([value & 0xFF]) + blob[idx + 1:]
 
 
-register("blobLen", sig([T.BLOB], T.INT), lambda ctx, a: len(a[0]))
+register("blobLen", sig([T.BLOB], T.INT), inline="len({0})")
 register("blobByte", sig([T.BLOB, T.INT], T.INT), _impl_blob_byte,
          may_raise=("Subscript",))
 register("blobSub", sig([T.BLOB, T.INT, T.INT], T.BLOB), _impl_blob_sub,
          may_raise=("Subscript",))
-register("blobCat", sig([T.BLOB, T.BLOB], T.BLOB),
-         lambda ctx, a: a[0] + a[1])
+register("blobCat", sig([T.BLOB, T.BLOB], T.BLOB), inline="{0} + {1}")
 register("blobInt", sig([T.BLOB, T.INT], T.INT), _impl_blob_int,
          may_raise=("Subscript",))
 register("blobWithInt", sig([T.BLOB, T.INT, T.INT], T.BLOB),
@@ -268,12 +271,12 @@ register("blobWithInt", sig([T.BLOB, T.INT, T.INT], T.BLOB),
 register("blobWithByte", sig([T.BLOB, T.INT, T.INT], T.BLOB),
          _impl_blob_with_byte, may_raise=("Subscript",))
 register("blobOfString", sig([T.STRING], T.BLOB),
-         lambda ctx, a: a[0].encode("latin-1", errors="replace"))
+         inline='{0}.encode("latin-1", errors="replace")')
 register("stringOfBlob", sig([T.BLOB], T.STRING),
-         lambda ctx, a: a[0].decode("latin-1"))
+         inline='{0}.decode("latin-1")')
 register("blobIndex", sig([T.BLOB, T.STRING], T.INT),
-         lambda ctx, a: a[0].find(a[1].encode("latin-1", errors="replace")))
-register("blobEmpty", sig([], T.BLOB), lambda ctx, a: b"")
+         inline='{0}.find({1}.encode("latin-1", errors="replace"))')
+register("blobEmpty", sig([], T.BLOB), inline='b""')
 
 
 # ---------------------------------------------------------------------------
@@ -306,20 +309,19 @@ def _impl_str_field(ctx: ExecutionContext, a: list[object]) -> object:
     return fields[index]
 
 
-register("strLen", sig([T.STRING], T.INT), lambda ctx, a: len(a[0]))
-register("strCat", sig([T.STRING, T.STRING], T.STRING),
-         lambda ctx, a: a[0] + a[1])
+register("strLen", sig([T.STRING], T.INT), inline="len({0})")
+register("strCat", sig([T.STRING, T.STRING], T.STRING), inline="{0} + {1}")
 register("strSub", sig([T.STRING, T.INT, T.INT], T.STRING), _impl_str_sub,
          may_raise=("Subscript",))
 register("strIndex", sig([T.STRING, T.STRING], T.INT),
-         lambda ctx, a: a[0].find(a[1]))
+         inline="{0}.find({1})")
 register("strField", sig([T.STRING, T.INT, T.STRING], T.STRING),
          _impl_str_field, may_raise=("Subscript",))
-register("intToString", sig([T.INT], T.STRING), lambda ctx, a: str(a[0]))
+register("intToString", sig([T.INT], T.STRING), inline="str({0})")
 register("stringToInt", sig([T.STRING], T.INT), _impl_string_to_int,
          may_raise=("BadInt",))
-register("hostToString", sig([T.HOST], T.STRING), lambda ctx, a: str(a[0]))
-register("charPos", sig([T.CHAR], T.INT), lambda ctx, a: ord(a[0]))
+register("hostToString", sig([T.HOST], T.STRING), inline="str({0})")
+register("charPos", sig([T.CHAR], T.INT), inline="ord({0})")
 register("chr", sig([T.INT], T.CHAR), lambda ctx, a: builtins_chr(a[0]))
 
 
@@ -421,16 +423,15 @@ def _impl_table_remove(ctx: ExecutionContext, a: list[object]) -> object:
 # Capacity clamps at 1: a router ASP asking for a degenerate table must
 # keep running (same totality stance as eviction-on-overflow), and the
 # bare constructor's ValueError must not cross the containment boundary.
-register("mkTable", _rule_mk_table,
-         lambda ctx, a: PlanPTable(max(1, a[0])))
+register("mkTable", _rule_mk_table, inline="PlanPTable(max(1, {0}))")
 register("tableGet", _rule_table_get, _impl_table_get,
          may_raise=("NotFound",))
 register("tableGetDefault", _rule_table_get_default,
-         lambda ctx, a: a[0].get_default(a[1], a[2]))
+         inline="{0}.get_default({1}, {2})")
 register("tableSet", _rule_table_set, _impl_table_set)
-register("tableMem", _rule_table_mem, lambda ctx, a: a[1] in a[0])
+register("tableMem", _rule_table_mem, inline="{1} in {0}")
 register("tableRemove", _rule_table_remove, _impl_table_remove)
-register("tableSize", _rule_table_size, lambda ctx, a: len(a[0]))
+register("tableSize", _rule_table_size, inline="len({0})")
 
 
 # ---------------------------------------------------------------------------
@@ -499,16 +500,15 @@ def _impl_list_tail(ctx: ExecutionContext, a: list[object]) -> object:
         raise _raise("HeadEmpty", "tail of empty list")
 
 
-register("listNew", _rule_list_new, lambda ctx, a: PlanPList())
+register("listNew", _rule_list_new, inline="PlanPList()")
 register("listHead", _rule_list_head, _impl_list_head,
          may_raise=("HeadEmpty",))
 register("listTail", _rule_list_tail, _impl_list_tail,
          may_raise=("HeadEmpty",))
-register("listLen", _rule_list_len, lambda ctx, a: len(a[0]))
-register("listNull", _rule_list_null, lambda ctx, a: len(a[0]) == 0)
-register("listRev", _rule_list_rev, lambda ctx, a: a[0].reversed())
-register("listMem", _rule_list_mem,
-         lambda ctx, a: a[0] in a[1].items)
+register("listLen", _rule_list_len, inline="len({0})")
+register("listNull", _rule_list_null, inline="len({0}) == 0")
+register("listRev", _rule_list_rev, inline="{0}.reversed()")
+register("listMem", _rule_list_mem, inline="{0} in {1}.items")
 
 
 # ---------------------------------------------------------------------------

@@ -10,13 +10,14 @@ Two backends reproduce the paper's Tempo-generated JIT:
 """
 
 from .codegen import CompiledSourceEngine, SourceArtifact
-from .pipeline import (BACKENDS, PROGRAM_CACHE, CacheStats, Engine,
-                       LoadedProgram, ProgramCache, count_source_lines,
-                       load_program, make_engine)
+from .pipeline import (BACKENDS, DEFAULT_BACKEND, PROGRAM_CACHE, CacheStats,
+                       Engine, LoadedProgram, ProgramCache,
+                       count_source_lines, load_program, make_engine)
 from .specializer import ClosureEngine
 
 __all__ = [
     "BACKENDS",
+    "DEFAULT_BACKEND",
     "PROGRAM_CACHE",
     "CacheStats",
     "ClosureEngine",

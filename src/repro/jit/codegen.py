@@ -32,14 +32,14 @@ from ..lang.typechecker import ProgramInfo
 from ..interp.context import ExecutionContext
 from ..interp.env import Env
 from ..interp.interpreter import Interpreter, _sml_div
-from ..interp.primitives import PRIMITIVES
-from ..interp.values import UNIT, default_value, values_equal
+from ..interp.primitives import INLINE_NAMES, PRIMITIVES
+from ..interp.values import UNIT, default_value
 from ..net.addresses import HostAddr
 
 #: Bumped whenever the shape of the generated code changes (new entry
 #: points, different lowering), so the content-addressed program cache
 #: never serves artifacts emitted by an older generator.
-CODEGEN_REV = 4
+CODEGEN_REV = 5
 
 _SIMPLE_BINOPS = {
     "+": "+",
@@ -299,10 +299,12 @@ class _CodeGenerator:
         right = self._pinned(em, expr.right)
         if op in _SIMPLE_BINOPS:
             return f"({left} {_SIMPLE_BINOPS[op]} {right})"
+        # ``=``/``<>`` are ``values_equal``, which is ``==`` on every
+        # representation an equality type has
         if op == "=":
-            return f"values_equal({left}, {right})"
+            return f"({left} == {right})"
         if op == "<>":
-            return f"(not values_equal({left}, {right}))"
+            return f"({left} != {right})"
         if op in ("/", "mod"):
             message = ("division by zero" if op == "/" else "mod by zero")
             em.emit(f"if {right} == 0:")
@@ -337,6 +339,12 @@ class _CodeGenerator:
         if name in self._info.funs:
             fn = f"F_{_mangle(name)}"
             return f"{fn}(ctx, {', '.join(args)})" if args else f"{fn}(ctx)"
+        inline = PRIMITIVES[name].inline
+        if inline is not None:
+            # The arguments are atomic (names or literals), so pasting
+            # the body over them — however often it mentions one —
+            # evaluates each exactly once, in order, as the call did.
+            return f"({inline.format(*args)})"
         return f"P_{name}(ctx, ({', '.join(args)}{',' if args else ''}))"
 
 
@@ -405,13 +413,14 @@ class CompiledSourceEngine:
         global constants and the small run-time support surface."""
         namespace: dict[str, object] = {
             "UNIT": UNIT,
-            "values_equal": values_equal,
             "sml_div": _sml_div,
             "planp_raise": _planp_raise,
             "PlanPRuntimeError": PlanPRuntimeError,
+            **INLINE_NAMES,
         }
         for name, prim in PRIMITIVES.items():
-            namespace[f"P_{name}"] = prim.impl
+            if prim.inline is None:
+                namespace[f"P_{name}"] = prim.impl
         for name, value in self._globals.items():
             namespace[f"G_{_mangle(name)}"] = value
         namespace.update(self.artifact.host_constants)

@@ -46,6 +46,10 @@ if TYPE_CHECKING:
 
 BACKENDS = ("interpreter", "closure", "source")
 
+#: The engine every install path uses unless told otherwise: the JIT
+#: that inlines primitives (DESIGN §6 has the decision record).
+DEFAULT_BACKEND = "source"
+
 
 class Engine(Protocol):
     """What a node needs to run a downloaded program."""
@@ -302,7 +306,7 @@ def count_source_lines(source: str) -> int:
     return count
 
 
-def load_program(source: str, *, backend: str = "closure",
+def load_program(source: str, *, backend: str = DEFAULT_BACKEND,
                  verify: bool = True,
                  ctx: ExecutionContext | None = None,
                  source_name: str = "<planp>",

@@ -114,7 +114,11 @@ class UdpHeader:
         return UdpHeader(self.dst_port, self.src_port)
 
 
-_uid_counter = itertools.count(1)
+#: a fresh simulator-level trace id per call
+next_uid = itertools.count(1).__next__
+
+#: the IP protocol number each transport header class implies
+TRANSPORT_PROTO = {TcpHeader: PROTO_TCP, UdpHeader: PROTO_UDP}
 
 
 @dataclass
@@ -132,14 +136,13 @@ class Packet:
     transport: TcpHeader | UdpHeader | None = None
     payload: bytes = b""
     channel: str | None = None
-    uid: int = field(default_factory=lambda: next(_uid_counter))
+    uid: int = field(default_factory=next_uid)
     copied_from: int | None = None
     created_at: float = 0.0
 
     def __post_init__(self) -> None:
-        expected = {TcpHeader: PROTO_TCP, UdpHeader: PROTO_UDP}
         if self.transport is not None:
-            proto = expected[type(self.transport)]
+            proto = TRANSPORT_PROTO[type(self.transport)]
             ip = self.ip
             if ip.proto != proto:
                 self.ip = IpHeader(ip.src, ip.dst, ip.ttl, proto, ip.tos)
@@ -156,7 +159,7 @@ class Packet:
 
     def copy(self) -> "Packet":
         """A duplicate with a fresh uid (used by multicast and by ASPs)."""
-        dup = dataclasses.replace(self, uid=next(_uid_counter),
+        dup = dataclasses.replace(self, uid=next_uid(),
                                   copied_from=self.uid)
         return dup
 

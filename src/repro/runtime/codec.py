@@ -34,8 +34,8 @@ import struct
 
 from ..lang import types as T
 from ..net.addresses import HostAddr
-from ..net.packet import (PROTO_RAW, PROTO_TCP, PROTO_UDP, IpHeader, Packet,
-                          TcpHeader, UdpHeader)
+from ..net.packet import (PROTO_RAW, TRANSPORT_PROTO, IpHeader, Packet,
+                          TcpHeader, UdpHeader, next_uid)
 
 _FIXED_SIZES: dict[T.Type, int] = {T.CHAR: 1, T.BOOL: 1, T.INT: 4, T.HOST: 4}
 
@@ -166,58 +166,72 @@ def _check_payload_len(n: int, lay: Layout) -> None:
             f"bytes of tail-less {lay.packet_type}")
 
 
-def _view_steps(views: list[T.Type]) -> list:
-    """One closure per payload view, offset baked in."""
-    steps = []
+def _view_exprs(views: tuple[T.Type, ...]) -> list[str]:
+    """One Python expression per payload view over the payload ``_b``,
+    offsets baked in."""
+    exprs = []
     offset = 0
     for view in views:
+        tail = f"_b[{offset}:]" if offset else "_b"
         if view == T.BLOB:
-            steps.append(lambda payload, o=offset: payload[o:])
+            exprs.append(tail)
         elif view == T.STRING:
-            steps.append(
-                lambda payload, o=offset: payload[o:].decode("latin-1"))
+            exprs.append(f'{tail}.decode("latin-1")')
         elif view == T.CHAR:
-            steps.append(lambda payload, o=offset: chr(payload[o]))
+            exprs.append(f"chr(_b[{offset}])")
             offset += 1
         elif view == T.BOOL:
-            steps.append(lambda payload, o=offset: payload[o] != 0)
+            exprs.append(f"_b[{offset}] != 0")
             offset += 1
         elif view == T.INT:
-            steps.append(lambda payload, o=offset: int.from_bytes(
-                payload[o:o + 4], "big", signed=True))
+            exprs.append(f'_int(_b[{offset}:{offset + 4}], "big", '
+                         f"signed=True)")
             offset += 4
         elif view == T.HOST:
-            steps.append(lambda payload, o=offset: HostAddr(int.from_bytes(
-                payload[o:o + 4], "big")))
+            exprs.append(f'HostAddr(_int(_b[{offset}:{offset + 4}], "big"))')
             offset += 4
-    return steps
+    return exprs
+
+
+def _compile_decoder(lay: Layout):
+    """Straight-line source for one layout's decoder: the length test
+    :meth:`Layout.admits` makes, then one tuple display."""
+    lines = ["def _decode(_p):",
+             "    _b = _p.payload"]
+    # a tail view admits any length from ``fixed`` up
+    test = (f"!= {lay.fixed}" if not lay.has_tail
+            else f"< {lay.fixed}" if lay.fixed else None)
+    if test is not None:
+        lines += [f"    if len(_b) {test}:",
+                  "        _check_payload_len(len(_b), _lay)"]
+    parts = ["_p.ip"]
+    if lay.transport is not None:
+        parts.append("_p.transport")
+    parts += _view_exprs(lay.views)
+    lines.append(f"    return ({', '.join(parts)})")
+    namespace = {"_lay": lay, "_check_payload_len": _check_payload_len,
+                 "_int": int.from_bytes, "HostAddr": HostAddr}
+    exec(compile("\n".join(lines), f"<decoder {lay.packet_type}>", "exec"),
+         namespace)
+    return namespace["_decode"]
+
+
+#: (transport, views) -> compiled decoder.  A decoder depends on nothing
+#: else, and a deployment asks for the same few layouts once per
+#: overload, per node, per install.
+_DECODERS: dict[tuple, object] = {}
 
 
 def make_decoder(packet_type: T.TupleType):
-    """Compile ``decode(packet, packet_type)`` down to a closure with the
-    view walk and all offsets resolved ahead of time."""
+    """Compile ``decode(packet, packet_type)`` down to straight-line
+    code with the view walk and all offsets resolved ahead of time; one
+    function per layout, however often it is asked for."""
     lay = layout(packet_type)
-    steps = _view_steps(lay.views)
-    fixed, exact = lay.fixed, not lay.has_tail
-    if lay.transport is None:
-        def decode_raw(packet: Packet) -> tuple:
-            payload = packet.payload
-            n = len(payload)
-            if n < fixed or (exact and n != fixed):
-                _check_payload_len(n, lay)
-            return (packet.ip, *(step(payload) for step in steps))
-
-        return decode_raw
-
-    def decode_transport(packet: Packet) -> tuple:
-        payload = packet.payload
-        n = len(payload)
-        if n < fixed or (exact and n != fixed):
-            _check_payload_len(n, lay)
-        return (packet.ip, packet.transport,
-                *(step(payload) for step in steps))
-
-    return decode_transport
+    key = (lay.transport, lay.views)
+    decoder = _DECODERS.get(key)
+    if decoder is None:
+        decoder = _DECODERS[key] = _compile_decoder(lay)
+    return decoder
 
 
 def dispatch_plan(packet_type: T.TupleType) -> DispatchPlan | None:
@@ -437,42 +451,46 @@ def encode(value: tuple, *, channel: str | None = None,
     """Build a wire packet from a PLAN-P packet value.
 
     The layout is recovered from the runtime types of the components, so
-    any well-typed channel emission encodes without extra metadata.
+    any well-typed channel emission encodes without extra metadata.  A
+    sole blob view *is* the payload: it goes out as the object it came
+    in as, untouched.
     """
     if not value or not isinstance(value[0], IpHeader):
         raise CodecError(f"packet value must start with an ip header, "
                          f"got {value!r}")
     ip = value[0]
-    rest = value[1:]
-    transport: TcpHeader | UdpHeader | None = None
-    if rest and isinstance(rest[0], (TcpHeader, UdpHeader)):
-        transport = rest[0]
-        rest = rest[1:]
-        proto = PROTO_TCP if isinstance(transport, TcpHeader) else PROTO_UDP
+    n = len(value)
+    transport = value[1] if n > 1 else None
+    proto = TRANSPORT_PROTO.get(transport.__class__)
+    if proto is None:
+        transport, proto, first = None, PROTO_RAW, 1
     else:
-        proto = PROTO_RAW
+        first = 2
     if ip.proto != proto:
-        ip = IpHeader(src=ip.src, dst=ip.dst, ttl=ip.ttl, proto=proto,
-                      tos=ip.tos)
-    chunks: list[bytes] = []
-    for part in rest:
-        if isinstance(part, bytes):
-            chunks.append(part)
-        elif isinstance(part, bool):
-            chunks.append(b"\x01" if part else b"\x00")
-        elif isinstance(part, int):
-            try:
-                chunks.append(int(part).to_bytes(4, "big", signed=True))
-            except OverflowError:
+        ip = IpHeader(ip.src, ip.dst, ip.ttl, proto, ip.tos)
+    if n == first + 1 and value[first].__class__ is bytes:
+        payload = value[first]
+    else:
+        chunks: list[bytes] = []
+        for part in value[first:]:
+            if isinstance(part, bytes):
+                chunks.append(part)
+            elif isinstance(part, bool):
+                chunks.append(b"\x01" if part else b"\x00")
+            elif isinstance(part, int):
+                try:
+                    chunks.append(int(part).to_bytes(4, "big", signed=True))
+                except OverflowError:
+                    raise CodecError(
+                        f"int {part} does not fit the 4-byte wire "
+                        f"encoding") from None
+            elif isinstance(part, str):
+                chunks.append(part.encode("latin-1", errors="replace"))
+            elif isinstance(part, HostAddr):
+                chunks.append(part.value.to_bytes(4, "big"))
+            else:
                 raise CodecError(
-                    f"int {part} does not fit the 4-byte wire "
-                    f"encoding") from None
-        elif isinstance(part, str):
-            chunks.append(part.encode("latin-1", errors="replace"))
-        elif isinstance(part, HostAddr):
-            chunks.append(part.value.to_bytes(4, "big"))
-        else:
-            raise CodecError(
-                f"cannot encode {type(part).__name__} into a payload")
-    return Packet(ip=ip, transport=transport, payload=b"".join(chunks),
-                  channel=channel, created_at=created_at)
+                    f"cannot encode {type(part).__name__} into a payload")
+        payload = b"".join(chunks)
+    return Packet(ip, transport, payload, channel, next_uid(), None,
+                  created_at)

@@ -19,6 +19,7 @@ from dataclasses import dataclass, field
 
 from ..analysis.verifier import VerificationReport
 from ..jit import pipeline
+from ..jit.pipeline import DEFAULT_BACKEND
 from ..net.node import Node
 from .planp_layer import PlanPLayer
 
@@ -58,7 +59,7 @@ class Deployment:
         return node.planp
 
     def install(self, source: str, nodes: list[Node], *,
-                backend: str = "closure", verify: bool = True,
+                backend: str = DEFAULT_BACKEND, verify: bool = True,
                 source_name: str = "<asp>") -> DeploymentRecord:
         """Verify once, install everywhere.
 

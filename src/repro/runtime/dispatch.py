@@ -96,17 +96,22 @@ class DispatchCore:
         return self.table.get(
             (packet.channel, packet.transport.__class__), ())
 
+    @staticmethod
+    def admitting(entries: list, packet) -> tuple | None:
+        """The first of ``entries`` — :meth:`candidates`, so declaration
+        order — whose layout admits the packet's payload, or None."""
+        payload_len = len(packet.payload)
+        for hit in entries:
+            if hit[2].admits(payload_len):
+                return hit
+        return None
+
     def lookup(self, packet) -> tuple | None:
         """Classify one packet: the hit of the first declared overload
         that admits it, or None (standard IP takes the packet)."""
         entries = self.table.get(
             (packet.channel, packet.transport.__class__))
-        if entries:
-            payload_len = len(packet.payload)
-            for hit in entries:
-                if hit[2].admits(payload_len):
-                    return hit
-        return None
+        return self.admitting(entries, packet) if entries else None
 
     def run(self, packets: list, hit: tuple, ctx, on_ok, on_fault,
             base: int = 0) -> bool:

@@ -49,6 +49,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable
 
+from ..jit.pipeline import DEFAULT_BACKEND
 from ..net.node import Node
 from ..net.topology import Network
 from .deployment import Deployment
@@ -365,7 +366,7 @@ class LifecycleManager:
     # -- staged rollout ---------------------------------------------------------
 
     def rollout(self, source: str, nodes: list[Node | str], *,
-                backend: str = "closure", verify: bool = True,
+                backend: str = DEFAULT_BACKEND, verify: bool = True,
                 source_name: str = "<asp>",
                 canary: list[Node | str] | None = None,
                 force: bool = False) -> Rollout:

@@ -59,6 +59,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 
+from ..jit.pipeline import DEFAULT_BACKEND
 from ..lang.errors import PlanPError
 from ..net.addresses import HostAddr
 from ..net.node import Host, Node
@@ -506,7 +507,7 @@ class DeploymentManager:
     # -- pushing ------------------------------------------------------------------
 
     def push(self, source: str, targets: list[HostAddr], *,
-             backend: str = "closure", verify: bool = True,
+             backend: str = DEFAULT_BACKEND, verify: bool = True,
              name: str = "", policy: RetryPolicy | None = None) -> str:
         """Ship ``source`` to every target; returns the transfer id.
 

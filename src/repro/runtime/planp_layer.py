@@ -39,7 +39,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
-from ..jit.pipeline import Engine, LoadedProgram, load_program
+from ..jit.pipeline import (DEFAULT_BACKEND, Engine, LoadedProgram,
+                            load_program)
 from ..lang import ast
 from ..net.addresses import HostAddr
 from ..net.node import Interface, Node
@@ -132,6 +133,9 @@ class PlanPLayer:
         #: the last row of the run that emitted or delivered (a failed
         #: row that already emitted must not also be forwarded)
         self._emit_row = -1
+        #: what the core reports a run's rows through, bound once: a
+        #: packet does not pay for two method objects
+        self._ok, self._fault = self._on_ok, self._on_fault
         self._batch_hist: Histogram | None = None
         #: opt-in per-packet processing-time histogram (ms); ``None``
         #: keeps the hot path at a single truthiness check
@@ -159,7 +163,7 @@ class PlanPLayer:
 
     # -- program installation ---------------------------------------------------
 
-    def install(self, source: str, *, backend: str = "closure",
+    def install(self, source: str, *, backend: str = DEFAULT_BACKEND,
                 verify: bool = True, source_name: str = "") -> LoadedProgram:
         """Download a program: parse, type check, verify, compile.
 
@@ -274,11 +278,12 @@ class PlanPLayer:
         core = self.core
         hit = None
         if core is not None and not self.quarantined:
-            hit = core.lookup(packet)
-            # Counted whenever the program declares an overload for the
-            # packet's tag and transport class, admitted or not.
-            if hit is not None or core.candidates(packet):
+            entries = core.candidates(packet)
+            if entries:
+                # Counted whenever the program declares an overload for
+                # the packet's tag and transport class, admitted or not.
                 self.stats.fastpath_dispatches += 1
+                hit = core.admitting(entries, packet)
         self._carry = (packet.uid, hit)
         return hit is not None
 
@@ -365,11 +370,10 @@ class PlanPLayer:
         self._emit_row = -1
         try:
             if self.profile is None:
-                core.run(packets, hit, self, self._on_ok, self._on_fault)
+                core.run(packets, hit, self, self._ok, self._fault)
             else:
                 with self.profile.time():
-                    core.run(packets, hit, self, self._on_ok,
-                             self._on_fault)
+                    core.run(packets, hit, self, self._ok, self._fault)
         finally:
             self._run = None
 
@@ -448,9 +452,15 @@ class PlanPLayer:
             return None
         row = self._base + self._row
         orig, iface = run[0][row], run[1][row]
-        same = (packet.ip.src == orig.ip.src
-                and packet.ip.dst == orig.ip.dst
-                and packet.transport == orig.transport
+        # Identity first: what the program did not rewrite is the very
+        # object the decoder handed it, and header ``==`` is a Python
+        # call per field tuple.
+        ip, was, transport = packet.ip, orig.ip, packet.transport
+        same = ((ip is was
+                 or ((ip.src is was.src or ip.src == was.src)
+                     and (ip.dst is was.dst or ip.dst == was.dst)))
+                and (transport is orig.transport
+                     or transport == orig.transport)
                 and packet.payload == orig.payload)
         return iface if same else None
 

@@ -29,8 +29,8 @@ import time
 from ..analysis.verifier import verify_report
 from ..interp.context import RecordingContext
 from ..interp.values import default_value
-from ..jit.pipeline import (ProgramCache, count_source_lines, load_program,
-                            make_engine)
+from ..jit.pipeline import (BACKENDS, DEFAULT_BACKEND, ProgramCache,
+                            count_source_lines, load_program, make_engine)
 from ..lang import PlanPError, parse, typecheck
 from ..lang.unparse import unparse
 from ..obs import GLOBAL
@@ -120,7 +120,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
             pass
 
     print(f"{args.program}: {args.n} invocations per engine")
-    for backend in ("interpreter", "closure", "source"):
+    for backend in BACKENDS:
         ctx = _Null()
         engine = make_engine(info, backend, ctx)
         ps = default_value(decl.protocol_state_type)
@@ -148,8 +148,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_compile = sub.add_parser("compile", help="JIT compile")
     p_compile.add_argument("program")
-    p_compile.add_argument("--backend", default="closure",
-                           choices=("interpreter", "closure", "source"))
+    p_compile.add_argument("--backend", default=DEFAULT_BACKEND,
+                           choices=BACKENDS)
     p_compile.add_argument("--emit", action="store_true",
                            help="print generated Python (source backend)")
     p_compile.add_argument("--stages", action="store_true",

@@ -212,6 +212,26 @@ class TestCodegenArtifacts:
         defined = re.findall(r"^def (\w+)\(", generated, re.MULTILINE)
         assert sorted(defined) == sorted(expected)
 
+    @pytest.mark.parametrize("name", [*SHIPPED, "burst.planp"])
+    def test_templated_primitives_and_equality_are_inlined(self, name):
+        """The source backend calls no primitive registered with an
+        ``inline=`` template and no ``values_equal``: header reads are
+        attribute loads, ``=`` is ``==``."""
+        from repro.interp.primitives import PRIMITIVES
+        from repro.jit.codegen import generate_source_artifact
+
+        source = SHIPPED.get(name) or corpus_programs()[name]
+        generated = generate_source_artifact(
+            typecheck(parse(source))).generated_source
+        assert "values_equal(" not in generated
+        called = set(re.findall(r"\bP_(\w+)\(", generated))
+        assert not {prim for prim in called
+                    if PRIMITIVES[prim].inline is not None}
+        if name in ("http_gateway_asp", "audio_router_asp"):
+            # the two programs the paper's figures 6 and 8 run do read
+            # headers, so the pin is not vacuous
+            assert ".dst_port" in generated and ".dst)" in generated
+
     def test_prime_identifiers_mangled(self):
         src = ("channel network(ps : int, ss : unit, p : ip*tcp*blob) is "
                "(let val x' : int = ps + 1 in "

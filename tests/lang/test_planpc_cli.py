@@ -100,7 +100,12 @@ class TestCompile:
         assert len(capsys.readouterr().out.splitlines()) == 1
 
     def test_emit_requires_source_backend(self, good, capsys):
-        assert main(["compile", good, "--emit"]) == 2
+        assert main(["compile", good, "--backend", "closure",
+                     "--emit"]) == 2
+
+    def test_emit_works_on_the_default_backend(self, good, capsys):
+        assert main(["compile", good, "--emit"]) == 0
+        assert "def C_network_0(" in capsys.readouterr().out
 
     def test_emit_prints_python(self, good, capsys):
         assert main(["compile", good, "--backend", "source",

@@ -42,7 +42,7 @@ class TestPipeline:
             make_engine(info, "llvm")
 
     def test_load_program_reports_lines_and_time(self):
-        from repro.jit import load_program
+        from repro.jit import DEFAULT_BACKEND, load_program
 
         loaded = load_program(
             "-- header comment\n"
@@ -50,7 +50,7 @@ class TestPipeline:
             "  (OnRemote(network, p); (ps, ss))\n")
         assert loaded.source_lines == 2
         assert loaded.codegen_ms >= 0
-        assert loaded.backend == "closure"
+        assert loaded.backend == DEFAULT_BACKEND
 
 
 class TestMpegServerEdges:

@@ -83,6 +83,17 @@ class TestMakeDecoder:
         with pytest.raises(CodecError, match="shorter than"):
             dec(_pkt(b"\x00", transport=None, proto=PROTO_RAW))
 
+    def test_one_decoder_per_layout(self):
+        """Equal layouts share one compiled function (a deployment asks
+        once per overload per node per install); different ones do
+        not."""
+        dec = codec.make_decoder(_ty("ip", "tcp", "int", "blob"))
+        assert codec.make_decoder(_ty("ip", "tcp", "int", "blob")) is dec
+        assert codec.dispatch_plan(
+            _ty("ip", "tcp", "int", "blob")).decode is dec
+        assert codec.make_decoder(_ty("ip", "udp", "int", "blob")) is not dec
+        assert codec.make_decoder(_ty("ip", "tcp", "int")) is not dec
+
 
 class TestBatchDecoder:
     def test_tail_layout_short_payload(self):

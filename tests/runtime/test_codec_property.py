@@ -1,11 +1,14 @@
 """Property tests: wire codec round-trips for arbitrary packet shapes."""
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.fuzz.grammar import PACKET_TYPES
+from repro.lang import parse, typecheck
 from repro.lang import types as T
 from repro.net.addresses import HostAddr
-from repro.net.packet import IpHeader, TcpHeader, UdpHeader
+from repro.net.packet import IpHeader, Packet, TcpHeader, UdpHeader
 from repro.runtime import codec
 
 addresses = st.integers(0, 0xFFFFFFFF).map(HostAddr)
@@ -111,7 +114,6 @@ def catalog_packet_types():
         asps.link_compressor_asp(app_port=7000),
         asps.link_decompressor_asp(app_port=7000),
     ]
-    from repro.lang import parse, typecheck
     types = {}
     for source in sources:
         for decl in typecheck(parse(source)).all_channels():
@@ -209,3 +211,65 @@ def test_catalog_empty_and_max_tails():
             packet = codec.encode(value)
             assert codec.decode(packet, ty) == value
             assert codec.dispatch_plan(ty).decode(packet) == value
+
+
+# ---------------------------------------------------------------------------
+# The compiled per-layout decoder against the reference ``codec.decode``
+# ---------------------------------------------------------------------------
+
+
+def _grammar_type(text):
+    return typecheck(parse(
+        f"channel network(ps : int, ss : unit, p : {text}) is (ps, ss)"
+    )).channels["network"][0].packet_type
+
+
+#: every layout the fuzz grammar emits: raw/tcp/udp, tail and tail-less,
+#: each fixed view kind
+GRAMMAR_TYPES = [_grammar_type(text) for text in PACKET_TYPES]
+
+
+def _decoded_or_error(decode, packet):
+    try:
+        return decode(packet)
+    except codec.CodecError as err:
+        return str(err)
+
+
+@pytest.mark.parametrize("ty", GRAMMAR_TYPES, ids=PACKET_TYPES)
+def test_compiled_decoder_equals_reference(ty):
+    """Exact, truncated and over-long payloads: the same value tuple or
+    the same ``CodecError`` text, byte for byte."""
+    lay = codec.layout(ty)
+    compiled = codec.make_decoder(ty)
+    lengths = sorted({*range(lay.fixed + 1), lay.fixed + 1, lay.fixed + 9})
+
+    @given(st.sampled_from(lengths).flatmap(
+        lambda n: st.binary(min_size=n, max_size=n)))
+    @settings(max_examples=60, deadline=None)
+    def check(payload):
+        packet = Packet(IpHeader(), lay.transport_cls(), payload)
+        want = _decoded_or_error(lambda p: codec.decode(p, ty), packet)
+        assert _decoded_or_error(compiled, packet) == want
+        assert isinstance(want, str) != lay.admits(len(payload))
+
+    check()
+
+
+@pytest.mark.parametrize("ty", GRAMMAR_TYPES, ids=PACKET_TYPES)
+def test_encode_of_decode_keeps_the_payload(ty):
+    """``encode(decode(p))`` is ``p`` on the wire again — and where the
+    layout's only view is a blob, it carries the very payload object:
+    nothing was sliced, joined or copied on the way through."""
+    lay = codec.layout(ty)
+    payload = bytes(range(40, 40 + lay.fixed + (7 if lay.has_tail else 0)))
+    if T.BOOL in lay.views:  # any non-zero byte decodes true, encodes 1
+        at = sum(codec._FIXED_SIZES[v]
+                 for v in lay.views[:lay.views.index(T.BOOL)])
+        payload = payload[:at] + b"\x01" + payload[at + 1:]
+    packet = Packet(IpHeader(), lay.transport_cls(), payload)
+    again = codec.encode(codec.make_decoder(ty)(packet))
+    assert (again.ip, again.transport, again.payload) == (
+        packet.ip, packet.transport, packet.payload)
+    if lay.views == (T.BLOB,):
+        assert again.payload is packet.payload
