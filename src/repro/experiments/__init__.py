@@ -1,4 +1,4 @@
-"""Experiment harness helpers shared by benchmarks and examples."""
+"""Experiment helpers shared by the registry, tests and examples."""
 
 from .fig3 import Fig3Result, Fig3Row, fig3_codegen_table, format_fig3_table
 from .microbench import (BRIDGE_ASP, MicrobenchResult, make_bridge_packets,

@@ -1,7 +1,7 @@
 """The sharded-core scale experiment: a ring of router clusters.
 
-This is the workload behind ``benchmarks/test_scale.py`` and the
-``shard_segments`` knob (DESIGN §13): ``n_clusters`` routers form a
+This is the workload behind the ``scale`` scenarios, ``scale_udp`` and
+the ``shard_segments`` knob (DESIGN §13): ``n_clusters`` routers form a
 ring with ``ring_latency`` propagation delay; each router serves
 ``hosts_per_cluster - 1`` leaf hosts over fast LAN links.  Hosts send
 UDP datagrams mostly to a sibling in their own cluster, with every

@@ -1,7 +1,8 @@
 """Scenario matrices: the paper's evaluation as declarative data.
 
 ``standard_matrix()`` is figures 3–8 at full reproduction scale — the
-matrix ``BENCH_harness.json`` times and ``runx sweep`` runs by default.
+matrix ``runx sweep`` runs by default (its wall times land in the
+result store's ``sweep.json``).
 ``smoke_matrix()`` is the same coverage at CI scale (seconds, tagged
 ``smoke``).  ``report_matrix(scale)`` is exactly the set of scenarios
 :mod:`repro.experiments.report` formats, at ``quick`` or ``full``
@@ -79,7 +80,7 @@ def report_matrix(scale: Scale) -> list[Scenario]:
 
 
 def standard_matrix() -> list[Scenario]:
-    """The full-scale evaluation matrix (the BENCH_harness target)."""
+    """The full-scale evaluation matrix."""
     scenarios = [
         Scenario(s.name.replace("full/", "standard/", 1), s.experiment,
                  s.params, seed=s.seed, tags=s.tags | {"standard"})

@@ -126,8 +126,7 @@ class ProgramCache:
     programs shipped under different names or to different nodes share
     one front-end pass; diagnostics on shared entries carry the source
     name of the first download.  ``max_entries`` bounds each internal
-    map (FIFO eviction); ``max_entries=0`` disables caching entirely,
-    which is how benchmarks measure the uncached baseline.
+    map (FIFO eviction); ``max_entries=0`` disables caching entirely.
     """
 
     def __init__(self, max_entries: int = 128):
@@ -263,8 +262,8 @@ PROGRAM_CACHE = ProgramCache()
 
 
 def _cache_stats() -> dict[str, int]:
-    # Looked up at call time, so benchmarks that rebind PROGRAM_CACHE
-    # are snapshotted correctly.
+    # Looked up at call time, so a rebound PROGRAM_CACHE is the one
+    # snapshotted.
     return dataclasses.asdict(PROGRAM_CACHE.stats)
 
 

@@ -5,8 +5,8 @@ time (``time.perf_counter``) and reports it — into a histogram, a
 callback, or just its own ``elapsed_ms`` attribute.  It replaces the
 ``start = perf_counter(); ...; elapsed = perf_counter() - start`` pairs
 that were scattered through the JIT pipeline, the verifier and the
-benchmarks: every timing now lands in a named histogram a snapshot can
-read back.
+experiments: every timing now lands in a named histogram a snapshot
+can read back.
 
 Spans measure *real* time (how long the Python process worked), unlike
 the event log, which is stamped with *simulated* time; the two clocks

@@ -137,9 +137,6 @@ class PlanPLayer:
         #: packet does not pay for two method objects
         self._ok, self._fault = self._on_ok, self._on_fault
         self._batch_hist: Histogram | None = None
-        #: opt-in per-packet processing-time histogram (ms); ``None``
-        #: keeps the hot path at a single truthiness check
-        self.profile: Histogram | None = None
         #: circuit-breaker gate: while True the layer matches nothing
         #: and every packet takes standard IP processing.  Installing a
         #: program lifts the gate (the quarantined program is gone).
@@ -148,18 +145,6 @@ class PlanPLayer:
         #: :meth:`repro.runtime.lifecycle.LifecycleManager.manage`);
         #: ``None`` keeps the packet path at one attribute check
         self.lifecycle: "NodeLifecycle | None" = None
-
-    def enable_profiling(self) -> Histogram:
-        """Time every channel invocation into the node network's
-        ``asp.process_ms`` histogram (or a private one when the node is
-        not part of a :class:`~repro.net.topology.Network`)."""
-        if self.profile is None:
-            obs = self.node.obs
-            if obs is not None:
-                self.profile = obs.metrics.histogram("asp.process_ms")
-            else:
-                self.profile = Histogram("asp.process_ms")
-        return self.profile
 
     # -- program installation ---------------------------------------------------
 
@@ -307,10 +292,10 @@ class PlanPLayer:
                             if self.node.stats.crashes == crashes
                             else self._drop_down(packet))
             return
-        if self.batch_size > 1 and hit is not None and self.profile is None:
+        if self.batch_size > 1 and hit is not None:
             # Tier 3: defer to the end of the current event, so several
             # packets delivered by one scheduler activation coalesce
-            # into same-overload runs.  Profiling stays per-packet.
+            # into same-overload runs.
             packets, ifaces, hits = self._pending
             packets.append(packet)
             ifaces.append(iface)
@@ -369,11 +354,7 @@ class PlanPLayer:
         self._run = (packets, ifaces, hit)
         self._emit_row = -1
         try:
-            if self.profile is None:
-                core.run(packets, hit, self, self._ok, self._fault)
-            else:
-                with self.profile.time():
-                    core.run(packets, hit, self, self._ok, self._fault)
+            core.run(packets, hit, self, self._ok, self._fault)
         finally:
             self._run = None
 

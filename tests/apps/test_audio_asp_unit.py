@@ -23,8 +23,8 @@ def audio_packet(fmt=FMT_STEREO16, seq=0, samples=32):
             UdpHeader(src_port=5000, dst_port=7000), payload)
 
 
-def run_router(packet, *, load, bandwidth=2000):
-    info = typecheck(parse(audio_router_asp()))
+def run_router(packet, *, load, bandwidth=2000, **thresholds):
+    info = typecheck(parse(audio_router_asp(**thresholds)))
     interp = Interpreter(info)
     ctx = RecordingContext(default_load=load,
                            default_bandwidth=bandwidth)
@@ -58,6 +58,19 @@ class TestRouterAsp:
         assert fmt == FMT_MONO8
         original = decode_frame(packet[2])[2]
         assert pcm == degrade(original, FMT_STEREO16, FMT_MONO8)
+
+    @pytest.mark.parametrize("low, mid, fmt", [
+        (5000, 8000, FMT_MONO8),    # aggressive: everything looks loaded
+        (600, 1600, FMT_MONO16),    # the shipped policy
+        (10, 20, FMT_STEREO16),     # relaxed: nothing does
+    ])
+    def test_thresholds_decide_the_emitted_format(self, low, mid, fmt):
+        """The policy ablation: one link reading (1100 kbit/s spare),
+        three regenerated routers, three wire formats."""
+        emitted = run_router(audio_packet(), load=900,
+                             headroom_low_kbps=low,
+                             headroom_mid_kbps=mid)
+        assert decode_frame(emitted[2])[0] == fmt
 
     def test_never_upgrades_already_degraded_frames(self):
         packet = audio_packet(fmt=FMT_MONO8, seq=3)

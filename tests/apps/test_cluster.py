@@ -70,6 +70,10 @@ class TestFailover:
         # Meanwhile the service keeps completing requests.
         late = [r for r in worker.completed if r.completed > 21.0]
         assert late
+        # The service gap: between two completions the client never
+        # waits longer than detection plus one request timeout.
+        done = sorted(r.completed for r in worker.completed)
+        assert max(b - a for a, b in zip(done, done[1:]) if b > 5.0) < 5.0
 
     def test_recovered_server_rejoins(self):
         (net, gateway, admin, servers, client, trace, https, responders,

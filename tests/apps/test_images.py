@@ -96,6 +96,18 @@ class TestExperiment:
         assert poster_dist.width < poster_plain.width
         assert poster_dist.latency < poster_plain.latency / 10
 
+    def test_budget_trades_fidelity_for_latency(self):
+        """A bigger byte budget: a bigger poster, within it, later."""
+        budgets = (1000, 3000, 10000)
+        posters = [run_image_experiment(distillation=True,
+                                        budget_bytes=budget)
+                   .result_for("poster.simg") for budget in budgets]
+        for poster, budget in zip(posters, budgets):
+            assert poster.received_bytes <= budget
+        for small, big in zip(posters, posters[1:]):
+            assert small.width < big.width
+            assert small.latency < big.latency
+
     def test_quantize_policy_variant(self):
         result = run_image_experiment(distillation=True,
                                       quantize_bits=4)

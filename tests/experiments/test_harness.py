@@ -21,6 +21,9 @@ class TestFig3Harness:
         by_name = {r.name: r for r in rows}
         assert by_name["Extensible Web Server"].paper_lines == 91
         assert by_name["Extensible Web Server"].paper_codegen_ms == 15.3
+        # ours keep the table's order of size: monitor above client
+        assert by_name["MPEG (monitor)"].lines \
+            > by_name["MPEG (client)"].lines
 
     def test_line_counts_match_sources(self):
         rows = fig3_codegen_table(repeats=1)

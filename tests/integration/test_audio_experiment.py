@@ -58,17 +58,31 @@ class TestFig7Gaps:
                 > without.figures["frames_received"])
 
     def test_no_load_no_gaps_either_way(self):
-        for adaptation in (False, True):
-            result = run_audio_experiment(adaptation=adaptation,
-                                          duration=10.0,
-                                          constant_load_bps=0)
-            assert result.figures["silent_periods"] == 0
+        # idle, and the figure's light-load column (0.8 Mbit/s)
+        for load in (0, 800_000):
+            for adaptation in (False, True):
+                result = run_audio_experiment(adaptation=adaptation,
+                                              duration=10.0,
+                                              constant_load_bps=load)
+                assert result.figures["silent_periods"] == 0
 
 
 class TestBackends:
+    @pytest.fixture(scope="class")
+    def by_backend(self):
+        return {backend: run_audio_experiment(
+            duration=20.0, backend=backend, constant_load_bps=1_700_000)
+            for backend in ("interpreter", "source")}
+
     @pytest.mark.parametrize("backend", ["interpreter", "source"])
-    def test_other_engines_give_same_adaptation(self, backend):
-        result = run_audio_experiment(duration=20.0, backend=backend,
-                                      constant_load_bps=1_700_000)
+    def test_other_engines_give_same_adaptation(self, by_backend,
+                                                backend):
+        result = by_backend[backend]
         assert result.dominant_quality_between(3, 19) == FMT_MONO8
         assert result.figures["restored"]
+
+    def test_engines_agree_on_every_figure(self, by_backend):
+        """The JIT matters to the wall clock only: bandwidth on the
+        wire, formats, frames, gaps — sample for sample the same."""
+        interp, jit = by_backend["interpreter"], by_backend["source"]
+        assert interp.record()["figures"] == jit.record()["figures"]

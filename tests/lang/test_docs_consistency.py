@@ -79,3 +79,42 @@ def test_policy_knobs_match_design():
         assert not phantom, (
             f"DESIGN §7a/§7b documents non-existent {cls.__name__} "
             f"fields: {phantom}")
+
+
+TOP_LEVEL_DOCS = ("README.md", "EXPERIMENTS.md", "DESIGN.md")
+
+
+def test_quoted_repository_paths_exist():
+    """Every back-ticked path under ``src/``, ``tests/``, ``bench/``,
+    ``examples/`` or ``docs/``, and every root ``*.json``, exists
+    (``*`` must match something; ``::test`` suffixes are ignored)."""
+    path = re.compile(r"(?:(?:src|tests|bench|examples|docs)/[\w./*-]+"
+                      r"|[\w-]+\.json)(?:::[\w:\[\]-]+)?")
+    missing = []
+    for doc in TOP_LEVEL_DOCS:
+        text = (ROOT / doc).read_text(encoding="utf-8")
+        for token in re.findall(r"`([^`\n]+)`", text):
+            if not path.fullmatch(token):
+                continue
+            name = token.split("::")[0].rstrip("/")
+            found = any(ROOT.glob(name)) if "*" in name \
+                else (ROOT / name).exists()
+            if not found:
+                missing.append(f"{doc}: {token}")
+    assert not missing, f"documents name paths that do not exist: {missing}"
+
+
+def test_quoted_scenario_names_are_in_a_matrix():
+    """Every ``<matrix prefix>/<name>`` the documents quote, back-ticked
+    or inside a command, is a scenario of some matrix."""
+    from repro.harness import matrix
+
+    names = {scenario.name for scenario in matrix("all")}
+    prefixes = "|".join(sorted({name.split("/")[0] for name in names}))
+    quoted = re.compile(rf"(?<![\w/.-])(?:{prefixes})/[a-z0-9][\w/-]*")
+    unknown = []
+    for doc in TOP_LEVEL_DOCS:
+        text = (ROOT / doc).read_text(encoding="utf-8")
+        unknown += [f"{doc}: {name}" for name in quoted.findall(text)
+                    if name not in names]
+    assert not unknown, f"documents quote unknown scenarios: {unknown}"

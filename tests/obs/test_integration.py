@@ -1,13 +1,13 @@
 """Observability wired through the network stack, end to end."""
 
 from repro.net import Network
-from repro.net.packet import udp_packet
+from repro.net.packet import tcp_packet, udp_packet
 from repro.net.tcp import TcpError
 from repro.runtime import PlanPLayer
 
-ECHO_ASP = """\
+FORWARD_ASP = """\
 channel network(ps : int, ss : unit, p : ip*udp*blob) is
-  (deliver(p); (ps + 1, ss))
+  (OnRemote(network, p); (ps + 1, ss))
 """
 
 
@@ -140,37 +140,42 @@ class TestDeployEvents:
         assert snap["deploy.service.r1.installed"] == 1
 
 
-class TestAspProfiling:
-    def test_opt_in_histogram_records_per_packet(self):
+class TestCleanPathCost:
+    """What the shipping instrumentation costs a packet nothing happens
+    to, as counts: no event logged, no tap to call, no per-packet
+    histogram — on the ASP path and the standard forwarding path alike."""
+
+    N = 8
+
+    def test_clean_packets_log_nothing_and_find_no_taps(self):
         net, a, r, b = line_net()
         layer = PlanPLayer(r)
-        layer.install(ECHO_ASP)
-        packet = udp_packet(a.address, b.address, 1, 2, b"x")
-        assert layer.wants(packet, None)
+        layer.install(FORWARD_ASP)
+        assert [e.kind for e in net.obs.events.filter()] == ["deploy"]
 
-        # Off by default: processing records nothing.
-        layer.process(packet, None)
+        for i in range(self.N):
+            # an overload matches: runs through the ASP on r...
+            a.ip_send(udp_packet(a.address, b.address, 1, 2, bytes([i])))
+            # ...none does: standard forwarding
+            a.ip_send(tcp_packet(a.address, b.address, 1, 80, b"x"))
+        net.run()
+        assert r.stats.asp_handled == self.N
+        assert layer.stats.packets_processed == self.N
+        assert layer.stats.runtime_errors == 0
+        assert r.stats.forwarded == self.N
+        assert b.stats.delivered == 2 * self.N
+
+        assert [e.kind for e in net.obs.events.filter()] == ["deploy"]
+        # no tap to call per packet: a Network wires only its drop
+        # counters, which a clean packet never meets
+        queues = [iface.medium.tx_queue(iface)
+                  for node in net.nodes for iface in node.interfaces]
+        assert all(not node.receive_taps for node in net.nodes)
+        assert all(not tx.send_taps for tx in queues)
+        assert all(len(x.drop_taps) == 1 for x in [*net.nodes, *queues])
         snap = net.metrics_snapshot(include_global=False)
-        assert "asp.process_ms.count" not in snap
-
-        histogram = layer.enable_profiling()
-        assert layer.enable_profiling() is histogram  # idempotent
-        layer.process(packet, None)
-        layer.process(packet, None)
-        snap = net.metrics_snapshot(include_global=False)
-        assert snap["asp.process_ms.count"] == 2
-        assert snap["asp.process_ms.mean"] >= 0.0
-
-    def test_profiling_without_network_uses_private_histogram(self):
-        from repro.net.node import Host
-        from repro.net.sim import Simulator
-
-        layer = PlanPLayer(Host(Simulator(), "lone"))
-        layer.install(ECHO_ASP)
-        histogram = layer.enable_profiling()
-        layer.process(udp_packet("10.0.0.1", "10.0.0.2", 1, 2, b"x"),
-                      None)
-        assert histogram.count == 1
+        assert snap["drops_total"] == 0
+        assert not any(key.startswith("asp.") for key in snap)
 
 
 class TestErrorCounting:

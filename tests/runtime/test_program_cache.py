@@ -3,6 +3,7 @@ per-node engine instantiation, shared artifacts where safe."""
 
 import pytest
 
+from repro.asps.mpeg import mpeg_monitor_asp
 from repro.jit import pipeline
 from repro.jit.pipeline import ProgramCache
 from repro.lang import ParseError, VerificationError
@@ -208,11 +209,12 @@ class TestLoadProgramFlags:
 
 
 class TestNetDeployCache:
-    def test_push_acks_carry_cache_hit_flag(self):
+    @staticmethod
+    def _assert_one_cold_install(n_routers, source):
         pipeline.PROGRAM_CACHE.clear()
         net = Network(seed=41)
         admin = net.add_host("admin")
-        routers = [net.add_router(f"r{i}") for i in range(4)]
+        routers = [net.add_router(f"r{i}") for i in range(n_routers)]
         endpoint = net.add_host("endpoint")
         for router in routers:
             net.link(admin, router, bandwidth=100e6)
@@ -220,7 +222,7 @@ class TestNetDeployCache:
         net.finalize()
         services = [DeploymentService(net, r) for r in routers]
         manager = DeploymentManager(net, admin)
-        xfer = manager.push(FORWARD, [r.address for r in routers])
+        xfer = manager.push(source, [r.address for r in routers])
         net.run(until=5.0)
         assert manager.all_ok(xfer)
         statuses = manager.status(xfer)
@@ -229,3 +231,10 @@ class TestNetDeployCache:
         assert hits.count(True) == len(routers) - 1
         assert all(s.installed == [xfer] for s in services)
         pipeline.PROGRAM_CACHE.clear()
+
+    def test_push_acks_carry_cache_hit_flag(self):
+        self._assert_one_cold_install(4, FORWARD)
+
+    def test_hits_cover_all_but_the_first_of_16_routers(self):
+        # a shipped ASP this time: the Figure 3 connection monitor
+        self._assert_one_cold_install(16, mpeg_monitor_asp())
