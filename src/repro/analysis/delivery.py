@@ -17,8 +17,7 @@ non-delivering path only makes the analysis stricter).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from functools import lru_cache
+from dataclasses import dataclass
 
 from ..lang import ast
 from ..lang.errors import VerificationError

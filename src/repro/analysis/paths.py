@@ -25,7 +25,6 @@ conservatively.
 from __future__ import annotations
 
 import enum
-import itertools
 from dataclasses import dataclass, field, replace
 
 from ..lang import ast
@@ -246,18 +245,6 @@ class PathSummary:
 # -- the walker -------------------------------------------------------------------
 
 
-class _Budget:
-    def __init__(self, limit: int):
-        self.remaining = limit
-
-    def spend(self, n: int = 1) -> None:
-        self.remaining -= n
-        if self.remaining < 0:
-            raise VerificationError(
-                f"path enumeration budget exceeded ({PATH_BUDGET} paths); "
-                f"program rejected conservatively", analysis="paths")
-
-
 @dataclass(frozen=True)
 class _State:
     """Immutable per-path walker state."""
@@ -271,11 +258,10 @@ class _State:
 class PathWalker:
     """Enumerates paths of one channel declaration."""
 
-    def __init__(self, info: ProgramInfo, decl: ast.ChannelDecl,
-                 budget: int = PATH_BUDGET):
+    def __init__(self, info: ProgramInfo, decl: ast.ChannelDecl):
         self._info = info
         self._decl = decl
-        self._budget = _Budget(budget)
+        self._remaining = PATH_BUDGET
         self._packet_name = decl.params[2].name
         self._global_env = self._abstract_globals()
 
@@ -325,7 +311,11 @@ class PathWalker:
 
     def _walk(self, expr: ast.Expr, env: dict[str, AbsVal], state: _State,
               depth: int):
-        self._budget.spend()
+        self._remaining -= 1
+        if self._remaining < 0:
+            raise VerificationError(
+                f"path enumeration budget exceeded ({PATH_BUDGET} paths); "
+                f"program rejected conservatively", analysis="paths")
         kind = type(expr)
 
         if kind is ast.IntLit:

@@ -2,8 +2,7 @@
 
 from .client import AudioClient, BandwidthSample, SilentPeriod
 from .codec import (decode_frame, degrade, encode_frame, frame_kbps,
-                    generate_pcm_stereo16, restore_to_stereo16,
-                    samples_per_frame)
+                    generate_pcm_stereo16, restore_to_stereo16)
 from .experiment import (AUDIO_GROUP, FIG6_SCHEDULE, AudioExperimentResult,
                          GapSweepResult, run_audio_experiment,
                          run_gap_sweep)
@@ -28,5 +27,4 @@ __all__ = [
     "restore_to_stereo16",
     "run_audio_experiment",
     "run_gap_sweep",
-    "samples_per_frame",
 ]

@@ -14,7 +14,7 @@ from ...asps.audio import AUDIO_PORT, FMT_STEREO16
 from ...net.addresses import HostAddr
 from ...net.node import Host
 from ...net.topology import Network
-from .codec import DEFAULT_FRAME_MS, decode_frame
+from .codec import FRAME_MS, decode_frame
 
 
 @dataclass
@@ -38,20 +38,21 @@ class BandwidthSample:
     formats: dict[int, int] = field(default_factory=dict)  # fmt -> frames
 
 
+#: a frame this many frame intervals late opens a silent period
+GAP_FACTOR = 3.0
+GAP_THRESHOLD_S = GAP_FACTOR * FRAME_MS / 1000.0
+#: width of one received-bandwidth sample (figure 6's x resolution)
+BUCKET_S = 1.0
+
+
 class AudioClient:
     """Joins the group and consumes the stream."""
 
     def __init__(self, net: Network, host: Host, group: HostAddr,
-                 port: int = AUDIO_PORT,
-                 frame_ms: int = DEFAULT_FRAME_MS,
-                 gap_factor: float = 3.0,
-                 bucket_s: float = 1.0):
+                 port: int = AUDIO_PORT):
         self.net = net
         self.host = host
         host.join_group(group)
-        self.frame_interval = frame_ms / 1000.0
-        self.gap_threshold = gap_factor * self.frame_interval
-        self.bucket_s = bucket_s
 
         self.frames_received = 0
         self.bad_frames = 0
@@ -77,7 +78,7 @@ class AudioClient:
         self._check_gap(now, seq)
         self.frames_received += 1
         self.quality_seen[fmt] = self.quality_seen.get(fmt, 0) + 1
-        bucket = int(now / self.bucket_s)
+        bucket = int(now / BUCKET_S)
         nbytes, fmts = self._buckets.get(bucket, (0, {}))
         fmts[fmt] = fmts.get(fmt, 0) + 1
         self._buckets[bucket] = (nbytes + len(payload), fmts)
@@ -90,7 +91,7 @@ class AudioClient:
         elapsed = now - self.last_arrival
         missed = (seq - self.last_seq - 1) if self.last_seq is not None \
             else 0
-        if elapsed > self.gap_threshold or missed > 1:
+        if elapsed > GAP_THRESHOLD_S or missed > 1:
             self.silent_periods.append(SilentPeriod(
                 start=self.last_arrival, end=now,
                 frames_missed=max(missed, 0)))
@@ -104,8 +105,8 @@ class AudioClient:
             nbytes, fmts = self._buckets[bucket]
             dominant = max(fmts.items(), key=lambda kv: kv[1])[0]
             samples.append(BandwidthSample(
-                time=bucket * self.bucket_s,
-                kbps=nbytes * 8 / self.bucket_s / 1000,
+                time=bucket * BUCKET_S,
+                kbps=nbytes * 8 / BUCKET_S / 1000,
                 quality=dominant, formats=dict(fmts)))
         return samples
 

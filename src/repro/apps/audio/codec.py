@@ -22,8 +22,11 @@ from ...asps.audio import (FMT_MONO16, FMT_MONO8, FMT_STEREO16,
                            FRAME_HEADER_BYTES)
 
 #: Sample rate chosen so 16-bit stereo consumes the paper's 176 kbit/s.
-DEFAULT_SAMPLE_RATE = 5500
-DEFAULT_FRAME_MS = 20
+SAMPLE_RATE = 5500
+FRAME_MS = 20
+SAMPLES_PER_FRAME = SAMPLE_RATE * FRAME_MS // 1000
+#: left-channel tone of the synthetic stream; the right runs a fifth above
+TONE_HZ = 440.0
 
 FORMAT_NAMES = {FMT_STEREO16: "16-bit stereo",
                 FMT_MONO16: "16-bit mono",
@@ -33,19 +36,12 @@ FORMAT_NAMES = {FMT_STEREO16: "16-bit stereo",
 BYTES_PER_SAMPLE = {FMT_STEREO16: 4, FMT_MONO16: 2, FMT_MONO8: 1}
 
 
-def samples_per_frame(sample_rate: int = DEFAULT_SAMPLE_RATE,
-                      frame_ms: int = DEFAULT_FRAME_MS) -> int:
-    return sample_rate * frame_ms // 1000
-
-
-def generate_pcm_stereo16(seq: int, n_samples: int,
-                          tone_hz: float = 440.0,
-                          sample_rate: int = DEFAULT_SAMPLE_RATE) -> bytes:
+def generate_pcm_stereo16(seq: int, n_samples: int) -> bytes:
     """A deterministic stereo sine frame (the 'CD audio' stand-in)."""
     t0 = seq * n_samples
-    t = (np.arange(t0, t0 + n_samples) / sample_rate)
-    left = (np.sin(2 * np.pi * tone_hz * t) * 12000).astype("<i2")
-    right = (np.sin(2 * np.pi * tone_hz * 1.5 * t) * 12000).astype("<i2")
+    t = (np.arange(t0, t0 + n_samples) / SAMPLE_RATE)
+    left = (np.sin(2 * np.pi * TONE_HZ * t) * 12000).astype("<i2")
+    right = (np.sin(2 * np.pi * TONE_HZ * 1.5 * t) * 12000).astype("<i2")
     return np.column_stack([left, right]).astype("<i2").tobytes()
 
 
@@ -94,6 +90,6 @@ def restore_to_stereo16(pcm: bytes, fmt: int) -> bytes:
     return data
 
 
-def frame_kbps(fmt: int, sample_rate: int = DEFAULT_SAMPLE_RATE) -> float:
+def frame_kbps(fmt: int) -> float:
     """Nominal payload bandwidth of a format, in kbit/s."""
-    return sample_rate * BYTES_PER_SAMPLE[fmt] * 8 / 1000
+    return SAMPLE_RATE * BYTES_PER_SAMPLE[fmt] * 8 / 1000

@@ -21,7 +21,7 @@ from ...jit.pipeline import DEFAULT_BACKEND
 from ...net.topology import Network
 from ...obs import Observability
 from ...runtime.deployment import Deployment
-from .client import AudioClient, BandwidthSample
+from .client import BUCKET_S, AudioClient, BandwidthSample
 from .loadgen import LoadGenerator
 from .source import AudioSource
 
@@ -44,10 +44,9 @@ FIG6_SCHEDULE = (
 class _WireTap:
     """Samples the audio stream as it arrives on the client's wire."""
 
-    def __init__(self, net: Network, group, bucket_s: float = 1.0):
+    def __init__(self, net: Network, group):
         self._net = net
         self._group = group
-        self._bucket_s = bucket_s
         self._buckets: dict[int, tuple[int, dict[int, int]]] = {}
 
     def on_packet(self, packet, iface) -> None:
@@ -59,7 +58,7 @@ class _WireTap:
                 and packet.transport.dst_port == AUDIO_PORT):
             return
         fmt = packet.payload[0] if packet.payload else 0
-        bucket = int(self._net.sim.now / self._bucket_s)
+        bucket = int(self._net.sim.now / BUCKET_S)
         nbytes, fmts = self._buckets.get(bucket, (0, {}))
         fmts[fmt] = fmts.get(fmt, 0) + 1
         self._buckets[bucket] = (nbytes + len(packet.payload), fmts)
@@ -70,8 +69,8 @@ class _WireTap:
             nbytes, fmts = self._buckets[bucket]
             dominant = max(fmts.items(), key=lambda kv: kv[1])[0]
             out.append(BandwidthSample(
-                time=bucket * self._bucket_s,
-                kbps=nbytes * 8 / self._bucket_s / 1000,
+                time=bucket * BUCKET_S,
+                kbps=nbytes * 8 / BUCKET_S / 1000,
                 quality=dominant, formats=dict(fmts)))
         return out
 
@@ -219,7 +218,7 @@ class GapSweepResult(ExperimentResult):
 
 
 def run_gap_sweep(*, load_levels_bps: list[float],
-                  duration: float = 60.0, backend: str = DEFAULT_BACKEND,
+                  duration: float = 60.0,
                   seed: int = 7) -> dict[float, dict[str, int]]:
     """The figure 7 sweep: silent periods with and without adaptation
     across segment load levels."""
@@ -227,10 +226,10 @@ def run_gap_sweep(*, load_levels_bps: list[float],
     for load in load_levels_bps:
         with_adapt = run_audio_experiment(
             adaptation=True, duration=duration, constant_load_bps=load,
-            backend=backend, seed=seed)
+            seed=seed)
         without = run_audio_experiment(
             adaptation=False, duration=duration, constant_load_bps=load,
-            backend=backend, seed=seed)
+            seed=seed)
         results[load] = {
             "with_adaptation": with_adapt.figures["silent_periods"],
             "without_adaptation": without.figures["silent_periods"],

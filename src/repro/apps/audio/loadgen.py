@@ -14,24 +14,24 @@ from ...net.topology import Network
 
 #: UDP discard port the filler traffic targets.
 DISCARD_PORT = 9
+#: filler datagram payload size, and how often the rate is paid out
+PACKET_BYTES = 1000
+TICK_S = 0.01
 
 
 class LoadGenerator:
     """Constant-bit-rate filler with a rate schedule."""
 
-    def __init__(self, net: Network, host: Host, sink: HostAddr,
-                 packet_bytes: int = 1000, tick_s: float = 0.01):
+    def __init__(self, net: Network, host: Host, sink: HostAddr):
         self.net = net
         self.host = host
         self.sink = sink
-        self.packet_bytes = packet_bytes
-        self.tick_s = tick_s
         self.rate_bps = 0.0
         self.packets_sent = 0
         self._carry = 0.0
         self._socket = net.udp(host).bind()
-        self._payload = bytes(packet_bytes)
-        net.sim.every(tick_s, self._tick)
+        self._payload = bytes(PACKET_BYTES)
+        net.sim.every(TICK_S, self._tick)
 
     def set_rate(self, rate_bps: float) -> None:
         self.rate_bps = max(0.0, rate_bps)
@@ -45,8 +45,8 @@ class LoadGenerator:
         if self.rate_bps <= 0:
             self._carry = 0.0
             return
-        self._carry += self.rate_bps * self.tick_s / 8
-        while self._carry >= self.packet_bytes:
+        self._carry += self.rate_bps * TICK_S / 8
+        while self._carry >= PACKET_BYTES:
             self._socket.sendto(self.sink, DISCARD_PORT, self._payload)
             self.packets_sent += 1
-            self._carry -= self.packet_bytes
+            self._carry -= PACKET_BYTES

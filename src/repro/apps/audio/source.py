@@ -12,30 +12,25 @@ from ...net.addresses import HostAddr
 from ...net.node import Host
 from ...net.sim import PeriodicTask
 from ...net.topology import Network
-from .codec import (DEFAULT_FRAME_MS, DEFAULT_SAMPLE_RATE, encode_frame,
-                    generate_pcm_stereo16, samples_per_frame)
+from .codec import (FRAME_MS, SAMPLES_PER_FRAME, encode_frame,
+                    generate_pcm_stereo16)
 
 
 class AudioSource:
     """Broadcasts an audio stream to a multicast group."""
 
     def __init__(self, net: Network, host: Host, group: HostAddr,
-                 port: int = AUDIO_PORT,
-                 sample_rate: int = DEFAULT_SAMPLE_RATE,
-                 frame_ms: int = DEFAULT_FRAME_MS):
+                 port: int = AUDIO_PORT):
         self.net = net
         self.host = host
         self.group = group
         self.port = port
-        self.sample_rate = sample_rate
-        self.frame_interval = frame_ms / 1000.0
-        self.samples = samples_per_frame(sample_rate, frame_ms)
         self.frames_sent = 0
         self._socket = net.udp(host).bind(port)
         self._task: PeriodicTask | None = None
 
     def start(self, at: float = 0.0, until: float | None = None) -> None:
-        self._task = self.net.sim.every(self.frame_interval, self._tick,
+        self._task = self.net.sim.every(FRAME_MS / 1000.0, self._tick,
                                         start=at, until=until)
 
     def stop(self) -> None:
@@ -43,8 +38,7 @@ class AudioSource:
             self._task.stop()
 
     def _tick(self) -> None:
-        pcm = generate_pcm_stereo16(self.frames_sent, self.samples,
-                                    sample_rate=self.sample_rate)
+        pcm = generate_pcm_stereo16(self.frames_sent, SAMPLES_PER_FRAME)
         payload = encode_frame(FMT_STEREO16, self.frames_sent, pcm)
         self._socket.sendto(self.group, self.port, payload)
         self.frames_sent += 1

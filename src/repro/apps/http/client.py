@@ -30,6 +30,10 @@ from ...net.topology import Network
 from .server import HTTP_PORT
 from .trace import Trace
 
+#: closed loop: a worker issues its next request this long after the
+#: last one completed
+THINK_TIME_S = 0.0
+
 
 @dataclass
 class CompletedRequest:
@@ -90,7 +94,7 @@ class HttpClientWorker:
 
     def __init__(self, net: Network, host: Host, server: HostAddr,
                  trace: Trace, *, port: int = HTTP_PORT,
-                 trace_offset: int = 0, think_time: float = 0.0,
+                 trace_offset: int = 0,
                  retry_delay: float = 0.1,
                  retry_ceiling: float = 2.0,
                  max_retries: int = 4,
@@ -99,7 +103,6 @@ class HttpClientWorker:
         self.host = host
         self.server = server
         self.port = port
-        self.think_time = think_time
         #: application-level deadline per request: a server that dies
         #: mid-response leaves no TCP timer running, so the client must
         #: give up on its own (as real HTTP clients do)
@@ -197,10 +200,7 @@ class HttpClientWorker:
             status=status))
         self._entry = None
         conn.close()
-        if self.think_time > 0:
-            self.host.sim.schedule(self.think_time, self._next_request)
-        else:
-            self.host.sim.schedule(0.0, self._next_request)
+        self.host.sim.schedule(THINK_TIME_S, self._next_request)
 
     def _on_failure(self) -> None:
         self.failures += 1

@@ -19,16 +19,18 @@ The toolkit's pieces:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from ...asps.http import http_gateway_asp
-from ...jit.pipeline import DEFAULT_BACKEND
 from ...net.addresses import HostAddr
 from ...net.node import Host, Router
 from ...net.topology import Network
 from ...runtime.netdeploy import DeploymentManager, DeploymentService
 
 HEALTH_PORT = 9950
+#: seconds between health probes, and how long a PONG may take
+CHECK_INTERVAL_S = 1.0
+PROBE_TIMEOUT_S = 0.5
 
 
 class HealthResponder:
@@ -67,19 +69,13 @@ class ClusterManager:
 
     def __init__(self, net: Network, manager_host: Host,
                  gateway: Router, virtual: HostAddr,
-                 servers: list[Host], *, strategy: str = "modulo",
-                 health_port: int = HEALTH_PORT,
-                 check_interval: float = 1.0,
-                 timeout: float = 0.5,
-                 backend: str = DEFAULT_BACKEND):
+                 servers: list[Host], *,
+                 health_port: int = HEALTH_PORT):
         self.net = net
         self.gateway = gateway
         self.virtual = virtual
         self.servers = list(servers)
-        self.strategy = strategy
         self.health_port = health_port
-        self.timeout = timeout
-        self.backend = backend
         self.generation = 0
         self.events: list[ClusterEvent] = []
         self.alive: set[str] = {s.name for s in servers}
@@ -91,7 +87,7 @@ class ClusterManager:
         self._probe_socket.on_datagram = self._on_pong
         self._answers: set[HostAddr] = set()
         self._deploy_current()
-        net.sim.every(check_interval, self._probe)
+        net.sim.every(CHECK_INTERVAL_S, self._probe)
 
     # -- health checking ----------------------------------------------------------
 
@@ -101,7 +97,7 @@ class ClusterManager:
         for server in self.servers:
             self._probe_socket.sendto(server.address, self.health_port,
                                       b"PING")
-        self.net.sim.schedule(self.timeout, self._evaluate)
+        self.net.sim.schedule(PROBE_TIMEOUT_S, self._evaluate)
 
     def _on_pong(self, payload: bytes, src: HostAddr,
                  src_port: int) -> None:
@@ -122,11 +118,9 @@ class ClusterManager:
         if not live:
             return  # nothing to balance onto; keep the last program
         source = http_gateway_asp(
-            str(self.virtual), [str(s.address) for s in live],
-            strategy=self.strategy)
+            str(self.virtual), [str(s.address) for s in live])
         self.generation += 1
         self._manager.push(source, [self.gateway.address],
-                           backend=self.backend,
                            name=f"gw-gen{self.generation}")
         self.events.append(ClusterEvent(
             at=self.net.sim.now,

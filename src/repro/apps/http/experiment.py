@@ -20,13 +20,12 @@ from typing import Callable
 
 from ...asps.http import http_gateway_asp
 from ...experiments.result import ExperimentResult
-from ...jit.pipeline import DEFAULT_BACKEND
 from ...net.topology import Network
 from ...obs import Observability
 from ...runtime.deployment import Deployment
 from .client import HttpClientWorker
 from .gateway_c import BuiltinGateway
-from .server import HTTP_PORT, HttpServer
+from .server import HttpServer
 from .trace import Trace, generate_trace
 
 MODES = ("single", "asp", "builtin", "disjoint")
@@ -65,8 +64,7 @@ GATEWAY_CPU_S = 160e-6
 
 def run_http_experiment(*, mode: str, n_clients: int,
                         duration: float = 30.0, warmup: float = 5.0,
-                        n_servers: int = 2, workers_per_client: int = 1,
-                        backend: str = DEFAULT_BACKEND,
+                        n_servers: int = 2,
                         strategy: str = "modulo",
                         gateway_cpu_s: float = GATEWAY_CPU_S,
                         trace: Trace | None = None,
@@ -110,7 +108,7 @@ def run_http_experiment(*, mode: str, n_clients: int,
             http_gateway_asp(str(virtual),
                              [str(h.address) for h in server_hosts],
                              strategy=strategy),
-            [gateway], backend=backend, source_name="http-gateway")
+            [gateway], source_name="http-gateway")
         codegen_ms = record.codegen_ms["gateway"]
         assert gateway.planp is not None
         gateway.planp.cpu.per_item_s = gateway_cpu_s
@@ -128,12 +126,10 @@ def run_http_experiment(*, mode: str, n_clients: int,
             target = server_hosts[i % n_servers].address
         else:
             target = virtual
-        for w in range(workers_per_client):
-            worker = HttpClientWorker(
-                net, host, target, trace,
-                trace_offset=(i * workers_per_client + w) * 97)
-            worker.start(at=0.001 * (i + w))
-            workers.append(worker)
+        worker = HttpClientWorker(net, host, target, trace,
+                                  trace_offset=i * 97)
+        worker.start(at=0.001 * i)
+        workers.append(worker)
 
     net.run(until=duration)
 
@@ -173,7 +169,7 @@ class Fig8SweepResult(ExperimentResult):
 
 def run_fig8_sweep(*, client_counts: list[int],
                    modes: tuple[str, ...] = ("single", "asp", "builtin"),
-                   duration: float = 30.0, backend: str = DEFAULT_BACKEND,
+                   duration: float = 30.0,
                    seed: int = 11) -> dict[str, list[HttpExperimentResult]]:
     """The full figure 8 sweep: throughput vs offered load per mode."""
     trace = generate_trace(8000, seed=seed)
@@ -181,7 +177,7 @@ def run_fig8_sweep(*, client_counts: list[int],
     for mode in modes:
         curves[mode] = [
             run_http_experiment(mode=mode, n_clients=n,
-                                duration=duration, backend=backend,
+                                duration=duration,
                                 trace=trace, seed=seed)
             for n in client_counts]
     return curves

@@ -40,7 +40,6 @@ class HttpServer:
     def __init__(self, net: Network, host: Host,
                  sizes: dict[str, int], *, port: int = HTTP_PORT,
                  workers: int = 8, base_cpu_s: float = BASE_CPU_S,
-                 per_byte_cpu_s: float = PER_BYTE_CPU_S,
                  max_backlog: int | None = None,
                  request_deadline: float | None = None,
                  admission: AdmissionController | None = None,
@@ -51,7 +50,6 @@ class HttpServer:
         self.port = port
         self.workers = workers
         self.base_cpu_s = base_cpu_s
-        self.per_byte_cpu_s = per_byte_cpu_s
         #: graceful degradation (DESIGN §14): a ``None`` for each knob
         #: keeps the historical unbounded/deadline-free behavior
         self.max_backlog = max_backlog
@@ -147,7 +145,7 @@ class HttpServer:
                 continue
             self._active_workers += 1
             size = self.sizes.get(path, 0)
-            cpu = self.base_cpu_s + size * self.per_byte_cpu_s
+            cpu = self.base_cpu_s + size * PER_BYTE_CPU_S
             # The CPU is serial: this request's work starts when the
             # CPU frees up, regardless of worker concurrency.
             start = max(now, self._cpu_busy_until)

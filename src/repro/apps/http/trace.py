@@ -61,23 +61,32 @@ class Trace:
         return self.total_bytes / len(self.entries)
 
 
+#: Zipf shape of document popularity (numpy's parameter, must be > 1):
+#: the law both the closed-loop trace and the open-loop crowd draw from
+ZIPF_A = 1.3
+#: log-normal document sizes: median bytes and log-space sigma
+MEDIAN_SIZE = 4096
+SIZE_SIGMA = 1.0
+#: popularity rank of the document a flash crowd collapses onto
+HOT_RANK = 0
+
+
 def generate_trace(n_requests: int = 80_000, *, n_files: int = 1000,
-                   zipf_a: float = 1.3, median_size: int = 4096,
-                   sigma: float = 1.0, max_size: int = 262_144,
+                   max_size: int = 262_144,
                    min_size: int = 128, seed: int = 0) -> Trace:
     """Build a trace of ``n_requests`` accesses to ``n_files`` documents.
 
-    ``zipf_a`` is numpy's Zipf shape parameter (must be > 1); document
-    ranks beyond ``n_files`` wrap around, keeping the catalogue finite.
+    Document ranks beyond ``n_files`` wrap around, keeping the
+    catalogue finite.
     """
     rng = np.random.default_rng(seed)
-    file_sizes = np.exp(rng.normal(np.log(median_size), sigma,
+    file_sizes = np.exp(rng.normal(np.log(MEDIAN_SIZE), SIZE_SIGMA,
                                    size=n_files))
     file_sizes = np.clip(file_sizes, min_size, max_size).astype(int)
     sizes = {f"/doc{i:05d}.html": int(file_sizes[i])
              for i in range(n_files)}
 
-    ranks = (rng.zipf(zipf_a, size=n_requests) - 1) % n_files
+    ranks = (rng.zipf(ZIPF_A, size=n_requests) - 1) % n_files
     paths = [f"/doc{r:05d}.html" for r in ranks]
     entries = [TraceEntry(path=p, size=sizes[p]) for p in paths]
     return Trace(entries=entries, sizes=sizes)
@@ -92,8 +101,7 @@ def open_loop_arrivals(trace: Trace, *, start: float, duration: float,
                        spike_start: float | None = None,
                        spike_end: float | None = None,
                        spike_multiplier: float = 1.0,
-                       hot_fraction: float = 0.0, hot_rank: int = 0,
-                       zipf_a: float = 1.3,
+                       hot_fraction: float = 0.0,
                        entropy: random.Random | None = None,
                        seed: int = 0) -> list[TimedRequest]:
     """Generate flash-crowd arrivals over ``trace``'s document catalogue.
@@ -104,9 +112,9 @@ def open_loop_arrivals(trace: Trace, *, start: float, duration: float,
     compressed to simulation scale) times a ``spike_multiplier`` step
     inside ``[spike_start, spike_end)``.  During the spike a
     ``hot_fraction`` share of requests collapses onto the document at
-    popularity rank ``hot_rank`` — the Zipf shift of a flash crowd,
+    popularity rank ``HOT_RANK`` — the Zipf shift of a flash crowd,
     where everyone wants the same page — while the rest draw from the
-    stationary Zipf(``zipf_a``) popularity law.
+    stationary Zipf(``ZIPF_A``) popularity law.
 
     All randomness comes from ``entropy`` (pass a
     ``SchedulingContext``-owned stream for shard-stable runs) or a
@@ -124,7 +132,7 @@ def open_loop_arrivals(trace: Trace, *, start: float, duration: float,
     cdf: list[float] = []
     acc = 0.0
     for r in range(len(ranked)):
-        acc += (r + 1) ** -zipf_a
+        acc += (r + 1) ** -ZIPF_A
         cdf.append(acc)
     total = cdf[-1]
 
@@ -150,7 +158,7 @@ def open_loop_arrivals(trace: Trace, *, start: float, duration: float,
         in_spike = (spike_start is not None and spike_end is not None
                     and spike_start <= t < spike_end)
         if in_spike and rng.random() < hot_fraction:
-            path = ranked[hot_rank % len(ranked)]
+            path = ranked[HOT_RANK]
         else:
             i = bisect.bisect_left(cdf, rng.random() * total)
             path = ranked[min(i, len(ranked) - 1)]

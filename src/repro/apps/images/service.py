@@ -11,7 +11,6 @@ networks").
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
 from ...asps.images import IMAGE_PORT, image_distiller_asp
 from ...experiments.result import ExperimentResult
@@ -24,6 +23,10 @@ from ...net.topology import Network
 from ...obs import Observability
 from ...runtime.deployment import Deployment
 from .library import build_library
+
+#: the mobile client's access link: a 64 kbit/s line (paper §5's "low
+#: bandwidth networks")
+SLOW_LINK_BPS = 64_000
 
 
 class ImageServer:
@@ -155,14 +158,12 @@ class ImageExperimentResult(ExperimentResult):
 
 
 def run_image_experiment(*, distillation: bool = True,
-                         slow_link_bps: float = 64_000,
                          budget_bytes: int = 3000,
                          quantize_bits: int = 0,
                          backend: str = DEFAULT_BACKEND,
                          seed: int = 31,
-                         obs: Observability | None = None,
-                         tracer: Callable[[Network], object]
-                         | None = None) -> ImageExperimentResult:
+                         obs: Observability | None = None
+                         ) -> ImageExperimentResult:
     """Fetch the whole catalogue over a slow access link, with or
     without the distiller ASP on the border router."""
     net = Network(seed=seed, obs=obs)
@@ -170,11 +171,9 @@ def run_image_experiment(*, distillation: bool = True,
     router = net.add_router("border")
     client_host = net.add_host("mobile-client")
     net.link(server_host, router, bandwidth=10e6, latency=0.001)
-    net.link(client_host, router, bandwidth=slow_link_bps, latency=0.01,
+    net.link(client_host, router, bandwidth=SLOW_LINK_BPS, latency=0.01,
              queue_limit=256)
     net.finalize()
-    if tracer is not None:
-        tracer(net)
 
     library = build_library()
     ImageServer(net, server_host, library)
@@ -182,7 +181,7 @@ def run_image_experiment(*, distillation: bool = True,
 
     if distillation:
         Deployment().install(
-            image_distiller_asp(slow_kbps=int(slow_link_bps // 1000) + 100,
+            image_distiller_asp(slow_kbps=SLOW_LINK_BPS // 1000 + 100,
                                 budget_bytes=budget_bytes,
                                 quantize_bits=quantize_bits),
             [router], backend=backend, source_name="image-distiller")
@@ -194,7 +193,7 @@ def run_image_experiment(*, distillation: bool = True,
     return ImageExperimentResult(
         seed=seed,
         params={"distillation": distillation,
-                "slow_kbps": int(slow_link_bps // 1000)},
+                "slow_kbps": SLOW_LINK_BPS // 1000},
         metrics=net.metrics_snapshot(),
         figures={
             "fetches": client.results,

@@ -11,8 +11,6 @@ while cutting upstream traffic to one stream.
 
 from __future__ import annotations
 
-from typing import Callable
-
 from ...asps.mpeg import mpeg_client_asp, mpeg_monitor_asp
 from ...experiments.result import ExperimentResult
 from ...jit.pipeline import DEFAULT_BACKEND
@@ -20,7 +18,7 @@ from ...net.topology import Network
 from ...obs import Observability
 from ...runtime.deployment import Deployment
 from ...runtime.planp_layer import PlanPLayer
-from .client import ClientMode, MpegClient
+from .client import MpegClient
 from .server import MpegServer
 from .stream import MpegStream
 
@@ -46,12 +44,10 @@ class MpegExperimentResult(ExperimentResult):
 
 def run_mpeg_experiment(*, use_asps: bool = True, n_clients: int = 3,
                         duration: float = 20.0, warmup: float = 5.0,
-                        bitrate_bps: int = 1_200_000,
                         backend: str = DEFAULT_BACKEND,
                         seed: int = 23,
-                        obs: Observability | None = None,
-                        tracer: Callable[[Network], object]
-                        | None = None) -> MpegExperimentResult:
+                        obs: Observability | None = None
+                        ) -> MpegExperimentResult:
     """Run the §3.3 scenario with ``n_clients`` viewers of one stream."""
     net = Network(seed=seed, obs=obs)
     server_host = net.add_host("video-server")
@@ -68,10 +64,8 @@ def run_mpeg_experiment(*, use_asps: bool = True, n_clients: int = 3,
     for host in client_hosts:
         net.attach(host, segment)
     net.finalize()
-    if tracer is not None:
-        tracer(net)
 
-    stream = MpegStream(name="concert.mpg", bitrate_bps=bitrate_bps)
+    stream = MpegStream(name="concert.mpg")
     server = MpegServer(net, server_host, {stream.name: stream})
 
     monitor_addr = None

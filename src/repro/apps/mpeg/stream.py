@@ -14,7 +14,7 @@ fragmented into chunks with a small reassembly header:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 CHUNK_HEADER_BYTES = 9
 MAX_CHUNK_DATA = 1400

@@ -24,7 +24,6 @@ their verdict in ``figures`` (``healthy``, ``quarantined_at_end``,
 
 from __future__ import annotations
 
-from ..jit.pipeline import DEFAULT_BACKEND
 from ..net import Network
 from ..net.packet import udp_packet
 from ..obs import Observability
@@ -73,12 +72,11 @@ class ChaosResult(ExperimentResult):
 
 def run_chaos_experiment(*, profile: str = "drill", seed: int = 5,
                          n_routers: int = 16, duration: float = 12.0,
-                         backend: str = DEFAULT_BACKEND,
                          obs: Observability | None = None) -> ChaosResult:
     """Run one chaos profile; see the module docstring."""
     if profile == "drill":
         return _run_drill(seed=seed, n_routers=n_routers,
-                          duration=duration, backend=backend, obs=obs)
+                          duration=duration, obs=obs)
     if profile == "audio":
         return _run_audio_faults(seed=seed, duration=duration, obs=obs)
     if profile == "http":
@@ -92,7 +90,7 @@ def run_chaos_experiment(*, profile: str = "drill", seed: int = 5,
 # ---------------------------------------------------------------------------
 
 
-def _drill_fleet(*, seed: int, n_routers: int, backend: str,
+def _drill_fleet(*, seed: int, n_routers: int,
                  obs: Observability | None, gen1: str, gen1_name: str,
                  wire_check: bool = True):
     """The fleet both lifecycle drills run on: src → ``n_routers``
@@ -119,8 +117,7 @@ def _drill_fleet(*, seed: int, n_routers: int, backend: str,
     manager = LifecycleManager(net, deployment=Deployment(),
                                policy=policy)
     manager.manage(*routers)
-    manager.rollout(gen1, routers, backend=backend,
-                    source_name=gen1_name, force=True)
+    manager.rollout(gen1, routers, source_name=gen1_name, force=True)
 
     tick = 0.02
     counter = [0]
@@ -137,9 +134,9 @@ def _drill_fleet(*, seed: int, n_routers: int, backend: str,
 
 
 def _run_drill(*, seed: int, n_routers: int, duration: float,
-               backend: str, obs: Observability | None) -> ChaosResult:
+               obs: Observability | None) -> ChaosResult:
     net, routers, dst, manager = _drill_fleet(
-        seed=seed, n_routers=n_routers, backend=backend, obs=obs,
+        seed=seed, n_routers=n_routers, obs=obs,
         gen1=GOOD_ASP, gen1_name="chaos-good")
     delivered: list[float] = []
     dst.delivery_taps.append(lambda p: delivered.append(net.now))
@@ -149,14 +146,14 @@ def _run_drill(*, seed: int, n_routers: int, duration: float,
 
     def canary_bad() -> None:
         bad_rollouts.append(manager.rollout(
-            BAD_ASP, routers, backend=backend, verify=False,
+            BAD_ASP, routers, verify=False,
             source_name="chaos-bad"))
 
     # t=4: an impatient operator force-promotes the same bad ASP —
     # the breakers must quarantine it and roll the fleet back.
     def force_bad() -> None:
         bad_rollouts.append(manager.rollout(
-            BAD_ASP, routers, backend=backend, verify=False,
+            BAD_ASP, routers, verify=False,
             source_name="chaos-bad", force=True))
 
     net.sim.at(2.0, canary_bad)

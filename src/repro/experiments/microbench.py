@@ -19,7 +19,7 @@ behind.
 from __future__ import annotations
 
 from ..interp.context import RecordingContext
-from ..interp.values import PlanPTable, UNIT
+from ..interp.values import PlanPTable
 from ..jit.pipeline import make_engine
 from ..lang import parse, typecheck
 from ..net.addresses import HostAddr
@@ -27,6 +27,13 @@ from ..net.packet import IpHeader, TcpHeader
 from ..obs import GLOBAL
 from ..obs.spans import span
 from .result import ExperimentResult
+
+#: every engine the comparison covers: the three backends plus the
+#: hand-written function
+ENGINES = ("interpreter", "closure", "source", "builtin")
+
+#: distinct (src, dst) flows the packet stream cycles over
+N_FLOWS = 16
 
 #: The bridge-class workload: per-flow packet accounting + forwarding.
 BRIDGE_ASP = """\
@@ -48,7 +55,7 @@ initstate mkTable(1024) is
 """
 
 
-def make_bridge_packets(n_flows: int = 16) -> list[tuple]:
+def make_bridge_packets(n_flows: int = N_FLOWS) -> list[tuple]:
     """Packet values cycling over ``n_flows`` distinct flows."""
     packets = []
     for i in range(n_flows):
@@ -107,7 +114,6 @@ class _NullContext(RecordingContext):
 
 
 def run_engine_microbench(*, engine: str, n_packets: int = 20_000,
-                          n_flows: int = 16,
                           seed: int = 0) -> MicrobenchResult:
     """Time ``n_packets`` channel invocations on one engine.
 
@@ -118,7 +124,8 @@ def run_engine_microbench(*, engine: str, n_packets: int = 20_000,
     """
     del seed  # seedless workload; accepted for signature uniformity
     engine_name = engine
-    packets = make_bridge_packets(n_flows)
+    packets = make_bridge_packets()
+    n_flows = len(packets)
     ctx = _NullContext()
     if engine_name == "builtin":
         table = PlanPTable(1024)
@@ -140,51 +147,3 @@ def run_engine_microbench(*, engine: str, n_packets: int = 20_000,
         params={"engine": engine_name, "packets": n_packets},
         metrics=_process_metrics(),
         figures={"elapsed_s": timer.elapsed_s})
-
-
-ENGINES = ("interpreter", "closure", "source", "builtin")
-
-
-def main(argv: list[str] | None = None) -> int:
-    """CLI: run the engine comparison, optionally dumping JSON.
-
-    ``--smoke`` shrinks the packet count so CI can run the instrumented
-    benchmark in seconds; ``--json PATH`` writes per-engine results plus
-    the process-wide metrics snapshot (the CI artifact).
-    """
-    import argparse
-    import json
-    import sys
-
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.experiments.microbench",
-        description="PLAN-P execution-engine microbenchmark")
-    parser.add_argument("--engines", nargs="*", default=list(ENGINES),
-                        choices=ENGINES, metavar="ENGINE")
-    parser.add_argument("--packets", type=int, default=20_000)
-    parser.add_argument("--smoke", action="store_true",
-                        help="tiny run (2000 packets) for CI")
-    parser.add_argument("--json", metavar="PATH",
-                        help="write results + metrics snapshot as JSON")
-    args = parser.parse_args(argv)
-    n_packets = 2_000 if args.smoke else args.packets
-
-    results = [run_engine_microbench(engine=name, n_packets=n_packets)
-               for name in args.engines]
-    for r in results:
-        print(f"{r.params['engine']:>12s}  {r.us_per_packet:8.2f} "
-              f"us/packet  ({r.params['packets']} packets)")
-    if args.json:
-        doc = {"smoke": args.smoke,
-               "results": [{**r.params, **r.figures,
-                            "us_per_packet": r.us_per_packet}
-                           for r in results],
-               "metrics": GLOBAL.snapshot()}
-        with open(args.json, "w") as fp:
-            json.dump(doc, fp, indent=2, sort_keys=True)
-        print(f"wrote {args.json}", file=sys.stderr)
-    return 0
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

@@ -29,7 +29,6 @@ from __future__ import annotations
 
 import hashlib
 
-from ..jit.pipeline import DEFAULT_BACKEND
 from ..obs import Observability
 from ..runtime.lifecycle import RolloutState
 from .chaos import _drill_fleet
@@ -70,14 +69,13 @@ class UpgradeResult(ExperimentResult):
 
 def run_upgrade_experiment(*, seed: int = 5, n_routers: int = 16,
                            duration: float = 8.0,
-                           backend: str = DEFAULT_BACKEND,
                            wire_check: bool = True,
                            attempt_incompatible: bool = True,
                            obs: Observability | None = None
                            ) -> UpgradeResult:
     """Run the rolling-upgrade drill; see the module docstring."""
     net, routers, dst, manager = _drill_fleet(
-        seed=seed, n_routers=n_routers, backend=backend, obs=obs,
+        seed=seed, n_routers=n_routers, obs=obs,
         gen1=GEN1_ASP, gen1_name="upgrade-gen1", wire_check=wire_check)
     records: list[tuple[float, bytes]] = []
     dst.delivery_taps.append(lambda p: records.append((net.now,
@@ -89,14 +87,14 @@ def run_upgrade_experiment(*, seed: int = 5, n_routers: int = 16,
     # synchronously — before any canary node installs anything.
     def attempt_bad() -> None:
         rollouts["incompat"] = manager.rollout(
-            GEN2_INCOMPAT_ASP, routers, backend=backend,
+            GEN2_INCOMPAT_ASP, routers,
             source_name="upgrade-gen2-incompat")
 
     # t=3: the compatible candidate; canary opens, health window
     # passes on live traffic, the fleet promotes.
     def attempt_good() -> None:
         rollouts["compat"] = manager.rollout(
-            GEN2_COMPAT_ASP, routers, backend=backend,
+            GEN2_COMPAT_ASP, routers,
             source_name="upgrade-gen2-compat")
 
     if attempt_incompatible:

@@ -39,7 +39,6 @@ from ..apps.http.server import HttpServer
 from ..apps.http.trace import (Trace, TraceEntry, flood_times,
                                generate_trace, open_loop_arrivals)
 from ..asps.overload import shedding_asp
-from ..jit.pipeline import DEFAULT_BACKEND
 from ..net.node import Node
 from ..net.overload import AdmissionController
 from ..net.packet import tcp_packet
@@ -50,6 +49,10 @@ from ..runtime.lifecycle import LifecycleManager, LifecyclePolicy
 from .result import ExperimentResult
 
 ATTACKS = ("none", "flash", "syn", "elephant")
+
+#: legitimate closed-loop clients, and hosts the attack comes from
+N_GOOD = 4
+N_ATTACKERS = 4
 
 #: the elephant document: big enough that every response overruns the
 #: shedder's per-destination byte budget, and each request costs the
@@ -81,10 +84,8 @@ class WebResult(ExperimentResult):
 
 
 def run_web_experiment(*, attack: str = "none", shedding: bool = False,
-                       n_good: int = 4, n_attackers: int = 4,
                        duration: float = 10.0, warmup: float = 2.5,
                        seed: int = 17, shard_segments: int = 1,
-                       backend: str = DEFAULT_BACKEND,
                        obs: Observability | None = None,
                        poison_at: float | None = None) -> WebResult:
     """Run one cell of the overload matrix.
@@ -117,7 +118,7 @@ def run_web_experiment(*, attack: str = "none", shedding: bool = False,
     net.link(srv, gw, bandwidth=100e6, latency=0.0002)
 
     good_hosts = []
-    for i in range(n_good):
+    for i in range(N_GOOD):
         host = net.add_host(f"good{i}")
         net.link(host, gw, bandwidth=10e6, latency=0.002)
         good_hosts.append(host)
@@ -126,7 +127,7 @@ def run_web_experiment(*, attack: str = "none", shedding: bool = False,
     if attack != "none":
         prefix = {"flash": "crowd", "syn": "syn",
                   "elephant": "eleph"}[attack]
-        for i in range(n_attackers):
+        for i in range(N_ATTACKERS):
             host = net.add_host(f"{prefix}{i}")
             net.link(host, gw, bandwidth=10e6, latency=0.002)
             attacker_hosts.append(host)
@@ -153,7 +154,7 @@ def run_web_experiment(*, attack: str = "none", shedding: bool = False,
         # Drop-capable programs rightly fail delivery verification;
         # this is the authenticated-privileged path, protected by the
         # lifecycle manager's circuit breaker instead.
-        manager.rollout(shedding_asp(), [gw], backend=backend,
+        manager.rollout(shedding_asp(), [gw],
                         verify=False, force=True,
                         source_name="web-shedder")
     if poison_at is not None:
@@ -276,7 +277,7 @@ def run_web_experiment(*, attack: str = "none", shedding: bool = False,
     return WebResult(
         seed=seed,
         params={"attack": attack, "shedding": shedding,
-                "n_good": n_good, "n_attackers": n_attackers,
+                "n_good": N_GOOD, "n_attackers": N_ATTACKERS,
                 "duration": duration, "warmup": warmup},
         metrics=net.metrics_snapshot(), figures=figures)
 

@@ -180,9 +180,14 @@ class _WireView:
             return ("decode-error",)
 
 
+#: random probes per live channel overload (each also sent one byte
+#: longer and one byte shorter), and the minimizer's oracle-call budget
+PROBES_PER_OVERLOAD = 3
+MINIMIZE_STEPS = 200
+
+
 def pair_specs(rng: random.Random, info_a, info_b,
-               live_tags: set[str],
-               n_per_overload: int = 3) -> list[PacketSpec]:
+               live_tags: set[str]) -> list[PacketSpec]:
     """Probe packets for every live channel overload of both
     generations, plus admission-boundary variants (one byte longer /
     shorter) so tail toggles and fixed-size shifts get witnessed at
@@ -196,7 +201,7 @@ def pair_specs(rng: random.Random, info_a, info_b,
             for decl in decls:
                 if codec.dispatch_plan(decl.packet_type) is None:
                     continue
-                for _ in range(n_per_overload):
+                for _ in range(PROBES_PER_OVERLOAD):
                     spec = _spec_for(rng, decl, tag)
                     specs.append(spec)
                     specs.append(replace(
@@ -250,8 +255,7 @@ def load_wire_case(path: str | Path) -> dict:
     return case
 
 
-def run_wire_case(case: dict, *,
-                  checker=check_compatible) -> tuple[object, list[str]]:
+def run_wire_case(case: dict) -> tuple[object, list[str]]:
     """Re-evaluate a wire case: ``(CompatReport, divergences)``.
 
     A healthy committed case still witnesses a divergence AND the
@@ -260,19 +264,19 @@ def run_wire_case(case: dict, *,
     """
     info_a = typecheck(parse(case["program_a"]))
     info_b = typecheck(parse(case["program_b"]))
-    report = checker(wire_summary(info_a), wire_summary(info_b))
+    report = check_compatible(wire_summary(info_a),
+                              wire_summary(info_b))
     return report, exchange_divergences(info_a, info_b, case_specs(case))
 
 
-def minimize_wire_case(case: dict,
-                       max_steps: int = 200) -> tuple[dict, int]:
+def minimize_wire_case(case: dict) -> tuple[dict, int]:
     """:func:`~repro.fuzz.replay.ddmin` the packet list while a
     divergence persists (the checker verdict depends only on the
     programs, so only the exchange needs re-running)."""
     info_a = typecheck(parse(case["program_a"]))
     info_b = typecheck(parse(case["program_b"]))
     return ddmin(case, lambda specs: bool(
-        exchange_divergences(info_a, info_b, specs)), max_steps)
+        exchange_divergences(info_a, info_b, specs)), MINIMIZE_STEPS)
 
 
 # ---------------------------------------------------------------------------
@@ -314,7 +318,6 @@ class PairReport(Report):
 def run_pair_campaign(seed: int, *, budget_s: float = 60.0,
                       min_pairs: int = 150,
                       max_pairs: int | None = None,
-                      n_per_overload: int = 3,
                       out_dir: str | Path | None = None,
                       minimize: bool = True, obs=None,
                       checker=check_compatible) -> PairReport:
@@ -343,8 +346,7 @@ def run_pair_campaign(seed: int, *, budget_s: float = 60.0,
         summary_b = wire_summary(info_b)
         verdict_report = checker(summary_a, summary_b)
         live_tags = summary_a.emitted_to() | summary_b.emitted_to()
-        specs = pair_specs(rng, info_a, info_b, live_tags,
-                           n_per_overload=n_per_overload)
+        specs = pair_specs(rng, info_a, info_b, live_tags)
         divergences = exchange_divergences(info_a, info_b, specs)
         report.pairs += 1
         c_pairs.inc()

@@ -27,6 +27,8 @@ from .streams import PacketSpec
 
 CASE_KIND = "planp-fuzz-case"
 CASE_VERSION = 1
+#: oracle invocations :func:`minimize_case` may spend on one finding
+MINIMIZE_STEPS = 400
 
 
 def make_case(source: str, specs: list[PacketSpec], *, seed: int = 0,
@@ -138,8 +140,7 @@ def ddmin(case: dict, fails, max_steps: int) -> tuple[dict, int]:
     return minimized, steps
 
 
-def minimize_case(case: dict, *, max_steps: int = 400,
-                  backends=None) -> tuple[dict, int]:
+def minimize_case(case: dict, *, backends=None) -> tuple[dict, int]:
     """:func:`ddmin` a failing oracle case, preserving failure."""
     run = _oracle(case, backends)
-    return ddmin(case, lambda specs: not run(specs).ok, max_steps)
+    return ddmin(case, lambda specs: not run(specs).ok, MINIMIZE_STEPS)

@@ -14,12 +14,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from ..experiments.microbench import ENGINES
 from .scenario import Scenario
 
 #: The figure 7 offered-load levels (bps) reported in EXPERIMENTS.md.
 GAP_SWEEP_LOADS = (800_000, 1_500_000, 1_900_000)
-
-ENGINES = ("interpreter", "closure", "source", "builtin")
 
 
 @dataclass(frozen=True)

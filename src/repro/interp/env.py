@@ -12,10 +12,9 @@ class Env:
 
     __slots__ = ("_bindings", "_parent")
 
-    def __init__(self, parent: "Env | None" = None,
-                 bindings: dict[str, object] | None = None):
+    def __init__(self, parent: "Env | None" = None):
         self._parent = parent
-        self._bindings: dict[str, object] = bindings or {}
+        self._bindings: dict[str, object] = {}
 
     def bind(self, name: str, value: object) -> None:
         self._bindings[name] = value

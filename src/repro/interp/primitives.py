@@ -18,14 +18,13 @@ type checker, interpreter, specializer and analyses treat them as syntax
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
 from ..lang import types as T
 from ..lang.errors import PlanPRuntimeError, SourcePos, TypeCheckError
-from ..net.addresses import HostAddr
 from ..net.packet import IpHeader, TcpHeader, UdpHeader
 from .context import ExecutionContext
 from .values import UNIT, PlanPList, PlanPTable, format_value

@@ -305,9 +305,6 @@ def walk(expr: Expr):
         stack.extend(reversed(children(node)))
 
 
-def calls_in(expr: Expr, names: set[str] | None = None) -> list[Call]:
-    """All ``Call`` nodes under ``expr``; filtered to ``names`` if given."""
-    found = [n for n in walk(expr) if isinstance(n, Call)]
-    if names is None:
-        return found
-    return [c for c in found if c.func in names]
+def calls_in(expr: Expr) -> list[Call]:
+    """All ``Call`` nodes under ``expr``."""
+    return [n for n in walk(expr) if isinstance(n, Call)]

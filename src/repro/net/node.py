@@ -37,12 +37,11 @@ ROUTER_BATCH_SIZE = 64
 class Interface:
     """One attachment point of a node to a medium."""
 
-    def __init__(self, node: "Node", medium: Medium, address: HostAddr,
-                 name: str = ""):
+    def __init__(self, node: "Node", medium: Medium, address: HostAddr):
         self.node = node
         self.medium = medium
         self.address = address
-        self.name = name or f"{node.name}:{address}"
+        self.name = f"{node.name}:{address}"
         medium.attach(self)
 
     def send(self, packet: Packet) -> None:

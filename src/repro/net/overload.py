@@ -104,11 +104,11 @@ class AdmissionController:
                                * self.rate)
         self._last = now
 
-    def admit(self, now: float, cost: float = 1.0) -> bool:
-        """Spend ``cost`` tokens at time ``now`` if available."""
+    def admit(self, now: float) -> bool:
+        """Spend one token at time ``now`` if available."""
         self._refill(now)
-        if self._tokens >= cost:
-            self._tokens -= cost
+        if self._tokens >= 1.0:
+            self._tokens -= 1.0
             self.admitted += 1
             return True
         self.refused += 1

@@ -292,24 +292,22 @@ class Simulator:
                              context=context)
 
     def post(self, time: float, fn: Callable[[], None], *,
-             lp: int, lseq: int,
-             ctx: SchedulingContext | None = None) -> EventHandle:
+             lp: int, lseq: int) -> EventHandle:
         """Enqueue an event with an **explicit** key — the boundary
         half of the scheduling contract.  The sharded runner uses this
         to inject a cross-segment delivery with the key its sending
         transmit-queue context drew on the far side, so the event sorts
         exactly where a single-queue run would have placed it.
 
-        ``ctx`` is the context the callback will run under (defaults to
-        this simulator's root).  ``time`` must not lie in this
-        simulator's past, and ``(time, lp, lseq)`` must not repeat the
-        key of another pending event (keys are a total order).
+        The callback runs under this simulator's root context.
+        ``time`` must not lie in this simulator's past, and ``(time, lp,
+        lseq)`` must not repeat the key of another pending event (keys
+        are a total order).
         """
         if time < self.now:
             raise ValueError(
                 f"post at {time} is in the past (now={self.now})")
-        entry = (time, lp, lseq,
-                 _Event(fn, ctx if ctx is not None else self.root))
+        entry = (time, lp, lseq, _Event(fn, self.root))
         heapq.heappush(self._queue, entry)
         self._live += 1
         return EventHandle(entry, self)

@@ -24,6 +24,9 @@ from .node import Interface, Node
 from .packet import Packet, TcpHeader, UdpHeader
 from .topology import Network
 
+#: the tracer stops recording (and says so in ``render``) past this many
+MAX_EVENTS = 100_000
+
 
 class EventKind(enum.Enum):
     RECEIVE = "rx"
@@ -80,10 +83,9 @@ class PacketTracer:
     log them unconditionally.)
     """
 
-    def __init__(self, net: Network, max_events: int = 100_000,
-                 mirror: bool = True):
+    def __init__(self, net: Network, mirror: bool = True):
         self.net = net
-        self.max_events = max_events
+        self.max_events = MAX_EVENTS
         self.mirror = mirror
         self.events: list[TraceEvent] = []
         self.truncated = False

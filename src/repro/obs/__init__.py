@@ -39,10 +39,9 @@ from .spans import Timer, span
 class Observability:
     """One scope's metrics registry + event log, sharing a clock."""
 
-    def __init__(self, clock: Callable[[], float] | None = None,
-                 max_events: int = 100_000):
+    def __init__(self, clock: Callable[[], float] | None = None):
         self.metrics = MetricsRegistry()
-        self.events = EventLog(clock=clock, max_events=max_events)
+        self.events = EventLog(clock=clock)
 
     def span(self, name: str) -> Timer:
         return self.metrics.span(name)

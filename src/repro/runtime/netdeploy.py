@@ -38,7 +38,9 @@ robustness belongs in the messaging layer itself):
   re-installs exactly that program through the warm program cache — so
   a rolled-back, quarantined or uninstalled program stays gone.
 
-Wire protocol (one datagram per message, text headers):
+Wire protocol (one datagram per message, UTF-8 text headers; the source
+travels as its UTF-8 bytes — the bytes ``ProgramCache.digest`` hashes —
+cut into chunks at byte, not character, boundaries):
 
     manager -> node:  BEGIN <xfer> <n_chunks> <backend> <verify>
                       CHUNK <xfer> <index>\\n<raw source bytes>
@@ -79,6 +81,9 @@ INITIAL_TIMEOUT = 0.05
 MAX_TIMEOUT = 1.0
 #: ± fraction of jitter on every timer (from the sim's seeded RNG)
 JITTER = 0.5
+#: how far :meth:`DeploymentManager.await_converged` advances the
+#: simulation between looks at the statuses (sim-seconds)
+POLL_S = 0.05
 
 #: ``REJ`` reason prefixes that report lost receiver state rather than
 #: a verdict on the program itself; the manager restarts such transfers
@@ -145,7 +150,7 @@ class DeploymentService:
     def _on_datagram(self, payload: bytes, src: HostAddr,
                      src_port: int) -> None:
         header, _, body = payload.partition(b"\n")
-        parts = header.decode("latin-1", errors="replace").split(" ")
+        parts = header.decode("utf-8", errors="replace").split(" ")
         try:
             self._dispatch(parts, body, src, src_port)
         except (ValueError, IndexError):
@@ -214,26 +219,37 @@ class DeploymentService:
                         f"REJ {xfer} incomplete "
                         f"({len(transfer.chunks)}/{transfer.n_chunks})")
             return
-        source = b"".join(transfer.chunks[i]
-                          for i in range(transfer.n_chunks)) \
-            .decode("latin-1")
         assert self.node.planp is not None
+        try:
+            # Chunks are joined before decoding, so a character split
+            # across two of them is whole again here.  Bytes that still
+            # do not decode are a verdict on the source, not lost
+            # state: a retransmission would carry the same bytes.
+            source = b"".join(transfer.chunks[i]
+                              for i in range(transfer.n_chunks)) \
+                .decode("utf-8")
+        except UnicodeDecodeError:
+            self._reject(src, src_port, xfer, "undecodable source")
+            return
         try:
             loaded = self.node.planp.install(
                 source, backend=transfer.backend,
                 verify=transfer.verify, source_name=f"<net:{xfer}>")
         except PlanPError as err:
-            self.rejected.append((xfer, err.message))
-            self.net.obs.events.emit("deploy", node=self.node.name,
-                                     action="reject", xfer=xfer,
-                                     reason=err.message)
-            self._conclude(src, src_port, xfer,
-                           f"REJ {xfer} {err.message}")
+            self._reject(src, src_port, xfer, err.message)
             return
         self.installed.append(xfer)
         self._conclude(src, src_port, xfer,
                        f"OK {xfer} {loaded.codegen_ms:.3f} "
                        f"{1 if loaded.cache_hit else 0}")
+
+    def _reject(self, dst: HostAddr, dst_port: int, xfer: str,
+                reason: str) -> None:
+        self.rejected.append((xfer, reason))
+        self.net.obs.events.emit("deploy", node=self.node.name,
+                                 action="reject", xfer=xfer,
+                                 reason=reason)
+        self._conclude(dst, dst_port, xfer, f"REJ {xfer} {reason}")
 
     def _conclude(self, dst: HostAddr, dst_port: int, xfer: str,
                   verdict: str) -> None:
@@ -241,7 +257,7 @@ class DeploymentService:
         self._reply(dst, dst_port, verdict)
 
     def _reply(self, dst: HostAddr, dst_port: int, text: str) -> None:
-        self._socket.sendto(dst, dst_port, text.encode("latin-1"))
+        self._socket.sendto(dst, dst_port, text.encode("utf-8"))
 
     # -- crash / restart recovery ------------------------------------------------
 
@@ -471,12 +487,10 @@ class DeploymentManager:
     """Pushes programs to DeploymentServices across the network."""
 
     def __init__(self, net: Network, host: Host,
-                 port: int = DEPLOY_PORT,
-                 policy: RetryPolicy | None = None):
+                 port: int = DEPLOY_PORT):
         self.net = net
         self.host = host
         self.port = port
-        self.policy = policy or RetryPolicy()
         self.pushes: dict[str, dict[HostAddr, PushStatus]] = {}
         #: per manager, not per process: a transfer's id seeds its
         #: retry-jitter stream, so it must depend only on this
@@ -515,10 +529,10 @@ class DeploymentManager:
         the simulation, or drive it with :meth:`await_converged`.
         Every target reaches a terminal status by its deadline."""
         xfer = name or f"asp{next(self._ids)}"
-        data = source.encode("latin-1")
+        data = source.encode("utf-8")
         chunks = [data[i:i + CHUNK_BYTES]
                   for i in range(0, max(len(data), 1), CHUNK_BYTES)]
-        policy = policy or self.policy
+        policy = policy or RetryPolicy()
         self.pushes[xfer] = {t: PushStatus(target=t) for t in targets}
         self._sources[xfer] = (chunks, backend, verify, policy)
         self.net.obs.events.emit("deploy", node=self.host.name,
@@ -530,11 +544,10 @@ class DeploymentManager:
         return xfer
 
     def repush(self, xfer: str,
-               targets: list[HostAddr] | None = None,
                policy: RetryPolicy | None = None) -> list[HostAddr]:
-        """Idempotently re-push ``xfer`` — by default to every target
-        that has not acknowledged success (failed pushes, nodes that
-        rejoined after a crash).  Their statuses return to pending with
+        """Idempotently re-push ``xfer`` to every target that has not
+        acknowledged success (failed pushes, nodes that rejoined after
+        a crash).  Their statuses return to pending with
         a fresh deadline; cumulative counters are preserved.  ``policy``
         replaces the push's retry policy from here on.  Returns the
         targets re-pushed."""
@@ -544,8 +557,7 @@ class DeploymentManager:
         if policy is not None:
             chunks, backend, verify, _old = self._sources[xfer]
             self._sources[xfer] = (chunks, backend, verify, policy)
-        if targets is None:
-            targets = [t for t, s in statuses.items() if s.ok is not True]
+        targets = [t for t, s in statuses.items() if s.ok is not True]
         for target in targets:
             status = statuses[target]
             live = self._live.get((xfer, target))
@@ -554,7 +566,7 @@ class DeploymentManager:
             status.ok = None
             status.detail = ""
             self._start(xfer, target)
-        return list(targets)
+        return targets
 
     def _start(self, xfer: str, target: HostAddr) -> None:
         chunks, backend, verify, policy = self._sources[xfer]
@@ -567,13 +579,13 @@ class DeploymentManager:
     def _send(self, target: HostAddr, header: str,
               body: bytes = b"") -> None:
         self._socket.sendto(target, self.port,
-                            header.encode("latin-1") + body)
+                            header.encode("utf-8") + body)
 
     # -- acknowledgements ---------------------------------------------------------
 
     def _on_ack(self, payload: bytes, src: HostAddr,
                 src_port: int) -> None:
-        parts = payload.decode("latin-1", errors="replace").split(" ")
+        parts = payload.decode("utf-8", errors="replace").split(" ")
         if len(parts) < 2:
             return
         verdict, xfer = parts[0], parts[1]
@@ -635,25 +647,21 @@ class DeploymentManager:
         return bool(statuses) and all(s.terminal
                                       for s in statuses.values())
 
-    def await_converged(self, xfer: str, timeout: float | None = None,
-                        poll: float = 0.05) -> bool:
+    def await_converged(self, xfer: str) -> bool:
         """Drive the simulation until every target of ``xfer`` is
-        terminal (or ``timeout`` sim-seconds pass).  The per-target
-        deadline guarantees convergence, so with ``timeout=None`` this
-        returns once the slowest target's deadline has passed."""
+        terminal.  The per-target deadline guarantees convergence, so
+        this returns at the latest once the slowest target's deadline
+        has passed."""
         sim = self.net.sim
         statuses = self.status(xfer)
         if not statuses:
             return False
-        if timeout is None:
-            horizon = max((s.deadline if s.deadline is not None
-                           else sim.now) for s in statuses.values()) + poll
-        else:
-            horizon = sim.now + timeout
+        horizon = max((s.deadline if s.deadline is not None
+                       else sim.now) for s in statuses.values()) + POLL_S
         while sim.now < horizon and not self.converged(xfer):
             # Drive through the network façade (not the simulator
             # directly) so sharded topologies poll correctly too.
-            self.net.run(until=min(sim.now + poll, horizon))
+            self.net.run(until=min(sim.now + POLL_S, horizon))
         return self.converged(xfer)
 
     def counters(self, xfer: str) -> dict[str, int]:

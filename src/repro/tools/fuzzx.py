@@ -4,7 +4,7 @@
     python -m repro.tools.fuzzx run --budget 0 --min-pairs 500 \\
         --out tests/fuzz/corpus --json report.json
     python -m repro.tools.fuzzx pairs --budget 60 --seed 7
-    python -m repro.tools.fuzzx replay tests/fuzz/corpus/case.json
+    python -m repro.tools.fuzzx replay tests/fuzz/corpus
     python -m repro.tools.fuzzx replay tests/fuzz/corpus/wire/case.json
     python -m repro.tools.fuzzx replay --minimize failing-case.json
 
@@ -25,7 +25,8 @@ have waved a protocol break through.
 
 ``replay`` re-runs committed case files through the matching oracle,
 dispatching on the case file's ``kind`` (engine-divergence cases and
-wire-compatibility cases share the corpus).  A healthy corpus case
+wire-compatibility cases share the corpus); a directory stands for
+every ``*.json`` under it.  A healthy corpus case
 passes (the bug it captured is fixed and stays fixed); a failing
 replay prints the detail and exits 1.  With ``--minimize`` a
 still-failing case is shrunk further in place.
@@ -36,6 +37,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from pathlib import Path
 
 from ..fuzz import (WIRE_CASE_KIND, load_case, load_wire_case,
                     minimize_case, run_campaign, run_case,
@@ -125,7 +127,10 @@ def _replay_wire(path: str, case: dict) -> bool:
 def cmd_replay(args: argparse.Namespace) -> int:
     backends = _parse_backends(args.backends)
     failed = 0
-    for path in args.cases:
+    paths: list[Path] = []
+    for case in map(Path, args.cases):
+        paths += sorted(case.rglob("*.json")) if case.is_dir() else [case]
+    for path in paths:
         with open(path) as fp:
             kind = json.load(fp).get("kind")
         if kind == WIRE_CASE_KIND:
@@ -206,7 +211,7 @@ def main(argv: list[str] | None = None) -> int:
     p_pairs.set_defaults(fn=cmd_pairs)
 
     p_replay = sub.add_parser("replay", help="re-run case files")
-    p_replay.add_argument("cases", nargs="+", metavar="CASE.json")
+    p_replay.add_argument("cases", nargs="+", metavar="CASE.json|DIR")
     p_replay.add_argument("--backends", metavar="B1,B2")
     p_replay.add_argument("--minimize", action="store_true",
                           help="shrink still-failing cases in place")

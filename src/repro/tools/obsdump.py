@@ -33,9 +33,10 @@ over the wire, a congested bottleneck link dropping packets, and a
 scripted link flap — so every event kind (``deploy``, ``drop``,
 ``fault``, ``jit``) shows up in one run.
 
-The process-wide snapshots have their own emitters:
-``python -m repro.experiments.microbench --json`` (all four engines)
-and ``python -m repro.tools.fuzzx run --json`` (``fuzz.*`` counters).
+The process-wide snapshots have their own emitters: ``runx run
+smoke/microbench-closure --json`` (one engine per scenario; its record
+carries the ``global.*`` metrics) and ``python -m repro.tools.fuzzx run
+--json`` (``fuzz.*`` counters).
 """
 
 from __future__ import annotations

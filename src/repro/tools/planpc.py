@@ -27,7 +27,6 @@ import sys
 import time
 
 from ..analysis.verifier import verify_report
-from ..interp.context import RecordingContext
 from ..interp.values import default_value
 from ..jit.pipeline import (BACKENDS, DEFAULT_BACKEND, ProgramCache,
                             count_source_lines, load_program, make_engine)
@@ -103,6 +102,7 @@ def cmd_fmt(args: argparse.Namespace) -> int:
 
 
 def cmd_bench(args: argparse.Namespace) -> int:
+    from ..experiments.microbench import _NullContext
     from ..net.packet import IpHeader
 
     info = typecheck(parse(_load(args.program), args.program))
@@ -115,13 +115,9 @@ def cmd_bench(args: argparse.Namespace) -> int:
     parts.extend(default_value(view) for view in lay.views)
     packet = tuple(parts)
 
-    class _Null(RecordingContext):
-        def emit_remote(self, channel, packet_value):
-            pass
-
     print(f"{args.program}: {args.n} invocations per engine")
     for backend in BACKENDS:
-        ctx = _Null()
+        ctx = _NullContext()
         engine = make_engine(info, backend, ctx)
         ps = default_value(decl.protocol_state_type)
         ss = engine.initial_channel_state(decl, ctx)

@@ -19,7 +19,7 @@ from repro.asps import (audio_client_asp, audio_router_asp,
                         mpeg_client_asp, mpeg_monitor_asp)
 from repro.interp import Interpreter, RecordingContext
 from repro.interp.values import default_value
-from repro.lang import PlanPRuntimeError, parse, typecheck
+from repro.lang import parse, typecheck
 from repro.net.addresses import HostAddr
 from repro.net.packet import IpHeader, TcpHeader, UdpHeader
 from repro.runtime import codec

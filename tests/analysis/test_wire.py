@@ -13,9 +13,9 @@ import random
 import pytest
 
 from repro.analysis.wire import (CHANNEL_REMOVED, EMISSION_TARGET_DROPPED,
-                                 FIELD_LAYOUT_CHANGED, OVERLOAD_NARROWED,
-                                 TAIL_CHANGED, OverloadShape, Verdict,
-                                 check_compatible, wire_summary)
+                                 FIELD_LAYOUT_CHANGED, TAIL_CHANGED,
+                                 OverloadShape, Verdict, check_compatible,
+                                 wire_summary)
 from repro.fuzz import derive_seed, gen_program
 from repro.lang import parse, typecheck
 

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from repro.apps.audio import codec
 from repro.apps.audio.client import AudioClient
-from repro.apps.audio.loadgen import LoadGenerator
+from repro.apps.audio.loadgen import PACKET_BYTES, LoadGenerator
 from repro.apps.audio.source import AudioSource
 from repro.asps.audio import FMT_MONO16, FMT_MONO8, FMT_STEREO16
 from repro.net import Network
@@ -134,7 +134,7 @@ class TestLoadGenerator:
         gen = LoadGenerator(net, a, b.address)
         gen.set_rate(800_000)  # 100 kB/s
         net.run(until=2.0)
-        sent_bytes = gen.packets_sent * gen.packet_bytes
+        sent_bytes = gen.packets_sent * PACKET_BYTES
         assert sent_bytes == pytest.approx(200_000, rel=0.05)
 
     def test_schedule_steps(self):

@@ -1,7 +1,5 @@
 """Cluster toolkit tests: health checks and automatic reconfiguration."""
 
-import pytest
-
 from repro.apps.http import HttpClientWorker, HttpServer, generate_trace
 from repro.apps.http.cluster import (ClusterManager, HealthResponder)
 from repro.net import Network

@@ -1,7 +1,5 @@
 """Compression / filtering / firewall ASP tests (paper §1 operations)."""
 
-import zlib
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -10,9 +8,9 @@ from repro.asps import (content_filter_asp, firewall_asp,
                         link_compressor_asp, link_decompressor_asp)
 from repro.interp import RecordingContext
 from repro.interp.primitives import PRIMITIVES
-from repro.lang import PlanPRuntimeError, VerificationError
+from repro.lang import PlanPRuntimeError
 from repro.net import Network
-from repro.net.packet import tcp_packet, udp_packet
+from repro.net.packet import tcp_packet
 from repro.runtime import Deployment, PlanPLayer
 
 

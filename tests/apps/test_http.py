@@ -4,6 +4,7 @@ import pytest
 
 from repro.apps.http import (BuiltinGateway, HttpClientWorker, HttpServer,
                              generate_trace)
+from repro.apps.http.server import PER_BYTE_CPU_S
 from repro.net import Network
 
 
@@ -82,7 +83,7 @@ class TestServer:
         net.run(until=6.0)
         total = sum(len(w.completed) for w in workers)
         mean_cpu = (server.base_cpu_s
-                    + trace.mean_size * server.per_byte_cpu_s)
+                    + trace.mean_size * PER_BYTE_CPU_S)
         capacity = 6.0 / mean_cpu
         assert total <= capacity * 1.05
         assert total >= capacity * 0.7  # saturated, not idle

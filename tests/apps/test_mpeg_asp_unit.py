@@ -1,7 +1,5 @@
 """Unit tests of the MPEG monitor/capture ASPs (RecordingContext)."""
 
-import pytest
-
 from repro.asps import mpeg_client_asp, mpeg_monitor_asp
 from repro.interp import Interpreter, RecordingContext
 from repro.interp.values import default_value

@@ -12,6 +12,7 @@ from pathlib import Path
 import pytest
 
 from repro.fuzz import load_case, run_case
+from repro.tools import fuzzx
 
 CORPUS = Path(__file__).parent / "corpus"
 CASES = sorted(CORPUS.glob("*.json"))
@@ -29,3 +30,11 @@ def test_corpus_case_replays_clean(path):
     result = run_case(case)
     assert result.ok, (
         f"{path.name}: {'; '.join(f'{d.backend}/{d.mode}: {d.detail}' for d in result.divergences)}")
+
+
+def test_fuzzx_replays_the_corpus_directory(capsys):
+    # both case kinds, found by walking the directory
+    assert fuzzx.main(["replay", str(CORPUS)]) == 0
+    out = capsys.readouterr().out
+    assert out.count("ok ") == len(list(CORPUS.rglob("*.json")))
+    assert "wire-retype" in out and "binop-eval-order" in out

@@ -12,7 +12,7 @@ parallel harness.
 import json
 
 from repro.experiments.chaos import run_chaos_experiment
-from repro.harness import ResultStore, Runner, Scenario, matrix
+from repro.harness import ResultStore, Runner, matrix
 
 
 class TestPoisonedAspDrill:

@@ -3,8 +3,6 @@
 import runpy
 import sys
 
-import pytest
-
 
 def run_example(name, monkeypatch):
     monkeypatch.setattr(sys, "argv", [name])

@@ -1,7 +1,5 @@
 """Failure injection: lossy media, dying servers, malformed traffic."""
 
-import pytest
-
 from repro.apps.http import HttpClientWorker, HttpServer, generate_trace
 from repro.apps.mpeg import run_mpeg_experiment
 from repro.asps import audio_client_asp, audio_router_asp

@@ -5,10 +5,8 @@ import pytest
 from repro.interp import Interpreter, RecordingContext
 from repro.interp.env import Env
 from repro.interp.interpreter import _sml_div
-from repro.interp.values import UNIT, PlanPList
+from repro.interp.values import PlanPList
 from repro.lang import PlanPRuntimeError, parse, typecheck
-from repro.lang.parser import parse_expr
-from repro.lang.typechecker import TypeChecker
 
 from ..conftest import FORWARD_SRC, run_packet, tcp_packet_value
 

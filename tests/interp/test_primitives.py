@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from repro.interp import RecordingContext
 from repro.interp.primitives import PRIMITIVES
-from repro.interp.values import UNIT, PlanPList, PlanPTable
+from repro.interp.values import PlanPList, PlanPTable
 from repro.lang import PlanPRuntimeError
 from repro.lang import types as T
 from repro.lang.errors import SourcePos, TypeCheckError

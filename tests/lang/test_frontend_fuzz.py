@@ -5,8 +5,8 @@ hostile downloads, paper §2.1)."""
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.lang import (LexError, ParseError, PlanPError, TypeCheckError,
-                        parse, tokenize, typecheck)
+from repro.lang import (LexError, ParseError, PlanPError, parse, tokenize,
+                        typecheck)
 
 # Text biased toward PLAN-P-looking fragments.
 _planp_alphabet = st.sampled_from(list(

@@ -1,6 +1,5 @@
 """Simulator-wide conservation and invariant property tests."""
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 

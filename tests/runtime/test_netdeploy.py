@@ -1,11 +1,10 @@
 """Network-based ASP deployment tests (paper §5 extension)."""
 
-import pytest
-
+from repro.jit.pipeline import ProgramCache
 from repro.net import Network
 from repro.net.packet import tcp_packet
-from repro.runtime.netdeploy import (CHUNK_BYTES, DeploymentManager,
-                                     DeploymentService)
+from repro.runtime.netdeploy import (CHUNK_BYTES, RECOVERABLE_REASONS,
+                                     DeploymentManager, DeploymentService)
 
 FORWARD = ("channel network(ps : int, ss : unit, p : ip*tcp*blob) is "
            "(OnRemote(network, p); (ps + 1, ss))")
@@ -133,6 +132,22 @@ class TestRejection:
         net.run(until=1.0)
         assert manager.all_ok(xfer)
 
+    def test_non_latin1_source_pushes_as_the_bytes_it_hashes_to(self):
+        # Deployment.install takes any str and ProgramCache.digest
+        # hashes its UTF-8; the wire must carry the same bytes.  The
+        # 3-byte character straddles the first chunk boundary.
+        net, admin, routers, endpoint, services, manager = \
+            managed_net(n_routers=2)
+        head = "-- gateway \u2014 see \u00a72.1 "
+        head += "x" * (CHUNK_BYTES - 1 - len(head.encode()))
+        source = head + "\u20ac\n" + FORWARD
+        data = source.encode()
+        assert data[CHUNK_BYTES - 1:CHUNK_BYTES + 2] == "\u20ac".encode()
+        xfer = manager.push(source, [r.address for r in routers])
+        assert manager.await_converged(xfer) and manager.all_ok(xfer)
+        assert [r.planp.current_sha for r in routers] \
+            == [ProgramCache.digest(source)] * 2
+
     def test_commit_without_begin_rejected(self):
         net, admin, routers, endpoint, services, manager = managed_net()
         sock = net.udp(admin).bind()
@@ -185,6 +200,23 @@ class TestHardening:
         assert replies == [b"BEGACK t1", b"REJ t1 malformed",
                            b"REJ t1 malformed", b"REJ t1 malformed"]
         assert services[0].malformed == 3
+
+    def test_undecodable_source_is_a_terminal_rejection(self):
+        net, admin, routers, endpoint, services, manager = managed_net()
+        sock, replies = self.raw_socket(net, admin)
+        sock.sendto(routers[0].address, 9900, b"BEGIN t1 1 source 1")
+        sock.sendto(routers[0].address, 9900, b"CHUNK t1 0\nval \xff\xfe")
+        sock.sendto(routers[0].address, 9900, b"COMMIT t1")
+        sock.sendto(routers[0].address, 9900, b"COMMIT t1")
+        net.run(until=0.5)
+        # a verdict on the bytes, memoised like any other: the manager
+        # must not take it for lost receiver state and send them again
+        verdict = b"REJ t1 undecodable source"
+        assert replies == [b"BEGACK t1", b"CACK t1 0", verdict, verdict]
+        assert not "undecodable source".startswith(RECOVERABLE_REASONS)
+        assert services[0].installed == []
+        assert services[0].rejected == [("t1", "undecodable source")]
+        assert routers[0].planp.loaded is None
 
     def test_headerless_garbage_is_dropped_silently(self):
         net, admin, routers, endpoint, services, manager = managed_net()
