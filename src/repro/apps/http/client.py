@@ -117,7 +117,7 @@ class HttpClientWorker:
         self.shed_responses = 0
         # Jittered exponential backoff between attempts, from a
         # per-worker entropy stream so retry timing is independent of
-        # unrelated traffic (byte-identical under sharding).
+        # unrelated traffic.
         self._backoff = Backoff(
             initial=retry_delay, ceiling=max(retry_ceiling, retry_delay),
             entropy=host.sim.entropy(

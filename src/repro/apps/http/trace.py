@@ -117,7 +117,7 @@ def open_loop_arrivals(trace: Trace, *, start: float, duration: float,
     stationary Zipf(``ZIPF_A``) popularity law.
 
     All randomness comes from ``entropy`` (pass a
-    ``SchedulingContext``-owned stream for shard-stable runs) or a
+    ``SchedulingContext``-owned or ``Simulator.entropy`` stream) or a
     private ``random.Random(seed)``; the shared simulator rng and the
     numpy trace rng are never touched, so adding a crowd cannot perturb
     any other workload's draws.

@@ -66,23 +66,12 @@ def _is_batch_telemetry(key: str) -> bool:
             or ".batch_size" in key)
 
 
-def _is_shard_telemetry(key: str) -> bool:
-    """True for sharded-execution telemetry: how events *scheduled*
-    across segment simulators (per-segment ``sim.<net>.<segment>.*``
-    scopes, whose very presence depends on ``shard_segments``) and the
-    physical state of each heap's lazy-deletion machinery
-    (``heap_size`` / ``cancelled_pending``, which depend on per-queue
-    compaction thresholds) are execution-strategy details — excluding
-    them is what keeps records byte-identical sharded vs serial, the
-    same rule PR 6 applied to batch-grouping telemetry."""
-    if key.endswith(".heap_size") or key.endswith(".cancelled_pending"):
-        return True
-    if not key.startswith("sim"):
-        return False
-    scope, _, _ = key.rpartition(".")
-    # sim.<net>.<segment>.<field> — a per-segment simulator scope
-    parts = scope.split(".")
-    return len(parts) >= 3 and parts[-1].isdigit()
+def _is_heap_telemetry(key: str) -> bool:
+    """True for the physical state of the event heap's lazy-deletion
+    machinery (``heap_size`` / ``cancelled_pending``): it depends on
+    the compaction threshold, not on what was simulated, and records
+    are pinned without these keys."""
+    return key.endswith((".heap_size", ".cancelled_pending"))
 
 
 def deterministic_metrics(metrics: dict[str, Any]) -> dict[str, Any]:
@@ -90,12 +79,12 @@ def deterministic_metrics(metrics: dict[str, Any]) -> dict[str, Any]:
     of (code, params, seed): drops the process-wide ``global.`` scope
     (it accumulates across runs sharing a process), the wall-clock
     values of ``*_ms`` timer histograms (their ``.count`` stays), and
-    the tier-3 batch-grouping / sharded-execution telemetry."""
+    the tier-3 batch-grouping and event-heap telemetry."""
     return {key: value for key, value in sorted(metrics.items())
             if not key.startswith("global.")
             and not _is_wall_clock(key)
             and not _is_batch_telemetry(key)
-            and not _is_shard_telemetry(key)}
+            and not _is_heap_telemetry(key)}
 
 
 def jsonify(value: Any) -> Any:

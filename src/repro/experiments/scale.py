@@ -1,14 +1,12 @@
-"""The sharded-core scale experiment: a ring of router clusters.
+"""The scale experiment: a ring of router clusters.
 
-This is the workload behind the ``scale`` scenarios, ``scale_udp`` and
-the ``shard_segments`` knob (DESIGN §13): ``n_clusters`` routers form a
-ring with ``ring_latency`` propagation delay; each router serves
-``hosts_per_cluster - 1`` leaf hosts over fast LAN links.  Hosts send
-UDP datagrams mostly to a sibling in their own cluster, with every
-``cross_every``-th datagram going to the same-index host in the *next*
-cluster around the ring — so partitioning by cluster cuts only ring
-links (the lookahead is ``ring_latency``) and cross-segment traffic
-exercises the boundary protocol without flooding it.
+This is the workload behind the ``scale`` scenarios and ``scale_udp``
+(bare forwarding, no ASP — the simulator core does nearly all the
+work): ``n_clusters`` routers form a ring with ``ring_latency``
+propagation delay; each router serves ``hosts_per_cluster - 1`` leaf
+hosts over fast LAN links.  Hosts send UDP datagrams mostly to a
+sibling in their own cluster, with every ``cross_every``-th datagram
+going to the same-index host in the *next* cluster around the ring.
 
 Routing is installed manually (``finalize(compute_routes=False)``):
 all-pairs shortest paths are O(N²) and pointless for a topology this
@@ -16,10 +14,6 @@ regular.  Hosts default-route to their cluster router; routers hold
 one route per local host and default clockwise around the ring.  No
 datagram travels more than one ring hop, so the default TTL is never
 at risk.
-
-The same builder runs serially and, with ``shard_segments > 1``,
-through the windowed :class:`~repro.net.shard.ShardRunner`; the two
-produce byte-identical records.
 """
 
 from __future__ import annotations
@@ -28,7 +22,7 @@ import hashlib
 from dataclasses import dataclass, field
 from typing import Any
 
-from ..net.node import Host, Node
+from ..net.node import Host
 from ..net.topology import Network
 from .result import ExperimentResult
 
@@ -38,10 +32,6 @@ SCALE_PORT = 4000
 
 class ScaleResult(ExperimentResult):
     _EXPERIMENT = "scale"
-    #: execution-strategy outputs: real, but not part of the record
-    #: (a serial run and a sharded run of the same scenario must
-    #: produce the same record)
-    _VOLATILE_FIGURES = ("segments", "windows")
 
 
 @dataclass
@@ -53,18 +43,7 @@ class _ScaleState:
     sent: int = 0
 
 
-def _cluster_of(name: str) -> int:
-    # node names are "c<cluster>r" / "c<cluster>h<idx>"
-    digits = []
-    for ch in name[1:]:
-        if not ch.isdigit():
-            break
-        digits.append(ch)
-    return int("".join(digits))
-
-
-def build_scale_net(*, params: dict, seed: int,
-                    shard_segments: int = 1) -> Network:
+def build_scale_net(*, params: dict, seed: int) -> Network:
     """Build the ring-of-clusters topology and schedule its traffic."""
     n_clusters = int(params.get("n_clusters", 8))
     hosts_per_cluster = int(params.get("hosts_per_cluster", 4))
@@ -80,20 +59,10 @@ def build_scale_net(*, params: dict, seed: int,
     if n_clusters < 2 or hosts_per_cluster < 2:
         raise ValueError("scale topology needs >= 2 clusters of >= 2 "
                          "hosts (host 0 of each cluster is the router)")
-    if shard_segments > n_clusters:
-        raise ValueError("cannot shard finer than one cluster per "
-                         "segment")
 
-    def shard_of(node: Node) -> int:
-        return min(_cluster_of(node.name) * shard_segments // n_clusters,
-                   shard_segments - 1)
+    net = Network(seed=seed, name="scale")
 
-    net = Network(seed=seed, name="scale",
-                  shard_segments=shard_segments,
-                  shard_of=shard_of if shard_segments > 1 else None)
-
-    # -- topology: clusters in construction order, so the partition is
-    # contiguous clusters and only ring links are cut
+    # -- topology: clusters in construction order, then the ring
     routers = []
     hosts: list[list[Host]] = []
     host_ifaces = {}  # router-side iface per host, for manual routes
@@ -159,17 +128,15 @@ def build_scale_net(*, params: dict, seed: int,
                     sock.sendto(dst_addr, SCALE_PORT, payload)
                     state.sent += 1
 
-                # scheduled on the host's own simulator under the
-                # host's context: the event key is the host's,
-                # whichever segment it lands in
+                # scheduled under the host's context, so the event
+                # key is the host's own
                 host.sim.at(warmup + k * interval, send,
                             context=host.ctx)
     return net
 
 
 def scale_until(params: dict) -> float:
-    """When the run ends — a pure function of params, so every
-    execution mode agrees."""
+    """When the run ends — a pure function of params."""
     packets = int(params.get("packets_per_host", 6))
     interval = float(params.get("interval", 0.02))
     warmup = float(params.get("warmup", 0.05))
@@ -179,10 +146,10 @@ def scale_until(params: dict) -> float:
 def delivery_stream_sha256(deliveries: list[tuple]) -> str:
     """One hash over the key-sorted delivery stream.
 
-    Sorting by event key reproduces the serial observation order
-    exactly (the keys are a pure function of topology and seed), so
-    equal hashes mean every datagram arrived at the same host at the
-    same event, with the same payload, in every execution mode.
+    Sorting by event key is the observation order (the keys are a
+    pure function of topology and seed), so equal hashes mean every
+    datagram arrived at the same host at the same event, with the same
+    payload.
     """
     digest = hashlib.sha256()
     for (t, lp, lseq), name, src, payload in sorted(deliveries):
@@ -192,18 +159,11 @@ def delivery_stream_sha256(deliveries: list[tuple]) -> str:
     return digest.hexdigest()
 
 
-def run_scale_experiment(*, seed: int = 0, shard_segments: int = 1,
-                         **params: Any) -> ScaleResult:
-    """Run the scale workload and summarize it.
-
-    ``shard_segments`` picks the execution strategy — serial, or the
-    windowed :class:`~repro.net.shard.ShardRunner`.  It shows up only
-    in the volatile figures; the record is identical either way.
-    """
-    net = build_scale_net(params=params, seed=seed,
-                          shard_segments=shard_segments)
+def run_scale_experiment(*, seed: int = 0, **params: Any) -> ScaleResult:
+    """Run the scale workload and summarize it."""
+    net = build_scale_net(params=params, seed=seed)
     net.run(until=scale_until(params))
-    state, runner = net.scale_state, net._shard
+    state = net.scale_state
     metrics = net.metrics_snapshot()
     forwarded = sum(value for key, value in metrics.items()
                     if key.startswith("node.")
@@ -220,7 +180,4 @@ def run_scale_experiment(*, seed: int = 0, shard_segments: int = 1,
             "forwarded": int(forwarded),
             "events": metrics.get("sim.events_processed"),
             "delivery_sha256": delivery_stream_sha256(state.deliveries),
-            # volatile (execution strategy, not measurement):
-            "segments": shard_segments,
-            "windows": runner.windows if runner is not None else 0,
         })

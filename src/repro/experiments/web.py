@@ -24,10 +24,7 @@ below 30% (the control that proves the attack is real).
 
 Topology (fixed across every cell so the records compare): a gateway
 router fronts one server host on a fast LAN; good clients, attackers
-and crowd hosts hang off the gateway on access links.  Partitioning
-for ``shard_segments=2`` cuts only the access links (2 ms lookahead):
-segment 0 owns the service side, segment 1 the clients — serial and
-sharded runs produce byte-identical records.
+and crowd hosts hang off the gateway on access links.
 """
 
 from __future__ import annotations
@@ -39,7 +36,6 @@ from ..apps.http.server import HttpServer
 from ..apps.http.trace import (Trace, TraceEntry, flood_times,
                                generate_trace, open_loop_arrivals)
 from ..asps.overload import shedding_asp
-from ..net.node import Node
 from ..net.overload import AdmissionController
 from ..net.packet import tcp_packet
 from ..net.topology import Network
@@ -75,8 +71,6 @@ class WebResult(ExperimentResult):
     accounting, defense counters and the lifecycle verdict."""
 
     _EXPERIMENT = "web"
-    #: execution strategy, not measurement
-    _VOLATILE_FIGURES = ("segments",)
 
     @property
     def goodput(self) -> float:
@@ -85,8 +79,7 @@ class WebResult(ExperimentResult):
 
 def run_web_experiment(*, attack: str = "none", shedding: bool = False,
                        duration: float = 10.0, warmup: float = 2.5,
-                       seed: int = 17, shard_segments: int = 1,
-                       obs: Observability | None = None,
+                       seed: int = 17, obs: Observability | None = None,
                        poison_at: float | None = None) -> WebResult:
     """Run one cell of the overload matrix.
 
@@ -105,14 +98,7 @@ def run_web_experiment(*, attack: str = "none", shedding: bool = False,
     sizes = dict(trace.sizes)
     sizes[ELEPHANT_PATH] = ELEPHANT_SIZE
 
-    def shard_of(node: Node) -> int:
-        # service side (gateway + server) vs everything client-side;
-        # only 2 ms access links cross the cut
-        return 0 if node.name in ("gw", "srv") else 1
-
-    net = Network(seed=seed, name="web", obs=obs,
-                  shard_segments=shard_segments,
-                  shard_of=shard_of if shard_segments > 1 else None)
+    net = Network(seed=seed, name="web", obs=obs)
     gw = net.add_router("gw")
     srv = net.add_host("srv")
     net.link(srv, gw, bandwidth=100e6, latency=0.0002)
@@ -272,7 +258,6 @@ def run_web_experiment(*, attack: str = "none", shedding: bool = False,
         "healthy": (all(m.up for m in net.media)
                     and all(node.up for node in net.nodes)
                     and quarantined == 0),
-        "segments": shard_segments,
     }
     return WebResult(
         seed=seed,

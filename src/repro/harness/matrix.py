@@ -87,15 +87,11 @@ def standard_matrix() -> list[Scenario]:
     scenarios.append(Scenario(
         "standard/images", "images", {"distillation": True}, seed=31,
         tags=frozenset({"standard", "images"})))
-    # the sharded core, exercised through the harness: same workload
-    # serial and partitioned — their records must agree byte-for-byte
-    # (test_harness_determinism covers the cache/report contract)
-    for segments in (1, 4):
-        scenarios.append(Scenario(
-            f"standard/scale-x{segments}", "scale",
-            {"n_clusters": 16, "hosts_per_cluster": 8,
-             "packets_per_host": 8, "shard_segments": segments},
-            seed=5, tags=frozenset({"standard", "scale"})))
+    scenarios.append(Scenario(
+        "standard/scale", "scale",
+        {"n_clusters": 16, "hosts_per_cluster": 8,
+         "packets_per_host": 8},
+        seed=5, tags=frozenset({"standard", "scale"})))
     return scenarios
 
 
@@ -123,9 +119,9 @@ def smoke_matrix() -> list[Scenario]:
                  seed=23, tags=tags("mpeg")),
         Scenario("smoke/images", "images", {"distillation": True},
                  seed=31, tags=tags("images")),
-        Scenario("smoke/scale-sharded", "scale",
+        Scenario("smoke/scale", "scale",
                  {"n_clusters": 4, "hosts_per_cluster": 3,
-                  "packets_per_host": 4, "shard_segments": 2},
+                  "packets_per_host": 4},
                  seed=5, tags=tags("scale")),
         Scenario("smoke/microbench-closure", "microbench",
                  {"engine": "closure", "n_packets": 2_000}, seed=0,
@@ -190,14 +186,6 @@ def web_matrix() -> list[Scenario]:
                 {"attack": attack, "shedding": shedding,
                  "duration": 6.0, "warmup": 2.0}, seed=17,
                 tags=tags(attack, *smoke)))
-    # the same cells through the sharded core: records must agree
-    # byte-for-byte with the serial cells above (asserted in tests;
-    # distinct scenario names because shard_segments is a param)
-    scenarios.append(Scenario(
-        "web/syn-shed-x2", "web",
-        {"attack": "syn", "shedding": True, "duration": 6.0,
-         "warmup": 2.0, "shard_segments": 2}, seed=17,
-        tags=tags("syn", "sharded")))
     # chaos: the poisoned shedder must trip the breaker and degrade
     # the gateway to standard IP without killing the run
     scenarios.append(Scenario(

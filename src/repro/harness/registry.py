@@ -17,10 +17,8 @@ from ..experiments.result import ExperimentResult
 from ..obs import Observability
 from .scenario import Scenario
 
-#: a view is ``(section, fold)``: which half of a run's observability
-#: dump the fold reads — ``"events"`` (the event log as dicts) or
-#: ``"metrics"`` (the snapshot) — and the fold that summarizes it
-View = tuple[str, Callable[[Any], dict]]
+#: a view folds a run's event log (as dicts) into a summary
+View = Callable[[list[dict]], dict]
 
 
 @dataclass(frozen=True)
@@ -109,7 +107,6 @@ def _register_all() -> None:
     from ..experiments.scale import ScaleResult, run_scale_experiment
     from ..experiments.web import (WebResult, overload_summary,
                                    run_web_experiment)
-    from ..net.shard import shard_summary
     from ..runtime.lifecycle import lifecycle_summary
 
     register("audio", result_cls=AudioExperimentResult,
@@ -172,25 +169,23 @@ def _register_all() -> None:
 
     register("chaos", result_cls=ChaosResult,
              description="lifecycle/fault chaos drill (one profile)",
-             views={"lifecycle": ("events", lifecycle_summary)}
+             views={"lifecycle": lifecycle_summary}
              )(run_chaos_experiment)
 
     register("scale", result_cls=ScaleResult,
-             description="sharded-core ring-of-clusters scale run "
-                         "(shard_segments picks the partition)",
-             views={"shards": ("metrics", shard_summary)}
+             description="ring-of-clusters scale run (bare forwarding)"
              )(run_scale_experiment)
 
     register("web", result_cls=WebResult,
              description="overload drill: flash/syn/elephant attacks "
                          "with in-network shedding on or off",
-             views={"overload": ("events", overload_summary)}
+             views={"overload": overload_summary}
              )(run_web_experiment)
 
     register("upgrade", result_cls=UpgradeResult,
              description="rolling-upgrade drill: wire-compat veto "
                          "plus a compatible canary promotion",
-             views={"lifecycle": ("events", lifecycle_summary)}
+             views={"lifecycle": lifecycle_summary}
              )(run_upgrade_experiment)
 
 

@@ -79,8 +79,8 @@ class AddressAllocator:
     Used by topology builders so tests and experiments get stable,
     readable addresses (10.0.<net>.<host>).  Subnet ids are 16-bit and
     roll into the second octet past 255 (10.<net-hi>.<net-lo>.<host>),
-    so one allocator covers the sharded-core scale topologies — 10k+
-    nodes means 10k+ point-to-point subnets.
+    so one allocator covers the scale topologies — 10k+ nodes means
+    10k+ point-to-point subnets.
     """
 
     def __init__(self, base: str | int = "10.0.0.0"):

@@ -55,18 +55,9 @@ class _TxQueue:
             Callable[[Packet, "Interface", str], None]] = []
         #: this direction's scheduling context: transmission-complete
         #: and delivery events are attributed here, and loss draws come
-        #: from its entropy stream — both per-queue, so keys and draws
-        #: don't depend on other traffic (or on sharding)
+        #: from its entropy stream — both per-queue, so this queue's
+        #: keys and draws don't depend on traffic on any other medium
         self.ctx = sim.context(name)
-        #: cross-segment hook, installed by :mod:`repro.net.shard` when
-        #: this queue's receiving end lives on a different segment
-        #: simulator: called with ``(packet, sender, arrival, lp, lseq)``
-        #: instead of scheduling the delivery locally.  The ``(lp,
-        #: lseq)`` pair is drawn from :attr:`ctx` exactly as the local
-        #: path would, so the far side can enqueue the delivery under
-        #: the key a single-queue run would have used.
-        self.boundary_emit: Callable[
-            [Packet, "Interface", float, int, int], None] | None = None
 
     def _dropped(self, packet: Packet, sender: "Interface",
                  reason: str) -> None:
@@ -134,10 +125,6 @@ class _TxQueue:
             if self.drop_taps:
                 for tap in self.drop_taps:
                     tap(packet, sender, "loss")
-        elif self.boundary_emit is not None:
-            self.boundary_emit(packet, sender,
-                               self._sim.now + self.latency,
-                               self.ctx.lp, self.ctx.next_lseq())
         else:
             self._sim.schedule(
                 self.latency,
@@ -160,6 +147,17 @@ class Medium:
     def __init__(self, sim: Simulator, bandwidth_bps: float,
                  latency: float, queue_limit: int, loss_rate: float,
                  name: str):
+        # Checked here so Network.link / Network.segment fail at the
+        # call that made the mistake, before anything is attached —
+        # not as a ZeroDivisionError on the first packet, or never.
+        for what, value, ok, want in (
+                ("bandwidth_bps", bandwidth_bps, bandwidth_bps > 0, "> 0"),
+                ("latency", latency, latency >= 0, ">= 0"),
+                ("loss_rate", loss_rate, 0 <= loss_rate <= 1, "in [0, 1]"),
+                ("queue_limit", queue_limit, queue_limit >= 0, ">= 0")):
+            if not ok:
+                raise ValueError(
+                    f"medium {name!r}: {what} must be {want}, got {value!r}")
         self._sim = sim
         self.name = name
         self.bandwidth_bps = bandwidth_bps
@@ -178,9 +176,7 @@ class Medium:
 
     def deliver(self, packet: Packet, sender: "Interface") -> None:
         """Hand ``packet`` to every attached interface but ``sender`` —
-        the receiving half of a transmission, also what a propagation
-        that crossed a segment boundary (:mod:`repro.net.shard`) ends
-        in."""
+        the receiving half of a transmission."""
         for iface in self._ifaces:
             if iface is not sender:
                 iface.receive(packet)

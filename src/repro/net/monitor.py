@@ -31,42 +31,19 @@ class LoadMonitor:
         self._buckets: deque[tuple[float, int]] = deque()
         self.total_bytes = 0
         self.total_packets = 0
-        self._latest = 0.0
 
     def record(self, now: float, nbytes: int) -> None:
-        """Account ``nbytes`` transmitted at time ``now``.
-
-        ``now`` may lag the newest recorded timestamp (a boundary
-        delivery landing between shard segments): late records merge
-        into their own slot, keeping the bucket deque sorted, instead
-        of appending an out-of-order bucket that would corrupt every
-        later window query.
-        """
+        """Account ``nbytes`` transmitted at time ``now``.  Times must
+        not decrease from one call to the next: the one caller, a
+        transmit queue, passes its simulator's clock."""
         self.total_bytes += nbytes
         self.total_packets += 1
         slot = int(now / self.bucket)
-        if not self._buckets or slot > self._buckets[-1][0]:
-            self._buckets.append((slot, nbytes))
-        elif self._buckets[-1][0] == slot:
+        if self._buckets and self._buckets[-1][0] == slot:
             self._buckets[-1] = (slot, self._buckets[-1][1] + nbytes)
         else:
-            self._record_late(slot, nbytes)
-        self._latest = max(self._latest, now)
-        self._expire(self._latest)
-
-    def _record_late(self, slot: float, nbytes: int) -> None:
-        """Merge a late record into its (already-closed) slot: the
-        window sum stays exact and the deque stays sorted."""
-        buckets = self._buckets
-        for i in range(len(buckets) - 1, -1, -1):
-            s, n = buckets[i]
-            if s == slot:
-                buckets[i] = (s, n + nbytes)
-                return
-            if s < slot:
-                buckets.insert(i + 1, (slot, nbytes))
-                return
-        buckets.insert(0, (slot, nbytes))
+            self._buckets.append((slot, nbytes))
+        self._expire(now)
 
     def _expire(self, now: float) -> None:
         horizon = int((now - self.window) / self.bucket)

@@ -93,7 +93,7 @@ class Node:
         #: this node's scheduling context (see the contract in
         #: :mod:`repro.net.sim`): everything the node schedules in
         #: response to a delivery is attributed here, so its event keys
-        #: don't depend on which segment simulator runs it
+        #: don't depend on traffic it never sees
         self.ctx = sim.context(f"node:{name}")
         self.interfaces: list[Interface] = []
         #: every interface's address, maintained by :meth:`add_interface`
@@ -159,7 +159,7 @@ class Node:
         """This node's private seeded random stream.  Node-local draws
         (ASP ``random_int``, gateway picks) use this instead of the
         shared ``sim.rng`` so the sequence seen by one node doesn't
-        depend on unrelated traffic — or on sharding."""
+        depend on unrelated traffic."""
         return self.ctx.entropy
 
     def register_proto(self, proto: int,
@@ -237,8 +237,8 @@ class Node:
             return
         # Re-root the ambient scheduling context: the delivery event ran
         # under the sending queue's context, but everything this node
-        # schedules in response belongs to *its* context (and, when
-        # sharded, the sender's context may live in another segment).
+        # schedules in response belongs to *its* context.  Every golden
+        # digest pins the keys this produces.
         prev = self.sim.use_context(self.ctx)
         try:
             self.stats.received += 1

@@ -6,7 +6,7 @@ Two mechanisms, shared by the endpoints and the deployment runtime:
   ack/retransmit machinery always used, extracted so the HTTP client's
   retry policy draws from exactly the same mechanism.  The jitter draw
   is one ``entropy.random()`` per armed timer, so a caller that feeds a
-  per-entity entropy stream stays byte-identical under sharding.
+  per-entity entropy stream is unaffected by unrelated traffic.
 * :class:`AdmissionController` — AIMD admission: a token bucket whose
   fill rate is raised additively while the system is healthy and cut
   multiplicatively on every overload signal, the classic TCP-shaped
@@ -14,8 +14,7 @@ Two mechanisms, shared by the endpoints and the deployment runtime:
   curve instead of oscillating between empty and collapsed.
 
 Both are pure mechanisms: they own no node and schedule nothing —
-callers inject clocks/entropy, which is what keeps them usable from
-both serial and sharded simulations.
+callers inject clocks/entropy.
 """
 
 from __future__ import annotations

@@ -6,32 +6,33 @@ randomness draws from seeded streams, so runs are exactly reproducible
 — a substitute for the paper's LAN testbed that trades absolute timing
 fidelity for determinism (see DESIGN.md §2 and §13).
 
-The scheduling contract (formalized for the sharded core, DESIGN §13)
-----------------------------------------------------------------------
+The scheduling contract (DESIGN §13)
+------------------------------------
 
 Events are ordered by ``EventKey = (time, lp, lseq)``:
 
 * ``time`` — absolute simulated seconds;
 * ``lp`` — the id of the :class:`SchedulingContext` the event was
   scheduled under (contexts are minted in construction order, so ids
-  are stable across runs *and* across execution modes);
+  are stable across runs);
 * ``lseq`` — that context's monotone counter.
 
-``Simulator.schedule`` / ``call_soon`` are the **only** ways to enqueue
-work.  Each ``schedule`` call is attributed to a context: the one
-passed explicitly, else the *ambient* context (the context of the event
+``Simulator.schedule`` / ``call_soon`` are the ways to enqueue work.
+Each ``schedule`` call is attributed to a context: the one passed
+explicitly, else the *ambient* context (the context of the event
 currently being dispatched), else the simulator's root context.  Because
 a context's counter is only ever advanced by the entity that owns it,
-event keys are a pure function of (topology, seed) — independent of how
-event processing is physically interleaved.  That is the property the
-sharded conservative-parallel runner (:mod:`repro.net.shard`) relies
-on: a boundary-crossing event computed in one segment carries its
-``(lp, lseq)`` across the cut and lands in the remote queue in exactly
-the position it would have occupied in a single-queue run.
+an entity's event keys are a pure function of (topology, seed) and of
+its own traffic: adding unrelated traffic elsewhere in the network does
+not move them.  That is why two cells of an experiment matrix that
+differ in one workload compare (``web/*-open`` vs ``web/*-shed``), and
+it is what ``tests/net/test_sim_contract.py`` checks directly; every
+golden digest and ``bench/expected.json`` pin covers the keys, so
+changing how they are drawn belongs to a re-pin PR.
 
-Randomness follows the same discipline: :meth:`Simulator.entropy`
-derives an independent seeded stream per name, so an entity's draws do
-not depend on unrelated traffic (and therefore not on sharding).
+Randomness follows the same discipline: :meth:`Simulator.entropy` and
+:attr:`SchedulingContext.entropy` derive an independent seeded stream
+per name, so an entity's draws do not depend on unrelated traffic.
 ``Simulator.rng`` remains the root stream for setup-time draws.
 """
 
@@ -44,15 +45,10 @@ from typing import Any, Callable
 #: The total-order key events are sorted by; see the module docstring.
 EventKey = tuple[float, int, int]
 
-#: ``lp`` of every simulator's root context.  Shared deliberately:
-#: root events on different segment simulators are never compared with
-#: each other, and a network-wide root context keeps setup-time keys
-#: identical between serial and sharded execution.
+#: ``lp`` of the simulator's root context (what is scheduled with no
+#: context of its own: setup, fault timelines); minted contexts count
+#: up from 1.
 ROOT_LP = 0
-
-#: ``lp`` reserved for nothing — used to build exclusive horizon keys
-#: (``(H, BEFORE_ANY_LP, 0)`` sorts before every real event at ``H``).
-BEFORE_ANY_LP = -1
 
 
 class SchedulingContext:
@@ -61,8 +57,6 @@ class SchedulingContext:
     counter, and a derived entropy stream.
 
     Contexts carry no simulator reference — they are pure identity.
-    This is what lets the sharded topology rewire entities onto
-    per-segment simulators without touching their keys.
     """
 
     __slots__ = ("name", "lp", "_lseq", "_entropy", "_seed")
@@ -83,8 +77,8 @@ class SchedulingContext:
     @property
     def entropy(self) -> random.Random:
         """This context's private seeded stream (lazy).  Derived from
-        ``(seed, name)`` so it is identical in serial and sharded
-        execution regardless of event interleaving."""
+        ``(seed, name)``, so the draws do not depend on what any other
+        entity drew."""
         if self._entropy is None:
             self._entropy = derive_rng(self._seed, self.name)
         return self._entropy
@@ -97,8 +91,8 @@ def derive_rng(seed: Any, name: str) -> random.Random:
     """An independent deterministic stream for ``(seed, name)``.
 
     String seeding uses CPython's sha512 path, which is stable across
-    processes (unlike ``hash``), so worker processes derive identical
-    streams."""
+    processes (unlike ``hash``), so the harness's worker processes
+    derive identical streams."""
     return random.Random(f"{seed}/{name}")
 
 
@@ -131,9 +125,7 @@ class _Event:
 #: One heap entry, ``(time, lp, lseq, event)``.  ``heapq`` orders entries
 #: by C tuple comparison; the leading event key is unique per entry (a
 #: context never repeats an ``lseq``), so comparison always stops before
-#: the event object, which therefore needs no ordering of its own.  For
-#: the same reason ``entry < key`` and ``entry >= key`` against a bare
-#: :data:`EventKey` order by the entry's key alone.
+#: the event object, which therefore needs no ordering of its own.
 _Entry = tuple[float, int, int, _Event]
 
 
@@ -168,8 +160,7 @@ _COMPACT_MIN_QUEUE = 64
 
 
 class Simulator:
-    """An event loop over simulated time (one segment of it, when
-    sharded).
+    """An event loop over simulated time.
 
     Cancelled events are deleted lazily: cancelling only flags the entry,
     and the flagged entries are either skipped when popped or swept out
@@ -177,16 +168,9 @@ class Simulator:
     many timers — TCP retransmits, periodic tasks — don't accumulate
     garbage in the heap).  Live/cancelled counts are maintained
     incrementally, making :attr:`pending_events` O(1).
-
-    Constructor arguments are keyword-only.  ``lp_alloc`` and ``root``
-    let a :class:`~repro.net.topology.Network` share one context-id
-    allocator and one root context across all of its segment
-    simulators, keeping event keys mode-independent.
     """
 
-    def __init__(self, *, seed: int = 0,
-                 lp_alloc: Callable[[], int] | None = None,
-                 root: SchedulingContext | None = None):
+    def __init__(self, *, seed: int = 0):
         self._queue: list[_Entry] = []
         self.now = 0.0
         self.seed = seed
@@ -197,41 +181,36 @@ class Simulator:
         self._microtasks: list[tuple[Callable[[], None],
                                      SchedulingContext]] = []
         self._in_event = False
-        self._next_lp = 0
-        self._lp_alloc = lp_alloc if lp_alloc is not None else self._own_lp
-        self.root = root if root is not None else SchedulingContext(
-            "root", ROOT_LP, seed, entropy=self.rng)
+        self._next_lp = ROOT_LP
+        self.root = SchedulingContext("root", ROOT_LP, seed,
+                                      entropy=self.rng)
         self._current: SchedulingContext = self.root
         self._entropies: dict[str, random.Random] = {}
         #: the key of the event currently being dispatched (None
-        #: outside dispatch).  Because keys are a total order identical
-        #: across execution modes, observers that record it can merge
-        #: per-segment observation streams back into the exact serial
-        #: observation order (see tests' delivery-stream hashing).
+        #: outside dispatch).  Observers record it to order what they
+        #: saw: the scale experiment's delivery-stream hash, and the
+        #: frozen ``bench/trace.py`` (``sim.current_event_key``), which
+        #: is why it is an attribute maintained per dispatch and not
+        #: something derived on demand.
         self.current_event_key: EventKey | None = None
 
-    def _own_lp(self) -> int:
-        self._next_lp += 1
-        return self._next_lp
-
-    # -- the formalized entry surface --------------------------------------------
+    # -- the entry surface ---------------------------------------------------------
 
     def context(self, name: str) -> SchedulingContext:
-        """Mint a new scheduling context.  Ids come from the simulator's
-        allocator (or the owning network's shared allocator), so they
-        reflect construction order — which is what makes them stable
-        across serial and sharded execution.  The id is folded into the
-        context's name so every context gets a distinct entropy stream
-        even when callers pass duplicate names."""
-        lp = self._lp_alloc()
+        """Mint a new scheduling context.  Ids count up in construction
+        order, which is what makes them stable across runs.  The id is
+        folded into the context's name so every context gets a distinct
+        entropy stream even when callers pass duplicate names."""
+        self._next_lp += 1
+        lp = self._next_lp
         return SchedulingContext(f"{name}#{lp}", lp, self.seed)
 
     def use_context(self, ctx: SchedulingContext) -> SchedulingContext:
         """Swap the ambient scheduling context; returns the previous one
         (restore it in a ``finally``).  ``Node.receive`` re-roots onto
-        the receiving node's context here, which keeps a context's
-        counter local to one segment even when its packets cross
-        segment boundaries."""
+        the receiving node's context here, so what a node schedules
+        while handling a packet draws from the node's own counter, not
+        from the counter of the transmit queue that delivered it."""
         prev = self._current
         self._current = ctx
         return prev
@@ -243,7 +222,7 @@ class Simulator:
     def entropy(self, name: str) -> random.Random:
         """A named derived random stream (memoized).  Entities use this
         instead of the shared :attr:`rng` so their draws are independent
-        of event interleaving — the property sharded runs rely on."""
+        of what any other entity drew."""
         stream = self._entropies.get(name)
         if stream is None:
             stream = derive_rng(self.seed, name)
@@ -258,7 +237,8 @@ class Simulator:
         enqueued during one event delivery to the end of that delivery
         (so several packets from one event coalesce) without scheduling
         new events — anything they schedule gets its keys in exactly
-        the same order as inline execution, keeping runs byte-identical.
+        the same order as inline execution, so records are the same
+        with batching on or off.
         The ambient context at ``call_soon`` time is captured and
         restored around the microtask.  Outside an event callback
         ``fn`` runs immediately, so direct (non-simulated) calls stay
@@ -293,11 +273,11 @@ class Simulator:
 
     def post(self, time: float, fn: Callable[[], None], *,
              lp: int, lseq: int) -> EventHandle:
-        """Enqueue an event with an **explicit** key — the boundary
-        half of the scheduling contract.  The sharded runner uses this
-        to inject a cross-segment delivery with the key its sending
-        transmit-queue context drew on the far side, so the event sorts
-        exactly where a single-queue run would have placed it.
+        """Enqueue an event with an **explicit** key instead of one
+        drawn from a context.  Nothing in ``src`` calls it; it stays
+        because the frozen ``bench/trace.py`` patches it by name
+        (``_patches.set(Simulator, "post", …)``) and goes with the next
+        benchmark PR.
 
         The callback runs under this simulator's root context.
         ``time`` must not lie in this simulator's past, and ``(time, lp,
@@ -333,43 +313,6 @@ class Simulator:
         heapq.heapify(self._queue)
         self._cancelled = 0
 
-    def _pop(self) -> _Entry | None:
-        """Pop the next live entry (skipping cancelled ones), or None."""
-        while self._queue:
-            entry = heapq.heappop(self._queue)
-            event = entry[3]
-            event.done = True
-            if event.cancelled:
-                self._cancelled -= 1
-                continue
-            self._live -= 1
-            return entry
-        return None
-
-    def _peek(self) -> _Entry | None:
-        """The next live entry without popping it (sweeps cancelled
-        heads), or None."""
-        while self._queue:
-            entry = self._queue[0]
-            if not entry[3].cancelled:
-                return entry
-            heapq.heappop(self._queue)
-            entry[3].done = True
-            self._cancelled -= 1
-        return None
-
-    # -- introspection (the shard runner's horizon inputs) ----------------------
-
-    def next_event_time(self) -> float | None:
-        """The timestamp of the next live event, or None when idle."""
-        entry = self._peek()
-        return entry[0] if entry is not None else None
-
-    def next_event_key(self) -> EventKey | None:
-        """The full key of the next live event, or None when idle."""
-        entry = self._peek()
-        return entry[:3] if entry is not None else None
-
     # -- periodic work -------------------------------------------------------------
 
     def every(self, interval: float, fn: Callable[[], None],
@@ -378,27 +321,21 @@ class Simulator:
         """Run ``fn`` every ``interval`` seconds until cancelled."""
         return PeriodicTask(self, interval, fn, start=start, until=until)
 
-    # -- the unified run loop -----------------------------------------------------
+    # -- the run loop ---------------------------------------------------------------
 
     def run(self, until: float | None = None, *,
-            max_events: int | None = None,
-            until_key: EventKey | None = None) -> int:
+            max_events: int | None = None) -> int:
         """Process events in key order; returns how many ran.
 
-        One documented contract for every caller (experiments,
-        :meth:`Topology.run <repro.net.topology.Network.run>`, the
-        shard runner's windows):
+        One contract for every caller (experiments and
+        :meth:`Network.run <repro.net.topology.Network.run>`):
 
         * ``until`` — process events with ``time <= until`` (inclusive);
           afterwards ``now`` is advanced to exactly ``until`` even if
           the queue drained earlier, so fixed-horizon experiments always
           end at the same clock reading.
-        * ``until_key`` — process events with ``key < until_key``
-          (exclusive); afterwards ``now`` advances to ``until_key[0]``.
-          This is the shard barrier's bound: a window closes *before*
-          any event of the next window, at full key precision.
         * ``max_events`` — runaway guard: raise :class:`RunawayError` if
-          more than this many events are due within the bounds.
+          more than this many events are due within the bound.
 
         With no arguments the queue is drained completely.
         """
@@ -413,8 +350,6 @@ class Simulator:
                 continue
             if until is not None and entry[0] > until:
                 break
-            if until_key is not None and entry >= until_key:
-                break
             if max_events is not None and processed >= max_events:
                 raise RunawayError(max_events)
             heapq.heappop(self._queue)
@@ -426,21 +361,7 @@ class Simulator:
             self._dispatch(entry)
         if until is not None and self.now < until:
             self.now = until
-        if until_key is not None and self.now < until_key[0]:
-            self.now = until_key[0]
         return processed
-
-    def step(self) -> bool:
-        """Run exactly the next event; False when idle.  The sequential
-        shard driver steps the controller with this while segments hold
-        at the controller's key."""
-        entry = self._pop()
-        if entry is None:
-            return False
-        self.now = entry[0]
-        self.events_processed += 1
-        self._dispatch(entry)
-        return True
 
     def _dispatch(self, entry: _Entry) -> None:
         """Run one event callback under its context, then drain its
@@ -468,15 +389,6 @@ class Simulator:
 
     # -- scheduler state -----------------------------------------------------------
 
-    def advance_to(self, when: float) -> None:
-        """Move the clock forward to ``when`` without processing events
-        (it is an error to move it backwards).  The shard runner closes
-        an idle segment's window with this instead of poking ``now``."""
-        if when < self.now:
-            raise ValueError(
-                f"cannot advance clock backwards ({when} < {self.now})")
-        self.now = when
-
     @property
     def pending_events(self) -> int:
         """Live (not-yet-run, not-cancelled) events — O(1)."""
@@ -486,9 +398,9 @@ class Simulator:
         """Scheduler health counters for a metrics snapshot.
 
         ``heap_size`` and ``cancelled_pending`` reflect the lazy-deletion
-        machinery's physical state, which depends on per-queue compaction
-        thresholds — an execution-strategy detail, so result records
-        filter them (see :func:`repro.experiments.result
+        machinery's physical state, which depends on the compaction
+        threshold — an implementation detail, so result records filter
+        them (see :func:`repro.experiments.result
         .deterministic_metrics`)."""
         return {"now": self.now,
                 "events_processed": self.events_processed,

@@ -20,7 +20,7 @@ Typical use (the paper's figure 5 network is built exactly like this in
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable
+from typing import TYPE_CHECKING
 
 from ..obs import Observability
 from .addresses import AddressAllocator, HostAddr
@@ -36,46 +36,16 @@ if TYPE_CHECKING:
     from .faults import FaultController
     from .node import Interface
     from .packet import Packet
-    from .shard import ShardRunner
 
 
 class Network:
-    """A simulated network under construction (and then in operation).
-
-    With ``shard_segments > 1`` the topology is partitioned at
-    :meth:`finalize` into that many segments, each owning its own
-    :class:`Simulator`, and :meth:`run` drives them through the
-    conservative-parallel window protocol of :mod:`repro.net.shard`.
-    ``net.sim`` is then the *controller* simulator (fault timelines,
-    experiment probes); per-node traffic runs on the segment simulators,
-    and runs are byte-identical to ``shard_segments=1`` for the same
-    seed.  ``shard_of`` maps a :class:`Node` to its segment index
-    (default: contiguous blocks in construction order).
-    """
+    """A simulated network under construction (and then in operation)."""
 
     def __init__(self, *, seed: int = 0, base_addr: str = "10.0.0.0",
-                 obs: Observability | None = None, name: str = "net",
-                 shard_segments: int = 1,
-                 shard_of: Callable[[Node], int] | None = None):
-        if shard_segments < 1:
-            raise ValueError("shard_segments must be >= 1")
+                 obs: Observability | None = None, name: str = "net"):
         self.name = name
         self.seed = seed
-        self.shard_segments = int(shard_segments)
-        self._shard_of = shard_of
-        #: the shard plan + runner, built at finalize when sharded
-        self._shard: "ShardRunner | None" = None
-        # One context-id allocator and one root context span every
-        # simulator this network owns (the controller and, when sharded,
-        # the segments), so event keys depend only on construction
-        # order — not on which simulator an entity landed on.
-        self._next_lp = 0
-        self.sim = Simulator(seed=seed, lp_alloc=self._alloc_lp)
-        #: the simulator currently dispatching events — the controller,
-        #: or whichever segment the shard runner is driving; the obs
-        #: event clock reads this so event timestamps follow simulated
-        #: time in every execution mode
-        self._active_sim = self.sim
+        self.sim = Simulator(seed=seed)
         #: this network's observability scope — metrics registry and a
         #: structured event log stamped with **simulated** time.  A
         #: caller-supplied scope is adopted so several runs can measure
@@ -85,35 +55,21 @@ class Network:
         #: clock alone (the scope's timestamps stay consistent instead
         #: of silently jumping to the newest simulator).
         self.obs = obs if obs is not None \
-            else Observability(clock=lambda: self._active_sim.now)
+            else Observability(clock=lambda: self.sim.now)
         if not self.obs.metrics.has("sim"):
-            self.obs.events.clock = lambda: self._active_sim.now
-            self._sim_metric_name = "sim"
+            self.obs.events.clock = lambda: self.sim.now
+            sim_metric_name = "sim"
         else:
             n = 2
             while self.obs.metrics.has(f"sim{n}"):
                 n += 1
-            self._sim_metric_name = f"sim{n}"
-        self.obs.metrics.register(self._sim_metric_name, self._sim_stats)
+            sim_metric_name = f"sim{n}"
+        self.obs.metrics.register(sim_metric_name, self.sim.stats)
         self.nodes: list[Node] = []
         self.media: list[Medium] = []
         self._alloc = AddressAllocator(base_addr)
         self._by_name: dict[str, Node] = {}
         self._finalized = False
-
-    def _alloc_lp(self) -> int:
-        self._next_lp += 1
-        return self._next_lp
-
-    def _sim_stats(self) -> dict[str, float]:
-        """The canonical ``sim`` scope: the simulator's health counters
-        — merged across the controller and all segment simulators when
-        sharded, so the deterministic fields (``now``,
-        ``events_processed``, ``pending_events``) read identically in
-        every execution mode."""
-        if self._shard is None:
-            return self.sim.stats()
-        return self._shard.merged_sim_stats()
 
     # -- nodes ------------------------------------------------------------------
 
@@ -216,8 +172,7 @@ class Network:
     # -- finalisation ---------------------------------------------------------------
 
     def finalize(self, *, compute_routes: bool = True) -> None:
-        """Compute unicast routes and, when sharded, partition the
-        topology; call after all media are wired.
+        """Compute unicast routes; call after all media are wired.
 
         ``compute_routes=False`` skips the all-pairs shortest-path
         computation — web-scale topologies (the 10k-node scale bench)
@@ -226,11 +181,6 @@ class Network:
         """
         if compute_routes:
             _compute_routes(self.nodes)
-        if self.shard_segments > 1:
-            from .shard import ShardRunner, build_plan
-
-            plan = build_plan(self, self.shard_segments, self._shard_of)
-            self._shard = ShardRunner(self, plan)
         self._finalized = True
 
     def multicast_group(self, group: str | HostAddr, source: Node,
@@ -243,18 +193,12 @@ class Network:
 
     def run(self, until: float | None = None, *,
             max_events: int | None = None) -> None:
-        """Run the network's event loop(s) — the same ``until`` /
-        ``max_events`` contract as :meth:`Simulator.run
-        <repro.net.sim.Simulator.run>`, which this delegates to
-        (serial) or drives per segment through the conservative window
-        protocol (sharded; ``max_events`` then bounds controller and
-        segments together)."""
+        """Run the network's event loop — the ``until`` / ``max_events``
+        contract of :meth:`Simulator.run <repro.net.sim.Simulator.run>`,
+        which this delegates to."""
         if not self._finalized:
             raise RuntimeError("call finalize() before running")
-        if self._shard is not None:
-            self._shard.run(until=until, max_events=max_events)
-        else:
-            self.sim.run(until=until, max_events=max_events)
+        self.sim.run(until=until, max_events=max_events)
 
     def metrics_snapshot(self,
                          include_global: bool = True) -> dict[str, object]:

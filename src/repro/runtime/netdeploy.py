@@ -354,7 +354,7 @@ class _TargetTransfer:
         self._deadline: EventHandle | None = None
         # Per-transfer jitter stream: retry desynchronization must not
         # depend on what other transfers (or unrelated traffic) drew
-        # from the shared stream, so sharded runs stay byte-identical.
+        # from the shared stream.
         # The schedule itself is the shared overload-control Backoff
         # (one jitter draw per armed timer, doubled per silent firing,
         # reset on progress).
@@ -659,8 +659,6 @@ class DeploymentManager:
         horizon = max((s.deadline if s.deadline is not None
                        else sim.now) for s in statuses.values()) + POLL_S
         while sim.now < horizon and not self.converged(xfer):
-            # Drive through the network façade (not the simulator
-            # directly) so sharded topologies poll correctly too.
             self.net.run(until=min(sim.now + POLL_S, horizon))
         return self.converged(xfer)
 

@@ -482,8 +482,7 @@ class PlanPLayer:
 
     def random_int(self, bound: int) -> int:
         # Drawn from the node's private stream (not the shared sim.rng)
-        # so one node's sequence doesn't depend on unrelated traffic —
-        # which is what keeps sharded execution byte-identical.
+        # so one node's sequence doesn't depend on unrelated traffic.
         return self.node.entropy.randrange(bound) if bound > 0 else 0
 
     def output(self, text: str) -> None:

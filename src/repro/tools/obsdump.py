@@ -6,7 +6,6 @@
     python -m repro.tools.obsdump chaos/drill-4 --view lifecycle
     python -m repro.tools.obsdump chaos/upgrade-16 --view lifecycle
     python -m repro.tools.obsdump web/syn-shed --view overload
-    python -m repro.tools.obsdump smoke/scale-sharded --view shards
 
 The argument is ``demo`` or any scenario name ``runx list`` prints.
 The scenario runs through the harness registry with a fresh
@@ -16,13 +15,11 @@ on stdout; ``--events`` additionally prints the structured event log
 as JSON lines, at most ``--events-limit`` of them (``demo`` prints
 events by default — that is what it is for).
 
-``--view NAME`` prints one of the folds registered beside the
+``--view NAME`` prints one of the event-log folds registered beside the
 experiment instead of the raw metrics: ``lifecycle`` (chaos, upgrade —
 rollout generations, wire-compat vetoes, breaker trips and rollbacks
 per node), ``overload`` (web — shed/expired decisions per node and the
-shedding ASP's lifecycle verdict), ``shards`` (scale — windows,
-lookahead, and per-segment events, horizon stalls and boundary
-crossings).
+shedding ASP's lifecycle verdict).
 
 ``--json PATH`` writes ``{"scenario", "metrics", "events", <view>:
 fold for every registered view}`` to a file instead — the shape the CI
@@ -98,8 +95,8 @@ def main(argv: list[str] | None = None) -> int:
                              "`runx list` (default: demo)")
     parser.add_argument("--view", metavar="NAME",
                         help="print a fold registered beside the "
-                             "experiment (lifecycle / overload / "
-                             "shards) instead of raw metrics")
+                             "experiment (lifecycle / overload) "
+                             "instead of raw metrics")
     parser.add_argument("--events", action="store_true",
                         help="also print the event log as JSON lines")
     parser.add_argument("--events-limit", type=int, default=None,
@@ -131,9 +128,7 @@ def main(argv: list[str] | None = None) -> int:
         metrics = registry.run(scenario, obs=obs).metrics
     events = [record.to_dict() for record in obs.events.filter()]
     # the folds see the whole log; --events-limit bounds what is dumped
-    sections = {"metrics": metrics, "events": events}
-    folds = {name: fold(sections[section])
-             for name, (section, fold) in views.items()}
+    folds = {name: fold(events) for name, fold in views.items()}
     shown = events[:args.events_limit]
     show_events = args.events or scenario is None
     if (args.json or show_events) and len(shown) < len(events):

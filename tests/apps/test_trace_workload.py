@@ -4,8 +4,8 @@ The flash-crowd and flood generators must be (a) deterministic from
 their own entropy stream, (b) shaped as documented (spike multiplier,
 hot-document collapse, diurnal modulation), and (c) hermetic — drawing
 nothing from the shared simulator rng, so adding a workload to a
-scenario cannot perturb any other entity's draws (the property the
-byte-identical sharded records depend on).
+scenario cannot perturb any other entity's draws (why cells of one
+matrix that differ in a workload compare).
 """
 
 import random
@@ -149,8 +149,7 @@ class TestEntropyHermetic:
         a = net.sim.entropy("stream/a")
         assert net.sim.entropy("stream/a") is a  # one stream per name
         # identically-named streams on an identically-seeded sim agree,
-        # regardless of what other streams drew in between — the
-        # shard-stability property
+        # regardless of what other streams drew in between
         other = Network(seed=17)
         other.sim.entropy("stream/b").random()
         assert (other.sim.entropy("stream/a").random()

@@ -87,22 +87,10 @@ class TestCells:
 
 
 class TestDeterminism:
-    def test_sharded_record_byte_identical(self, syn_shed):
-        sharded = run_web_experiment(attack="syn", shedding=True,
-                                     shard_segments=2, **SHORT)
-        assert sharded.to_json() == syn_shed.to_json()
-
     def test_repeat_run_byte_identical(self, syn_open):
         again = run_web_experiment(attack="syn", shedding=False,
                                    **SHORT)
         assert again.to_json() == syn_open.to_json()
-
-    def test_segments_is_volatile(self):
-        result = run_web_experiment(attack="none", shedding=False,
-                                    shard_segments=2, duration=2.0,
-                                    warmup=0.5, seed=17)
-        assert "segments" not in result.record()["figures"]
-        assert result.volatile()["segments"] == 2
 
     def test_parallel_harness_byte_identical(self):
         scenarios = [
@@ -130,11 +118,12 @@ class TestRegistry:
         scenario = Scenario("web/unit", "web",
                             {"attack": "none", "shedding": True,
                              "duration": 2.0, "warmup": 0.5,
-                             "shard_segments": 2}, seed=17)
+                             "poison_at": 1.5}, seed=17)
         result = registry.run(scenario)
         assert result.name == "web/unit"
         assert result.params["attack"] == "none"
-        assert result.params["shard_segments"] == 2
+        # a param the experiment does not report itself is stamped too
+        assert result.params["poison_at"] == 1.5
 
     def test_record_rehydrates(self):
         result = run_web_experiment(attack="none", shedding=False,

@@ -184,6 +184,57 @@ class TestMedium:
         assert via(adjacency(net.nodes, live=False)) == both
 
 
+class TestMediumValidation:
+    """A bad parameter fails at the call that passed it, naming the
+    medium, with nothing attached — not as a ZeroDivisionError on the
+    first packet (``bandwidth=0``), a ``negative delay`` mid-run
+    (``latency=-1``) or a silent black hole (``loss_rate=2``,
+    ``queue_limit=-1``)."""
+
+    CASES = [("bandwidth", 0, "bandwidth_bps"),
+             ("latency", -1.0, "latency"),
+             ("loss_rate", 2.0, "loss_rate"),
+             ("queue_limit", -1, "queue_limit")]
+
+    @staticmethod
+    def link_after(bad_kw=None, match=None):
+        net = Network(seed=0)
+        a, b = net.add_host("a"), net.add_host("b")
+        if bad_kw:
+            with pytest.raises(ValueError, match=match):
+                net.link(a, b, **bad_kw)
+            assert net.media == []
+            assert not a.interfaces and not b.interfaces
+        link = net.link(a, b)
+        return str(a.address), link.tx_queue(a.interfaces[0]).ctx.name
+
+    @staticmethod
+    def segment_after(bad_kw=None, match=None):
+        net = Network(seed=0)
+        if bad_kw:
+            with pytest.raises(ValueError, match=match):
+                net.segment("lan", **bad_kw)
+            assert net.media == []
+        lan = net.segment("lan")
+        return lan.subnet, lan.tx_queue(None).ctx.name
+
+    @pytest.mark.parametrize("param,value,named", CASES)
+    def test_rejected_at_the_call(self, param, value, named):
+        # ... and consumed nothing: the next medium gets the subnet and
+        # the transmit-queue context it would have got anyway
+        bad_kw = {param: value}
+        assert self.link_after(bad_kw, f"'a--b'.*{named}") \
+            == self.link_after()
+        assert self.segment_after(bad_kw, f"'lan'.*{named}") \
+            == self.segment_after()
+
+    def test_the_edges_of_each_range_are_accepted(self):
+        net = Network(seed=0)
+        a, b = net.add_host("a"), net.add_host("b")
+        net.link(a, b, latency=0.0, loss_rate=1.0, queue_limit=0)
+        net.segment("lan", loss_rate=0.0)
+
+
 class TestLoadMonitor:
     def test_rate_over_window(self):
         monitor = LoadMonitor(window=1.0, bucket=0.1)

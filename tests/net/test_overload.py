@@ -1,18 +1,13 @@
 """Overload-control mechanism tests (DESIGN §14).
 
 Covers the two pure mechanisms in :mod:`repro.net.overload` —
-Backoff, AdmissionController — plus property tests
-for the hardened :class:`~repro.net.monitor.LoadMonitor` (out-of-order
-records must keep the window sum exact and the bucket deque sorted).
+Backoff and AdmissionController.
 """
 
 import random
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from repro.net.monitor import LoadMonitor
 from repro.net.overload import AdmissionController, Backoff
 
 
@@ -128,40 +123,3 @@ class TestAdmissionController:
             AdmissionController(floor=10.0, ceiling=5.0)
         with pytest.raises(ValueError):
             AdmissionController(decrease=1.5)
-
-
-class TestLoadMonitorOutOfOrder:
-    def test_late_record_merges_into_window(self):
-        m = LoadMonitor(window=1.0, bucket=0.1)
-        m.record(0.50, 100)
-        m.record(0.90, 100)
-        m.record(0.55, 100)  # late: lands in the 0.5 slot
-        assert m.bytes_in_window(0.9) == 300
-        assert m.total_bytes == 300
-
-    def test_late_record_creates_missing_slot_sorted(self):
-        m = LoadMonitor(window=2.0, bucket=0.1)
-        m.record(0.10, 10)
-        m.record(0.90, 30)
-        m.record(0.50, 20)  # late, between existing slots
-        slots = [s for s, _n in m._buckets]
-        assert slots == sorted(slots)
-        assert m.bytes_in_window(0.9) == 60
-
-    @given(st.lists(st.tuples(st.floats(min_value=0.0, max_value=10.0,
-                                        allow_nan=False),
-                              st.integers(1, 5000)),
-                    min_size=1, max_size=60))
-    @settings(max_examples=50, deadline=None)
-    def test_window_sum_exact_under_reordering(self, events):
-        m = LoadMonitor(window=20.0, bucket=0.1)
-        for now, nbytes in events:
-            m.record(now, nbytes)
-        slots = [s for s, _n in m._buckets]
-        assert slots == sorted(slots)
-        assert len(slots) == len(set(slots))  # one bucket per slot
-        latest = max(now for now, _ in events)
-        # window (20 s) covers every event in [0, 10]: exact sum
-        assert m.bytes_in_window(latest) == sum(n for _, n in events)
-        assert m.total_bytes == sum(n for _, n in events)
-        assert m.total_packets == len(events)

@@ -1,10 +1,13 @@
-"""The formalized scheduling contract of :mod:`repro.net.sim`:
-explicit-key posting, the unified run bounds (serial and sharded), and
-context attribution."""
+"""The scheduling contract of :mod:`repro.net.sim` (DESIGN §13):
+explicit-key posting, the run bounds, context attribution, and the
+property experiments rely on — an entity's event keys and entropy draws
+do not move when unrelated traffic is added."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.net.sim import BEFORE_ANY_LP, Simulator
+from repro.net.sim import Simulator
 from repro.net.topology import Network
 
 
@@ -52,17 +55,6 @@ class TestRunBounds:
         assert sim.run(until=5.0) == 1
         assert sim.now == 5.0  # advances past the drained queue
 
-    def test_until_key_is_exclusive(self):
-        sim = Simulator(seed=0)
-        ran = []
-        sim.at(1.0, lambda: ran.append("at-bound"))
-        sim.at(0.5, lambda: ran.append("before"))
-        assert sim.run(until_key=(1.0, BEFORE_ANY_LP, 0)) == 1
-        assert ran == ["before"]
-        assert sim.now == 1.0
-        sim.run()
-        assert ran == ["before", "at-bound"]
-
     def test_max_events_raises_on_runaway(self):
         sim = Simulator(seed=0)
 
@@ -73,13 +65,11 @@ class TestRunBounds:
         with pytest.raises(RuntimeError, match="did not converge"):
             sim.run(max_events=100)
 
-    @pytest.mark.parametrize("segments,owner", [
-        (1, "controller"), (1, "node"), (2, "controller"), (2, "node")])
-    def test_network_run_shares_the_contract(self, segments, owner):
-        # max_events bounds the whole run() call — controller and
-        # segments together — so the guard fires sharded iff it fires
-        # serially, whichever simulator owns the storm
-        net = Network(seed=0, shard_segments=segments)
+    @pytest.mark.parametrize("owner", ["controller", "node"])
+    def test_network_run_shares_the_contract(self, owner):
+        # Network.run is Simulator.run: max_events bounds the whole
+        # call, whichever context owns the storm
+        net = Network(seed=0)
         a, b = net.add_host("a"), net.add_host("b")
         net.link(a, b, latency=0.001)
         net.finalize()
@@ -123,3 +113,95 @@ class TestContextAttribution:
         sim.schedule(0.0, outer, context=ctx)
         sim.run()
         assert seen == [ctx.name]
+
+
+PORT = 6000
+HOSTS_PER_CLUSTER = 3
+# a grid, so send times collide on purpose within and across clusters
+TIMES = tuple(round(0.01 * i, 2) for i in range(1, 40))
+
+
+def cluster_a_stream(*, seed, loss_rate, sends, with_b):
+    """Two router clusters joined by one link, every access link lossy,
+    all traffic cluster-local.  ``sends`` is ``[(cluster, src, dst,
+    time)]``; cluster b's are dropped unless ``with_b``.  Returns the
+    key-sorted ``(event key, host, payload)`` deliveries of cluster a
+    and how many datagrams cluster a sent."""
+    net = Network(seed=seed)
+    routers = {c: net.add_router(f"{c}r") for c in "ab"}
+    hosts = {c: [net.add_host(f"{c}h{i}")
+                 for i in range(HOSTS_PER_CLUSTER)] for c in "ab"}
+    for c in "ab":
+        for host in hosts[c]:
+            net.link(host, routers[c], latency=0.001,
+                     loss_rate=loss_rate)
+    net.link(routers["a"], routers["b"], latency=0.01)
+    net.finalize()
+
+    stream = []
+    socks = {}
+    for c in "ab":
+        for host in hosts[c]:
+            socks[host.name] = sock = net.udp(host).bind(PORT)
+            if c == "a":
+                def on_datagram(payload, src, src_port, *, host=host):
+                    stream.append((net.sim.current_event_key, host.name,
+                                   payload))
+
+                sock.on_datagram = on_datagram
+    sent_a = 0
+    for k, (c, src, dst, when) in enumerate(sends):
+        if c == "b" and not with_b:
+            continue
+        sent_a += c == "a"
+        sender, receiver = hosts[c][src], hosts[c][dst]
+
+        def send(*, sock=socks[sender.name], to=receiver.address,
+                 payload=f"{sender.name}>{receiver.name}#{k}".encode()):
+            sock.sendto(to, PORT, payload)
+
+        net.sim.at(when, send, context=sender.ctx)
+    net.run(until=1.0)
+    return sorted(stream), sent_a
+
+
+_sends = st.lists(
+    st.tuples(st.sampled_from("ab"),
+              st.integers(0, HOSTS_PER_CLUSTER - 1),
+              st.integers(0, HOSTS_PER_CLUSTER - 1),
+              st.sampled_from(TIMES)).filter(lambda s: s[1] != s[2]),
+    min_size=4, max_size=40)
+
+
+class TestUnrelatedTraffic:
+    """What the per-entity contexts buy (and why ``web/*-open`` and
+    ``web/*-shed`` cells compare): cluster a's deliveries — which
+    datagrams survive the lossy links, at which event keys — are the
+    same whether or not cluster b is busy.  Fails if a transmit queue
+    draws loss from the shared ``sim.rng``, or if ``schedule`` keys
+    events by one simulator-wide counter."""
+
+    def test_cluster_a_does_not_see_cluster_b(self):
+        sends = [(c, h, (h + 1 + k % 2) % HOSTS_PER_CLUSTER,
+                  TIMES[(7 * k + 3 * h) % len(TIMES)])
+                 for c in "ab" for h in range(HOSTS_PER_CLUSTER)
+                 for k in range(20)]
+        alone, sent = cluster_a_stream(seed=5, loss_rate=0.2,
+                                       sends=sends, with_b=False)
+        busy, _ = cluster_a_stream(seed=5, loss_rate=0.2, sends=sends,
+                                   with_b=True)
+        # the drill is not vacuous: the links really lose datagrams
+        assert sent == 60 and 20 < len(alone) < sent
+        assert busy == alone
+
+    @given(seed=st.integers(0, 2**16),
+           loss_rate=st.sampled_from((0.0, 0.1, 0.2, 0.5)),
+           sends=_sends)
+    @settings(max_examples=40, deadline=None)
+    def test_holds_across_seeds_times_and_loss_rates(self, seed,
+                                                     loss_rate, sends):
+        alone, _ = cluster_a_stream(seed=seed, loss_rate=loss_rate,
+                                    sends=sends, with_b=False)
+        busy, _ = cluster_a_stream(seed=seed, loss_rate=loss_rate,
+                                   sends=sends, with_b=True)
+        assert busy == alone

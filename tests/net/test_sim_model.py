@@ -1,12 +1,11 @@
 """Stateful model test for the scheduler.
 
 A hypothesis state machine drives ``schedule`` / ``post`` / ``cancel`` /
-``call_soon`` / ``run(until=)`` / ``run(until_key=)`` / ``step`` and
-cancel storms that force compaction, against a reference that keeps
-every event in a plain list and scans it for the minimum key.  The two
-must agree on what fired, in which order, under which
-``current_event_key``, and on every public counter after every rule —
-whatever the heap's entry layout is.
+``call_soon`` / ``run(until=)`` and cancel storms that force
+compaction, against a reference that keeps every event in a plain list
+and scans it for the minimum key.  The two must agree on what fired, in
+which order, under which ``current_event_key``, and on every public
+counter after every rule — whatever the heap's entry layout is.
 """
 
 from collections import defaultdict
@@ -16,7 +15,7 @@ from hypothesis import strategies as st
 from hypothesis.stateful import (RuleBasedStateMachine, invariant,
                                  precondition, rule)
 
-from repro.net.sim import BEFORE_ANY_LP, ROOT_LP, Simulator
+from repro.net.sim import ROOT_LP, Simulator
 
 #: ``lp`` used for explicitly keyed ``post`` events; no context owns it,
 #: so the machine's own counter keeps those keys unique.
@@ -88,24 +87,13 @@ class Reference:
         elif kind == "cancel":
             self.cancel(event.action[1] % len(self.events))
 
-    def run(self, until=None, until_key=None):
+    def run(self, until=None):
         while (event := self._next()) is not None:
             if until is not None and event.key[0] > until:
-                break
-            if until_key is not None and event.key >= until_key:
                 break
             self._fire(event)
         if until is not None and self.now < until:
             self.now = until
-        if until_key is not None and self.now < until_key[0]:
-            self.now = until_key[0]
-
-    def step(self):
-        event = self._next()
-        if event is None:
-            return False
-        self._fire(event)
-        return True
 
 
 class SchedulerMachine(RuleBasedStateMachine):
@@ -209,8 +197,8 @@ class SchedulerMachine(RuleBasedStateMachine):
 
     def _pick(self, at):
         """The handle a rule's ``at`` draw names, if it names one — so
-        bounds land *exactly* on an event's time or key, where
-        inclusive and exclusive differ."""
+        bounds land *exactly* on an event's time, where inclusive and
+        exclusive differ."""
         if at is None or not self.handles:
             return None
         return self.handles[at % len(self.handles)]
@@ -224,23 +212,6 @@ class SchedulerMachine(RuleBasedStateMachine):
         self.model.run(until=until)
         assert self.sim.run(until=until) == self.model.fired - before
         assert self.sim.now == until
-
-    @rule(ticks=st.integers(0, 30),
-          lp=st.sampled_from([BEFORE_ANY_LP, 0, 1, 2, 3, POSTED_LP]),
-          lseq=st.integers(0, 6), at=_at)
-    def run_until_key(self, ticks, lp, lseq, at):
-        bound = (self.sim.now + ticks / 10.0, lp, lseq)
-        if (handle := self._pick(at)) is not None:
-            bound = handle.key  # exclusive: that very event must wait
-        before = self.model.fired
-        self.model.run(until_key=bound)
-        assert self.sim.run(until_key=bound) == self.model.fired - before
-        key = self.sim.next_event_key()
-        assert key is None or key >= bound
-
-    @rule()
-    def step(self):
-        assert self.sim.step() == self.model.step()
 
     # -- what must hold after every rule --------------------------------------
 
@@ -259,9 +230,6 @@ class SchedulerMachine(RuleBasedStateMachine):
         for handle, event in zip(self.handles, model.events, strict=True):
             assert handle.key == event.key
             assert handle.cancelled == (event.state == "cancelled")
-        head = model._next()
-        assert sim.next_event_key() == (head.key if head else None)
-        assert sim.next_event_time() == (head.key[0] if head else None)
 
     def teardown(self):
         self.model.run()

@@ -278,41 +278,3 @@ class TestLifecycleSummary:
         assert all(entry["generation"] == 1
                    for name, entry in summary["nodes"].items()
                    if entry["rollbacks"])
-
-
-class TestShardSummary:
-    """The ``obsdump --view shards`` per-segment fold."""
-
-    def test_summary_from_live_sharded_run(self):
-        from repro.experiments.scale import build_scale_net, scale_until
-        from repro.net.shard import shard_summary
-
-        params = dict(n_clusters=4, hosts_per_cluster=3,
-                      packets_per_host=4)
-        net = build_scale_net(params=params, seed=7, shard_segments=2)
-        net._shard.trace_boundary = True
-        net.run(until=scale_until(params))
-        summary = shard_summary(net.metrics_snapshot())
-        assert summary["windows"] >= 1
-        assert summary["lookahead"] == 0.01
-        assert len(summary["segments"]) == 2
-        assert sum(s["nodes"] for s in summary["segments"]) == 12
-        assert all(s["events_processed"] > 0
-                   for s in summary["segments"])
-        # crossings balance: everything sent is received somewhere
-        assert sum(s["boundary_out"] for s in summary["segments"]) \
-            == sum(s["boundary_in"] for s in summary["segments"]) > 0
-        # tracing emitted one shard-boundary event per crossing
-        crossings = [r for r in net.obs.events.filter()
-                     if r.to_dict().get("kind") == "shard-boundary"]
-        assert len(crossings) \
-            == sum(s["boundary_out"] for s in summary["segments"])
-
-    def test_serial_run_summarizes_as_unsharded(self):
-        from repro.experiments.scale import build_scale_net
-        from repro.net.shard import shard_summary
-
-        net = build_scale_net(
-            params=dict(n_clusters=2, hosts_per_cluster=2,
-                        packets_per_host=1), seed=7)
-        assert shard_summary(net.metrics_snapshot())["segments"] == []

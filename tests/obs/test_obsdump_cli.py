@@ -16,7 +16,7 @@ SCENARIOS = {
     "http": "smoke/http-asp",
     "mpeg": "smoke/mpeg",
     "images": "smoke/images",
-    "scale": "smoke/scale-sharded",
+    "scale": "smoke/scale",
     "microbench": "smoke/microbench-builtin",
     "chaos": "chaos/drill-4",
     "upgrade": "chaos/upgrade-16",
@@ -55,7 +55,7 @@ class TestMetricsOnStdout:
 
     def test_unknown_scenario_and_unknown_view_exit_2(self, capsys):
         assert obsdump.main(["no/such-scenario"]) == 2
-        assert obsdump.main(["smoke/audio", "--view", "shards"]) == 2
+        assert obsdump.main(["smoke/audio", "--view", "overload"]) == 2
         assert "registered: []" in capsys.readouterr().err
 
 
@@ -80,7 +80,7 @@ class TestEventLog:
 
 
 class TestArtifacts:
-    """The three ``--json`` shapes CI uploads."""
+    """The ``--json`` shapes CI uploads."""
 
     def test_upgrade_lifecycle_records_the_veto(self, tmp_path):
         doc = dump_json(tmp_path, "chaos/upgrade-16")
@@ -94,14 +94,3 @@ class TestArtifacts:
         assert set(doc["overload"]["totals"]) \
             == {"shed", "expired", "trips", "rollbacks"}
         assert doc["metrics"]["overload.gateway_dropped"] > 0
-
-    def test_sharded_scale_segments(self, tmp_path, capsys):
-        doc = dump_json(tmp_path, "smoke/scale-sharded")
-        segments = doc["shards"]["segments"]
-        assert [s["segment"] for s in segments] == [0, 1]
-        assert all(s["events_processed"] > 0 for s in segments)
-        # --view prints the same fold instead of the metrics
-        capsys.readouterr()
-        assert obsdump.main(["smoke/scale-sharded", "--view",
-                             "shards"]) == 0
-        assert json.loads(capsys.readouterr().out) == doc["shards"]
