@@ -47,7 +47,7 @@ def main() -> None:
         for addr, status in manager.status(xfer).items():
             if status.ok:
                 print(f"  {addr}: installed "
-                      f"(codegen {status.codegen_ms:.2f} ms)")
+                      f"(cache_hit={status.cache_hit})")
             else:
                 print(f"  {addr}: REJECTED — {status.detail[:60]}...")
 

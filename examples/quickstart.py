@@ -37,8 +37,8 @@ def main() -> None:
     # load_program runs the full download path: parse, type check, the
     # four safety analyses of the paper, then JIT compilation.
     loaded = load_program(SOURCE, source_name="quickstart")
-    print(f"verified + compiled {loaded.source_lines} lines in "
-          f"{loaded.codegen_ms:.2f} ms")
+    print(f"verified + compiled {loaded.source_lines} lines "
+          f"(cache_hit={loaded.cache_hit})")
 
     ctx = RecordingContext()
     channel = loaded.info.channels["network"][0]

@@ -25,7 +25,6 @@ from dataclasses import dataclass, field
 
 from ..lang.errors import VerificationError
 from ..lang.typechecker import ProgramInfo
-from ..obs.spans import span
 from .delivery import DeliveryReport, check_delivery
 from .duplication import DuplicationReport, check_duplication
 from .paths import ProgramPaths, program_paths
@@ -41,7 +40,6 @@ ANALYSES = ("local-termination", "global-termination", "delivery",
 class AnalysisResult:
     name: str
     passed: bool
-    elapsed_ms: float
     detail: str = ""
 
 
@@ -67,8 +65,7 @@ class VerificationReport:
         for r in self.results:
             status = "PASS" if r.passed else "FAIL"
             detail = f" — {r.detail}" if r.detail else ""
-            lines.append(f"{status} {r.name} ({r.elapsed_ms:.2f} ms)"
-                         f"{detail}")
+            lines.append(f"{status} {r.name}{detail}")
         return "\n".join(lines)
 
 
@@ -77,14 +74,9 @@ def verify_report(info: ProgramInfo) -> VerificationReport:
     report = VerificationReport()
 
     def run(name: str, fn) -> None:
-        # Each pass times into its own process-wide histogram
-        # (``verify.<name>_ms``); the per-run elapsed still lands in
-        # the report for operator output.
         try:
-            with span(f"verify.{name}_ms") as timer:
-                value = fn(info)
-            report.results.append(
-                AnalysisResult(name, True, timer.elapsed_ms))
+            value = fn(info)
+            report.results.append(AnalysisResult(name, True))
             if isinstance(value, GlobalTerminationReport):
                 report.global_termination = value
             elif isinstance(value, DeliveryReport):
@@ -93,13 +85,12 @@ def verify_report(info: ProgramInfo) -> VerificationReport:
                 report.duplication = value
         except VerificationError as err:
             report.results.append(
-                AnalysisResult(name, False, timer.elapsed_ms,
-                               detail=err.message))
+                AnalysisResult(name, False, detail=err.message))
 
     # Global termination and duplication read the same execution paths:
-    # enumerate them once, inside the first consumer's span and error
-    # capture.  If enumeration itself is refused the second consumer
-    # finds no paths, enumerates again and reports the same refusal.
+    # enumerate them once, inside the first consumer's error capture.
+    # If enumeration itself is refused the second consumer finds no
+    # paths, enumerates again and reports the same refusal.
     paths: ProgramPaths | None = None
 
     def global_termination(info: ProgramInfo) -> GlobalTerminationReport:

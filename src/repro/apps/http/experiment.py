@@ -36,13 +36,10 @@ class HttpExperimentResult(ExperimentResult):
 
     ``params``: ``mode``, ``n_clients``, ``duration``, ``warmup``;
     ``figures``: ``throughput_rps``, ``mean_latency_s``,
-    ``per_server_served``, ``completed``, ``failures`` and the
-    wall-clock ``codegen_ms`` (volatile: excluded from the canonical
-    record).
+    ``per_server_served``, ``completed``, ``failures``.
     """
 
     _EXPERIMENT = "http"
-    _VOLATILE_FIGURES = ("codegen_ms",)
 
     @property
     def balance_ratio(self) -> float:
@@ -100,16 +97,13 @@ def run_http_experiment(*, mode: str, n_clients: int,
     servers = [HttpServer(net, host, trace.sizes)
                for host in server_hosts]
     virtual = gateway.interfaces[0].address
-    codegen_ms: float | None = None
 
     if mode == "asp":
-        deployment = Deployment()
-        record = deployment.install(
+        Deployment().install(
             http_gateway_asp(str(virtual),
                              [str(h.address) for h in server_hosts],
                              strategy=strategy),
             [gateway], source_name="http-gateway")
-        codegen_ms = record.codegen_ms["gateway"]
         assert gateway.planp is not None
         gateway.planp.cpu.per_item_s = gateway_cpu_s
     elif mode == "builtin":
@@ -152,7 +146,6 @@ def run_http_experiment(*, mode: str, n_clients: int,
                                   for s in servers},
             "completed": completed,
             "failures": sum(w.failures for w in workers),
-            "codegen_ms": codegen_ms,
         })
 
 

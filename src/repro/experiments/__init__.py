@@ -1,7 +1,7 @@
 """Experiment helpers shared by the registry, tests and examples."""
 
-from .fig3 import Fig3Result, Fig3Row, fig3_codegen_table, format_fig3_table
-from .microbench import (BRIDGE_ASP, MicrobenchResult, make_bridge_packets,
+from .fig3 import Fig3Row, fig3_codegen_table, format_fig3_table
+from .microbench import (BRIDGE_ASP, make_bridge_packets,
                          run_engine_microbench)
 from .result import ExperimentResult, deterministic_metrics, jsonify
 from .upgrade import UpgradeResult, run_upgrade_experiment
@@ -11,9 +11,7 @@ __all__ = [
     "ATTACKS",
     "BRIDGE_ASP",
     "ExperimentResult",
-    "Fig3Result",
     "Fig3Row",
-    "MicrobenchResult",
     "UpgradeResult",
     "WebResult",
     "deterministic_metrics",

@@ -4,12 +4,14 @@ The paper's table reports, per program, its size in lines and the time
 the Tempo-generated JIT needs to produce machine code for it.  We report
 the same rows for our two JIT backends (closure specialization and
 Python-source generation), measured on the program actually shipped by
-:mod:`repro.asps`.
+:mod:`repro.asps`.  The times are wall clock: the report prints them as
+it measures them, and nothing stores or compares them.
 """
 
 from __future__ import annotations
 
 import statistics
+import time
 from dataclasses import dataclass
 
 from ..asps import (audio_client_asp, audio_router_asp, http_gateway_asp,
@@ -17,8 +19,6 @@ from ..asps import (audio_client_asp, audio_router_asp, http_gateway_asp,
 from ..interp.context import RecordingContext
 from ..jit.pipeline import count_source_lines, make_engine
 from ..lang import parse, typecheck
-from ..obs.spans import span
-from .result import ExperimentResult
 
 #: name -> (source, paper lines, paper codegen ms), for side-by-side
 #: reporting.  Paper values are from Figure 3.
@@ -31,6 +31,9 @@ PAPER_PROGRAMS: dict[str, tuple[str, int, float]] = {
     "MPEG (client)": (mpeg_client_asp(), 53, 6.1),
 }
 
+#: the JIT backends the table has a column for
+JIT_BACKENDS = ("closure", "source")
+
 
 @dataclass
 class Fig3Row:
@@ -41,39 +44,24 @@ class Fig3Row:
     codegen_ms: dict[str, float]  # backend -> measured ms (median)
 
 
-class Fig3Result(ExperimentResult):
-    """Unified result of the figure 3 table.  ``figures["rows"]`` holds
-    the :class:`Fig3Row` list — wall-clock codegen timings, so the
-    whole payload is volatile (excluded from the canonical record)."""
-
-    _EXPERIMENT = "fig3"
-    _VOLATILE_FIGURES = ("rows",)
-
-    def _rehydrate(self) -> None:
-        rows = self.figures.get("rows")
-        if rows and isinstance(rows[0], dict):
-            self.figures["rows"] = [Fig3Row(**row) for row in rows]
-
-
 def _measure_codegen(source: str, backend: str, repeats: int) -> float:
-    program = parse(source)
-    info = typecheck(program)
+    info = typecheck(parse(source))
     times = []
     for _ in range(repeats):
         ctx = RecordingContext()
-        with span(f"fig3.codegen_{backend}_ms") as timer:
-            make_engine(info, backend, ctx)
-        times.append(timer.elapsed_ms)
+        start = time.perf_counter()
+        make_engine(info, backend, ctx)
+        times.append((time.perf_counter() - start) * 1000.0)
     return statistics.median(times)
 
 
-def fig3_codegen_table(backends: tuple[str, ...] = ("closure", "source"),
-                       repeats: int = 5) -> list[Fig3Row]:
-    """Measure the Figure 3 table for the shipped ASPs."""
+def fig3_codegen_table(repeats: int = 5) -> list[Fig3Row]:
+    """Measure the Figure 3 table for the shipped ASPs (median of
+    ``repeats`` code generations per program and backend)."""
     rows = []
     for name, (source, paper_lines, paper_ms) in PAPER_PROGRAMS.items():
         measured = {backend: _measure_codegen(source, backend, repeats)
-                    for backend in backends}
+                    for backend in JIT_BACKENDS}
         rows.append(Fig3Row(name=name,
                             lines=count_source_lines(source),
                             paper_lines=paper_lines,

@@ -13,20 +13,21 @@ workload is a flow-accounting forwarder; we compare per-packet cost of:
 
 The reproducible claim is *relative*: the JIT backends should sit within
 a small factor of the built-in version, with the interpreter well
-behind.
+behind.  The three backends are timed by :func:`us_per_invocation`,
+which ``planpc bench`` uses too; every result is wall clock, printed by
+the report and never stored.
 """
 
 from __future__ import annotations
 
+import time
+
 from ..interp.context import RecordingContext
-from ..interp.values import PlanPTable
-from ..jit.pipeline import make_engine
-from ..lang import parse, typecheck
+from ..interp.values import PlanPTable, default_value
+from ..jit.pipeline import Engine, make_engine
+from ..lang import ast, parse, typecheck
 from ..net.addresses import HostAddr
 from ..net.packet import IpHeader, TcpHeader
-from ..obs import GLOBAL
-from ..obs.spans import span
-from .result import ExperimentResult
 
 #: every engine the comparison covers: the three backends plus the
 #: hand-written function
@@ -77,34 +78,6 @@ def builtin_bridge(ctx, table: PlanPTable, ps: int,
     return ps + 1
 
 
-class MicrobenchResult(ExperimentResult):
-    """Unified result of one engine microbenchmark.  ``params``:
-    ``engine``, ``packets``; ``figures``: the wall-clock ``elapsed_s``
-    (volatile: excluded from the canonical record)."""
-
-    _EXPERIMENT = "microbench"
-    _VOLATILE_FIGURES = ("elapsed_s",)
-
-    @property
-    def us_per_packet(self) -> float:
-        return (self.figures["elapsed_s"] / self.params["packets"]
-                * 1e6)
-
-    @property
-    def packets_per_second(self) -> float:
-        elapsed = self.figures["elapsed_s"]
-        return self.params["packets"] / elapsed if elapsed else 0.0
-
-
-def _process_metrics() -> dict:
-    """The microbenchmark has no Network of its own, so its snapshot is
-    the process-wide registry — the scope ``Network.metrics_snapshot()``
-    reports under the ``global.`` prefix.  Use the same prefix here so
-    the determinism filter recognises it as process-scoped."""
-    return {f"global.{key}": value
-            for key, value in GLOBAL.snapshot().items()}
-
-
 class _NullContext(RecordingContext):
     """A context that discards emissions (so the benchmark measures the
     engine, not list growth)."""
@@ -113,37 +86,36 @@ class _NullContext(RecordingContext):
         pass
 
 
-def run_engine_microbench(*, engine: str, n_packets: int = 20_000,
-                          seed: int = 0) -> MicrobenchResult:
-    """Time ``n_packets`` channel invocations on one engine.
-
-    ``engine`` is an execution backend name or ``"builtin"``.
-    ``seed`` is accepted for the uniform harness signature; the
-    workload is deterministic (cycling flows, no RNG), so it does not
-    influence the measurement.
-    """
-    del seed  # seedless workload; accepted for signature uniformity
-    engine_name = engine
-    packets = make_bridge_packets()
-    n_flows = len(packets)
+def us_per_invocation(engine: Engine, decl: ast.ChannelDecl,
+                      packets: list[tuple], n: int) -> float:
+    """Microseconds per ``engine.run_channel`` call: ``n`` invocations
+    of ``decl`` from its initial state, cycling over ``packets``, with
+    emissions discarded."""
     ctx = _NullContext()
-    if engine_name == "builtin":
-        table = PlanPTable(1024)
-        ps = 0
-        with span("microbench.builtin_ms") as timer:
-            for i in range(n_packets):
-                ps = builtin_bridge(ctx, table, ps, packets[i % n_flows])
-    else:
+    ps = default_value(decl.protocol_state_type)
+    ss = engine.initial_channel_state(decl, ctx)
+    n_packets = len(packets)
+    start = time.perf_counter()
+    for i in range(n):
+        ps, ss = engine.run_channel(decl, ps, ss, packets[i % n_packets],
+                                    ctx)
+    return (time.perf_counter() - start) / n * 1e6
+
+
+def run_engine_microbench(*, engine: str, n_packets: int = 20_000) -> float:
+    """Microseconds per packet of ``n_packets`` bridge invocations on
+    one engine: an execution backend name or ``"builtin"``.  The
+    built-in version is called directly, as the paper's C one was, not
+    through an engine's dispatch."""
+    packets = make_bridge_packets()
+    if engine != "builtin":
         info = typecheck(parse(BRIDGE_ASP))
-        engine = make_engine(info, engine_name, ctx)
-        decl = info.channels["network"][0]
-        ps: object = 0
-        ss = engine.initial_channel_state(decl, ctx)
-        with span(f"microbench.{engine_name}_ms") as timer:
-            for i in range(n_packets):
-                ps, ss = engine.run_channel(decl, ps, ss,
-                                            packets[i % n_flows], ctx)
-    return MicrobenchResult(
-        params={"engine": engine_name, "packets": n_packets},
-        metrics=_process_metrics(),
-        figures={"elapsed_s": timer.elapsed_s})
+        return us_per_invocation(make_engine(info, engine),
+                                 info.channels["network"][0], packets,
+                                 n_packets)
+    ctx, table, ps = _NullContext(), PlanPTable(1024), 0
+    n_flows = len(packets)
+    start = time.perf_counter()
+    for i in range(n_packets):
+        ps = builtin_bridge(ctx, table, ps, packets[i % n_flows])
+    return (time.perf_counter() - start) / n_packets * 1e6

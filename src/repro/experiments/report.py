@@ -4,14 +4,18 @@
     python -m repro.experiments.report --quick    # smoke scale
     python -m repro.experiments.report --workers 4
 
-Report generation is **O(read)**: the tables are formatted from the
-JSONL result store (``results/`` by default), not from fresh
+Report generation is **O(read)**: the simulated tables are formatted
+from the JSONL result store (``results/`` by default), not from fresh
 simulations.  Scenarios whose records are missing are run first —
 through the harness, in parallel with ``--workers``, landing in the
 store — so the command still works from a cold start, and a second
 invocation formats purely from cache.  ``--no-run`` disables that
 fallback and fails if records are missing (pair it with
 ``python -m repro.tools.runx sweep --matrix report-full``).
+
+The two wall-clock tables — Figure 3's code-generation times and the
+§2.4 engine microbenchmark — have no record: they are measured afresh
+on every invocation, ``--no-run`` included, and never stored.
 """
 
 from __future__ import annotations
@@ -20,11 +24,13 @@ import argparse
 import sys
 
 from ..harness.cache import cache_key
-from ..harness.matrix import (ENGINES, FULL, GAP_SWEEP_LOADS, QUICK, Scale,
+from ..harness.matrix import (FULL, GAP_SWEEP_LOADS, QUICK, Scale,
                               report_matrix)
 from ..harness.registry import rehydrate
 from ..harness.runner import Runner, relabel_line
 from ..harness.store import ResultStore
+from .fig3 import fig3_codegen_table
+from .microbench import ENGINES, run_engine_microbench
 from .result import ExperimentResult
 
 __all__ = ["FULL", "QUICK", "Scale", "generate", "main"]
@@ -42,8 +48,8 @@ def md_table(headers: list[str], rows: list[list[object]]) -> str:
 #
 # Each experiment section stashes a curated slice of its stored record
 # metrics here; ``generate`` renders them as a closing appendix.  The
-# store keeps only deterministic metrics (no wall-clock timers, no
-# process-global scope), so the appendix is diffable across runs.
+# store keeps only deterministic metrics (no process-global scope), so
+# the appendix is diffable across runs.
 
 _METRICS: dict[str, dict[str, object]] = {}
 
@@ -81,18 +87,18 @@ def section_metrics_appendix() -> str:
 # -- section formatters --------------------------------------------------------
 #
 # Each takes rehydrated results (looked up by scenario name) and the
-# scale, and returns markdown.  No formatter runs a simulation.
+# scale, and returns markdown.  No formatter runs a simulation; the two
+# wall-clock sections measure as they format.
 
 Results = dict[str, ExperimentResult]
 
 
 def section_fig3(results: Results, scale: Scale) -> str:
-    rows_data = results[f"{scale.name}/fig3"].figures["rows"]
     rows = [[r.name, r.paper_lines, r.lines,
              f"{r.paper_codegen_ms:.1f}",
              f"{r.codegen_ms['closure']:.2f}",
              f"{r.codegen_ms['source']:.2f}"]
-            for r in rows_data]
+            for r in fig3_codegen_table()]
     return ("## Figure 3 — code generation time\n\n"
             + md_table(["program", "paper lines", "our lines",
                         "paper ms", "closure ms", "source ms"], rows))
@@ -173,12 +179,11 @@ def section_mpeg(results: Results, scale: Scale) -> str:
 
 
 def section_microbench(results: Results, scale: Scale) -> str:
-    by_engine = {engine: results[f"{scale.name}/microbench/{engine}"]
-                 for engine in ENGINES}
-    builtin = by_engine["builtin"].us_per_packet
-    rows = [[name, f"{r.us_per_packet:.2f}",
-             f"{r.us_per_packet / builtin:.2f}x"]
-            for name, r in by_engine.items()]
+    us = {engine: run_engine_microbench(
+              engine=engine, n_packets=scale.microbench_packets)
+          for engine in ENGINES}
+    rows = [[name, f"{value:.2f}", f"{value / us['builtin']:.2f}x"]
+            for name, value in us.items()]
     return ("## Section 2.4 — engine microbenchmark\n\n"
             + md_table(["engine", "us/packet", "vs builtin"], rows))
 
@@ -194,13 +199,13 @@ SECTIONS = {
 
 #: scenario-name suffixes each section reads (under ``<scale>/``)
 _SECTION_SCENARIOS = {
-    "fig3": ("fig3",),
+    "fig3": (),
     "fig6": ("fig6",),
     "fig7": ("fig7",),
     "fig8": tuple(f"fig8/{m}"
                   for m in ("single", "asp", "builtin", "disjoint")),
     "mpeg": ("mpeg/asps", "mpeg/plain"),
-    "microbench": tuple(f"microbench/{e}" for e in ENGINES),
+    "microbench": (),
 }
 
 

@@ -19,15 +19,11 @@ What ran is read from ``result.params[...]``, what was measured from
 Determinism is part of the contract: ``record()`` is byte-identical
 for identical (code, params, seed), which is what lets the parallel
 runner assert serial/parallel equivalence and lets the cache skip
-re-runs.  Two kinds of values are excluded from it:
-
-* **volatile figures** — wall-clock measurements (JIT codegen times,
-  microbenchmark elapsed) named in ``_VOLATILE_FIGURES``; they travel
-  next to the record (``volatile()``) rather than inside it;
-* **nondeterministic metrics** — the ``global.`` process scope (shared
-  across runs in one process, reset in another) and the duration
-  statistics of ``*_ms`` timer histograms (their ``.count`` is an
-  event count and stays); :func:`deterministic_metrics` strips them.
+re-runs.  Every figure is simulated, so it is a pure function of those
+three; :func:`deterministic_metrics` strips the metrics that are not —
+the ``global.`` process scope (shared across runs in one process,
+reset in another) and the execution-strategy telemetry of the batch
+tier and the event heap.
 """
 
 from __future__ import annotations
@@ -37,22 +33,6 @@ import enum
 import json
 from dataclasses import dataclass, field
 from typing import Any, ClassVar
-
-
-#: histogram statistics of a ``*_ms`` timer that hold wall-clock
-#: durations (``.count`` is an event count and stays deterministic)
-_TIMER_STATS = ("sum", "min", "max", "mean")
-
-
-def _is_wall_clock(key: str) -> bool:
-    """True for wall-clock timer values: a bare ``*_ms`` scalar or a
-    ``*_ms`` histogram's duration statistics.  ``*_ms.count`` (how many
-    spans ran — an event count) and names that merely contain ``_ms``
-    (``dropped_msgs``) are deterministic and kept."""
-    if key.endswith("_ms"):
-        return True
-    prefix, _, stat = key.rpartition(".")
-    return stat in _TIMER_STATS and prefix.endswith("_ms")
 
 
 def _is_batch_telemetry(key: str) -> bool:
@@ -77,12 +57,10 @@ def _is_heap_telemetry(key: str) -> bool:
 def deterministic_metrics(metrics: dict[str, Any]) -> dict[str, Any]:
     """The subset of a ``metrics_snapshot()`` that is a pure function
     of (code, params, seed): drops the process-wide ``global.`` scope
-    (it accumulates across runs sharing a process), the wall-clock
-    values of ``*_ms`` timer histograms (their ``.count`` stays), and
-    the tier-3 batch-grouping and event-heap telemetry."""
+    (it accumulates across runs sharing a process) and the tier-3
+    batch-grouping and event-heap telemetry."""
     return {key: value for key, value in sorted(metrics.items())
             if not key.startswith("global.")
-            and not _is_wall_clock(key)
             and not _is_batch_telemetry(key)
             and not _is_heap_telemetry(key)}
 
@@ -124,8 +102,6 @@ class ExperimentResult:
 
     #: registry key of the experiment that produced this result
     _EXPERIMENT: ClassVar[str] = ""
-    #: figure keys holding wall-clock values, kept out of ``record()``
-    _VOLATILE_FIGURES: ClassVar[tuple[str, ...]] = ()
 
     def __post_init__(self) -> None:
         if not self.name:
@@ -147,39 +123,25 @@ class ExperimentResult:
             "seed": self.seed,
             "metrics": deterministic_metrics(self.metrics),
             "figures": {key: jsonify(value)
-                        for key, value in self.figures.items()
-                        if key not in self._VOLATILE_FIGURES},
+                        for key, value in self.figures.items()},
         }
-
-    def volatile(self) -> dict[str, Any]:
-        """Wall-clock figures (codegen times, benchmark elapsed) — real
-        measurements, but not comparable across runs, so they ride
-        beside the record instead of inside it."""
-        return {key: jsonify(self.figures[key])
-                for key in self._VOLATILE_FIGURES
-                if key in self.figures}
 
     def to_json(self) -> str:
         return json.dumps(self.record(), sort_keys=True,
                           separators=(",", ":"))
 
     @classmethod
-    def from_record(cls, record: dict[str, Any],
-                    volatile: dict[str, Any] | None = None,
-                    ) -> "ExperimentResult":
+    def from_record(cls, record: dict[str, Any]) -> "ExperimentResult":
         """Rebuild a result from its stored form.  Subclasses rehydrate
         their domain objects (samples, rows) so the helper methods
         work on loaded results."""
         result = cls.__new__(cls)
-        figures = dict(record.get("figures", {}))
-        if volatile:
-            figures.update(volatile)
         ExperimentResult.__init__(
             result, name=record.get("name", ""),
             params=dict(record.get("params", {})),
             seed=record.get("seed", 0),
             metrics=dict(record.get("metrics", {})),
-            figures=figures)
+            figures=dict(record.get("figures", {})))
         result._rehydrate()
         return result
 

@@ -1,20 +1,21 @@
 """Scenario matrices: the paper's evaluation as declarative data.
 
-``standard_matrix()`` is figures 3–8 at full reproduction scale — the
-matrix ``runx sweep`` runs by default (its wall times land in the
-result store's ``sweep.json``).
+``standard_matrix()`` is figures 6–8 and §3.3 at full reproduction
+scale — the matrix ``runx sweep`` runs by default (its wall times land
+in the result store's ``sweep.json``).
 ``smoke_matrix()`` is the same coverage at CI scale (seconds, tagged
 ``smoke``).  ``report_matrix(scale)`` is exactly the set of scenarios
-:mod:`repro.experiments.report` formats, at ``quick`` or ``full``
-scale; its full-scale parameters coincide with the standard matrix, so
-a report regeneration after a standard sweep is pure cache hits.
+:mod:`repro.experiments.report` reads from the store, at ``quick`` or
+``full`` scale; its full-scale parameters coincide with the standard
+matrix, so a report regeneration after a standard sweep is pure cache
+hits.  Figure 3 and the §2.4 microbenchmark are wall-clock
+measurements with no record to store: the report measures them itself.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..experiments.microbench import ENGINES
 from .scenario import Scenario
 
 #: The figure 7 offered-load levels (bps) reported in EXPERIMENTS.md.
@@ -23,7 +24,8 @@ GAP_SWEEP_LOADS = (800_000, 1_500_000, 1_900_000)
 
 @dataclass(frozen=True)
 class Scale:
-    """Report scale: simulated durations and sizes per section."""
+    """Report scale: simulated durations and sizes per section, and
+    the packet count of the §2.4 microbenchmark."""
     name: str
     audio_duration: float
     gap_duration: float
@@ -46,8 +48,6 @@ def report_matrix(scale: Scale) -> list[Scenario]:
     pre = scale.name
     tags = frozenset({"report", scale.name})
     scenarios = [
-        Scenario(f"{pre}/fig3", "fig3", {"repeats": 5}, seed=0,
-                 tags=tags | {"fig3"}),
         Scenario(f"{pre}/fig6", "audio",
                  {"duration": scale.audio_duration}, seed=7,
                  tags=tags | {"fig6", "audio"}),
@@ -69,12 +69,6 @@ def report_matrix(scale: Scale) -> list[Scenario]:
             {"use_asps": use_asps, "n_clients": 3,
              "duration": scale.mpeg_duration}, seed=23,
             tags=tags | {"mpeg"}))
-    for engine in ENGINES:
-        scenarios.append(Scenario(
-            f"{pre}/microbench/{engine}", "microbench",
-            {"engine": engine,
-             "n_packets": scale.microbench_packets}, seed=0,
-            tags=tags | {"microbench"}))
     return scenarios
 
 
@@ -101,8 +95,6 @@ def smoke_matrix() -> list[Scenario]:
         return frozenset({"smoke", *extra})
 
     return [
-        Scenario("smoke/fig3", "fig3", {"repeats": 1}, seed=0,
-                 tags=tags("fig3")),
         Scenario("smoke/audio", "audio", {"duration": 6.0}, seed=7,
                  tags=tags("audio")),
         Scenario("smoke/gap-sweep", "audio_gap_sweep",
@@ -123,12 +115,6 @@ def smoke_matrix() -> list[Scenario]:
                  {"n_clusters": 4, "hosts_per_cluster": 3,
                   "packets_per_host": 4},
                  seed=5, tags=tags("scale")),
-        Scenario("smoke/microbench-closure", "microbench",
-                 {"engine": "closure", "n_packets": 2_000}, seed=0,
-                 tags=tags("microbench")),
-        Scenario("smoke/microbench-builtin", "microbench",
-                 {"engine": "builtin", "n_packets": 2_000}, seed=0,
-                 tags=tags("microbench")),
     ]
 
 

@@ -73,15 +73,16 @@ def run(scenario: Scenario, *,
 
 
 def rehydrate(line: dict[str, Any]) -> ExperimentResult:
-    """Rebuild a result object from one stored line (record +
-    volatile), using the experiment's result class."""
+    """Rebuild a result object from one stored line's record, using the
+    experiment's result class."""
     record = line["record"]
-    cls = get(record["experiment"]).result_cls
-    return cls.from_record(record, volatile=line.get("volatile"))
+    return get(record["experiment"]).result_cls.from_record(record)
 
 
 # ---------------------------------------------------------------------------
-# Registered experiments (every run_* entry point in the repo)
+# Registered experiments: every simulation entry point in the repo.  The
+# two wall-clock measurements (figure 3, the §2.4 microbenchmark) have
+# no record to store; the report runs them itself.
 # ---------------------------------------------------------------------------
 
 
@@ -101,9 +102,6 @@ def _register_all() -> None:
     from ..experiments.chaos import ChaosResult, run_chaos_experiment
     from ..experiments.upgrade import (UpgradeResult,
                                        run_upgrade_experiment)
-    from ..experiments.fig3 import Fig3Result, fig3_codegen_table
-    from ..experiments.microbench import (MicrobenchResult,
-                                          run_engine_microbench)
     from ..experiments.scale import ScaleResult, run_scale_experiment
     from ..experiments.web import (WebResult, overload_summary,
                                    run_web_experiment)
@@ -154,18 +152,6 @@ def _register_all() -> None:
     register("images", result_cls=ImageExperimentResult,
              description="§5 image distillation over a slow link"
              )(run_image_experiment)
-
-    @register("fig3", result_cls=Fig3Result,
-              description="figure 3 codegen-time table for the ASPs")
-    def _fig3(*, seed: int, backends: list[str] = ("closure", "source"),
-              repeats: int = 5) -> ExperimentResult:
-        rows = fig3_codegen_table(backends=tuple(backends),
-                                  repeats=repeats)
-        return Fig3Result(seed=seed, figures={"rows": rows})
-
-    register("microbench", result_cls=MicrobenchResult,
-             description="§2.4 engine microbenchmark (one engine)"
-             )(run_engine_microbench)
 
     register("chaos", result_cls=ChaosResult,
              description="lifecycle/fault chaos drill (one profile)",

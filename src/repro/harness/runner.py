@@ -38,7 +38,6 @@ def run_scenario_line(scenario: Scenario) -> dict[str, Any]:
         "tags": sorted(scenario.tags),
         "cache_key": cache_key(scenario),
         "record": result.record(),
-        "volatile": result.volatile(),
         "elapsed_s": round(elapsed, 4),
     }
 

@@ -5,14 +5,13 @@ One line per completed scenario run:
 .. code-block:: json
 
     {"scenario": "fig6/audio", "experiment": "audio", "seed": 7,
-     "cache_key": "…", "record": {…}, "volatile": {…}, "elapsed_s": 1.2}
+     "cache_key": "…", "record": {…}, "elapsed_s": 1.2}
 
 ``record`` is the canonical :meth:`ExperimentResult.record` — the
 deterministic payload that serial and parallel runs must reproduce
-byte-for-byte and that report generation reads.  ``volatile`` carries
-the wall-clock measurements (codegen / benchmark timings) and
-``elapsed_s`` the run's own wall time; both sit outside the record so
-they never perturb cache comparisons.
+byte-for-byte and that report generation reads.  ``elapsed_s`` is the
+run's own wall time, the harness's only clock; it sits outside the
+record so it never perturbs cache comparisons.
 
 Appends are line-atomic (single ``write`` of one line, flushed), so a
 killed sweep leaves a loadable store and the next run resumes from it.

@@ -168,10 +168,7 @@ class ProgramCache:
             self.stats.frontend_hits += 1
             return key, info
         self.stats.frontend_misses += 1
-        with GLOBAL.metrics.span("jit.parse_ms"):
-            program = parse(source, source_name)
-        with GLOBAL.metrics.span("jit.typecheck_ms"):
-            info = typecheck(program)
+        info = typecheck(parse(source, source_name))
         self._put(self._frontend, key, info)
         return key, info
 
@@ -190,8 +187,7 @@ class ProgramCache:
         self.stats.verify_misses += 1
         from ..analysis.verifier import verify_report
 
-        with GLOBAL.metrics.span("jit.verify_ms"):
-            report = verify_report(info)
+        report = verify_report(info)
         self._put(self._reports, key, report)
         return report
 
@@ -224,8 +220,7 @@ class ProgramCache:
             self.stats.wire_hits += 1
             return summary
         self.stats.wire_misses += 1
-        with GLOBAL.metrics.span("jit.wire_ms"):
-            summary = wire_summary(info)
+        summary = wire_summary(info)
         self._put(self._wire, wkey, summary)
         return summary
 
@@ -277,7 +272,6 @@ class LoadedProgram:
     info: ProgramInfo
     engine: Engine
     backend: str
-    codegen_ms: float
     source_lines: int
     #: content digest of the source (the program cache key)
     source_sha: str = ""
@@ -332,20 +326,14 @@ def load_program(source: str, *, backend: str = DEFAULT_BACKEND,
         cache.check_verified(key, info)
     if source_lines is None:
         source_lines = count_source_lines(source)
-    with GLOBAL.metrics.span("jit.codegen_ms") as timer:
-        artifact = cache.engine_artifact(key, info, backend)
-        engine = make_engine(info, backend, ctx, artifact=artifact)
+    artifact = cache.engine_artifact(key, info, backend)
+    engine = make_engine(info, backend, ctx, artifact=artifact)
     wire = cache.wire(key, info)
     cache.stats.loads += 1
-    hit = cache.stats.total_hits > before
-    GLOBAL.events.emit("jit", sha=key[:12], backend=backend,
-                       codegen_ms=round(timer.elapsed_ms, 3),
-                       cache_hit=hit, verified=verify)
     return LoadedProgram(info=info, engine=engine, backend=backend,
-                         codegen_ms=timer.elapsed_ms,
                          source_lines=source_lines,
                          source_sha=key,
-                         cache_hit=hit,
+                         cache_hit=cache.stats.total_hits > before,
                          source=source,
                          verified=verify,
                          wire=wire)

@@ -1,28 +1,27 @@
-"""Unified observability: metrics registry, event log, profiling spans.
+"""Unified observability: metrics registry and event log.
 
 The paper's run-time system adapts on *locally measured* state (§3.1
-link load, §5 JIT timings); this package is the reproduction's single
-instrumentation substrate for those measurements.  Three pieces:
+link load); this package is the reproduction's single instrumentation
+substrate for those measurements.  Two pieces:
 
 * :class:`~repro.obs.metrics.MetricsRegistry` — named counters and
   histograms, plus zero-overhead adaptation of the existing stat
   dataclasses (``LinkStats``, ``NodeStats``, ``PlanPStats``, …) via
   snapshot-time callbacks;
 * :class:`~repro.obs.events.EventLog` — a bounded JSON-lines stream of
-  structured SEND / DROP / FAULT / DEPLOY / JIT / ERROR events;
-* :class:`~repro.obs.spans.Timer` — span-style profiling of real work
-  (JIT pipeline stages, verifier passes, ASP packet processing).
+  structured events (drops, faults, deploy verdicts, handler errors …).
 
 Scopes: every :class:`~repro.net.topology.Network` owns an
 :class:`Observability` whose event log is stamped with **simulated**
-time, and the process-wide :data:`GLOBAL` scope (wall-clock) holds
-whatever is not tied to one network — the JIT pipeline, the program
-cache, the engine microbenchmarks.  ``Network.metrics_snapshot()``
-merges both into one flat dict.
+time, and the process-wide :data:`GLOBAL` scope holds the counters not
+tied to one network — the program cache, interpreter invocations, fuzz
+campaigns.  ``Network.metrics_snapshot()`` merges both into one flat
+dict.  Nothing here reads a wall clock into a metric: wall time is
+``python3 -m bench``'s to measure.
 
 Cost discipline: per-packet hot paths never pay for observability they
 did not opt into.  Existing counters stay plain ``int`` fields read at
-snapshot time; packet-level ``rx``/``up``/``send`` event mirroring is
+snapshot time; packet-level ``rx``/``up``/``tx`` event mirroring is
 opt-in via :class:`~repro.net.trace.PacketTracer`; only exceptional
 paths (drops, faults, errors, deploy verdicts) always log.
 """
@@ -33,7 +32,6 @@ from typing import Callable
 
 from .events import EventLog, EventRecord
 from .metrics import Counter, Histogram, MetricsRegistry
-from .spans import Timer, span
 
 
 class Observability:
@@ -43,9 +41,6 @@ class Observability:
         self.metrics = MetricsRegistry()
         self.events = EventLog(clock=clock)
 
-    def span(self, name: str) -> Timer:
-        return self.metrics.span(name)
-
     def snapshot(self) -> dict[str, object]:
         snap = self.metrics.snapshot()
         snap["events.logged"] = len(self.events)
@@ -53,8 +48,9 @@ class Observability:
         return snap
 
 
-#: The process-wide scope: JIT pipeline stages, verifier passes, the
-#: program cache, microbenchmarks.  Wall-clock timestamps.
+#: The process-wide scope: program-cache, interpreter and fuzz-campaign
+#: counters.  Its event log belongs to no simulation, so it falls back
+#: to the event log's default clock.
 GLOBAL = Observability()
 
 
@@ -74,7 +70,5 @@ __all__ = [
     "Histogram",
     "MetricsRegistry",
     "Observability",
-    "Timer",
     "reset_global",
-    "span",
 ]

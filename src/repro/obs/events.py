@@ -1,24 +1,25 @@
 """The structured event log: one JSON-lines stream per scope.
 
-Where :mod:`repro.obs.metrics` answers "how many / how long", the event
-log answers "what happened, in order": packet sends/drops, injected
-faults, deployment verdicts, JIT pipeline loads and swallowed handler
-errors all land here as one timestamped record each.  A network's log is
-stamped with *simulated* time (the log is simulator-clock-aware); the
-process-global log falls back to wall-clock seconds.
+Where :mod:`repro.obs.metrics` answers "how many", the event log
+answers "what happened, in order": packet drops, injected faults,
+deployment verdicts and swallowed handler errors all land here as one
+timestamped record each.  A network's log is stamped with *simulated*
+time (the log is simulator-clock-aware); a log no network has claimed
+(the process-global one) falls back to ``time.perf_counter``.
 
 Event kinds in use across the repo (free-form strings; these are the
 conventions):
 
 ==============  =====================================================
-``send``        a packet started transmission on a medium
 ``drop``        a packet was discarded (``reason`` says where and why)
+``tx``          a packet started transmission on a medium (mirrored
+                by PacketTracer)
 ``rx``          a packet arrived at a node (mirrored by PacketTracer)
 ``up``          a packet was delivered locally (mirrored by PacketTracer)
 ``fault``       an injected failure or recovery (FaultController)
 ``deploy``      a deployment protocol milestone (push/install/reject)
-``jit``         a program-load pipeline completion
 ``error``       an application handler error that was caught and counted
+``overload``    an HTTP server shed or expired a request
 ``rollout``     a staged-rollout milestone: stage / canary / promote /
                 force-promote / abort (LifecycleManager)
 ``quarantine``  a circuit-breaker transition on one node: trip /

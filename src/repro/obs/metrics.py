@@ -3,7 +3,9 @@
 One :class:`MetricsRegistry` holds every instrument of one scope — a
 :class:`~repro.net.topology.Network` owns one for everything measured
 against the simulator clock, and :data:`repro.obs.GLOBAL` holds the
-process-wide instruments (JIT pipeline timings, the program cache).
+process-wide counters (program cache, interpreter invocations, fuzz
+campaigns).  No instrument reads a wall clock: wall time is measured
+by ``python3 -m bench`` and printed by the tools, never snapshotted.
 
 Two registration styles coexist:
 
@@ -26,8 +28,6 @@ from __future__ import annotations
 
 from typing import Callable
 
-from .spans import Timer
-
 
 class Counter:
     """A monotonically increasing count."""
@@ -46,13 +46,7 @@ class Counter:
 
 
 class Histogram:
-    """A summary of observed values (count / sum / min / max / mean).
-
-    Duration histograms record milliseconds by convention and carry an
-    ``_ms`` suffix in their name; :meth:`time` returns a
-    :class:`~repro.obs.spans.Timer` that observes its elapsed
-    milliseconds on exit — the span-style profiling hook.
-    """
+    """A summary of observed values (count / sum / min / max / mean)."""
 
     __slots__ = ("name", "count", "total", "min", "max")
 
@@ -70,10 +64,6 @@ class Histogram:
             self.min = value
         if value > self.max:
             self.max = value
-
-    def time(self) -> Timer:
-        """A context manager timing a span into this histogram (ms)."""
-        return Timer(self)
 
     @property
     def mean(self) -> float:
@@ -119,10 +109,6 @@ class MetricsRegistry:
         if histogram is None:
             histogram = self._histograms[name] = Histogram(name)
         return histogram
-
-    def span(self, name: str) -> Timer:
-        """Shorthand: a timing span into ``histogram(name)``."""
-        return self.histogram(name).time()
 
     # -- stat-holder adaptation ---------------------------------------------------
 

@@ -15,7 +15,7 @@ cache hit/miss delta so operators can see the amortization.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from ..analysis.verifier import VerificationReport
 from ..jit import pipeline
@@ -31,7 +31,6 @@ class DeploymentRecord:
     backend: str
     verified: bool
     report: VerificationReport | None
-    codegen_ms: dict[str, float] = field(default_factory=dict)
     #: content digest of the deployed source (the program-cache key)
     source_sha: str = ""
     #: program-cache hits/misses incurred by this install
@@ -86,7 +85,6 @@ class Deployment:
                 source_name=source_name, cache=cache, key=key,
                 source_lines=source_lines)
             layer.install_loaded(loaded)
-            record.codegen_ms[node.name] = loaded.codegen_ms
         after = cache.stats
         record.cache_hits = after.total_hits - before.total_hits
         record.cache_misses = after.total_misses - before.total_misses

@@ -5,8 +5,9 @@ A :class:`DeploymentService` runs on every managed node and listens on a
 UDP control port; a :class:`DeploymentManager` pushes program source to
 any set of nodes.  The receiving node runs the full download path —
 parse, type check, the four analyses, JIT — and acknowledges
-acceptance (with its code-generation time) or rejection (with the
-failing analysis), exactly the late-checking deployment story of §2.1.
+acceptance (saying whether the program cache served it) or rejection
+(with the failing analysis), exactly the late-checking deployment
+story of §2.1.
 
 Managed nodes crash, restart, and sit behind lossy links, so the push
 protocol is engineered for failure (after Burgy et al.'s argument that
@@ -47,7 +48,7 @@ cut into chunks at byte, not character, boundaries):
                       COMMIT <xfer>
     node -> manager:  BEGACK <xfer>
                       CACK <xfer> <index>
-                      OK <xfer> <codegen_ms> <cache_hit>
+                      OK <xfer> <cache_hit>
                       REJ <xfer> <reason>
 
 Transfers are idempotent per ``<xfer>`` id; a retransmitted ``COMMIT``
@@ -240,8 +241,7 @@ class DeploymentService:
             return
         self.installed.append(xfer)
         self._conclude(src, src_port, xfer,
-                       f"OK {xfer} {loaded.codegen_ms:.3f} "
-                       f"{1 if loaded.cache_hit else 0}")
+                       f"OK {xfer} {1 if loaded.cache_hit else 0}")
 
     def _reject(self, dst: HostAddr, dst_port: int, xfer: str,
                 reason: str) -> None:
@@ -313,7 +313,6 @@ class PushStatus:
     target: HostAddr
     ok: bool | None = None   # None until terminal
     detail: str = ""
-    codegen_ms: float | None = None
     #: did the node's install reuse the program cache?
     cache_hit: bool = False
     #: absolute sim-time by which this push reaches a terminal state
@@ -601,12 +600,10 @@ class DeploymentManager:
             return
         live = self._live.get((xfer, src))
         if verdict == "OK":
-            try:
-                codegen_ms, cache_hit = float(parts[2]), parts[3] == "1"
-            except (IndexError, ValueError):
+            if len(parts) != 3 or parts[2] not in ("0", "1"):
                 return  # not an ack any service sends
             status.ok = True
-            status.codegen_ms, status.cache_hit = codegen_ms, cache_hit
+            status.cache_hit = parts[2] == "1"
             if live is not None:
                 live.finish()
             self.net.obs.events.emit("deploy", node=self.host.name,

@@ -27,13 +27,13 @@ artifacts use.
 
 ``demo`` builds a deliberately eventful little network: an ASP deployed
 over the wire, a congested bottleneck link dropping packets, and a
-scripted link flap — so every event kind (``deploy``, ``drop``,
-``fault``, ``jit``) shows up in one run.
+scripted link flap — so ``deploy``, ``drop`` and ``fault`` events all
+show up in one run.
 
-The process-wide snapshots have their own emitters: ``runx run
-smoke/microbench-closure --json`` (one engine per scenario; its record
-carries the ``global.*`` metrics) and ``python -m repro.tools.fuzzx run
---json`` (``fuzz.*`` counters).
+The process-wide counters (program cache, interpreter invocations)
+appear under ``global.`` in every snapshot dumped here; fuzz campaigns
+print theirs with ``python -m repro.tools.fuzzx run --json``
+(``fuzz.*``).
 """
 
 from __future__ import annotations
@@ -47,7 +47,7 @@ from ..obs import Observability
 
 
 def demo(obs: Observability) -> dict:
-    """A small network exercising every event kind; returns its
+    """A small network that deploys, drops and faults; returns its
     metrics snapshot (the events land in ``obs``)."""
     from ..asps import audio_router_asp
     from ..net.topology import Network

@@ -13,8 +13,9 @@ writing, checking and shipping ASPs, §2):
 * ``verify``  — run the four safety analyses, print the report,
   exit 1 on rejection.
 * ``compile`` — time JIT code generation; with the source backend,
-  ``--emit`` prints the generated Python; ``--stages`` prints what each
-  stage of one cold download of the program cost.
+  ``--emit`` prints the generated Python; ``--stages`` times each stage
+  of one cold download of the program (lex+parse, typecheck, verify,
+  wire, codegen).
 * ``fmt``     — re-print the program from its AST (canonical form).
 * ``bench``   — measure per-invocation cost of every execution engine
   on synthetic packets matching the first network channel.
@@ -27,12 +28,12 @@ import sys
 import time
 
 from ..analysis.verifier import verify_report
+from ..analysis.wire import wire_summary
 from ..interp.values import default_value
-from ..jit.pipeline import (BACKENDS, DEFAULT_BACKEND, ProgramCache,
-                            count_source_lines, load_program, make_engine)
+from ..jit.pipeline import (BACKENDS, DEFAULT_BACKEND, count_source_lines,
+                            make_engine)
 from ..lang import PlanPError, parse, typecheck
 from ..lang.unparse import unparse
-from ..obs import GLOBAL
 from ..runtime import codec
 
 
@@ -65,29 +66,28 @@ def cmd_verify(args: argparse.Namespace) -> int:
     return 1
 
 
-#: The download pipeline's stages and the span each one times into.
-_STAGES = (("lex+parse", "jit.parse_ms"), ("typecheck", "jit.typecheck_ms"),
-           ("verify", "jit.verify_ms"), ("wire", "jit.wire_ms"),
-           ("codegen", "jit.codegen_ms"))
-
-
 def cmd_compile(args: argparse.Namespace) -> int:
-    spans = [(label, GLOBAL.metrics.histogram(name))
-             for label, name in _STAGES]
-    before = [span.total for _, span in spans]
-    # A cache of its own, so every stage runs (once) and is timed.
-    cache = ProgramCache()
-    loaded = load_program(_load(args.program), backend=args.backend,
-                          verify=False, source_name=args.program,
-                          cache=cache)
-    print(f"{args.program}: compiled with {args.backend} backend in "
-          f"{loaded.codegen_ms:.2f} ms")
+    stages: list[tuple[str, float]] = []
+
+    def stage(label: str, fn, *fn_args):
+        start = time.perf_counter()
+        value = fn(*fn_args)
+        stages.append((label, (time.perf_counter() - start) * 1000.0))
+        return value
+
+    program = stage("lex+parse", parse, _load(args.program), args.program)
+    info = stage("typecheck", typecheck, program)
     if args.stages:
-        cache.verification(loaded.source_sha, loaded.info)
-        for (label, span), start in zip(spans, before):
-            print(f"  {label:10s}{span.total - start:8.2f} ms")
+        stage("verify", verify_report, info)
+        stage("wire", wire_summary, info)
+    engine = stage("codegen", make_engine, info, args.backend)
+    print(f"{args.program}: compiled with {args.backend} backend in "
+          f"{stages[-1][1]:.2f} ms")
+    if args.stages:
+        for label, ms in stages:
+            print(f"  {label:10s}{ms:8.2f} ms")
     if args.emit:
-        generated = getattr(loaded.engine, "generated_source", None)
+        generated = getattr(engine, "generated_source", None)
         if generated is None:
             print("(--emit requires --backend source)", file=sys.stderr)
             return 2
@@ -102,7 +102,7 @@ def cmd_fmt(args: argparse.Namespace) -> int:
 
 
 def cmd_bench(args: argparse.Namespace) -> int:
-    from ..experiments.microbench import _NullContext
+    from ..experiments.microbench import us_per_invocation
     from ..net.packet import IpHeader
 
     info = typecheck(parse(_load(args.program), args.program))
@@ -117,15 +117,9 @@ def cmd_bench(args: argparse.Namespace) -> int:
 
     print(f"{args.program}: {args.n} invocations per engine")
     for backend in BACKENDS:
-        ctx = _NullContext()
-        engine = make_engine(info, backend, ctx)
-        ps = default_value(decl.protocol_state_type)
-        ss = engine.initial_channel_state(decl, ctx)
-        start = time.perf_counter()
-        for _ in range(args.n):
-            ps, ss = engine.run_channel(decl, ps, ss, packet, ctx)
-        elapsed = time.perf_counter() - start
-        print(f"  {backend:12s} {elapsed / args.n * 1e6:8.2f} us/pkt")
+        us = us_per_invocation(make_engine(info, backend), decl, [packet],
+                               args.n)
+        print(f"  {backend:12s} {us:8.2f} us/pkt")
     return 0
 
 

@@ -87,9 +87,8 @@ channel fanout(ps : unit, ss : unit, p : ip*udp*blob) is
     assert loaded.engine is not None
 
 
-def test_analysis_timings_recorded():
+def test_analyses_run_cheapest_first():
     report = verify_report(check(ALL_ASPS["mpeg-monitor"]))
-    assert all(r.elapsed_ms >= 0 for r in report.results)
     assert [r.name for r in report.results] == [
         "local-termination", "global-termination", "delivery",
         "duplication"]

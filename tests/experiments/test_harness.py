@@ -49,15 +49,7 @@ class TestMicrobenchHarness:
     @pytest.mark.parametrize("engine", ["interpreter", "closure",
                                         "source", "builtin"])
     def test_all_engines_run(self, engine):
-        result = run_engine_microbench(engine=engine, n_packets=500)
-        assert result.params["packets"] == 500
-        assert result.us_per_packet > 0
-        assert result.packets_per_second > 0
-
-    def test_seed_accepted_for_harness_uniformity(self):
-        result = run_engine_microbench(engine="builtin", n_packets=100,
-                                       seed=5)
-        assert result.params["packets"] == 100
+        assert run_engine_microbench(engine=engine, n_packets=500) > 0
 
     def test_bridge_asp_verifies(self):
         from repro.analysis import verify_report
@@ -131,15 +123,18 @@ class TestReportGenerator:
     def test_no_run_reads_same_content_under_other_name(self, tmp_path):
         """--no-run resolves by content: a record swept under another
         matrix's name satisfies the report scenario with equal params."""
-        from repro.experiments.report import QUICK, generate
+        from repro.experiments.report import QUICK, generate, section_mpeg
         from repro.harness import (ResultStore, Runner, Scenario,
                                    report_matrix)
 
-        fig3 = next(s for s in report_matrix(QUICK)
-                    if s.name == "quick/fig3")
+        by_name = {s.name: s for s in report_matrix(QUICK)}
+        plain, asps = by_name["quick/mpeg/plain"], by_name["quick/mpeg/asps"]
         store = ResultStore(tmp_path)
-        Runner(store).run(Scenario("elsewhere/fig3", fig3.experiment,
-                                   fig3.params, seed=fig3.seed))
-        text = generate(QUICK, only=["fig3"], store=store,
+        Runner(store).run(Scenario("elsewhere/mpeg", plain.experiment,
+                                   plain.params, seed=plain.seed))
+        direct = {plain.name: Runner().run(plain),
+                  asps.name: Runner(store).run(asps)}
+        text = generate(QUICK, only=["mpeg"], store=store,
                         run_missing=False)
-        assert "Figure 3" in text
+        assert section_mpeg(direct, QUICK) in text
+        assert "| plain | 3 |" in text

@@ -16,7 +16,6 @@ POOL = [
     ("audio", {"duration": 2.0}),
     ("audio", {"duration": 2.0, "adaptation": False}),
     ("mpeg", {"n_clients": 2, "duration": 3.0}),
-    ("microbench", {"engine": "closure", "n_packets": 300}),
     ("audio_gap_sweep", {"load_levels_bps": [1_900_000],
                          "duration": 2.0}),
 ]

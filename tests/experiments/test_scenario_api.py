@@ -67,7 +67,7 @@ class TestScenario:
 class TestRegistry:
     def test_every_experiment_is_registered(self):
         assert {"audio", "audio_gap_sweep", "http", "http_fig8_sweep",
-                "mpeg", "images", "fig3", "microbench"} <= set(names())
+                "mpeg", "images"} <= set(names())
 
     def test_unknown_experiment_is_a_keyerror(self):
         with pytest.raises(KeyError, match="unknown experiment"):
@@ -111,7 +111,7 @@ class TestStore:
         return {"scenario": name, "experiment": "_counting", "seed": 0,
                 "tags": [], "cache_key": key,
                 "record": {"name": name, "figures": {"value": value}},
-                "volatile": {}, "elapsed_s": 0.0}
+                "elapsed_s": 0.0}
 
     def test_append_and_load(self, tmp_path):
         store = ResultStore(tmp_path)
@@ -233,8 +233,8 @@ class TestMatrices:
 
     def test_standard_matrix_covers_every_figure(self):
         scenario_names = {s.name for s in standard_matrix()}
-        for suffix in ("fig3", "fig6", "fig7", "fig8/asp", "mpeg/asps",
-                       "images", "microbench/closure"):
+        for suffix in ("fig6", "fig7", "fig8/asp", "mpeg/asps",
+                       "images"):
             assert f"standard/{suffix}" in scenario_names
 
     def test_all_experiments_in_matrices_are_registered(self):
@@ -249,12 +249,12 @@ class TestRunxCli:
 
         assert main(["list", "--matrix", "smoke"]) == 0
         out = capsys.readouterr().out
-        assert "smoke/microbench-builtin" in out
+        assert "smoke/scale" in out
 
     def test_sweep_then_require_cached(self, tmp_path, capsys):
         from repro.tools.runx import main
 
-        argv = ["sweep", "--matrix", "smoke", "--filter", "microbench",
+        argv = ["sweep", "--matrix", "smoke", "--filter", "audio",
                 "--results", str(tmp_path)]
         assert main(argv) == 0
         summary = json.loads((tmp_path / "sweep.json").read_text())
@@ -268,17 +268,18 @@ class TestRunxCli:
         from repro.tools.runx import main
 
         assert main(["sweep", "--matrix", "smoke", "--filter",
-                     "microbench", "--results",
+                     "audio", "--results",
                      str(tmp_path / "cold"), "--require-cached"]) == 1
 
     def test_run_by_name_prints_json(self, tmp_path, capsys):
         from repro.tools.runx import main
 
-        assert main(["run", "smoke/microbench-builtin", "--results",
+        assert main(["run", "smoke/scale", "--results",
                      str(tmp_path), "--json"]) == 0
         out = capsys.readouterr().out
         record = json.loads(out.splitlines()[-1])
-        assert record["experiment"] == "microbench"
+        assert record["experiment"] == "scale"
+        assert record["figures"]
 
     def test_run_unknown_name_errors(self, tmp_path, capsys):
         from repro.tools.runx import main

@@ -128,9 +128,7 @@ class TestRegistry:
     def test_record_rehydrates(self):
         result = run_web_experiment(attack="none", shedding=False,
                                     duration=2.0, warmup=0.5, seed=17)
-        line = {"record": result.record(),
-                "volatile": result.volatile()}
-        back = registry.rehydrate(line)
+        back = registry.rehydrate({"record": result.record()})
         assert isinstance(back, WebResult)
         assert back.goodput == result.goodput
         assert back.record() == result.record()

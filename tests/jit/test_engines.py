@@ -238,12 +238,3 @@ class TestCodegenArtifacts:
                "(OnRemote(network, p); (x', ss)) end)")
         assert_agree(src, [tcp_packet_value()])
 
-    def test_codegen_time_reported(self):
-        from repro.jit import load_program
-
-        loaded = load_program(
-            "channel network(ps : int, ss : unit, p : ip*tcp*blob) is\n"
-            "  (OnRemote(network, p); (ps, ss))\n"
-            "-- a comment line does not count\n", backend="source")
-        assert loaded.codegen_ms >= 0
-        assert loaded.source_lines == 2

@@ -29,10 +29,9 @@ import pytest
 REPO = Path(__file__).resolve().parents[2]
 CALLER_DIRS = ("src", "bench", "examples", "tests")
 
-#: defaulted public parameters under ``src/repro`` (405 before PR 23,
-#: 345 before PR 24); lower it when one goes, never raise it without a
-#: caller to show
-MAX_DEFAULTED = 334
+#: defaulted public parameters under ``src/repro``; lower it when one
+#: goes, never raise it without a caller to show
+MAX_DEFAULTED = 328
 
 #: why nobody in the tree has to set it -> ``(owner, parameter)`` entries
 ALLOWED: dict[str, list[tuple[str, str]]] = {

@@ -41,7 +41,7 @@ class TestPipeline:
         with pytest.raises(ValueError, match="unknown backend"):
             make_engine(info, "llvm")
 
-    def test_load_program_reports_lines_and_time(self):
+    def test_load_program_reports_lines_and_backend(self):
         from repro.jit import DEFAULT_BACKEND, load_program
 
         loaded = load_program(
@@ -49,7 +49,6 @@ class TestPipeline:
             "channel network(ps : int, ss : unit, p : ip*tcp*blob) is\n"
             "  (OnRemote(network, p); (ps, ss))\n")
         assert loaded.source_lines == 2
-        assert loaded.codegen_ms >= 0
         assert loaded.backend == DEFAULT_BACKEND
 
 

@@ -1,11 +1,8 @@
 """Metrics registry unit tests: instruments, callbacks, snapshots."""
 
-import pytest
-
 from repro.obs import GLOBAL, Observability, reset_global
 from repro.obs.metrics import (Counter, Histogram, MetricsRegistry,
                                _flatten)
-from repro.obs.spans import Timer, span
 
 
 class TestInstruments:
@@ -25,13 +22,6 @@ class TestInstruments:
     def test_empty_histogram_summary_is_zeroes(self):
         assert Histogram("h").summary() == {
             "count": 0, "sum": 0.0, "min": 0.0, "max": 0.0, "mean": 0.0}
-
-    def test_histogram_time_observes_ms(self):
-        histogram = Histogram("h_ms")
-        with histogram.time():
-            pass
-        assert histogram.count == 1
-        assert 0.0 <= histogram.max < 1000.0  # milliseconds, not seconds
 
 
 class TestRegistry:
@@ -88,46 +78,6 @@ class TestRegistry:
         out = {}
         _flatten("top", 3, out)
         assert out == {"top": 3}
-
-
-class TestSpans:
-    def test_registry_span_lands_in_named_histogram(self):
-        registry = MetricsRegistry()
-        with registry.span("stage_ms"):
-            pass
-        assert registry.snapshot()["stage_ms.count"] == 1
-
-    def test_timer_elapsed_readable_after_block(self):
-        with Timer() as timer:
-            pass
-        assert timer.elapsed_s >= 0.0
-        assert timer.elapsed_ms == pytest.approx(timer.elapsed_s * 1000)
-
-    def test_timer_on_exit_callback(self):
-        seen = []
-        with Timer(on_exit=seen.append):
-            pass
-        assert len(seen) == 1
-
-    def test_timer_records_even_when_body_raises(self):
-        histogram = Histogram("h")
-        with pytest.raises(RuntimeError):
-            with histogram.time():
-                raise RuntimeError("boom")
-        assert histogram.count == 1
-
-    def test_module_span_defaults_to_global(self):
-        reset_global()
-        with span("unit_test_span_ms"):
-            pass
-        assert GLOBAL.snapshot()["unit_test_span_ms.count"] == 1
-        reset_global()
-
-    def test_span_with_explicit_registry(self):
-        registry = MetricsRegistry()
-        with span("x_ms", registry):
-            pass
-        assert registry.snapshot()["x_ms.count"] == 1
 
 
 class TestObservabilityScope:

@@ -1,5 +1,9 @@
 """Network-based ASP deployment tests (paper §5 extension)."""
 
+import time
+
+from repro.apps.http import run_http_experiment
+from repro.jit import pipeline
 from repro.jit.pipeline import ProgramCache
 from repro.net import Network
 from repro.net.packet import tcp_packet
@@ -13,16 +17,16 @@ BAD = ("channel network(ps : unit, ss : unit, p : ip*udp*blob) is "
        "(OnRemote(network, p); OnRemote(network, p); (ps, ss))")
 
 
-def managed_net(n_routers=1):
+def managed_net(n_routers=1, bandwidth=100e6):
     net = Network(seed=41)
     admin = net.add_host("admin")
     routers = [net.add_router(f"r{i}") for i in range(n_routers)]
     endpoint = net.add_host("endpoint")
     previous = admin
     for router in routers:
-        net.link(previous, router, bandwidth=100e6)
+        net.link(previous, router, bandwidth=bandwidth)
         previous = router
-    net.link(previous, endpoint, bandwidth=100e6)
+    net.link(previous, endpoint, bandwidth=bandwidth)
     net.finalize()
     services = [DeploymentService(net, r) for r in routers]
     manager = DeploymentManager(net, admin)
@@ -36,8 +40,6 @@ class TestPush:
         net.run(until=1.0)
         assert manager.all_ok(xfer)
         assert services[0].installed == [xfer]
-        status = manager.status(xfer)[routers[0].address]
-        assert status.codegen_ms is not None
 
     def test_installed_program_processes_traffic(self):
         net, admin, routers, endpoint, services, manager = managed_net()
@@ -253,3 +255,43 @@ class TestReconfiguration:
         net.run(until=2.0)
         assert routers[0].planp.loaded is not first
         assert routers[0].planp.protocol_state == 0  # state reset
+
+
+class TestHostClock:
+    """What a push sends, when it lands and what it installs are a
+    function of the simulation alone: a slower host must not simulate a
+    different network."""
+
+    @staticmethod
+    def slow_host(monkeypatch):
+        real = time.perf_counter
+        monkeypatch.setattr(time, "perf_counter", lambda: real() * 1000.0)
+
+    @staticmethod
+    def cold_push(monkeypatch):
+        monkeypatch.setattr(pipeline, "PROGRAM_CACHE", ProgramCache())
+        net, admin, routers, endpoint, services, manager = \
+            managed_net(bandwidth=1e6)
+        xfer = manager.push(FORWARD, [routers[0].address])
+        net.run(until=1.0)
+        status = manager.status(xfer)[routers[0].address]
+        (terminal_at,) = [e.t for e in net.obs.events.filter(kind="deploy")
+                          if e.data["action"] == "push-ok"]
+        return (net.metrics_snapshot(include_global=False),
+                (status.ok, status.cache_hit, terminal_at),
+                services[0].installed)
+
+    def test_push_does_not_read_the_host_clock(self, monkeypatch):
+        fast = self.cold_push(monkeypatch)
+        self.slow_host(monkeypatch)
+        assert self.cold_push(monkeypatch) == fast
+
+    def test_asp_install_record_does_not_read_the_host_clock(
+            self, monkeypatch):
+        def record():
+            return run_http_experiment(mode="asp", n_clients=2,
+                                       duration=3.0, warmup=1.0).record()
+
+        fast = record()
+        self.slow_host(monkeypatch)
+        assert record() == fast

@@ -185,7 +185,6 @@ class TestDeployment:
         deployment = Deployment()
         record = deployment.install(FORWARD, [r, b], source_name="fw")
         assert record.nodes == ["r", "b"]
-        assert set(record.codegen_ms) == {"r", "b"}
         assert record.report is not None and record.report.passed
 
     def test_rejected_program_touches_no_node(self):
