@@ -13,7 +13,7 @@ from functools import total_ordering
 
 
 @total_ordering
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class HostAddr:
     """An IPv4-style unicast or multicast address."""
 

@@ -11,7 +11,6 @@ transmitted-byte buckets, queried as a kbit/s rate.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 
 
@@ -21,38 +20,62 @@ class LoadMonitor:
     ``window`` is the averaging horizon in seconds; shorter windows adapt
     faster but jitter more — the trade-off the audio experiment's
     hysteresis policy tames.
+
+    Bytes accumulate in the current ``bucket``-wide slot; a slot becomes
+    a ``(slot, bytes)`` entry of the window only when a later slot
+    starts, so a transmission costs two additions, not a tuple.  Slots
+    older than the window are expired on a slot change (which bounds
+    the list) and on every query.  Every clock reading given to
+    :meth:`record` and to the queries must not decrease from one call
+    to the next: the one caller, a transmit queue, passes its
+    simulator's clock.
     """
+
+    __slots__ = ("window", "bucket", "_buckets", "_slot", "_bytes",
+                 "total_bytes", "total_packets")
 
     def __init__(self, window: float = 1.0, bucket: float = 0.1):
         if window <= 0 or bucket <= 0 or bucket > window:
             raise ValueError("need 0 < bucket <= window")
         self.window = window
         self.bucket = bucket
-        self._buckets: deque[tuple[float, int]] = deque()
+        #: closed slots, oldest first: ``(slot, bytes)``
+        self._buckets: list[tuple[int, int]] = []
+        #: the open slot and the bytes recorded in it so far
+        self._slot = -1
+        self._bytes = 0
         self.total_bytes = 0
         self.total_packets = 0
 
     def record(self, now: float, nbytes: int) -> None:
-        """Account ``nbytes`` transmitted at time ``now``.  Times must
-        not decrease from one call to the next: the one caller, a
-        transmit queue, passes its simulator's clock."""
+        """Account ``nbytes`` transmitted at time ``now``."""
         self.total_bytes += nbytes
         self.total_packets += 1
         slot = int(now / self.bucket)
-        if self._buckets and self._buckets[-1][0] == slot:
-            self._buckets[-1] = (slot, self._buckets[-1][1] + nbytes)
-        else:
-            self._buckets.append((slot, nbytes))
-        self._expire(now)
+        if slot == self._slot:
+            self._bytes += nbytes
+            return
+        if self._bytes:  # an empty slot adds nothing to any window
+            self._buckets.append((self._slot, self._bytes))
+            self._expire(now)
+        self._slot = slot
+        self._bytes = nbytes
 
-    def _expire(self, now: float) -> None:
+    def _expire(self, now: float) -> int:
+        """Drop closed slots older than the window ending at ``now``;
+        returns the oldest slot still inside it."""
         horizon = int((now - self.window) / self.bucket)
-        while self._buckets and self._buckets[0][0] < horizon:
-            self._buckets.popleft()
+        buckets = self._buckets
+        while buckets and buckets[0][0] < horizon:
+            del buckets[0]
+        return horizon
 
     def bytes_in_window(self, now: float) -> int:
-        self._expire(now)
-        return sum(n for _slot, n in self._buckets)
+        horizon = self._expire(now)
+        total = sum(n for _slot, n in self._buckets)
+        if self._slot >= horizon:
+            total += self._bytes
+        return total
 
     def _elapsed(self, now: float) -> float:
         """The averaging denominator: the window once it has filled,
@@ -72,7 +95,7 @@ class LoadMonitor:
         return self.bytes_in_window(now) * 8 / self._elapsed(now)
 
 
-@dataclass
+@dataclass(slots=True)
 class LinkStats:
     """Cumulative per-link counters, used by experiment reports.
 

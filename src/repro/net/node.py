@@ -96,10 +96,11 @@ class Node:
         #: don't depend on traffic it never sees
         self.ctx = sim.context(f"node:{name}")
         self.interfaces: list[Interface] = []
-        #: every interface's address, maintained by :meth:`add_interface`
-        #: — the "is this packet for me" test on the receive and send
-        #: paths, O(1) however many interfaces a cluster router has
-        self._addresses: set[HostAddr] = set()
+        #: every interface's address value (``HostAddr.value``),
+        #: maintained by :meth:`add_interface` — the "is this packet
+        #: for me" test on the receive and send paths, O(1) however
+        #: many interfaces a cluster router has, hashing an ``int``
+        self._addresses: set[int] = set()
         self.routes = RoutingTable()
         self.stats = NodeStats()
         self.planp: "PlanPLayer | None" = None
@@ -140,7 +141,7 @@ class Node:
     def add_interface(self, medium: Medium, address: HostAddr) -> Interface:
         iface = Interface(self, medium, address)
         self.interfaces.append(iface)
-        self._addresses.add(address)
+        self._addresses.add(address.value)
         return iface
 
     @property
@@ -263,7 +264,7 @@ class Node:
         if self.planp is not None and self.planp.promiscuous:
             return True
         dst = packet.ip.dst
-        return (dst in self._addresses or dst.is_broadcast
+        return (dst.value in self._addresses or dst.is_broadcast
                 or dst in self.multicast_groups)
 
     def standard_processing(self, packet: Packet,
@@ -275,7 +276,7 @@ class Node:
             if dst in self.multicast_groups:
                 self.deliver_local(packet)
             return
-        if dst in self._addresses or dst.is_broadcast:
+        if dst.value in self._addresses or dst.is_broadcast:
             self.deliver_local(packet)
             return
         if self.forwarding:
@@ -350,7 +351,7 @@ class Node:
             if dst in self.multicast_groups:
                 self.deliver_local(packet)
             return
-        if dst in self._addresses:
+        if dst.value in self._addresses:
             if (not from_planp and self.planp is not None
                     and self.planp.wants(packet, None)):
                 self.stats.asp_handled += 1

@@ -34,7 +34,7 @@ UDP_HEADER_BYTES = 8
 DEFAULT_TTL = 64
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class IpHeader:
     """An IPv4-style header (the PLAN-P ``ip`` value)."""
 
@@ -63,7 +63,7 @@ class IpHeader:
         return IpHeader(self.dst, self.src, self.ttl, self.proto, self.tos)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TcpHeader:
     """A TCP-style header (the PLAN-P ``tcp`` value)."""
 
@@ -97,7 +97,7 @@ class TcpHeader:
                 | (int(self.ack_flag) << 4))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class UdpHeader:
     """A UDP-style header (the PLAN-P ``udp`` value)."""
 
@@ -121,7 +121,7 @@ next_uid = itertools.count(1).__next__
 TRANSPORT_PROTO = {TcpHeader: PROTO_TCP, UdpHeader: PROTO_UDP}
 
 
-@dataclass
+@dataclass(slots=True)
 class Packet:
     """The unit transmitted by the simulator.
 

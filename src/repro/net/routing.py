@@ -18,14 +18,19 @@ if TYPE_CHECKING:
 
 
 class RoutingTable:
-    """Maps destination host addresses to outgoing interfaces."""
+    """Maps destination host addresses to outgoing interfaces.
+
+    Keyed on the address's integer ``value``: a lookup per forwarded
+    packet then hashes an ``int`` instead of calling the address
+    dataclass's ``__hash__``.  :meth:`entries` still speaks
+    :class:`HostAddr`."""
 
     def __init__(self):
-        self._routes: dict[HostAddr, "Interface"] = {}
+        self._routes: dict[int, "Interface"] = {}
         self._default: "Interface | None" = None
 
     def add_route(self, dst: HostAddr, iface: "Interface") -> None:
-        self._routes[dst] = iface
+        self._routes[dst.value] = iface
 
     def set_default(self, iface: "Interface") -> None:
         self._default = iface
@@ -35,7 +40,7 @@ class RoutingTable:
         return self._default
 
     def lookup(self, dst: HostAddr) -> "Interface | None":
-        route = self._routes.get(dst)
+        route = self._routes.get(dst.value)
         if route is not None:
             return route
         return self._default
@@ -44,7 +49,8 @@ class RoutingTable:
         return len(self._routes)
 
     def entries(self) -> dict[HostAddr, "Interface"]:
-        return dict(self._routes)
+        return {HostAddr(value): iface
+                for value, iface in self._routes.items()}
 
 
 Adjacency = dict["Node", dict["Node", "Interface"]]

@@ -38,8 +38,8 @@ per name, so an entity's draws do not depend on unrelated traffic.
 
 from __future__ import annotations
 
-import heapq
 import random
+from heapq import heapify, heappop, heappush
 from typing import Any, Callable
 
 #: The total-order key events are sorted by; see the module docstring.
@@ -106,52 +106,49 @@ class RunawayError(RuntimeError):
             f"possible packet storm")
 
 
-class _Event:
-    """The payload of one queue entry: what to run, under which
-    context, and the lazy-deletion flags.  Deliberately unordered — see
-    :data:`_Entry`."""
+class EventHandle:
+    """One scheduled event — what to run, under which context, its key
+    and the lazy-deletion flags — and the handle ``schedule`` returns
+    for cancelling it.
 
-    __slots__ = ("fn", "ctx", "cancelled", "done")
+    The heap holds ``(time, lp, lseq, handle)`` entries (see
+    :data:`_Entry`), so scheduling allocates the entry tuple and this
+    one object.  The handle keeps its own copy of the key rather than a
+    reference to its entry: once popped, both are freed by reference
+    counting (unless the caller kept the handle), never left for the
+    cyclic collector.  Deliberately unordered: comparison never reaches
+    it.
+    """
 
-    def __init__(self, fn: Callable[[], None], ctx: SchedulingContext):
+    __slots__ = ("fn", "ctx", "time", "lp", "lseq", "_sim", "cancelled",
+                 "done")
+
+    def __init__(self, fn: Callable[[], None], ctx: SchedulingContext,
+                 time: float, lp: int, lseq: int, sim: "Simulator"):
         self.fn = fn
         self.ctx = ctx
+        self.time = time
+        self.lp = lp
+        self.lseq = lseq
+        self._sim = sim
         #: flagged for lazy deletion
         self.cancelled = False
         #: popped from the queue (ran or was swept); cancelling is a no-op
         self.done = False
 
-
-#: One heap entry, ``(time, lp, lseq, event)``.  ``heapq`` orders entries
-#: by C tuple comparison; the leading event key is unique per entry (a
-#: context never repeats an ``lseq``), so comparison always stops before
-#: the event object, which therefore needs no ordering of its own.
-_Entry = tuple[float, int, int, _Event]
-
-
-class EventHandle:
-    """Returned by ``schedule``; allows cancelling a pending event."""
-
-    __slots__ = ("_entry", "_sim")
-
-    def __init__(self, entry: _Entry, sim: "Simulator"):
-        self._entry = entry
-        self._sim = sim
-
     def cancel(self) -> None:
-        self._sim._cancel(self._entry[3])
-
-    @property
-    def cancelled(self) -> bool:
-        return self._entry[3].cancelled
-
-    @property
-    def time(self) -> float:
-        return self._entry[0]
+        self._sim._cancel(self)
 
     @property
     def key(self) -> EventKey:
-        return self._entry[:3]
+        return (self.time, self.lp, self.lseq)
+
+
+#: One heap entry, ``(time, lp, lseq, handle)``.  ``heapq`` orders
+#: entries by C tuple comparison; the leading event key is unique per
+#: entry (a context never repeats an ``lseq``), so comparison always
+#: stops before the handle, which therefore needs no ordering of its own.
+_Entry = tuple[float, int, int, EventHandle]
 
 
 #: Queues smaller than this are never compacted (the sweep would cost
@@ -186,13 +183,8 @@ class Simulator:
                                       entropy=self.rng)
         self._current: SchedulingContext = self.root
         self._entropies: dict[str, random.Random] = {}
-        #: the key of the event currently being dispatched (None
-        #: outside dispatch).  Observers record it to order what they
-        #: saw: the scale experiment's delivery-stream hash, and the
-        #: frozen ``bench/trace.py`` (``sim.current_event_key``), which
-        #: is why it is an attribute maintained per dispatch and not
-        #: something derived on demand.
-        self.current_event_key: EventKey | None = None
+        #: the event being dispatched (None outside dispatch)
+        self._dispatching: EventHandle | None = None
 
     # -- the entry surface ---------------------------------------------------------
 
@@ -218,6 +210,16 @@ class Simulator:
     @property
     def current_context(self) -> SchedulingContext:
         return self._current
+
+    @property
+    def current_event_key(self) -> EventKey | None:
+        """The key of the event being dispatched (None outside
+        dispatch), its microtasks included.  Observers record it to
+        order what they saw: the scale experiment's delivery-stream
+        hash, and the frozen ``bench/trace.py``.  Built on read, so an
+        event nobody observes allocates no key tuple."""
+        event = self._dispatching
+        return None if event is None else event.key
 
     def entropy(self, name: str) -> random.Random:
         """A named derived random stream (memoized).  Entities use this
@@ -260,10 +262,12 @@ class Simulator:
         if delay < 0:
             raise ValueError(f"negative delay {delay}")
         ctx = context if context is not None else self._current
-        entry = (self.now + delay, ctx.lp, ctx.next_lseq(), _Event(fn, ctx))
-        heapq.heappush(self._queue, entry)
+        time = self.now + delay
+        lseq = ctx.next_lseq()
+        event = EventHandle(fn, ctx, time, ctx.lp, lseq, self)
+        heappush(self._queue, (time, ctx.lp, lseq, event))
         self._live += 1
-        return EventHandle(entry, self)
+        return event
 
     def at(self, when: float, fn: Callable[[], None], *,
            context: SchedulingContext | None = None) -> EventHandle:
@@ -287,14 +291,14 @@ class Simulator:
         if time < self.now:
             raise ValueError(
                 f"post at {time} is in the past (now={self.now})")
-        entry = (time, lp, lseq, _Event(fn, self.root))
-        heapq.heappush(self._queue, entry)
+        event = EventHandle(fn, self.root, time, lp, lseq, self)
+        heappush(self._queue, (time, lp, lseq, event))
         self._live += 1
-        return EventHandle(entry, self)
+        return event
 
     # -- lazy deletion -----------------------------------------------------------
 
-    def _cancel(self, event: _Event) -> None:
+    def _cancel(self, event: EventHandle) -> None:
         if event.cancelled or event.done:
             return
         event.cancelled = True
@@ -305,12 +309,14 @@ class Simulator:
             self._compact()
 
     def _compact(self) -> None:
-        """Sweep cancelled entries out of the heap and re-heapify."""
-        for entry in self._queue:
+        """Sweep cancelled entries out of the heap and re-heapify, in
+        place (:meth:`run` holds the list while events cancel)."""
+        queue = self._queue
+        for entry in queue:
             if entry[3].cancelled:
                 entry[3].done = True
-        self._queue = [e for e in self._queue if not e[3].cancelled]
-        heapq.heapify(self._queue)
+        queue[:] = [e for e in queue if not e[3].cancelled]
+        heapify(queue)
         self._cancelled = 0
 
     # -- periodic work -------------------------------------------------------------
@@ -340,39 +346,38 @@ class Simulator:
         With no arguments the queue is drained completely.
         """
         processed = 0
-        while self._queue:
-            entry = self._queue[0]
-            event = entry[3]
+        queue = self._queue
+        while queue:
+            event = queue[0][3]
             if event.cancelled:
-                heapq.heappop(self._queue)
+                heappop(queue)
                 event.done = True
                 self._cancelled -= 1
                 continue
-            if until is not None and entry[0] > until:
+            if until is not None and event.time > until:
                 break
             if max_events is not None and processed >= max_events:
                 raise RunawayError(max_events)
-            heapq.heappop(self._queue)
+            heappop(queue)
             event.done = True
             self._live -= 1
-            self.now = entry[0]
+            self.now = event.time
             self.events_processed += 1
             processed += 1
-            self._dispatch(entry)
+            self._dispatch(event)
         if until is not None and self.now < until:
             self.now = until
         return processed
 
-    def _dispatch(self, entry: _Entry) -> None:
+    def _dispatch(self, event: EventHandle) -> None:
         """Run one event callback under its context, then drain its
         microtasks (including ones enqueued by other microtasks) under
         theirs."""
         tasks = self._microtasks
-        event = entry[3]
         self._in_event = True
         prev = self._current
         self._current = event.ctx
-        self.current_event_key = entry[:3]
+        self._dispatching = event
         try:
             event.fn()
             # The list may grow while it drains; iteration picks the
@@ -383,7 +388,7 @@ class Simulator:
         finally:
             self._current = prev
             self._in_event = False
-            self.current_event_key = None
+            self._dispatching = None
             if tasks:
                 tasks.clear()
 

@@ -78,6 +78,92 @@ class TestQueueing:
         assert 60 < len(received) < 140  # ~100 expected
 
 
+class TestInFlight:
+    """Frames past the serializer wait in their transmit queue's
+    in-flight list until their arrival event, which takes the list's
+    head: with one latency per medium they fall due in transmission
+    order.  Many frames propagate at once here (50 ms of latency
+    against 128 us of serialization), so delivering from the wrong end
+    reorders every case.  Expected deliveries come from the timing
+    model — each transmission ends one serialization delay after the
+    previous one, summed exactly as the simulator sums it, and arrives
+    one latency later — and the lost frames are pinned."""
+
+    N = 24
+    SER = 128 * 8 / 8_000_000      # a 100-byte UDP payload at 8 Mbit/s
+
+    def run(self, *, latency, loss_rate=0.0, down_at=None, up_at=None,
+            late=0):
+        net, a, b, link = two_hosts(bandwidth=8_000_000, latency=latency,
+                                    queue_limit=64, loss_rate=loss_rate)
+        index, seen, dropped = {}, [], []
+        b.receive_taps.append(
+            lambda p, _iface: seen.append((index[p.uid], net.sim.now)))
+        link.add_drop_tap(
+            lambda p, _sender, why: dropped.append((index[p.uid], why)))
+
+        def send(k):
+            packet = udp_packet(a.address, b.address, 1, 2, b"x" * 100)
+            index[packet.uid] = k
+            a.ip_send(packet)
+
+        for k in range(self.N):
+            send(k)
+        if down_at is not None:
+            net.sim.at(down_at, lambda: setattr(link, "up", False))
+        if up_at is not None:
+            def restore():
+                link.up = True
+                for k in range(self.N, self.N + late):
+                    send(k)
+            net.sim.at(up_at, restore)
+        net.run()
+        return seen, dropped
+
+    def model(self, start, frames, latency):
+        """``(index, arrival)`` for ``frames`` sent back to back from
+        ``start``."""
+        out, done = [], start
+        for k in frames:
+            done = done + self.SER
+            out.append((k, done + latency))
+        return out
+
+    def test_all_frames_in_flight_arrive_in_order(self):
+        seen, dropped = self.run(latency=0.05)
+        assert seen == self.model(0.0, range(self.N), 0.05)
+        assert dropped == []
+
+    def test_lossy_medium_keeps_the_survivors_in_order(self):
+        seen, dropped = self.run(latency=0.05, loss_rate=0.4)
+        lost = [k for k, why in dropped if why == "loss"]
+        assert len(dropped) == len(lost)
+        # the frames two_hosts' seed loses, as the per-frame closure lost
+        # them: a lost frame never enters the in-flight list
+        assert lost == [0, 2, 4, 6, 7, 10, 14, 17, 20]
+        expected = self.model(0.0, range(self.N), 0.05)
+        assert seen == [(k, t) for k, t in expected if k not in lost]
+
+    def test_zero_latency_arrives_at_tx_done(self):
+        seen, dropped = self.run(latency=0.0)
+        assert seen == self.model(0.0, range(self.N), 0.0)
+        assert dropped == []
+
+    def test_medium_down_mid_propagation(self):
+        """Down at 10.5 serializations: frames 11-23 are flushed at
+        once, frame 10 is lost at its tx-done, and frames 0-9, already
+        on the wire, still arrive.  Back up before any arrival, four
+        more frames queue behind the survivors in the in-flight list."""
+        up_at = 20 * self.SER
+        seen, dropped = self.run(latency=0.05, down_at=10.5 * self.SER,
+                                 up_at=up_at, late=4)
+        assert dropped == [(k, "flush") for k in range(11, self.N)] + [
+            (10, "loss")]
+        expected = self.model(0.0, range(self.N), 0.05)[:10]
+        expected += self.model(up_at, range(self.N, self.N + 4), 0.05)
+        assert seen == expected
+
+
 class TestSegment:
     def test_broadcast_to_all_but_sender(self):
         net = Network(seed=1)
