@@ -7,11 +7,10 @@ connect, request, read the full response, repeat — so offered load
 scales with the number of workers.
 
 A failed or shed (503) request is retried with jittered exponential
-backoff (the same :class:`~repro.net.overload.Backoff` schedule
-netdeploy uses) up to ``max_retries`` attempts, then abandoned and
-accounted — the graceful-degradation contract of DESIGN §14: under
-overload the client backs off instead of hammering, and gives up
-instead of camping.
+backoff (:class:`~repro.net.overload.Backoff`) up to ``max_retries``
+attempts, then abandoned and accounted — the graceful-degradation
+contract of DESIGN §14: under overload the client backs off instead of
+hammering, and gives up instead of camping.
 
 :class:`OpenLoopClient` issues one independent request per scheduled
 arrival regardless of completions — the flash-crowd visitor model,

@@ -1,11 +1,10 @@
 """Overload-control building blocks (DESIGN §14).
 
-Two mechanisms, shared by the endpoints and the deployment runtime:
+Two mechanisms for the endpoints:
 
-* :class:`Backoff` — the jittered-exponential retry schedule netdeploy's
-  ack/retransmit machinery always used, extracted so the HTTP client's
-  retry policy draws from exactly the same mechanism.  The jitter draw
-  is one ``entropy.random()`` per armed timer, so a caller that feeds a
+* :class:`Backoff` — the jittered-exponential retry schedule of the
+  HTTP client's retry policy.  The jitter draw is one
+  ``entropy.random()`` per armed timer, so a caller that feeds a
   per-entity entropy stream is unaffected by unrelated traffic.
 * :class:`AdmissionController` — AIMD admission: a token bucket whose
   fill rate is raised additively while the system is healthy and cut

@@ -388,6 +388,7 @@ class TcpStack:
         self.bytes_in = 0
         self.syn_backlog_drops = 0
         node.register_proto(PROTO_TCP, self._on_packet)
+        node.crash_hooks.append(self._on_crash)
 
     # -- API ----------------------------------------------------------------------
 
@@ -468,6 +469,17 @@ class TcpStack:
                                header.dst_port, header.src_port,
                                seq=header.ack, ack=0, rst=True)
             self.node.ip_send(reset)
+
+    def _on_crash(self) -> None:
+        """Connections are volatile state (see ``Node.crash``): they die
+        with the node, silently — no callback runs on a down node, and
+        a peer's next segment draws a RST once the node is back.
+        Listeners are configuration and stay."""
+        for conn in self._connections.values():
+            if conn._retransmit_timer is not None:
+                conn._retransmit_timer.cancel()
+            conn.state = TcpState.CLOSED
+        self._connections.clear()
 
     def _forget(self, conn: TcpConnection) -> None:
         key = (conn.local_port, conn.remote_addr, conn.remote_port)

@@ -2,94 +2,70 @@
 management functionalities, such as ASP deployment").
 
 A :class:`DeploymentService` runs on every managed node and listens on a
-UDP control port; a :class:`DeploymentManager` pushes program source to
+TCP control port; a :class:`DeploymentManager` pushes program source to
 any set of nodes.  The receiving node runs the full download path —
-parse, type check, the four analyses, JIT — and acknowledges
-acceptance (saying whether the program cache served it) or rejection
-(with the failing analysis), exactly the late-checking deployment
-story of §2.1.
+parse, type check, the four analyses, JIT — and answers acceptance
+(saying whether the program cache served it) or rejection (with the
+failing analysis), exactly the late-checking deployment story of §2.1.
 
-Managed nodes crash, restart, and sit behind lossy links, so the push
-protocol is engineered for failure (after Burgy et al.'s argument that
-robustness belongs in the messaging layer itself):
+Ordered, reliable delivery is :mod:`repro.net.tcp`'s job — the
+transport the paper's HTTP gateway runs on (Burgy et al. argue that
+robustness belongs in the messaging layer; here that layer already
+exists).  What this module adds is about deployment, not transport:
 
-* **Sliding window + ack per chunk.**  The manager holds at most
-  ``WINDOW`` unacknowledged ``CHUNK`` datagrams in flight per target
-  (bounding drop-tail queue pressure) and advances on each ``CACK``.
-* **Retransmission with exponential backoff.**  Every protocol stage
-  (``BEGIN``, outstanding chunks, ``COMMIT``) retransmits on a timer
-  that doubles from ``INITIAL_TIMEOUT`` up to ``MAX_TIMEOUT``, jittered
-  from the simulator's seeded RNG so synchronized failures don't retry
-  in lockstep — and runs stay exactly reproducible.
 * **Terminal deadlines.**  ``RetryPolicy.deadline`` sim-seconds after a
-  (re-)push, any target still pending fails with reason ``timeout`` —
-  or ``unreachable`` when the manager no longer has a route to it.  No
-  push remains ``ok=None`` past its deadline; poll with
+  (re-)push, a target still pending has its connection aborted and
+  fails with reason ``timeout`` — or ``unreachable`` when the manager
+  no longer has a route to it.  A target nobody listens on answers the
+  SYN with a RST and fails at once with ``refused``.  No push remains
+  ``ok=None`` past its deadline; poll with
   :meth:`DeploymentManager.await_converged`.
-* **Idempotent re-push and restart recovery.**  A receiver that lost
-  its transfer state (crash, restart) answers retransmissions with
-  ``REJ <xfer> unknown transfer``; the manager restarts that transfer
-  from ``BEGIN``.  :meth:`DeploymentManager.repush` re-pushes a decided
-  transfer to targets that rejoined later.  Installs go through the
-  content-addressed program cache, so re-pushes re-verify and re-compile
-  at cache speed.
+* **Reconnect after a restart.**  A crashed node's connections die with
+  it (:meth:`~repro.net.node.Node.crash`), so once it is back the
+  manager's next retransmission draws a RST.  A connection that fails
+  after it was established is reopened and the push sent again
+  (``PushStatus.restarts``); :meth:`DeploymentManager.repush` re-pushes
+  a decided transfer to targets that rejoined later.  Installs go
+  through the content-addressed program cache, so repeats re-verify and
+  re-compile at cache speed.
 * **One record of what should run.**  The node's packet layer keeps
   the last program it adopted and has not since removed
   (:attr:`PlanPLayer.manifest`), across crashes; on restart the service
   re-installs exactly that program through the warm program cache — so
   a rolled-back, quarantined or uninstalled program stays gone.
 
-Wire protocol (one datagram per message, UTF-8 text headers; the source
-travels as its UTF-8 bytes — the bytes ``ProgramCache.digest`` hashes —
-cut into chunks at byte, not character, boundaries):
+Wire protocol, one connection per push and target.  The manager sends
+one header line, then the source as its UTF-8 bytes — the bytes
+``ProgramCache.digest`` hashes; the byte count marks the end.  The
+service answers on the same connection and closes it:
 
-    manager -> node:  BEGIN <xfer> <n_chunks> <backend> <verify>
-                      CHUNK <xfer> <index>\\n<raw source bytes>
-                      COMMIT <xfer>
-    node -> manager:  BEGACK <xfer>
-                      CACK <xfer> <index>
-                      OK <xfer> <cache_hit>
+    manager -> node:  PUSH <xfer> <n_bytes> <backend> <verify>\\n<source>
+    node -> manager:  OK <xfer> <cache_hit>
                       REJ <xfer> <reason>
 
-Transfers are idempotent per ``<xfer>`` id; a retransmitted ``COMMIT``
-whose verdict was lost is re-answered from the service's completion
-memo, and malformed datagrams are rejected (never raised through the
-node's receive path).
+Malformed input is rejected and counted, never raised through the
+node's receive path.
 """
 
 from __future__ import annotations
 
-import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from ..jit.pipeline import DEFAULT_BACKEND
 from ..lang.errors import PlanPError
 from ..net.addresses import HostAddr
 from ..net.node import Host, Node
-from ..net.overload import Backoff
-from ..net.sim import EventHandle
+from ..net.tcp import TcpConnection
 from ..net.topology import Network
 from .planp_layer import PlanPLayer
 
 DEPLOY_PORT = 9900
-CHUNK_BYTES = 900
-
-#: max unacknowledged CHUNK datagrams in flight per target
-WINDOW = 8
-#: first retransmission timeout, and the ceiling it doubles up to per
-#: silent retry (sim-seconds)
-INITIAL_TIMEOUT = 0.05
-MAX_TIMEOUT = 1.0
-#: ± fraction of jitter on every timer (from the sim's seeded RNG)
-JITTER = 0.5
+#: longest header line a service buffers before calling the connection
+#: malformed
+MAX_HEADER = 256
 #: how far :meth:`DeploymentManager.await_converged` advances the
 #: simulation between looks at the statuses (sim-seconds)
 POLL_S = 0.05
-
-#: ``REJ`` reason prefixes that report lost receiver state rather than
-#: a verdict on the program itself; the manager restarts such transfers
-#: from ``BEGIN`` instead of failing them.
-RECOVERABLE_REASONS = ("unknown transfer", "incomplete", "malformed")
 
 
 # ---------------------------------------------------------------------------
@@ -97,21 +73,14 @@ RECOVERABLE_REASONS = ("unknown transfer", "incomplete", "malformed")
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class _Transfer:
-    n_chunks: int
-    backend: str
-    verify: bool
-    chunks: dict[int, bytes] = field(default_factory=dict)
-
-
 class DeploymentService:
-    """The on-node receiver: reassembles, verifies, installs.
+    """The on-node receiver: reads one push per connection, verifies,
+    installs, answers.
 
-    In-progress transfers and the completion memo are volatile (lost on
-    :meth:`~repro.net.node.Node.crash`).  What the node should run is
-    the layer's :attr:`~PlanPLayer.manifest`, which the service
-    re-installs through the program cache when the node restarts.
+    A push in progress is the connection's, and dies with it when the
+    node crashes.  What the node should run is the layer's
+    :attr:`~PlanPLayer.manifest`, which the service re-installs through
+    the program cache when the node restarts.
     """
 
     def __init__(self, net: Network, node: Node,
@@ -124,18 +93,11 @@ class DeploymentService:
         #: source digests re-installed from the layer's manifest after
         #: restarts
         self.reinstalled: list[str] = []
-        #: datagrams dropped or rejected for unparseable headers
+        #: connections rejected for an unparseable header or byte count
         self.malformed = 0
-        self._transfers: dict[str, _Transfer] = {}
-        #: verdict memo per completed transfer, so a retransmitted
-        #: COMMIT whose OK/REJ reply was lost is re-answered, not
-        #: re-judged (volatile, like the kernel state it describes)
-        self._completed: dict[str, str] = {}
-        self._socket = net.udp(node).bind(port)
-        self._socket.on_datagram = self._on_datagram
+        net.tcp(node).listen(port, self._on_accept)
         if node.planp is None:
             PlanPLayer(node)
-        node.crash_hooks.append(self._on_crash)
         node.restart_hooks.append(self._on_restart)
         net.obs.metrics.register(f"deploy.service.{node.name}",
                                  self._stats_dict)
@@ -148,122 +110,78 @@ class DeploymentService:
 
     # -- protocol ----------------------------------------------------------------
 
-    def _on_datagram(self, payload: bytes, src: HostAddr,
-                     src_port: int) -> None:
-        header, _, body = payload.partition(b"\n")
+    def _on_accept(self, conn: TcpConnection) -> None:
+        buf = bytearray()
+
+        def on_data(conn: TcpConnection, data: bytes) -> None:
+            buf.extend(data)
+            self._receive(conn, buf, eof=False)
+
+        conn.on_data = on_data
+        conn.on_close = lambda c: self._receive(c, buf, eof=True)
+        conn.on_fail = lambda c: None  # a reset push leaves nothing
+
+    def _receive(self, conn: TcpConnection, buf: bytearray,
+                 eof: bool) -> None:
+        header, newline, body = buf.partition(b"\n")
+        if not (newline or eof or len(buf) > MAX_HEADER):
+            return  # the header line is still arriving
         parts = header.decode("utf-8", errors="replace").split(" ")
         try:
-            self._dispatch(parts, body, src, src_port)
-        except (ValueError, IndexError):
-            # A malformed header must not take down the node's receive
-            # path; reject identifiably when a transfer id is parseable.
+            if not newline or parts[0] != "PUSH" or len(parts) != 5:
+                raise ValueError(f"bad deploy header {parts[:1]!r}")
+            n_bytes = int(parts[2])
+            if n_bytes <= 0 or len(body) > n_bytes:
+                raise ValueError(f"bad byte count {parts[2]!r}")
+            if len(body) == n_bytes:
+                self._install(conn, parts[1], bytes(body), parts[3],
+                              parts[4] == "1")
+            elif eof:
+                # Closed before its byte count: nothing is installed.
+                self._answer(conn, f"REJ {parts[1]} incomplete "
+                                   f"({len(body)}/{n_bytes})")
+        except ValueError:
+            # Reject identifiably when a transfer id is parseable.
             self.malformed += 1
-            if len(parts) >= 2 and parts[1]:
-                self._reply(src, src_port, f"REJ {parts[1]} malformed")
+            self._answer(conn, f"REJ {parts[1]} malformed"
+                         if len(parts) >= 2 and parts[1] else "")
 
-    def _dispatch(self, parts: list[str], body: bytes, src: HostAddr,
-                  src_port: int) -> None:
-        cmd = parts[0]
-        if cmd == "BEGIN" and len(parts) == 5:
-            self._begin(parts[1], int(parts[2]), parts[3],
-                        parts[4] == "1", src, src_port)
-        elif cmd == "CHUNK" and len(parts) == 3:
-            self._chunk(parts[1], int(parts[2]), body, src, src_port)
-        elif cmd == "COMMIT" and len(parts) == 2:
-            self._commit(parts[1], src, src_port)
-        else:
-            raise ValueError(f"bad deploy datagram {parts[:1]!r}")
-
-    def _begin(self, xfer: str, n_chunks: int, backend: str,
-               verify: bool, src: HostAddr, src_port: int) -> None:
-        if n_chunks <= 0:
-            raise ValueError(f"bad chunk count {n_chunks}")
-        self._completed.pop(xfer, None)  # a new push supersedes
-        transfer = self._transfers.get(xfer)
-        if (transfer is None or transfer.n_chunks != n_chunks
-                or transfer.backend != backend
-                or transfer.verify != verify):
-            # Duplicate BEGINs with identical parameters keep already
-            # received chunks (the BEGACK was lost, not the transfer).
-            self._transfers[xfer] = _Transfer(
-                n_chunks=n_chunks, backend=backend, verify=verify)
-        self._reply(src, src_port, f"BEGACK {xfer}")
-
-    def _chunk(self, xfer: str, index: int, body: bytes, src: HostAddr,
-               src_port: int) -> None:
-        transfer = self._transfers.get(xfer)
-        if transfer is None:
-            memo = self._completed.get(xfer)
-            if memo is not None:
-                # Retransmission of a decided push: re-answer it.
-                self._reply(src, src_port, memo)
-            else:
-                # Receiver state was lost (crash/restart) — tell the
-                # manager so it restarts the transfer from BEGIN.
-                self._reply(src, src_port, f"REJ {xfer} unknown transfer")
-            return
-        if not 0 <= index < transfer.n_chunks:
-            raise ValueError(f"chunk index {index} out of range")
-        transfer.chunks[index] = body
-        self._reply(src, src_port, f"CACK {xfer} {index}")
-
-    def _commit(self, xfer: str, src: HostAddr, src_port: int) -> None:
-        transfer = self._transfers.pop(xfer, None)
-        if transfer is None:
-            memo = self._completed.get(xfer)
-            self._reply(src, src_port,
-                        memo if memo is not None
-                        else f"REJ {xfer} unknown transfer")
-            return
-        if len(transfer.chunks) != transfer.n_chunks:
-            self._reply(src, src_port,
-                        f"REJ {xfer} incomplete "
-                        f"({len(transfer.chunks)}/{transfer.n_chunks})")
-            return
+    def _install(self, conn: TcpConnection, xfer: str, data: bytes,
+                 backend: str, verify: bool) -> None:
         assert self.node.planp is not None
         try:
-            # Chunks are joined before decoding, so a character split
-            # across two of them is whole again here.  Bytes that still
-            # do not decode are a verdict on the source, not lost
-            # state: a retransmission would carry the same bytes.
-            source = b"".join(transfer.chunks[i]
-                              for i in range(transfer.n_chunks)) \
-                .decode("utf-8")
+            source = data.decode("utf-8")
         except UnicodeDecodeError:
-            self._reject(src, src_port, xfer, "undecodable source")
+            # A verdict on the bytes: a re-push would carry the same.
+            self._reject(conn, xfer, "undecodable source")
             return
         try:
             loaded = self.node.planp.install(
-                source, backend=transfer.backend,
-                verify=transfer.verify, source_name=f"<net:{xfer}>")
+                source, backend=backend, verify=verify,
+                source_name=f"<net:{xfer}>")
         except PlanPError as err:
-            self._reject(src, src_port, xfer, err.message)
+            self._reject(conn, xfer, err.message)
             return
         self.installed.append(xfer)
-        self._conclude(src, src_port, xfer,
-                       f"OK {xfer} {1 if loaded.cache_hit else 0}")
+        self._answer(conn, f"OK {xfer} {1 if loaded.cache_hit else 0}")
 
-    def _reject(self, dst: HostAddr, dst_port: int, xfer: str,
-                reason: str) -> None:
+    def _reject(self, conn: TcpConnection, xfer: str, reason: str) -> None:
         self.rejected.append((xfer, reason))
         self.net.obs.events.emit("deploy", node=self.node.name,
                                  action="reject", xfer=xfer,
                                  reason=reason)
-        self._conclude(dst, dst_port, xfer, f"REJ {xfer} {reason}")
+        self._answer(conn, f"REJ {xfer} {reason}")
 
-    def _conclude(self, dst: HostAddr, dst_port: int, xfer: str,
-                  verdict: str) -> None:
-        self._completed[xfer] = verdict
-        self._reply(dst, dst_port, verdict)
+    @staticmethod
+    def _answer(conn: TcpConnection, verdict: str) -> None:
+        """Send the verdict (if any), stop listening, and hang up."""
+        conn.on_data = lambda c, data: None
+        conn.on_close = None
+        if verdict:
+            conn.send(verdict.encode("utf-8"))
+        conn.close()
 
-    def _reply(self, dst: HostAddr, dst_port: int, text: str) -> None:
-        self._socket.sendto(dst, dst_port, text.encode("utf-8"))
-
-    # -- crash / restart recovery ------------------------------------------------
-
-    def _on_crash(self) -> None:
-        self._transfers.clear()
-        self._completed.clear()
+    # -- restart recovery --------------------------------------------------------
 
     def _on_restart(self) -> None:
         """Re-install what the layer's manifest says this node should
@@ -293,8 +211,7 @@ class DeploymentService:
 
 @dataclass
 class RetryPolicy:
-    """How long one push may take; the window and the retransmission
-    schedule are the module constants above."""
+    """How long one push may take; retransmission is the transport's."""
 
     #: sim-seconds from (re-)push until a pending target fails
     deadline: float = 10.0
@@ -302,12 +219,12 @@ class RetryPolicy:
 
 @dataclass
 class PushStatus:
-    """Outcome of one node's installation, as acknowledged.
+    """Outcome of one node's installation, as answered.
 
     ``ok`` is ``None`` only while the push is in flight; the deadline
     guarantees it reaches a terminal ``True``/``False`` (with
-    ``detail`` carrying the rejection reason, ``timeout``, or
-    ``unreachable``).
+    ``detail`` carrying the rejection reason, ``timeout``,
+    ``unreachable`` or ``refused``).
     """
 
     target: HostAddr
@@ -317,169 +234,105 @@ class PushStatus:
     cache_hit: bool = False
     #: absolute sim-time by which this push reaches a terminal state
     deadline: float | None = None
-    #: retransmission timer firings
+    #: TCP retransmissions of this push's connections
     retries: int = 0
-    #: transfer restarts from BEGIN (receiver lost its state)
+    #: connections reopened after failing once established (the
+    #: target crashed and came back)
     restarts: int = 0
-    #: CHUNK datagrams sent, retransmissions included
-    chunks_sent: int = 0
-    #: acks that arrived after the status was already terminal
-    late_acks: int = 0
 
     @property
     def terminal(self) -> bool:
         return self.ok is not None
 
 
-class _TargetTransfer:
-    """Manager-side reliable delivery of one transfer to one target."""
+class _TargetPush:
+    """One target's push: a TCP connection, reopened after the target
+    restarts, raced against the deadline."""
 
     def __init__(self, manager: "DeploymentManager", xfer: str,
-                 target: HostAddr, chunks: list[bytes], backend: str,
-                 verify: bool, policy: RetryPolicy, status: PushStatus):
+                 target: HostAddr):
         self.manager = manager
         self.xfer = xfer
         self.target = target
-        self.chunks = chunks
-        self.backend = backend
-        self.verify = verify
-        self.policy = policy
-        self.status = status
-        self.state = "begin"     # begin -> data -> commit -> done
-        self.acked: set[int] = set()
-        self.outstanding: set[int] = set()
-        self.next_idx = 0
-        self._timer: EventHandle | None = None
-        self._deadline: EventHandle | None = None
-        # Per-transfer jitter stream: retry desynchronization must not
-        # depend on what other transfers (or unrelated traffic) drew
-        # from the shared stream.
-        # The schedule itself is the shared overload-control Backoff
-        # (one jitter draw per armed timer, doubled per silent firing,
-        # reset on progress).
-        self.backoff = Backoff(
-            initial=INITIAL_TIMEOUT, ceiling=MAX_TIMEOUT, jitter=JITTER,
-            entropy=manager.host.sim.entropy(
-                f"deploy:{xfer}:{target}"))
-
-    # -- lifecycle ----------------------------------------------------------------
-
-    def start(self) -> None:
-        sim = self.manager.host.sim
-        self.status.deadline = sim.now + self.policy.deadline
+        self.status = manager.pushes[xfer][target]
+        self.conn: TcpConnection | None = None
+        sim = manager.host.sim
+        self.status.deadline = sim.now + manager._sources[xfer][3].deadline
         self._deadline = sim.at(self.status.deadline, self._on_deadline)
-        self._send_begin()
+        self._connect()
 
-    def _send_begin(self) -> None:
-        self.state = "begin"
-        self.manager._send(
-            self.target,
-            f"BEGIN {self.xfer} {len(self.chunks)} {self.backend} "
-            f"{1 if self.verify else 0}")
-        self._arm()
+    def _connect(self) -> None:
+        manager = self.manager
+        data, backend, verify, _policy = manager._sources[self.xfer]
+        self.established = False
+        self.conn = conn = manager.net.tcp(manager.host).connect(
+            self.target, manager.port)
+        conn.on_connected = self._on_connected
+        conn.on_close = self._on_answer
+        conn.on_fail = self._on_fail
+        header = (f"PUSH {self.xfer} {len(data)} {backend} "
+                  f"{1 if verify else 0}\n")
+        conn.send(header.encode("utf-8") + data)
 
-    def on_begack(self) -> None:
-        if self.state != "begin":
-            return
-        self.state = "data"
-        self.backoff.reset()
-        self._fill_window()
-        self._arm()
+    def _release(self) -> TcpConnection:
+        """Detach from the connection, counting its retransmissions."""
+        conn = self.conn
+        assert conn is not None
+        self.conn = None
+        conn.on_close = conn.on_fail = None
+        self.status.retries += conn.retransmissions
+        return conn
 
-    def on_cack(self, index: int) -> None:
-        if self.state != "data" or index in self.acked:
-            return
-        self.acked.add(index)
-        self.outstanding.discard(index)
-        self.backoff.reset()  # progress: reset backoff
-        if len(self.acked) == len(self.chunks):
-            self._send_commit()
+    # -- connection events ---------------------------------------------------------
+
+    def _on_connected(self, conn: TcpConnection) -> None:
+        self.established = True
+
+    def _on_answer(self, conn: TcpConnection) -> None:
+        """The service sent its verdict and closed."""
+        self._release().close()
+        verdict, _, rest = conn.received_data.decode(
+            "utf-8", errors="replace").partition(" ")
+        _xfer, _, detail = rest.partition(" ")
+        if verdict == "OK" and detail in ("0", "1"):
+            self.status.cache_hit = detail == "1"
+            self._conclude("push-ok")
         else:
-            self._fill_window()
-            self._arm()
+            self._conclude("push-rej", detail if verdict == "REJ"
+                           else f"bad answer {verdict!r}")
 
-    def restart_transfer(self) -> None:
-        """The receiver lost its transfer state (it crashed and came
-        back): start over from BEGIN.  The content-addressed program
-        cache makes the repeated install cheap on the node."""
-        if self.state == "begin":
-            return  # already restarting; duplicate loss report
-        self.status.restarts += 1
-        self.acked.clear()
-        self.outstanding.clear()
-        self.next_idx = 0
-        self.backoff.reset()
-        self._send_begin()
-
-    def finish(self) -> None:
-        self.state = "done"
-        self._cancel_timer()
-        if self._deadline is not None:
-            self._deadline.cancel()
-            self._deadline = None
-        self.manager._live.pop((self.xfer, self.target), None)
-
-    # -- transmission -------------------------------------------------------------
-
-    def _fill_window(self) -> None:
-        while (self.next_idx < len(self.chunks)
-               and len(self.outstanding) < WINDOW):
-            self._send_chunk(self.next_idx)
-            self.outstanding.add(self.next_idx)
-            self.next_idx += 1
-
-    def _send_chunk(self, index: int) -> None:
-        self.status.chunks_sent += 1
-        self.manager._send(self.target,
-                           f"CHUNK {self.xfer} {index}\n",
-                           self.chunks[index])
-
-    def _send_commit(self) -> None:
-        self.state = "commit"
-        self.manager._send(self.target, f"COMMIT {self.xfer}")
-        self._arm()
-
-    # -- timers -------------------------------------------------------------------
-
-    def _arm(self) -> None:
-        self._cancel_timer()
-        self._timer = self.manager.host.sim.schedule(
-            self.backoff.delay(), self._on_timer)
-
-    def _cancel_timer(self) -> None:
-        if self._timer is not None:
-            self._timer.cancel()
-            self._timer = None
-
-    def _on_timer(self) -> None:
-        self._timer = None
-        if self.state == "done":
-            return
-        self.status.retries += 1
-        self.backoff.bump()
-        if self.state == "begin":
-            self._send_begin()
-            return  # _send_begin re-arms
-        if self.state == "data":
-            for index in sorted(self.outstanding):
-                self._send_chunk(index)
-        elif self.state == "commit":
-            self.manager._send(self.target, f"COMMIT {self.xfer}")
-        self._arm()
+    def _on_fail(self, conn: TcpConnection) -> None:
+        self._release()
+        if self.established:
+            # The target restarted (its RST answered our
+            # retransmission): push again on a new connection.
+            self.status.restarts += 1
+            self._connect()
+        else:
+            self._conclude("push-failed", "refused")
 
     def _on_deadline(self) -> None:
-        self._deadline = None
-        if self.state == "done":
-            return
         route = self.manager.host.routes.lookup(self.target)
-        self.status.ok = False
-        self.status.detail = "timeout" if route is not None \
-            else "unreachable"
+        self._conclude("push-failed",
+                       "timeout" if route is not None else "unreachable")
+
+    # -- outcome -------------------------------------------------------------------
+
+    def _conclude(self, action: str, reason: str | None = None) -> None:
+        self.status.ok = reason is None
+        self.status.detail = reason or ""
         self.finish()
+        extra = {} if reason is None else {"reason": reason}
         self.manager.net.obs.events.emit(
-            "deploy", node=self.manager.host.name, action="push-failed",
-            xfer=self.xfer, target=str(self.target),
-            reason=self.status.detail)
+            "deploy", node=self.manager.host.name, action=action,
+            xfer=self.xfer, target=str(self.target), **extra)
+
+    def finish(self) -> None:
+        """Stop the deadline and abort a connection still open."""
+        self._deadline.cancel()
+        self.manager._live.pop((self.xfer, self.target), None)
+        if self.conn is not None:
+            self._release().abort()
 
 
 class DeploymentManager:
@@ -491,16 +344,9 @@ class DeploymentManager:
         self.host = host
         self.port = port
         self.pushes: dict[str, dict[HostAddr, PushStatus]] = {}
-        #: per manager, not per process: a transfer's id seeds its
-        #: retry-jitter stream, so it must depend only on this
-        #: manager's own push history
-        self._ids = itertools.count(1)
-        self._socket = net.udp(host).bind()
-        self._socket.on_datagram = self._on_ack
-        #: push parameters kept for retransmission and re-push
-        self._sources: dict[str,
-                            tuple[list[bytes], str, bool, RetryPolicy]] = {}
-        self._live: dict[tuple[str, HostAddr], _TargetTransfer] = {}
+        #: push parameters kept for reconnects and re-push
+        self._sources: dict[str, tuple[bytes, str, bool, RetryPolicy]] = {}
+        self._live: dict[tuple[str, HostAddr], _TargetPush] = {}
         net.obs.metrics.register("deploy.manager", self._stats_dict)
 
     def _stats_dict(self) -> dict[str, int]:
@@ -513,31 +359,28 @@ class DeploymentManager:
                 "targets_pending": sum(1 for s in statuses
                                        if s.ok is None),
                 "retries": sum(s.retries for s in statuses),
-                "restarts": sum(s.restarts for s in statuses),
-                "chunks_sent": sum(s.chunks_sent for s in statuses),
-                "late_acks": sum(s.late_acks for s in statuses)}
+                "restarts": sum(s.restarts for s in statuses)}
 
     # -- pushing ------------------------------------------------------------------
 
     def push(self, source: str, targets: list[HostAddr], *,
              backend: str = DEFAULT_BACKEND, verify: bool = True,
              name: str = "", policy: RetryPolicy | None = None) -> str:
-        """Ship ``source`` to every target; returns the transfer id.
+        """Ship ``source`` to every target; returns the transfer id
+        (``name``, or ``asp<n>`` numbered by this manager's pushes).
 
-        Acks arrive asynchronously; poll :meth:`status` after running
-        the simulation, or drive it with :meth:`await_converged`.
-        Every target reaches a terminal status by its deadline."""
-        xfer = name or f"asp{next(self._ids)}"
+        Verdicts arrive asynchronously; poll :meth:`status` after
+        running the simulation, or drive it with
+        :meth:`await_converged`.  Every target reaches a terminal status
+        by its deadline."""
+        xfer = name or f"asp{len(self.pushes) + 1}"
         data = source.encode("utf-8")
-        chunks = [data[i:i + CHUNK_BYTES]
-                  for i in range(0, max(len(data), 1), CHUNK_BYTES)]
-        policy = policy or RetryPolicy()
         self.pushes[xfer] = {t: PushStatus(target=t) for t in targets}
-        self._sources[xfer] = (chunks, backend, verify, policy)
+        self._sources[xfer] = (data, backend, verify,
+                               policy or RetryPolicy())
         self.net.obs.events.emit("deploy", node=self.host.name,
                                  action="push", xfer=xfer,
-                                 targets=len(targets),
-                                 chunks=len(chunks))
+                                 targets=len(targets), bytes=len(data))
         for target in targets:
             self._start(xfer, target)
         return xfer
@@ -554,8 +397,8 @@ class DeploymentManager:
         if statuses is None:
             raise KeyError(f"unknown transfer {xfer!r}")
         if policy is not None:
-            chunks, backend, verify, _old = self._sources[xfer]
-            self._sources[xfer] = (chunks, backend, verify, policy)
+            data, backend, verify, _old = self._sources[xfer]
+            self._sources[xfer] = (data, backend, verify, policy)
         targets = [t for t, s in statuses.items() if s.ok is not True]
         for target in targets:
             status = statuses[target]
@@ -568,66 +411,7 @@ class DeploymentManager:
         return targets
 
     def _start(self, xfer: str, target: HostAddr) -> None:
-        chunks, backend, verify, policy = self._sources[xfer]
-        transfer = _TargetTransfer(self, xfer, target, chunks, backend,
-                                   verify, policy,
-                                   self.pushes[xfer][target])
-        self._live[(xfer, target)] = transfer
-        transfer.start()
-
-    def _send(self, target: HostAddr, header: str,
-              body: bytes = b"") -> None:
-        self._socket.sendto(target, self.port,
-                            header.encode("utf-8") + body)
-
-    # -- acknowledgements ---------------------------------------------------------
-
-    def _on_ack(self, payload: bytes, src: HostAddr,
-                src_port: int) -> None:
-        parts = payload.decode("utf-8", errors="replace").split(" ")
-        if len(parts) < 2:
-            return
-        verdict, xfer = parts[0], parts[1]
-        statuses = self.pushes.get(xfer)
-        if statuses is None or src not in statuses:
-            return
-        status = statuses[src]
-        if status.terminal:
-            # A late or duplicate ack must not flip a terminal verdict:
-            # an OK limping in after the deadline already marked the
-            # target FAILED does not resurrect it.  Count it instead.
-            status.late_acks += 1
-            return
-        live = self._live.get((xfer, src))
-        if verdict == "OK":
-            if len(parts) != 3 or parts[2] not in ("0", "1"):
-                return  # not an ack any service sends
-            status.ok = True
-            status.cache_hit = parts[2] == "1"
-            if live is not None:
-                live.finish()
-            self.net.obs.events.emit("deploy", node=self.host.name,
-                                     action="push-ok", xfer=xfer,
-                                     target=str(src))
-        elif verdict == "REJ":
-            reason = " ".join(parts[2:])
-            if live is not None and \
-                    reason.startswith(RECOVERABLE_REASONS):
-                live.restart_transfer()
-            else:
-                status.ok = False
-                status.detail = reason
-                if live is not None:
-                    live.finish()
-                self.net.obs.events.emit("deploy", node=self.host.name,
-                                         action="push-rej", xfer=xfer,
-                                         target=str(src), reason=reason)
-        elif verdict == "BEGACK":
-            if live is not None:
-                live.on_begack()
-        elif verdict == "CACK" and len(parts) == 3:
-            if live is not None and parts[2].isdigit():
-                live.on_cack(int(parts[2]))
+        self._live[(xfer, target)] = _TargetPush(self, xfer, target)
 
     # -- observability ------------------------------------------------------------
 
@@ -660,12 +444,10 @@ class DeploymentManager:
         return self.converged(xfer)
 
     def counters(self, xfer: str) -> dict[str, int]:
-        """Aggregate retry/loss counters for one push (observability of
-        recovery: how hard did the protocol work to converge?)."""
+        """Aggregate recovery counters for one push (how hard did the
+        transport work to converge?)."""
         statuses = self.status(xfer)
         return {
             "retries": sum(s.retries for s in statuses.values()),
             "restarts": sum(s.restarts for s in statuses.values()),
-            "chunks_sent": sum(s.chunks_sent for s in statuses.values()),
-            "late_acks": sum(s.late_acks for s in statuses.values()),
         }

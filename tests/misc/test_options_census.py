@@ -63,9 +63,9 @@ ALLOWED: dict[str, list[tuple[str, str]]] = {
         ("shedding_asp", "block_ms"),
         ("shedding_asp", "table_size"),
     ],
-    "the engine is part of what a deployment ships (BEGIN carries it on "
-    "the wire, the manifest records it); every install path under these "
-    "two takes it from a caller": [
+    "the engine is part of what a deployment ships (the push's header "
+    "line carries it on the wire, the manifest records it); every install "
+    "path under these two takes it from a caller": [
         ("LifecycleManager.rollout", "backend"),
         ("DeploymentManager.push", "backend"),
     ],

@@ -43,9 +43,8 @@ class TestBackoff:
             assert 0.05 <= d <= 0.15
 
     def test_jitter_matches_sim_formula(self):
-        # One entropy draw per delay(), same formula as
-        # Simulator.jittered — the contract netdeploy relies on when it
-        # swaps its ad-hoc timer math for the shared Backoff.
+        # One entropy draw per delay(): the jitter a caller feeding a
+        # per-entity stream gets is independent of unrelated traffic.
         b = Backoff(initial=0.2, ceiling=2.0, jitter=0.5,
                     entropy=random.Random(42))
         ref = random.Random(42)

@@ -161,6 +161,45 @@ class TestCloseEdges:
         assert net.tcp(a).open_connections == 0
         assert net.tcp(b).open_connections == 0
 
+    def test_connections_die_with_their_node(self):
+        """``Node.crash`` drops volatile state, connections included:
+        after a restart the peer's next segment draws a RST instead of
+        reaching the pre-crash connection."""
+        net, a, b = pair()
+        received = bytearray()
+
+        def on_accept(conn):
+            conn.on_data = lambda c, d: received.extend(d)
+
+        net.tcp(b).listen(80, on_accept)
+        conn = net.tcp(a).connect(b.address, 80)
+        failed = []
+        conn.on_fail = lambda c: failed.append(net.now)
+        net.run(until=1.0)
+        assert conn.established
+        net.faults.crash(b)
+        net.faults.restart(b)
+        assert net.tcp(b).open_connections == 0
+        conn.send(b"after-restart")
+        net.run(until=5.0)
+        assert received == b""
+        assert failed and conn.state is TcpState.CLOSED
+        assert net.tcp(a).open_connections == 0
+
+    def test_no_callback_fires_on_a_down_node(self):
+        net, a, b = pair()
+        calls = []
+        net.tcp(a).listen(80, lambda c: None)
+        conn = net.tcp(b).connect(a.address, 80)
+        conn.on_close = lambda c: calls.append("close")
+        conn.on_fail = lambda c: calls.append("fail")
+        net.run(until=1.0)
+        conn.send(b"x" * 5000)  # unacked when the node dies
+        net.faults.crash(b)
+        net.run(until=30.0)  # past every retransmission b would make
+        assert conn.state is TcpState.CLOSED and calls == []
+        assert net.sim.pending_events == 0
+
     def test_abort_without_peer(self):
         net, a, b = pair()
         conn = net.tcp(a).connect(b.address, 80)

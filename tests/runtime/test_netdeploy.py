@@ -4,10 +4,11 @@ import time
 
 from repro.apps.http import run_http_experiment
 from repro.jit import pipeline
-from repro.jit.pipeline import ProgramCache
+from repro.jit.pipeline import DEFAULT_BACKEND, ProgramCache
 from repro.net import Network
 from repro.net.packet import tcp_packet
-from repro.runtime.netdeploy import (CHUNK_BYTES, RECOVERABLE_REASONS,
+from repro.net.tcp import MSS
+from repro.runtime.netdeploy import (DEPLOY_PORT, MAX_HEADER,
                                      DeploymentManager, DeploymentService)
 
 FORWARD = ("channel network(ps : int, ss : unit, p : ip*tcp*blob) is "
@@ -33,6 +34,17 @@ def managed_net(n_routers=1, bandwidth=100e6):
     return net, admin, routers, endpoint, services, manager
 
 
+def raw_push(net, admin, router, payload, *, close=False):
+    """One hand-made connection to the service; what it answers lands in
+    the returned connection's ``received_data``."""
+    conn = net.tcp(admin).connect(router.address, DEPLOY_PORT)
+    conn.on_close = lambda c: c.close()  # hang up when it does
+    conn.send(payload)
+    if close:
+        conn.close()
+    return conn
+
+
 class TestPush:
     def test_single_node_install(self):
         net, admin, routers, endpoint, services, manager = managed_net()
@@ -45,13 +57,16 @@ class TestPush:
         net, admin, routers, endpoint, services, manager = managed_net()
         manager.push(FORWARD, [routers[0].address])
         net.run(until=1.0)
+        # The push's own closing segments, addressed to the router,
+        # crossed its new program too; count from here.
+        processed = routers[0].planp.stats.packets_processed
         got = []
         endpoint.delivery_taps.append(lambda p: got.append(p))
         admin.ip_send(tcp_packet(admin.address, endpoint.address, 5, 80,
                                  b"x"))
         net.run(until=2.0)
         assert len(got) == 1
-        assert routers[0].planp.stats.packets_processed == 1
+        assert routers[0].planp.stats.packets_processed == processed + 1
 
     def test_multi_node_push(self):
         net, admin, routers, endpoint, services, manager = \
@@ -64,11 +79,11 @@ class TestPush:
 
     def test_multi_chunk_source(self):
         net, admin, routers, endpoint, services, manager = managed_net()
-        # Pad the program with comments so it spans several chunks.
+        # Pad the program with comments so it spans several segments.
         padding = "\n".join(f"-- padding line {i} {'x' * 60}"
                             for i in range(40))
         source = padding + "\n" + FORWARD
-        assert len(source.encode()) > 2 * CHUNK_BYTES
+        assert len(source.encode()) > 2 * MSS
         xfer = manager.push(source, [routers[0].address])
         net.run(until=1.0)
         assert manager.all_ok(xfer)
@@ -100,12 +115,12 @@ class TestRejection:
         assert status.ok is False
 
     def test_deeply_nested_program_rejected_not_fatal(self):
-        """Ninety parentheses fit one chunk and used to take the event
+        """Ninety parentheses fit one segment and used to take the event
         loop down with a RecursionError from inside the parser."""
         net, admin, routers, endpoint, services, manager = managed_net()
         bomb = ("channel network(ps : int, ss : unit, p : ip*tcp*blob) is "
                 + "(" * 90 + "(ps, ss)" + ")" * 90)
-        assert len(bomb.encode()) <= CHUNK_BYTES
+        assert len(bomb.encode()) <= MSS
         xfer = manager.push(bomb, [routers[0].address])
         net.run(until=1.0)
         status = manager.status(xfer)[routers[0].address]
@@ -137,104 +152,83 @@ class TestRejection:
     def test_non_latin1_source_pushes_as_the_bytes_it_hashes_to(self):
         # Deployment.install takes any str and ProgramCache.digest
         # hashes its UTF-8; the wire must carry the same bytes.  The
-        # 3-byte character straddles the first chunk boundary.
+        # 3-byte character straddles the first segment boundary.
         net, admin, routers, endpoint, services, manager = \
             managed_net(n_routers=2)
+        header = f"PUSH asp1 1000 {DEFAULT_BACKEND} 1\n".encode()
         head = "-- gateway \u2014 see \u00a72.1 "
-        head += "x" * (CHUNK_BYTES - 1 - len(head.encode()))
+        head += "x" * (MSS - 1 - len(header) - len(head.encode()))
         source = head + "\u20ac\n" + FORWARD
-        data = source.encode()
-        assert data[CHUNK_BYTES - 1:CHUNK_BYTES + 2] == "\u20ac".encode()
+        stream = header.replace(b"1000", b"%d" % len(source.encode())) \
+            + source.encode()
+        assert stream[MSS - 1:MSS + 2] == "\u20ac".encode()
         xfer = manager.push(source, [r.address for r in routers])
         assert manager.await_converged(xfer) and manager.all_ok(xfer)
         assert [r.planp.current_sha for r in routers] \
             == [ProgramCache.digest(source)] * 2
 
-    def test_commit_without_begin_rejected(self):
-        net, admin, routers, endpoint, services, manager = managed_net()
-        sock = net.udp(admin).bind()
-        replies = []
-        sock.on_datagram = lambda d, s, p: replies.append(d)
-        sock.sendto(routers[0].address, 9900, b"COMMIT ghost")
-        net.run(until=1.0)
-        assert replies and replies[0].startswith(b"REJ ghost")
-
     def test_incomplete_transfer_rejected(self):
+        # Closed before its declared byte count: nothing is installed.
         net, admin, routers, endpoint, services, manager = managed_net()
-        sock = net.udp(admin).bind()
-        replies = []
-        sock.on_datagram = lambda d, s, p: replies.append(d)
-        sock.sendto(routers[0].address, 9900, b"BEGIN t1 3 closure 1")
-        sock.sendto(routers[0].address, 9900, b"CHUNK t1 0\nval")
-        sock.sendto(routers[0].address, 9900, b"COMMIT t1")
-        net.run(until=1.0)
-        # The reliable protocol acks the BEGIN and the chunk before
-        # rejecting the incomplete commit.
-        assert replies == [b"BEGACK t1", b"CACK t1 0",
-                           b"REJ t1 incomplete (1/3)"]
+        conn = raw_push(net, admin, routers[0],
+                        b"PUSH t1 30 closure 1\nval", close=True)
+        net.run(until=2.0)
+        assert bytes(conn.received_data) == b"REJ t1 incomplete (3/30)"
+        assert services[0].installed == services[0].rejected == []
+        assert services[0].malformed == 0
+        assert routers[0].planp.loaded is None
 
 
 class TestHardening:
-    """Malformed control datagrams must never kill the receive path."""
-
-    def raw_socket(self, net, admin):
-        sock = net.udp(admin).bind()
-        replies = []
-        sock.on_datagram = lambda d, s, p: replies.append(d)
-        return sock, replies
+    """Malformed control connections must never kill the receive path."""
 
     def test_garbage_header_with_id_gets_rej(self):
         net, admin, routers, endpoint, services, manager = managed_net()
-        sock, replies = self.raw_socket(net, admin)
-        sock.sendto(routers[0].address, 9900, b"BEGIN t9 zap closure 1")
-        net.run(until=0.5)
-        assert replies == [b"REJ t9 malformed"]
+        conn = raw_push(net, admin, routers[0], b"PUSH t9 zap closure 1\n")
+        net.run(until=2.0)
+        assert bytes(conn.received_data) == b"REJ t9 malformed"
         assert services[0].malformed == 1
 
-    def test_bad_chunk_index_rejected_not_fatal(self):
+    def test_bad_byte_count_rejected_not_fatal(self):
         net, admin, routers, endpoint, services, manager = managed_net()
-        sock, replies = self.raw_socket(net, admin)
-        sock.sendto(routers[0].address, 9900, b"BEGIN t1 3 closure 1")
-        sock.sendto(routers[0].address, 9900, b"CHUNK t1 -1\nxx")
-        sock.sendto(routers[0].address, 9900, b"CHUNK t1 nope\nxx")
-        sock.sendto(routers[0].address, 9900, b"CHUNK t1 99\nxx")
-        net.run(until=0.5)
-        assert replies == [b"BEGACK t1", b"REJ t1 malformed",
-                           b"REJ t1 malformed", b"REJ t1 malformed"]
-        assert services[0].malformed == 3
+        conns = [raw_push(net, admin, routers[0], payload)
+                 for payload in (b"PUSH t1 -1 closure 1\nxx",
+                                 b"PUSH t2 nope closure 1\nxx",
+                                 b"PUSH t3 0 closure 1\n",
+                                 b"PUSH t4 1 closure 1\nxx")]
+        net.run(until=2.0)
+        assert [bytes(c.received_data) for c in conns] == [
+            b"REJ t%d malformed" % i for i in (1, 2, 3, 4)]
+        assert services[0].malformed == 4
+        assert net.tcp(routers[0]).open_connections == 0
 
     def test_undecodable_source_is_a_terminal_rejection(self):
         net, admin, routers, endpoint, services, manager = managed_net()
-        sock, replies = self.raw_socket(net, admin)
-        sock.sendto(routers[0].address, 9900, b"BEGIN t1 1 source 1")
-        sock.sendto(routers[0].address, 9900, b"CHUNK t1 0\nval \xff\xfe")
-        sock.sendto(routers[0].address, 9900, b"COMMIT t1")
-        sock.sendto(routers[0].address, 9900, b"COMMIT t1")
-        net.run(until=0.5)
-        # a verdict on the bytes, memoised like any other: the manager
-        # must not take it for lost receiver state and send them again
-        verdict = b"REJ t1 undecodable source"
-        assert replies == [b"BEGACK t1", b"CACK t1 0", verdict, verdict]
-        assert not "undecodable source".startswith(RECOVERABLE_REASONS)
+        conn = raw_push(net, admin, routers[0],
+                        b"PUSH t1 6 source 1\nval \xff\xfe")
+        net.run(until=2.0)
+        # a verdict on the bytes, like any analysis verdict: a re-push
+        # would carry the same bytes
+        assert bytes(conn.received_data) == b"REJ t1 undecodable source"
         assert services[0].installed == []
         assert services[0].rejected == [("t1", "undecodable source")]
         assert routers[0].planp.loaded is None
 
     def test_headerless_garbage_is_dropped_silently(self):
         net, admin, routers, endpoint, services, manager = managed_net()
-        sock, replies = self.raw_socket(net, admin)
-        sock.sendto(routers[0].address, 9900, b"XYZZY")
-        sock.sendto(routers[0].address, 9900, b"")
-        net.run(until=0.5)
-        assert replies == []
-        assert services[0].malformed == 2
+        conns = [raw_push(net, admin, routers[0], b"XYZZY\n"),
+                 raw_push(net, admin, routers[0], b"", close=True),
+                 raw_push(net, admin, routers[0], b"x" * (MAX_HEADER + 1))]
+        net.run(until=2.0)
+        assert [bytes(c.received_data) for c in conns] == [b""] * 3
+        assert services[0].malformed == 3
+        assert net.tcp(routers[0]).open_connections == 0
 
     def test_node_survives_garbage_then_installs_normally(self):
         net, admin, routers, endpoint, services, manager = managed_net()
-        sock, _replies = self.raw_socket(net, admin)
-        for payload in (b"BEGIN x y z", b"CHUNK", b"COMMIT a b c",
-                        b"\x00\xff garbage \n\n", b"BEGIN t 0 c 1"):
-            sock.sendto(routers[0].address, 9900, payload)
+        for payload in (b"PUSH x y z\n", b"PUSH\n", b"OK a b c\n",
+                        b"\x00\xff garbage \n\n", b"PUSH t 0 c 1\n"):
+            raw_push(net, admin, routers[0], payload, close=True)
         xfer = manager.push(FORWARD, [routers[0].address])
         net.run(until=1.0)
         assert manager.all_ok(xfer)
@@ -245,8 +239,10 @@ class TestReconfiguration:
     def test_push_replaces_previous_program(self):
         net, admin, routers, endpoint, services, manager = managed_net()
         counting = FORWARD
+        # A UDP channel: the push's own TCP segments, which still reach
+        # the router after the install, leave its fresh state alone.
         dropping_udp = (
-            "channel network(ps : int, ss : unit, p : ip*tcp*blob) is "
+            "channel network(ps : int, ss : unit, p : ip*udp*blob) is "
             "(deliver(p); (ps + 10, ss))")
         manager.push(counting, [routers[0].address])
         net.run(until=1.0)

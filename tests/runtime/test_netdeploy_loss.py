@@ -21,8 +21,8 @@ FORWARD = ("channel network(ps : int, ss : unit, p : ip*tcp*blob) is "
 COUNTER = ("channel network(ps : int, ss : unit, p : ip*udp*blob) is "
            "(OnRemote(network, p); (ps + 2, ss))")
 
-#: A multi-chunk program: padding spreads it over several datagrams so
-#: crashes land mid-transfer.
+#: A multi-segment program: padding spreads it over several TCP
+#: segments so crashes land mid-transfer.
 BIG = "\n".join(f"-- padding line {i} {'x' * 60}"
                 for i in range(40)) + "\n" + FORWARD
 
@@ -72,9 +72,8 @@ class TestDeploymentUnderLoss:
         assert manager.await_converged(xfer)
         assert manager.all_ok(xfer)
         counters = manager.counters(xfer)
-        assert counters["retries"] > 0  # loss was repaired, visibly
-        n_chunks = len(BIG.encode()) // 900 + 1
-        assert counters["chunks_sent"] > 3 * n_chunks  # retransmissions
+        # loss was repaired, visibly: TCP retransmissions
+        assert counters["retries"] > 0
 
     def test_same_seed_same_outcome(self):
         def run(seed):
@@ -82,8 +81,7 @@ class TestDeploymentUnderLoss:
                 3, seed, loss_rate=0.35)
             xfer = manager.push(BIG, [r.address for r in routers])
             manager.await_converged(xfer)
-            return [(s.ok, s.detail, s.retries, s.restarts,
-                     s.chunks_sent, s.late_acks)
+            return [(s.ok, s.detail, s.retries, s.restarts)
                     for s in manager.status(xfer).values()]
 
         assert run(99) == run(99)
@@ -102,20 +100,37 @@ class TestDeadlines:
         assert statuses[routers[1].address].ok is True
 
     def test_late_ok_does_not_resurrect_failed_push(self):
-        # Deadline shorter than one protocol round trip: the push fails
-        # by timeout, then the node's OK limps in — it must be counted,
-        # not believed.
-        # On this topology the COMMIT lands (and installs) at ~2.6 ms
-        # and the OK returns at ~3.1 ms; a 2.8 ms deadline splits them.
+        # Deadline shorter than the exchange: the push fails by
+        # timeout, then the node's OK limps in — it must not be
+        # believed.  On this topology the last source byte lands (and
+        # installs) at ~1.5 ms and the OK returns at ~2.0 ms; a 1.8 ms
+        # deadline splits them.
         net, routers, services, manager = star_net(1, seed=22)
         xfer = manager.push(FORWARD, [routers[0].address],
-                            policy=RetryPolicy(deadline=0.0028))
+                            policy=RetryPolicy(deadline=0.0018))
         net.run(until=1.0)
         status = manager.status(xfer)[routers[0].address]
         assert status.ok is False
         assert status.detail == "timeout"
-        assert status.late_acks >= 1  # the OK (or acks) arrived late
         assert services[0].installed == [xfer]  # the node did install
+        # The deadline aborted the connection: the late OK found no one.
+        assert net.tcp(net["admin"]).open_connections == 0
+
+    def test_nobody_listening_is_refused_at_once(self):
+        # A node that runs TCP but no deployment service answers the
+        # SYN with a RST: terminal, not a reconnect spin.
+        net = Network(seed=24)
+        admin, bare = net.add_host("admin"), net.add_router("bare")
+        net.link(admin, bare, bandwidth=100e6)
+        net.finalize()
+        net.tcp(bare)
+        manager = DeploymentManager(net, admin)
+        xfer = manager.push(FORWARD, [bare.address])
+        assert manager.await_converged(xfer)
+        status = manager.status(xfer)[bare.address]
+        assert (status.ok, status.detail, status.restarts) \
+            == (False, "refused", 0)
+        assert net.now < 0.1  # long before the 10 s deadline
 
     def test_repush_recovers_a_failed_push(self):
         from repro.jit.pipeline import load_program
@@ -157,7 +172,8 @@ class TestCrashDrill:
         statuses = manager.status(second)
         assert all(s.terminal for s in statuses.values())
         assert manager.all_ok(second)
-        # The crashed node's transfer restarted from BEGIN at least once.
+        # The crashed node's connection died with it; the manager
+        # reconnected at least once.
         assert statuses[r0.address].restarts >= 1
         # On restart, the service replayed the layer's manifest: the
         # first ASP was re-installed before the second push completed.
@@ -171,8 +187,7 @@ class TestCrashDrill:
     def snapshot(self, seed):
         net, routers, services, manager, first, second = self.drill(seed)
         return ((first, second),
-                [(s.ok, s.detail, s.retries, s.restarts,
-                  s.chunks_sent, s.late_acks)
+                [(s.ok, s.detail, s.retries, s.restarts)
                  for s in manager.status(second).values()],
                 list(net.faults.log))
 
@@ -180,9 +195,9 @@ class TestCrashDrill:
         assert self.snapshot(31) == self.snapshot(31)
 
     def test_drill_does_not_depend_on_process_history(self):
-        # Transfer ids seed each transfer's retry-jitter stream, so they
-        # must be a function of the manager's own pushes — not of how
-        # many pushes other managers made earlier in this process.
+        # Transfer ids and everything on the wire must be a function
+        # of the manager's own pushes — not of how many pushes other
+        # managers made earlier in this process.
         fresh = self.snapshot(31)
         net, routers, services, other = star_net(1, seed=77)
         for _ in range(5):
