@@ -53,27 +53,34 @@ class BuiltinGateway:
 
     # -- PlanPLayer-compatible interface ---------------------------------------
 
-    def wants(self, packet: Packet, iface: Interface | None) -> bool:
+    def match(self, packet: Packet) -> str | None:
+        """``"in"`` for a request to the virtual server, ``"out"`` for
+        a server's reply, None for traffic the gateway leaves alone."""
         header = packet.transport
         if not isinstance(header, TcpHeader):
-            return False
+            return None
         if header.dst_port == self.port and packet.ip.dst == self.virtual:
-            return True
-        return (header.src_port == self.port
-                and packet.ip.src in self.server_set)
+            return "in"
+        if header.src_port == self.port and packet.ip.src in self.server_set:
+            return "out"
+        return None
 
-    def process(self, packet: Packet, iface: Interface | None) -> None:
+    def wants(self, packet: Packet, iface: Interface | None) -> bool:
+        """Would :meth:`match` take the packet?  (The node asks
+        :meth:`match`; ``bench/trace.py`` wraps this method by name.)"""
+        return self.match(packet) is not None
+
+    def process(self, packet: Packet, iface: Interface | None,
+                hit: str) -> None:
         if self.cpu.per_item_s > 0:
-            self.cpu.submit(lambda: self._process_now(packet, iface))
+            self.cpu.submit(lambda: self._process_now(packet, hit))
         else:
-            self._process_now(packet, iface)
+            self._process_now(packet, hit)
 
-    def _process_now(self, packet: Packet,
-                     iface: Interface | None) -> None:
+    def _process_now(self, packet: Packet, hit: str) -> None:
         header = packet.transport
-        assert isinstance(header, TcpHeader)
         self.stats.packets_in += 1
-        if header.dst_port == self.port and packet.ip.dst == self.virtual:
+        if hit == "in":
             out = self._bind_and_rewrite(packet, header)
         else:
             out = Packet(ip=packet.ip.with_src(self.virtual),

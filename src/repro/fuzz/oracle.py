@@ -16,7 +16,9 @@ a model of it.  The oracle only names what the core reports:
 * any *other* exception is an uncontained leak — the thing that would
   take a router down — and is recorded on the trace as ``crash``.
 
-Serial mode caps every run at one packet, batch mode at ``batch_size``.
+Serial mode caps every run at one packet — each goes through
+:meth:`~repro.runtime.dispatch.DispatchCore.run_one`, the call the layer
+makes for a packet on its own — and batch mode at ``batch_size``.
 Two traces are equal iff their final protocol state, per-channel
 states, per-packet outcome strings, emission streams, console output,
 and crash status all agree.  The reference is the interpreter in
@@ -153,7 +155,9 @@ class _Runner:
             self.crash = f"install:{type(err).__name__}"
 
     def run(self, packets: list, limit: int) -> None:
-        """Feed the stream as one burst, runs capped at ``limit``."""
+        """Feed the stream as one burst, runs capped at ``limit``; a run
+        of one takes the layer's one-call path, longer runs the batch
+        tier."""
         core = self.core
         hits = [core.lookup(packet) for packet in packets]
         for i, j in group_runs(hits, limit):
@@ -161,8 +165,15 @@ class _Runner:
                 self.outcomes.extend(["pass"] * (j - i))
                 continue
             try:
-                core.run(packets[i:j], hits[i], self.ctx,
-                         self._on_ok, self._on_fault)
+                if j - i == 1:
+                    fault = core.run_one(packets[i], hits[i], self.ctx)
+                    if fault is None:
+                        self._on_ok(1)
+                    else:
+                        self._on_fault(i, *fault)
+                else:
+                    core.run(packets[i:j], hits[i], self.ctx,
+                             self._on_ok, self._on_fault)
             except Exception as err:
                 self.crash = type(err).__name__
                 self.outcomes.append(f"leak:{self.crash}")

@@ -173,7 +173,7 @@ class _WireView:
         if hit is None:
             return ("pass",)  # standard IP passthrough
         try:
-            return ("decoded", canon(hit[1](packet)))
+            return ("decoded", canon(hit.plan.decode(packet)))
         except codec.CodecError:
             # Contained identically on any node; the message text is
             # not wire-observable.

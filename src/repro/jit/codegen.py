@@ -22,6 +22,7 @@ evaluation and the final ``exec`` happen per node.
 from __future__ import annotations
 
 import re
+from collections import Counter
 from dataclasses import dataclass
 from types import CodeType
 from typing import Callable
@@ -39,7 +40,7 @@ from ..net.addresses import HostAddr
 #: Bumped whenever the shape of the generated code changes (new entry
 #: points, different lowering), so the content-addressed program cache
 #: never serves artifacts emitted by an older generator.
-CODEGEN_REV = 5
+CODEGEN_REV = 6
 
 _SIMPLE_BINOPS = {
     "+": "+",
@@ -70,15 +71,17 @@ def _init_fn_name(decl: ast.ChannelDecl, index: int) -> str:
     return f"I_{decl.name}_{index}"
 
 
-def _let_bound_names(expr: ast.Expr) -> set[str]:
-    """Every (mangled) name bound by a ``let`` anywhere in ``expr``.
+def _rebindable_names(params: list[str], body: ast.Expr) -> set[str]:
+    """The (mangled) names whose ``L_*`` local ``body`` may *reassign*.
 
-    ``let`` lowers to a plain Python assignment, so these locals can be
-    *reassigned* mid-function when two lets reuse a name; any other
-    ``L_*`` name (a parameter never shadowed by a let) is written
-    exactly once."""
-    return {_mangle(binding.name) for node in ast.walk(expr)
-            if type(node) is ast.Let for binding in node.bindings}
+    ``let`` lowers to a plain Python assignment, so a local is written
+    twice when two lets bind its name, or when a let shadows a
+    parameter; any other ``L_*`` name is written exactly once, before
+    its first use."""
+    bound = Counter(_mangle(binding.name) for node in ast.walk(body)
+                    if type(node) is ast.Let for binding in node.bindings)
+    return {name for name, count in bound.items()
+            if count > 1 or name in params}
 
 
 class _Emitter:
@@ -137,17 +140,15 @@ class _CodeGenerator:
         for name, fun in self._info.funs.items():
             self._emit_function(
                 emitter, f"F_{_mangle(name)}",
-                ["ctx"] + [f"L_{_mangle(p.name)}" for p in fun.decl.params],
-                fun.decl.body)
+                [_mangle(p.name) for p in fun.decl.params], fun.decl.body)
 
         for i, decl in enumerate(self._info.all_channels()):
             self._emit_function(
                 emitter, _channel_fn_name(decl, i),
-                ["ctx"] + [f"L_{_mangle(p.name)}" for p in decl.params],
-                decl.body)
+                [_mangle(p.name) for p in decl.params], decl.body)
             if decl.initstate is not None:
                 self._emit_function(emitter, _init_fn_name(decl, i),
-                                    ["ctx"], decl.initstate)
+                                    [], decl.initstate)
 
         source = emitter.source()
         code = compile(source, f"<planp-jit "
@@ -157,9 +158,12 @@ class _CodeGenerator:
 
     def _emit_function(self, emitter: _Emitter, fn_name: str,
                        params: list[str], body: ast.Expr) -> None:
-        emitter.emit(f"def {fn_name}({', '.join(params)}):")
+        """``def fn_name(ctx, L_<param>...)`` over ``body`` (``params``:
+        the mangled PLAN-P parameter names)."""
+        locals_ = ", ".join(["ctx"] + [f"L_{p}" for p in params])
+        emitter.emit(f"def {fn_name}({locals_}):")
         emitter.push()
-        self._rebindable = _let_bound_names(body)
+        self._rebindable = _rebindable_names(params, body)
         result = self._expr(emitter, body)
         emitter.emit(f"return {result}")
         emitter.pop()
@@ -382,9 +386,8 @@ class CompiledSourceEngine:
     def run_channel(self, decl: ast.ChannelDecl, protocol_state: object,
                     channel_state: object, packet_value: tuple,
                     ctx: ExecutionContext) -> tuple[object, object]:
-        result = self._channel_fns[id(decl)](
+        return self._channel_fns[id(decl)](
             ctx, protocol_state, channel_state, packet_value)
-        return result[0], result[1]
 
     # -- per-node instantiation --------------------------------------------------
 

@@ -245,11 +245,13 @@ class Node:
             self.stats.received += 1
             for tap in self.receive_taps:
                 tap(packet, iface)
-            if self.planp is not None and self._planp_eligible(packet) \
-                    and self.planp.wants(packet, iface):
-                self.stats.asp_handled += 1
-                self.planp.process(packet, iface)
-                return
+            planp = self.planp
+            if planp is not None and self._planp_eligible(packet):
+                hit = planp.match(packet)
+                if hit is not None:
+                    self.stats.asp_handled += 1
+                    planp.process(packet, iface, hit)
+                    return
             self.standard_processing(packet, iface)
         finally:
             self.sim.use_context(prev)
@@ -352,10 +354,11 @@ class Node:
                 self.deliver_local(packet)
             return
         if dst.value in self._addresses:
-            if (not from_planp and self.planp is not None
-                    and self.planp.wants(packet, None)):
+            hit = (self.planp.match(packet)
+                   if not from_planp and self.planp is not None else None)
+            if hit is not None:
                 self.stats.asp_handled += 1
-                self.planp.process(packet, None)
+                self.planp.process(packet, None, hit)
             else:
                 self.deliver_local(packet)
             return

@@ -14,9 +14,10 @@ Dispatch rules (paper §2 and §2.3):
 
 Classification, grouping, decoding, execution and the commit-or-contain
 rule live in :class:`~repro.runtime.dispatch.DispatchCore`; this module
-is the part that needs a node.  A packet is classified exactly once: the
-hit :meth:`PlanPLayer.wants` computes is carried into
-:meth:`PlanPLayer.process`.
+is the part that needs a node.  A packet is classified exactly once:
+:meth:`PlanPLayer.match` returns the hit, and the node hands it to
+:meth:`PlanPLayer.process`, which runs a packet on its own through one
+:meth:`~repro.runtime.dispatch.DispatchCore.run_one` call.
 
 A verified program cannot raise at run time on any *delivered* path, but
 the layer still guards: if a channel invocation fails — including a
@@ -44,11 +45,11 @@ from ..jit.pipeline import (DEFAULT_BACKEND, Engine, LoadedProgram,
 from ..lang import ast
 from ..net.addresses import HostAddr
 from ..net.node import Interface, Node
-from ..net.packet import Packet
+from ..net.packet import PROTO_RAW, Packet, next_uid
 from ..net.sim import SerialResource
 from ..obs.metrics import Histogram
 from . import codec
-from .dispatch import DispatchCore, group_runs
+from .dispatch import DispatchCore, Hit, group_runs
 
 if TYPE_CHECKING:
     from .lifecycle import NodeLifecycle
@@ -112,9 +113,6 @@ class PlanPLayer:
         #: per-packet execution cost charged to the node (0 = free);
         #: models the CPU the paper's gateway burns per packet
         self.cpu = SerialResource(node.sim)
-        #: the match computed by wants(), carried into process() so a
-        #: packet is classified exactly once: (packet uid, hit | None)
-        self._carry: tuple[int, tuple | None] | None = None
         #: tier-3 batch drain: up to this many packets queued during one
         #: scheduler activation run as batches through the engine's
         #: fold (0 disables; routers default it on via Node.batch_size)
@@ -123,11 +121,16 @@ class PlanPLayer:
         #: end: parallel lists of packets, arrival interfaces and hits
         self._pending: tuple[list, list, list] = ([], [], [])
         self._drain_scheduled = False
-        #: the run being executed — (packets, their arrival interfaces,
-        #: the hit they share) — and the row the engine has in hand: the
-        #: core sets ``_base`` to the row an engine call starts at,
-        #: engines count ``_row`` from there
-        self._run: tuple[list, list, tuple] | None = None
+        #: the packet being executed on its own and its arrival
+        #: interface (``None`` outside :meth:`_run_one`)
+        self._packet: Packet | None = None
+        self._iface: Interface | None = None
+        #: the run of two or more being executed — (packets, their
+        #: arrival interfaces, the hit they share) — and the row the
+        #: engine has in hand: the core sets ``_base`` to the row an
+        #: engine call starts at, engines count ``_row`` from there.
+        #: Both are 0 outside a run.
+        self._run: tuple[list, list, Hit] | None = None
         self._base = 0
         self._row = 0
         #: the last row of the run that emitted or delivered (a failed
@@ -188,7 +191,6 @@ class PlanPLayer:
             self.core = DispatchCore(channels, engine, snap.protocol_state,
                                      dict(snap.channel_states))
         self.loaded = self.manifest = loaded
-        self._carry = None
         # Whatever was quarantined is gone.
         self.quarantined = False
         obs = self.node.obs
@@ -234,7 +236,6 @@ class PlanPLayer:
         not."""
         self.loaded = None
         self.core = None
-        self._carry = None
 
     # -- lifecycle support (rollback with state) ---------------------------------
 
@@ -259,40 +260,40 @@ class PlanPLayer:
 
     # -- dispatch -----------------------------------------------------------------
 
-    def wants(self, packet: Packet, iface: Interface | None) -> bool:
+    def match(self, packet: Packet) -> Hit | None:
+        """Classify an arriving packet: the hit of the overload that
+        takes it, to be handed to :meth:`process`, or None when
+        standard IP processing should."""
         core = self.core
-        hit = None
-        if core is not None and not self.quarantined:
-            entries = core.candidates(packet)
-            if entries:
-                # Counted whenever the program declares an overload for
-                # the packet's tag and transport class, admitted or not.
-                self.stats.fastpath_dispatches += 1
-                hit = core.admitting(entries, packet)
-        self._carry = (packet.uid, hit)
-        return hit is not None
+        if core is None or self.quarantined:
+            return None
+        entries = core.table.get((packet.channel, packet.transport.__class__))
+        if not entries:
+            return None
+        # Counted whenever the program declares an overload for the
+        # packet's tag and transport class, admitted or not.
+        self.stats.fastpath_dispatches += 1
+        return core.admitting(entries, packet)
 
-    def process(self, packet: Packet, iface: Interface | None) -> None:
-        """Run the matching channel on an arriving packet (through the
-        node's CPU model, if one is configured).
+    def wants(self, packet: Packet, iface: Interface | None) -> bool:
+        """Would :meth:`match` take the packet?  (The node asks
+        :meth:`match`; ``bench/trace.py`` wraps this method by name.)"""
+        return self.match(packet) is not None
 
-        Reuses the match :meth:`wants` just computed for this packet, so
-        the wants()/process() pair classifies it exactly once.
-        """
-        if self._carry is None or self._carry[0] != packet.uid:
-            self.wants(packet, iface)  # process() without wants()
-        hit = self._carry[1]
-        self._carry = None
+    def process(self, packet: Packet, iface: Interface | None,
+                hit: Hit) -> None:
+        """Run the channel :meth:`match` chose for an arriving packet
+        (through the node's CPU model, if one is configured)."""
         if self.cpu.per_item_s > 0:
             # A crash powers the CPU queue off with the node: work that
             # was waiting must not run on, or be forwarded by, a node
             # that has been down since it was queued.
             crashes = self.node.stats.crashes
-            self.cpu.submit(lambda: self._execute([packet], [iface], hit)
+            self.cpu.submit(lambda: self._run_one(packet, iface, hit)
                             if self.node.stats.crashes == crashes
                             else self._drop_down(packet))
             return
-        if self.batch_size > 1 and hit is not None:
+        if self.batch_size > 1:
             # Tier 3: defer to the end of the current event, so several
             # packets delivered by one scheduler activation coalesce
             # into same-overload runs.
@@ -304,7 +305,7 @@ class PlanPLayer:
                 self._drain_scheduled = True
                 self.node.sim.call_soon(self._drain_batch)
             return
-        self._execute([packet], [iface], hit)
+        self._run_one(packet, iface, hit)
 
     def _drain_batch(self) -> None:
         """Run everything enqueued during the event that just finished,
@@ -313,11 +314,49 @@ class PlanPLayer:
         is exactly the enqueue order."""
         self._drain_scheduled = False
         packets, ifaces, hits = self._pending
-        if not packets:
-            return
         self._pending = ([], [], [])
+        if len(packets) == 1:
+            # Most drains hold one packet (every one of audio_adapt's
+            # routers'); skipping the grouping generator saves ≈ 0.6 µs.
+            self._run_one(packets[0], ifaces[0], hits[0])
+            return
         for i, j in group_runs(hits, self.batch_size):
-            self._execute(packets[i:j], ifaces[i:j], hits[i])
+            if j - i == 1:
+                self._run_one(packets[i], ifaces[i], hits[i])
+            else:
+                self._execute(packets[i:j], ifaces[i:j], hits[i])
+
+    def _run_one(self, packet: Packet, iface: Interface | None,
+                 hit: Hit) -> None:
+        """Hand one packet to the dispatch core and account for what it
+        committed or contained."""
+        core = self.core
+        if core is None or hit.stamp is not core.stamp:
+            # Classified before the program was uninstalled, quarantined
+            # or replaced: the running core's hit for the same overload
+            # runs it, and without one the packet predates the change
+            # and gets standard treatment — not an error.
+            hit = core and core.rebind(hit)
+            if hit is None:
+                self._fallback(packet, iface)
+                return
+        self._packet = packet
+        self._iface = iface
+        self._emit_row = -1
+        try:
+            fault = core.run_one(packet, hit, self)
+        finally:
+            self._packet = self._iface = None
+        self.stats.packets_processed += 1
+        if fault is None:
+            if self.lifecycle is not None:
+                self.lifecycle.on_packet_ok()
+            return
+        # Fail open, as _on_fault does for a row of a longer run.
+        reason, err = fault
+        self._contain(hit.decl, err, reason)
+        if self._emit_row != 0:
+            self._fallback(packet, iface)
 
     def _batch_histogram(self) -> Histogram | None:
         hist = self._batch_hist
@@ -329,34 +368,30 @@ class PlanPLayer:
                 f"node.{self.node.name}.planp.batch_size")
         return hist
 
-    def _execute(self, packets: list, ifaces: list,
-                 hit: tuple | None) -> None:
-        """Hand one same-overload run to the dispatch core.  What the
-        core commits or contains comes back through :meth:`_on_ok` /
-        :meth:`_on_fault`, which keep the accounting packet for packet
-        what a run of one would have produced."""
+    def _execute(self, packets: list, ifaces: list, hit: Hit) -> None:
+        """Hand a same-overload run of two or more to the dispatch core.
+        What the core commits or contains comes back through
+        :meth:`_on_ok` / :meth:`_on_fault`, which keep the accounting
+        packet for packet what runs of one would have produced."""
         core = self.core
-        if (hit is None or core is None
-                or id(hit[0]) not in core.channel_states):
-            # No match (wants() gates this), or a stale one: the program
-            # was uninstalled, quarantined or replaced between wants()
-            # and a deferred execution.  Not an error — the packet
-            # simply predates the change; give it standard treatment.
-            for packet, iface in zip(packets, ifaces):
-                self._fallback(packet, iface)
-            return
-        if len(packets) > 1:
-            self.stats.fastpath_batches += 1
-            self.stats.batched_packets += len(packets)
-            hist = self._batch_histogram()
-            if hist is not None:
-                hist.observe(len(packets))
+        if core is None or hit.stamp is not core.stamp:
+            hit = core and core.rebind(hit)  # as in _run_one
+            if hit is None:
+                for packet, iface in zip(packets, ifaces):
+                    self._fallback(packet, iface)
+                return
+        self.stats.fastpath_batches += 1
+        self.stats.batched_packets += len(packets)
+        hist = self._batch_histogram()
+        if hist is not None:
+            hist.observe(len(packets))
         self._run = (packets, ifaces, hit)
         self._emit_row = -1
         try:
             core.run(packets, hit, self, self._ok, self._fault)
         finally:
             self._run = None
+            self._base = self._row = 0
 
     def _on_ok(self, rows: int) -> None:
         self.stats.packets_processed += rows
@@ -372,14 +407,14 @@ class PlanPLayer:
         falling back would duplicate it."""
         packets, ifaces, hit = self._run
         self.stats.packets_processed += 1
-        self._contain(hit[0], err, reason)
+        self._contain(hit.decl, err, reason)
         if self._emit_row != row:
             self._fallback(packets[row], ifaces[row])
         if not self.quarantined:
             return True
         # The breaker tripped.  Packet-at-a-time execution classifies
         # each packet as it arrives, so the rows behind the trip would
-        # have failed wants(): give them that treatment, including the
+        # have failed match(): give them that treatment, including the
         # node-level asp_handled count taken when they were enqueued.
         for packet, iface in zip(packets[row + 1:], ifaces[row + 1:]):
             self.node.stats.asp_handled -= 1
@@ -414,36 +449,26 @@ class PlanPLayer:
 
     def emit_remote(self, channel: str, packet_value: tuple) -> None:
         tag = None if channel == "network" else channel
-        packet = codec.encode(packet_value, channel=tag,
-                              created_at=self.node.sim.now)
-        self.stats.packets_emitted += 1
-        self._emit_row = self._base + self._row
-        self.node.ip_send(packet,
-                          exclude_iface=self._passthrough_exclusion(packet),
-                          from_planp=True)
-
-    def _passthrough_exclusion(self, packet: Packet) -> Interface | None:
-        """An unchanged re-emission of the packet being processed (an
-        observing ASP's ``OnRemote(network, p)``) must not be sent back
-        out of the interface it arrived on — the original transmission
-        is already on that wire.  Anything new or modified routes
-        normally."""
+        now = self.node.sim.now
+        row = self._base + self._row
         run = self._run
         if run is None:
-            return None
-        row = self._base + self._row
-        orig, iface = run[0][row], run[1][row]
-        # Identity first: what the program did not rewrite is the very
-        # object the decoder handed it, and header ``==`` is a Python
-        # call per field tuple.
-        ip, was, transport = packet.ip, orig.ip, packet.transport
-        same = ((ip is was
-                 or ((ip.src is was.src or ip.src == was.src)
-                     and (ip.dst is was.dst or ip.dst == was.dst)))
-                and (transport is orig.transport
-                     or transport == orig.transport)
-                and packet.payload == orig.payload)
-        return iface if same else None
+            orig, iface = self._packet, self._iface
+        else:
+            orig, iface = run[0][row], run[1][row]
+        if orig is not None and _unchanged(packet_value, orig):
+            # The packet in hand goes on as it came: what encode would
+            # build, without building the payload again.  The original
+            # transmission is already on the arrival wire.
+            packet = Packet(orig.ip, orig.transport, orig.payload, tag,
+                            next_uid(), None, now)
+            exclude = iface
+        else:
+            packet = codec.encode(packet_value, channel=tag, created_at=now)
+            exclude = _passthrough_exclusion(packet, orig, iface)
+        self.stats.packets_emitted += 1
+        self._emit_row = row
+        self.node.ip_send(packet, exclude_iface=exclude, from_planp=True)
 
     def emit_neighbor(self, channel: str, packet_value: tuple,
                       neighbor: HostAddr) -> None:
@@ -453,8 +478,10 @@ class PlanPLayer:
         self.stats.packets_emitted += 1
         self._emit_row = self._base + self._row
         out = self.node.iface_toward(neighbor)
-        if out is not None:
-            out.send(packet)
+        if out is None:
+            self.node._drop(packet, "no-route")
+            return
+        out.send(packet)
 
     def deliver(self, packet_value: tuple) -> None:
         packet = codec.encode(packet_value, created_at=self.node.sim.now)
@@ -487,3 +514,39 @@ class PlanPLayer:
 
     def output(self, text: str) -> None:
         self.console.append(text)
+
+
+def _unchanged(value: tuple, orig: Packet) -> bool:
+    """Is ``value`` the packet in hand, re-emitted with no component
+    rewritten — its own headers and its payload object as the one blob
+    view?  Then ``encode`` would rebuild exactly ``orig``'s headers and
+    bytes.  (Layouts with other views never qualify: a ``bool`` view,
+    for one, is normalised by encode.)"""
+    transport = orig.transport
+    if transport is None:
+        return (len(value) == 2 and value[0] is orig.ip
+                and value[1] is orig.payload and orig.ip.proto == PROTO_RAW
+                and orig.payload.__class__ is bytes)
+    return (len(value) == 3 and value[0] is orig.ip
+            and value[1] is transport and value[2] is orig.payload
+            and orig.payload.__class__ is bytes)
+
+
+def _passthrough_exclusion(packet: Packet, orig: Packet | None,
+                           iface: Interface | None) -> Interface | None:
+    """An unchanged re-emission of the packet being processed (an
+    observing ASP's ``OnRemote(network, p)``) must not be sent back out
+    of the interface it arrived on — the original transmission is
+    already on that wire.  Anything new or modified routes normally."""
+    if orig is None:
+        return None
+    # Identity first: what the program did not rewrite is the very
+    # object the decoder handed it, and header ``==`` is a Python call
+    # per field tuple.
+    ip, was, transport = packet.ip, orig.ip, packet.transport
+    same = ((ip is was
+             or ((ip.src is was.src or ip.src == was.src)
+                 and (ip.dst is was.dst or ip.dst == was.dst)))
+            and (transport is orig.transport or transport == orig.transport)
+            and packet.payload == orig.payload)
+    return iface if same else None

@@ -212,3 +212,30 @@ def test_core_mutant_is_caught_and_minimized(name, monkeypatch):
 
     monkeypatch.undo()
     assert run_case(minimized).ok
+
+
+def test_one_packet_mutant_that_commits_a_faulted_row_is_caught(
+        monkeypatch):
+    """The one-packet call the layer makes for a packet on its own, and
+    the oracle's serial mode makes for every packet, with a change that
+    commits state for a row it reports as contained.  Serial traces all
+    run the mutant — the reference's too — so the batch tier, which
+    contains the same rows through ``BatchFault``, disagrees with it on
+    every backend."""
+    info = typecheck(parse(FAULTING))
+    specs = [PacketSpec(payload=p) for p in
+             (b"abc", b"xy", b"", b"tail", b"q", b"", b"rs", b"t")]
+    assert compare_all(info, specs).ok
+
+    source = textwrap.dedent(inspect.getsource(DispatchCore.run_one))
+    old = 'return "runtime", err'
+    assert source.count(old) == 1
+    namespace = dict(vars(dispatch))
+    exec(compile(source.replace(
+        old, "self.protocol_state += 1; " + old), dispatch.__file__,
+        "exec"), namespace)
+    monkeypatch.setattr(DispatchCore, "run_one", namespace["run_one"])
+    result = compare_all(info, specs)
+    assert {(d.mode, d.detail.split(":")[0])
+            for d in result.divergences} == {("batch", "ps")}
+    assert len(result.divergences) == 3

@@ -232,6 +232,63 @@ class TestCodegenArtifacts:
             # headers, so the pin is not vacuous
             assert ".dst_port" in generated and ".dst)" in generated
 
+    def test_once_bound_locals_are_read_in_place(self):
+        """A name one ``let`` binds, shadowing no parameter, is written
+        once before any read, so generated code reads ``L_x`` where it
+        is used: the gateway module has no ``_tN = L_x`` move for it."""
+        from collections import Counter
+
+        from repro.lang import ast
+        from repro.jit.codegen import generate_source_artifact
+
+        info = typecheck(parse(SHIPPED["http_gateway_asp"]))
+        bound = Counter(b.name for decl in info.all_channels()
+                        for node in ast.walk(decl.body)
+                        if type(node) is ast.Let for b in node.bindings)
+        once = {name for name, n in bound.items() if n == 1}
+        generated = generate_source_artifact(info).generated_source
+        moved = set(re.findall(r"^\s*_t\d+ = L_(\w+)$", generated,
+                               re.MULTILINE))
+        assert {"iph", "tcp", "key", "bound"} <= once
+        assert re.search(r"_t\d+ = \(L_tcp\.dst_port\)", generated)
+        assert not moved & once, moved & once
+        # ``con`` is bound in two sibling branches: still pinned
+        assert moved == {"con"}
+
+    SHADOWING = {
+        # a let shadows the parameter its sibling operand reads first
+        "param": "is (OnRemote(network, p);\n"
+                 " (ps + (let val ps : int = ps * 10 + 1 in ps end), ss))",
+        # two sibling operands bind the same name
+        "siblings": "is (OnRemote(network, p);\n"
+                    " ((let val x : int = ps + 1 in x end)\n"
+                    "  + (let val x : int = ps + 2 in x end) * 3, ss))",
+        # the same, in an ``initstate``: every run adds 1 + 2 * 3
+        "initstate": "initstate (let val x : int = 1 in x end)\n"
+                     "  + (let val x : int = 2 in x end) * 3\n"
+                     "is (OnRemote(network, p); (ps + ss, ss))",
+        # a let shadows the packet parameter itself
+        "packet": "is (let val n : int = blobLen(#3 p)\n"
+                  "     val p : ip*tcp*blob = (#1 p, #2 p, "
+                  "blobCat(#3 p, #3 p))\n"
+                  " in (OnRemote(network, p); "
+                  "(ps + n + blobLen(#3 p), ss)) end)",
+    }
+
+    @pytest.mark.parametrize("case", sorted(SHADOWING))
+    def test_shadowing_agrees_with_the_interpreter(self, case):
+        """Through ``run_channel`` on every backend, and through the
+        serial runs and batch folds the fuzz oracle drives."""
+        from repro.fuzz import PacketSpec, compare_all
+
+        src = ("channel network(ps : int, ss : int, p : ip*tcp*blob)\n"
+               + self.SHADOWING[case])
+        assert_agree(src, [tcp_packet_value()] * 3)
+        specs = [PacketSpec(payload=bytes(n)) for n in (0, 1, 2, 5, 3)]
+        result = compare_all(typecheck(parse(src)), specs)
+        assert result.ok, result.divergences
+        assert result.reference.outcomes == ("ok",) * len(specs)
+
     def test_prime_identifiers_mangled(self):
         src = ("channel network(ps : int, ss : unit, p : ip*tcp*blob) is "
                "(let val x' : int = ps + 1 in "

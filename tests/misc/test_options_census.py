@@ -31,7 +31,7 @@ CALLER_DIRS = ("src", "bench", "examples", "tests")
 
 #: defaulted public parameters under ``src/repro``; lower it when one
 #: goes, never raise it without a caller to show
-MAX_DEFAULTED = 328
+MAX_DEFAULTED = 327
 
 #: why nobody in the tree has to set it -> ``(owner, parameter)`` entries
 ALLOWED: dict[str, list[tuple[str, str]]] = {

@@ -139,8 +139,8 @@ class TestNodeCrash:
         class Passthrough:
             promiscuous = False
 
-            def wants(self, packet, iface):
-                return False
+            def match(self, packet):
+                return None
 
         r1.planp = Passthrough()
         net.faults.crash("r1")

@@ -49,8 +49,9 @@ def burst(net, layer, packets):
     packet per delivery event."""
     def fire():
         for p in packets:
-            if layer.wants(p, None):
-                layer.process(p, None)
+            hit = layer.match(p)
+            if hit is not None:
+                layer.process(p, None, hit)
             else:
                 layer.node.standard_processing(p, None)
     net.sim.schedule(0.0, fire)
@@ -73,8 +74,9 @@ class TestMalformedRowContainment:
 
         def fire():
             for p in packets:
-                assert layer.wants(p, None)
-                layer.process(p, None)
+                hit = layer.match(p)
+                assert hit is not None
+                layer.process(p, None, hit)
             # Classified with an intact payload, corrupted before the
             # drain runs: batch decode meets a byte that is not there.
             self.bad.payload = b""
@@ -101,9 +103,14 @@ class TestMalformedRowContainment:
         net, a, r, b, layer = router_between()
         layer.install(CHAR_VIEW)
         packets = self.make_stream(a, b)
-        net.sim.schedule(0.0, lambda: [
-            (layer.wants(p, None), layer.process(p, None))
-            for p in packets])
+        def fire():
+            for p in packets:
+                hit = layer.match(p)
+                if hit is not None:
+                    layer.process(p, None, hit)
+                else:
+                    r.standard_processing(p, None)
+        net.sim.schedule(0.0, fire)
         self.bad.payload = b""
         net.sim.run()
         before = dataclasses.asdict(layer.stats)

@@ -160,8 +160,9 @@ def test_layer_contains_encode_overflow():
     pkt = tcp_packet(a.address, b.address, 1, 80, b"\x00\x00\x00\x01")
 
     def fire():
-        assert layer.wants(pkt, None)
-        layer.process(pkt, None)
+        hit = layer.match(pkt)
+        assert hit is not None
+        layer.process(pkt, None, hit)
     net.sim.schedule(0.0, fire)
     net.sim.run()
     assert r.up

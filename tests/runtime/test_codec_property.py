@@ -273,3 +273,125 @@ def test_encode_of_decode_keeps_the_payload(ty):
         packet.ip, packet.transport, packet.payload)
     if lay.views == (T.BLOB,):
         assert again.payload is packet.payload
+
+
+# ---------------------------------------------------------------------------
+# The core's one call for a packet on its own against ``codec.decode``
+# ---------------------------------------------------------------------------
+
+
+def _forwarder(text):
+    return typecheck(parse(
+        f"channel network(ps : int, ss : unit, p : {text}) is\n"
+        "  (OnRemote(network, p); (ps + 1, ss))"))
+
+
+@pytest.mark.parametrize("backend", ["source", "closure", "interpreter"])
+@pytest.mark.parametrize("text", PACKET_TYPES)
+def test_run_one_decodes_as_the_reference(text, backend):
+    """A packet of every truncated, exact and over-long length through
+    :meth:`DispatchCore.run_one`: the value ``codec.decode`` builds, or
+    the same ``CodecError`` text contained as ``"decode"`` with nothing
+    committed."""
+    from repro.interp import RecordingContext
+    from repro.jit import make_engine
+    from repro.runtime.dispatch import DispatchCore
+
+    info = _forwarder(text)
+    ty = info.channels["network"][0].packet_type
+    lay = codec.layout(ty)
+    ctx = RecordingContext()
+    core = DispatchCore.fresh(info.all_channels(),
+                              make_engine(info, backend, ctx), ctx)
+    (hit,) = core.hits.values()
+    lengths = sorted({*range(lay.fixed + 1), lay.fixed + 1, lay.fixed + 9})
+
+    @given(st.sampled_from(lengths).flatmap(
+        lambda n: st.binary(min_size=n, max_size=n)))
+    @settings(max_examples=60, deadline=None)
+    def check(payload):
+        packet = Packet(IpHeader(), lay.transport_cls(), payload)
+        want = _decoded_or_error(lambda p: codec.decode(p, ty), packet)
+        before = (core.protocol_state, len(ctx.emissions))
+        fault = core.run_one(packet, hit, ctx)
+        if isinstance(want, str):
+            reason, err = fault
+            assert (reason, type(err), str(err)) == (
+                "decode", codec.CodecError, want)
+            assert (core.protocol_state, len(ctx.emissions)) == before
+        else:
+            assert fault is None
+            assert core.protocol_state == before[0] + 1
+            assert ctx.emissions[-1].packet_value == want
+
+    check()
+
+
+def _relay(program):
+    """a -> r -> b with ``program`` on r: ``send(payload, raw)`` returns
+    what b receives of a UDP datagram (or, when ``raw``, a raw packet
+    whose ip header says UDP)."""
+    from repro.net import Network
+    from repro.runtime import PlanPLayer
+
+    net = Network(seed=1)
+    a, r, b = net.add_host("a"), net.add_router("r"), net.add_host("b")
+    net.link(a, r)
+    net.link(r, b)
+    net.finalize()
+    PlanPLayer(r).install(program)
+    got = []
+    b.delivery_taps.append(got.append)
+
+    def send(payload, raw=False):
+        ip = IpHeader(a.address, b.address, proto=17)
+        a.ip_send(Packet(ip, None if raw else UdpHeader(1, 2), payload))
+        net.run()
+        return got[-1]
+
+    return send
+
+
+def test_unchanged_bool_view_reemits_normalised(monkeypatch):
+    """``OnRemote(network, p)`` of an ``ip*udp*bool*blob`` packet whose
+    bool byte is 2 sends a 1: the packet goes out through ``encode``,
+    which normalises the byte, as it always has."""
+    send = _relay("channel network(ps : int, ss : unit, "
+                  "p : ip*udp*bool*blob) is (OnRemote(network, p); (ps, ss))")
+    encodes = []
+    real = codec.encode
+    monkeypatch.setattr(codec, "encode",
+                        lambda *a, **k: encodes.append(1) or real(*a, **k))
+    assert send(b"\x02tail").payload == b"\x01tail"
+    assert encodes == [1]
+
+
+def test_unchanged_blob_reemission_skips_encode(monkeypatch):
+    """A sole-blob packet re-emitted unchanged leaves with its own
+    headers and payload object, without an ``encode``; a rewritten one
+    is encoded."""
+    send = _relay(
+        "channel network(ps : int, ss : unit, p : ip*udp*blob) is\n"
+        "  (if blobLen(#3 p) = 1 then OnRemote(network, p)\n"
+        "   else OnRemote(network, (#1 p, #2 p, blobCat(#3 p, #3 p)));\n"
+        "   (ps, ss))")
+    encodes = []
+    real = codec.encode
+    monkeypatch.setattr(codec, "encode",
+                        lambda *a, **k: encodes.append(1) or real(*a, **k))
+    payload = b"x"
+    got = send(payload)
+    assert got.payload is payload and encodes == []
+    assert send(b"yz").payload == b"yzyz" and encodes == [1]
+
+
+def test_unchanged_raw_reemission_carries_the_raw_proto():
+    """A raw packet re-emitted unchanged leaves as ``encode`` would
+    build it: with the raw protocol number in its ip header, whatever
+    the header it arrived with said."""
+    send = _relay("channel network(ps : int, ss : unit, p : ip*blob) is "
+                  "(OnRemote(network, p); (ps, ss))")
+    payload = b"raw"
+    got = send(payload, raw=True)
+    assert got.payload is payload
+    assert got.ip.proto == 255

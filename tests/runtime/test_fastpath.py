@@ -76,10 +76,10 @@ def test_fastpath_selects_same_decl_as_structural_match(name, packet):
         assert hit is None
     else:
         assert hit is not None
-        decl, decoder, _plan = hit
-        assert decl is structural
+        assert hit.decl is structural
         # The prebuilt decoder agrees with the structural decode.
-        assert decoder(packet) == codec.decode(packet, decl.packet_type)
+        assert hit.plan.decode(packet) == codec.decode(
+            packet, hit.decl.packet_type)
 
 
 @settings(max_examples=100, deadline=None)
@@ -96,7 +96,7 @@ def test_fastpath_equivalence_with_globals(packet):
     hit = layer.core.lookup(packet)
     assert (structural is None) == (hit is None)
     if hit is not None:
-        assert hit[0] is structural
+        assert hit.decl is structural
 
 
 class TestSingleMatch:
@@ -116,18 +116,19 @@ class TestSingleMatch:
         assert layer.stats.packets_processed == 2
         assert calls == []
 
-    def test_wants_match_carried_into_process(self):
+    def test_match_hit_is_passed_to_process(self):
         net, a, r, b, layer = layer_on_router()
         layer.install(PROGRAMS["overloads"])
         packet = udp_packet(a.address, b.address, 1, 2, bytes(3))
-        assert layer.wants(packet, None)
+        hit = layer.match(packet)
+        assert hit is layer.core.lookup(packet)
         before = layer.stats.fastpath_dispatches
-        layer.process(packet, None)
-        # process() consumed the carried match instead of re-classifying.
+        layer.process(packet, None, hit)
+        # process() ran the hit it was handed instead of re-classifying.
         assert layer.stats.fastpath_dispatches == before
         assert layer.stats.packets_processed == 1
 
-    def test_carry_survives_cpu_model_deferral(self):
+    def test_hit_survives_cpu_model_deferral(self):
         net, a, r, b, layer = layer_on_router()
         layer.install(PROGRAMS["overloads"])
         layer.cpu.per_item_s = 0.25
@@ -139,12 +140,25 @@ class TestSingleMatch:
         assert len(got) == 3
         assert layer.stats.packets_processed == 3
 
-    def test_process_without_wants_still_classifies(self):
+    def test_hit_of_a_replaced_core_runs_on_the_new_one(self):
+        """A hit classified before the same program was adopted again
+        (its overloads unchanged) runs on the running core; one whose
+        overload the running program lacks gets standard treatment."""
         net, a, r, b, layer = layer_on_router()
         layer.install(PROGRAMS["overloads"])
+        got = []
+        b.delivery_taps.append(lambda p: got.append(p))
         packet = udp_packet(a.address, b.address, 1, 2, bytes(3))
-        layer.process(packet, None)  # no wants() first
-        assert layer.stats.packets_processed == 1
+        stale = layer.match(packet)
+        layer.install_loaded(layer.loaded)
+        assert layer.core.lookup(packet) is not stale
+        layer.process(packet, None, stale)
+        net.run()
+        assert (layer.stats.packets_processed, len(got)) == (1, 1)
+        layer.install(PROGRAMS["tagged"])
+        layer.process(packet, None, stale)
+        net.run()
+        assert (layer.stats.packets_processed, len(got)) == (1, 2)
 
     def test_dispatch_counters(self):
         net, a, r, b, layer = layer_on_router()
@@ -180,8 +194,8 @@ class TestOverloadOrder:
         net, a, r, b, layer = layer_on_router()
         layer.install(PROGRAMS["overloads"])
         layer.uninstall()
-        assert not layer.wants(udp_packet(a.address, b.address, 1, 2,
-                                          bytes(3)), None)
+        assert layer.match(udp_packet(a.address, b.address, 1, 2,
+                                      bytes(3))) is None
 
 
 class TestInterpreterGlobalsReset:

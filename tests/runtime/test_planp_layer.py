@@ -4,6 +4,7 @@ import pytest
 
 from repro.lang import VerificationError
 from repro.net import Network
+from repro.net.addresses import HostAddr
 from repro.net.packet import tcp_packet, udp_packet
 from repro.runtime import Deployment, PlanPLayer
 
@@ -55,7 +56,7 @@ class TestInstall:
         layer.install(FORWARD)
         layer.uninstall()
         packet = tcp_packet(a.address, b.address, 1, 80, b"x")
-        assert not layer.wants(packet, None)
+        assert layer.match(packet) is None
 
     @pytest.mark.parametrize("backend", ["interpreter", "closure",
                                          "source"])
@@ -179,6 +180,26 @@ class TestRobustness:
         assert layer.console == ["seen"]
 
 
+class TestEmission:
+    def test_neighbor_without_an_interface_is_a_reported_drop(self):
+        """``OnNeighbor`` toward an address no interface, route or group
+        tree leads to: the packet is lost, and the drop taps hear of it
+        as ``no-route`` instead of nothing."""
+        net, a, r, b, layer = router_between()
+        layer.install("channel network(ps : int, ss : unit, "
+                      "p : ip*udp*blob) is "
+                      "(OnNeighbor(network, p, 203.16.164.215); (ps, ss))",
+                      verify=False)
+        assert r.iface_toward(HostAddr.parse("203.16.164.215")) is None
+        drops = []
+        r.drop_taps.append(lambda packet, reason: drops.append(reason))
+        a.ip_send(udp_packet(a.address, b.address, 1, 2, b"x"))
+        net.run()
+        assert drops == ["no-route"]
+        assert layer.stats.packets_emitted == 1
+        assert b.stats.delivered == 0
+
+
 class TestDeployment:
     def test_install_on_many_nodes(self):
         net, a, r, b, _layer = router_between()
@@ -224,9 +245,10 @@ class TestDecodeContainment:
         # corrupted in flight: by execution time the char view's byte
         # is gone.  Before the fix this IndexError escaped the layer
         # and crashed the node.
-        assert layer.wants(packet, None)
+        hit = layer.match(packet)
+        assert hit is not None
         packet.payload = b""
-        layer.process(packet, None)
+        layer.process(packet, None, hit)
         net.sim.run()
         assert layer.stats.runtime_errors == 1
         assert layer.stats.packets_processed == 1
@@ -237,9 +259,10 @@ class TestDecodeContainment:
         net, a, r, b, layer = router_between()
         layer.install(self.CHAR_VIEW)
         packet = tcp_packet(a.address, b.address, 1, 80, b"Q")
-        assert layer.wants(packet, None)
+        hit = layer.match(packet)
+        assert hit is not None
         packet.payload = b""
-        layer.process(packet, None)
+        layer.process(packet, None, hit)
         net.sim.run()
         errors = [e for e in net.obs.events.filter(kind="error")]
         assert len(errors) == 1
