@@ -17,7 +17,6 @@ from typing import Callable
 from ...asps.audio import (AUDIO_PORT, FMT_MONO16, FMT_MONO8, FMT_STEREO16,
                            audio_client_asp, audio_router_asp)
 from ...experiments.result import ExperimentResult
-from ...jit.pipeline import DEFAULT_BACKEND
 from ...net.topology import Network
 from ...obs import Observability
 from ...runtime.deployment import Deployment
@@ -129,7 +128,6 @@ def run_audio_experiment(*, adaptation: bool = True,
                          load_schedule: list[tuple[float, float]]
                          | None = None,
                          constant_load_bps: float | None = None,
-                         backend: str = DEFAULT_BACKEND,
                          seed: int = 7,
                          obs: Observability | None = None,
                          tracer: Callable[[Network], object]
@@ -141,7 +139,9 @@ def run_audio_experiment(*, adaptation: bool = True,
     ``constant_load_bps`` overrides the schedule with a flat load (used
     by the figure 7 sweep).  ``obs`` supplies an external observability
     scope; ``tracer`` is called with the finalized network before any
-    traffic starts (e.g. ``lambda net: PacketTracer(net).attach_all()``).
+    traffic starts (e.g. ``lambda net: PacketTracer(net).attach_all()``,
+    which logs every packet's rx/up/tx records into ``net.obs.events``
+    beside the drops the network logs anyway).
     """
     net = Network(seed=seed, obs=obs)
     source_host = net.add_host("audio-source")
@@ -173,9 +173,9 @@ def run_audio_experiment(*, adaptation: bool = True,
     if adaptation:
         deployment = Deployment()
         deployment.install(audio_router_asp(), [router],
-                           backend=backend, source_name="audio-router")
+                           source_name="audio-router")
         deployment.install(audio_client_asp(), [client_host],
-                           backend=backend, source_name="audio-client")
+                           source_name="audio-client")
 
     if constant_load_bps is not None:
         loadgen.set_rate(constant_load_bps)

@@ -32,6 +32,15 @@ from .trace import Trace
 #: closed loop: a worker issues its next request this long after the
 #: last one completed
 THINK_TIME_S = 0.0
+#: closed loop: the first retry's backoff base, and the base's ceiling
+RETRY_DELAY_S = 0.1
+RETRY_CEILING_S = 2.0
+#: application-level deadline per request: a server that dies
+#: mid-response leaves no TCP timer running, so the client must give up
+#: on its own (as real HTTP clients do)
+REQUEST_TIMEOUT_S = 10.0
+#: open loop: how long a visitor waits for the page before leaving
+OPEN_LOOP_TIMEOUT_S = 5.0
 
 
 @dataclass
@@ -94,18 +103,11 @@ class HttpClientWorker:
     def __init__(self, net: Network, host: Host, server: HostAddr,
                  trace: Trace, *, port: int = HTTP_PORT,
                  trace_offset: int = 0,
-                 retry_delay: float = 0.1,
-                 retry_ceiling: float = 2.0,
-                 max_retries: int = 4,
-                 request_timeout: float = 10.0):
+                 max_retries: int = 4):
         self.net = net
         self.host = host
         self.server = server
         self.port = port
-        #: application-level deadline per request: a server that dies
-        #: mid-response leaves no TCP timer running, so the client must
-        #: give up on its own (as real HTTP clients do)
-        self.request_timeout = request_timeout
         #: attempts per trace entry before it is abandoned
         self.max_retries = max_retries
         self.completed: list[CompletedRequest] = []
@@ -118,7 +120,7 @@ class HttpClientWorker:
         # per-worker entropy stream so retry timing is independent of
         # unrelated traffic.
         self._backoff = Backoff(
-            initial=retry_delay, ceiling=max(retry_ceiling, retry_delay),
+            initial=RETRY_DELAY_S, ceiling=RETRY_CEILING_S,
             entropy=host.sim.entropy(
                 f"http:{host.name}:{port}:{trace_offset}"))
         self._stream = trace.request_stream(start=trace_offset)
@@ -158,7 +160,7 @@ class HttpClientWorker:
         conn.on_data = self._on_data
         conn.on_fail = lambda c: self._on_failure()
         self._conn = conn
-        self._deadline = self.host.sim.schedule(self.request_timeout,
+        self._deadline = self.host.sim.schedule(REQUEST_TIMEOUT_S,
                                                 self._on_timeout)
 
     def _on_timeout(self) -> None:
@@ -251,13 +253,11 @@ class OpenLoopClient:
     """
 
     def __init__(self, net: Network, host: Host, server: HostAddr,
-                 arrivals, *, port: int = HTTP_PORT,
-                 request_timeout: float = 5.0):
+                 arrivals, *, port: int = HTTP_PORT):
         self.net = net
         self.host = host
         self.server = server
         self.port = port
-        self.request_timeout = request_timeout
         self.completed: list[CompletedRequest] = []
         self.failures = 0
         self.shed_responses = 0
@@ -280,7 +280,7 @@ class OpenLoopClient:
         conn.on_data = state.on_data
         conn.on_fail = state.on_fail
         state.deadline = self.host.sim.schedule(
-            self.request_timeout, lambda: state.on_timeout(conn))
+            OPEN_LOOP_TIMEOUT_S, lambda: state.on_timeout(conn))
 
 
 class _OneShot:

@@ -57,13 +57,12 @@ class HttpExperimentResult(ExperimentResult):
 #: makes the gateway a contention point, capping the cluster below the
 #: capacity of two independent servers.
 GATEWAY_CPU_S = 160e-6
+#: physical servers behind the gateway (the paper's two Ultra-1s)
+N_SERVERS = 2
 
 
 def run_http_experiment(*, mode: str, n_clients: int,
                         duration: float = 30.0, warmup: float = 5.0,
-                        n_servers: int = 2,
-                        strategy: str = "modulo",
-                        gateway_cpu_s: float = GATEWAY_CPU_S,
                         trace: Trace | None = None,
                         seed: int = 11,
                         obs: Observability | None = None,
@@ -79,7 +78,7 @@ def run_http_experiment(*, mode: str, n_clients: int,
     gateway = net.add_router("gateway")
 
     server_hosts = []
-    for i in range(n_servers):
+    for i in range(N_SERVERS):
         host = net.add_host(f"server{i}")
         net.link(host, gateway, bandwidth=100e6, latency=0.0002)
         server_hosts.append(host)
@@ -101,23 +100,21 @@ def run_http_experiment(*, mode: str, n_clients: int,
     if mode == "asp":
         Deployment().install(
             http_gateway_asp(str(virtual),
-                             [str(h.address) for h in server_hosts],
-                             strategy=strategy),
+                             [str(h.address) for h in server_hosts]),
             [gateway], source_name="http-gateway")
         assert gateway.planp is not None
-        gateway.planp.cpu.per_item_s = gateway_cpu_s
+        gateway.planp.cpu.per_item_s = GATEWAY_CPU_S
     elif mode == "builtin":
         builtin = BuiltinGateway(gateway, virtual,
-                                 [h.address for h in server_hosts],
-                                 strategy=strategy)
-        builtin.cpu.per_item_s = gateway_cpu_s
+                                 [h.address for h in server_hosts])
+        builtin.cpu.per_item_s = GATEWAY_CPU_S
 
     workers: list[HttpClientWorker] = []
     for i, host in enumerate(client_hosts):
         if mode == "single":
             target = server_hosts[0].address
         elif mode == "disjoint":
-            target = server_hosts[i % n_servers].address
+            target = server_hosts[i % N_SERVERS].address
         else:
             target = virtual
         worker = HttpClientWorker(net, host, target, trace,
@@ -162,15 +159,13 @@ class Fig8SweepResult(ExperimentResult):
 
 def run_fig8_sweep(*, client_counts: list[int],
                    modes: tuple[str, ...] = ("single", "asp", "builtin"),
-                   duration: float = 30.0,
                    seed: int = 11) -> dict[str, list[HttpExperimentResult]]:
     """The full figure 8 sweep: throughput vs offered load per mode."""
     trace = generate_trace(8000, seed=seed)
     curves: dict[str, list[HttpExperimentResult]] = {}
     for mode in modes:
         curves[mode] = [
-            run_http_experiment(mode=mode, n_clients=n,
-                                duration=duration,
-                                trace=trace, seed=seed)
+            run_http_experiment(mode=mode, n_clients=n, trace=trace,
+                                seed=seed)
             for n in client_counts]
     return curves

@@ -32,8 +32,7 @@ class BuiltinGateway:
     promiscuous = False
 
     def __init__(self, node: Node, virtual: HostAddr,
-                 servers: list[HostAddr], *, port: int = HTTP_PORT,
-                 strategy: str = "modulo"):
+                 servers: list[HostAddr], *, port: int = HTTP_PORT):
         if not servers:
             raise ValueError("need at least one server")
         self.node = node
@@ -42,7 +41,6 @@ class BuiltinGateway:
         self.servers = list(servers)
         self.server_set = set(servers)
         self.port = port
-        self.strategy = strategy
         self.counter = 0
         self.bindings: dict[tuple[HostAddr, int], int] = {}
         #: the connection table is kernel memory: a crash loses it
@@ -95,7 +93,8 @@ class BuiltinGateway:
         key = (packet.ip.src, header.src_port)
         index = self.bindings.get(key)
         if index is None:
-            index = self._pick(header)
+            # the paper's strategy: alternate per accepted connection
+            index = self.counter % len(self.servers)
             self.bindings[key] = index
             self.counter += 1
             self.stats.requests_bound += 1
@@ -103,10 +102,3 @@ class BuiltinGateway:
         return Packet(ip=packet.ip.with_dst(server), transport=header,
                       payload=packet.payload,
                       created_at=packet.created_at)
-
-    def _pick(self, header: TcpHeader) -> int:
-        if self.strategy == "modulo":
-            return self.counter % len(self.servers)
-        if self.strategy == "srchash":
-            return header.src_port % len(self.servers)
-        return self.node.entropy.randrange(len(self.servers))

@@ -5,7 +5,7 @@ costs simulated CPU time (parse + per-byte copy cost); the CPU is a
 single serial resource, so throughput saturates at roughly
 ``1 / service_time`` requests per second no matter how many connections
 are open — which is what makes the figure 8 saturation plateaus
-meaningful.  ``workers`` bounds concurrently accepted requests, like
+meaningful.  :data:`WORKERS` bounds concurrently accepted requests, like
 Apache's 5-10 child processes.
 """
 
@@ -24,6 +24,8 @@ HTTP_PORT = 80
 #: CPU cost model: fixed per-request cost plus per-byte copy cost.
 BASE_CPU_S = 0.004
 PER_BYTE_CPU_S = 2.0e-7
+#: requests in service at once; the rest wait in the backlog
+WORKERS = 8
 
 
 @dataclass
@@ -39,7 +41,6 @@ class HttpServer:
 
     def __init__(self, net: Network, host: Host,
                  sizes: dict[str, int], *, port: int = HTTP_PORT,
-                 workers: int = 8, base_cpu_s: float = BASE_CPU_S,
                  max_backlog: int | None = None,
                  request_deadline: float | None = None,
                  admission: AdmissionController | None = None,
@@ -48,8 +49,6 @@ class HttpServer:
         self.host = host
         self.sizes = sizes
         self.port = port
-        self.workers = workers
-        self.base_cpu_s = base_cpu_s
         #: graceful degradation (DESIGN §14): a ``None`` for each knob
         #: keeps the historical unbounded/deadline-free behavior
         self.max_backlog = max_backlog
@@ -135,7 +134,7 @@ class HttpServer:
         self._maybe_start_worker()
 
     def _maybe_start_worker(self) -> None:
-        while self._active_workers < self.workers and self._backlog:
+        while self._active_workers < WORKERS and self._backlog:
             conn, path, arrived = self._backlog.popleft()
             now = self.host.sim.now
             if (self.request_deadline is not None
@@ -145,7 +144,7 @@ class HttpServer:
                 continue
             self._active_workers += 1
             size = self.sizes.get(path, 0)
-            cpu = self.base_cpu_s + size * PER_BYTE_CPU_S
+            cpu = BASE_CPU_S + size * PER_BYTE_CPU_S
             # The CPU is serial: this request's work starts when the
             # CPU frees up, regardless of worker concurrency.
             start = max(now, self._cpu_busy_until)

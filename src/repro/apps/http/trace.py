@@ -69,24 +69,31 @@ MEDIAN_SIZE = 4096
 SIZE_SIGMA = 1.0
 #: popularity rank of the document a flash crowd collapses onto
 HOT_RANK = 0
+#: documents in the catalogue, and the clip on their sizes in bytes
+N_FILES = 1000
+MIN_SIZE = 128
+MAX_SIZE = 262_144
+#: the open-loop crowd's day: rate swing around the base, and its
+#: length in seconds (compressed to simulation scale)
+DIURNAL_AMPLITUDE = 0.3
+DIURNAL_PERIOD_S = 8.0
 
 
-def generate_trace(n_requests: int = 80_000, *, n_files: int = 1000,
-                   max_size: int = 262_144,
-                   min_size: int = 128, seed: int = 0) -> Trace:
-    """Build a trace of ``n_requests`` accesses to ``n_files`` documents.
+def generate_trace(n_requests: int = 80_000, *, seed: int = 0) -> Trace:
+    """Build a trace of ``n_requests`` accesses to :data:`N_FILES`
+    documents.
 
-    Document ranks beyond ``n_files`` wrap around, keeping the
+    Document ranks beyond ``N_FILES`` wrap around, keeping the
     catalogue finite.
     """
     rng = np.random.default_rng(seed)
     file_sizes = np.exp(rng.normal(np.log(MEDIAN_SIZE), SIZE_SIGMA,
-                                   size=n_files))
-    file_sizes = np.clip(file_sizes, min_size, max_size).astype(int)
+                                   size=N_FILES))
+    file_sizes = np.clip(file_sizes, MIN_SIZE, MAX_SIZE).astype(int)
     sizes = {f"/doc{i:05d}.html": int(file_sizes[i])
-             for i in range(n_files)}
+             for i in range(N_FILES)}
 
-    ranks = (rng.zipf(ZIPF_A, size=n_requests) - 1) % n_files
+    ranks = (rng.zipf(ZIPF_A, size=n_requests) - 1) % N_FILES
     paths = [f"/doc{r:05d}.html" for r in ranks]
     entries = [TraceEntry(path=p, size=sizes[p]) for p in paths]
     return Trace(entries=entries, sizes=sizes)
@@ -96,20 +103,18 @@ def generate_trace(n_requests: int = 80_000, *, n_files: int = 1000,
 
 
 def open_loop_arrivals(trace: Trace, *, start: float, duration: float,
-                       base_rate: float, diurnal_amplitude: float = 0.3,
-                       diurnal_period: float = 8.0,
+                       base_rate: float,
+                       entropy: random.Random,
                        spike_start: float | None = None,
                        spike_end: float | None = None,
                        spike_multiplier: float = 1.0,
-                       hot_fraction: float = 0.0,
-                       entropy: random.Random | None = None,
-                       seed: int = 0) -> list[TimedRequest]:
+                       hot_fraction: float = 0.0) -> list[TimedRequest]:
     """Generate flash-crowd arrivals over ``trace``'s document catalogue.
 
     The arrival process is inhomogeneous Poisson, realized by thinning:
     a diurnal sinusoid (``base_rate`` modulated by
-    ``diurnal_amplitude`` over ``diurnal_period`` seconds — the day
-    compressed to simulation scale) times a ``spike_multiplier`` step
+    :data:`DIURNAL_AMPLITUDE` over :data:`DIURNAL_PERIOD_S` seconds — the
+    day compressed to simulation scale) times a ``spike_multiplier`` step
     inside ``[spike_start, spike_end)``.  During the spike a
     ``hot_fraction`` share of requests collapses onto the document at
     popularity rank ``HOT_RANK`` — the Zipf shift of a flash crowd,
@@ -117,17 +122,12 @@ def open_loop_arrivals(trace: Trace, *, start: float, duration: float,
     stationary Zipf(``ZIPF_A``) popularity law.
 
     All randomness comes from ``entropy`` (pass a
-    ``SchedulingContext``-owned or ``Simulator.entropy`` stream) or a
-    private ``random.Random(seed)``; the shared simulator rng and the
-    numpy trace rng are never touched, so adding a crowd cannot perturb
-    any other workload's draws.
+    ``SchedulingContext``-owned or ``Simulator.entropy`` stream); the
+    shared simulator rng and the numpy trace rng are never touched, so
+    adding a crowd cannot perturb any other workload's draws.
     """
     if base_rate <= 0 or duration <= 0:
         raise ValueError("need base_rate > 0 and duration > 0")
-    if not 0 <= diurnal_amplitude < 1:
-        raise ValueError(f"diurnal_amplitude {diurnal_amplitude} "
-                         f"not in [0, 1)")
-    rng = entropy if entropy is not None else random.Random(seed)
     ranked = sorted(trace.sizes)  # rank order: doc00000 is hottest
     cdf: list[float] = []
     acc = 0.0
@@ -137,30 +137,30 @@ def open_loop_arrivals(trace: Trace, *, start: float, duration: float,
     total = cdf[-1]
 
     def rate_at(t: float) -> float:
-        lam = base_rate * (1.0 + diurnal_amplitude * math.sin(
-            2.0 * math.pi * (t - start) / diurnal_period))
+        lam = base_rate * (1.0 + DIURNAL_AMPLITUDE * math.sin(
+            2.0 * math.pi * (t - start) / DIURNAL_PERIOD_S))
         if (spike_start is not None and spike_end is not None
                 and spike_start <= t < spike_end):
             lam *= spike_multiplier
         return lam
 
-    lam_max = (base_rate * (1.0 + diurnal_amplitude)
+    lam_max = (base_rate * (1.0 + DIURNAL_AMPLITUDE)
                * max(spike_multiplier, 1.0))
     arrivals: list[TimedRequest] = []
     t = start
     end = start + duration
     while True:
-        t += rng.expovariate(lam_max)
+        t += entropy.expovariate(lam_max)
         if t >= end:
             break
-        if rng.random() * lam_max > rate_at(t):
+        if entropy.random() * lam_max > rate_at(t):
             continue  # thinned: below the envelope at this instant
         in_spike = (spike_start is not None and spike_end is not None
                     and spike_start <= t < spike_end)
-        if in_spike and rng.random() < hot_fraction:
+        if in_spike and entropy.random() < hot_fraction:
             path = ranked[HOT_RANK]
         else:
-            i = bisect.bisect_left(cdf, rng.random() * total)
+            i = bisect.bisect_left(cdf, entropy.random() * total)
             path = ranked[min(i, len(ranked) - 1)]
         arrivals.append(TimedRequest(at=t, path=path))
     return arrivals

@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from ...asps.images import IMAGE_PORT, image_distiller_asp
 from ...experiments.result import ExperimentResult
 from ...interp.image_prims import decode_image
-from ...jit.pipeline import DEFAULT_BACKEND
 from ...lang.errors import PlanPError
 from ...net.addresses import HostAddr
 from ...net.node import Host
@@ -27,6 +26,10 @@ from .library import build_library
 #: the mobile client's access link: a 64 kbit/s line (paper §5's "low
 #: bandwidth networks")
 SLOW_LINK_BPS = 64_000
+#: the distillation policy this experiment deploys: the byte budget a
+#: distilled image must fit, and no bit-depth reduction
+BUDGET_BYTES = 3000
+QUANTIZE_BITS = 0
 
 
 class ImageServer:
@@ -158,9 +161,6 @@ class ImageExperimentResult(ExperimentResult):
 
 
 def run_image_experiment(*, distillation: bool = True,
-                         budget_bytes: int = 3000,
-                         quantize_bits: int = 0,
-                         backend: str = DEFAULT_BACKEND,
                          seed: int = 31,
                          obs: Observability | None = None
                          ) -> ImageExperimentResult:
@@ -182,9 +182,9 @@ def run_image_experiment(*, distillation: bool = True,
     if distillation:
         Deployment().install(
             image_distiller_asp(slow_kbps=SLOW_LINK_BPS // 1000 + 100,
-                                budget_bytes=budget_bytes,
-                                quantize_bits=quantize_bits),
-            [router], backend=backend, source_name="image-distiller")
+                                budget_bytes=BUDGET_BYTES,
+                                quantize_bits=QUANTIZE_BITS),
+            [router], source_name="image-distiller")
 
     for i, name in enumerate(sorted(library)):
         client.fetch(name, at=0.1 + 3.0 * i)

@@ -22,6 +22,10 @@ from ...net.tcp import TcpConnection
 from ...net.topology import Network
 from .stream import FrameAssembler, MpegStream
 
+#: how long a viewer waits for the monitor's answer before opening its
+#: own connection to the server
+QUERY_TIMEOUT_S = 0.5
+
 
 class ClientMode(enum.Enum):
     IDLE = "idle"
@@ -36,14 +40,13 @@ class MpegClient:
 
     def __init__(self, net: Network, host: Host, server: HostAddr,
                  file_name: str, *, monitor: HostAddr | None = None,
-                 video_port: int = 9000, query_timeout: float = 0.5):
+                 video_port: int = 9000):
         self.net = net
         self.host = host
         self.server = server
         self.file_name = file_name
         self.monitor = monitor
         self.video_port = video_port
-        self.query_timeout = query_timeout
 
         self.mode = ClientMode.IDLE
         self.setup: MpegStream | None = None
@@ -78,7 +81,7 @@ class MpegClient:
                      f"QRY {self.file_name}".encode("latin-1"))
         self.queries_sent += 1
         self._timeout_handle = self.net.sim.schedule(
-            self.query_timeout, self._on_query_timeout)
+            QUERY_TIMEOUT_S, self._on_query_timeout)
 
     def _on_query_timeout(self) -> None:
         if self.mode is ClientMode.QUERYING:

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 from ...asps.mpeg import mpeg_client_asp, mpeg_monitor_asp
 from ...experiments.result import ExperimentResult
-from ...jit.pipeline import DEFAULT_BACKEND
 from ...net.topology import Network
 from ...obs import Observability
 from ...runtime.deployment import Deployment
@@ -44,7 +43,6 @@ class MpegExperimentResult(ExperimentResult):
 
 def run_mpeg_experiment(*, use_asps: bool = True, n_clients: int = 3,
                         duration: float = 20.0, warmup: float = 5.0,
-                        backend: str = DEFAULT_BACKEND,
                         seed: int = 23,
                         obs: Observability | None = None
                         ) -> MpegExperimentResult:
@@ -76,9 +74,9 @@ def run_mpeg_experiment(*, use_asps: bool = True, n_clients: int = 3,
         for host in client_hosts:
             PlanPLayer(host, promiscuous=True)
         deployment.install(mpeg_monitor_asp(), [monitor_host],
-                           backend=backend, source_name="mpeg-monitor")
+                           source_name="mpeg-monitor")
         deployment.install(mpeg_client_asp(), client_hosts,
-                           backend=backend, source_name="mpeg-client")
+                           source_name="mpeg-client")
         monitor_addr = monitor_host.address
 
     clients = []

@@ -91,8 +91,7 @@ def run_chaos_experiment(*, profile: str = "drill", seed: int = 5,
 
 
 def _drill_fleet(*, seed: int, n_routers: int,
-                 obs: Observability | None, gen1: str, gen1_name: str,
-                 wire_check: bool = True):
+                 obs: Observability | None, gen1: str, gen1_name: str):
     """The fleet both lifecycle drills run on: src → ``n_routers``
     routers → dst at 100 Mbit / 0.2 ms under a lifecycle manager,
     ``gen1`` force-installed fleet-wide (the initial install — there is
@@ -112,8 +111,7 @@ def _drill_fleet(*, seed: int, n_routers: int,
 
     policy = LifecyclePolicy(canary_fraction=0.25, health_window=0.5,
                              error_budget=3, budget_window=0.5,
-                             cooldown=0.3, rollback_after_trips=2,
-                             wire_check=wire_check)
+                             cooldown=0.3, rollback_after_trips=2)
     manager = LifecycleManager(net, deployment=Deployment(),
                                policy=policy)
     manager.manage(*routers)
@@ -192,7 +190,7 @@ def _run_drill(*, seed: int, n_routers: int, duration: float,
         "recovery_ratio": (recovered / baseline) if baseline else 0.0,
         "final_generations": final_generations,
         "lifecycle_events": sum(
-            1 for e in net.obs.events.filter()
+            1 for e in net.obs.events.events
             if e.kind in ("rollout", "quarantine", "rollback")),
     }
     return ChaosResult(seed=seed,

@@ -33,6 +33,8 @@ PAPER_PROGRAMS: dict[str, tuple[str, int, float]] = {
 
 #: the JIT backends the table has a column for
 JIT_BACKENDS = ("closure", "source")
+#: code generations per program and backend; a row reports their median
+REPEATS = 5
 
 
 @dataclass
@@ -55,12 +57,12 @@ def _measure_codegen(source: str, backend: str, repeats: int) -> float:
     return statistics.median(times)
 
 
-def fig3_codegen_table(repeats: int = 5) -> list[Fig3Row]:
+def fig3_codegen_table() -> list[Fig3Row]:
     """Measure the Figure 3 table for the shipped ASPs (median of
-    ``repeats`` code generations per program and backend)."""
+    :data:`REPEATS` code generations per program and backend)."""
     rows = []
     for name, (source, paper_lines, paper_ms) in PAPER_PROGRAMS.items():
-        measured = {backend: _measure_codegen(source, backend, repeats)
+        measured = {backend: _measure_codegen(source, backend, REPEATS)
                     for backend in JIT_BACKENDS}
         rows.append(Fig3Row(name=name,
                             lines=count_source_lines(source),

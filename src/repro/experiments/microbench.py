@@ -56,12 +56,12 @@ initstate mkTable(1024) is
 """
 
 
-def make_bridge_packets(n_flows: int = N_FLOWS) -> list[tuple]:
-    """Packet values cycling over ``n_flows`` distinct flows."""
+def make_bridge_packets() -> list[tuple]:
+    """Packet values cycling over :data:`N_FLOWS` distinct flows."""
     packets = []
-    for i in range(n_flows):
+    for i in range(N_FLOWS):
         ip = IpHeader(src=HostAddr(0x0A000100 + i),
-                      dst=HostAddr(0x0A000200 + (i * 7) % n_flows))
+                      dst=HostAddr(0x0A000200 + (i * 7) % N_FLOWS))
         packets.append((ip, TcpHeader(src_port=40000 + i, dst_port=80),
                         b"x" * 64))
     return packets

@@ -261,7 +261,7 @@ def generate(scale: Scale, only: list[str] | None = None,
     return "\n\n".join(parts) + "\n"
 
 
-def main(argv: list[str] | None = None) -> int:
+def main(argv: list[str]) -> int:
     parser = argparse.ArgumentParser(prog="repro.experiments.report")
     parser.add_argument("--quick", action="store_true",
                         help="small-scale smoke run")
@@ -284,4 +284,4 @@ def main(argv: list[str] | None = None) -> int:
 
 
 if __name__ == "__main__":
-    raise SystemExit(main())
+    raise SystemExit(main(sys.argv[1:]))

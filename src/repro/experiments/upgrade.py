@@ -13,11 +13,12 @@ story says they will:
 * a **compatible** one — identical wire signature, different body.
   It must sail through canary and promote fleet-wide.
 
-The drill also answers the "is the gate free?" question: with
-``attempt_incompatible=False`` the run is byte-identical (delivery
-times and payloads, digested) whether ``wire_check`` is on or off —
-the gate only reads summaries already derived by the JIT pipeline, so
-a compatible rollout pays nothing.
+The gate is free: without the incompatible attempt the run is
+byte-identical (delivery times and payloads, digested) whether the
+lifecycle policy's ``wire_check`` is on or off — the gate only reads
+summaries already derived by the JIT pipeline, so a compatible rollout
+pays nothing (``tests/integration/test_upgrade_drill.py`` runs that
+control).
 
 Figures: ``vetoed`` / ``veto_reason`` / ``incompat_installed_anywhere``
 (must stay False) / ``promoted`` / ``healthy`` /
@@ -69,14 +70,12 @@ class UpgradeResult(ExperimentResult):
 
 def run_upgrade_experiment(*, seed: int = 5, n_routers: int = 16,
                            duration: float = 8.0,
-                           wire_check: bool = True,
-                           attempt_incompatible: bool = True,
                            obs: Observability | None = None
                            ) -> UpgradeResult:
     """Run the rolling-upgrade drill; see the module docstring."""
     net, routers, dst, manager = _drill_fleet(
         seed=seed, n_routers=n_routers, obs=obs,
-        gen1=GEN1_ASP, gen1_name="upgrade-gen1", wire_check=wire_check)
+        gen1=GEN1_ASP, gen1_name="upgrade-gen1")
     records: list[tuple[float, bytes]] = []
     dst.delivery_taps.append(lambda p: records.append((net.now,
                                                        p.payload)))
@@ -97,8 +96,7 @@ def run_upgrade_experiment(*, seed: int = 5, n_routers: int = 16,
             GEN2_COMPAT_ASP, routers,
             source_name="upgrade-gen2-compat")
 
-    if attempt_incompatible:
-        net.sim.at(2.0, attempt_bad)
+    net.sim.at(2.0, attempt_bad)
     net.sim.at(3.0, attempt_good)
     net.run(until=duration)
 
@@ -136,9 +134,7 @@ def run_upgrade_experiment(*, seed: int = 5, n_routers: int = 16,
     figures = {
         "healthy": (promoted and on_compat
                     and not manager.quarantined_nodes()
-                    and (vetoed or not attempt_incompatible
-                         or not wire_check)
-                    and not (wire_check and incompat_seen)),
+                    and vetoed and not incompat_seen),
         "vetoed": vetoed,
         "veto_reason": (incompat.reason
                         if incompat is not None else ""),
@@ -153,12 +149,12 @@ def run_upgrade_experiment(*, seed: int = 5, n_routers: int = 16,
         "delivery_digest": digest.hexdigest(),
         "final_generations": final_generations,
         "lifecycle_events": sum(
-            1 for e in net.obs.events.filter()
+            1 for e in net.obs.events.events
             if e.kind in ("rollout", "quarantine", "rollback")),
     }
     return UpgradeResult(
         seed=seed,
+        # the drill always runs the gate and the incompatible attempt
         params={"n_routers": n_routers, "duration": duration,
-                "wire_check": wire_check,
-                "attempt_incompatible": attempt_incompatible},
+                "wire_check": True, "attempt_incompatible": True},
         metrics=net.metrics_snapshot(), figures=figures)

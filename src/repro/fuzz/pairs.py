@@ -319,7 +319,7 @@ def run_pair_campaign(seed: int, *, budget_s: float = 60.0,
                       min_pairs: int = 150,
                       max_pairs: int | None = None,
                       out_dir: str | Path | None = None,
-                      minimize: bool = True, obs=None,
+                      minimize: bool = True,
                       checker=check_compatible) -> PairReport:
     """Hunt for wire-compat false accepts under
     :func:`repro.fuzz.runner.drive`'s stopping rule, one pair per step.
@@ -327,7 +327,7 @@ def run_pair_campaign(seed: int, *, budget_s: float = 60.0,
     ``out_dir`` receives one minimized wire-case file per finding;
     ``checker`` is the verdict function under test.
     """
-    obs = obs if obs is not None else GLOBAL
+    obs = GLOBAL
     metrics = obs.metrics
     c_pairs = metrics.counter("fuzz.wire_pairs")
     c_divergent = metrics.counter("fuzz.wire_divergent")

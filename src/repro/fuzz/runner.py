@@ -120,14 +120,13 @@ def run_campaign(seed: int, *, budget_s: float = 60.0,
                  streams_per_program: int = 4, stream_len: int = 12,
                  batch_size: int = 4, backends=DEFAULT_BACKENDS,
                  out_dir: str | Path | None = None,
-                 minimize: bool = True,
-                 obs=None) -> FuzzReport:
+                 minimize: bool = True) -> FuzzReport:
     """Fuzz under :func:`drive`'s stopping rule, one program (and its
     ``streams_per_program`` pairs) per step.
 
     ``out_dir`` receives one minimized JSON case per finding.
     """
-    obs = obs if obs is not None else GLOBAL
+    obs = GLOBAL
     metrics = obs.metrics
     c_programs = metrics.counter("fuzz.programs")
     c_streams = metrics.counter("fuzz.streams")

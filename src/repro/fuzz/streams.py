@@ -37,6 +37,9 @@ _TTLS = (0, 1, 64, 255)
 _INTS = (0, 1, -1, 255, 2147483647, -2147483648)
 _HOSTS = (0, 1, 0x0A000001, 0xFFFFFFFF)
 
+#: share of a stream's packets that are mutated descendants of valid ones
+MUTATION_RATE = 0.45
+
 
 @dataclass(frozen=True)
 class PacketSpec:
@@ -140,8 +143,8 @@ def _mutate(rng: random.Random, spec: PacketSpec,
     return replace(spec, payload=rng.randbytes(rng.randrange(0, 24)))
 
 
-def gen_stream(rng: random.Random, info, length: int = 12,
-               mutation_rate: float = 0.45) -> list[PacketSpec]:
+def gen_stream(rng: random.Random, info,
+               length: int = 12) -> list[PacketSpec]:
     """An adversarial stream against a typechecked program.
 
     ``info`` is the :class:`~repro.lang.typechecker.ProgramInfo`; the
@@ -160,7 +163,7 @@ def gen_stream(rng: random.Random, info, length: int = 12,
     while len(stream) < length:
         decl, tag = rng.choice(decls)
         spec = _spec_for(rng, decl, tag)
-        if rng.random() < mutation_rate:
+        if rng.random() < MUTATION_RATE:
             spec = _mutate(rng, spec, channel_names)
         # Repetition runs give the batch tier same-shape rows to fold.
         reps = rng.choice((1, 1, 1, 2, 3, 5))

@@ -119,18 +119,21 @@ class CacheStats:
         return dataclasses.replace(self)
 
 
+#: entries each of the cache's maps holds before evicting its oldest
+MAX_ENTRIES = 128
+
+
 class ProgramCache:
     """Content-addressed cache over the program-download pipeline.
 
     Entries are keyed by the SHA-256 of the source text, so identical
     programs shipped under different names or to different nodes share
     one front-end pass; diagnostics on shared entries carry the source
-    name of the first download.  ``max_entries`` bounds each internal
-    map (FIFO eviction); ``max_entries=0`` disables caching entirely.
+    name of the first download.  :data:`MAX_ENTRIES` bounds each
+    internal map (FIFO eviction).
     """
 
-    def __init__(self, max_entries: int = 128):
-        self.max_entries = max_entries
+    def __init__(self):
         self.stats = CacheStats()
         self._frontend: dict[str, ProgramInfo] = {}
         self._reports: dict[str, "VerificationReport"] = {}
@@ -149,9 +152,7 @@ class ProgramCache:
         self.stats = CacheStats()
 
     def _put(self, table: dict, key, value) -> None:
-        if self.max_entries <= 0:
-            return
-        if key not in table and len(table) >= self.max_entries:
+        if key not in table and len(table) >= MAX_ENTRIES:
             table.pop(next(iter(table)))
         table[key] = value
 
@@ -251,8 +252,7 @@ class ProgramCache:
         return artifact
 
 
-#: The process-wide cache every download path goes through.  Replaceable
-#: (e.g. with ``ProgramCache(max_entries=0)``) to disable caching.
+#: The process-wide cache every download path goes through.
 PROGRAM_CACHE = ProgramCache()
 
 

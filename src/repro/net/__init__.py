@@ -11,7 +11,7 @@ from .routing import RoutingTable, compute_routes
 from .sim import PeriodicTask, Simulator
 from .tcp import TcpConnection, TcpListener, TcpStack
 from .topology import Network
-from .trace import EventKind, PacketTracer, TraceEvent
+from .trace import PacketTracer
 from .udp import UdpSocket, UdpStack
 
 __all__ = [
@@ -27,9 +27,7 @@ __all__ = [
     "LinkStats",
     "LoadMonitor",
     "Network",
-    "EventKind",
     "PacketTracer",
-    "TraceEvent",
     "Node",
     "NodeStats",
     "Packet",

@@ -156,7 +156,7 @@ class FaultController:
 
     # -- ASP faults -------------------------------------------------------------
 
-    def poison_asp(self, node: "Node | str", every: int = 3) -> None:
+    def poison_asp(self, node: "Node | str", every: int) -> None:
         """Corrupt a node's installed ASP: every ``every``-th channel
         invocation raises a runtime error (contained by the PLAN-P
         layer's fail-open path).  This is the drill primitive behind

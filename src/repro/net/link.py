@@ -169,15 +169,13 @@ class Medium:
     the sender's, the up/down switch, taps and summed counters."""
 
     def __init__(self, sim: Simulator, bandwidth_bps: float,
-                 latency: float, queue_limit: int, loss_rate: float,
-                 name: str):
+                 latency: float, queue_limit: int, name: str):
         # Checked here so Network.link / Network.segment fail at the
         # call that made the mistake, before anything is attached —
         # not as a ZeroDivisionError on the first packet, or never.
         for what, value, ok, want in (
                 ("bandwidth_bps", bandwidth_bps, bandwidth_bps > 0, "> 0"),
                 ("latency", latency, latency >= 0, ">= 0"),
-                ("loss_rate", loss_rate, 0 <= loss_rate <= 1, "in [0, 1]"),
                 ("queue_limit", queue_limit, queue_limit >= 0, ">= 0")):
             if not ok:
                 raise ValueError(
@@ -187,7 +185,7 @@ class Medium:
         self.bandwidth_bps = bandwidth_bps
         self.latency = latency
         self._queue_limit = queue_limit
-        self._loss_rate = loss_rate
+        self._loss_rate = 0.0
         self._ifaces: list["Interface"] = []
         self._queues: list[_TxQueue] = []
 
@@ -218,6 +216,21 @@ class Medium:
             tx.up = value
             if not value:
                 tx.clear()
+
+    @property
+    def loss_rate(self) -> float:
+        """The share of frames lost at random, in every direction: 0
+        until set (a lossy-medium drill sets it before traffic flows)."""
+        return self._loss_rate
+
+    @loss_rate.setter
+    def loss_rate(self, value: float) -> None:
+        if not 0 <= value <= 1:
+            raise ValueError(f"medium {self.name!r}: loss_rate must be "
+                             f"in [0, 1], got {value!r}")
+        self._loss_rate = value
+        for tx in self._queues:
+            tx.loss_rate = value
 
     def add_send_tap(self,
                      tap: Callable[[Packet, "Interface"], None]) -> None:
@@ -256,9 +269,8 @@ class Link(Medium):
 
     def __init__(self, sim: Simulator, bandwidth_bps: float = 10_000_000,
                  latency: float = 0.0005, queue_limit: int = 64,
-                 loss_rate: float = 0.0, name: str = ""):
-        super().__init__(sim, bandwidth_bps, latency, queue_limit,
-                         loss_rate, name)
+                 name: str = ""):
+        super().__init__(sim, bandwidth_bps, latency, queue_limit, name)
         self._tx: dict[int, _TxQueue] = {}
 
     def attach(self, iface: "Interface") -> None:
@@ -295,9 +307,8 @@ class Segment(Medium):
 
     def __init__(self, sim: Simulator, bandwidth_bps: float = 10_000_000,
                  latency: float = 0.0002, queue_limit: int = 128,
-                 loss_rate: float = 0.0, name: str = ""):
-        super().__init__(sim, bandwidth_bps, latency, queue_limit,
-                         loss_rate, name)
+                 name: str = ""):
+        super().__init__(sim, bandwidth_bps, latency, queue_limit, name)
         self._tx = self._new_queue(f"tx:{name or 'segment'}")
 
     def attach(self, iface: "Interface") -> None:

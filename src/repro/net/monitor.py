@@ -13,17 +13,21 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+#: the averaging horizon in seconds: shorter windows adapt faster but
+#: jitter more — the trade-off the audio experiment's hysteresis
+#: policy tames
+WINDOW_S = 1.0
+#: the slot width in seconds; the window is ten of them
+BUCKET_S = 0.1
+
 
 class LoadMonitor:
     """Sliding-window throughput estimator.
 
-    ``window`` is the averaging horizon in seconds; shorter windows adapt
-    faster but jitter more — the trade-off the audio experiment's
-    hysteresis policy tames.
-
-    Bytes accumulate in the current ``bucket``-wide slot; a slot becomes
-    a ``(slot, bytes)`` entry of the window only when a later slot
-    starts, so a transmission costs two additions, not a tuple.  Slots
+    Bytes accumulate in the current :data:`BUCKET_S`-wide slot of a
+    :data:`WINDOW_S` window; a slot becomes a ``(slot, bytes)`` entry of
+    the window only when a later slot starts, so a transmission costs
+    two additions, not a tuple.  Slots
     older than the window are expired on a slot change (which bounds
     the list) and on every query.  Every clock reading given to
     :meth:`record` and to the queries must not decrease from one call
@@ -31,14 +35,10 @@ class LoadMonitor:
     simulator's clock.
     """
 
-    __slots__ = ("window", "bucket", "_buckets", "_slot", "_bytes",
-                 "total_bytes", "total_packets")
+    __slots__ = ("_buckets", "_slot", "_bytes", "total_bytes",
+                 "total_packets")
 
-    def __init__(self, window: float = 1.0, bucket: float = 0.1):
-        if window <= 0 or bucket <= 0 or bucket > window:
-            raise ValueError("need 0 < bucket <= window")
-        self.window = window
-        self.bucket = bucket
+    def __init__(self):
         #: closed slots, oldest first: ``(slot, bytes)``
         self._buckets: list[tuple[int, int]] = []
         #: the open slot and the bytes recorded in it so far
@@ -51,7 +51,7 @@ class LoadMonitor:
         """Account ``nbytes`` transmitted at time ``now``."""
         self.total_bytes += nbytes
         self.total_packets += 1
-        slot = int(now / self.bucket)
+        slot = int(now / BUCKET_S)
         if slot == self._slot:
             self._bytes += nbytes
             return
@@ -64,7 +64,7 @@ class LoadMonitor:
     def _expire(self, now: float) -> int:
         """Drop closed slots older than the window ending at ``now``;
         returns the oldest slot still inside it."""
-        horizon = int((now - self.window) / self.bucket)
+        horizon = int((now - WINDOW_S) / BUCKET_S)
         buckets = self._buckets
         while buckets and buckets[0][0] < horizon:
             del buckets[0]
@@ -84,7 +84,7 @@ class LoadMonitor:
         rate (and bias the audio ASP's first adaptation decisions
         toward "plenty of headroom").  Floored at one bucket width so a
         lone packet at t≈0 cannot extrapolate to an absurd rate."""
-        return max(min(now, self.window), self.bucket)
+        return max(min(now, WINDOW_S), BUCKET_S)
 
     def rate_kbps(self, now: float) -> int:
         """Measured rate over the window, in kbit/s (rounded down)."""

@@ -22,28 +22,29 @@ import random
 
 __all__ = ["AdmissionController", "Backoff"]
 
+#: a silent timeout multiplies the backoff base by this, up to the ceiling
+MULTIPLIER = 2.0
+#: a delay is the base times a uniform draw from [1 - JITTER, 1 + JITTER]
+JITTER = 0.5
+
 
 class Backoff:
     """A jittered exponential backoff schedule.
 
     ``delay()`` returns the next timer value (one jitter draw from
-    ``entropy`` per call); ``bump()`` doubles the base toward
+    ``entropy`` per call, within ±:data:`JITTER` of the base);
+    ``bump()`` multiplies the base by :data:`MULTIPLIER` toward
     ``ceiling`` after a silent timeout; ``reset()`` restores the
     initial base on progress.  With ``entropy=None`` the delay is
     unjittered (deterministic), which unit tests use.
     """
 
     def __init__(self, *, initial: float, ceiling: float,
-                 multiplier: float = 2.0, jitter: float = 0.5,
                  entropy: random.Random | None = None):
         if initial <= 0 or ceiling < initial:
             raise ValueError("need 0 < initial <= ceiling")
-        if multiplier < 1.0:
-            raise ValueError(f"multiplier {multiplier} would shrink")
         self.initial = initial
         self.ceiling = ceiling
-        self.multiplier = multiplier
-        self.jitter = jitter
         self.entropy = entropy
         self.current = initial
         self.attempts = 0
@@ -51,15 +52,15 @@ class Backoff:
     def delay(self) -> float:
         """The next timer value: the current base, jittered."""
         base = self.current
-        if self.entropy is not None and self.jitter > 0:
-            return base * (1.0 + self.jitter
+        if self.entropy is not None:
+            return base * (1.0 + JITTER
                            * (2.0 * self.entropy.random() - 1.0))
         return base
 
     def bump(self) -> None:
         """A timer fired with no progress: double toward the ceiling."""
         self.attempts += 1
-        self.current = min(self.current * self.multiplier, self.ceiling)
+        self.current = min(self.current * MULTIPLIER, self.ceiling)
 
     def reset(self) -> None:
         """Progress was made: restore the initial base."""

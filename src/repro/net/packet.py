@@ -177,19 +177,19 @@ class Packet:
 
 
 def udp_packet(src: HostAddr, dst: HostAddr, src_port: int, dst_port: int,
-               payload: bytes, channel: str | None = None) -> Packet:
-    """Build a UDP datagram."""
+               payload: bytes) -> Packet:
+    """Build an untagged UDP datagram."""
     return Packet(ip=IpHeader(src=src, dst=dst, proto=PROTO_UDP),
                   transport=UdpHeader(src_port=src_port, dst_port=dst_port),
-                  payload=payload, channel=channel)
+                  payload=payload)
 
 
 def tcp_packet(src: HostAddr, dst: HostAddr, src_port: int, dst_port: int,
                payload: bytes = b"", *, seq: int = 0, ack: int = 0,
                syn: bool = False, fin: bool = False, ack_flag: bool = False,
-               rst: bool = False, channel: str | None = None) -> Packet:
-    """Build a TCP segment."""
+               rst: bool = False) -> Packet:
+    """Build an untagged TCP segment."""
     hdr = TcpHeader(src_port=src_port, dst_port=dst_port, seq=seq, ack=ack,
                     syn=syn, fin=fin, ack_flag=ack_flag, rst=rst)
     return Packet(ip=IpHeader(src=src, dst=dst, proto=PROTO_TCP),
-                  transport=hdr, payload=payload, channel=channel)
+                  transport=hdr, payload=payload)

@@ -457,14 +457,15 @@ class SerialResource:
     """A serial processing resource (e.g. a node's CPU).
 
     Work items run in submission order, each occupying the resource for
-    its cost; with ``per_item_s == 0`` submission is immediate and
-    synchronous.  Used to charge gateway nodes for per-packet ASP
-    execution — the contention point of the paper's figure 8.
+    its cost; with ``per_item_s == 0`` (until the owner sets a cost)
+    submission is immediate and synchronous.  Used to charge gateway
+    nodes for per-packet ASP execution — the contention point of the
+    paper's figure 8.
     """
 
-    def __init__(self, sim: Simulator, per_item_s: float = 0.0):
+    def __init__(self, sim: Simulator):
         self._sim = sim
-        self.per_item_s = per_item_s
+        self.per_item_s = 0.0
         self._busy_until = 0.0
         self.items_processed = 0
 

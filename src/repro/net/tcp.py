@@ -402,12 +402,13 @@ class TcpStack:
         self._listeners[port] = listener
         return listener
 
-    def connect(self, dst: HostAddr, dst_port: int,
-                local_port: int = 0) -> TcpConnection:
-        if local_port == 0:
-            local_port = self._alloc_ephemeral()
+    def connect(self, dst: HostAddr, dst_port: int) -> TcpConnection:
+        """Open a connection from a fresh ephemeral port."""
+        local_port = self._alloc_ephemeral()
         key = (local_port, dst, dst_port)
         if key in self._connections:
+            # a connection accepted on a listener in the ephemeral
+            # range can already own the tuple
             raise TcpError(f"connection {key} already exists")
         conn = TcpConnection(self, local_port, dst, dst_port,
                              self._alloc_iss())

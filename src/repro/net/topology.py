@@ -104,12 +104,10 @@ class Network:
     # -- media ------------------------------------------------------------------
 
     def link(self, a: Node, b: Node, bandwidth: float = 100e6,
-             latency: float = 0.0005, queue_limit: int = 64,
-             loss_rate: float = 0.0) -> Link:
+             latency: float = 0.0005, queue_limit: int = 64) -> Link:
         """Connect two nodes with a point-to-point link."""
         link = Link(self.sim, bandwidth_bps=bandwidth, latency=latency,
-                    queue_limit=queue_limit, loss_rate=loss_rate,
-                    name=f"{a.name}--{b.name}")
+                    queue_limit=queue_limit, name=f"{a.name}--{b.name}")
         subnet = self._alloc.new_subnet()
         a.add_interface(link, self._alloc.new_host(subnet))
         b.add_interface(link, self._alloc.new_host(subnet))
@@ -117,12 +115,10 @@ class Network:
         return link
 
     def segment(self, name: str, bandwidth: float = 10e6,
-                latency: float = 0.0002, queue_limit: int = 128,
-                loss_rate: float = 0.0) -> Segment:
+                latency: float = 0.0002, queue_limit: int = 128) -> Segment:
         """Create a shared segment; attach nodes with :meth:`attach`."""
         seg = Segment(self.sim, bandwidth_bps=bandwidth, latency=latency,
-                      queue_limit=queue_limit, loss_rate=loss_rate,
-                      name=name)
+                      queue_limit=queue_limit, name=name)
         seg.subnet = self._alloc.new_subnet()
         self._register_medium(seg)
         return seg
@@ -200,19 +196,17 @@ class Network:
             raise RuntimeError("call finalize() before running")
         self.sim.run(until=until, max_events=max_events)
 
-    def metrics_snapshot(self,
-                         include_global: bool = True) -> dict[str, object]:
+    def metrics_snapshot(self) -> dict[str, object]:
         """Every metric of this network, flattened to
         ``{dotted.name: value}`` — per-node and per-link counters, the
-        scheduler's health, event-log totals, and (by default) the
-        process-wide :data:`repro.obs.GLOBAL` scope's JIT / cache /
-        verifier instruments under a ``global.`` prefix."""
-        snap = self.obs.snapshot()
-        if include_global:
-            from ..obs import GLOBAL
+        scheduler's health, event-log totals (``self.obs.snapshot()``),
+        and the process-wide :data:`repro.obs.GLOBAL` scope's JIT /
+        cache / verifier instruments under a ``global.`` prefix."""
+        from ..obs import GLOBAL
 
-            for key, value in GLOBAL.snapshot().items():
-                snap[f"global.{key}"] = value
+        snap = self.obs.snapshot()
+        for key, value in GLOBAL.snapshot().items():
+            snap[f"global.{key}"] = value
         return snap
 
     @property

@@ -21,8 +21,10 @@ dict.  Nothing here reads a wall clock into a metric: wall time is
 
 Cost discipline: per-packet hot paths never pay for observability they
 did not opt into.  Existing counters stay plain ``int`` fields read at
-snapshot time; packet-level ``rx``/``up``/``tx`` event mirroring is
-opt-in via :class:`~repro.net.trace.PacketTracer`; only exceptional
+snapshot time; packet-level ``rx``/``up``/``tx`` records are opt-in by
+attaching a :class:`~repro.net.trace.PacketTracer`, which writes them
+into the network's event log — the one event store; it keeps none of
+its own — and reads its timeline back from there; only exceptional
 paths (drops, faults, errors, deploy verdicts) always log.
 """
 

@@ -12,10 +12,11 @@ conventions):
 
 ==============  =====================================================
 ``drop``        a packet was discarded (``reason`` says where and why)
-``tx``          a packet started transmission on a medium (mirrored
-                by PacketTracer)
-``rx``          a packet arrived at a node (mirrored by PacketTracer)
-``up``          a packet was delivered locally (mirrored by PacketTracer)
+``tx``          a packet started transmission on a medium (logged
+                only while a PacketTracer taps the medium)
+``rx``          a packet arrived at a node (logged only while a
+                PacketTracer taps the node)
+``up``          a packet was delivered locally (ditto)
 ``fault``       an injected failure or recovery (FaultController)
 ``deploy``      a deployment protocol milestone (push/install/reject)
 ``error``       an application handler error that was caught and counted
@@ -28,8 +29,8 @@ conventions):
                 (LifecycleManager)
 ==============  =====================================================
 
-The buffer is bounded: past ``max_events`` new records are counted in
-:attr:`EventLog.dropped` instead of stored, so a packet storm cannot
+The buffer is bounded: past :data:`MAX_EVENTS` new records are counted
+in :attr:`EventLog.dropped` instead of stored, so a packet storm cannot
 eat the heap.
 """
 
@@ -38,6 +39,9 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from typing import Callable, IO
+
+#: records one log holds; later ones are counted, not stored
+MAX_EVENTS = 100_000
 
 
 @dataclass(frozen=True)
@@ -63,14 +67,12 @@ class EventRecord:
 class EventLog:
     """A bounded, clock-aware list of :class:`EventRecord`."""
 
-    def __init__(self, clock: Callable[[], float] | None = None,
-                 max_events: int = 100_000):
+    def __init__(self, clock: Callable[[], float] | None = None):
         if clock is None:
             import time
 
             clock = time.perf_counter
         self.clock = clock
-        self.max_events = max_events
         self.events: list[EventRecord] = []
         #: records discarded because the buffer was full
         self.dropped = 0
@@ -79,7 +81,7 @@ class EventLog:
     def emit(self, kind: str, node: str = "", **data) -> None:
         if not self.enabled:
             return
-        if len(self.events) >= self.max_events:
+        if len(self.events) >= MAX_EVENTS:
             self.dropped += 1
             return
         self.events.append(EventRecord(t=self.clock(), kind=kind,
@@ -87,17 +89,9 @@ class EventLog:
 
     # -- queries ------------------------------------------------------------------
 
-    def filter(self, kind: str | None = None, node: str | None = None,
-               predicate: Callable[[EventRecord], bool] | None = None
-               ) -> list[EventRecord]:
-        out = self.events
-        if kind is not None:
-            out = [e for e in out if e.kind == kind]
-        if node is not None:
-            out = [e for e in out if e.node == node]
-        if predicate is not None:
-            out = [e for e in out if predicate(e)]
-        return out
+    def filter(self, kind: str) -> list[EventRecord]:
+        """The records of one kind, oldest first."""
+        return [e for e in self.events if e.kind == kind]
 
     def counts(self) -> dict[str, int]:
         """Events per kind (the log's own summary metric)."""
@@ -108,20 +102,12 @@ class EventLog:
 
     # -- serialisation ------------------------------------------------------------
 
-    def to_jsonl(self, kind: str | None = None,
-                 limit: int | None = None) -> str:
-        events = self.filter(kind=kind)
-        if limit is not None:
-            events = events[-limit:]
-        return "\n".join(e.to_json() for e in events)
-
-    def dump(self, fp: IO[str], kind: str | None = None) -> int:
+    def dump(self, fp: IO[str]) -> int:
         """Write the log as JSON lines; returns the record count."""
-        events = self.filter(kind=kind)
-        for event in events:
+        for event in self.events:
             fp.write(event.to_json())
             fp.write("\n")
-        return len(events)
+        return len(self.events)
 
     def clear(self) -> None:
         self.events.clear()

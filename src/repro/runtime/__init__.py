@@ -7,8 +7,7 @@ from .deployment import Deployment, DeploymentRecord
 from .lifecycle import (BreakerState, CircuitBreaker, Generation,
                         LifecycleManager, LifecyclePolicy, NodeLifecycle,
                         Rollout, RolloutState)
-from .netdeploy import (DeploymentManager, DeploymentService, PushStatus,
-                        RetryPolicy)
+from .netdeploy import DeploymentManager, DeploymentService, PushStatus
 from .planp_layer import PlanPLayer, PlanPStats, ProgramSnapshot
 
 __all__ = [
@@ -26,7 +25,6 @@ __all__ = [
     "NodeLifecycle",
     "ProgramSnapshot",
     "PushStatus",
-    "RetryPolicy",
     "PlanPLayer",
     "PlanPStats",
     "Rollout",

@@ -368,13 +368,11 @@ class LifecycleManager:
     def rollout(self, source: str, nodes: list[Node | str], *,
                 backend: str = DEFAULT_BACKEND, verify: bool = True,
                 source_name: str = "<asp>",
-                canary: list[Node | str] | None = None,
                 force: bool = False) -> Rollout:
-        """Stage ``source`` across ``nodes``: canary first, then a
+        """Stage ``source`` across ``nodes``: canary first (the first
+        ``canary_fraction`` of the fleet, in the given order), then a
         health-gated promotion (or abort + canary rollback).
 
-        ``canary`` overrides the policy's canary selection (the first
-        ``canary_fraction`` of the fleet, in the given order).
         ``force=True`` skips both the wire-compatibility veto and the
         health gate and promotes immediately — the privileged operator
         path; the circuit breakers still guard it.
@@ -397,13 +395,9 @@ class LifecycleManager:
             # node and leaves no rollout behind.
             cache.check_verified(*cache.frontend(source, source_name))
         sha = cache.digest(source)
-        if canary is not None:
-            canary_names = [self.net[n].name if isinstance(n, str)
-                            else n.name for n in canary]
-        else:
-            count = max(MIN_CANARY,
-                        int(len(names) * self.policy.canary_fraction))
-            canary_names = names[:min(count, len(names))]
+        count = max(MIN_CANARY,
+                    int(len(names) * self.policy.canary_fraction))
+        canary_names = names[:min(count, len(names))]
         rollout = Rollout(number=len(self.rollouts) + 1, sha=sha,
                           source_name=source_name, nodes=names,
                           canary=list(canary_names), source=source,
@@ -613,40 +607,33 @@ class LifecycleManager:
 
     # -- rollback ---------------------------------------------------------------
 
-    def rollback(self, sha: str | None = None, *,
-                 reason: str = "operator") -> list[str]:
-        """Roll every node running generation ``sha`` (default: its
-        newest generation) back to the one before it.  Returns the
-        nodes rolled back.
+    def rollback(self, sha: str) -> list[str]:
+        """The operator's rollback: every node running generation
+        ``sha`` goes back to the one before it.  Returns the nodes
+        rolled back.
 
         A ``sha`` absent from a node's history skips that node with a
         ``rollback``/``skip`` event; absent from *every* node's
         history, the call is a clean audited no-op (never an exception
         mid-fleet).
         """
-        if sha is not None:
-            names = [name for name, nl in self.nodes.items()
-                     if (nl.current is not None
-                         and nl.current.sha == sha)
-                     or (nl.quarantined and nl.generations
-                         and nl.generations[-1].sha == sha)]
-            if not names:
-                self._emit("rollback", action="skip", sha=sha[:12],
-                           node="", nodes=0,
-                           reason="no managed node runs this "
-                                  "generation")
-                return []
-            for name in sorted(set(self.nodes) - set(names)):
-                nl = self.nodes[name]
-                self._emit("rollback", action="skip", sha=sha[:12],
-                           node=name,
-                           current=(nl.current.sha[:12]
-                                    if nl.current is not None else ""),
-                           reason="generation not running here")
-        else:
-            names = [name for name, nl in self.nodes.items()
-                     if len(nl.generations) > 1]
-        return self._rollback_nodes(sorted(names), sha, reason=reason)
+        names = [name for name, nl in self.nodes.items()
+                 if (nl.current is not None and nl.current.sha == sha)
+                 or (nl.quarantined and nl.generations
+                     and nl.generations[-1].sha == sha)]
+        if not names:
+            self._emit("rollback", action="skip", sha=sha[:12], node="",
+                       nodes=0,
+                       reason="no managed node runs this generation")
+            return []
+        for name in sorted(set(self.nodes) - set(names)):
+            nl = self.nodes[name]
+            self._emit("rollback", action="skip", sha=sha[:12],
+                       node=name,
+                       current=(nl.current.sha[:12]
+                                if nl.current is not None else ""),
+                       reason="generation not running here")
+        return self._rollback_nodes(sorted(names), sha, reason="operator")
 
     def _rollback_fleet(self, sha: str, *, reason: str) -> None:
         """Automatic rollback: every managed node on ``sha`` reverts."""
@@ -660,7 +647,7 @@ class LifecycleManager:
         self._emit("rollback", action="done", sha=sha[:12],
                    nodes=len(rolled))
 
-    def _rollback_nodes(self, names: list[str], sha: str | None, *,
+    def _rollback_nodes(self, names: list[str], sha: str, *,
                         reason: str) -> list[str]:
         rolled: list[str] = []
         for name in names:
@@ -668,7 +655,7 @@ class LifecycleManager:
             if not nl.generations:
                 continue
             bad = nl.generations[-1]
-            if sha is not None and bad.sha != sha:
+            if bad.sha != sha:
                 continue
             nl.generations.pop()
             nl.rolled_back.append(bad)

@@ -13,7 +13,7 @@ transport the paper's HTTP gateway runs on (Burgy et al. argue that
 robustness belongs in the messaging layer; here that layer already
 exists).  What this module adds is about deployment, not transport:
 
-* **Terminal deadlines.**  ``RetryPolicy.deadline`` sim-seconds after a
+* **Terminal deadlines.**  :data:`PUSH_DEADLINE_S` sim-seconds after a
   (re-)push, a target still pending has its connection aborted and
   fails with reason ``timeout`` — or ``unreachable`` when the manager
   no longer has a route to it.  A target nobody listens on answers the
@@ -66,6 +66,9 @@ MAX_HEADER = 256
 #: how far :meth:`DeploymentManager.await_converged` advances the
 #: simulation between looks at the statuses (sim-seconds)
 POLL_S = 0.05
+#: sim-seconds from (re-)push until a pending target fails; how long one
+#: push may take (retransmission is the transport's)
+PUSH_DEADLINE_S = 10.0
 
 
 # ---------------------------------------------------------------------------
@@ -210,14 +213,6 @@ class DeploymentService:
 
 
 @dataclass
-class RetryPolicy:
-    """How long one push may take; retransmission is the transport's."""
-
-    #: sim-seconds from (re-)push until a pending target fails
-    deadline: float = 10.0
-
-
-@dataclass
 class PushStatus:
     """Outcome of one node's installation, as answered.
 
@@ -257,13 +252,13 @@ class _TargetPush:
         self.status = manager.pushes[xfer][target]
         self.conn: TcpConnection | None = None
         sim = manager.host.sim
-        self.status.deadline = sim.now + manager._sources[xfer][3].deadline
+        self.status.deadline = sim.now + PUSH_DEADLINE_S
         self._deadline = sim.at(self.status.deadline, self._on_deadline)
         self._connect()
 
     def _connect(self) -> None:
         manager = self.manager
-        data, backend, verify, _policy = manager._sources[self.xfer]
+        data, backend, verify = manager._sources[self.xfer]
         self.established = False
         self.conn = conn = manager.net.tcp(manager.host).connect(
             self.target, manager.port)
@@ -345,7 +340,7 @@ class DeploymentManager:
         self.port = port
         self.pushes: dict[str, dict[HostAddr, PushStatus]] = {}
         #: push parameters kept for reconnects and re-push
-        self._sources: dict[str, tuple[bytes, str, bool, RetryPolicy]] = {}
+        self._sources: dict[str, tuple[bytes, str, bool]] = {}
         self._live: dict[tuple[str, HostAddr], _TargetPush] = {}
         net.obs.metrics.register("deploy.manager", self._stats_dict)
 
@@ -365,7 +360,7 @@ class DeploymentManager:
 
     def push(self, source: str, targets: list[HostAddr], *,
              backend: str = DEFAULT_BACKEND, verify: bool = True,
-             name: str = "", policy: RetryPolicy | None = None) -> str:
+             name: str = "") -> str:
         """Ship ``source`` to every target; returns the transfer id
         (``name``, or ``asp<n>`` numbered by this manager's pushes).
 
@@ -376,8 +371,7 @@ class DeploymentManager:
         xfer = name or f"asp{len(self.pushes) + 1}"
         data = source.encode("utf-8")
         self.pushes[xfer] = {t: PushStatus(target=t) for t in targets}
-        self._sources[xfer] = (data, backend, verify,
-                               policy or RetryPolicy())
+        self._sources[xfer] = (data, backend, verify)
         self.net.obs.events.emit("deploy", node=self.host.name,
                                  action="push", xfer=xfer,
                                  targets=len(targets), bytes=len(data))
@@ -385,20 +379,15 @@ class DeploymentManager:
             self._start(xfer, target)
         return xfer
 
-    def repush(self, xfer: str,
-               policy: RetryPolicy | None = None) -> list[HostAddr]:
+    def repush(self, xfer: str) -> list[HostAddr]:
         """Idempotently re-push ``xfer`` to every target that has not
         acknowledged success (failed pushes, nodes that rejoined after
-        a crash).  Their statuses return to pending with
-        a fresh deadline; cumulative counters are preserved.  ``policy``
-        replaces the push's retry policy from here on.  Returns the
+        a crash).  Their statuses return to pending with a fresh
+        deadline; cumulative counters are preserved.  Returns the
         targets re-pushed."""
         statuses = self.pushes.get(xfer)
         if statuses is None:
             raise KeyError(f"unknown transfer {xfer!r}")
-        if policy is not None:
-            data, backend, verify, _old = self._sources[xfer]
-            self._sources[xfer] = (data, backend, verify, policy)
         targets = [t for t, s in statuses.items() if s.ok is not True]
         for target in targets:
             status = statuses[target]

@@ -43,6 +43,7 @@ from ..fuzz import (WIRE_CASE_KIND, load_case, load_wire_case,
                     minimize_case, run_campaign, run_case,
                     run_pair_campaign, run_wire_case, save_case)
 from ..fuzz.oracle import DEFAULT_BACKENDS
+from . import at_least
 
 
 def _parse_backends(text: str | None):
@@ -154,7 +155,7 @@ def cmd_replay(args: argparse.Namespace) -> int:
     return 1 if failed else 0
 
 
-def main(argv: list[str] | None = None) -> int:
+def main(argv: list[str]) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro.tools.fuzzx",
         description="grammar-based differential fuzzing harness")
@@ -167,15 +168,18 @@ def main(argv: list[str] | None = None) -> int:
                        metavar="SECONDS",
                        help="time budget; the --min-pairs floor still "
                             "applies (default: 60)")
-    p_run.add_argument("--min-pairs", type=int, default=200, metavar="N",
+    p_run.add_argument("--min-pairs", type=at_least(1), default=200,
+                       metavar="N",
                        help="minimum (program, stream) pairs (default: "
                             "200)")
-    p_run.add_argument("--max-pairs", type=int, default=None,
+    p_run.add_argument("--max-pairs", type=at_least(1), default=None,
                        metavar="N", help="hard cap on pairs")
-    p_run.add_argument("--streams-per-program", type=int, default=4,
+    p_run.add_argument("--streams-per-program", type=at_least(1),
+                       default=4, metavar="N")
+    p_run.add_argument("--stream-len", type=at_least(1), default=12,
                        metavar="N")
-    p_run.add_argument("--stream-len", type=int, default=12, metavar="N")
-    p_run.add_argument("--batch-size", type=int, default=4, metavar="N")
+    p_run.add_argument("--batch-size", type=at_least(1), default=4,
+                       metavar="N")
     p_run.add_argument("--backends", metavar="B1,B2",
                        help="comma-separated backend subset (default: "
                             "all three)")
@@ -196,10 +200,10 @@ def main(argv: list[str] | None = None) -> int:
                          metavar="SECONDS",
                          help="time budget; the --min-pairs floor "
                               "still applies (default: 60)")
-    p_pairs.add_argument("--min-pairs", type=int, default=150,
+    p_pairs.add_argument("--min-pairs", type=at_least(1), default=150,
                          metavar="N",
                          help="minimum program pairs (default: 150)")
-    p_pairs.add_argument("--max-pairs", type=int, default=None,
+    p_pairs.add_argument("--max-pairs", type=at_least(1), default=None,
                          metavar="N", help="hard cap on pairs")
     p_pairs.add_argument("--out", metavar="DIR",
                          help="directory for minimized false-accept "
@@ -222,4 +226,4 @@ def main(argv: list[str] | None = None) -> int:
 
 
 if __name__ == "__main__":
-    raise SystemExit(main())
+    raise SystemExit(main(sys.argv[1:]))

@@ -44,6 +44,7 @@ import sys
 
 from ..harness import matrix, registry
 from ..obs import Observability
+from . import at_least
 
 
 def demo(obs: Observability) -> dict:
@@ -86,7 +87,7 @@ def _dump(doc: object, fp) -> None:
     fp.write("\n")
 
 
-def main(argv: list[str] | None = None) -> int:
+def main(argv: list[str]) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro.tools.obsdump",
         description="dump metrics snapshots and event logs")
@@ -99,7 +100,7 @@ def main(argv: list[str] | None = None) -> int:
                              "instead of raw metrics")
     parser.add_argument("--events", action="store_true",
                         help="also print the event log as JSON lines")
-    parser.add_argument("--events-limit", type=int, default=None,
+    parser.add_argument("--events-limit", type=at_least(0), default=None,
                         metavar="N", help="dump at most N events")
     parser.add_argument("--json", metavar="PATH",
                         help="write {scenario, metrics, events, "
@@ -126,7 +127,7 @@ def main(argv: list[str] | None = None) -> int:
         metrics = demo(obs)
     else:
         metrics = registry.run(scenario, obs=obs).metrics
-    events = [record.to_dict() for record in obs.events.filter()]
+    events = [record.to_dict() for record in obs.events.events]
     # the folds see the whole log; --events-limit bounds what is dumped
     folds = {name: fold(events) for name, fold in views.items()}
     shown = events[:args.events_limit]
@@ -150,4 +151,4 @@ def main(argv: list[str] | None = None) -> int:
 
 
 if __name__ == "__main__":
-    raise SystemExit(main())
+    raise SystemExit(main(sys.argv[1:]))

@@ -35,6 +35,7 @@ from ..jit.pipeline import (BACKENDS, DEFAULT_BACKEND, count_source_lines,
 from ..lang import PlanPError, parse, typecheck
 from ..lang.unparse import unparse
 from ..runtime import codec
+from . import at_least
 
 
 def _load(path: str) -> str:
@@ -152,12 +153,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_bench = sub.add_parser("bench", help="engine microbenchmark")
     p_bench.add_argument("program")
-    p_bench.add_argument("-n", type=int, default=10_000)
+    p_bench.add_argument("-n", type=at_least(1), default=10_000)
     p_bench.set_defaults(fn=cmd_bench)
     return parser
 
 
-def main(argv: list[str] | None = None) -> int:
+def main(argv: list[str]) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
@@ -170,4 +171,4 @@ def main(argv: list[str] | None = None) -> int:
 
 
 if __name__ == "__main__":
-    raise SystemExit(main())
+    raise SystemExit(main(sys.argv[1:]))

@@ -1,6 +1,7 @@
 """Cluster toolkit tests: health checks and automatic reconfiguration."""
 
 from repro.apps.http import HttpClientWorker, HttpServer, generate_trace
+from repro.apps.http.client import REQUEST_TIMEOUT_S
 from repro.apps.http.cluster import (ClusterManager, HealthResponder)
 from repro.net import Network
 
@@ -51,8 +52,7 @@ class TestFailover:
     def test_dead_server_removed_from_rotation(self):
         (net, gateway, admin, servers, client, trace, https, responders,
          virtual, manager) = cluster_net()
-        worker = HttpClientWorker(net, client, virtual, trace,
-                                  request_timeout=3.0)
+        worker = HttpClientWorker(net, client, virtual, trace)
         worker.start(at=0.5)
         net.sim.at(5.0, responders[1].stop)  # s1 crashes
         # Its HTTP side dies too: new connections to it would hang, so
@@ -69,9 +69,11 @@ class TestFailover:
         late = [r for r in worker.completed if r.completed > 21.0]
         assert late
         # The service gap: between two completions the client never
-        # waits longer than detection plus one request timeout.
+        # waits longer than detection (under 2 s) plus one request
+        # timeout.
         done = sorted(r.completed for r in worker.completed)
-        assert max(b - a for a, b in zip(done, done[1:]) if b > 5.0) < 5.0
+        assert max(b - a for a, b in zip(done, done[1:]) if b > 5.0) \
+            < REQUEST_TIMEOUT_S + 2.0
 
     def test_recovered_server_rejoins(self):
         (net, gateway, admin, servers, client, trace, https, responders,

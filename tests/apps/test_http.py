@@ -4,7 +4,8 @@ import pytest
 
 from repro.apps.http import (BuiltinGateway, HttpClientWorker, HttpServer,
                              generate_trace)
-from repro.apps.http.server import PER_BYTE_CPU_S
+from repro.apps.http.server import BASE_CPU_S, PER_BYTE_CPU_S
+from repro.apps.http.trace import MAX_SIZE, MIN_SIZE
 from repro.net import Network
 
 
@@ -20,12 +21,12 @@ class TestTrace:
         assert [e.path for e in a.entries] != [e.path for e in b.entries]
 
     def test_sizes_bounded(self):
-        trace = generate_trace(1000, min_size=128, max_size=10_000,
-                               seed=1)
-        assert all(128 <= s <= 10_000 for s in trace.sizes.values())
+        trace = generate_trace(1000, seed=1)
+        assert all(MIN_SIZE <= s <= MAX_SIZE for s in trace.sizes.values())
+        assert min(trace.sizes.values()) == MIN_SIZE  # the clip bites
 
     def test_zipf_head_is_hot(self):
-        trace = generate_trace(20_000, n_files=500, seed=2)
+        trace = generate_trace(20_000, seed=2)
         from collections import Counter
 
         counts = Counter(e.path for e in trace.entries)
@@ -44,14 +45,14 @@ class TestTrace:
         assert all(trace.sizes[e.path] == e.size for e in trace.entries)
 
 
-def client_server(workers=4):
+def client_server():
     net = Network(seed=8)
     c = net.add_host("c")
     s = net.add_host("s")
     net.link(c, s, bandwidth=100e6)
     net.finalize()
     trace = generate_trace(200, seed=8)
-    server = HttpServer(net, s, trace.sizes, workers=workers)
+    server = HttpServer(net, s, trace.sizes)
     return net, c, s, trace, server
 
 
@@ -82,8 +83,7 @@ class TestServer:
             w.start()
         net.run(until=6.0)
         total = sum(len(w.completed) for w in workers)
-        mean_cpu = (server.base_cpu_s
-                    + trace.mean_size * PER_BYTE_CPU_S)
+        mean_cpu = BASE_CPU_S + trace.mean_size * PER_BYTE_CPU_S
         capacity = 6.0 / mean_cpu
         assert total <= capacity * 1.05
         assert total >= capacity * 0.7  # saturated, not idle

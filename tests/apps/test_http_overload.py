@@ -9,6 +9,7 @@ unbounded behavior, which ``test_http.py`` continues to cover.
 """
 
 from repro.apps.http import HttpClientWorker, HttpServer, OpenLoopClient
+from repro.apps.http.server import BASE_CPU_S, PER_BYTE_CPU_S, WORKERS
 from repro.apps.http.trace import TimedRequest, Trace, TraceEntry
 from repro.net import Network
 from repro.net.overload import AdmissionController
@@ -31,18 +32,26 @@ def small_net(**server_kw):
     return net, c, s, trace, server
 
 
+#: serial CPU seconds one request for the 1000-byte document costs
+CPU_S = BASE_CPU_S + 1000 * PER_BYTE_CPU_S
+
+
 def arrivals(times) -> list[TimedRequest]:
     return [TimedRequest(at=t, path="/x.html") for t in times]
 
 
+def burst(n: int) -> list[TimedRequest]:
+    """``n`` arrivals 0.1 ms apart: all in before the first request's
+    CPU time is over."""
+    return arrivals([i * 1e-4 for i in range(n)])
+
+
 class TestServerShedding:
     def test_backlog_full_sheds_503(self):
-        # One worker stuck on a long request; a backlog of 1 means the
-        # third concurrent arrival finds the queue full.
-        net, c, s, trace, server = small_net(
-            workers=1, max_backlog=1, base_cpu_s=0.5)
-        client = OpenLoopClient(net, c, s.address,
-                                arrivals([0.0, 0.01, 0.02, 0.03]))
+        # Every worker busy; a backlog of 1 means the second arrival
+        # past the workers finds the queue full.
+        net, c, s, trace, server = small_net(max_backlog=1)
+        client = OpenLoopClient(net, c, s.address, burst(WORKERS + 3))
         client.start()
         net.run(until=3.0)
         assert server.shed >= 2
@@ -52,10 +61,8 @@ class TestServerShedding:
             "http.server.shed_total").value == server.shed + server.expired
 
     def test_shed_emits_overload_event(self):
-        net, c, s, trace, server = small_net(
-            workers=1, max_backlog=1, base_cpu_s=0.5)
-        client = OpenLoopClient(net, c, s.address,
-                                arrivals([0.0, 0.01, 0.02, 0.03]))
+        net, c, s, trace, server = small_net(max_backlog=1)
+        client = OpenLoopClient(net, c, s.address, burst(WORKERS + 3))
         client.start()
         net.run(until=3.0)
         sheds = [e for e in net.obs.events.events
@@ -80,12 +87,12 @@ class TestServerShedding:
         assert len(client.completed) == 1
 
     def test_deadline_shed_on_arrival(self):
-        # The CPU is booked 0.5 s out; a 0.2 s deadline means the later
-        # arrival is guaranteed late — shed immediately, not queued.
-        net, c, s, trace, server = small_net(
-            workers=1, base_cpu_s=0.5, request_deadline=0.2)
+        # The CPU is booked one request's time out; a deadline of half
+        # that means an arrival right behind it is guaranteed late —
+        # shed immediately, not queued.
+        net, c, s, trace, server = small_net(request_deadline=CPU_S / 2)
         client = OpenLoopClient(net, c, s.address,
-                                arrivals([0.0, 0.05]))
+                                arrivals([0.0, CPU_S / 10]))
         client.start()
         net.run(until=3.0)
         assert server.shed == 1
@@ -93,15 +100,14 @@ class TestServerShedding:
         assert len(client.completed) == 1
 
     def test_deadline_expiry_at_dequeue(self):
-        # Each request costs 0.5 s of serial CPU and the deadline is
-        # 0.8 s: the second queues legitimately (0.5 s of queue ahead),
-        # but the third and fourth wait ~1.0/1.5 s — expired when a
-        # worker finally picks them up.
+        # The workers book WORKERS requests of serial CPU; a deadline
+        # just past that lets every later arrival of the burst queue
+        # legitimately (the backlog books no CPU), but one worker frees
+        # up per CPU_S, so the tail of the backlog waits past the
+        # deadline — expired when a worker finally picks it up.
         net, c, s, trace, server = small_net(
-            workers=1, base_cpu_s=0.5, request_deadline=0.8)
-        client = OpenLoopClient(net, c, s.address,
-                                arrivals([0.0, 0.01, 0.02, 0.03]),
-                                request_timeout=5.0)
+            request_deadline=(WORKERS + 1) * CPU_S)
+        client = OpenLoopClient(net, c, s.address, burst(3 * WORKERS))
         client.start()
         net.run(until=4.0)
         assert server.expired >= 1
@@ -111,26 +117,23 @@ class TestServerShedding:
 
     def test_expired_requests_charge_no_cpu(self):
         net, c, s, trace, server = small_net(
-            workers=1, base_cpu_s=0.5, request_deadline=0.8)
-        client = OpenLoopClient(net, c, s.address,
-                                arrivals([0.0, 0.01, 0.02, 0.03]),
-                                request_timeout=5.0)
+            request_deadline=(WORKERS + 1) * CPU_S)
+        client = OpenLoopClient(net, c, s.address, burst(3 * WORKERS))
         client.start()
         net.run(until=4.0)
         served = server.requests_served
+        assert server.expired >= 1
         # only the served requests consumed serial CPU time
-        assert server._cpu_busy_until <= served * 0.51 + 0.1
+        assert server._cpu_busy_until <= served * CPU_S + 0.01
 
     def test_unbounded_defaults_never_shed(self):
-        net, c, s, trace, server = small_net(workers=1, base_cpu_s=0.2)
-        client = OpenLoopClient(net, c, s.address,
-                                arrivals([0.0, 0.01, 0.02, 0.03]),
-                                request_timeout=10.0)
+        net, c, s, trace, server = small_net()
+        client = OpenLoopClient(net, c, s.address, burst(3 * WORKERS))
         client.start()
         net.run(until=5.0)
         assert server.shed == 0
         assert server.expired == 0
-        assert len(client.completed) == 4
+        assert len(client.completed) == 3 * WORKERS
 
 
 class TestSynBacklog:
@@ -174,8 +177,7 @@ class TestClientRetry:
         net.finalize()
         net.tcp(s)  # stack up, port closed -> RST
         worker = HttpClientWorker(net, c, s.address, one_doc_trace(),
-                                  max_retries=2, retry_delay=0.05,
-                                  retry_ceiling=0.2)
+                                  max_retries=2)
         worker.start()
         net.run(until=5.0)
         assert not worker.completed
@@ -202,7 +204,7 @@ class TestClientRetry:
                                TraceEntry("/b.html", 10)],
                       sizes={"/a.html": 10, "/b.html": 10})
         worker = HttpClientWorker(net, c, s.address, trace,
-                                  max_retries=1, retry_delay=0.05)
+                                  max_retries=1)
         paths = []
         original = worker._next_request
 
@@ -224,7 +226,7 @@ class TestClientRetry:
             admission=AdmissionController(rate=2.0, floor=2.0,
                                           burst=1.0))
         workers = [HttpClientWorker(net, c, s.address, trace,
-                                    trace_offset=i, retry_delay=0.1)
+                                    trace_offset=i)
                    for i in range(3)]
         for i, w in enumerate(workers):
             w.start(at=0.001 * i)
@@ -240,7 +242,7 @@ class TestClientRetry:
             admission=AdmissionController(rate=1.0, floor=1.0,
                                           burst=1.0))
         worker = HttpClientWorker(net, c, s.address, trace,
-                                  max_retries=0, retry_delay=0.05)
+                                  max_retries=0)
         worker.start()
         net.run(until=5.0)
         # max_retries=0: every 503 is an immediate abandonment, yet the
@@ -257,8 +259,7 @@ class TestClientRetry:
         net.finalize()
         net.tcp(s)
         worker = HttpClientWorker(net, c, s.address, one_doc_trace(),
-                                  max_retries=6, retry_delay=0.1,
-                                  retry_ceiling=1.0)
+                                  max_retries=6)
         starts = []
         original = worker._next_request
 

@@ -3,8 +3,20 @@
 import pytest
 
 from repro.apps.images import (ImageClient, ImageServer, build_library,
-                               run_image_experiment)
+                               run_image_experiment, service)
+from repro.asps import image_distiller_asp
 from repro.net import Network
+
+from ..engines import installs_on
+
+
+def distilled_under(monkeypatch, **policy):
+    """The distillation run with the experiment's program regenerated
+    under another policy (``budget_bytes``, ``quantize_bits``)."""
+    monkeypatch.setattr(
+        service, "image_distiller_asp",
+        lambda **kw: image_distiller_asp(**{**kw, **policy}))
+    return run_image_experiment(distillation=True)
 
 
 class TestLibrary:
@@ -96,11 +108,10 @@ class TestExperiment:
         assert poster_dist.width < poster_plain.width
         assert poster_dist.latency < poster_plain.latency / 10
 
-    def test_budget_trades_fidelity_for_latency(self):
+    def test_budget_trades_fidelity_for_latency(self, monkeypatch):
         """A bigger byte budget: a bigger poster, within it, later."""
         budgets = (1000, 3000, 10000)
-        posters = [run_image_experiment(distillation=True,
-                                        budget_bytes=budget)
+        posters = [distilled_under(monkeypatch, budget_bytes=budget)
                    .result_for("poster.simg") for budget in budgets]
         for poster, budget in zip(posters, budgets):
             assert poster.received_bytes <= budget
@@ -108,12 +119,11 @@ class TestExperiment:
             assert small.width < big.width
             assert small.latency < big.latency
 
-    def test_quantize_policy_variant(self):
-        result = run_image_experiment(distillation=True,
-                                      quantize_bits=4)
+    def test_quantize_policy_variant(self, monkeypatch):
+        result = distilled_under(monkeypatch, quantize_bits=4)
         assert result.figures["distilled_count"] >= 3
 
     def test_interpreter_backend(self):
-        result = run_image_experiment(distillation=True,
-                                      backend="interpreter")
+        with installs_on("interpreter"):
+            result = run_image_experiment(distillation=True)
         assert result.figures["distilled_count"] >= 3

@@ -130,7 +130,7 @@ class TestServerClient:
         # Monitor address given, but nothing answers there.
         net, sh, ch, stream, server = self.direct_net()
         client = MpegClient(net, ch, sh.address, "film",
-                            monitor=sh.address, query_timeout=0.3)
+                            monitor=sh.address)
         client.start(at=0.1)
         net.run(until=3.0)
         assert client.mode is ClientMode.DIRECT

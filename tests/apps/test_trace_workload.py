@@ -12,25 +12,25 @@ import random
 
 import pytest
 
-from repro.apps.http.trace import (flood_times, generate_trace,
-                                   open_loop_arrivals)
+from repro.apps.http.trace import (DIURNAL_PERIOD_S, flood_times,
+                                   generate_trace, open_loop_arrivals)
 from repro.net import Network
 
 
 @pytest.fixture(scope="module")
 def trace():
-    return generate_trace(2000, n_files=200, seed=3)
+    return generate_trace(2000, seed=3)
 
 
 class TestOpenLoopArrivals:
     def test_deterministic_from_seed(self, trace):
         a = open_loop_arrivals(trace, start=0.0, duration=10.0,
-                               base_rate=20.0, seed=5)
+                               base_rate=20.0, entropy=random.Random(5))
         b = open_loop_arrivals(trace, start=0.0, duration=10.0,
-                               base_rate=20.0, seed=5)
+                               base_rate=20.0, entropy=random.Random(5))
         assert a == b
         c = open_loop_arrivals(trace, start=0.0, duration=10.0,
-                               base_rate=20.0, seed=6)
+                               base_rate=20.0, entropy=random.Random(6))
         assert a != c
 
     def test_deterministic_from_entropy_stream(self, trace):
@@ -44,24 +44,25 @@ class TestOpenLoopArrivals:
 
     def test_arrivals_sorted_within_bounds(self, trace):
         arr = open_loop_arrivals(trace, start=2.0, duration=8.0,
-                                 base_rate=30.0, seed=1)
+                                 base_rate=30.0, entropy=random.Random(1))
         times = [r.at for r in arr]
         assert times == sorted(times)
         assert all(2.0 <= t < 10.0 for t in times)
         assert all(r.path in trace.sizes for r in arr)
 
     def test_base_rate_approximated(self, trace):
-        arr = open_loop_arrivals(trace, start=0.0, duration=100.0,
-                                 base_rate=25.0,
-                                 diurnal_amplitude=0.0, seed=2)
-        assert len(arr) == pytest.approx(2500, rel=0.15)
+        # whole diurnal periods: the swing averages out
+        arr = open_loop_arrivals(trace, start=0.0,
+                                 duration=12 * DIURNAL_PERIOD_S,
+                                 base_rate=25.0, entropy=random.Random(2))
+        assert len(arr) == pytest.approx(25.0 * 12 * DIURNAL_PERIOD_S,
+                                         rel=0.15)
 
     def test_spike_multiplies_rate(self, trace):
         arr = open_loop_arrivals(trace, start=0.0, duration=30.0,
                                  base_rate=10.0,
-                                 diurnal_amplitude=0.0,
                                  spike_start=10.0, spike_end=20.0,
-                                 spike_multiplier=8.0, seed=4)
+                                 spike_multiplier=8.0, entropy=random.Random(4))
         before = sum(1 for r in arr if r.at < 10.0)
         during = sum(1 for r in arr if 10.0 <= r.at < 20.0)
         assert during > 4 * before
@@ -72,7 +73,7 @@ class TestOpenLoopArrivals:
                                  base_rate=50.0,
                                  spike_start=5.0, spike_end=15.0,
                                  spike_multiplier=5.0,
-                                 hot_fraction=0.9, seed=7)
+                                 hot_fraction=0.9, entropy=random.Random(7))
         in_spike = [r for r in arr if 5.0 <= r.at < 15.0]
         hot_share = (sum(1 for r in in_spike if r.path == hot)
                      / len(in_spike))
@@ -83,26 +84,23 @@ class TestOpenLoopArrivals:
         assert cold_share < 0.5  # stationary Zipf, no collapse
 
     def test_diurnal_modulation(self, trace):
-        # period 10 s, amplitude 0.9: the first half-period peaks, the
-        # second troughs
-        arr = open_loop_arrivals(trace, start=0.0, duration=10.0,
-                                 base_rate=100.0,
-                                 diurnal_amplitude=0.9,
-                                 diurnal_period=10.0, seed=8)
-        peak = sum(1 for r in arr if r.at < 5.0)
-        trough = sum(1 for r in arr if r.at >= 5.0)
-        assert peak > 2 * trough
+        # amplitude 0.3: the first half-period peaks (mean rate x1.19),
+        # the second troughs (x0.81)
+        half = DIURNAL_PERIOD_S / 2
+        arr = open_loop_arrivals(trace, start=0.0,
+                                 duration=DIURNAL_PERIOD_S,
+                                 base_rate=400.0, entropy=random.Random(8))
+        peak = sum(1 for r in arr if r.at < half)
+        trough = sum(1 for r in arr if r.at >= half)
+        assert peak > 1.3 * trough
 
     def test_validates_parameters(self, trace):
         with pytest.raises(ValueError):
             open_loop_arrivals(trace, start=0.0, duration=0.0,
-                               base_rate=10.0)
+                               base_rate=10.0, entropy=random.Random(0))
         with pytest.raises(ValueError):
             open_loop_arrivals(trace, start=0.0, duration=1.0,
-                               base_rate=0.0)
-        with pytest.raises(ValueError):
-            open_loop_arrivals(trace, start=0.0, duration=1.0,
-                               base_rate=10.0, diurnal_amplitude=1.0)
+                               base_rate=0.0, entropy=random.Random(0))
 
 
 class TestFloodTimes:

@@ -8,6 +8,7 @@ from repro.interp import Interpreter, RecordingContext
 from repro.lang import parse, typecheck
 from repro.net.addresses import HostAddr
 from repro.net.packet import IpHeader, TcpHeader, UdpHeader
+from repro.obs import GLOBAL, reset_global
 
 #: A minimal forwarding protocol used wherever "any valid program" works.
 FORWARD_SRC = """\
@@ -59,3 +60,11 @@ def udp_packet_value(src="10.0.1.1", dst="10.0.2.2", sport=5555,
 @pytest.fixture
 def ctx() -> RecordingContext:
     return RecordingContext()
+
+
+@pytest.fixture
+def global_obs():
+    """The process-wide observability scope, reset: where a fuzz
+    campaign counts."""
+    reset_global()
+    return GLOBAL

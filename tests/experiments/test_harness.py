@@ -6,18 +6,19 @@ from repro.experiments import (BRIDGE_ASP, fig3_codegen_table,
                                format_fig3_table, make_bridge_packets,
                                run_engine_microbench)
 from repro.experiments.fig3 import PAPER_PROGRAMS
+from repro.experiments.microbench import N_FLOWS
 from repro.jit.pipeline import count_source_lines
 
 
 class TestFig3Harness:
     def test_table_has_all_five_programs(self):
-        rows = fig3_codegen_table(repeats=2)
+        rows = fig3_codegen_table()
         assert len(rows) == 5
         names = {r.name for r in rows}
         assert "MPEG (monitor)" in names
 
     def test_rows_carry_paper_numbers(self):
-        rows = fig3_codegen_table(repeats=1)
+        rows = fig3_codegen_table()
         by_name = {r.name: r for r in rows}
         assert by_name["Extensible Web Server"].paper_lines == 91
         assert by_name["Extensible Web Server"].paper_codegen_ms == 15.3
@@ -26,13 +27,13 @@ class TestFig3Harness:
             > by_name["MPEG (client)"].lines
 
     def test_line_counts_match_sources(self):
-        rows = fig3_codegen_table(repeats=1)
+        rows = fig3_codegen_table()
         for row in rows:
             source = PAPER_PROGRAMS[row.name][0]
             assert row.lines == count_source_lines(source)
 
     def test_format_produces_one_line_per_program(self):
-        rows = fig3_codegen_table(repeats=1)
+        rows = fig3_codegen_table()
         text = format_fig3_table(rows)
         assert len(text.splitlines()) == 2 + len(rows)
 
@@ -42,9 +43,9 @@ class TestFig3Harness:
 
 class TestMicrobenchHarness:
     def test_packets_cycle_flows(self):
-        packets = make_bridge_packets(n_flows=4)
-        assert len(packets) == 4
-        assert len({p[0].src for p in packets}) == 4
+        packets = make_bridge_packets()
+        assert len(packets) == N_FLOWS
+        assert len({p[0].src for p in packets}) == N_FLOWS
 
     @pytest.mark.parametrize("engine", ["interpreter", "closure",
                                         "source", "builtin"])
@@ -66,7 +67,7 @@ class TestMicrobenchHarness:
         from repro.interp.values import PlanPTable
         from repro.lang import parse, typecheck
 
-        packets = make_bridge_packets(n_flows=3)
+        packets = make_bridge_packets()
         info = typecheck(parse(BRIDGE_ASP))
         interp = Interpreter(info)
         ctx = _NullContext()
@@ -75,7 +76,7 @@ class TestMicrobenchHarness:
         table = PlanPTable(1024)
         ps_builtin = 0
         for i in range(30):
-            packet = packets[i % 3]
+            packet = packets[i % len(packets)]
             ps_asp, ss = interp.run_channel(decl, ps_asp, ss, packet,
                                             ctx)
             ps_builtin = builtin_bridge(ctx, table, ps_builtin, packet)

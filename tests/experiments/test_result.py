@@ -113,7 +113,7 @@ class TestKeywordOnly:
         lambda: Simulator(7),
         lambda: Network(7),
         lambda: run_http_experiment("single", 2, duration=3.0),
-        lambda: run_fig8_sweep([2], modes=("single",), duration=3.0),
+        lambda: run_fig8_sweep([2], modes=("single",)),
         lambda: run_gap_sweep([1_900_000], duration=2.0),
         lambda: run_engine_microbench("builtin", 100),
     ], ids=["Simulator", "Network", "run_http_experiment",

@@ -25,7 +25,6 @@ from repro.fuzz import (derive_seed, exchange_divergences, gen_pair,
 from repro.fuzz.grammar import PACKET_TYPES
 from repro.fuzz.pairs import pair_specs
 from repro.lang import parse, typecheck
-from repro.obs import Observability
 
 WIRE_CORPUS = Path(__file__).parent / "corpus" / "wire"
 
@@ -121,10 +120,9 @@ class TestExchangeOracle:
 
 
 class TestPairCampaign:
-    def test_real_checker_sustains_zero_false_accepts(self):
-        obs = Observability()
-        report = run_pair_campaign(5, budget_s=0.0, min_pairs=40,
-                                   obs=obs)
+    def test_real_checker_sustains_zero_false_accepts(self, global_obs):
+        obs = global_obs
+        report = run_pair_campaign(5, budget_s=0.0, min_pairs=40)
         assert report.ok
         assert report.false_accepts == 0
         assert report.pairs >= 40
@@ -134,20 +132,18 @@ class TestPairCampaign:
         assert counters.counter("fuzz.wire_pairs").value == report.pairs
         assert counters.counter("fuzz.false_accepts").value == 0
 
-    def test_weakened_checker_is_caught(self, tmp_path):
+    def test_weakened_checker_is_caught(self, tmp_path, global_obs):
         """The non-vacuity drill: a checker that accepts everything
         must produce findings, minimized and saved as wire cases."""
         def blind(old, new):
             return CompatReport()
 
-        obs = Observability()
         report = run_pair_campaign(5, budget_s=0.0, min_pairs=40,
-                                   checker=blind, obs=obs,
-                                   out_dir=tmp_path)
+                                   checker=blind, out_dir=tmp_path)
         assert not report.ok
         assert report.false_accepts > 0
         assert report.findings
-        errors = obs.events.filter(kind="error")
+        errors = global_obs.events.filter("error")
         assert any(e.data.get("reason") == "false-accept"
                    for e in errors)
         for finding in report.findings:
@@ -172,24 +168,23 @@ class TestPairCampaign:
 
         report = run_pair_campaign(5, budget_s=0.0, min_pairs=300,
                                    max_pairs=300, minimize=False,
-                                   checker=no_tail_check,
-                                   obs=Observability())
+                                   checker=no_tail_check)
         assert report.false_accepts > 0
         assert any("tail" in f.detail or "->" in f.mutation
                    for f in report.findings)
 
     def test_deterministic_given_seed(self):
         a = run_pair_campaign(21, budget_s=0.0, min_pairs=15,
-                              minimize=False, obs=Observability())
+                              minimize=False)
         b = run_pair_campaign(21, budget_s=0.0, min_pairs=15,
-                              minimize=False, obs=Observability())
+                              minimize=False)
         da, db = a.to_dict(), b.to_dict()
         da.pop("elapsed_s"), db.pop("elapsed_s")
         assert da == db
 
     def test_report_dict_shape(self):
         report = run_pair_campaign(9, budget_s=0.0, min_pairs=4,
-                                   minimize=False, obs=Observability())
+                                   minimize=False)
         doc = report.to_dict()
         assert set(doc) == {"seed", "elapsed_s", "pairs", "compatible",
                             "degraded", "incompatible", "divergent",

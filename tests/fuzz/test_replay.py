@@ -9,7 +9,6 @@ import pytest
 from repro.fuzz import (case_specs, load_case, make_case, minimize_case,
                         run_campaign, run_case, save_case)
 from repro.fuzz.streams import PacketSpec
-from repro.obs import Observability
 
 FORWARD = """\
 channel network(ps : int, ss : unit, p : ip*tcp*blob) is
@@ -79,14 +78,14 @@ def broken_closure_engine(monkeypatch):
 
 class TestAcceptance:
     def test_injected_discrepancy_caught_minimized_replayable(
-            self, tmp_path, broken_closure_engine):
-        obs = Observability()
+            self, tmp_path, broken_closure_engine, global_obs):
+        obs = global_obs
         # A generous time budget with a hard pair cap: the loop only
         # stops early once a finding exists, so the campaign keeps
         # searching past healthy programs until the bug bites.
         report = run_campaign(1234, budget_s=600.0, min_pairs=1,
                               max_pairs=60, streams_per_program=2,
-                              out_dir=tmp_path, obs=obs)
+                              out_dir=tmp_path)
         # Caught:
         assert not report.ok
         assert report.findings

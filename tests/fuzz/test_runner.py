@@ -3,8 +3,9 @@ and the fuzzx CLI's run subcommand."""
 
 import json
 
+import pytest
+
 from repro.fuzz import derive_seed, run_campaign
-from repro.obs import Observability
 
 
 class TestDeriveSeed:
@@ -21,10 +22,10 @@ class TestDeriveSeed:
 
 
 class TestRunCampaign:
-    def test_small_campaign_is_clean_and_counted(self):
-        obs = Observability()
+    def test_small_campaign_is_clean_and_counted(self, global_obs):
+        obs = global_obs
         report = run_campaign(5, budget_s=0.0, min_pairs=20,
-                              minimize=False, obs=obs)
+                              minimize=False)
         assert report.ok
         assert report.pairs >= 20
         assert report.programs >= 5
@@ -35,21 +36,20 @@ class TestRunCampaign:
 
     def test_deterministic_given_seed(self):
         a = run_campaign(21, budget_s=0.0, min_pairs=12,
-                         minimize=False, obs=Observability())
+                         minimize=False)
         b = run_campaign(21, budget_s=0.0, min_pairs=12,
-                         minimize=False, obs=Observability())
+                         minimize=False)
         assert a.to_dict()["pairs"] == b.to_dict()["pairs"]
         assert a.findings == b.findings == []
 
     def test_max_pairs_caps_work(self):
         report = run_campaign(3, budget_s=60.0, min_pairs=200,
-                              max_pairs=8, minimize=False,
-                              obs=Observability())
+                              max_pairs=8, minimize=False)
         assert report.pairs == 8
 
     def test_report_dict_shape(self):
         report = run_campaign(9, budget_s=0.0, min_pairs=4,
-                              minimize=False, obs=Observability())
+                              minimize=False)
         doc = report.to_dict()
         assert set(doc) == {"seed", "elapsed_s", "programs", "streams",
                             "pairs", "divergences", "minimizer_steps",
@@ -67,6 +67,18 @@ class TestFuzzxCli:
         assert doc["ok"] and doc["pairs"] >= 8
         stdout = capsys.readouterr().out
         assert json.loads(stdout)["pairs"] == doc["pairs"]
+
+    @pytest.mark.parametrize("flag", ["--streams-per-program",
+                                      "--stream-len", "--batch-size",
+                                      "--min-pairs", "--max-pairs"])
+    def test_run_rejects_a_count_below_one(self, flag, capsys):
+        # --streams-per-program 0 with a pair floor never ended: no
+        # step adds a pair
+        from repro.tools.fuzzx import main
+        with pytest.raises(SystemExit) as exit_:
+            main(["run", "--budget", "1", "--min-pairs", "5", flag, "0"])
+        assert exit_.value.code == 2
+        assert flag in capsys.readouterr().err
 
     def test_run_rejects_unknown_backend(self):
         from repro.tools.fuzzx import main

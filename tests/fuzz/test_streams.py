@@ -3,7 +3,7 @@
 import random
 
 from repro.fuzz.grammar import gen_program
-from repro.fuzz.streams import PacketSpec, gen_stream
+from repro.fuzz.streams import PacketSpec, _spec_for, gen_stream
 from repro.lang import parse, typecheck
 from repro.net.packet import PROTO_RAW, PROTO_TCP, PROTO_UDP, TcpHeader, UdpHeader
 
@@ -74,19 +74,21 @@ class TestGenStream:
         assert any(n > 512 for n in lengths)  # oversized tails
 
     def test_mutation_rate_zero_is_all_valid(self):
-        """With mutations off, every packet decodes on some overload
-        of its channel (the valid-packet construction is really valid)."""
+        """Unmutated, every packet decodes on some overload of its
+        channel (the valid-packet construction is really valid)."""
         from repro.runtime import codec
         info = _info()
         plans = {}
+        decls = []
         for name, overloads in info.channels.items():
             tag = None if name == "network" else name
             plans.setdefault(tag, []).extend(
                 codec.dispatch_plan(d.packet_type) for d in overloads)
+            decls.extend((d, tag) for d in overloads)
         for seed in range(10):
-            stream = gen_stream(random.Random(seed), info, length=8,
-                                mutation_rate=0.0)
-            for spec in stream:
+            rng = random.Random(seed)
+            for decl, tag in decls:
+                spec = _spec_for(rng, decl, tag)
                 packet = spec.to_packet()
                 assert any(
                     plan.transport_cls is type(packet.transport)

@@ -6,6 +6,8 @@ import pytest
 from repro.apps.audio import run_audio_experiment
 from repro.asps.audio import FMT_MONO16, FMT_MONO8, FMT_STEREO16
 
+from ..engines import installs_on
+
 
 @pytest.fixture(scope="module")
 def fig6():
@@ -70,9 +72,12 @@ class TestFig7Gaps:
 class TestBackends:
     @pytest.fixture(scope="class")
     def by_backend(self):
-        return {backend: run_audio_experiment(
-            duration=20.0, backend=backend, constant_load_bps=1_700_000)
-            for backend in ("interpreter", "source")}
+        by_backend = {}
+        for backend in ("interpreter", "source"):
+            with installs_on(backend):
+                by_backend[backend] = run_audio_experiment(
+                    duration=20.0, constant_load_bps=1_700_000)
+        return by_backend
 
     @pytest.mark.parametrize("backend", ["interpreter", "source"])
     def test_other_engines_give_same_adaptation(self, by_backend,

@@ -20,7 +20,8 @@ class TestLossyMedia:
         router = net.add_router("router")
         client = net.add_host("client")
         net.link(src, router, bandwidth=100e6)
-        seg = net.segment("lan", loss_rate=0.2)
+        seg = net.segment("lan")
+        seg.loss_rate = 0.2
         net.attach(router, seg)
         net.attach(client, seg)
         net.finalize()
@@ -48,7 +49,7 @@ class TestLossyMedia:
         server_host = net.add_host("s0")
         client_host = net.add_host("c0")
         net.link(server_host, gateway, bandwidth=100e6)
-        net.link(client_host, gateway, loss_rate=0.05)
+        net.link(client_host, gateway).loss_rate = 0.05
         net.finalize()
         trace = generate_trace(500, seed=13)
         server = HttpServer(net, server_host, trace.sizes)

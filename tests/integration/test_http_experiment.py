@@ -2,7 +2,12 @@
 
 import pytest
 
-from repro.apps.http import generate_trace, run_http_experiment
+from repro.apps.http import (HttpClientWorker, HttpServer, generate_trace,
+                             run_http_experiment)
+from repro.apps.http.experiment import GATEWAY_CPU_S, HttpExperimentResult
+from repro.asps import http_gateway_asp
+from repro.net import Network
+from repro.runtime.deployment import Deployment
 
 DURATION = 10.0
 WARMUP = 3.0
@@ -31,6 +36,40 @@ def curves(grid):
 
 def rps(result):
     return result.figures["throughput_rps"]
+
+
+def asp_cluster(*, n_servers, trace, strategy="modulo",
+                gateway_cpu_s=GATEWAY_CPU_S, n_clients, duration, warmup):
+    """Figure 8's ASP cluster built by hand, the gateway program
+    regenerated for ``n_servers`` and ``strategy``."""
+    net = Network(seed=11)
+    gateway = net.add_router("gateway")
+    server_hosts = [net.add_host(f"server{i}") for i in range(n_servers)]
+    for host in server_hosts:
+        net.link(host, gateway, bandwidth=100e6, latency=0.0002)
+    client_hosts = [net.add_host(f"client{i}") for i in range(n_clients)]
+    for host in client_hosts:
+        net.link(host, gateway, bandwidth=10e6, latency=0.0005)
+    net.finalize()
+    servers = [HttpServer(net, host, trace.sizes) for host in server_hosts]
+    virtual = gateway.interfaces[0].address
+    Deployment().install(
+        http_gateway_asp(str(virtual), [str(h.address) for h in server_hosts],
+                         strategy=strategy), [gateway])
+    gateway.planp.cpu.per_item_s = gateway_cpu_s
+    workers = [HttpClientWorker(net, host, virtual, trace,
+                                trace_offset=i * 97)
+               for i, host in enumerate(client_hosts)]
+    for i, worker in enumerate(workers):
+        worker.start(at=0.001 * i)
+    net.run(until=duration)
+    completed = sum(1 for w in workers for r in w.completed
+                    if warmup <= r.completed < duration)
+    return HttpExperimentResult(seed=11, figures={
+        "throughput_rps": completed / (duration - warmup),
+        "per_server_served": {s.host.name: s.requests_served
+                              for s in servers},
+        "failures": sum(w.failures for w in workers)})
 
 
 class TestFig8Shape:
@@ -79,14 +118,11 @@ class TestScaling:
         """The reconfigurability claim: regenerate the ASP for three
         servers and capacity grows."""
         trace = generate_trace(3000, seed=11)
-        two = run_http_experiment(mode="asp", n_clients=12,
-                                  duration=8.0, warmup=2.0,
-                                  n_servers=2, trace=trace,
-                                  gateway_cpu_s=0.0)
-        three = run_http_experiment(mode="asp", n_clients=12,
-                                    duration=8.0, warmup=2.0,
-                                    n_servers=3, trace=trace,
-                                    gateway_cpu_s=0.0)
+        # a free gateway, so the servers are the bottleneck
+        two = asp_cluster(n_servers=2, trace=trace, gateway_cpu_s=0.0,
+                          n_clients=12, duration=8.0, warmup=2.0)
+        three = asp_cluster(n_servers=3, trace=trace, gateway_cpu_s=0.0,
+                            n_clients=12, duration=8.0, warmup=2.0)
         assert (three.figures["throughput_rps"]
                 > two.figures["throughput_rps"] * 1.2)
         assert len(three.figures["per_server_served"]) == 3
@@ -100,9 +136,9 @@ class TestStrategies:
     @pytest.fixture(scope="class")
     def by_strategy(self):
         trace = generate_trace(2000, seed=11)
-        return {strategy: run_http_experiment(
-            mode="asp", n_clients=4, duration=6.0, warmup=2.0,
-            strategy=strategy, trace=trace)
+        return {strategy: asp_cluster(
+            n_servers=2, trace=trace, strategy=strategy, n_clients=4,
+            duration=6.0, warmup=2.0)
             for strategy in ("modulo", "srchash", "random")}
 
     @pytest.mark.parametrize("strategy", ["modulo", "srchash", "random"])

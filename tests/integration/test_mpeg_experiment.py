@@ -4,6 +4,8 @@ import pytest
 
 from repro.apps.mpeg import run_mpeg_experiment
 
+from ..engines import installs_on
+
 
 @pytest.fixture(scope="module")
 def shared():
@@ -64,8 +66,8 @@ class TestScalingClients:
 
 class TestBackends:
     def test_interpreter_backend_shares_too(self):
-        result = run_mpeg_experiment(use_asps=True, n_clients=2,
-                                     duration=10.0,
-                                     backend="interpreter")
+        with installs_on("interpreter"):
+            result = run_mpeg_experiment(use_asps=True, n_clients=2,
+                                         duration=10.0)
         assert result.figures["server_sessions"] == 1
         assert result.figures["modes"] == ["direct", "shared"]

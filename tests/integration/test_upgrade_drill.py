@@ -8,9 +8,14 @@ fleet-wide; and with the checker on, a compatible rollout's delivery
 stream is byte-identical to the same run with the checker off.
 """
 
+import dataclasses
 import json
 
-from repro.experiments.upgrade import run_upgrade_experiment
+from repro.experiments.chaos import _drill_fleet
+from repro.experiments.upgrade import (GEN1_ASP, GEN2_COMPAT_ASP,
+                                       GEN2_INCOMPAT_ASP,
+                                       run_upgrade_experiment)
+from repro.jit.pipeline import ProgramCache
 from repro.harness import ResultStore, Runner, matrix
 from repro.obs import Observability
 from repro.runtime.lifecycle import lifecycle_summary
@@ -36,7 +41,7 @@ class TestVetoBeforeCanary:
         assert self.fig["incompat_installed_anywhere"] is False
         # And the event log agrees: the veto precedes any install of
         # the incompatible candidate (there is none at all).
-        events = [e.to_dict() for e in self.obs.events.filter()]
+        events = [e.to_dict() for e in self.obs.events.events]
         veto_idx = [i for i, e in enumerate(events)
                     if e.get("kind") == "rollout"
                     and e.get("action") == "veto"]
@@ -63,7 +68,7 @@ class TestVetoBeforeCanary:
         assert verdict.startswith("incompatible")
 
     def test_obsdump_lifecycle_fold_counts_the_veto(self):
-        events = [e.to_dict() for e in self.obs.events.filter()]
+        events = [e.to_dict() for e in self.obs.events.events]
         summary = lifecycle_summary(events)
         assert summary["totals"]["vetoed"] == 1
         (veto,) = summary["vetoes"]
@@ -71,31 +76,56 @@ class TestVetoBeforeCanary:
         assert veto["verdict"].startswith("incompatible")
 
 
+def control_drill(*, wire_check: bool, incompatible: bool):
+    """The drill's fleet and timeline with the lifecycle policy's gate
+    set to ``wire_check``, the incompatible candidate attempted or not.
+    Returns the delivery stream and the manager."""
+    net, routers, dst, manager = _drill_fleet(
+        seed=5, n_routers=16, obs=None, gen1=GEN1_ASP,
+        gen1_name="upgrade-gen1")
+    manager.policy = dataclasses.replace(manager.policy,
+                                         wire_check=wire_check)
+    records = []
+    dst.delivery_taps.append(lambda p: records.append((net.now,
+                                                       p.payload)))
+    if incompatible:
+        net.sim.at(2.0, lambda: manager.rollout(
+            GEN2_INCOMPAT_ASP, routers,
+            source_name="upgrade-gen2-incompat"))
+    net.sim.at(3.0, lambda: manager.rollout(
+        GEN2_COMPAT_ASP, routers, source_name="upgrade-gen2-compat"))
+    net.run(until=8.0)
+    return records, manager
+
+
 class TestByteIdenticalWhenCompatible:
     def test_checker_on_equals_checker_off(self):
         """The gate is free for compatible rollouts: same seed, same
         traffic, wire_check on vs off — the delivery stream (times
-        and payloads, digested) is byte-identical."""
-        on = run_upgrade_experiment(seed=5, n_routers=16, duration=8.0,
-                                    wire_check=True,
-                                    attempt_incompatible=False)
-        off = run_upgrade_experiment(seed=5, n_routers=16,
-                                     duration=8.0, wire_check=False,
-                                     attempt_incompatible=False)
-        assert on.figures["delivered"] == off.figures["delivered"] > 0
-        assert (on.figures["delivery_digest"]
-                == off.figures["delivery_digest"])
-        assert on.figures["healthy"] and off.figures["healthy"]
+        and payloads) is byte-identical."""
+        on, on_manager = control_drill(wire_check=True,
+                                       incompatible=False)
+        off, off_manager = control_drill(wire_check=False,
+                                         incompatible=False)
+        assert len(on) > 0 and on == off
+        compat = ProgramCache.digest(GEN2_COMPAT_ASP)
+        for manager in (on_manager, off_manager):
+            assert all(nl.current.sha == compat
+                       for nl in manager.nodes.values())
+            assert not manager.quarantined_nodes()
 
     def test_checker_off_lets_the_incompatible_rollout_through(self):
         """The control run: without the gate the incompatible
         generation reaches canary nodes — proof the veto is what
         prevents mixed-generation traffic, not an accident of the
         drill."""
-        result = run_upgrade_experiment(seed=5, n_routers=16,
-                                        duration=8.0, wire_check=False)
-        assert result.figures["vetoed"] is False
-        assert result.figures["incompat_installed_anywhere"] is True
+        _records, manager = control_drill(wire_check=False,
+                                          incompatible=True)
+        incompat = ProgramCache.digest(GEN2_INCOMPAT_ASP)
+        assert manager.vetoes == 0
+        assert any(incompat in [g.sha for g in nl.generations
+                                + nl.rolled_back]
+                   for nl in manager.nodes.values())
 
 
 class TestDrillDeterminismAndHarness:

@@ -129,6 +129,14 @@ class TestFmtAndBench:
         for engine in ("interpreter", "closure", "source"):
             assert engine in out
 
+    @pytest.mark.parametrize("n", ["0", "-5"])
+    def test_bench_needs_a_packet(self, good, n, capsys):
+        # n = 0 divided by zero; n < 0 printed negative us/pkt
+        with pytest.raises(SystemExit) as exit_:
+            main(["bench", good, "-n", n])
+        assert exit_.value.code == 2
+        assert "must be at least 1" in capsys.readouterr().err
+
     def test_bench_paper_asp(self, tmp_path, capsys):
         from repro.asps import http_gateway_asp
 

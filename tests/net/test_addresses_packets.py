@@ -151,8 +151,8 @@ class TestPacket:
         assert a.ip.ttl == DEFAULT_TTL
 
     def test_hop_equals_a_field_replace(self):
-        a = tcp_packet(addr("1.1.1.1"), addr("2.2.2.2"), 1, 2, b"body",
-                       seq=5, channel="chan").copy()
+        a = replace(tcp_packet(addr("1.1.1.1"), addr("2.2.2.2"), 1, 2,
+                               b"body", seq=5), channel="chan").copy()
         a.created_at = 1.25
         hopped = a.hop()
         # Dataclass equality covers every field: uid, copied_from and

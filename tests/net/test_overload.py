@@ -36,8 +36,7 @@ class TestBackoff:
         assert b.attempts == 0
 
     def test_jitter_stays_within_band(self):
-        b = Backoff(initial=0.1, ceiling=1.0, jitter=0.5,
-                    entropy=random.Random(7))
+        b = Backoff(initial=0.1, ceiling=1.0, entropy=random.Random(7))
         for _ in range(200):
             d = b.delay()
             assert 0.05 <= d <= 0.15
@@ -45,8 +44,7 @@ class TestBackoff:
     def test_jitter_matches_sim_formula(self):
         # One entropy draw per delay(): the jitter a caller feeding a
         # per-entity stream gets is independent of unrelated traffic.
-        b = Backoff(initial=0.2, ceiling=2.0, jitter=0.5,
-                    entropy=random.Random(42))
+        b = Backoff(initial=0.2, ceiling=2.0, entropy=random.Random(42))
         ref = random.Random(42)
         for _ in range(20):
             expected = 0.2 * (1.0 + 0.5 * (2.0 * ref.random() - 1.0))
@@ -68,8 +66,6 @@ class TestBackoff:
             Backoff(initial=0.0, ceiling=1.0)
         with pytest.raises(ValueError):
             Backoff(initial=1.0, ceiling=0.5)
-        with pytest.raises(ValueError):
-            Backoff(initial=0.1, ceiling=1.0, multiplier=0.5)
 
 
 class TestAdmissionController:

@@ -198,17 +198,23 @@ class TestPeriodicTask:
             PeriodicTask(Simulator(), 0.0, lambda: None)
 
 
+def serial(sim, per_item_s):
+    cpu = SerialResource(sim)
+    cpu.per_item_s = per_item_s
+    return cpu
+
+
 class TestSerialResource:
     def test_zero_cost_is_synchronous(self):
         sim = Simulator()
-        cpu = SerialResource(sim, per_item_s=0.0)
+        cpu = SerialResource(sim)
         log = []
         cpu.submit(lambda: log.append(sim.now))
         assert log == [0.0]
 
     def test_items_serialize(self):
         sim = Simulator()
-        cpu = SerialResource(sim, per_item_s=1.0)
+        cpu = serial(sim, 1.0)
         done = []
         cpu.submit(lambda: done.append(sim.now))
         cpu.submit(lambda: done.append(sim.now))
@@ -218,14 +224,14 @@ class TestSerialResource:
 
     def test_backlog_reported(self):
         sim = Simulator()
-        cpu = SerialResource(sim, per_item_s=2.0)
+        cpu = serial(sim, 2.0)
         cpu.submit(lambda: None)
         cpu.submit(lambda: None)
         assert cpu.backlog_s == pytest.approx(4.0)
 
     def test_idle_gap_resets(self):
         sim = Simulator()
-        cpu = SerialResource(sim, per_item_s=1.0)
+        cpu = serial(sim, 1.0)
         done = []
         cpu.submit(lambda: done.append(sim.now))
         sim.schedule(10.0, lambda: cpu.submit(

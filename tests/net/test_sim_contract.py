@@ -133,8 +133,7 @@ def cluster_a_stream(*, seed, loss_rate, sends, with_b):
                  for i in range(HOSTS_PER_CLUSTER)] for c in "ab"}
     for c in "ab":
         for host in hosts[c]:
-            net.link(host, routers[c], latency=0.001,
-                     loss_rate=loss_rate)
+            net.link(host, routers[c], latency=0.001).loss_rate = loss_rate
     net.link(routers["a"], routers["b"], latency=0.01)
     net.finalize()
 

@@ -3,14 +3,14 @@
 import pytest
 
 from repro.net import Network
-from repro.net.tcp import TcpError, TcpState
+from repro.net.tcp import TcpError, TcpStack, TcpState
 
 
 def pair(loss_rate=0.0):
     net = Network(seed=77)
     a = net.add_host("a")
     b = net.add_host("b")
-    net.link(a, b, loss_rate=loss_rate)
+    net.link(a, b).loss_rate = loss_rate
     net.finalize()
     return net, a, b
 
@@ -49,11 +49,17 @@ class TestHandshakeEdges:
         assert failures
 
     def test_connect_duplicate_tuple_rejected(self):
+        # a listens on the port its first ephemeral allocation will
+        # take, and b connects to it from that same number (b's first
+        # ephemeral port): a already owns the tuple its own connect
+        # back to b would use
         net, a, b = pair()
-        net.tcp(b).listen(80, lambda c: None)
-        net.tcp(a).connect(b.address, 80, local_port=5000)
+        port = TcpStack.EPHEMERAL_BASE + 1
+        net.tcp(a).listen(port, lambda c: None)
+        net.tcp(b).connect(a.address, port)
+        net.run(until=1.0)
         with pytest.raises(TcpError):
-            net.tcp(a).connect(b.address, 80, local_port=5000)
+            net.tcp(a).connect(b.address, port)
 
 
 class TestDataEdges:

@@ -57,8 +57,9 @@ class TcpMachine(RuleBasedStateMachine):
         net = self.net = Network(seed=seed)
         self.a, self.r, self.b = (net.add_host("a"), net.add_router("r"),
                                   net.add_host("b"))
-        self.links = [net.link(self.a, self.r, loss_rate=loss),
-                      net.link(self.r, self.b, loss_rate=loss)]
+        self.links = [net.link(self.a, self.r), net.link(self.r, self.b)]
+        for link in self.links:
+            link.loss_rate = loss
         net.finalize()
         #: a's local port -> its stream
         self.streams: dict[int, Stream] = {}

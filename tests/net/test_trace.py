@@ -1,8 +1,12 @@
-"""Packet tracer tests."""
+"""Packet tracer tests: the tracer writes into, and renders from, the
+network's one event log."""
+
+from collections import Counter
 
 from repro.net import Network
 from repro.net.packet import udp_packet
-from repro.net.trace import EventKind, PacketTracer
+from repro.net.trace import PacketTracer
+from repro.obs.events import MAX_EVENTS
 
 
 def traced_line():
@@ -18,6 +22,11 @@ def traced_line():
     return net, a, r, b, tracer
 
 
+def records(net, kind, **fields):
+    return [e for e in net.obs.events.filter(kind)
+            if all(e.data[k] == v for k, v in fields.items())]
+
+
 class TestTracing:
     def test_records_path_across_nodes(self):
         net, a, r, b, tracer = traced_line()
@@ -28,10 +37,11 @@ class TestTracing:
 
     def test_deliver_event_recorded(self):
         net, a, r, b, tracer = traced_line()
-        a.ip_send(udp_packet(a.address, b.address, 1, 2, b"x"))
+        packet = udp_packet(a.address, b.address, 1, 2, b"x")
+        a.ip_send(packet)
         net.run()
-        ups = tracer.filter(node="b")
-        assert any(e.kind is EventKind.DELIVER for e in ups)
+        assert [e.node for e in records(net, "up", uid=packet.uid)] \
+            == ["b"]
 
     def test_filter_by_proto(self):
         net, a, r, b, tracer = traced_line()
@@ -40,9 +50,8 @@ class TestTracing:
         net.tcp(b).listen(80, lambda c: None)
         conn.connect(b.address, 80)
         net.run(until=2.0)
-        assert tracer.filter(proto="udp")
-        assert tracer.filter(proto="tcp")
-        assert all(e.proto == "tcp" for e in tracer.filter(proto="tcp"))
+        assert records(net, "rx", proto="udp")
+        assert records(net, "rx", proto="tcp")
 
     def test_render_is_readable(self):
         net, a, r, b, tracer = traced_line()
@@ -51,41 +60,37 @@ class TestTracing:
         text = tracer.render()
         assert "7->9" in text
         assert "-> " in text and "ms" in text
-
-    def test_render_limit(self):
-        net, a, r, b, tracer = traced_line()
-        for _ in range(5):
-            a.ip_send(udp_packet(a.address, b.address, 1, 2, b"x"))
-        net.run()
-        assert len(tracer.render(limit=3).splitlines()) == 3
+        assert [line.split()[2] for line in text.splitlines()] \
+            == ["tx", "rx", "tx", "rx", "up"]
 
     def test_truncation_guard(self):
         net, a, r, b, tracer = traced_line()
-        tracer.max_events = 2
-        for _ in range(5):
-            a.ip_send(udp_packet(a.address, b.address, 1, 2, b"x"))
+        for _ in range(MAX_EVENTS):
+            net.obs.events.emit("fault")
+        a.ip_send(udp_packet(a.address, b.address, 1, 2, b"x"))
         net.run()
-        assert tracer.truncated
-        assert "truncated" in tracer.render()
+        assert net.obs.events.dropped == 5  # tx rx tx rx up
+        assert tracer.render() == (f"... 5 events not logged: the log "
+                                   f"holds {MAX_EVENTS}")
 
     def test_tcp_flags_described(self):
         net, a, r, b, tracer = traced_line()
         net.tcp(b).listen(80, lambda c: None)
         net.tcp(a).connect(b.address, 80)
         net.run(until=1.0)
-        syns = tracer.filter(proto="tcp",
-                             predicate=lambda e: "[S]" in e.info)
-        assert syns
+        assert any("[S]" in e.data["info"]
+                   for e in records(net, "rx", proto="tcp"))
+        assert "[S]" in tracer.render()
 
     def test_double_attach_is_idempotent(self):
         net, a, r, b, tracer = traced_line()
         tracer.attach(r)  # second time
-        a.ip_send(udp_packet(a.address, b.address, 1, 2, b"x"))
+        tracer.attach_media()
+        packet = udp_packet(a.address, b.address, 1, 2, b"x")
+        a.ip_send(packet)
         net.run()
-        rx_at_r = tracer.filter(node="r",
-                                predicate=lambda e:
-                                e.kind is EventKind.RECEIVE)
-        assert len(rx_at_r) == 1
+        assert len(records(net, "rx", uid=packet.uid)) == 2  # r, b
+        assert len(records(net, "tx", uid=packet.uid)) == 2  # a, r
 
 
 class TestSendAndDropTracing:
@@ -94,8 +99,7 @@ class TestSendAndDropTracing:
         packet = udp_packet(a.address, b.address, 1, 2, b"x")
         a.ip_send(packet)
         net.run()
-        tx_nodes = [e.node for e in tracer.filter(uid=packet.uid)
-                    if e.kind is EventKind.SEND]
+        tx_nodes = [e.node for e in records(net, "tx", uid=packet.uid)]
         assert tx_nodes == ["a", "r"]  # once per hop, stamped by sender
 
     def test_queue_drop_appears_in_rendered_trace(self):
@@ -112,12 +116,25 @@ class TestSendAndDropTracing:
             a.ip_send(packet)
             dropped.append(packet.uid)
         net.run()
-        drops = [e for e in tracer.events if e.kind is EventKind.DROP]
-        assert drops and all(e.info.endswith("reason=queue")
-                             for e in drops)
-        assert {e.uid for e in drops} <= set(dropped)
+        drops = net.obs.events.filter("drop")
+        assert drops and all(e.data["reason"] == "queue" for e in drops)
+        assert {e.data["uid"] for e in drops} <= set(dropped)
         text = tracer.render()
         assert "drop" in text and "reason=queue" in text
+
+    def test_each_drop_is_logged_once(self):
+        net, a, r, b, tracer = traced_line()
+        net.faults.link_down(net.media[1])  # r--b: r has no route on
+        uids = []
+        for _ in range(3):
+            packet = udp_packet(a.address, b.address, 1, 2, b"x")
+            a.ip_send(packet)
+            uids.append(packet.uid)
+        net.run()
+        per_uid = Counter(e.data["uid"]
+                          for e in net.obs.events.filter("drop"))
+        assert per_uid == {uid: 1 for uid in uids}
+        assert tracer.render().count("reason=no-route") == 3
 
     def test_downed_link_drop_traced_with_reason(self):
         net, a, r, b, tracer = traced_line()
@@ -126,40 +143,32 @@ class TestSendAndDropTracing:
         net.media[0].up = False  # the a--r link
         a.ip_send(udp_packet(a.address, b.address, 1, 2, b"x"))
         net.run()
-        (drop,) = [e for e in tracer.events
-                   if e.kind is EventKind.DROP]
+        (drop,) = net.obs.events.filter("drop")
         assert drop.node == "a"
-        assert drop.info.endswith("reason=down")
+        assert drop.data["reason"] == "down"
 
     def test_no_route_after_fault_recompute_traced(self):
         net, a, r, b, tracer = traced_line()
         net.faults.link_down(net.media[0])  # recomputes routes too
         a.ip_send(udp_packet(a.address, b.address, 1, 2, b"x"))
         net.run()
-        (drop,) = [e for e in tracer.events
-                   if e.kind is EventKind.DROP]
+        (drop,) = net.obs.events.filter("drop")
         assert drop.node == "a"
-        assert drop.info.endswith("reason=no-route")
+        assert drop.data["reason"] == "no-route"
 
     def test_traced_packets_mirrored_into_event_log(self):
         net, a, r, b, tracer = traced_line()
         a.ip_send(udp_packet(a.address, b.address, 1, 2, b"x"))
         net.run()
         kinds = {e.kind for e in net.obs.events.events}
-        assert {"tx", "rx", "up"} <= kinds
-        # Drops are not mirrored by the tracer (the network's own drop
-        # taps log them); with no drops here the log has no drop events.
-        assert "drop" not in kinds
+        assert kinds == {"tx", "rx", "up"}  # no drop happened
 
-    def test_mirror_opt_out(self):
+    def test_untraced_network_logs_no_packet_records(self):
         net = Network(seed=5)
         a = net.add_host("a")
         b = net.add_host("b")
         net.link(a, b)
         net.finalize()
-        tracer = PacketTracer(net, mirror=False)
-        tracer.attach_all()
         a.ip_send(udp_packet(a.address, b.address, 1, 2, b"x"))
         net.run()
-        assert tracer.events  # traced...
-        assert len(net.obs.events) == 0  # ...but not logged
+        assert len(net.obs.events) == 0

@@ -10,7 +10,7 @@ def pair(loss_rate=0.0, **link_kwargs):
     net = Network(seed=9)
     a = net.add_host("a")
     b = net.add_host("b")
-    net.link(a, b, loss_rate=loss_rate, **link_kwargs)
+    net.link(a, b, **link_kwargs).loss_rate = loss_rate
     net.finalize()
     return net, a, b
 

@@ -27,7 +27,7 @@ class TestSnapshotShape:
         net, a, r, b = line_net()
         a.ip_send(udp_packet(a.address, b.address, 1, 2, b"x"))
         net.run()
-        snap = net.metrics_snapshot(include_global=False)
+        snap = net.obs.snapshot()
         assert snap["node.b.delivered"] == 1
         assert snap["node.r.forwarded"] == 1
         assert snap["link.a--r.packets_sent"] >= 1
@@ -44,7 +44,7 @@ class TestSnapshotShape:
 
     def test_include_global_false_excludes_prefix(self):
         net, _a, _r, _b = line_net()
-        snap = net.metrics_snapshot(include_global=False)
+        snap = net.obs.snapshot()
         assert not any(key.startswith("global.") for key in snap)
 
     def test_shared_obs_keeps_first_networks_clock_and_sim(self):
@@ -75,7 +75,7 @@ class TestDropAccounting:
         for _ in range(10):
             a.ip_send(udp_packet(a.address, b.address, 1, 2, b"x" * 972))
         net.run()
-        snap = net.metrics_snapshot(include_global=False)
+        snap = net.obs.snapshot()
         assert snap["drops_total"] > 0
         drops = net.obs.events.filter(kind="drop")
         assert snap["drops_total"] == len(drops)
@@ -106,7 +106,7 @@ class TestFaultEvents:
         link = net.media[0]
         net.faults.link_down(link)
         net.faults.link_up(link)
-        snap = net.metrics_snapshot(include_global=False)
+        snap = net.obs.snapshot()
         assert snap["faults_total"] == 2
         details = [e.data["detail"]
                    for e in net.obs.events.filter(kind="fault")]
@@ -135,7 +135,7 @@ class TestDeployEvents:
         assert "push" in actions
         assert "install" in actions
         assert "push-ok" in actions
-        snap = net.metrics_snapshot(include_global=False)
+        snap = net.obs.snapshot()
         assert snap["deploy.manager.pushes"] == 1
         assert snap["deploy.service.r1.installed"] == 1
 
@@ -151,7 +151,7 @@ class TestCleanPathCost:
         net, a, r, b = line_net()
         layer = PlanPLayer(r)
         layer.install(FORWARD_ASP)
-        assert [e.kind for e in net.obs.events.filter()] == ["deploy"]
+        assert [e.kind for e in net.obs.events.events] == ["deploy"]
 
         for i in range(self.N):
             # an overload matches: runs through the ASP on r...
@@ -165,7 +165,7 @@ class TestCleanPathCost:
         assert r.stats.forwarded == self.N
         assert b.stats.delivered == 2 * self.N
 
-        assert [e.kind for e in net.obs.events.filter()] == ["deploy"]
+        assert [e.kind for e in net.obs.events.events] == ["deploy"]
         # no tap to call per packet: a Network wires only its drop
         # counters, which a clean packet never meets
         queues = [iface.medium.tx_queue(iface)
@@ -173,7 +173,7 @@ class TestCleanPathCost:
         assert all(not node.receive_taps for node in net.nodes)
         assert all(not tx.send_taps for tx in queues)
         assert all(len(x.drop_taps) == 1 for x in [*net.nodes, *queues])
-        snap = net.metrics_snapshot(include_global=False)
+        snap = net.obs.snapshot()
         assert snap["drops_total"] == 0
         assert not any(key.startswith("asp.") for key in snap)
 
@@ -185,7 +185,7 @@ class TestErrorCounting:
         net, a, _r, b = line_net()
         server = HttpServer(net, b, {"/x": 100})
         server._count_error("/x", TcpError("connection reset"))
-        snap = net.metrics_snapshot(include_global=False)
+        snap = net.obs.snapshot()
         assert snap["http.errors_total"] == 1
         assert server.errors == 1
         (event,) = net.obs.events.filter(kind="error")
@@ -202,7 +202,7 @@ class TestErrorCounting:
         # it, and the experiment keeps running.
         client._on_reply(b"\x00garbage", b.address, 7)
         assert client.failures == 1
-        snap = net.metrics_snapshot(include_global=False)
+        snap = net.obs.snapshot()
         assert snap["images.errors_total"] == 1
         (event,) = net.obs.events.filter(kind="error")
         assert event.data["where"] == "image-client"
@@ -271,7 +271,7 @@ class TestLifecycleSummary:
         obs = Observability()
         run_chaos_experiment(profile="drill", n_routers=4,
                              duration=8.0, seed=5, obs=obs)
-        events = [r.to_dict() for r in obs.events.filter()]
+        events = [r.to_dict() for r in obs.events.events]
         summary = lifecycle_summary(events)
         assert summary["totals"]["fleet_rollbacks"] >= 1
         assert len(summary["nodes"]) >= 4

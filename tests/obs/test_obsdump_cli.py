@@ -76,6 +76,13 @@ class TestEventLog:
         doc = dump_json(tmp_path, "demo", "--events-limit", "2")
         assert len(doc["events"]) == 2
 
+    def test_negative_events_limit_is_a_usage_error(self, capsys):
+        # ``events[:-3]`` would silently drop the three newest events
+        with pytest.raises(SystemExit) as exit_:
+            obsdump.main(["demo", "--events-limit", "-3"])
+        assert exit_.value.code == 2
+        assert "--events-limit" in capsys.readouterr().err
+
 
 class TestArtifacts:
     """The ``--json`` shapes CI uploads."""

@@ -212,7 +212,7 @@ class TestBatchTelemetry:
                for _ in range(BATCH + 10)])
         assert layer.stats.fastpath_batches == 2  # 64 + 10
         assert layer.stats.batched_packets == BATCH + 10
-        snap = net.metrics_snapshot(include_global=False)
+        snap = net.obs.snapshot()
         assert snap["node.r.planp.fastpath_batches"] == 2
         assert snap["node.r.planp.batched_packets"] == BATCH + 10
         assert snap["node.r.planp.batch_size.count"] == 2

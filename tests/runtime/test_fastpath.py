@@ -2,6 +2,8 @@
 identical to a structural walk over the declarations, while matching
 each packet once."""
 
+from dataclasses import replace
+
 import pytest
 from hypothesis import given, settings
 
@@ -183,8 +185,8 @@ class TestOverloadOrder:
     def test_tagged_packets_only_match_their_channel(self):
         net, a, r, b, layer = layer_on_router()
         layer.install(PROGRAMS["tagged"])
-        tagged = udp_packet(a.address, b.address, 1, 2, b"x",
-                            channel="mine")
+        tagged = replace(udp_packet(a.address, b.address, 1, 2, b"x"),
+                         channel="mine")
         untagged = udp_packet(a.address, b.address, 1, 2, b"x")
         assert layer.core.lookup(tagged) is not None
         # no udp network overload

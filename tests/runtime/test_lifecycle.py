@@ -365,15 +365,6 @@ class TestRollout:
         assert "packets" in rollout.reason
         assert rollout.extensions == MAX_EXTENSIONS
 
-    def test_explicit_canary_selection(self):
-        net, src, routers, dst = chain_net(4)
-        manager = manager_for(net, routers)
-        traffic(net, src, dst)
-        rollout = manager.rollout(GOOD, routers, canary=[routers[2]])
-        assert rollout.canary == ["r2"]
-        assert routers[2].planp.loaded is not None
-        assert routers[0].planp.loaded is None
-
 
 # ---------------------------------------------------------------------------
 # breaker orchestration: quarantine, half-open, rollback
@@ -458,7 +449,7 @@ class TestQuarantine:
         manager = manager_for(net, routers)
         manager.rollout(GOOD, routers, force=True)
         manager.rollout(GOOD_V2, routers, force=True)
-        rolled = manager.rollback(reason="operator")
+        rolled = manager.rollback(ProgramCache.digest(GOOD_V2))
         assert sorted(rolled) == ["r0", "r1"]
         good_sha = ProgramCache.digest(GOOD)
         assert all(manager.of(r).current.sha == good_sha
@@ -474,7 +465,7 @@ class TestQuarantine:
         processed = layer.protocol_state
         assert processed > 0
         manager.rollout(GOOD_V2, routers, force=True)
-        manager.rollback(reason="test")
+        manager.rollback(ProgramCache.digest(GOOD_V2))
         # Generation 1 resumes exactly where it left off.
         assert layer.protocol_state == processed
         assert layer.loaded.source_sha == ProgramCache.digest(GOOD)
@@ -568,7 +559,7 @@ class TestRollbackAudit:
         net, src, routers, dst = chain_net(2)
         manager = manager_for(net, routers)
         manager.rollout(GOOD, routers, force=True)
-        rolled = manager.rollback("0" * 64, reason="operator")
+        rolled = manager.rollback("0" * 64)
         assert rolled == []
         good_sha = ProgramCache.digest(GOOD)
         assert all(manager.of(r).current.sha == good_sha
@@ -584,7 +575,7 @@ class TestRollbackAudit:
         manager.rollout(GOOD, routers, force=True)
         manager.rollout(GOOD_V2, [routers[0]], force=True)
         v2_sha = ProgramCache.digest(GOOD_V2)
-        rolled = manager.rollback(v2_sha, reason="operator")
+        rolled = manager.rollback(v2_sha)
         assert rolled == ["r0"]
         good_sha = ProgramCache.digest(GOOD)
         assert manager.of("r0").current.sha == good_sha
@@ -608,7 +599,7 @@ class TestRollbackAudit:
             return original(self, nl, gen)
 
         monkeypatch.setattr(LifecycleManager, "_restore", failing)
-        rolled = manager.rollback(reason="operator")
+        rolled = manager.rollback(ProgramCache.digest(GOOD_V2))
         # The failing node is contained; the rest of the fleet rolls.
         assert rolled == ["r0", "r2"]
         good_sha = ProgramCache.digest(GOOD)
@@ -708,7 +699,7 @@ class TestCrashRecovery:
         net, src, r0, dst, manager, push = wire_managed()
         push(GOOD)
         push(GOOD_V2)
-        assert manager.rollback() == ["r0"]
+        assert manager.rollback(ProgramCache.digest(GOOD_V2)) == ["r0"]
         net.faults.crash(r0)
         net.faults.restart(r0)
         good, v2 = ProgramCache.digest(GOOD), ProgramCache.digest(GOOD_V2)
@@ -761,7 +752,7 @@ class TestObservability:
         net, src, routers, dst = chain_net(2)
         manager = manager_for(net, routers)
         manager.rollout(GOOD, routers, force=True)
-        snap = net.metrics_snapshot(include_global=False)
+        snap = net.obs.snapshot()
         assert snap["lifecycle.managed_nodes"] == 2
         assert snap["lifecycle.promoted"] == 1
         assert snap["lifecycle.quarantined_nodes"] == 0
@@ -774,10 +765,10 @@ class TestObservability:
         net.run(until=0.5)
         manager.rollout(BAD, routers, verify=False, force=True)
         net.run(until=6.0)
-        kinds = {e.kind for e in net.obs.events.filter()}
+        kinds = {e.kind for e in net.obs.events.events}
         assert {"rollout", "quarantine", "rollback"} <= kinds
         actions = {(e.kind, e.data.get("action"))
-                   for e in net.obs.events.filter()}
+                   for e in net.obs.events.events}
         assert ("rollout", "force-promote") in actions
         assert ("quarantine", "trip") in actions
         assert ("rollback", "done") in actions

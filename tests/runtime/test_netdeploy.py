@@ -273,7 +273,7 @@ class TestHostClock:
         status = manager.status(xfer)[routers[0].address]
         (terminal_at,) = [e.t for e in net.obs.events.filter(kind="deploy")
                           if e.data["action"] == "push-ok"]
-        return (net.metrics_snapshot(include_global=False),
+        return (net.obs.snapshot(),
                 (status.ok, status.cache_hit, terminal_at),
                 services[0].installed)
 

@@ -12,8 +12,8 @@ from hypothesis import strategies as st
 from repro.jit.pipeline import ProgramCache
 from repro.net import Network
 from repro.runtime import Deployment
-from repro.runtime.netdeploy import (DeploymentManager, DeploymentService,
-                                     RetryPolicy)
+from repro.runtime.netdeploy import (PUSH_DEADLINE_S, DeploymentManager,
+                                     DeploymentService)
 
 FORWARD = ("channel network(ps : int, ss : unit, p : ip*tcp*blob) is "
            "(OnRemote(network, p); (ps + 1, ss))")
@@ -32,7 +32,7 @@ def star_net(n_routers, seed, loss_rate=0.0):
     admin = net.add_host("admin")
     routers = [net.add_router(f"r{i}") for i in range(n_routers)]
     for router in routers:
-        net.link(admin, router, bandwidth=100e6, loss_rate=loss_rate)
+        net.link(admin, router, bandwidth=100e6).loss_rate = loss_rate
     net.finalize()
     services = [DeploymentService(net, r) for r in routers]
     manager = DeploymentManager(net, admin)
@@ -91,8 +91,7 @@ class TestDeadlines:
     def test_unreachable_target_fails_with_reason(self):
         net, routers, services, manager = star_net(2, seed=21)
         net.faults.crash(routers[0])
-        xfer = manager.push(FORWARD, [r.address for r in routers],
-                            policy=RetryPolicy(deadline=0.5))
+        xfer = manager.push(FORWARD, [r.address for r in routers])
         assert manager.await_converged(xfer)
         statuses = manager.status(xfer)
         assert statuses[routers[0].address].ok is False
@@ -100,15 +99,21 @@ class TestDeadlines:
         assert statuses[routers[1].address].ok is True
 
     def test_late_ok_does_not_resurrect_failed_push(self):
-        # Deadline shorter than the exchange: the push fails by
-        # timeout, then the node's OK limps in — it must not be
-        # believed.  On this topology the last source byte lands (and
-        # installs) at ~1.5 ms and the OK returns at ~2.0 ms; a 1.8 ms
-        # deadline splits them.
-        net, routers, services, manager = star_net(1, seed=22)
-        xfer = manager.push(FORWARD, [routers[0].address],
-                            policy=RetryPolicy(deadline=0.0018))
-        net.run(until=1.0)
+        # Exchange longer than the deadline: the push fails by timeout,
+        # then the node's OK limps in — it must not be believed.  Over
+        # a link with a one-way delay of 0.29 deadlines the connection
+        # opens at 2 delays, the source lands (and installs) at 3 and
+        # the OK would return at 4: the deadline splits them.
+        net = Network(seed=22)
+        admin, router = net.add_host("admin"), net.add_router("r0")
+        net.link(admin, router, bandwidth=100e6,
+                 latency=0.29 * PUSH_DEADLINE_S)
+        net.finalize()
+        services = [DeploymentService(net, router)]
+        routers = [router]
+        manager = DeploymentManager(net, admin)
+        xfer = manager.push(FORWARD, [routers[0].address])
+        net.run(until=2 * PUSH_DEADLINE_S)
         status = manager.status(xfer)[routers[0].address]
         assert status.ok is False
         assert status.detail == "timeout"
@@ -137,11 +142,12 @@ class TestDeadlines:
 
         load_program(FORWARD)  # prime the content-addressed cache
         net, routers, services, manager = star_net(1, seed=23)
-        xfer = manager.push(FORWARD, [routers[0].address],
-                            policy=RetryPolicy(deadline=0.002))
-        net.run(until=1.0)
+        net.faults.crash(routers[0])
+        xfer = manager.push(FORWARD, [routers[0].address])
+        assert manager.await_converged(xfer)
         assert manager.status(xfer)[routers[0].address].ok is False
-        repushed = manager.repush(xfer, policy=RetryPolicy())
+        net.faults.restart(routers[0])
+        repushed = manager.repush(xfer)
         assert repushed == [routers[0].address]
         assert manager.await_converged(xfer)
         assert manager.all_ok(xfer)
@@ -219,8 +225,7 @@ class TestCrashDrill:
     def test_crash_without_restart_times_out(self):
         net, routers, services, manager = star_net(2, seed=33)
         r0, r1 = routers
-        xfer = manager.push(BIG, [r0.address, r1.address],
-                            policy=RetryPolicy(deadline=2.0))
+        xfer = manager.push(BIG, [r0.address, r1.address])
         net.faults.at(net.now + 0.0015, net.faults.crash, "r0")
         assert manager.await_converged(xfer)
         statuses = manager.status(xfer)

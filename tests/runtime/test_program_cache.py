@@ -5,7 +5,7 @@ import pytest
 
 from repro.asps.mpeg import mpeg_monitor_asp
 from repro.jit import pipeline
-from repro.jit.pipeline import ProgramCache
+from repro.jit.pipeline import MAX_ENTRIES, ProgramCache
 from repro.lang import ParseError, VerificationError
 from repro.net import Network
 from repro.net.packet import tcp_packet
@@ -168,26 +168,16 @@ class TestArtifactSharing:
         assert r0.planp.engine.artifact is r1.planp.engine.artifact
         assert r1.planp.engine.artifact is r2.planp.engine.artifact
 
-    def test_disabled_cache_shares_nothing(self):
-        net, a, routers, b = chain(2)
-        cache = ProgramCache(max_entries=0)
-        Deployment(cache=cache).install(FORWARD, routers,
-                                        backend="closure")
-        r0, r1 = routers
-        assert r0.planp.engine is not r1.planp.engine
-        assert cache.stats.frontend_hits == 0
-        # Central pass plus one full front end per node: all misses.
-        assert cache.stats.frontend_misses == 3
-
     def test_fifo_eviction_bounds_entries(self):
-        cache = ProgramCache(max_entries=2)
-        sources = [f"-- v{i}\n{FORWARD}" for i in range(4)]
+        cache = ProgramCache()
+        sources = [f"-- v{i}\n{FORWARD}" for i in range(MAX_ENTRIES + 2)]
         for source in sources:
             cache.frontend(source)
-        assert len(cache._frontend) == 2
+        assert len(cache._frontend) == MAX_ENTRIES
         # Oldest entries were evicted; newest are present.
-        assert ProgramCache.digest(sources[3]) in cache._frontend
-        assert ProgramCache.digest(sources[0]) not in cache._frontend
+        assert ProgramCache.digest(sources[-1]) in cache._frontend
+        assert ProgramCache.digest(sources[1]) not in cache._frontend
+        assert ProgramCache.digest(sources[2]) in cache._frontend
 
 
 class TestLoadProgramFlags:
