@@ -35,39 +35,77 @@ class DeliveryReport:
 
 
 class DeliveryAnalysis:
-    """Checks one program.  Entry point: :func:`check_delivery`."""
+    """Checks one program.  Entry point: :func:`check_delivery`.
+
+    Each question about a ``fun`` body is answered once and memoized by
+    function name: a callee's answer does not depend on its call site,
+    and re-deriving it per call would make the analysis exponential in
+    the depth of a call chain (``f_i(x) = f_{i-1}(x) + f_{i-1}(x)``).
+    """
 
     def __init__(self, info: ProgramInfo):
         self._info = info
         self._fun_exits: dict[str, bool] = {}
+        self._fun_scans: dict[str, tuple[set[str], list[ast.Call]]] = {}
 
-    # -- escaping exceptions ----------------------------------------------------
+    # -- escaping exceptions and drops --------------------------------------------
 
-    def escaping(self, expr: ast.Expr) -> set[str]:
-        """Exception names that may propagate out of ``expr``."""
-        kind = type(expr)
-        if kind is ast.Raise:
-            return {expr.exn}
-        if kind is ast.Try:
-            body = self.escaping(expr.body)
-            caught = body if expr.exn == "_" else (body & {expr.exn})
-            return (body - caught) | self.escaping(expr.handler)
+    def scan(self, expr: ast.Expr) -> tuple[set[str], list[ast.Call]]:
+        """One walk of ``expr`` for two answers: the exception names that
+        may propagate out of it, and the ``drop`` calls it may reach,
+        each once — its own in pre-order, then those of the functions it
+        calls, in call order."""
+        drops: dict[int, ast.Call] = {}
+        callees: list[str] = []
+        escapes = self._escaping(expr, drops, callees)
+        for name in callees:
+            for call in self._fun_scan(name)[1]:
+                drops.setdefault(id(call), call)
+        return escapes, list(drops.values())
+
+    def _escaping(self, expr: ast.Expr, drops: dict[int, ast.Call],
+                  callees: list[str]) -> set[str]:
+        """What may escape ``expr``, noting its ``drop`` calls and the
+        functions it calls in ``drops`` and ``callees`` on the way; the
+        body of a ``try`` is the one nested walk."""
         out: set[str] = set()
-        if kind is ast.BinOp and expr.op in _PARTIAL_OPS:
-            # A literal non-zero divisor cannot raise.
-            divisor = expr.right
-            if not (isinstance(divisor, ast.IntLit) and divisor.value != 0):
-                out.add(_PARTIAL_OPS[expr.op])
-        if kind is ast.Call:
-            prim = PRIMITIVES.get(expr.func)
-            if prim is not None:
-                out.update(prim.may_raise)
-            fun = self._info.funs.get(expr.func)
-            if fun is not None:
-                out.update(self.escaping(fun.decl.body))
-        for child in ast.children(expr):
-            out.update(self.escaping(child))
+        funs = self._info.funs
+        stack = [expr]
+        while stack:
+            node = stack.pop()
+            kind = type(node)
+            if kind is ast.Raise:
+                out.add(node.exn)
+                continue
+            if kind is ast.Try:
+                body = self._escaping(node.body, drops, callees)
+                if node.exn != "_":
+                    out |= body - {node.exn}
+                stack.append(node.handler)
+                continue
+            if kind is ast.BinOp and node.op in _PARTIAL_OPS:
+                # A literal non-zero divisor cannot raise.
+                divisor = node.right
+                if not (isinstance(divisor, ast.IntLit)
+                        and divisor.value != 0):
+                    out.add(_PARTIAL_OPS[node.op])
+            elif kind is ast.Call:
+                func = node.func
+                prim = PRIMITIVES.get(func)
+                if prim is not None:
+                    out.update(prim.may_raise)
+                if func == "drop":
+                    drops[id(node)] = node
+                elif func in funs:
+                    callees.append(func)
+                    out |= self._fun_scan(func)[0]
+            stack += ast.children(node)
         return out
+
+    def _fun_scan(self, name: str) -> tuple[set[str], list[ast.Call]]:
+        if name not in self._fun_scans:
+            self._fun_scans[name] = self.scan(self._info.funs[name].decl.body)
+        return self._fun_scans[name]
 
     # -- every-path-exits ----------------------------------------------------------
 
@@ -119,16 +157,6 @@ class DeliveryAnalysis:
                 self._info.funs[name].decl.body)
         return self._fun_exits[name]
 
-    # -- drops -----------------------------------------------------------------------
-
-    def drop_sites(self, expr: ast.Expr) -> list[ast.Call]:
-        sites = [c for c in ast.calls_in(expr) if c.func == "drop"]
-        for call in ast.calls_in(expr):
-            fun = self._info.funs.get(call.func)
-            if fun is not None:
-                sites.extend(self.drop_sites(fun.decl.body))
-        return sites
-
 
 def check_delivery(info: ProgramInfo) -> DeliveryReport:
     """Raises :class:`VerificationError` unless every channel provably
@@ -138,9 +166,9 @@ def check_delivery(info: ProgramInfo) -> DeliveryReport:
     for decl in info.all_channels():
         report.channels_checked += 1
 
-        escapes = analysis.escaping(decl.body)
+        escapes, drops = analysis.scan(decl.body)
         if decl.initstate is not None:
-            escapes |= analysis.escaping(decl.initstate)
+            escapes |= analysis.scan(decl.initstate)[0]
         if escapes:
             names = ", ".join(sorted(escapes))
             raise VerificationError(
@@ -148,7 +176,6 @@ def check_delivery(info: ProgramInfo) -> DeliveryReport:
                 f"exception(s): {names}; delivery cannot be guaranteed",
                 decl.pos, analysis="delivery")
 
-        drops = analysis.drop_sites(decl.body)
         if drops:
             raise VerificationError(
                 f"channel {decl.name!r} intentionally drops packets "

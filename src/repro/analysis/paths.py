@@ -25,9 +25,11 @@ conservatively.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
+from typing import NamedTuple, Sequence
 
 from ..lang import ast
+from ..lang import types as T
 from ..lang.errors import VerificationError
 from ..lang.typechecker import ProgramInfo
 from ..net.addresses import HostAddr
@@ -42,7 +44,11 @@ INLINE_DEPTH = 32
 
 
 class DstKind(enum.Enum):
-    """Abstract IP destination of a packet."""
+    """Abstract IP destination of a packet.  Members hash by identity
+    (``Enum.__hash__`` is a Python function): the global-termination
+    search hashes one per state it meets."""
+
+    __hash__ = object.__hash__
 
     ORIG = "orig"      # unchanged: the incoming packet's destination
     SRC = "src"        # rewritten to the incoming packet's source
@@ -69,7 +75,10 @@ DST_TOP = Dst(DstKind.TOP)
 
 
 class PortKind(enum.Enum):
-    """Abstract transport destination port of a packet."""
+    """Abstract transport destination port of a packet (hashed by
+    identity, like :class:`DstKind`)."""
+
+    __hash__ = object.__hash__
 
     ORIG = "orig"
     LIT = "lit"
@@ -139,6 +148,17 @@ class AbsTuple(AbsVal):
 
 TOP = AbsTop()
 
+#: Primitives with a transfer function in ``PathWalker._prim_abstract``;
+#: every other primitive's result is TOP.
+_TRANSFERRED = frozenset({
+    "ipDestSet", "ipSrcSet", "ipTosSet", "ipSwap", "ipMk", "ipSrc", "ipDst",
+    "thisHost", "tcpDstSet", "udpDstSet", "tcpSrcSet", "udpSrcSet",
+    "tcpSwap", "udpSwap", "tcpMk", "udpMk", "tcpDst", "udpDst"})
+
+#: Expressions whose abstraction is TOP and that branch nowhere.
+_OPAQUE = frozenset({ast.BoolLit, ast.StringLit, ast.CharLit, ast.UnitLit,
+                     ast.Raise})
+
 
 # -- path state ---------------------------------------------------------------
 
@@ -160,24 +180,26 @@ class PortConstraint:
             return None
         if value in self.neq:
             return None
-        return replace(self, eq=value)
+        return PortConstraint(value, self.neq, self.dst_eq, self.dst_neq)
 
     def with_neq(self, value: int) -> "PortConstraint | None":
         if self.eq is not None and self.eq == value:
             return None
-        return replace(self, neq=self.neq | {value})
+        return PortConstraint(self.eq, self.neq | {value}, self.dst_eq,
+                              self.dst_neq)
 
     def with_dst_eq(self, value: HostAddr) -> "PortConstraint | None":
         if self.dst_eq is not None and self.dst_eq != value:
             return None
         if value in self.dst_neq:
             return None
-        return replace(self, dst_eq=value)
+        return PortConstraint(self.eq, self.neq, value, self.dst_neq)
 
     def with_dst_neq(self, value: HostAddr) -> "PortConstraint | None":
         if self.dst_eq is not None and self.dst_eq == value:
             return None
-        return replace(self, dst_neq=self.dst_neq | {value})
+        return PortConstraint(self.eq, self.neq, self.dst_eq,
+                              self.dst_neq | {value})
 
     def admits(self, port: Port, dst: Dst | None = None) -> bool:
         """Could a packet with abstract port ``port`` (and, if given,
@@ -245,14 +267,18 @@ class PathSummary:
 # -- the walker -------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class _State:
+class _State(NamedTuple):
     """Immutable per-path walker state."""
 
     constraint: PortConstraint
     emissions: tuple[Emission, ...]
     delivers: bool = False
     drops: bool = False
+
+
+#: What one ``_walk`` returns: an (abstract value, state) pair per path,
+#: in the order the paths branch.
+_Paths = list[tuple[AbsVal, _State]]
 
 
 class PathWalker:
@@ -276,13 +302,11 @@ class PathWalker:
     def paths(self) -> list[PathSummary]:
         env = self._initial_env()
         init = _State(PortConstraint(), ())
-        results: list[PathSummary] = []
-        for value, state in self._walk(self._decl.body, env, init, 0):
-            results.append(PathSummary(constraint=state.constraint,
-                                       emissions=state.emissions,
-                                       delivers=state.delivers,
-                                       drops=state.drops))
-        return results
+        return [PathSummary(constraint=state.constraint,
+                            emissions=state.emissions,
+                            delivers=state.delivers, drops=state.drops)
+                for _value, state in self._walk(self._decl.body, env, init,
+                                                0)]
 
     def _initial_env(self) -> dict[str, AbsVal]:
         env = dict(self._global_env)
@@ -292,8 +316,6 @@ class PathWalker:
         return env
 
     def _abstract_packet(self) -> AbsVal:
-        from ..lang import types as T
-
         pkt_type = self._decl.packet_type
         if not isinstance(pkt_type, T.TupleType):
             return TOP
@@ -307,10 +329,12 @@ class PathWalker:
                 elems.append(TOP)
         return AbsTuple(tuple(elems))
 
-    # The walker yields (abstract value, state) pairs, one per path.
+    # Every walk returns its paths as a list, one (abstract value, state)
+    # pair per path; a sub-expression is walked once per path reaching
+    # it, and each such walk costs one unit of the budget.
 
     def _walk(self, expr: ast.Expr, env: dict[str, AbsVal], state: _State,
-              depth: int):
+              depth: int) -> _Paths:
         self._remaining -= 1
         if self._remaining < 0:
             raise VerificationError(
@@ -318,64 +342,89 @@ class PathWalker:
                 f"program rejected conservatively", analysis="paths")
         kind = type(expr)
 
+        if kind is ast.Var:
+            return [(env.get(expr.name, TOP), state)]
+        if kind is ast.Call:
+            return self._walk_call(expr, env, state, depth)
         if kind is ast.IntLit:
-            yield AbsInt(expr.value), state
-            return
+            return [(AbsInt(expr.value), state)]
         if kind is ast.HostLit:
-            yield AbsHost(Dst(DstKind.LIT,
-                              HostAddr.parse(expr.value))), state
-            return
-        if kind in (ast.BoolLit, ast.StringLit, ast.CharLit, ast.UnitLit,
-                    ast.Raise):
+            return [(AbsHost(Dst(DstKind.LIT, HostAddr.parse(expr.value))),
+                     state)]
+        if kind in _OPAQUE:
             # Raise aborts the path; for emission analyses treating it as
             # a terminal with no further emissions is sound.
-            yield TOP, state
-            return
-        if kind is ast.Var:
-            yield env.get(expr.name, TOP), state
-            return
-        if kind is ast.UnOp:
-            for _val, st in self._walk(expr.operand, env, state, depth):
-                yield TOP, st
-            return
+            return [(TOP, state)]
         if kind is ast.BinOp:
-            yield from self._walk_binop(expr, env, state, depth)
-            return
+            op = expr.op
+            out: _Paths = []
+            for (lval, rval), st in self._values((expr.left, expr.right),
+                                                 env, state, depth):
+                out.append((self._binop_value(op, lval, rval), st))
+            return out
+        if kind is ast.UnOp:
+            out = []
+            for _val, st in self._walk(expr.operand, env, state, depth):
+                out.append((TOP, st))
+            return out
         if kind is ast.If:
-            yield from self._walk_if(expr, env, state, depth)
-            return
+            return self._walk_if(expr, env, state, depth)
         if kind is ast.Let:
-            yield from self._walk_let(expr, 0, env, state, depth)
-            return
+            return self._walk_let(expr, env, state, depth)
         if kind is ast.Seq:
-            yield from self._walk_seq(expr.exprs, 0, env, state, depth)
-            return
+            *effects, last = expr.exprs
+            out = []
+            for st in self._after(effects, env, state, depth):
+                out += self._walk(last, env, st, depth)
+            return out
         if kind is ast.TupleExpr:
-            yield from self._walk_tuple(expr.elems, (), env, state, depth)
-            return
+            out = []
+            for vals, st in self._values(expr.elems, env, state, depth):
+                out.append((AbsTuple(vals), st))
+            return out
         if kind is ast.Proj:
+            index = expr.index
+            out = []
             for val, st in self._walk(expr.tuple_expr, env, state, depth):
-                if isinstance(val, AbsTuple) and \
-                        1 <= expr.index <= len(val.elems):
-                    yield val.elems[expr.index - 1], st
+                if isinstance(val, AbsTuple) and 1 <= index <= len(val.elems):
+                    out.append((val.elems[index - 1], st))
                 else:
-                    yield TOP, st
-            return
-        if kind is ast.Call:
-            yield from self._walk_call(expr, env, state, depth)
-            return
+                    out.append((TOP, st))
+            return out
         if kind is ast.Try:
             # Both the normal and the handler continuation are feasible.
-            yield from self._walk(expr.body, env, state, depth)
-            yield from self._walk(expr.handler, env, state, depth)
-            return
+            return (self._walk(expr.body, env, state, depth)
+                    + self._walk(expr.handler, env, state, depth))
         raise TypeError(f"path walker cannot handle {kind.__name__}")
 
-    def _walk_binop(self, expr: ast.BinOp, env: dict[str, AbsVal],
-                    state: _State, depth: int):
-        for lval, st1 in self._walk(expr.left, env, state, depth):
-            for rval, st2 in self._walk(expr.right, env, st1, depth):
-                yield self._binop_value(expr.op, lval, rval), st2
+    # The helpers below loop rather than nest comprehensions: a
+    # comprehension is a function call of its own, once per walk.
+
+    def _values(self, exprs: Sequence[ast.Expr], env: dict[str, AbsVal],
+                state: _State, depth: int) -> list[tuple[tuple[AbsVal, ...],
+                                                         _State]]:
+        """Walk ``exprs`` left to right: one (values, state) pair per
+        path through all of them."""
+        frontier: list[tuple[tuple[AbsVal, ...], _State]] = [((), state)]
+        for expr in exprs:
+            after = []
+            for vals, st in frontier:
+                for val, st2 in self._walk(expr, env, st, depth):
+                    after.append((vals + (val,), st2))
+            frontier = after
+        return frontier
+
+    def _after(self, exprs: Sequence[ast.Expr], env: dict[str, AbsVal],
+               state: _State, depth: int) -> list[_State]:
+        """Walk ``exprs`` left to right for their effects only."""
+        states = [state]
+        for expr in exprs:
+            after = []
+            for st in states:
+                for _val, st2 in self._walk(expr, env, st, depth):
+                    after.append(st2)
+            states = after
+        return states
 
     @staticmethod
     def _binop_value(op: str, lval: AbsVal, rval: AbsVal) -> AbsVal:
@@ -395,11 +444,13 @@ class PathWalker:
         return TOP
 
     def _walk_if(self, expr: ast.If, env: dict[str, AbsVal], state: _State,
-                 depth: int):
+                 depth: int) -> _Paths:
         # Evaluate the condition for its effects, then refine the
         # constraints from recognised guards.
-        for _cond_val, st in self._walk(expr.cond, env, state, depth):
-            guards, negatable = self._guards(expr.cond, env)
+        conds = self._walk(expr.cond, env, state, depth)
+        guards, negatable = self._guards(expr.cond, env)
+        out: _Paths = []
+        for _cond_val, st in conds:
             then_constraint = st.constraint
             for guard in guards:
                 if then_constraint is None:
@@ -409,13 +460,16 @@ class PathWalker:
             if negatable and len(guards) == 1:
                 else_constraint = guards[0].apply_negated(else_constraint)
             if then_constraint is not None:
-                yield from self._walk(
+                out += self._walk(
                     expr.then, env,
-                    replace(st, constraint=then_constraint), depth)
+                    _State(then_constraint, st.emissions, st.delivers,
+                           st.drops), depth)
             if else_constraint is not None:
-                yield from self._walk(
+                out += self._walk(
                     expr.orelse, env,
-                    replace(st, constraint=else_constraint), depth)
+                    _State(else_constraint, st.emissions, st.delivers,
+                           st.drops), depth)
+        return out
 
     def _guards(self, cond: ast.Expr, env: dict[str, AbsVal]) -> \
             tuple[list["_Guard"], bool]:
@@ -484,104 +538,74 @@ class PathWalker:
             return self._prim_abstract(expr.func, vals)
         return TOP
 
-    def _walk_let(self, expr: ast.Let, index: int, env: dict[str, AbsVal],
-                  state: _State, depth: int):
-        if index == len(expr.bindings):
-            yield from self._walk(expr.body, env, state, depth)
-            return
-        binding = expr.bindings[index]
-        for val, st in self._walk(binding.value, env, state, depth):
-            inner = dict(env)
-            inner[binding.name] = val
-            yield from self._walk_let(expr, index + 1, inner, st, depth)
-
-    def _walk_seq(self, exprs: list[ast.Expr], index: int,
-                  env: dict[str, AbsVal], state: _State, depth: int):
-        if index == len(exprs) - 1:
-            yield from self._walk(exprs[index], env, state, depth)
-            return
-        for _val, st in self._walk(exprs[index], env, state, depth):
-            yield from self._walk_seq(exprs, index + 1, env, st, depth)
-
-    def _walk_tuple(self, elems: list[ast.Expr], acc: tuple[AbsVal, ...],
-                    env: dict[str, AbsVal], state: _State, depth: int):
-        if len(acc) == len(elems):
-            yield AbsTuple(acc), state
-            return
-        for val, st in self._walk(elems[len(acc)], env, state, depth):
-            yield from self._walk_tuple(elems, acc + (val,), env, st, depth)
+    def _walk_let(self, expr: ast.Let, env: dict[str, AbsVal],
+                  state: _State, depth: int) -> _Paths:
+        # One (environment, state) pair per path through the bindings.
+        frontier = [(env, state)]
+        for binding in expr.bindings:
+            name, value = binding.name, binding.value
+            after = []
+            for outer, st in frontier:
+                for val, st2 in self._walk(value, outer, st, depth):
+                    after.append(({**outer, name: val}, st2))
+            frontier = after
+        out: _Paths = []
+        for inner, st in frontier:
+            out += self._walk(expr.body, inner, st, depth)
+        return out
 
     def _walk_call(self, expr: ast.Call, env: dict[str, AbsVal],
-                   state: _State, depth: int):
+                   state: _State, depth: int) -> _Paths:
         name = expr.func
-        if name in ("OnRemote", "OnNeighbor"):
+        out: _Paths = []
+        if name == "OnRemote" or name == "OnNeighbor":
             target = expr.args[0].name  # type: ignore[union-attr]
             for pkt_val, st in self._walk(expr.args[1], env, state, depth):
                 dst, port = self._packet_abstraction(pkt_val)
                 emission = Emission(target=target, dst=dst, port=port,
                                     neighbor_bound=(name == "OnNeighbor"),
                                     line=expr.pos.line)
-                if name == "OnNeighbor":
-                    for _nval, st2 in self._walk(expr.args[2], env, st,
-                                                 depth):
-                        yield TOP, replace(
-                            st2, emissions=st2.emissions + (emission,))
-                else:
-                    yield TOP, replace(
-                        st, emissions=st.emissions + (emission,))
-            return
+                ends = (self._after(expr.args[2:], env, st, depth)
+                        if name == "OnNeighbor" else [st])
+                for st2 in ends:
+                    out.append((TOP, _State(st2.constraint,
+                                            st2.emissions + (emission,),
+                                            st2.delivers, st2.drops)))
+            return out
         if name == "deliver":
             for _val, st in self._walk(expr.args[0], env, state, depth):
-                yield TOP, replace(st, delivers=True)
-            return
+                out.append((TOP, _State(st.constraint, st.emissions, True,
+                                        st.drops)))
+            return out
         if name == "drop":
             for _val, st in self._walk(expr.args[0], env, state, depth):
-                yield TOP, replace(st, drops=True)
-            return
-        if name in self._info.funs:
-            yield from self._walk_fun_call(expr, env, state, depth)
-            return
-        # Ordinary primitive: walk arguments for paths/effects, then
-        # compute the abstract result.
-        yield from self._walk_prim_args(expr, 0, [], env, state, depth)
-
-    def _walk_prim_args(self, expr: ast.Call, index: int,
-                        vals: list[AbsVal], env: dict[str, AbsVal],
-                        state: _State, depth: int):
-        if index == len(expr.args):
-            yield self._prim_abstract(expr.func, vals), state
-            return
-        for val, st in self._walk(expr.args[index], env, state, depth):
-            yield from self._walk_prim_args(expr, index + 1, vals + [val],
-                                            env, st, depth)
-
-    def _walk_fun_call(self, expr: ast.Call, env: dict[str, AbsVal],
-                       state: _State, depth: int):
+                out.append((TOP, _State(st.constraint, st.emissions,
+                                        st.delivers, True)))
+            return out
+        fun = self._info.funs.get(name)
+        if fun is None:
+            # Ordinary primitive: walk arguments for paths/effects, then
+            # compute the abstract result.
+            for vals, st in self._values(expr.args, env, state, depth):
+                out.append((self._prim_abstract(name, vals), st))
+            return out
         if depth >= INLINE_DEPTH:
             raise VerificationError(
                 "function inlining depth exceeded", analysis="paths")
-        fun = self._info.funs[expr.func]
-        yield from self._walk_fun_args(expr, fun, 0, {}, env, state, depth)
-
-    def _walk_fun_args(self, expr: ast.Call, fun, index: int,
-                       bound: dict[str, AbsVal], env: dict[str, AbsVal],
-                       state: _State, depth: int):
-        if index == len(expr.args):
+        params = [p.name for p in fun.decl.params]
+        for vals, st in self._values(expr.args, env, state, depth):
             fun_env = dict(self._global_env)
-            fun_env.update(bound)
-            yield from self._walk(fun.decl.body, fun_env, state, depth + 1)
-            return
-        param = fun.decl.params[index].name
-        for val, st in self._walk(expr.args[index], env, state, depth):
-            new_bound = dict(bound)
-            new_bound[param] = val
-            yield from self._walk_fun_args(expr, fun, index + 1, new_bound,
-                                           env, st, depth)
+            fun_env.update(zip(params, vals))
+            out += self._walk(fun.decl.body, fun_env, st, depth + 1)
+        return out
 
     # -- primitive transfer functions ------------------------------------------
 
     @staticmethod
-    def _prim_abstract(name: str, vals: list[AbsVal]) -> AbsVal:
+    def _prim_abstract(name: str, vals: Sequence[AbsVal]) -> AbsVal:
+        if name not in _TRANSFERRED:
+            return TOP
+
         def ip_of(i: int) -> AbsIp | None:
             return vals[i] if i < len(vals) and isinstance(vals[i],
                                                            AbsIp) else None

@@ -22,7 +22,7 @@ from .types import Type
 # ---------------------------------------------------------------------------
 
 
-@dataclass
+@dataclass(slots=True)
 class Expr:
     """Base class of all expressions."""
 
@@ -30,44 +30,44 @@ class Expr:
     ty: Type | None = field(default=None, kw_only=True)
 
 
-@dataclass
+@dataclass(slots=True)
 class IntLit(Expr):
     value: int = 0
 
 
-@dataclass
+@dataclass(slots=True)
 class BoolLit(Expr):
     value: bool = False
 
 
-@dataclass
+@dataclass(slots=True)
 class StringLit(Expr):
     value: str = ""
 
 
-@dataclass
+@dataclass(slots=True)
 class CharLit(Expr):
     value: str = "\0"
 
 
-@dataclass
+@dataclass(slots=True)
 class UnitLit(Expr):
     pass
 
 
-@dataclass
+@dataclass(slots=True)
 class HostLit(Expr):
     """A dotted-quad IP address literal, e.g. ``131.254.60.81``."""
 
     value: str = "0.0.0.0"
 
 
-@dataclass
+@dataclass(slots=True)
 class Var(Expr):
     name: str = ""
 
 
-@dataclass
+@dataclass(slots=True)
 class BinOp(Expr):
     """A binary operator application.
 
@@ -81,7 +81,7 @@ class BinOp(Expr):
     right: Expr = None  # type: ignore[assignment]
 
 
-@dataclass
+@dataclass(slots=True)
 class UnOp(Expr):
     """``not e`` or unary minus."""
 
@@ -89,14 +89,14 @@ class UnOp(Expr):
     operand: Expr = None  # type: ignore[assignment]
 
 
-@dataclass
+@dataclass(slots=True)
 class If(Expr):
     cond: Expr = None  # type: ignore[assignment]
     then: Expr = None  # type: ignore[assignment]
     orelse: Expr = None  # type: ignore[assignment]
 
 
-@dataclass
+@dataclass(slots=True)
 class ValBinding:
     """One ``val x : t = e`` binding inside a ``let``."""
 
@@ -106,27 +106,27 @@ class ValBinding:
     pos: SourcePos = field(default_factory=SourcePos)
 
 
-@dataclass
+@dataclass(slots=True)
 class Let(Expr):
     bindings: list[ValBinding] = field(default_factory=list)
     body: Expr = None  # type: ignore[assignment]
 
 
-@dataclass
+@dataclass(slots=True)
 class Seq(Expr):
     """``(e1; e2; ...; en)`` — evaluate all, yield the last value."""
 
     exprs: list[Expr] = field(default_factory=list)
 
 
-@dataclass
+@dataclass(slots=True)
 class TupleExpr(Expr):
     """``(e1, e2, ..., en)`` with n >= 2."""
 
     elems: list[Expr] = field(default_factory=list)
 
 
-@dataclass
+@dataclass(slots=True)
 class Proj(Expr):
     """``#n e`` — 1-based tuple projection, as in ML."""
 
@@ -134,7 +134,7 @@ class Proj(Expr):
     tuple_expr: Expr = None  # type: ignore[assignment]
 
 
-@dataclass
+@dataclass(slots=True)
 class Call(Expr):
     """Application of a primitive or a user-defined ``fun``.
 
@@ -146,7 +146,7 @@ class Call(Expr):
     args: list[Expr] = field(default_factory=list)
 
 
-@dataclass
+@dataclass(slots=True)
 class Try(Expr):
     """``try e handle Exn => e'`` — exception handling.
 
@@ -159,7 +159,7 @@ class Try(Expr):
     handler: Expr = None  # type: ignore[assignment]
 
 
-@dataclass
+@dataclass(slots=True)
 class Raise(Expr):
     """``raise Exn`` — raise a declared exception."""
 
@@ -171,19 +171,19 @@ class Raise(Expr):
 # ---------------------------------------------------------------------------
 
 
-@dataclass
+@dataclass(slots=True)
 class Param:
     name: str
     declared: Type
     pos: SourcePos = field(default_factory=SourcePos)
 
 
-@dataclass
+@dataclass(slots=True)
 class Decl:
     pos: SourcePos = field(default_factory=SourcePos, kw_only=True)
 
 
-@dataclass
+@dataclass(slots=True)
 class ValDecl(Decl):
     """Top-level constant: ``val CmdA : int = 1``."""
 
@@ -192,7 +192,7 @@ class ValDecl(Decl):
     value: Expr = None  # type: ignore[assignment]
 
 
-@dataclass
+@dataclass(slots=True)
 class FunDecl(Decl):
     """A user-defined helper function.
 
@@ -207,14 +207,14 @@ class FunDecl(Decl):
     body: Expr = None  # type: ignore[assignment]
 
 
-@dataclass
+@dataclass(slots=True)
 class ExceptionDecl(Decl):
     """``exception Name`` — declares a user exception constructor."""
 
     name: str = ""
 
 
-@dataclass
+@dataclass(slots=True)
 class ChannelDecl(Decl):
     """A channel definition.
 
@@ -244,7 +244,7 @@ class ChannelDecl(Decl):
         return self.params[2].declared
 
 
-@dataclass
+@dataclass(slots=True)
 class Program:
     """A complete PLAN-P protocol: an ordered list of declarations."""
 
@@ -273,38 +273,44 @@ class Program:
 # ---------------------------------------------------------------------------
 
 
+#: The direct sub-expressions of a node, in evaluation order, by node
+#: type; a type with no entry is a leaf.  Keyed by exact type: the
+#: analyses visit every node, and one dict lookup is all a visit costs.
+_CHILDREN = {
+    BinOp: lambda e: [e.left, e.right],
+    UnOp: lambda e: [e.operand],
+    If: lambda e: [e.cond, e.then, e.orelse],
+    Let: lambda e: [b.value for b in e.bindings] + [e.body],
+    Seq: lambda e: list(e.exprs),
+    TupleExpr: lambda e: list(e.elems),
+    Proj: lambda e: [e.tuple_expr],
+    Call: lambda e: list(e.args),
+    Try: lambda e: [e.body, e.handler],
+}
+
+
 def children(expr: Expr) -> list[Expr]:
     """The direct sub-expressions of ``expr``, in evaluation order."""
-    if isinstance(expr, BinOp):
-        return [expr.left, expr.right]
-    if isinstance(expr, UnOp):
-        return [expr.operand]
-    if isinstance(expr, If):
-        return [expr.cond, expr.then, expr.orelse]
-    if isinstance(expr, Let):
-        return [b.value for b in expr.bindings] + [expr.body]
-    if isinstance(expr, Seq):
-        return list(expr.exprs)
-    if isinstance(expr, TupleExpr):
-        return list(expr.elems)
-    if isinstance(expr, Proj):
-        return [expr.tuple_expr]
-    if isinstance(expr, Call):
-        return list(expr.args)
-    if isinstance(expr, Try):
-        return [expr.body, expr.handler]
-    return []
+    get = _CHILDREN.get(type(expr))
+    return [] if get is None else get(expr)
 
 
-def walk(expr: Expr):
-    """Yield ``expr`` and every descendant expression, pre-order."""
+def walk(expr: Expr) -> list[Expr]:
+    """``expr`` and every descendant expression, pre-order."""
+    out: list[Expr] = []
     stack = [expr]
+    table = _CHILDREN
     while stack:
         node = stack.pop()
-        yield node
-        stack.extend(reversed(children(node)))
+        out.append(node)
+        get = table.get(type(node))
+        if get is not None:
+            kids = get(node)
+            kids.reverse()
+            stack += kids
+    return out
 
 
 def calls_in(expr: Expr) -> list[Call]:
-    """All ``Call`` nodes under ``expr``."""
-    return [n for n in walk(expr) if isinstance(n, Call)]
+    """All ``Call`` nodes under ``expr``, pre-order."""
+    return [n for n in walk(expr) if type(n) is Call]

@@ -25,7 +25,6 @@ its own group and checked in Python.
 from __future__ import annotations
 
 import re
-from bisect import bisect_right
 
 from .errors import LexError, SourcePos
 from .tokens import KEYWORDS, OPERATORS, Token, TokenKind
@@ -59,7 +58,6 @@ _TOKEN = re.compile(rf"""
 _STRING_PREFIX = re.compile(_STRING_BODY)
 _ESCAPED = re.compile(r"\\(.)", re.DOTALL)
 _COMMENT_EDGE = re.compile(r"\(\*|\*\)")
-_NEWLINE = re.compile("\n")
 
 
 def _unescape(body: str) -> str:
@@ -99,53 +97,78 @@ def _malformed(source: str, start: int, pos: SourcePos) -> LexError:
     return LexError(f"unexpected character {ch!r}", pos)
 
 
+#: Keyword and operator kinds by their text: a word (group 1) not in it
+#: is an identifier, an operator (group 6) always is.
+_FIXED = {**KEYWORDS, **OPERATORS}
+
+#: ``Token``s and ``SourcePos``es are built with ``tuple.__new__``: the
+#: ``NamedTuple`` constructor is a Python function with defaults, and
+#: the scanner calls it twice per token.
+_new = tuple.__new__
+
+
 def _number(text: str, pos: SourcePos) -> Token:
     if "." not in text:
-        return Token(TokenKind.INT, text, pos, int(text))
+        return _new(Token, (TokenKind.INT, text, pos, int(text)))
     # An IP-address literal is four dotted decimal groups.
     groups = text.split(".")
     if len(groups) != 4:
         raise LexError(f"malformed IP address literal {text!r}", pos)
     if any(int(g) > 255 for g in groups):
         raise LexError(f"IP address group out of range in {text!r}", pos)
-    return Token(TokenKind.IPADDR, text, pos, text)
+    return _new(Token, (TokenKind.IPADDR, text, pos, text))
 
 
 def tokenize(source: str) -> list[Token]:
     """Lex ``source`` into a token list ending in EOF."""
-    line_starts = [0]
-    line_starts.extend(m.end() for m in _NEWLINE.finditer(source))
     out: list[Token] = []
-    at = 0
+    append = out.append
+    ident, eof = TokenKind.IDENT, TokenKind.EOF
+    fixed = _FIXED.get
+    # Tokens come in source order, so the line is found by stepping
+    # over the newlines in front of each token's start.
+    end = len(source)
+    line, line_start = 1, 0
+    newline = source.find("\n")
+    if newline < 0:
+        newline = end
+    # A scanner matches each token where the last one ended; only a
+    # block comment moves the cursor by hand, and gets a new scanner.
+    match = _TOKEN.scanner(source).match
     while True:
-        m = _TOKEN.match(source, at)
+        m = match()
         group = m.lastindex
-        start, at = m.span(group)
-        line = bisect_right(line_starts, start)
-        pos = SourcePos(line, start - line_starts[line - 1] + 1)
-        text = m.group(group)
-        if group == 1:
-            kind = KEYWORDS.get(text)
+        start = m.start(group)
+        while newline < start:
+            line += 1
+            line_start = newline + 1
+            newline = source.find("\n", line_start)
+            if newline < 0:
+                newline = end
+        pos = _new(SourcePos, (line, start - line_start + 1))
+        if group == 1 or group == 6:
+            text = m[group]
+            kind = fixed(text)
             if kind is None:
-                out.append(Token(TokenKind.IDENT, text, pos, text))
+                append(_new(Token, (ident, text, pos, text)))
             else:
-                out.append(Token(kind, text, pos))
-        elif group == 6:
-            out.append(Token(OPERATORS[text], text, pos))
+                append(_new(Token, (kind, text, pos, None)))
         elif group == 2:
-            out.append(_number(text, pos))
+            append(_number(m[2], pos))
         elif group == 3:
-            text = _unescape(text[1:-1])
-            out.append(Token(TokenKind.STRING, text, pos, text))
+            text = _unescape(m[3][1:-1])
+            append(_new(Token, (TokenKind.STRING, text, pos, text)))
         elif group == 4:
-            text = _unescape(text[2:-1])
-            out.append(Token(TokenKind.CHAR, text, pos, text))
+            text = _unescape(m[4][2:-1])
+            append(_new(Token, (TokenKind.CHAR, text, pos, text)))
         elif group == 5:
-            at = _skip_block_comment(source, start, pos)
-        elif group == 7 and text[0].isalpha():
-            out.append(Token(TokenKind.IDENT, text, pos, text))
+            match = _TOKEN.scanner(
+                source, _skip_block_comment(source, start, pos)).match
+        elif group == 7 and m[7][0].isalpha():
+            text = m[7]
+            append(_new(Token, (ident, text, pos, text)))
         elif group == 8:
-            out.append(Token(TokenKind.EOF, "", pos))
+            append(_new(Token, (eof, "", pos, None)))
             return out
         else:
             raise _malformed(source, start, pos)

@@ -9,7 +9,13 @@ from .errors import SourcePos
 
 
 class TokenKind(enum.Enum):
-    """All lexical categories of PLAN-P."""
+    """All lexical categories of PLAN-P.
+
+    Members hash by identity: ``Enum.__hash__`` is a Python function,
+    and the parser looks a kind up in a table at nearly every token.
+    """
+
+    __hash__ = object.__hash__
 
     # Literals
     INT = "int literal"

@@ -248,8 +248,7 @@ class TypeChecker:
     # -- expressions ----------------------------------------------------------------
 
     def _expr(self, expr: ast.Expr, scope: _Scope) -> T.Type:
-        method = getattr(self, "_expr_" + type(expr).__name__)
-        ty = method(expr, scope)
+        ty = _RULES[type(expr)](self, expr, scope)
         expr.ty = ty
         return ty
 
@@ -370,8 +369,8 @@ class TypeChecker:
         return self._expr(expr.exprs[-1], scope)
 
     def _expr_TupleExpr(self, expr: ast.TupleExpr, scope: _Scope) -> T.Type:
-        elems = tuple(self._expr(e, scope) for e in expr.elems)
-        return T.TupleType(elems)
+        return T.TupleType(tuple([self._expr(e, scope)
+                                  for e in expr.elems]))
 
     def _expr_Proj(self, expr: ast.Proj, scope: _Scope) -> T.Type:
         t = self._expr(expr.tuple_expr, scope)
@@ -465,6 +464,12 @@ class TypeChecker:
                 and expr.exn not in BUILTIN_EXCEPTIONS):
             raise TypeCheckError(f"unknown exception {expr.exn!r}", expr.pos)
         return T.ANY  # bottom: a raise fits in any context
+
+
+#: ``TypeChecker._expr_<Node>`` by node type.
+_RULES = {getattr(ast, name.removeprefix("_expr_")): rule
+          for name, rule in vars(TypeChecker).items()
+          if name.startswith("_expr_")}
 
 
 def typecheck(program: ast.Program) -> ProgramInfo:

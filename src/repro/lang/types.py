@@ -160,12 +160,17 @@ def compatible(expected: Type, actual: Type) -> bool:
     """One-way compatibility: may a value of ``actual`` flow into a slot
     declared ``expected``?  ``ANY`` (on either side) matches anything;
     composite types match component-wise."""
+    if expected is actual:
+        return True
     if isinstance(expected, AnyType) or isinstance(actual, AnyType):
         return True
     if isinstance(expected, TupleType) and isinstance(actual, TupleType):
-        return (len(expected.elems) == len(actual.elems)
-                and all(compatible(e, a)
-                        for e, a in zip(expected.elems, actual.elems)))
+        if len(expected.elems) != len(actual.elems):
+            return False
+        for e, a in zip(expected.elems, actual.elems):
+            if not compatible(e, a):
+                return False
+        return True
     if isinstance(expected, HashTableType) and isinstance(actual,
                                                           HashTableType):
         return compatible(expected.value, actual.value)

@@ -14,7 +14,7 @@ writing, checking and shipping ASPs, §2):
   exit 1 on rejection.
 * ``compile`` — time JIT code generation; with the source backend,
   ``--emit`` prints the generated Python; ``--stages`` times each stage
-  of one cold download of the program (lex+parse, typecheck, verify,
+  of one cold download of the program (lex, parse, typecheck, verify,
   wire, codegen).
 * ``fmt``     — re-print the program from its AST (canonical form).
 * ``bench``   — measure per-invocation cost of every execution engine
@@ -32,7 +32,8 @@ from ..analysis.wire import wire_summary
 from ..interp.values import default_value
 from ..jit.pipeline import (BACKENDS, DEFAULT_BACKEND, count_source_lines,
                             make_engine)
-from ..lang import PlanPError, parse, typecheck
+from ..lang import PlanPError, parse, tokenize, typecheck
+from ..lang.parser import Parser
 from ..lang.unparse import unparse
 from ..runtime import codec
 from . import at_least
@@ -76,7 +77,8 @@ def cmd_compile(args: argparse.Namespace) -> int:
         stages.append((label, (time.perf_counter() - start) * 1000.0))
         return value
 
-    program = stage("lex+parse", parse, _load(args.program), args.program)
+    tokens = stage("lex", tokenize, _load(args.program))
+    program = stage("parse", Parser(tokens, args.program).parse_program)
     info = stage("typecheck", typecheck, program)
     if args.stages:
         stage("verify", verify_report, info)

@@ -144,3 +144,60 @@ class TestUnhandledExceptions:
             "initstate stringToInt(\"x\") is "
             "(OnRemote(network, p); (ps, ss))",
             "BadInt")
+
+
+def doubling_chain(depth: int, bottom: str) -> str:
+    """``f_i(p) = (f_{i-1}(p); f_{i-1}(p))`` over ``f_1(p) = bottom``:
+    one line per function, 2^(depth-1) calls of ``f_1`` if unfolded."""
+    lines = [f"fun f1(p : ip*blob) : unit = {bottom}"]
+    lines += [f"fun f{i}(p : ip*blob) : unit = (f{i - 1}(p); f{i - 1}(p))"
+              for i in range(2, depth + 1)]
+    lines.append(f"channel network(ps : int, ss : unit, p : ip*blob) is "
+                 f"(f{depth}(p); OnRemote(network, p); (ps, ss))")
+    return "\n".join(lines)
+
+
+class TestCallChains:
+    """The analysis asks each question of a ``fun`` body once.  It used
+    to re-analyse a callee at every call site, so a 40-line download of
+    doubling helpers would have taken 2^39 body walks: the verifier hung
+    on a program it should refuse or accept in microseconds."""
+
+    @staticmethod
+    def spy_on_bodies(monkeypatch, info):
+        """Fail on the second analysis of any function body by any
+        method that takes one: ``scan`` (escapes and drops in one walk)
+        and ``always_exits``, or the separate ``escaping`` and
+        ``drop_sites`` walks of an analysis that has those instead."""
+        from repro.analysis.delivery import DeliveryAnalysis
+
+        bodies = {id(f.decl.body): name for name, f in info.funs.items()}
+        seen = set()
+        for method in ("scan", "escaping", "drop_sites", "always_exits"):
+            original = getattr(DeliveryAnalysis, method, None)
+            if original is None:
+                continue
+
+            def spy(self, expr, _original=original, _method=method):
+                name = bodies.get(id(expr))
+                if name is not None:
+                    assert (_method, name) not in seen, \
+                        f"{_method} analysed the body of {name} twice"
+                    seen.add((_method, name))
+                return _original(self, expr)
+
+            monkeypatch.setattr(DeliveryAnalysis, method, spy)
+        return seen
+
+    def test_each_function_body_is_analysed_once(self, monkeypatch):
+        info = check(doubling_chain(40, "print(\"x\")"))
+        seen = self.spy_on_bodies(monkeypatch, info)
+        assert check_delivery(info).exits_verified == 1
+        assert {name for _, name in seen} == set(info.funs)
+
+    def test_a_drop_at_the_bottom_is_named_once(self, monkeypatch):
+        info = check(doubling_chain(40, "drop(p)"))
+        self.spy_on_bodies(monkeypatch, info)
+        with pytest.raises(VerificationError,
+                           match=r"intentionally drops packets \(line 1\)"):
+            check_delivery(info)

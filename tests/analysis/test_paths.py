@@ -144,3 +144,21 @@ class TestGuards:
                f"(OnRemote(network, p); ({exprs}, ss))")
         with pytest.raises(VerificationError, match="budget"):
             paths_of(src)
+
+    @pytest.mark.parametrize("deep_call_first", [True, False])
+    def test_past_both_limits_is_refused_either_way(self, deep_call_first):
+        """A body past the path budget that also calls a helper chain
+        past INLINE_DEPTH is refused whichever comes first.  Which of
+        the two reasons is named depends on the order sub-walks run
+        in, so only the refusal is pinned."""
+        funs = ["fun f1(x : int) : unit = ()"] + [
+            f"fun f{i}(x : int) : unit = f{i - 1}(x)" for i in range(2, 36)]
+        explode = "".join(f"(if ps = {i} then () else ()); "
+                          for i in range(16))
+        body = ("f35(ps); " + explode if deep_call_first
+                else explode + "f35(ps); ")
+        src = ("\n".join(funs) + "\nchannel network(ps : int, ss : int, "
+               f"p : ip*udp*blob) is ({body}OnRemote(network, p); (ps, ss))")
+        with pytest.raises(VerificationError,
+                           match="budget exceeded|inlining depth exceeded"):
+            paths_of(src)

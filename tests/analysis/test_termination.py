@@ -47,6 +47,23 @@ class TestLocalTermination:
             check_local_termination(info)
 
 
+    def test_the_language_has_no_loop_construct(self):
+        """Local termination walks no channel body looking for loops:
+        there is no loop node to find.  This fails the day one is added,
+        before the analysis is revisited."""
+        def subclasses(cls):
+            for sub in cls.__subclasses__():
+                yield sub
+                yield from subclasses(sub)
+
+        names = {cls.__name__ for cls in subclasses(ast.Expr)}
+        assert not names & {"While", "Loop", "For", "Repeat", "Goto"}
+        assert names == {"IntLit", "BoolLit", "StringLit", "CharLit",
+                         "UnitLit", "HostLit", "Var", "BinOp", "UnOp", "If",
+                         "Let", "Seq", "TupleExpr", "Proj", "Call", "Try",
+                         "Raise"}
+
+
 #: Every program below that global termination must refuse.
 CYCLING = {
     "ping_pong":

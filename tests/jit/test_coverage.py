@@ -55,8 +55,8 @@ def test_source_codegen_covers_every_node():
 
 
 def test_children_covers_every_composite_node():
-    """The analyses' traversal helper must know every composite node."""
-    source = inspect.getsource(ast.children)
+    """The analyses' traversal helper must know every composite node:
+    ``ast.children`` reads its type-keyed table."""
     for name in EXPR_NODES:
         node_type = getattr(ast, name)
         import dataclasses
@@ -68,7 +68,8 @@ def test_children_covers_every_composite_node():
                                                 "elems", "args")
             for f in fields)
         if has_expr_children:
-            assert name in source, f"ast.children misses {name}"
+            assert node_type in ast._CHILDREN, \
+                f"ast.children misses {name}"
 
 
 def test_backend_registry():

@@ -84,11 +84,13 @@ class TestCompile:
         lines = capsys.readouterr().out.splitlines()
         assert "compiled" in lines[0]
         stages = [line.split() for line in lines[1:]]
+        # parse is timed as its two halves, so each front-end row of
+        # DESIGN §13b comes out of the CLI
         assert [s[0] for s in stages] == [
-            "lex+parse", "typecheck", "verify", "wire", "codegen"]
+            "lex", "parse", "typecheck", "verify", "wire", "codegen"]
         assert all(s[2] == "ms" and float(s[1]) >= 0 for s in stages)
         # the front end really ran inside this call, not an earlier one
-        assert float(stages[0][1]) > 0 and float(stages[2][1]) > 0
+        assert all(float(stages[i][1]) > 0 for i in (0, 1, 3))
 
     def test_stages_covers_an_unverifiable_program(self, unsafe, capsys):
         """The stage view is a cost report, not the install gate."""
