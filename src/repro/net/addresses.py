@@ -8,11 +8,53 @@ without pulling in the simulator.
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass
 from functools import total_ordering
 
 
+def slot_init(cls: type) -> type:
+    """Give a ``frozen=True, slots=True`` dataclass an ``__init__`` that
+    stores each field through its slot descriptor.
+
+    The generated frozen ``__init__`` makes one
+    ``object.__setattr__(self, "name", value)`` call per field; calling
+    the slot descriptor's ``__set__`` skips the name lookup and halves
+    the cost of a header (DESIGN §13a).  Everything else the decorator
+    generated stays: ``__eq__``, ``__hash__``, ``__repr__``,
+    ``fields``, ``replace``, pickling and ``FrozenInstanceError`` on
+    assignment.  The field declarations stay the one source of names,
+    order and defaults, and ``__post_init__`` still runs last.  Apply it
+    above ``@dataclass``."""
+    fields = dataclasses.fields(cls)
+    for f in fields:
+        if (not f.init or f.kw_only
+                or f.default_factory is not dataclasses.MISSING):
+            raise TypeError(f"slot_init: {cls.__name__}.{f.name} is not a "
+                            f"plain positional field")
+    names = [f.name for f in fields]
+    params = ", ".join(n if f.default is dataclasses.MISSING
+                       else f"{n}=_d_{n}" for n, f in zip(names, fields))
+    body = [f"        _s_{n}(self, {n})" for n in names]
+    if hasattr(cls, "__post_init__"):
+        body.append("        self.__post_init__()")
+    cells = [f"_s_{n}" for n in names] + [f"_d_{n}" for n in names]
+    source = (f"def make({', '.join(cells)}):\n"
+              f"    def __init__(self, {params}):\n"
+              + "\n".join(body) + "\n"
+              f"    return __init__\n")
+    namespace: dict = {}
+    exec(source, {}, namespace)
+    init = namespace["make"](*[vars(cls)[n].__set__ for n in names],
+                             *[f.default for f in fields])
+    init.__qualname__ = f"{cls.__qualname__}.__init__"
+    init.__module__ = cls.__module__
+    cls.__init__ = init
+    return cls
+
+
 @total_ordering
+@slot_init
 @dataclass(frozen=True, slots=True)
 class HostAddr:
     """An IPv4-style unicast or multicast address."""

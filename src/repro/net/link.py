@@ -85,15 +85,18 @@ class _TxQueue:
                 tap(packet, sender, reason)
 
     def send(self, packet: Packet, sender: "Interface") -> None:
+        """An idle serializer takes the packet at once; a busy one
+        leaves it to wait.  ``queue_limit`` bounds the waiting room
+        only, so a queue with a limit of 0 still carries one packet at
+        a time."""
         if not self.up:
             self._dropped(packet, sender, "down")
-            return
-        if len(self._queue) >= self.queue_limit:
+        elif self._sending is None:
+            self._transmit((packet, sender))
+        elif len(self._queue) >= self.queue_limit:
             self._dropped(packet, sender, "queue")
-            return
-        self._queue.append((packet, sender))
-        if self._sending is None:
-            self._transmit_next()
+        else:
+            self._queue.append((packet, sender))
 
     def clear(self) -> None:
         """Drop everything queued (the medium went down)."""
@@ -112,11 +115,9 @@ class _TxQueue:
                 kept.append((packet, who))
         self._queue[:] = kept
 
-    def _transmit_next(self) -> None:
-        if not self._queue:
-            self._sending = None
-            return
-        packet, sender = self._sending = self._queue.pop(0)
+    def _transmit(self, frame: tuple[Packet, "Interface"]) -> None:
+        """Put ``frame`` on the medium for its serialization delay."""
+        packet, sender = self._sending = frame
         size = packet.size
         self.monitor.record(self._sim.now, size)
         self.stats.packets_sent += 1
@@ -149,7 +150,10 @@ class _TxQueue:
             self._in_flight.append(frame)
             self._sim.schedule(self.latency, self._arrive_cb,
                                context=self.ctx)
-        self._transmit_next()
+        if self._queue:
+            self._transmit(self._queue.pop(0))
+        else:
+            self._sending = None
 
     def _arrive(self) -> None:
         """The oldest frame in flight reaches the far end(s)."""
@@ -201,7 +205,7 @@ class Medium:
         the receiving half of a transmission."""
         for iface in self._ifaces:
             if iface is not sender:
-                iface.receive(packet)
+                iface.node.receive(packet, iface)
 
     @property
     def up(self) -> bool:

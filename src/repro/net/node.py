@@ -47,9 +47,6 @@ class Interface:
     def send(self, packet: Packet) -> None:
         self.medium.transmit(packet, self)
 
-    def receive(self, packet: Packet) -> None:
-        self.node.receive(packet, self)
-
     def load_kbps(self) -> int:
         return self.medium.tx_queue(self).load_kbps()
 
@@ -239,8 +236,12 @@ class Node:
         # Re-root the ambient scheduling context: the delivery event ran
         # under the sending queue's context, but everything this node
         # schedules in response belongs to *its* context.  Every golden
-        # digest pins the keys this produces.
-        prev = self.sim.use_context(self.ctx)
+        # digest pins the keys this produces.  The swap is two attribute
+        # writes on the simulator, not a call: it runs once per packet
+        # per node.
+        sim = self.sim
+        prev = sim._current
+        sim._current = self.ctx
         try:
             self.stats.received += 1
             for tap in self.receive_taps:
@@ -254,7 +255,7 @@ class Node:
                     return
             self.standard_processing(packet, iface)
         finally:
-            self.sim.use_context(prev)
+            sim._current = prev
 
     def _planp_eligible(self, packet: Packet) -> bool:
         """May the PLAN-P layer see this packet?  Routers see everything

@@ -9,8 +9,10 @@ existing applications are untagged and match ``network`` channels by type.
 Headers are immutable value objects; PLAN-P primitives such as
 ``ipDestSet`` perform functional update and return new headers, which
 keeps the interpreter and the JIT referentially transparent.  The update
-helpers call the constructor directly — ``hop`` runs once per router per
-packet, and a generic field-table replace costs several constructions.
+helpers call the constructor directly, by position — ``hop`` runs once
+per router per packet, and a generic field-table replace costs several
+constructions — and the headers' constructors store through the slot
+descriptors (:func:`~repro.net.addresses.slot_init`).
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ import dataclasses
 import itertools
 from dataclasses import dataclass, field
 
-from .addresses import ANY_ADDR, HostAddr
+from .addresses import ANY_ADDR, HostAddr, slot_init
 
 #: IP protocol numbers, as in the real stack.
 PROTO_TCP = 6
@@ -34,6 +36,7 @@ UDP_HEADER_BYTES = 8
 DEFAULT_TTL = 64
 
 
+@slot_init
 @dataclass(frozen=True, slots=True)
 class IpHeader:
     """An IPv4-style header (the PLAN-P ``ip`` value)."""
@@ -63,6 +66,7 @@ class IpHeader:
         return IpHeader(self.dst, self.src, self.ttl, self.proto, self.tos)
 
 
+@slot_init
 @dataclass(frozen=True, slots=True)
 class TcpHeader:
     """A TCP-style header (the PLAN-P ``tcp`` value)."""
@@ -97,6 +101,7 @@ class TcpHeader:
                 | (int(self.ack_flag) << 4))
 
 
+@slot_init
 @dataclass(frozen=True, slots=True)
 class UdpHeader:
     """A UDP-style header (the PLAN-P ``udp`` value)."""
@@ -119,6 +124,11 @@ next_uid = itertools.count(1).__next__
 
 #: the IP protocol number each transport header class implies
 TRANSPORT_PROTO = {TcpHeader: PROTO_TCP, UdpHeader: PROTO_UDP}
+
+#: header bytes on the wire, keyed by transport class (``None``: raw IP)
+_HEADER_BYTES = {type(None): IP_HEADER_BYTES,
+                 TcpHeader: IP_HEADER_BYTES + TCP_HEADER_BYTES,
+                 UdpHeader: IP_HEADER_BYTES + UDP_HEADER_BYTES}
 
 
 @dataclass(slots=True)
@@ -150,12 +160,7 @@ class Packet:
     @property
     def size(self) -> int:
         """Total on-the-wire size in bytes, headers included."""
-        size = IP_HEADER_BYTES + len(self.payload)
-        if isinstance(self.transport, TcpHeader):
-            size += TCP_HEADER_BYTES
-        elif isinstance(self.transport, UdpHeader):
-            size += UDP_HEADER_BYTES
-        return size
+        return _HEADER_BYTES[self.transport.__class__] + len(self.payload)
 
     def copy(self) -> "Packet":
         """A duplicate with a fresh uid (used by multicast and by ASPs)."""
@@ -179,17 +184,16 @@ class Packet:
 def udp_packet(src: HostAddr, dst: HostAddr, src_port: int, dst_port: int,
                payload: bytes) -> Packet:
     """Build an untagged UDP datagram."""
-    return Packet(ip=IpHeader(src=src, dst=dst, proto=PROTO_UDP),
-                  transport=UdpHeader(src_port=src_port, dst_port=dst_port),
-                  payload=payload)
+    return Packet(IpHeader(src, dst, DEFAULT_TTL, PROTO_UDP),
+                  UdpHeader(src_port, dst_port), payload)
 
 
 def tcp_packet(src: HostAddr, dst: HostAddr, src_port: int, dst_port: int,
-               payload: bytes = b"", *, seq: int = 0, ack: int = 0,
+               payload: bytes = b"", seq: int = 0, ack: int = 0,
                syn: bool = False, fin: bool = False, ack_flag: bool = False,
                rst: bool = False) -> Packet:
     """Build an untagged TCP segment."""
-    hdr = TcpHeader(src_port=src_port, dst_port=dst_port, seq=seq, ack=ack,
-                    syn=syn, fin=fin, ack_flag=ack_flag, rst=rst)
-    return Packet(ip=IpHeader(src=src, dst=dst, proto=PROTO_TCP),
-                  transport=hdr, payload=payload)
+    return Packet(IpHeader(src, dst, DEFAULT_TTL, PROTO_TCP),
+                  TcpHeader(src_port, dst_port, seq, ack, syn, fin, ack_flag,
+                            rst),
+                  payload)

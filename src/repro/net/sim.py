@@ -181,6 +181,9 @@ class Simulator:
         self._next_lp = ROOT_LP
         self.root = SchedulingContext("root", ROOT_LP, seed,
                                       entropy=self.rng)
+        #: the ambient context: the running event's, or the receiving
+        #: node's while ``Node.receive`` runs (it swaps this attribute
+        #: itself, once per packet per node), else the root
         self._current: SchedulingContext = self.root
         self._entropies: dict[str, random.Random] = {}
         #: the event being dispatched (None outside dispatch)
@@ -196,16 +199,6 @@ class Simulator:
         self._next_lp += 1
         lp = self._next_lp
         return SchedulingContext(f"{name}#{lp}", lp, self.seed)
-
-    def use_context(self, ctx: SchedulingContext) -> SchedulingContext:
-        """Swap the ambient scheduling context; returns the previous one
-        (restore it in a ``finally``).  ``Node.receive`` re-roots onto
-        the receiving node's context here, so what a node schedules
-        while handling a packet draws from the node's own counter, not
-        from the counter of the transmit queue that delivered it."""
-        prev = self._current
-        self._current = ctx
-        return prev
 
     @property
     def current_context(self) -> SchedulingContext:
@@ -263,9 +256,11 @@ class Simulator:
             raise ValueError(f"negative delay {delay}")
         ctx = context if context is not None else self._current
         time = self.now + delay
-        lseq = ctx.next_lseq()
-        event = EventHandle(fn, ctx, time, ctx.lp, lseq, self)
-        heappush(self._queue, (time, ctx.lp, lseq, event))
+        lseq = ctx._lseq
+        ctx._lseq = lseq + 1
+        lp = ctx.lp
+        event = EventHandle(fn, ctx, time, lp, lseq, self)
+        heappush(self._queue, (time, lp, lseq, event))
         self._live += 1
         return event
 
@@ -344,53 +339,55 @@ class Simulator:
           more than this many events are due within the bound.
 
         With no arguments the queue is drained completely.
+
+        Each event callback runs here, under its context, and then its
+        microtasks (including ones enqueued by other microtasks) under
+        theirs.  No code runs between two events, so the dispatch state
+        is set per event and restored once, when the loop ends or an
+        event raises out of it: the caller's context, no event being
+        dispatched, no microtask left queued.
         """
         processed = 0
         queue = self._queue
-        while queue:
-            event = queue[0][3]
-            if event.cancelled:
+        tasks = self._microtasks
+        prev = self._current
+        self._in_event = True
+        try:
+            while queue:
+                event = queue[0][3]
+                if event.cancelled:
+                    heappop(queue)
+                    event.done = True
+                    self._cancelled -= 1
+                    continue
+                if until is not None and event.time > until:
+                    break
+                if max_events is not None and processed >= max_events:
+                    raise RunawayError(max_events)
                 heappop(queue)
                 event.done = True
-                self._cancelled -= 1
-                continue
-            if until is not None and event.time > until:
-                break
-            if max_events is not None and processed >= max_events:
-                raise RunawayError(max_events)
-            heappop(queue)
-            event.done = True
-            self._live -= 1
-            self.now = event.time
-            self.events_processed += 1
-            processed += 1
-            self._dispatch(event)
-        if until is not None and self.now < until:
-            self.now = until
-        return processed
-
-    def _dispatch(self, event: EventHandle) -> None:
-        """Run one event callback under its context, then drain its
-        microtasks (including ones enqueued by other microtasks) under
-        theirs."""
-        tasks = self._microtasks
-        self._in_event = True
-        prev = self._current
-        self._current = event.ctx
-        self._dispatching = event
-        try:
-            event.fn()
-            # The list may grow while it drains; iteration picks the
-            # late arrivals up in order.
-            for fn, ctx in tasks:
-                self._current = ctx
-                fn()
+                self._live -= 1
+                self.now = event.time
+                self.events_processed += 1
+                processed += 1
+                self._current = event.ctx
+                self._dispatching = event
+                event.fn()
+                if tasks:
+                    # The list may grow while it drains; iteration picks
+                    # the late arrivals up in order.
+                    for fn, ctx in tasks:
+                        self._current = ctx
+                        fn()
+                    tasks.clear()
         finally:
             self._current = prev
             self._in_event = False
             self._dispatching = None
-            if tasks:
-                tasks.clear()
+            tasks.clear()
+        if until is not None and self.now < until:
+            self.now = until
+        return processed
 
     # -- scheduler state -----------------------------------------------------------
 

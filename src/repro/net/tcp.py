@@ -65,7 +65,11 @@ class TcpConnection:
         self.snd_una = initial_seq          # oldest unacked
         self.window_bytes = DEFAULT_WINDOW_SEGMENTS * MSS
         self._send_buffer = bytearray()     # not yet segmented
-        self._inflight: dict[int, tuple[bytes, bool]] = {}  # seq -> (data, fin)
+        #: seq -> (data, fin), in insertion order, which is seq order:
+        #: entries are only ever added at ``snd_nxt``, which only grows
+        self._inflight: dict[int, tuple[bytes, bool]] = {}
+        #: the data bytes in ``_inflight``, kept as entries come and go
+        self._inflight_len = 0
         self._fin_queued = False
         self._fin_sent = False
 
@@ -143,23 +147,24 @@ class TcpConnection:
     def _emit(self, *, seq: int | None = None, payload: bytes = b"",
               syn: bool = False, fin: bool = False, ack: bool = True,
               rst: bool = False) -> None:
-        packet = tcp_packet(
-            self.node.address, self.remote_addr, self.local_port,
-            self.remote_port, payload,
-            seq=self.snd_nxt if seq is None else seq,
-            ack=self.rcv_nxt, syn=syn, fin=fin, ack_flag=ack, rst=rst)
-        packet.created_at = self.node.sim.now
+        node = self.node
+        packet = tcp_packet(node.address, self.remote_addr, self.local_port,
+                            self.remote_port, payload,
+                            self.snd_nxt if seq is None else seq,
+                            self.rcv_nxt, syn, fin, ack, rst)
+        packet.created_at = node.sim.now
         self.stack.segments_out += 1
-        self.node.ip_send(packet)
+        node.ip_send(packet)
 
     def _pump(self) -> None:
         """Move bytes from the send buffer into the window."""
-        while self._send_buffer and self._inflight_bytes() < \
+        while self._send_buffer and self._inflight_len < \
                 self.window_bytes and self.state in (
                     TcpState.ESTABLISHED, TcpState.CLOSE_WAIT):
             chunk = bytes(self._send_buffer[:MSS])
             del self._send_buffer[:MSS]
             self._inflight[self.snd_nxt] = (chunk, False)
+            self._inflight_len += len(chunk)
             self._emit(seq=self.snd_nxt, payload=chunk)
             self.bytes_sent += len(chunk)
             self.snd_nxt += len(chunk)
@@ -176,9 +181,6 @@ class TcpConnection:
                           else TcpState.LAST_ACK)
         if self._inflight:
             self._arm_retransmit()
-
-    def _inflight_bytes(self) -> int:
-        return sum(len(data) for data, _fin in self._inflight.values())
 
     # -- retransmission ------------------------------------------------------------
 
@@ -287,17 +289,16 @@ class TcpConnection:
             self._accept_data(data)
 
     def _ack_inflight(self, ack: int) -> None:
-        acked_any = False
-        for seq in sorted(self._inflight):
-            data, _fin = self._inflight[seq]
+        inflight = self._inflight
+        acked = []
+        for seq, (data, _fin) in inflight.items():
             # SYN/FIN-only entries occupy one sequence number.
-            end = seq + (len(data) if data else 1)
-            if end <= ack:
-                del self._inflight[seq]
-                acked_any = True
-            else:
+            if seq + (len(data) if data else 1) > ack:
                 break
-        if acked_any:
+            acked.append(seq)
+        for seq in acked:
+            self._inflight_len -= len(inflight.pop(seq)[0])
+        if acked:
             self.snd_una = ack
             self._retries = 0
             self._rto = INITIAL_RTO

@@ -68,6 +68,23 @@ class TestQueueing:
         assert len(received) == 3
         assert stats.drop_rate() == pytest.approx(0.7)
 
+    def test_a_zero_limit_still_carries_one_packet_at_a_time(self):
+        """``queue_limit`` bounds the waiting room, not the serializer:
+        with no room to wait, a packet that finds the link idle goes
+        out, and one that finds it busy is dropped."""
+        net, a, b, link = two_hosts(queue_limit=0)
+        received = []
+        b.delivery_taps.append(lambda p: received.append(p.uid))
+        sent = [udp_packet(a.address, b.address, 1, 2, b"x" * 972)
+                for _ in range(3)]
+        a.ip_send(sent[0])
+        a.ip_send(sent[1])               # the serializer is busy
+        net.sim.at(0.5, lambda: a.ip_send(sent[2]))   # idle again
+        net.run()
+        assert received == [sent[0].uid, sent[2].uid]
+        stats = link.tx_queue(a.interfaces[0]).stats
+        assert (stats.packets_sent, stats.packets_dropped) == (2, 1)
+
     def test_random_loss(self):
         net, a, b, link = two_hosts(loss_rate=0.5)
         received = []

@@ -95,6 +95,52 @@ class TestScheduling:
             sim.run(max_events=100)
 
 
+class Boom(Exception):
+    pass
+
+
+class TestRaisingEvent:
+    """``run`` sets the dispatch state per event and restores it once,
+    around the whole loop; an exception out of an event callback or a
+    microtask must leave the caller's state behind all the same."""
+
+    @pytest.mark.parametrize("raiser", ["event", "microtask"])
+    def test_state_restored_and_the_next_run_goes_on(self, raiser):
+        sim = Simulator()
+        ctx = sim.context("boom")
+        caller = sim.current_context
+        log = []
+
+        def boom():
+            log.append("boom")
+            sim.call_soon(lambda: log.append("left behind"))
+            raise Boom
+
+        def event():
+            if raiser == "event":
+                boom()
+            else:
+                sim.call_soon(boom)
+
+        sim.schedule(1.0, lambda: log.append("a"))
+        sim.schedule(2.0, event, context=ctx)
+        sim.schedule(2.0, lambda: log.append("c"), context=ctx)
+        sim.schedule(3.0, lambda: log.append("d"))
+        with pytest.raises(Boom):
+            sim.run()
+        assert log == ["a", "boom"]
+        assert sim.now == 2.0
+        assert sim.current_context is caller
+        assert sim.current_event_key is None
+        assert sim._microtasks == []
+        # outside an event, call_soon runs at once again
+        sim.call_soon(lambda: log.append("sync"))
+        assert sim.run() == 2
+        assert log == ["a", "boom", "sync", "c", "d"]
+        assert sim.current_context is caller
+        assert sim.current_event_key is None
+
+
 class TestLazyDeletion:
     def test_pending_events_counts_live_only(self):
         sim = Simulator()

@@ -10,7 +10,10 @@ every rule:
   it — every byte exactly once, in order;
 * no callback of a connection ``b`` held before a crash has fired since;
 * the backlogged listener never holds more half-open connections than
-  its backlog.
+  its backlog;
+* every live connection's in-flight segments iterate in strictly
+  increasing sequence order, and its running in-flight byte count is
+  their total length.
 
 ``drain`` heals the network, stops the loss, closes everything and
 runs to idle: the simulator holds no event, no
@@ -198,6 +201,17 @@ class TcpMachine(RuleBasedStateMachine):
     @invariant()
     def half_open_within_backlog(self):
         assert self.flood.half_open() <= BACKLOG
+
+    @invariant()
+    def inflight_in_seq_order_and_counted(self):
+        # What the ACK walk and the window test rely on instead of a
+        # sort and a sum per segment.
+        for host in (self.a, self.b):
+            for conn in self.net.tcp(host)._connections.values():
+                seqs = list(conn._inflight)
+                assert all(x < y for x, y in zip(seqs, seqs[1:]))
+                assert conn._inflight_len == sum(
+                    len(data) for data, _fin in conn._inflight.values())
 
 
 TcpMachine.TestCase.settings = settings(
