@@ -12,8 +12,9 @@ continuously":
   streams plus structure-aware mutations (truncations, stride-breaking
   lengths, oversized tails, bit-flips, extreme field values);
 * :mod:`.oracle` — a differential execution oracle running every
-  (program, stream) pair through all three engines in serial and batch
-  modes plus the decode-containment fallback, asserting identical
+  (program, stream) pair through all three engines in serial mode and
+  through the closure engine's batch fold, plus the decode-containment
+  fallback, asserting identical
   states, emissions, output, fault prefixes, and containment
   accounting;
 * :mod:`.replay` — the deterministic case-file protocol and greedy

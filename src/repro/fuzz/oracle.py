@@ -1,7 +1,8 @@
 """Differential execution oracle.
 
 One (program, stream) pair runs through every engine backend in serial
-and batch modes — six traces — by driving the shipped
+mode, and through the one backend that brings a batch fold (closure) in
+batch mode too — four traces — by driving the shipped
 :class:`~repro.runtime.dispatch.DispatchCore` off-node: classification,
 grouping, decode containment, the batch tier's prefix-commit / contain
 / resume loop and the per-packet replay are the code a router runs, not
@@ -18,7 +19,9 @@ a model of it.  The oracle only names what the core reports:
 
 Serial mode caps every run at one packet — each goes through
 :meth:`~repro.runtime.dispatch.DispatchCore.run_one`, the call the layer
-makes for a packet on its own — and batch mode at ``batch_size``.
+makes for a packet on its own — and batch mode at ``batch_size``; a
+backend without a fold has no batch mode, as the layer never defers
+its packets.
 Two traces are equal iff their final protocol state, per-channel
 states, per-packet outcome strings, emission streams, console output,
 and crash status all agree.  The reference is the interpreter in
@@ -40,6 +43,9 @@ from .streams import PacketSpec
 
 DEFAULT_BACKENDS = ("interpreter", "closure", "source")
 MODES = ("serial", "batch")
+#: the backends whose engine brings its own batch fold
+#: (``run_channel_batch``), the only ones batch mode runs on
+FOLDING_BACKENDS = ("closure",)
 #: seeds every run's ``random_int`` stream, so engines see the same draws
 CONTEXT_SEED = 7
 
@@ -219,27 +225,36 @@ def run_trace(info, backend: str, mode: str, specs: list[PacketSpec],
     return runner.trace()
 
 
+def trace_matrix(backends) -> list[tuple[str, str]]:
+    """The (backend, mode) traces :func:`compare_all` runs over
+    ``backends``, the reference (the first backend, serial) first."""
+    return [(backend, mode) for backend in dict.fromkeys(backends)
+            for mode in MODES
+            if mode == "serial" or backend in FOLDING_BACKENDS]
+
+
 def compare_all(info, specs: list[PacketSpec], *,
                 backends=DEFAULT_BACKENDS,
                 batch_size: int = 4) -> CompareResult:
-    """Run the full engine×mode matrix and collect divergences.
+    """Run the engine×mode matrix and collect divergences.
 
     An uncontained crash is reported even when every engine agrees on
     it (``backend='*'``): unanimity does not make a containment leak
-    acceptable.
+    acceptable; backends that leave nothing to compare are not a pass.
     """
-    reference = run_trace(info, backends[0], "serial", specs,
+    matrix = trace_matrix(backends)
+    if len(matrix) < 2:
+        raise ValueError(f"{backends!r} leave no trace to compare")
+    (ref_backend, _), *others = matrix
+    reference = run_trace(info, ref_backend, "serial", specs,
                           batch_size=batch_size)
     divergences: list[Divergence] = []
-    for backend in backends:
-        for mode in MODES:
-            if backend == backends[0] and mode == "serial":
-                continue
-            trace = run_trace(info, backend, mode, specs,
-                              batch_size=batch_size)
-            detail = reference.diff(trace)
-            if detail is not None:
-                divergences.append(Divergence(backend, mode, detail))
+    for backend, mode in others:
+        trace = run_trace(info, backend, mode, specs,
+                          batch_size=batch_size)
+        detail = reference.diff(trace)
+        if detail is not None:
+            divergences.append(Divergence(backend, mode, detail))
     if reference.crash and not divergences:
         divergences.append(Divergence(
             "*", "*", f"uncontained crash: {reference.crash}"))

@@ -17,9 +17,10 @@ oracle (:mod:`repro.fuzz.pairs`) off one.
   return value instead of callbacks.  :meth:`DispatchCore.run` takes a
   longer run: it decodes as one struct-of-arrays
   :class:`~repro.runtime.codec.PacketBatch` and folds through the
-  engine's own batch fold or, when it brings none, the generic
-  ``run_rows``, reporting rows through callbacks.  The host chooses
-  from the run length alone.
+  engine's own batch fold (:attr:`DispatchCore.fold`), reporting rows
+  through callbacks.  An engine without a fold runs such a run packet
+  by packet through :meth:`DispatchCore.run_one`, so a host defers
+  packets into runs only while :attr:`DispatchCore.fold` is set.
 * **Commit or contain** — protocol and channel state change only when a
   row returns.  A row that fails is reported to the host and commits
   nothing; a decode failure is always the packet's fault and a
@@ -31,7 +32,7 @@ oracle (:mod:`repro.fuzz.pairs`) off one.
 from __future__ import annotations
 
 from ..interp.values import default_value
-from ..jit.batching import BatchFault, batch_runner
+from ..jit.batching import BatchFault
 from ..lang import types as T
 from ..lang.errors import PlanPError
 from . import codec
@@ -115,9 +116,10 @@ class DispatchCore:
                     for decl in channels})
 
     def use_engine(self, engine) -> None:
-        """Run on ``engine`` (and its batch fold) from now on."""
+        """Run on ``engine`` (and its batch fold, if any) from now on."""
         self.engine = engine
-        self._run_batch = engine and batch_runner(engine)
+        #: the engine's own batch fold (``run_channel_batch``), or None
+        self.fold = getattr(engine, "run_channel_batch", None)
 
     def rebind(self, hit: Hit) -> Hit | None:
         """This core's hit for the overload a hit classified by another
@@ -183,8 +185,12 @@ class DispatchCore:
         column outlives a fault.  A batch that fails any other way has
         executed nothing (decoding is forced before row zero), so the
         rest of the run replays one packet at a time, which finds the
-        malformed packet(s).
+        malformed packet(s).  On an engine without a fold (swapped in
+        after the run was queued) every row takes that replay.
         """
+        fold = self.fold
+        if fold is None:
+            return self._one_by_one(packets, 0, hit, ctx, on_ok, on_fault)
         n = len(packets)
         decl, key = hit.decl, hit.key
         states = self.channel_states
@@ -194,8 +200,8 @@ class DispatchCore:
             batch = hit.plan.batch_decoder().batch(
                 packets[start:] if start else packets)
             try:
-                ps, ss = self._run_batch(decl, self.protocol_state,
-                                         states[key], batch, ctx)
+                ps, ss = fold(decl, self.protocol_state, states[key],
+                              batch, ctx)
             except BatchFault as fault:
                 self.protocol_state = fault.ps
                 states[key] = fault.ss

@@ -113,10 +113,11 @@ class PlanPLayer:
         #: per-packet execution cost charged to the node (0 = free);
         #: models the CPU the paper's gateway burns per packet
         self.cpu = SerialResource(node.sim)
-        #: tier-3 batch drain: up to this many packets queued during one
-        #: scheduler activation run as batches through the engine's
-        #: fold (0 disables; routers default it on via Node.batch_size)
-        self.batch_size = int(getattr(node, "batch_size", 0) or 0)
+        #: tier-3 batch drain: while the running engine brings a batch
+        #: fold, up to this many packets queued during one scheduler
+        #: activation run as batches through it (0 disables; routers
+        #: default it on via Node.batch_size)
+        self.batch_size = node.batch_size
         #: packets enqueued during the current event, drained at its
         #: end: parallel lists of packets, arrival interfaces and hits
         self._pending: tuple[list, list, list] = ([], [], [])
@@ -293,10 +294,10 @@ class PlanPLayer:
                             if self.node.stats.crashes == crashes
                             else self._drop_down(packet))
             return
-        if self.batch_size > 1:
+        if self.batch_size > 1 and self.core.fold is not None:
             # Tier 3: defer to the end of the current event, so several
             # packets delivered by one scheduler activation coalesce
-            # into same-overload runs.
+            # into same-overload runs for the engine's fold.
             packets, ifaces, hits = self._pending
             packets.append(packet)
             ifaces.append(iface)
@@ -315,11 +316,6 @@ class PlanPLayer:
         self._drain_scheduled = False
         packets, ifaces, hits = self._pending
         self._pending = ([], [], [])
-        if len(packets) == 1:
-            # Most drains hold one packet (every one of audio_adapt's
-            # routers'); skipping the grouping generator saves ≈ 0.6 µs.
-            self._run_one(packets[0], ifaces[0], hits[0])
-            return
         for i, j in group_runs(hits, self.batch_size):
             if j - i == 1:
                 self._run_one(packets[i], ifaces[i], hits[i])
@@ -372,7 +368,8 @@ class PlanPLayer:
         """Hand a same-overload run of two or more to the dispatch core.
         What the core commits or contains comes back through
         :meth:`_on_ok` / :meth:`_on_fault`, which keep the accounting
-        packet for packet what runs of one would have produced."""
+        packet for packet what runs of one would have produced.  A run
+        the core cannot fold (its engine changed) is no batch."""
         core = self.core
         if core is None or hit.stamp is not core.stamp:
             hit = core and core.rebind(hit)  # as in _run_one
@@ -380,11 +377,12 @@ class PlanPLayer:
                 for packet, iface in zip(packets, ifaces):
                     self._fallback(packet, iface)
                 return
-        self.stats.fastpath_batches += 1
-        self.stats.batched_packets += len(packets)
-        hist = self._batch_histogram()
-        if hist is not None:
-            hist.observe(len(packets))
+        if core.fold is not None:
+            self.stats.fastpath_batches += 1
+            self.stats.batched_packets += len(packets)
+            hist = self._batch_histogram()
+            if hist is not None:
+                hist.observe(len(packets))
         self._run = (packets, ifaces, hit)
         self._emit_row = -1
         try:

@@ -9,12 +9,12 @@
     python -m repro.tools.fuzzx replay --minimize failing-case.json
 
 ``run`` executes a bounded-time campaign: seeded program generation,
-adversarial streams, and the full engine×mode differential oracle.
-It prints a JSON report and exits non-zero iff any divergence (or
-containment leak) was found — the CI smoke step is exactly
-``fuzzx run --budget 60 --seed $RUN_ID`` with the exit code as the
-verdict.  Findings are minimized and written as replayable case files
-under ``--out``.
+adversarial streams, and the engine×mode differential oracle.
+It prints a JSON report and exits 1 iff any divergence (or
+containment leak) was found, 2 on a usage error — the CI smoke step
+is exactly ``fuzzx run --budget 60 --seed $RUN_ID`` with the exit code
+as the verdict.  Findings are minimized and written as replayable case
+files under ``--out``.
 
 ``pairs`` runs the wire-compatibility validation campaign: pairs of
 program generations related by a channel-signature mutation, the
@@ -42,19 +42,23 @@ from pathlib import Path
 from ..fuzz import (WIRE_CASE_KIND, load_case, load_wire_case,
                     minimize_case, run_campaign, run_case,
                     run_pair_campaign, run_wire_case, save_case)
-from ..fuzz.oracle import DEFAULT_BACKENDS
+from ..fuzz.oracle import DEFAULT_BACKENDS, trace_matrix
 from . import at_least
 
 
-def _parse_backends(text: str | None):
-    if not text:
-        return DEFAULT_BACKENDS
+def _backend_subset(text: str) -> tuple[str, ...]:
+    """An argparse ``type``: a comma-separated backend subset that
+    leaves the oracle something to compare (else exit 2)."""
     backends = tuple(b.strip() for b in text.split(",") if b.strip())
     for b in backends:
         if b not in DEFAULT_BACKENDS:
-            raise SystemExit(
+            raise argparse.ArgumentTypeError(
                 f"unknown backend {b!r} (choose from "
                 f"{', '.join(DEFAULT_BACKENDS)})")
+    if len(trace_matrix(backends)) < 2:
+        raise argparse.ArgumentTypeError(
+            f"{text!r} leaves nothing to compare: name two backends, "
+            "or closure (the one with a batch mode)")
     return backends
 
 
@@ -64,7 +68,7 @@ def cmd_run(args: argparse.Namespace) -> int:
         max_pairs=args.max_pairs,
         streams_per_program=args.streams_per_program,
         stream_len=args.stream_len, batch_size=args.batch_size,
-        backends=_parse_backends(args.backends), out_dir=args.out,
+        backends=args.backends, out_dir=args.out,
         minimize=not args.no_minimize)
     doc = report.to_dict()
     if args.json:
@@ -126,7 +130,6 @@ def _replay_wire(path: str, case: dict) -> bool:
 
 
 def cmd_replay(args: argparse.Namespace) -> int:
-    backends = _parse_backends(args.backends)
     failed = 0
     paths: list[Path] = []
     for case in map(Path, args.cases):
@@ -139,7 +142,7 @@ def cmd_replay(args: argparse.Namespace) -> int:
                 failed += 1
             continue
         case = load_case(path)
-        result = run_case(case, backends=backends)
+        result = run_case(case, backends=args.backends)
         if result.ok:
             print(f"ok    {path}  ({len(case['packets'])} packets)")
             continue
@@ -148,7 +151,8 @@ def cmd_replay(args: argparse.Namespace) -> int:
         for d in result.divergences:
             print(f"      {d.backend}/{d.mode}: {d.detail}")
         if args.minimize:
-            minimized, steps = minimize_case(case, backends=backends)
+            minimized, steps = minimize_case(case,
+                                             backends=args.backends)
             save_case(minimized, path)
             print(f"      minimized to {len(minimized['packets'])} "
                   f"packets in {steps} steps — rewrote {path}")
@@ -181,6 +185,7 @@ def main(argv: list[str]) -> int:
     p_run.add_argument("--batch-size", type=at_least(1), default=4,
                        metavar="N")
     p_run.add_argument("--backends", metavar="B1,B2",
+                       type=_backend_subset, default=DEFAULT_BACKENDS,
                        help="comma-separated backend subset (default: "
                             "all three)")
     p_run.add_argument("--out", metavar="DIR",
@@ -216,7 +221,8 @@ def main(argv: list[str]) -> int:
 
     p_replay = sub.add_parser("replay", help="re-run case files")
     p_replay.add_argument("cases", nargs="+", metavar="CASE.json|DIR")
-    p_replay.add_argument("--backends", metavar="B1,B2")
+    p_replay.add_argument("--backends", metavar="B1,B2",
+                          type=_backend_subset, default=DEFAULT_BACKENDS)
     p_replay.add_argument("--minimize", action="store_true",
                           help="shrink still-failing cases in place")
     p_replay.set_defaults(fn=cmd_replay)

@@ -3,8 +3,9 @@
 * the core is pure (no node, simulator, observability or lifecycle
   import), which is what lets the oracle drive it off-node;
 * the oracle and the layer group a burst the same way;
-* a real :class:`PlanPLayer` on a network and the oracle's batch-mode
-  trace agree on every corpus case and on generated programs;
+* a real :class:`PlanPLayer` on a network, running the closure
+  engine's fold, and the oracle's batch-mode trace agree on every
+  corpus case and on generated programs;
 * non-vacuity: two mutants injected into the core's batch tier are
   caught by ``compare_all``, minimized, and gone with the mutant.
 """
@@ -28,7 +29,7 @@ from repro.lang import parse, typecheck
 from repro.lang.errors import PlanPError
 from repro.net import Network
 from repro.runtime import PlanPLayer, dispatch
-from repro.runtime.dispatch import DispatchCore
+from repro.runtime.dispatch import DispatchCore, group_runs
 
 CORPUS = Path(__file__).parent / "corpus"
 
@@ -102,7 +103,7 @@ def test_mixed_length_burst_is_one_run_in_layer_and_oracle(monkeypatch):
 
     monkeypatch.setattr(DispatchCore, "run", counting)
     net, r, layer = router_between()
-    layer.install(FORWARD_UDP)
+    layer.install(FORWARD_UDP, backend="closure")
     burst(net, r, specs)
     assert runs == [4]
     assert layer.stats.fastpath_batches == 1
@@ -150,11 +151,21 @@ def _corpus_cases():
 def test_layer_agrees_with_oracle_batch_trace(source, specs):
     net, r, layer = router_between()
     try:
-        layer.install(source, verify=False)
+        layer.install(source, backend="closure", verify=False)
     except PlanPError:
         pytest.skip("program does not install")
     channels = layer.loaded.info.all_channels()
     burst(net, r, specs)
+    # the layer folded every run of two or more among the packets it
+    # took (the ones standard IP took do not split its runs) — one at
+    # least, unless the stream is a single packet
+    hits = [hit for hit in map(layer.core.lookup,
+                               (spec.to_packet() for spec in specs))
+            if hit is not None]
+    runs = sum(1 for i, j in group_runs(hits, layer.batch_size)
+               if j - i > 1)
+    assert layer.stats.fastpath_batches == runs
+    assert runs > 0 or len(specs) == 1
 
     trace = run_trace(typecheck(parse(source)), "closure", "batch", specs,
                       batch_size=layer.batch_size)
@@ -201,9 +212,10 @@ def test_core_mutant_is_caught_and_minimized(name, monkeypatch):
     monkeypatch.setattr(DispatchCore, "run", _mutant(*MUTANTS[name]))
     result = compare_all(info, specs)
     assert not result.ok
-    # every backend's batch mode disagrees; serial runs never batch
-    assert {d.mode for d in result.divergences} == {"batch"}
-    assert len(result.divergences) == 3
+    # the one batch trace, the closure fold's, disagrees; serial runs
+    # never batch
+    assert [(d.backend, d.mode) for d in result.divergences] == [
+        ("closure", "batch")]
 
     minimized, steps = minimize_case(make_case(FAULTING, specs))
     assert steps > 1
@@ -219,9 +231,8 @@ def test_one_packet_mutant_that_commits_a_faulted_row_is_caught(
     """The one-packet call the layer makes for a packet on its own, and
     the oracle's serial mode makes for every packet, with a change that
     commits state for a row it reports as contained.  Serial traces all
-    run the mutant — the reference's too — so the batch tier, which
-    contains the same rows through ``BatchFault``, disagrees with it on
-    every backend."""
+    run the mutant — the reference's too — so the closure fold, which
+    contains the same rows through ``BatchFault``, disagrees with it."""
     info = typecheck(parse(FAULTING))
     specs = [PacketSpec(payload=p) for p in
              (b"abc", b"xy", b"", b"tail", b"q", b"", b"rs", b"t")]
@@ -236,6 +247,5 @@ def test_one_packet_mutant_that_commits_a_faulted_row_is_caught(
         "exec"), namespace)
     monkeypatch.setattr(DispatchCore, "run_one", namespace["run_one"])
     result = compare_all(info, specs)
-    assert {(d.mode, d.detail.split(":")[0])
-            for d in result.divergences} == {("batch", "ps")}
-    assert len(result.divergences) == 3
+    assert [(d.backend, d.mode, d.detail.split(":")[0])
+            for d in result.divergences] == [("closure", "batch", "ps")]

@@ -3,9 +3,12 @@ divergence detection (including uncontained-crash reporting)."""
 
 import random
 
+import pytest
+
 from repro.fuzz import compare_all, gen_stream, run_trace
 from repro.fuzz.grammar import gen_program
-from repro.fuzz.oracle import MODES, _Runner, canon
+from repro.fuzz.oracle import (DEFAULT_BACKENDS, MODES, _Runner, canon,
+                               trace_matrix)
 from repro.fuzz.streams import PacketSpec
 from repro.interp.values import UNIT, PlanPList, PlanPTable
 from repro.lang import parse, typecheck
@@ -137,3 +140,20 @@ class TestCompareAll:
 
     def test_modes_constant(self):
         assert MODES == ("serial", "batch")
+
+    def test_batch_mode_runs_only_on_the_fold(self):
+        """Four traces: every engine serial, and the one engine with a
+        batch fold batched too."""
+        assert trace_matrix(DEFAULT_BACKENDS) == [
+            ("interpreter", "serial"), ("closure", "serial"),
+            ("closure", "batch"), ("source", "serial")]
+        assert trace_matrix(("closure",)) == [("closure", "serial"),
+                                              ("closure", "batch")]
+
+    @pytest.mark.parametrize("backends", [(), ("source",),
+                                          ("interpreter",),
+                                          ("source", "source")])
+    def test_a_subset_with_nothing_to_compare_is_refused(self, backends):
+        with pytest.raises(ValueError, match="no trace to compare"):
+            compare_all(_info(FORWARD), [PacketSpec(payload=b"x")],
+                        backends=backends)

@@ -2,10 +2,13 @@
 and the fuzzx CLI's run subcommand."""
 
 import json
+from pathlib import Path
 
 import pytest
 
 from repro.fuzz import derive_seed, run_campaign
+
+CORPUS = Path(__file__).parent / "corpus"
 
 
 class TestDeriveSeed:
@@ -82,6 +85,32 @@ class TestFuzzxCli:
 
     def test_run_rejects_unknown_backend(self):
         from repro.tools.fuzzx import main
-        import pytest
-        with pytest.raises(SystemExit):
+        with pytest.raises(SystemExit) as exit_:
             main(["run", "--backends", "quantum"])
+        assert exit_.value.code == 2
+
+    @pytest.mark.parametrize("command", ["run", "replay"])
+    @pytest.mark.parametrize("backends", [",", "", "bogus",
+                                          "source,bogus", "source",
+                                          "interpreter",
+                                          "source,source"])
+    def test_unusable_backend_subset_is_a_usage_error(self, command,
+                                                      backends, capsys):
+        """Exit 1 means "divergence found": a subset naming no backend,
+        an unknown one, or leaving the oracle nothing to compare with
+        its reference is a usage error instead."""
+        from repro.tools.fuzzx import main
+        args = (["run", "--budget", "0", "--min-pairs", "1"]
+                if command == "run" else ["replay", str(CORPUS)])
+        with pytest.raises(SystemExit) as exit_:
+            main(args + ["--backends", backends])
+        assert exit_.value.code == 2
+        assert "--backends" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("backends", ["closure", "interpreter,source"])
+    def test_a_subset_with_two_traces_runs(self, backends, capsys):
+        from repro.tools.fuzzx import main
+        assert main(["run", "--budget", "0", "--min-pairs", "2",
+                     "--streams-per-program", "1",
+                     "--backends", backends]) == 0
+        assert json.loads(capsys.readouterr().out)["pairs"] == 2

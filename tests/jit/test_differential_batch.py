@@ -1,10 +1,11 @@
-"""Differential property: the tier-3 batch loop ≡ the serial loop.
+"""Differential property: the tier-3 batch fold ≡ the serial loop.
 
 For random well-typed programs and random small packet streams, folding
-the stream through ``batch_runner(engine)`` (the closure JIT's own
-batch fold, the generic ``run_rows`` driver over the interpreter and
-the source JIT) must produce exactly what a per-packet
-``run_channel`` loop produces: the same final protocol state, the same
+the stream through the engine's own batch fold, ``run_channel_batch``
+(only the closure JIT brings one:
+:data:`~repro.fuzz.oracle.FOLDING_BACKENDS`), must produce exactly what
+a per-packet ``run_channel`` loop on the interpreter produces: the same
+final protocol state, the same
 emission stream in the same order, the same console output — and on a
 faulting row, the same committed prefix plus the same error, surfaced
 through the :class:`~repro.jit.batching.BatchFault` contract.
@@ -17,7 +18,8 @@ from hypothesis import strategies as st
 from repro.interp import RecordingContext
 from repro.interp.values import default_value
 from repro.jit import make_engine
-from repro.jit.batching import BatchFault, batch_runner
+from repro.fuzz.oracle import DEFAULT_BACKENDS, FOLDING_BACKENDS
+from repro.jit.batching import BatchFault
 from repro.lang import parse, typecheck
 from repro.runtime import codec
 
@@ -72,7 +74,7 @@ def _batched(info, backend, packets):
     ss = engine.initial_channel_state(decl, ctx)
     outcome = None
     try:
-        ps, ss = batch_runner(engine)(decl, ps, ss, batch, ctx)
+        ps, ss = engine.run_channel_batch(decl, ps, ss, batch, ctx)
     except BatchFault as fault:
         # A fault commits the prefix: states entering the faulted row.
         ps, ss = fault.ps, fault.ss
@@ -88,8 +90,17 @@ def test_batch_tiers_agree_with_serial(source, payloads):
     info = typecheck(parse(source))
     packets = _wire_stream(payloads)
     serial = _serial(info, "interpreter", packets)
-    for backend in ("interpreter", "closure", "source"):
+    for backend in FOLDING_BACKENDS:
         assert _batched(info, backend, packets) == serial, backend
+
+
+def test_folding_backends_are_the_engines_with_a_fold():
+    """The oracle's batch mode, and the layer's drain, run exactly on
+    the engines that bring ``run_channel_batch``."""
+    info = typecheck(parse(_FAULTING))
+    assert FOLDING_BACKENDS == tuple(
+        backend for backend in DEFAULT_BACKENDS
+        if hasattr(make_engine(info, backend), "run_channel_batch"))
 
 
 #: Raises DivideByZero on (and only on) the empty-payload row; every
@@ -102,7 +113,7 @@ channel network(ps : int, ss : unit, p : ip*tcp*blob) is
 """
 
 
-@pytest.mark.parametrize("backend", ["interpreter", "closure", "source"])
+@pytest.mark.parametrize("backend", FOLDING_BACKENDS)
 def test_faulting_row_matches_serial_prefix(backend):
     info = typecheck(parse(_FAULTING))
     payloads = [b"abc", b"xy", b"", b"tail"]  # fault at row 2
@@ -117,7 +128,7 @@ def test_faulting_row_matches_serial_prefix(backend):
     ps = default_value(decl.protocol_state_type)
     ss = engine.initial_channel_state(decl, ctx)
     with pytest.raises(BatchFault) as exc:
-        batch_runner(engine)(decl, ps, ss, batch, ctx)
+        engine.run_channel_batch(decl, ps, ss, batch, ctx)
     fault = exc.value
     assert fault.index == 2
     assert (fault.ps, fault.ss) == (serial[0], serial[1])
@@ -127,7 +138,7 @@ def test_faulting_row_matches_serial_prefix(backend):
             for e in ctx.emissions] == serial[3]
 
 
-@pytest.mark.parametrize("backend", ["closure", "source"])
+@pytest.mark.parametrize("backend", FOLDING_BACKENDS)
 def test_resume_after_fault_completes_the_tail(backend):
     """The layer's recovery protocol in miniature: re-batch the rows
     after the fault and the tail runs to completion with the committed
@@ -140,7 +151,7 @@ def test_resume_after_fault_completes_the_tail(backend):
     ctx = RecordingContext(seed=7)
     ps = default_value(decl.protocol_state_type)
     ss = engine.initial_channel_state(decl, ctx)
-    run = batch_runner(engine)
+    run = engine.run_channel_batch
     with pytest.raises(BatchFault) as exc:
         run(decl, ps, ss, plan.batch_decoder().batch(packets), ctx)
     fault = exc.value
