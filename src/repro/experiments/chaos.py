@@ -166,14 +166,15 @@ def _run_drill(*, seed: int, n_routers: int, duration: float,
     recovered = in_window(duration - 1.5, duration - 0.5)
     good_sha = manager.deployment.cache.digest(GOOD_ASP)
     final_generations = {
-        name: (nl.current.sha[:12] if nl.current is not None else "")
+        name: (nl.current.loaded.source_sha[:12]
+               if nl.current is not None else "")
         for name, nl in sorted(manager.nodes.items())}
     canary, forced = (bad_rollouts + [None, None])[:2]
     figures = {
         "healthy": (not manager.quarantined_nodes()
                     and manager.rollbacks >= 1
                     and all(nl.current is not None
-                            and nl.current.sha == good_sha
+                            and nl.current.loaded.source_sha == good_sha
                             for nl in manager.nodes.values())),
         "canary_aborted": (canary is not None
                            and canary.state is RolloutState.ABORTED),
@@ -181,7 +182,7 @@ def _run_drill(*, seed: int, n_routers: int, duration: float,
         "force_promoted": (forced is not None
                            and forced.state is RolloutState.PROMOTED),
         "trips": manager.trips,
-        "quarantines": manager.quarantines,
+        "quarantines": manager.trips,
         "half_opens": manager.half_opens,
         "rollbacks": manager.rollbacks,
         "quarantined_at_end": len(manager.quarantined_nodes()),

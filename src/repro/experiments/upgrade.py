@@ -110,9 +110,9 @@ def run_upgrade_experiment(*, seed: int = 5, n_routers: int = 16,
     # never touched any node — not installed now, never installed and
     # rolled back either.
     incompat_seen = any(
-        incompat_sha in [g.sha for g in nl.generations]
-        or incompat_sha in [g.sha for g in nl.rolled_back]
-        for nl in manager.nodes.values())
+        incompat_sha == g.loaded.source_sha
+        for nl in manager.nodes.values()
+        for g in nl.generations + nl.rolled_back)
 
     digest = hashlib.sha256()
     for t, payload in records:
@@ -126,10 +126,11 @@ def run_upgrade_experiment(*, seed: int = 5, n_routers: int = 16,
     promoted = (compat is not None
                 and compat.state is RolloutState.PROMOTED)
     on_compat = all(nl.current is not None
-                    and nl.current.sha == compat_sha
+                    and nl.current.loaded.source_sha == compat_sha
                     for nl in manager.nodes.values())
     final_generations = {
-        name: (nl.current.sha[:12] if nl.current is not None else "")
+        name: (nl.current.loaded.source_sha[:12]
+               if nl.current is not None else "")
         for name, nl in sorted(manager.nodes.items())}
     figures = {
         "healthy": (promoted and on_compat

@@ -252,7 +252,7 @@ def run_web_experiment(*, attack: str = "none", shedding: bool = False,
         "crowd_shed": sum(c.shed_responses for c in crowds),
         "crowd_failures": sum(c.failures for c in crowds),
         "trips": manager.trips if manager else 0,
-        "quarantines": manager.quarantines if manager else 0,
+        "quarantines": manager.trips if manager else 0,
         "rollbacks": manager.rollbacks if manager else 0,
         "quarantined_at_end": quarantined,
         "healthy": (all(m.up for m in net.media)

@@ -274,19 +274,19 @@ class LoadedProgram:
     backend: str
     source_lines: int
     #: content digest of the source (the program cache key)
-    source_sha: str = ""
+    source_sha: str
     #: did this load reuse any cached pipeline stage?
-    cache_hit: bool = False
+    cache_hit: bool
     #: the program text itself — kept so the lifecycle manager can
     #: re-install any generation on any node (rollback, half-open
     #: retrial) without a side channel back to the original pusher
-    source: str = ""
+    source: str
     #: did this load run the four safety analyses?
-    verified: bool = True
+    verified: bool
     #: the per-channel wire-protocol summary (packet shapes + emission
     #: topology) the lifecycle manager compares across generations
     #: before opening a canary window
-    wire: "WireSummary | None" = None
+    wire: "WireSummary"
 
 
 def count_source_lines(source: str) -> int:

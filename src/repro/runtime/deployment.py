@@ -2,9 +2,9 @@
 
 ``Deployment`` verifies a program once, then installs it on any number of
 nodes — routers and end hosts alike — compiling per node (the paper's
-run-time specialization happens at each downloading node).  It records
-the verification report so operators can audit why a program was accepted
-or rejected.
+run-time specialization happens at each downloading node).  Each install
+returns a record with the verification report, so operators can audit
+why a program was accepted or rejected.
 
 All front-end work goes through the content-addressed
 :class:`~repro.jit.pipeline.ProgramCache`: an N-node install parses,
@@ -42,7 +42,6 @@ class Deployment:
     """Distributes ASPs across a simulated network."""
 
     def __init__(self, cache: pipeline.ProgramCache | None = None):
-        self.records: list[DeploymentRecord] = []
         self._cache = cache
 
     @property
@@ -88,7 +87,6 @@ class Deployment:
         after = cache.stats
         record.cache_hits = after.total_hits - before.total_hits
         record.cache_misses = after.total_misses - before.total_misses
-        self.records.append(record)
         return record
 
     def uninstall(self, nodes: list[Node]) -> None:

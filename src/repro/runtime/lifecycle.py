@@ -28,14 +28,18 @@ The paper's premise is hot-loading programs into live routers (§2.1,
   errors inside ``budget_window`` seconds trip a node's
   :class:`CircuitBreaker`: the ASP is **quarantined** (uninstalled —
   standard IP processing, and nothing for a restart to bring back).
-  After ``cooldown`` the breaker half-opens for a retrial, or, once a
-  generation has tripped ``rollback_after_trips`` times on a node,
-  that generation is **rolled back** across the fleet::
+  After ``cooldown`` the same generation is reinstalled for a retrial,
+  or, once it has tripped ``rollback_after_trips`` times on a node, it
+  is **rolled back** across the fleet::
 
       CLOSED ──(budget exceeded)──> OPEN ──(cooldown)──> HALF-OPEN
          ^                                                   │
          └──(probation_packets clean)────────────────────────┤
                           OPEN <──(any error during retrial)─┘
+
+  Two rules: *quarantine is the open breaker*, and *any install ends
+  it* — a new program closes the breaker, the same program half-opens
+  it (a reinstall during the cool-down runs on probation).
 
 ``rollout`` / ``quarantine`` / ``rollback`` events and a ``lifecycle.*``
 metrics block make every step observable; all timing runs on the
@@ -47,16 +51,14 @@ from __future__ import annotations
 import enum
 from collections import deque
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable
+from typing import Callable
 
-from ..jit.pipeline import DEFAULT_BACKEND
+from ..jit.pipeline import DEFAULT_BACKEND, LoadedProgram
+from ..lang.typechecker import ProgramInfo
 from ..net.node import Node
 from ..net.topology import Network
 from .deployment import Deployment
 from .planp_layer import PlanPLayer, ProgramSnapshot
-
-if TYPE_CHECKING:
-    from ..jit.pipeline import LoadedProgram
 
 #: lower bound on the canary subset size
 MIN_CANARY = 1
@@ -197,19 +199,16 @@ class Generation:
     """One entry of a node's versioned install history."""
 
     number: int
-    sha: str
-    source: str
-    backend: str
-    verified: bool
-    #: simulated time of the install
-    installed_at: float = 0.0
+    #: the install that started it: what a retrial or a rollback
+    #: reinstalls, and the wire summary the wire gate compares
+    loaded: LoadedProgram
     #: program + live state captured when a newer generation superseded
     #: this one (what a rollback restores)
     snapshot: ProgramSnapshot | None = None
 
 
 class NodeLifecycle:
-    """Per-node lifecycle state: history + breaker + quarantine flag."""
+    """Per-node lifecycle state: install history + circuit breaker."""
 
     def __init__(self, manager: "LifecycleManager", node: Node,
                  layer: PlanPLayer):
@@ -225,36 +224,39 @@ class NodeLifecycle:
         self.generations: list[Generation] = []
         #: generations removed by rollback (audit trail)
         self.rolled_back: list[Generation] = []
-        self.quarantined = False
-        self._gen_counter = 0
 
     @property
     def current(self) -> Generation | None:
         return self.generations[-1] if self.generations else None
 
+    @property
+    def quarantined(self) -> bool:
+        """Quarantine is the open breaker (the program is uninstalled)."""
+        return self.breaker.state is BreakerState.OPEN
+
     # -- install hooks (called from PlanPLayer.install_loaded) -----------------
 
-    def before_install(self, loaded: "LoadedProgram") -> None:
+    def before_install(self, loaded: LoadedProgram) -> None:
         current = self.current
         if (current is not None and self.layer.loaded is not None
-                and loaded.source_sha != current.sha):
+                and loaded.source_sha != current.loaded.source_sha):
             current.snapshot = self.layer.snapshot_program()
 
-    def on_install(self, loaded: "LoadedProgram") -> None:
-        self.quarantined = False
+    def on_install(self, loaded: LoadedProgram) -> None:
+        """Any install ends a quarantine: a new generation closes the
+        breaker, the running one comes back on probation."""
         current = self.current
-        if current is not None and current.sha == loaded.source_sha:
+        if (current is not None
+                and current.loaded.source_sha == loaded.source_sha):
             # Re-install of the running generation (half-open retrial,
-            # manifest replay after a restart): same version, no new
-            # history entry — but its state snapshot is now stale.
+            # manifest replay after a restart, a re-push): same version,
+            # no new history entry — but its state snapshot is now stale.
             current.snapshot = None
+            if self.quarantined:
+                self.breaker.half_open()
             return
-        self._gen_counter += 1
-        self.generations.append(Generation(
-            number=self._gen_counter, sha=loaded.source_sha,
-            source=loaded.source, backend=loaded.backend,
-            verified=loaded.verified,
-            installed_at=self.manager.net.sim.now))
+        number = len(self.generations) + len(self.rolled_back) + 1
+        self.generations.append(Generation(number, loaded))
         self.breaker.close()
 
     # -- packet hooks (called from PlanPLayer._on_ok and _contain) -------------
@@ -279,7 +281,6 @@ class Rollout:
     canary: list[str]
     #: what promotion installs on the rest of the fleet
     source: str
-    backend: str
     verify: bool
     state: RolloutState = RolloutState.STAGED
     #: why the rollout aborted (empty while live / after promotion)
@@ -312,8 +313,8 @@ class LifecycleManager:
         self.promoted = 0
         self.aborted = 0
         self.vetoes = 0
+        #: breaker trips, each of which quarantined its node
         self.trips = 0
-        self.quarantines = 0
         self.half_opens = 0
         self.closes = 0
         self.rollbacks = 0
@@ -327,12 +328,11 @@ class LifecycleManager:
             "aborted": self.aborted,
             "vetoes": self.vetoes,
             "trips": self.trips,
-            "quarantines": self.quarantines,
+            "quarantines": self.trips,
             "half_opens": self.half_opens,
             "closes": self.closes,
             "rollbacks": self.rollbacks,
-            "quarantined_nodes": sum(1 for nl in self.nodes.values()
-                                     if nl.quarantined),
+            "quarantined_nodes": len(self.quarantined_nodes()),
         }
 
     # -- node management --------------------------------------------------------
@@ -366,18 +366,20 @@ class LifecycleManager:
     # -- staged rollout ---------------------------------------------------------
 
     def rollout(self, source: str, nodes: list[Node | str], *,
-                backend: str = DEFAULT_BACKEND, verify: bool = True,
-                source_name: str = "<asp>",
+                verify: bool = True, source_name: str = "<asp>",
                 force: bool = False) -> Rollout:
         """Stage ``source`` across ``nodes``: canary first (the first
         ``canary_fraction`` of the fleet, in the given order), then a
-        health-gated promotion (or abort + canary rollback).
+        health-gated promotion (or abort + canary rollback).  Every
+        install runs on :data:`~repro.jit.pipeline.DEFAULT_BACKEND`.
 
         ``force=True`` skips both the wire-compatibility veto and the
         health gate and promotes immediately — the privileged operator
         path; the circuit breakers still guard it.
-        Raises :class:`VerificationError` (touching no node) when
-        ``verify`` is requested and fails.
+        Raises the front end's error for source that does not parse or
+        type-check, and :class:`VerificationError` when ``verify`` is
+        requested and fails — either before anything is staged: no node
+        is touched, and no rollout or event is left behind.
 
         When ``policy.wire_check`` holds, the candidate's
         :class:`~repro.analysis.wire.WireSummary` is compared against
@@ -390,25 +392,24 @@ class LifecycleManager:
         managed = self.manage(*nodes)
         names = [nl.node.name for nl in managed]
         cache = self.deployment.cache
+        # Before anything is staged: a rejected program reaches no
+        # node and leaves no rollout behind.
+        sha, info = cache.frontend(source, source_name)
         if verify:
-            # Before anything is staged: a rejected program reaches no
-            # node and leaves no rollout behind.
-            cache.check_verified(*cache.frontend(source, source_name))
-        sha = cache.digest(source)
+            cache.check_verified(sha, info)
         count = max(MIN_CANARY,
                     int(len(names) * self.policy.canary_fraction))
         canary_names = names[:min(count, len(names))]
         rollout = Rollout(number=len(self.rollouts) + 1, sha=sha,
                           source_name=source_name, nodes=names,
                           canary=list(canary_names), source=source,
-                          backend=backend, verify=verify)
+                          verify=verify)
         self.rollouts.append(rollout)
         self._emit("rollout", action="stage", rollout=rollout.number,
                    sha=sha[:12], nodes=len(names),
                    canary=len(canary_names), name=source_name)
         if self.policy.wire_check and not force:
-            blockers = self._wire_gate(rollout, source, source_name,
-                                       names)
+            blockers = self._wire_gate(rollout, info, names)
             if blockers:
                 rollout.state = RolloutState.ABORTED
                 rollout.reason = "wire-incompatible: " \
@@ -417,58 +418,46 @@ class LifecycleManager:
                 self.aborted += 1
                 return rollout
         if force:
-            self._install(source, names, backend, verify, source_name)
+            self._install(source, names, verify, source_name)
             rollout.state = RolloutState.PROMOTED
             self.promoted += 1
             self._emit("rollout", action="force-promote",
                        rollout=rollout.number, sha=sha[:12],
                        nodes=len(names))
             return rollout
-        self._install(source, canary_names, backend, verify, source_name)
+        self._install(source, canary_names, verify, source_name)
         rollout.state = RolloutState.CANARY
         self._begin_health_window(rollout)
         self._emit("rollout", action="canary", rollout=rollout.number,
                    sha=sha[:12], nodes=len(canary_names))
         return rollout
 
-    def _wire_gate(self, rollout: Rollout, source: str,
-                   source_name: str, names: list[str]) -> list[str]:
-        """Prove the candidate wire-compatible with every generation
-        currently running on ``names``.
+    def _wire_gate(self, rollout: Rollout, info: ProgramInfo,
+                   names: list[str]) -> list[str]:
+        """Prove the candidate (``info``, checked by the front end)
+        wire-compatible with every generation currently running on
+        ``names``.
 
         Fills ``rollout.wire_verdicts`` (one verdict per distinct
         running generation) and returns the blocking descriptions —
         empty when the fleet may mix the candidate with everything it
-        currently runs.  A candidate whose source cannot even be
-        summarized (e.g. an unparseable ``verify=False`` push destined
-        for node-side rejection) is left to the install path's own
-        error handling.
+        currently runs.
         """
         from ..analysis.wire import check_compatible
 
-        cache = self.deployment.cache
-        try:
-            key, info = cache.frontend(source, source_name)
-            new_summary = cache.wire(key, info)
-        except Exception:
-            return []
+        new_summary = self.deployment.cache.wire(rollout.sha, info)
         # One check per distinct running generation, not per node.
         running: dict[str, tuple[Generation, list[str]]] = {}
         for name in names:
             gen = self.nodes[name].current
-            if gen is None or gen.sha == key:
+            if gen is None or gen.loaded.source_sha == rollout.sha:
                 continue
-            running.setdefault(gen.sha, (gen, []))[1].append(name)
+            running.setdefault(gen.loaded.source_sha,
+                               (gen, []))[1].append(name)
         blockers: list[str] = []
         for gen_sha in sorted(running):
             gen, on_nodes = running[gen_sha]
-            try:
-                old_key, old_info = cache.frontend(gen.source,
-                                                   "<running>")
-                old_summary = cache.wire(old_key, old_info)
-            except Exception:
-                continue
-            report = check_compatible(old_summary, new_summary)
+            report = check_compatible(gen.loaded.wire, new_summary)
             rollout.wire_verdicts[gen_sha[:12]] = report.describe()
             if not report.ok:
                 detail = report.describe()
@@ -502,10 +491,11 @@ class LifecycleManager:
             dp = nl.layer.stats.packets_processed - base_p
             de = nl.layer.stats.runtime_errors - base_e
             processed += dp
-            if nl.quarantined or nl.breaker.state is not BreakerState.CLOSED:
+            if nl.breaker.state is not BreakerState.CLOSED:
                 failures.append(f"{name}: breaker "
                                 f"{nl.breaker.state.value}")
-            elif nl.current is None or nl.current.sha != rollout.sha:
+            elif (nl.current is None
+                  or nl.current.loaded.source_sha != rollout.sha):
                 failures.append(f"{name}: canary lost the program")
             elif de > 0:
                 failures.append(f"{name}: {de} errors / {dp} packets")
@@ -525,8 +515,8 @@ class LifecycleManager:
 
     def _promote(self, rollout: Rollout) -> None:
         rest = [n for n in rollout.nodes if n not in set(rollout.canary)]
-        self._install(rollout.source, rest, rollout.backend,
-                      rollout.verify, rollout.source_name)
+        self._install(rollout.source, rest, rollout.verify,
+                      rollout.source_name)
         rollout.state = RolloutState.PROMOTED
         self.promoted += 1
         self._emit("rollout", action="promote", rollout=rollout.number,
@@ -541,8 +531,8 @@ class LifecycleManager:
         self._rollback_nodes(rollout.canary, rollout.sha,
                              reason=f"canary abort: {reason}")
 
-    def _install(self, source: str, names: list[str], backend: str,
-                 verify: bool, source_name: str) -> None:
+    def _install(self, source: str, names: list[str], verify: bool,
+                 source_name: str, backend: str = DEFAULT_BACKEND) -> None:
         if names:
             self.deployment.install(
                 source, [self.nodes[n].node for n in names],
@@ -551,25 +541,22 @@ class LifecycleManager:
     # -- circuit breaker orchestration -----------------------------------------
 
     def _on_trip(self, nl: NodeLifecycle, reason: str) -> None:
-        """A node's breaker tripped: quarantine the ASP and schedule
-        the cool-down decision."""
+        """A node's breaker tripped: quarantine the ASP (uninstall it)
+        and schedule the cool-down decision."""
         self.trips += 1
         gen = nl.current
         gen_number = gen.number if gen is not None else 0
-        self.quarantines += 1
-        nl.quarantined = True
+        sha = gen.loaded.source_sha if gen is not None else ""
         nl.layer.uninstall()
-        nl.layer.quarantined = True
         self._emit("quarantine", action="trip", node=nl.node.name,
-                   generation=gen_number,
-                   sha=(gen.sha[:12] if gen is not None else ""),
+                   generation=gen_number, sha=sha[:12],
                    trips=nl.breaker.trips, reason=reason)
         # A tripped canary decides its rollout immediately — no point
         # holding the health window open over a quarantined node.
         for rollout in self.rollouts:
             if (rollout.state is RolloutState.CANARY
                     and nl.node.name in rollout.canary
-                    and gen is not None and rollout.sha == gen.sha):
+                    and rollout.sha == sha):
                 self._abort(rollout,
                             f"{nl.node.name}: error budget exhausted")
                 return
@@ -586,18 +573,18 @@ class LifecycleManager:
             # Out of retrials.  Roll the generation back fleet-wide —
             # to its predecessor where one exists, to standard IP
             # processing where this was the first install.
-            self._rollback_fleet(gen.sha,
+            self._rollback_fleet(gen.loaded.source_sha,
                                  reason=f"{nl.node.name} tripped "
                                         f"{nl.breaker.trips}x")
             return
         # Half-open retrial: reinstall the same generation (warm, via
-        # the program cache) and watch it under probation.
+        # the program cache); the install half-opens the breaker, so
+        # the program runs on probation.
         self.half_opens += 1
-        nl.breaker.half_open()
         self._emit("quarantine", action="half-open", node=nl.node.name,
-                   generation=gen.number, sha=gen.sha[:12])
-        self._install(gen.source, [nl.node.name], gen.backend,
-                      gen.verified, "<retrial>")
+                   generation=gen.number,
+                   sha=gen.loaded.source_sha[:12])
+        self._reinstall(nl, gen, "<retrial>")
 
     def _on_probation_passed(self, nl: NodeLifecycle) -> None:
         self.closes += 1
@@ -617,10 +604,7 @@ class LifecycleManager:
         history, the call is a clean audited no-op (never an exception
         mid-fleet).
         """
-        names = [name for name, nl in self.nodes.items()
-                 if (nl.current is not None and nl.current.sha == sha)
-                 or (nl.quarantined and nl.generations
-                     and nl.generations[-1].sha == sha)]
+        names = self._running(sha)
         if not names:
             self._emit("rollback", action="skip", sha=sha[:12], node="",
                        nodes=0,
@@ -630,17 +614,15 @@ class LifecycleManager:
             nl = self.nodes[name]
             self._emit("rollback", action="skip", sha=sha[:12],
                        node=name,
-                       current=(nl.current.sha[:12]
+                       current=(nl.current.loaded.source_sha[:12]
                                 if nl.current is not None else ""),
                        reason="generation not running here")
-        return self._rollback_nodes(sorted(names), sha, reason="operator")
+        return self._rollback_nodes(names, sha, reason="operator")
 
     def _rollback_fleet(self, sha: str, *, reason: str) -> None:
         """Automatic rollback: every managed node on ``sha`` reverts."""
         self.rollbacks += 1
-        names = [name for name in sorted(self.nodes)
-                 if (nl := self.nodes[name]).generations
-                 and nl.generations[-1].sha == sha]
+        names = self._running(sha)
         self._emit("rollback", action="start", sha=sha[:12],
                    nodes=len(names), reason=reason)
         rolled = self._rollback_nodes(names, sha, reason=reason)
@@ -652,10 +634,8 @@ class LifecycleManager:
         rolled: list[str] = []
         for name in names:
             nl = self.nodes[name]
-            if not nl.generations:
-                continue
-            bad = nl.generations[-1]
-            if bad.sha != sha:
+            bad = nl.current
+            if bad is None or bad.loaded.source_sha != sha:
                 continue
             nl.generations.pop()
             nl.rolled_back.append(bad)
@@ -677,7 +657,6 @@ class LifecycleManager:
                 nl.layer.uninstall()
                 action = "node-failed"
                 error = {"error": f"{type(exc).__name__}: {exc}"}
-            nl.layer.quarantined = nl.quarantined = False
             nl.breaker.close()
             self._emit("rollback", action=action, node=name,
                        from_generation=bad.number,
@@ -693,8 +672,22 @@ class LifecycleManager:
             nl.layer.restore_program(snap)
             gen.snapshot = None
         else:
-            self._install(gen.source, [nl.node.name], gen.backend,
-                          gen.verified, "<rollback>")
+            self._reinstall(nl, gen, "<rollback>")
+
+    def _reinstall(self, nl: NodeLifecycle, gen: Generation,
+                   source_name: str) -> None:
+        # A fresh engine, not the old one: a ``val`` evaluated at
+        # install may draw from the node's entropy stream.
+        loaded = gen.loaded
+        self._install(loaded.source, [nl.node.name], loaded.verified,
+                      source_name, loaded.backend)
+
+    def _running(self, sha: str) -> list[str]:
+        """Sorted names of the managed nodes whose current generation
+        (quarantined or not) is ``sha``."""
+        return [name for name in sorted(self.nodes)
+                if (gen := self.nodes[name].current) is not None
+                and gen.loaded.source_sha == sha]
 
     # -- helpers ----------------------------------------------------------------
 

@@ -39,9 +39,12 @@ one header line, then the source as its UTF-8 bytes — the bytes
 ``ProgramCache.digest`` hashes; the byte count marks the end.  The
 service answers on the same connection and closes it:
 
-    manager -> node:  PUSH <xfer> <n_bytes> <backend> <verify>\\n<source>
+    manager -> node:  PUSH <xfer> <n_bytes> <backend> <0|1>\\n<source>
     node -> manager:  OK <xfer> <cache_hit>
                       REJ <xfer> <reason>
+
+The manager always sends :data:`~repro.jit.pipeline.DEFAULT_BACKEND`,
+which the service still checks; ``<0|1>`` is the verify flag.
 
 Malformed input is rejected and counted, never raised through the
 node's receive path.
@@ -136,6 +139,8 @@ class DeploymentService:
             n_bytes = int(parts[2])
             if n_bytes <= 0 or len(body) > n_bytes:
                 raise ValueError(f"bad byte count {parts[2]!r}")
+            if parts[4] not in ("0", "1"):
+                raise ValueError(f"bad verify flag {parts[4]!r}")
             if len(body) == n_bytes:
                 self._install(conn, parts[1], bytes(body), parts[3],
                               parts[4] == "1")
@@ -258,14 +263,14 @@ class _TargetPush:
 
     def _connect(self) -> None:
         manager = self.manager
-        data, backend, verify = manager._sources[self.xfer]
+        data, verify = manager._sources[self.xfer]
         self.established = False
         self.conn = conn = manager.net.tcp(manager.host).connect(
             self.target, manager.port)
         conn.on_connected = self._on_connected
         conn.on_close = self._on_answer
         conn.on_fail = self._on_fail
-        header = (f"PUSH {self.xfer} {len(data)} {backend} "
+        header = (f"PUSH {self.xfer} {len(data)} {DEFAULT_BACKEND} "
                   f"{1 if verify else 0}\n")
         conn.send(header.encode("utf-8") + data)
 
@@ -340,7 +345,7 @@ class DeploymentManager:
         self.port = port
         self.pushes: dict[str, dict[HostAddr, PushStatus]] = {}
         #: push parameters kept for reconnects and re-push
-        self._sources: dict[str, tuple[bytes, str, bool]] = {}
+        self._sources: dict[str, tuple[bytes, bool]] = {}
         self._live: dict[tuple[str, HostAddr], _TargetPush] = {}
         net.obs.metrics.register("deploy.manager", self._stats_dict)
 
@@ -359,10 +364,10 @@ class DeploymentManager:
     # -- pushing ------------------------------------------------------------------
 
     def push(self, source: str, targets: list[HostAddr], *,
-             backend: str = DEFAULT_BACKEND, verify: bool = True,
-             name: str = "") -> str:
-        """Ship ``source`` to every target; returns the transfer id
-        (``name``, or ``asp<n>`` numbered by this manager's pushes).
+             verify: bool = True, name: str = "") -> str:
+        """Ship ``source`` to every target, to run on
+        :data:`~repro.jit.pipeline.DEFAULT_BACKEND`; returns the transfer
+        id (``name``, or ``asp<n>`` numbered by this manager's pushes).
 
         Verdicts arrive asynchronously; poll :meth:`status` after
         running the simulation, or drive it with
@@ -371,7 +376,7 @@ class DeploymentManager:
         xfer = name or f"asp{len(self.pushes) + 1}"
         data = source.encode("utf-8")
         self.pushes[xfer] = {t: PushStatus(target=t) for t in targets}
-        self._sources[xfer] = (data, backend, verify)
+        self._sources[xfer] = (data, verify)
         self.net.obs.events.emit("deploy", node=self.host.name,
                                  action="push", xfer=xfer,
                                  targets=len(targets), bytes=len(data))

@@ -27,12 +27,11 @@ error is counted — an unverified (privileged) program must not take the
 node down.
 
 The layer also carries the hooks of the ASP lifecycle manager
-(:mod:`repro.runtime.lifecycle`): a ``quarantined`` gate that reverts
-the node to standard IP processing while an error-budget circuit
-breaker is open, per-packet success/error callbacks feeding that
-breaker, and :meth:`snapshot_program` / :meth:`restore_program` so a
-rollback can reinstate the previous generation *with* its protocol and
-channel state.
+(:mod:`repro.runtime.lifecycle`): per-packet success/error callbacks
+feeding the node's error-budget circuit breaker, and
+:meth:`snapshot_program` / :meth:`restore_program` so a rollback can
+reinstate the previous generation *with* its protocol and channel
+state.
 """
 
 from __future__ import annotations
@@ -141,10 +140,6 @@ class PlanPLayer:
         #: packet does not pay for two method objects
         self._ok, self._fault = self._on_ok, self._on_fault
         self._batch_hist: Histogram | None = None
-        #: circuit-breaker gate: while True the layer matches nothing
-        #: and every packet takes standard IP processing.  Installing a
-        #: program lifts the gate (the quarantined program is gone).
-        self.quarantined = False
         #: the node's lifecycle handle (set by
         #: :meth:`repro.runtime.lifecycle.LifecycleManager.manage`);
         #: ``None`` keeps the packet path at one attribute check
@@ -192,12 +187,10 @@ class PlanPLayer:
             self.core = DispatchCore(channels, engine, snap.protocol_state,
                                      dict(snap.channel_states))
         self.loaded = self.manifest = loaded
-        # Whatever was quarantined is gone.
-        self.quarantined = False
         obs = self.node.obs
         if obs is not None:
             obs.events.emit("deploy", node=self.node.name, action=action,
-                            sha=loaded.source_sha or "",
+                            sha=loaded.source_sha,
                             engine=type(engine).__name__)
 
     @property
@@ -266,7 +259,7 @@ class PlanPLayer:
         takes it, to be handed to :meth:`process`, or None when
         standard IP processing should."""
         core = self.core
-        if core is None or self.quarantined:
+        if core is None:
             return None
         entries = core.table.get((packet.channel, packet.transport.__class__))
         if not entries:
@@ -408,7 +401,8 @@ class PlanPLayer:
         self._contain(hit.decl, err, reason)
         if self._emit_row != row:
             self._fallback(packets[row], ifaces[row])
-        if not self.quarantined:
+        lifecycle = self.lifecycle
+        if lifecycle is None or not lifecycle.quarantined:
             return True
         # The breaker tripped.  Packet-at-a-time execution classifies
         # each packet as it arrives, so the rows behind the trip would

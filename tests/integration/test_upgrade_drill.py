@@ -110,7 +110,7 @@ class TestByteIdenticalWhenCompatible:
         assert len(on) > 0 and on == off
         compat = ProgramCache.digest(GEN2_COMPAT_ASP)
         for manager in (on_manager, off_manager):
-            assert all(nl.current.sha == compat
+            assert all(nl.current.loaded.source_sha == compat
                        for nl in manager.nodes.values())
             assert not manager.quarantined_nodes()
 
@@ -123,7 +123,7 @@ class TestByteIdenticalWhenCompatible:
                                           incompatible=True)
         incompat = ProgramCache.digest(GEN2_INCOMPAT_ASP)
         assert manager.vetoes == 0
-        assert any(incompat in [g.sha for g in nl.generations
+        assert any(incompat in [g.loaded.source_sha for g in nl.generations
                                 + nl.rolled_back]
                    for nl in manager.nodes.values())
 

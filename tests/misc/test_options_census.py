@@ -32,7 +32,7 @@ CALLER_DIRS = ("src", "bench", "examples")
 
 #: defaulted public parameters under ``src/repro``; lower it when one
 #: goes, never raise it without a caller to show
-MAX_DEFAULTED = 258
+MAX_DEFAULTED = 256
 
 #: why nobody in the tree has to set it -> ``(owner, parameter)`` entries
 ALLOWED: dict[str, list[tuple[str, str]]] = {
@@ -54,7 +54,7 @@ ALLOWED: dict[str, list[tuple[str, str]]] = {
     ],
     "a push's verify flag is a deployment setting: the operator's "
     "privilege to ship a program the verifier rejects, carried on the "
-    "push's header line like the engine below": [
+    "push's header line": [
         ("DeploymentManager.push", "verify"),
     ],
     "repro.asps template parameters are the paper's adaptation surface: "
@@ -71,12 +71,6 @@ ALLOWED: dict[str, list[tuple[str, str]]] = {
         ("shedding_asp", "byte_budget"),
         ("shedding_asp", "block_ms"),
         ("shedding_asp", "table_size"),
-    ],
-    "the engine is part of what a deployment ships (the push's header "
-    "line carries it on the wire, the manifest records it); every install "
-    "path under these two takes it from a caller": [
-        ("LifecycleManager.rollout", "backend"),
-        ("DeploymentManager.push", "backend"),
     ],
     "a test substitutes a fake: the campaign validates a verdict "
     "function, and its non-vacuity drills hand it a broken one": [

@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.jit.pipeline import ProgramCache
-from repro.lang import VerificationError
+from repro.lang import ParseError, VerificationError
 from repro.net import Network
 from repro.net.packet import udp_packet
 from repro.runtime import (BreakerState, CircuitBreaker, Deployment,
@@ -267,7 +267,7 @@ class TestHistory:
         for r in routers:
             nl = manager.of(r)
             assert [g.number for g in nl.generations] == [1, 2]
-            assert nl.current.sha == ProgramCache.digest(GOOD_V2)
+            assert nl.current.loaded.source_sha == ProgramCache.digest(GOOD_V2)
 
     def test_superseded_generation_keeps_snapshot(self):
         net, src, routers, dst = chain_net(2)
@@ -290,7 +290,7 @@ class TestHistory:
         manager = LifecycleManager(net, deployment=deployment)
         (nl,) = manager.manage(routers[0])
         assert nl.current is not None
-        assert nl.current.sha == ProgramCache.digest(GOOD)
+        assert nl.current.loaded.source_sha == ProgramCache.digest(GOOD)
 
     def test_verification_failure_reaches_no_node(self):
         net, src, routers, dst = chain_net(2)
@@ -312,7 +312,7 @@ class TestHistory:
         assert record.verified and record.report.passed
         for r in routers:
             assert r.planp.loaded.verified
-            assert manager.of(r).current.verified
+            assert manager.of(r).current.loaded.verified
         assert cache.stats.verify_misses == 1
 
 
@@ -350,9 +350,26 @@ class TestRollout:
         # Canary back on generation 1; the rest never saw the bad one.
         for r in routers:
             nl = manager.of(r)
-            assert nl.current.sha == good_sha
+            assert nl.current.loaded.source_sha == good_sha
             assert not nl.quarantined
         assert manager.aborted == 1
+
+    def test_unparseable_unverified_rollout_stages_nothing(self):
+        """The front end runs before staging whatever ``verify`` says:
+        source that does not parse reaches no node and leaves no
+        rollout and no ``rollout`` event behind."""
+        net, src, routers, dst = chain_net(4)
+        manager = manager_for(net, routers)
+        manager.rollout(GOOD, routers, force=True)
+        rollouts = list(manager.rollouts)
+        events = net.obs.events.filter("rollout")
+        with pytest.raises(ParseError):
+            manager.rollout("channel network(", routers, verify=False)
+        assert manager.rollouts == rollouts
+        assert net.obs.events.filter("rollout") == events
+        good_sha = ProgramCache.digest(GOOD)
+        assert all(manager.of(r).current.loaded.source_sha == good_sha
+                   for r in routers)
 
     def test_silent_canary_aborts_after_extensions(self):
         net, src, routers, dst = chain_net(4)
@@ -425,7 +442,7 @@ class TestQuarantine:
         good_sha = ProgramCache.digest(GOOD)
         for r in routers:
             nl = manager.of(r)
-            assert nl.current.sha == good_sha
+            assert nl.current.loaded.source_sha == good_sha
             assert not nl.quarantined
             assert nl.rolled_back  # the bad generation is audited
         assert not manager.quarantined_nodes()
@@ -442,7 +459,7 @@ class TestQuarantine:
         for r in routers:
             assert manager.of(r).current is None
             assert r.planp.loaded is None
-            assert not r.planp.quarantined
+            assert not manager.of(r).quarantined
 
     def test_operator_rollback(self):
         net, src, routers, dst = chain_net(2)
@@ -452,7 +469,7 @@ class TestQuarantine:
         rolled = manager.rollback(ProgramCache.digest(GOOD_V2))
         assert sorted(rolled) == ["r0", "r1"]
         good_sha = ProgramCache.digest(GOOD)
-        assert all(manager.of(r).current.sha == good_sha
+        assert all(manager.of(r).current.loaded.source_sha == good_sha
                    for r in routers)
 
     def test_rollback_restores_snapshot_state(self):
@@ -496,7 +513,7 @@ class TestWireVeto:
         for r in routers:
             nl = manager.of(r)
             assert len(nl.generations) == 1
-            assert nl.current.sha != rollout.sha
+            assert nl.current.loaded.source_sha != rollout.sha
         assert rollout.wire_verdicts  # one verdict per running gen
         actions = [e.data.get("action")
                    for e in net.obs.events.filter(kind="rollout")]
@@ -520,7 +537,7 @@ class TestWireVeto:
         rollout = manager.rollout(INCOMPAT, routers, force=True)
         assert rollout.state is RolloutState.PROMOTED
         assert manager.vetoes == 0
-        assert all(manager.of(r).current.sha == rollout.sha
+        assert all(manager.of(r).current.loaded.source_sha == rollout.sha
                    for r in routers)
 
     def test_policy_can_disable_wire_check(self):
@@ -562,7 +579,7 @@ class TestRollbackAudit:
         rolled = manager.rollback("0" * 64)
         assert rolled == []
         good_sha = ProgramCache.digest(GOOD)
-        assert all(manager.of(r).current.sha == good_sha
+        assert all(manager.of(r).current.loaded.source_sha == good_sha
                    for r in routers)
         skips = [e for e in net.obs.events.filter(kind="rollback")
                  if e.data.get("action") == "skip"]
@@ -578,8 +595,8 @@ class TestRollbackAudit:
         rolled = manager.rollback(v2_sha)
         assert rolled == ["r0"]
         good_sha = ProgramCache.digest(GOOD)
-        assert manager.of("r0").current.sha == good_sha
-        assert manager.of("r1").current.sha == good_sha
+        assert manager.of("r0").current.loaded.source_sha == good_sha
+        assert manager.of("r1").current.loaded.source_sha == good_sha
         assert len(manager.of("r1").generations) == 1  # untouched
         skips = [e for e in net.obs.events.filter(kind="rollback")
                  if e.data.get("action") == "skip"]
@@ -603,8 +620,8 @@ class TestRollbackAudit:
         # The failing node is contained; the rest of the fleet rolls.
         assert rolled == ["r0", "r2"]
         good_sha = ProgramCache.digest(GOOD)
-        assert manager.of("r0").current.sha == good_sha
-        assert manager.of("r2").current.sha == good_sha
+        assert manager.of("r0").current.loaded.source_sha == good_sha
+        assert manager.of("r2").current.loaded.source_sha == good_sha
         # The failed node reverted to standard IP with an emptied,
         # audited history — no half-rolled mixed state.
         nl = manager.of("r1")
@@ -651,13 +668,38 @@ class TestCleanReinstall:
         # nothing leaks from the quarantined incarnation.
         manager.rollout(GOOD, routers, force=True)
         assert layer.protocol_state == 0
-        assert not layer.quarantined
+        assert not manager.of(routers[0]).quarantined
         assert len(layer.channel_states) == 1
         layer.uninstall()
         manager.rollout(GOOD_V2, routers, force=True)
         # Exactly the new program's one channel — no stale entries.
         assert len(layer.channel_states) == 1
         assert layer.protocol_state == 0
+
+    def test_same_program_reinstall_during_cooldown_is_a_retrial(self):
+        """Any install ends a quarantine: the quarantined program put
+        back during its cool-down runs on probation (HALF_OPEN), so its
+        next error trips the breaker again and uninstalls it.  An OPEN
+        breaker left under a running program would absorb every error
+        and never trip again."""
+        net, src, routers, dst = chain_net(1)
+        manager = manager_for(net, routers, rollback_after_trips=99,
+                              cooldown=60.0)  # no retrial of its own
+        manager.rollout(BAD, routers, verify=False, force=True)
+        traffic(net, src, dst)
+        net.run(until=0.4)
+        nl = manager.of(routers[0])
+        assert nl.quarantined and manager.trips == 1
+        manager.deployment.install(BAD, routers, verify=False)
+        assert nl.breaker.state is BreakerState.HALF_OPEN
+        assert not nl.quarantined
+        assert [g.number for g in nl.generations] == [1]
+        layer = routers[0].planp
+        errors = layer.stats.runtime_errors
+        net.run(until=0.8)
+        assert layer.stats.runtime_errors == errors + 1
+        assert manager.trips == 2 and nl.quarantined
+        assert layer.loaded is None
 
     def test_quarantined_layer_ignores_traffic(self):
         net, src, routers, dst = chain_net(1)
@@ -705,8 +747,9 @@ class TestCrashRecovery:
         good, v2 = ProgramCache.digest(GOOD), ProgramCache.digest(GOOD_V2)
         nl = manager.of(r0)
         assert r0.planp.current_sha == good
-        assert [(g.number, g.sha) for g in nl.generations] == [(1, good)]
-        assert [g.sha for g in nl.rolled_back] == [v2]
+        assert [(g.number, g.loaded.source_sha)
+                for g in nl.generations] == [(1, good)]
+        assert [g.loaded.source_sha for g in nl.rolled_back] == [v2]
 
     def quarantine_drill(self, crash):
         """BAD trips the breaker at ~0.1 s; optionally crash + restart

@@ -191,15 +191,21 @@ class TestHardening:
 
     def test_bad_byte_count_rejected_not_fatal(self):
         net, admin, routers, endpoint, services, manager = managed_net()
+        unsafe = BAD.encode()
         conns = [raw_push(net, admin, routers[0], payload)
                  for payload in (b"PUSH t1 -1 closure 1\nxx",
                                  b"PUSH t2 nope closure 1\nxx",
                                  b"PUSH t3 0 closure 1\n",
-                                 b"PUSH t4 1 closure 1\nxx")]
+                                 b"PUSH t4 1 closure 1\nxx",
+                                 # verify is 0 or 1: "yes" must not
+                                 # install an unverified program
+                                 b"PUSH t5 %d closure yes\n%s"
+                                 % (len(unsafe), unsafe))]
         net.run(until=2.0)
         assert [bytes(c.received_data) for c in conns] == [
-            b"REJ t%d malformed" % i for i in (1, 2, 3, 4)]
-        assert services[0].malformed == 4
+            b"REJ t%d malformed" % i for i in (1, 2, 3, 4, 5)]
+        assert services[0].malformed == 5
+        assert routers[0].planp.loaded is None
         assert net.tcp(routers[0]).open_connections == 0
 
     def test_undecodable_source_is_a_terminal_rejection(self):
