@@ -5,7 +5,8 @@ a program guarantees delivery if
 
 1. it cannot terminate on an unhandled exception (every primitive that
    may raise, every ``raise``, and every partial operator is enclosed in
-   a matching handler);
+   a matching handler) — top-level ``val`` initialisers included: they
+   run at install, and one that raises refuses the program;
 2. every execution path forwards or delivers the packet — the program
    never "intentionally drops packets" (so any reachable ``drop`` call,
    and any path that completes without an emission, fails the check).
@@ -159,10 +160,19 @@ class DeliveryAnalysis:
 
 
 def check_delivery(info: ProgramInfo) -> DeliveryReport:
-    """Raises :class:`VerificationError` unless every channel provably
-    delivers/forwards every packet on every path."""
+    """Raises :class:`VerificationError` unless the program's globals
+    provably install and every channel provably delivers/forwards every
+    packet on every path."""
     analysis = DeliveryAnalysis(info)
     report = DeliveryReport()
+    for val in info.program.vals:
+        escapes = analysis.scan(val.value)[0]
+        if escapes:
+            raise VerificationError(
+                f"val {val.name!r} (line {val.pos.line}) may raise "
+                f"unhandled exception(s): {', '.join(sorted(escapes))}; "
+                f"the program cannot install", val.pos,
+                analysis="delivery")
     for decl in info.all_channels():
         report.channels_checked += 1
 

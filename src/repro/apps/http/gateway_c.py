@@ -71,7 +71,8 @@ class BuiltinGateway:
     def process(self, packet: Packet, iface: Interface | None,
                 hit: str) -> None:
         if self.cpu.per_item_s > 0:
-            self.cpu.submit(lambda: self._process_now(packet, hit))
+            self.cpu.submit(self.node.unless_crashed(
+                packet, self._process_now, packet, hit))
         else:
             self._process_now(packet, hit)
 

@@ -53,6 +53,10 @@ PACKET_TYPES = (
 PROTO_STATES = ("int", "int", "int", "string", "bool",
                 "(int) hash_table", "(int) list")
 
+#: top-level val types
+VAL_TYPES = ("int", "int", "bool", "string", "char", "host",
+             "(int) hash_table")
+
 #: per-channel state types
 CHANNEL_STATES = ("unit", "unit", "int", "(int) hash_table")
 
@@ -160,9 +164,7 @@ class _Gen:
         if depth <= 0 or rng.random() < 0.25:
             return self.leaf(ty, env)
         makers = [self._mk_if, self._mk_let, self._mk_try,
-                  self._mk_proj_tuple]
-        if self.exceptions or True:
-            makers.append(self._mk_raise)
+                  self._mk_proj_tuple, self._mk_raise]
         makers += {
             "int": [self._mk_arith, self._mk_int_prim, self._mk_unop],
             "bool": [self._mk_boolop, self._mk_cmp, self._mk_unop,
@@ -365,17 +367,17 @@ class _Gen:
             decls.append(f"exception {name}")
         return decls
 
-    def _gen_vals(self) -> list[str]:
+    def _gen_vals(self, count: int) -> list[str]:
+        """``count`` top-level vals: full expressions over the globals
+        and funs declared so far — every engine evaluates them once, at
+        construction, so a raising initialiser refuses the program
+        alike everywhere, and a ``random`` or ``mkTable`` in one is
+        state the channels then share."""
         decls = []
-        for i in range(self.rng.randint(1, 2)):
-            ty = self.rng.choice(("int", "bool", "string", "char", "host"))
-            # Total expressions only: the closure engine evaluates
-            # top-level vals eagerly at construction while the
-            # interpreter defers to first use, so a raising initializer
-            # would surface at different times — a timing artifact, not
-            # an engine bug, and it would drown the oracle in noise.
-            value = self.leaf(ty, dict(self.globals))
-            name = f"k{i}"
+        for _ in range(count):
+            ty = self.rng.choice(VAL_TYPES)
+            value = self.expr(ty, dict(self.globals), self.rng.randint(0, 2))
+            name = f"k{len(self.globals)}"
             self.globals[name] = ty
             decls.append(f"val {name} : {ty} = {value}")
         return decls
@@ -439,8 +441,10 @@ class _Gen:
         rng = self.rng
         ps_ty = rng.choice(PROTO_STATES)
         decls = self._gen_exceptions()
-        decls += self._gen_vals()
+        decls += self._gen_vals(rng.randint(1, 2))
         decls += self._gen_funs()
+        # vals after the funs may call them
+        decls += self._gen_vals(rng.choice((0, 1, 1)))
         if self._forced_overloads is not None:
             overloads = list(self._forced_overloads)
         else:

@@ -143,7 +143,9 @@ class _WireContext(RecordingContext):
 
 class _Runner:
     """One trace execution: a :class:`DispatchCore` plus the outcome
-    strings and crash capture of what it reports."""
+    strings and crash capture of what it reports.  The engine is built
+    against the trace's own context, as a layer builds it against its
+    node: a ``val``'s draws, prints and failures are part of the trace."""
 
     def __init__(self, info, backend: str):
         self.ctx = _WireContext(seed=CONTEXT_SEED)
@@ -153,8 +155,8 @@ class _Runner:
         self.core: DispatchCore | None = None
         try:
             self.core = DispatchCore.fresh(
-                self.channels,
-                make_engine(info, backend, RecordingContext()), self.ctx)
+                self.channels, make_engine(info, backend, self.ctx),
+                self.ctx)
         except PlanPError as err:
             self.outcomes.append(f"install:{_err_name(err)}")
         except Exception as err:  # install-time leak

@@ -27,5 +27,10 @@ class Env:
             env = env._parent
         raise KeyError(f"unbound variable {name!r} (type checker bug?)")
 
+    @property
+    def bindings(self) -> dict[str, object]:
+        """This environment's own bindings by name (not its parents')."""
+        return self._bindings
+
     def child(self) -> "Env":
         return Env(parent=self)

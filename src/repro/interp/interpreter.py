@@ -18,7 +18,6 @@ from typing import TYPE_CHECKING
 
 from ..lang import ast
 from ..lang.errors import PlanPRuntimeError
-from ..obs import GLOBAL
 from .context import ExecutionContext
 
 if TYPE_CHECKING:  # avoid a cycle: typechecker imports the primitives
@@ -29,39 +28,26 @@ from .values import UNIT, values_equal
 
 
 class Interpreter:
-    """Evaluates channel invocations of a type-checked program."""
+    """Evaluates channel invocations of a type-checked program.
 
-    def __init__(self, info: ProgramInfo):
+    Construction evaluates the program's top-level ``val``s, once, in
+    declaration order, against ``ctx`` — the context of the node the
+    program is installed on — into :attr:`globals`, the environment
+    every ``fun`` and channel body reads.  A ``val`` initialiser may
+    call a ``fun`` declared before it; one that raises refuses the
+    program.  This is the one place ``val``s are evaluated: the JITs
+    build an interpreter and embed its globals as constants.
+    """
+
+    def __init__(self, info: ProgramInfo, ctx: ExecutionContext):
         self._info = info
-        self._globals: Env | None = None
+        # Bound as they are evaluated: a fun called by a later val reads
+        # this same (partial) environment.
+        self.globals = env = Env()
+        for decl in info.program.vals:
+            env.bind(decl.name, self.eval(decl.value, env, ctx))
 
     # -- program-level evaluation ------------------------------------------------
-
-    def on_install(self, ctx: ExecutionContext) -> None:
-        """(Re)installation hook: forget the cached globals env.
-
-        Top-level vals may read node state (``thisHost()``, clocks), so a
-        program moved to another node must re-evaluate them against the
-        new node's context instead of reading the first node's forever.
-        """
-        self._globals = None
-
-    def globals_env(self, ctx: ExecutionContext) -> Env:
-        """The environment of top-level ``val`` bindings.
-
-        Evaluated once per protocol instance, at install time — top-level
-        vals may allocate tables shared across packets.
-        """
-        if self._globals is None:
-            # Publish the (partial) environment first: a val initialiser
-            # may call a fun, whose body is evaluated against the
-            # globals env; declaration order guarantees it only reads
-            # already-bound names.
-            env = Env()
-            self._globals = env
-            for decl in self._info.program.vals:
-                env.bind(decl.name, self.eval(decl.value, env, ctx))
-        return self._globals
 
     def initial_channel_state(self, decl: ast.ChannelDecl,
                               ctx: ExecutionContext) -> object:
@@ -69,20 +55,14 @@ class Interpreter:
         from .values import default_value
 
         if decl.initstate is not None:
-            return self.eval(decl.initstate, self.globals_env(ctx), ctx)
+            return self.eval(decl.initstate, self.globals, ctx)
         return default_value(decl.channel_state_type)
 
     def run_channel(self, decl: ast.ChannelDecl, protocol_state: object,
                     channel_state: object, packet_value: tuple,
                     ctx: ExecutionContext) -> tuple[object, object]:
-        """Process one packet: returns the new ``(ps, ss)`` pair.
-
-        The global counter is looked up per invocation (not captured at
-        import) so it survives test-isolation resets; the lookup is
-        noise against the ~10µs the AST walk costs per packet.
-        """
-        GLOBAL.metrics.counter("interp.invocations_total").inc()
-        env = self.globals_env(ctx).child()
+        """Process one packet: returns the new ``(ps, ss)`` pair."""
+        env = self.globals.child()
         env.bind(decl.params[0].name, protocol_state)
         env.bind(decl.params[1].name, channel_state)
         env.bind(decl.params[2].name, packet_value)
@@ -219,7 +199,7 @@ class Interpreter:
         if name in self._info.funs:
             info = self._info.funs[name]
             args = [self.eval(a, env, ctx) for a in expr.args]
-            call_env = self.globals_env(ctx).child()
+            call_env = self.globals.child()
             for param, value in zip(info.decl.params, args):
                 call_env.bind(param.name, value)
             return self.eval(info.decl.body, call_env, ctx)

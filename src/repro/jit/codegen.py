@@ -31,7 +31,6 @@ from ..lang import ast
 from ..lang.errors import PlanPRuntimeError
 from ..lang.typechecker import ProgramInfo
 from ..interp.context import ExecutionContext
-from ..interp.env import Env
 from ..interp.interpreter import Interpreter, _sml_div
 from ..interp.primitives import INLINE_NAMES, PRIMITIVES
 from ..interp.values import UNIT, default_value
@@ -356,8 +355,9 @@ class CompiledSourceEngine:
     """A program compiled to Python source, then to CPython bytecode.
 
     When ``artifact`` is supplied (by the program cache), instantiation
-    skips emission and bytecode compilation entirely: it evaluates this
-    node's globals and ``exec``-binds the shared code object.
+    skips emission and bytecode compilation entirely: an interpreter
+    evaluates this node's globals and the shared code object is
+    ``exec``-bound over them.
     """
 
     backend_name = "source"
@@ -369,7 +369,6 @@ class CompiledSourceEngine:
             artifact = generate_source_artifact(info)
         self.artifact = artifact
         self.generated_source = artifact.generated_source
-        self._globals: dict[str, object] = {}
         self._channel_fns: dict[int, Callable] = {}
         self._init_fns: dict[int, Callable] = {}
         self._instantiate(ctx)
@@ -392,17 +391,9 @@ class CompiledSourceEngine:
     # -- per-node instantiation --------------------------------------------------
 
     def _instantiate(self, ctx: ExecutionContext) -> None:
-        # Globals are evaluated once with the interpreter (they run once,
-        # so interpreting them is what the paper's run-time system does
-        # before specialising the packet path) — per node, because they
-        # may read node state.
-        interp = Interpreter(self._info)
-        genv = Env()
-        for decl in self._info.program.vals:
-            value = interp.eval(decl.value, genv, ctx)
-            genv.bind(decl.name, value)
-            self._globals[decl.name] = value
-
+        # Per node: the interpreter evaluates the globals against this
+        # node's context, and the module reads them as constants.
+        self._globals = Interpreter(self._info, ctx).globals.bindings
         namespace = self._runtime_namespace()
         exec(self.artifact.code, namespace)
 

@@ -52,7 +52,16 @@ DEFAULT_BACKEND = "source"
 
 
 class Engine(Protocol):
-    """What a node needs to run a downloaded program."""
+    """What a node needs to run a downloaded program.
+
+    An engine is built for one node and belongs to it.  Its constructor
+    takes that node's context and evaluates the program's top-level
+    ``val``s there, once, in declaration order (every backend through
+    :class:`~repro.interp.interpreter.Interpreter`); nothing evaluates
+    them again — a rollback that restores the engine finds its globals
+    as it left them.  A ``val`` that raises fails the construction, so
+    the program is refused at install.
+    """
 
     def initial_channel_state(self, decl: ast.ChannelDecl,
                               ctx: ExecutionContext) -> object: ...
@@ -67,8 +76,9 @@ def make_engine(info: ProgramInfo, backend: str,
                 artifact: object | None = None) -> Engine:
     """Instantiate an execution engine for a checked program.
 
-    ``ctx`` is the node context used to evaluate top-level globals at
-    install time; a :class:`RecordingContext` is used when omitted.
+    ``ctx`` is the context of the node the engine is built for, which
+    its top-level ``val``s are evaluated against; a
+    :class:`RecordingContext` is used when omitted.
     ``artifact`` is an optional cached code-generation product from
     :meth:`ProgramCache.engine_artifact` for the same ``(info,
     backend)`` pair.
@@ -76,7 +86,7 @@ def make_engine(info: ProgramInfo, backend: str,
     if ctx is None:
         ctx = RecordingContext()
     if backend == "interpreter":
-        return Interpreter(info)
+        return Interpreter(info, ctx)
     if backend == "closure":
         if isinstance(artifact, ClosureEngine):
             # Node-independent program: the compiled engine is immutable

@@ -28,7 +28,6 @@ from ..lang import ast
 from ..lang.errors import PlanPRuntimeError
 from ..lang.typechecker import ProgramInfo
 from ..interp.context import ExecutionContext
-from ..interp.env import Env
 from ..interp.interpreter import Interpreter, _sml_div
 from ..interp.primitives import PRIMITIVES
 from ..interp.values import UNIT, default_value, values_equal
@@ -64,8 +63,9 @@ class _Scope:
 class ClosureEngine:
     """A program compiled to a tree of Python closures.
 
-    Construction *is* code generation: it evaluates the globals, then
-    specializes every function and channel body.  Construction time is
+    Construction *is* code generation: an interpreter built against the
+    node's context evaluates the globals, then every function and
+    channel body is specialized over them.  Construction time is
     what the Figure 3 benchmark reports for this backend.
     """
 
@@ -73,29 +73,15 @@ class ClosureEngine:
 
     def __init__(self, info: ProgramInfo, ctx: ExecutionContext):
         self._info = info
-        self._globals: dict[str, object] = {}
+        # The interpreter evaluates the globals, once, against ``ctx``;
+        # they are embedded as constants (run-time specialization).
+        self._globals = Interpreter(info, ctx).globals.bindings
         self._funs: dict[str, tuple[Callable, int, list[str]]] = {}
         self._channel_code: dict[int, tuple[Compiled, int]] = {}
         self._init_code: dict[int, tuple[Compiled, int]] = {}
-        self._compile_program(ctx)
-
-    # -- compilation ---------------------------------------------------------
-
-    def _compile_program(self, ctx: ExecutionContext) -> None:
-        # Globals are evaluated once with the interpreter (they run once,
-        # so interpreting them is what the paper's run-time system does
-        # before specialising the packet path).
-        interp = Interpreter(self._info)
-        genv = Env()
-        for decl in self._info.program.vals:
-            value = interp.eval(decl.value, genv, ctx)
-            genv.bind(decl.name, value)
-            self._globals[decl.name] = value
-
-        for name, fun in self._info.funs.items():
+        for name, fun in info.funs.items():
             self._compile_fun(name, fun.decl)
-
-        for decl in self._info.all_channels():
+        for decl in info.all_channels():
             scope = self._base_scope()
             for param in decl.params:
                 scope.add_slot(param.name)
@@ -105,6 +91,8 @@ class ClosureEngine:
                 iscope = self._base_scope()
                 init = self._compile(decl.initstate, iscope)
                 self._init_code[id(decl)] = (init, iscope.n_slots)
+
+    # -- compilation ---------------------------------------------------------
 
     def _base_scope(self) -> _Scope:
         scope = _Scope()

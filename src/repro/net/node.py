@@ -215,6 +215,21 @@ class Node:
         for hook in self.crash_hooks:
             hook()
 
+    def unless_crashed(self, packet: Packet, fn: Callable[..., None],
+                       *args: object) -> Callable[[], None]:
+        """``fn(*args)``, deferred on ``packet``'s behalf (work queued on
+        a packet layer's CPU model).  A crash powers that queue off with
+        the node: if the node has crashed in between, the packet is
+        dropped as ``node-down`` instead — even if it is back up."""
+        crashes = self.stats.crashes
+        return lambda: (fn(*args) if self.stats.crashes == crashes
+                        else self.drop_down(packet))
+
+    def drop_down(self, packet: Packet) -> None:
+        """Discard a packet because the node is (or was) down."""
+        self.stats.dropped_down += 1
+        self._drop(packet, "node-down")
+
     def restart(self) -> None:
         """Bring a crashed node back up (its interfaces re-attach to the
         same media and addresses).  Restart hooks run so services can
@@ -230,8 +245,7 @@ class Node:
 
     def receive(self, packet: Packet, iface: Interface) -> None:
         if not self.up:
-            self.stats.dropped_down += 1
-            self._drop(packet, "node-down")
+            self.drop_down(packet)
             return
         # Re-root the ambient scheduling context: the delivery event ran
         # under the sending queue's context, but everything this node
@@ -344,8 +358,7 @@ class Node:
         the layer inside the IP stack).
         """
         if not self.up:
-            self.stats.dropped_down += 1
-            self._drop(packet, "node-down")
+            self.drop_down(packet)
             return
         self.stats.sent += 1
         dst = packet.ip.dst

@@ -242,7 +242,7 @@ class NodeLifecycle:
                 and loaded.source_sha != current.loaded.source_sha):
             current.snapshot = self.layer.snapshot_program()
 
-    def on_install(self, loaded: LoadedProgram) -> None:
+    def after_install(self, loaded: LoadedProgram) -> None:
         """Any install ends a quarantine: a new generation closes the
         breaker, the running one comes back on probation."""
         current = self.current
@@ -351,7 +351,7 @@ class LifecycleManager:
                 self.nodes[node.name] = nl
                 if layer.loaded is not None:
                     # Adopt a pre-existing program as generation 1.
-                    nl.on_install(layer.loaded)
+                    nl.after_install(layer.loaded)
             out.append(nl)
         return out
 

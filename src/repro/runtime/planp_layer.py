@@ -168,18 +168,13 @@ class PlanPLayer:
             self.lifecycle.before_install(loaded)
         self._adopt(loaded, "install")
         if self.lifecycle is not None:
-            self.lifecycle.on_install(loaded)
+            self.lifecycle.after_install(loaded)
 
     def _adopt(self, loaded: LoadedProgram, action: str,
                snap: ProgramSnapshot | None = None) -> None:
         """Make ``loaded`` the running program, in its initial state or
         in the state ``snap`` captured."""
         engine = loaded.engine
-        # (Re)installation hook: an engine moved from another node must
-        # drop node-bound state (the interpreter's cached globals env).
-        on_install = getattr(engine, "on_install", None)
-        if on_install is not None:
-            on_install(self)
         channels = loaded.info.all_channels()
         if snap is None:
             self.core = DispatchCore.fresh(channels, engine, self)
@@ -247,7 +242,8 @@ class PlanPLayer:
 
         The rollback path of :mod:`repro.runtime.lifecycle`: unlike
         :meth:`install_loaded`, the protocol and channel states come
-        back exactly as the generation left them.  Lifecycle hooks are
+        back exactly as the generation left them, and so do its
+        globals: the engine is the one it ran on.  Lifecycle hooks are
         *not* re-entered — the manager that restores also bookkeeps.
         """
         self._adopt(snap.loaded, "restore", snap)
@@ -279,13 +275,8 @@ class PlanPLayer:
         """Run the channel :meth:`match` chose for an arriving packet
         (through the node's CPU model, if one is configured)."""
         if self.cpu.per_item_s > 0:
-            # A crash powers the CPU queue off with the node: work that
-            # was waiting must not run on, or be forwarded by, a node
-            # that has been down since it was queued.
-            crashes = self.node.stats.crashes
-            self.cpu.submit(lambda: self._run_one(packet, iface, hit)
-                            if self.node.stats.crashes == crashes
-                            else self._drop_down(packet))
+            self.cpu.submit(self.node.unless_crashed(
+                packet, self._run_one, packet, iface, hit))
             return
         if self.batch_size > 1 and self.core.fold is not None:
             # Tier 3: defer to the end of the current event, so several
@@ -431,11 +422,7 @@ class PlanPLayer:
         if self.node.up:
             self.node.standard_processing(packet, iface)
         else:
-            self._drop_down(packet)
-
-    def _drop_down(self, packet: Packet) -> None:
-        self.node.stats.dropped_down += 1
-        self.node._drop(packet, "node-down")
+            self.node.drop_down(packet)
 
     # -- ExecutionContext implementation ---------------------------------------------
 

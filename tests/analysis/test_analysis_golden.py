@@ -28,8 +28,7 @@ import pytest
 from repro.analysis.paths import PATH_BUDGET, program_paths
 from repro.analysis.verifier import verify_report
 from repro.analysis.wire import wire_summary
-from repro.jit.codegen import CODEGEN_REV
-from repro.jit.pipeline import make_engine
+from repro.jit.codegen import CODEGEN_REV, generate_source_artifact
 from repro.lang import VerificationError, parse, typecheck
 from tests.corpora import SHIPPED, corpus_programs, grammar_programs
 
@@ -90,7 +89,10 @@ def record(source: str) -> dict:
             dup.max_emissions_per_path],
         "paths": _paths(info),
         "wire": [wire.digest, repr(wire)],
-        "generated_source": make_engine(info, "source").generated_source,
+        # the node-independent artifact: a program whose val raises
+        # has generated source but no engine
+        "generated_source": generate_source_artifact(
+            info).generated_source,
     }
 
 

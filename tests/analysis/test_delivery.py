@@ -145,6 +145,30 @@ class TestUnhandledExceptions:
             "(OnRemote(network, p); (ps, ss))",
             "BadInt")
 
+    def test_raising_val_rejected_by_name_and_line(self):
+        rejected(
+            "val z : int = 0\n"
+            "val k : int = 10 / z\n"
+            "channel network(ps : int, ss : unit, p : ip*tcp*blob) is "
+            "(OnRemote(network, p); (ps + k, ss))",
+            r"val 'k' \(line 2\) may raise .*DivideByZero")
+
+    def test_val_calling_a_raising_fun_rejected(self):
+        rejected(
+            "fun parse(s : string) : int = stringToInt(s)\n"
+            "val n : int = parse(\"x\")\n"
+            "channel network(ps : int, ss : unit, p : ip*tcp*blob) is "
+            "(OnRemote(network, p); (ps + n, ss))",
+            "val 'n'.*BadInt")
+
+    def test_guarded_val_passes(self):
+        check_delivery(check(
+            "val z : int = 0\n"
+            "val k : int = try 10 / z handle DivideByZero => 0\n"
+            "val t : (int) hash_table = mkTable(8)\n"
+            "channel network(ps : int, ss : unit, p : ip*tcp*blob) is "
+            "(OnRemote(network, p); (ps + k, ss))"))
+
 
 def doubling_chain(depth: int, bottom: str) -> str:
     """``f_i(p) = (f_{i-1}(p); f_{i-1}(p))`` over ``f_1(p) = bottom``:

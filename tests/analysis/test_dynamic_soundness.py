@@ -67,8 +67,8 @@ def packets(draw):
 @settings(max_examples=25, deadline=None)
 def test_accepted_asps_behave_as_verified(name, batch):
     info = typecheck(parse(ASPS[name]))
-    interp = Interpreter(info)
     ctx = RecordingContext()
+    interp = Interpreter(info, ctx)
 
     channels = info.channel_overloads("network")
     states = {id(d): interp.initial_channel_state(d, ctx)

@@ -25,9 +25,9 @@ def audio_packet(fmt=FMT_STEREO16, seq=0, samples=32):
 
 def run_router(packet, *, load, bandwidth=2000, **thresholds):
     info = typecheck(parse(audio_router_asp(**thresholds)))
-    interp = Interpreter(info)
     ctx = RecordingContext(default_load=load,
                            default_bandwidth=bandwidth)
+    interp = Interpreter(info, ctx)
     decl = info.channels["network"][0]
     ss = interp.initial_channel_state(decl, ctx)
     interp.run_channel(decl, 0, ss, packet, ctx)
@@ -87,8 +87,8 @@ class TestRouterAsp:
 
     def test_non_audio_traffic_untouched(self):
         info = typecheck(parse(audio_router_asp()))
-        interp = Interpreter(info)
         ctx = RecordingContext(default_load=1800)
+        interp = Interpreter(info, ctx)
         decl = info.channels["network"][0]
         other = (IpHeader(dst=HostAddr.parse("10.0.0.2")),
                  UdpHeader(src_port=1, dst_port=53), b"dns?")
@@ -99,8 +99,8 @@ class TestRouterAsp:
 class TestClientAsp:
     def run_client(self, packet):
         info = typecheck(parse(audio_client_asp()))
-        interp = Interpreter(info)
         ctx = RecordingContext()
+        interp = Interpreter(info, ctx)
         decl = info.channels["network"][0]
         interp.run_channel(decl, 0, None, packet, ctx)
         assert len(ctx.delivered) == 1

@@ -4,9 +4,12 @@ import pytest
 
 from repro.apps.http import (BuiltinGateway, HttpClientWorker, HttpServer,
                              generate_trace)
-from repro.apps.http.server import BASE_CPU_S, PER_BYTE_CPU_S
+from repro.apps.http.server import BASE_CPU_S, HTTP_PORT, PER_BYTE_CPU_S
 from repro.apps.http.trace import MAX_SIZE, MIN_SIZE
+from repro.asps.http import http_gateway_asp
 from repro.net import Network
+from repro.net.packet import tcp_packet
+from repro.runtime import Deployment
 
 
 class TestTrace:
@@ -169,6 +172,34 @@ class TestBuiltinGateway:
         net.run(until=4.0)
         assert gateway.stats.requests_bound > bound
         assert gateway.bindings
+
+    @pytest.mark.parametrize("kind", ["builtin", "asp"])
+    def test_work_queued_before_a_crash_dies_with_the_node(self, kind):
+        """Both gateways keep their CPU queue under one crash guard: a
+        SYN still queued when the gateway crashes is dropped, not run
+        after the restart."""
+        net = Network(seed=8)
+        c, g, s = net.add_host("c"), net.add_router("g"), net.add_host("s")
+        net.link(c, g)
+        net.link(g, s)
+        net.finalize()
+        virtual = g.interfaces[0].address
+        if kind == "builtin":
+            layer = BuiltinGateway(g, virtual, [s.address])
+        else:
+            Deployment().install(
+                http_gateway_asp(str(virtual), [str(s.address)]), [g])
+            layer = g.planp
+        layer.cpu.per_item_s = 0.5
+        got, drops = [], []
+        s.receive_taps.append(lambda p, iface: got.append(p))
+        g.drop_taps.append(lambda p, reason: drops.append(reason))
+        c.ip_send(tcp_packet(c.address, virtual, 1234, HTTP_PORT, syn=True))
+        net.sim.at(0.1, g.crash)
+        net.sim.at(0.2, g.restart)
+        net.run(until=1.0)
+        assert got == []
+        assert drops == ["node-down"] and g.stats.dropped_down == 1
 
     def test_needs_at_least_one_server(self):
         net = Network(seed=1)

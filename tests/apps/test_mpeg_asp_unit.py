@@ -16,8 +16,8 @@ MONITOR = HostAddr.parse("10.0.8.8")
 class MonitorHarness:
     def __init__(self):
         info = typecheck(parse(mpeg_monitor_asp()))
-        self.interp = Interpreter(info)
         self.ctx = RecordingContext(host=MONITOR)
+        self.interp = Interpreter(info, self.ctx)
         self.tcp_chan, self.udp_chan = info.channels["network"]
         self.ps = default_value(self.tcp_chan.protocol_state_type)
         self.states = {
@@ -110,8 +110,8 @@ class TestMonitorAsp:
 class TestCaptureAsp:
     def _harness(self):
         info = typecheck(parse(mpeg_client_asp()))
-        interp = Interpreter(info)
         ctx = RecordingContext(host=CLIENT)
+        interp = Interpreter(info, ctx)
         config_chan, video_chan = info.channels["network"]
         ps = default_value(config_chan.protocol_state_type)
         return interp, ctx, config_chan, video_chan, ps

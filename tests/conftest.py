@@ -29,9 +29,9 @@ def run_packet(source: str, packet: tuple, *, ps=None, ctx=None,
 
     Returns (final_ps, final_ss, ctx)."""
     info = check(source)
-    interp = Interpreter(info)
     if ctx is None:
         ctx = RecordingContext()
+    interp = Interpreter(info, ctx)
     decl = info.channels[channel][overload]
     if ps is None:
         from repro.interp.values import default_value

@@ -69,8 +69,8 @@ class TestMicrobenchHarness:
 
         packets = make_bridge_packets()
         info = typecheck(parse(BRIDGE_ASP))
-        interp = Interpreter(info)
         ctx = _NullContext()
+        interp = Interpreter(info, ctx)
         decl = info.channels["network"][0]
         ps_asp, ss = 0, interp.initial_channel_state(decl, ctx)
         table = PlanPTable(1024)

@@ -22,11 +22,11 @@ import pytest
 from repro.fuzz import (compare_all, gen_stream, load_case, make_case,
                         minimize_case, run_case, run_trace)
 from repro.fuzz.grammar import gen_program
-from repro.fuzz.oracle import canon
+from repro.fuzz.oracle import CONTEXT_SEED, canon
 from repro.fuzz.replay import case_specs
 from repro.fuzz.streams import PacketSpec
 from repro.lang import parse, typecheck
-from repro.lang.errors import PlanPError
+from repro.lang.errors import PlanPRuntimeError
 from repro.net import Network
 from repro.runtime import PlanPLayer, dispatch
 from repro.runtime.dispatch import DispatchCore, group_runs
@@ -118,42 +118,41 @@ def test_mixed_length_burst_is_one_run_in_layer_and_oracle(monkeypatch):
 
 # -- the layer and the oracle agree, through the network ----------------------
 
-#: primitives whose value depends on which host runs them: entropy,
-#: clock, link monitors, and the node's own address
-_NODE_BOUND = re.compile(
-    r"\b(random|getTime|linkLoad|linkBandwidth|queueLen|thisHost)\(")
+#: primitives whose value depends on which host runs them: the node's
+#: own address and its link monitors.  ``random`` is not one — the
+#: router's stream is seeded as the oracle's context is — nor is
+#: ``getTime``: both sides run at time 0.
+_HOST_BOUND = re.compile(r"\b(thisHost|linkLoad|linkBandwidth|queueLen)\(")
 
 
-def _grammar_cases(count=30):
-    seed = 0
-    while count:
+def _grammar_cases(count=51):
+    for seed in range(count):
         source = gen_program(random.Random(seed))
-        if not _NODE_BOUND.search(source):
-            info = typecheck(parse(source))
-            specs = gen_stream(random.Random(seed), info, length=16)
-            yield pytest.param(source, specs, id=f"seed{seed}")
-            count -= 1
-        seed += 1
+        specs = gen_stream(random.Random(seed), typecheck(parse(source)),
+                           length=16)
+        yield pytest.param(source, specs, id=f"seed{seed}")
 
 
 def _corpus_cases():
     for path in sorted(CORPUS.glob("*.json")):
         case = load_case(path)
-        # a program that draws entropy ends in a state only its own
-        # host's stream reproduces (binop-eval-order)
-        if "random(" not in case["program"]:
-            yield pytest.param(case["program"], case_specs(case),
-                               id=path.stem)
+        yield pytest.param(case["program"], case_specs(case), id=path.stem)
 
 
 @pytest.mark.parametrize("source,specs",
                          [*_corpus_cases(), *_grammar_cases()])
 def test_layer_agrees_with_oracle_batch_trace(source, specs):
     net, r, layer = router_between()
+    r.entropy.seed(CONTEXT_SEED)  # the stream the oracle's context draws
+    info = typecheck(parse(source))
     try:
         layer.install(source, backend="closure", verify=False)
-    except PlanPError:
-        pytest.skip("program does not install")
+    except PlanPRuntimeError as err:
+        # a val raised: the oracle's engine refuses the program alike
+        trace = run_trace(info, "closure", "batch", specs)
+        assert trace.outcomes == (f"install:{err.exception_name}",)
+        assert layer.loaded is None
+        return
     channels = layer.loaded.info.all_channels()
     burst(net, r, specs)
     # the layer folded every run of two or more among the packets it
@@ -167,9 +166,11 @@ def test_layer_agrees_with_oracle_batch_trace(source, specs):
     assert layer.stats.fastpath_batches == runs
     assert runs > 0 or len(specs) == 1
 
-    trace = run_trace(typecheck(parse(source)), "closure", "batch", specs,
+    trace = run_trace(info, "closure", "batch", specs,
                       batch_size=layer.batch_size)
     assert trace.crash is None
+    if _HOST_BOUND.search(source):
+        return  # its states depend on the host it runs on
     assert canon(layer.protocol_state) == trace.ps
     assert tuple(canon(layer.channel_states[id(d)])
                  for d in channels) == trace.states

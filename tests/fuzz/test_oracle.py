@@ -91,13 +91,14 @@ class TestTraces:
         assert serial.diff(batch) is None
 
     def test_install_time_raise_is_contained(self):
-        # The closure engine evaluates top-level vals eagerly; a
+        # Every engine evaluates top-level vals when it is built; a
         # raising initializer must become an install outcome, not an
         # exception out of the oracle.
         source = "val k0 : int = 1 / 0\n" + FORWARD
-        runner = _Runner(_info(source), "closure")
-        assert runner.outcomes == ["install:DivideByZero"]
-        assert runner.crash is None
+        for backend in DEFAULT_BACKENDS:
+            runner = _Runner(_info(source), backend)
+            assert runner.outcomes == ["install:DivideByZero"], backend
+            assert runner.crash is None
 
 
 class TestCompareAll:

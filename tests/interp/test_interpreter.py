@@ -16,9 +16,8 @@ def eval_expr(source: str, expected_type=None):
     program_src = (f"val result : {expected_type or 'int'} = {source}\n"
                    f"{FORWARD_SRC}")
     info = typecheck(parse(program_src))
-    interp = Interpreter(info)
     ctx = RecordingContext()
-    return interp.globals_env(ctx).lookup("result"), ctx
+    return Interpreter(info, ctx).globals.lookup("result"), ctx
 
 
 class TestLiteralsAndOperators:
@@ -115,8 +114,7 @@ class TestBindingAndControl:
                "val result : int = try raise Mine handle Mine => 7\n"
                + FORWARD_SRC)
         info = typecheck(parse(src))
-        interp = Interpreter(info)
-        assert interp.globals_env(RecordingContext()).lookup(
+        assert Interpreter(info, RecordingContext()).globals.lookup(
             "result") == 7
 
 
@@ -125,8 +123,8 @@ class TestFunctions:
         src = ("fun double(x : int) : int = x * 2\n"
                "val result : int = double(21)\n" + FORWARD_SRC)
         info = typecheck(parse(src))
-        assert Interpreter(info).globals_env(
-            RecordingContext()).lookup("result") == 42
+        env = Interpreter(info, RecordingContext()).globals
+        assert env.lookup("result") == 42
 
     def test_fun_sees_globals_not_caller_locals(self):
         src = ("val g : int = 100\n"
@@ -134,16 +132,16 @@ class TestFunctions:
                "val result : int = let val g : int = 1 in f(1) end\n"
                + FORWARD_SRC)
         info = typecheck(parse(src))
-        assert Interpreter(info).globals_env(
-            RecordingContext()).lookup("result") == 101
+        env = Interpreter(info, RecordingContext()).globals
+        assert env.lookup("result") == 101
 
     def test_nested_fun_calls(self):
         src = ("fun inc(x : int) : int = x + 1\n"
                "fun twice(x : int) : int = inc(inc(x))\n"
                "val result : int = twice(0)\n" + FORWARD_SRC)
         info = typecheck(parse(src))
-        assert Interpreter(info).globals_env(
-            RecordingContext()).lookup("result") == 2
+        env = Interpreter(info, RecordingContext()).globals
+        assert env.lookup("result") == 2
 
 
 class TestChannelExecution:

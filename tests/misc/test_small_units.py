@@ -179,8 +179,8 @@ class TestChannelStateIsolation:
             "channel network(ps : int, ss : int, q : ip*udp*blob) is "
             "(OnRemote(network, q); (ps, ss + 100))")
         info = typecheck(parse(src))
-        interp = Interpreter(info)
         ctx = RecordingContext()
+        interp = Interpreter(info, ctx)
         tcp_decl, udp_decl = info.channels["network"]
         ps = 0
         ss_tcp = interp.initial_channel_state(tcp_decl, ctx)

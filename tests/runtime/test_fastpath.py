@@ -198,26 +198,3 @@ class TestOverloadOrder:
         layer.uninstall()
         assert layer.match(udp_packet(a.address, b.address, 1, 2,
                                       bytes(3))) is None
-
-
-class TestInterpreterGlobalsReset:
-    def test_moved_program_reevaluates_globals(self):
-        """A LoadedProgram moved to another node must re-read node state
-        in its top-level vals (thisHost), not keep the first node's."""
-        src = ("val me : host = thisHost()\n"
-               "channel network(ps : int, ss : unit, p : ip*udp*blob) is\n"
-               "  (if ipDst(#1 p) = me then (deliver(p); (ps + 1, ss))\n"
-               "   else (OnRemote(network, p); (ps, ss)))\n")
-        net = Network(seed=3)
-        a = net.add_host("a")
-        b = net.add_host("b")
-        net.link(a, b)
-        net.finalize()
-        layer_a = PlanPLayer(a)
-        loaded = layer_a.install(src, backend="interpreter")
-        env_a = loaded.engine.globals_env(layer_a)
-        assert env_a.lookup("me") == a.address
-        layer_b = PlanPLayer(b)
-        layer_b.install_loaded(loaded)
-        env_b = loaded.engine.globals_env(layer_b)
-        assert env_b.lookup("me") == b.address

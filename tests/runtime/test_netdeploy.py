@@ -2,8 +2,10 @@
 
 import time
 
+import pytest
+
 from repro.apps.http import run_http_experiment
-from repro.jit import pipeline
+from repro.jit import BACKENDS, pipeline
 from repro.jit.pipeline import DEFAULT_BACKEND, ProgramCache
 from repro.net import Network
 from repro.net.packet import tcp_packet
@@ -106,6 +108,26 @@ class TestRejection:
         xfer = manager.push(BAD, [routers[0].address], verify=False)
         net.run(until=1.0)
         assert manager.all_ok(xfer)
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_privileged_program_whose_val_raises_is_refused(self, backend):
+        net, admin, routers, endpoint, services, manager = managed_net()
+        source = (b"val z : int = 0\nval k : int = 10 / z\n"
+                  + FORWARD.encode())
+        conn = raw_push(net, admin, routers[0], b"PUSH t1 %d %s 0\n%s"
+                        % (len(source), backend.encode(), source))
+        net.run(until=1.0)
+        assert bytes(conn.received_data) == \
+            b"REJ t1 division by zero"
+        assert routers[0].planp.loaded is None
+        # traffic through the router takes standard forwarding
+        got = []
+        endpoint.delivery_taps.append(got.append)
+        for _ in range(2):
+            admin.ip_send(tcp_packet(admin.address, endpoint.address,
+                                     1, 80, b"x"))
+        net.run(until=2.0)
+        assert len(got) == 2
 
     def test_syntax_error_rejected(self):
         net, admin, routers, endpoint, services, manager = managed_net()

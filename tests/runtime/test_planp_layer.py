@@ -1,8 +1,11 @@
 """PLAN-P layer tests: installation, dispatch, emission, robustness."""
 
+import random
+
 import pytest
 
-from repro.lang import VerificationError
+from repro.jit import BACKENDS
+from repro.lang import PlanPRuntimeError, VerificationError
 from repro.net import Network
 from repro.net.addresses import HostAddr
 from repro.net.packet import tcp_packet, udp_packet
@@ -14,6 +17,31 @@ FORWARD = ("channel network(ps : int, ss : unit, p : ip*tcp*blob) is "
 COUNTING_UDP = (
     "channel network(ps : int, ss : unit, p : ip*udp*blob) is "
     "(OnRemote(network, p); (ps + 1, ss))")
+
+
+#: a table kept in a val: its size counts the packets run since install
+TABLE_COUNTER = """
+val seen : (int) hash_table = mkTable(8)
+channel network(ps : int, ss : unit, p : ip*udp*blob) is
+  (tableSet(seen, ps, 1); OnRemote(network, p); (tableSize(seen), ss))
+"""
+
+#: a val calling a fun that reads an earlier val
+VAL_CALLS_FUN = """
+val a : int = random(1000000)
+fun f(x : int) : int = x + a
+val b : int = f(1)
+channel network(ps : int, ss : int, p : ip*udp*blob) initstate a is
+  (OnRemote(network, p); (b - a, ss))
+"""
+
+#: type checks, but its second val raises when evaluated
+RAISING_VAL = """
+val z : int = 0
+val k : int = 10 / z
+channel network(ps : int, ss : unit, p : ip*udp*blob) is
+  (OnRemote(network, p); (ps + k, ss))
+"""
 
 
 def router_between():
@@ -381,3 +409,58 @@ class TestCrashedNodeDoesNotForward:
         assert got == [] and drops == ["node-down"] * 3
         assert r.stats.dropped_down == 3
         assert layer.stats.packets_processed == 0
+
+
+class TestProgramGlobals:
+    """Every engine evaluates a program's top-level vals once, when it
+    is built for its node, into the environment its funs read."""
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_rollback_restores_the_globals_it_left(self, backend):
+        net, a, r, b, layer = router_between()
+        layer.install(TABLE_COUNTER, backend=backend)
+        for _ in range(3):
+            a.ip_send(udp_packet(a.address, b.address, 1, 2, b"x"))
+        net.run()
+        assert layer.protocol_state == 3
+        snap = layer.snapshot_program()
+        layer.install(COUNTING_UDP, backend=backend)
+        layer.restore_program(snap)
+        a.ip_send(udp_packet(a.address, b.address, 1, 2, b"x"))
+        net.run()
+        # the restored engine's table is the one the three filled
+        assert layer.protocol_state == 4
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_a_val_calling_a_fun_reads_the_one_evaluation(self, backend):
+        net, a, r, b, layer = router_between()
+        reference = random.Random()
+        reference.setstate(r.entropy.getstate())
+        layer.install(VAL_CALLS_FUN, backend=backend)
+        # one draw, at install, from the node's own stream
+        drawn = reference.randrange(1000000)
+        assert list(layer.channel_states.values()) == [drawn]
+        assert r.entropy.getstate() == reference.getstate()
+        a.ip_send(udp_packet(a.address, b.address, 1, 2, b"x"))
+        net.run()
+        assert layer.protocol_state == 1
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_a_raising_val_refuses_the_program(self, backend):
+        net, a, r, b, layer = router_between()
+        with pytest.raises(PlanPRuntimeError, match="division by zero"):
+            layer.install(RAISING_VAL, backend=backend, verify=False)
+        assert layer.loaded is None and layer.manifest is None
+        got = []
+        b.delivery_taps.append(got.append)
+        for _ in range(2):
+            a.ip_send(udp_packet(a.address, b.address, 1, 2, b"x"))
+        net.run()  # standard forwarding: nothing leaks out of receive
+        assert len(got) == 2 and layer.stats.runtime_errors == 0
+
+    def test_the_verifier_refuses_a_raising_val(self):
+        net, a, r, b, layer = router_between()
+        with pytest.raises(VerificationError, match="val 'k'") as err:
+            layer.install(RAISING_VAL)
+        assert err.value.analysis == "delivery"
+        assert layer.loaded is None
