@@ -17,6 +17,7 @@ from typing import Callable
 from ...asps.audio import (AUDIO_PORT, FMT_MONO16, FMT_MONO8, FMT_STEREO16,
                            audio_client_asp, audio_router_asp)
 from ...experiments.result import ExperimentResult
+from ...net.packet import UdpHeader
 from ...net.topology import Network
 from ...obs import Observability
 from ...runtime.deployment import Deployment
@@ -49,8 +50,6 @@ class _WireTap:
         self._buckets: dict[int, tuple[int, dict[int, int]]] = {}
 
     def on_packet(self, packet, iface) -> None:
-        from ...net.packet import UdpHeader
-
         if packet.ip.dst != self._group:
             return
         if not (isinstance(packet.transport, UdpHeader)

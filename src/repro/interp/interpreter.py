@@ -32,10 +32,11 @@ class Interpreter:
 
     Construction evaluates the program's top-level ``val``s, once, in
     declaration order, against ``ctx`` — the context of the node the
-    program is installed on — into :attr:`globals`, the environment
-    every ``fun`` and channel body reads.  A ``val`` initialiser may
-    call a ``fun`` declared before it; one that raises refuses the
-    program.  This is the one place ``val``s are evaluated: the JITs
+    program is installed on, or any context when the globals are static
+    and the engine serves every node — into :attr:`globals`, the
+    environment every ``fun`` and channel body reads.  A ``val``
+    initialiser may call a ``fun`` declared before it; one that raises
+    refuses the program.  This is the one place ``val``s are evaluated: the JITs
     build an interpreter and embed its globals as constants.
     """
 

@@ -6,7 +6,7 @@ The CPython analogue is to emit Python source for each channel and
 ``fun``, then hand it to the built-in ``compile()`` — the host compiler
 plays gcc's role and CPython bytecode plays the role of the machine-code
 templates.  Like the closure backend, code generation happens at program
-download time, per node, and embeds resolved primitive references.
+download time and embeds resolved primitive references.
 
 The translation is statement-based A-normal form: every PLAN-P
 expression becomes a Python expression where possible, with ``if``/
@@ -15,8 +15,10 @@ expression becomes a Python expression where possible, with ``if``/
 Emission and bytecode compilation depend only on the checked program,
 not on the downloading node, so they are split out as a
 :class:`SourceArtifact` that the content-addressed program cache
-(:mod:`repro.jit.pipeline`) shares across nodes; only global-``val``
-evaluation and the final ``exec`` happen per node.
+(:mod:`repro.jit.pipeline`) shares across nodes; when a ``val`` reads
+the node, only global-``val`` evaluation and the final ``exec`` happen
+per node, and when the globals are static the cache shares the whole
+engine.
 """
 
 from __future__ import annotations
@@ -356,7 +358,7 @@ class CompiledSourceEngine:
 
     When ``artifact`` is supplied (by the program cache), instantiation
     skips emission and bytecode compilation entirely: an interpreter
-    evaluates this node's globals and the shared code object is
+    evaluates the globals against ``ctx`` and the shared code object is
     ``exec``-bound over them.
     """
 
@@ -391,8 +393,8 @@ class CompiledSourceEngine:
     # -- per-node instantiation --------------------------------------------------
 
     def _instantiate(self, ctx: ExecutionContext) -> None:
-        # Per node: the interpreter evaluates the globals against this
-        # node's context, and the module reads them as constants.
+        # The interpreter evaluates the globals against ``ctx``, and the
+        # module reads them as constants.
         self._globals = Interpreter(self._info, ctx).globals.bindings
         namespace = self._runtime_namespace()
         exec(self.artifact.code, namespace)

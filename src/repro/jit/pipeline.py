@@ -13,14 +13,15 @@ verify (the four safety analyses) → code generation.
 
 The paper pays the front half of that pipeline once per *download*; a
 deployment that pushes one ASP to N nodes therefore re-parses,
-re-checks, re-verifies and partly re-compiles identical source N times.
+re-checks, re-verifies and re-compiles identical source N times.
 :class:`ProgramCache` removes the redundancy: keyed by
 ``sha256(source)`` it shares the checked :class:`ProgramInfo` and the
 verification verdict across nodes, and per ``(sha256, backend)`` it
-shares whatever code-generation output is node-independent (the
-``source`` backend's emitted module + bytecode; the whole ``closure``
-engine when the program has no node-dependent globals).  Per-node work
-shrinks to evaluating globals and instantiating engine state.
+shares code generation under one rule: a program whose globals are
+static (:attr:`ProgramInfo.static_globals`: no ``val`` calls anything)
+compiles to one engine that every node runs, on every backend; a
+program whose globals read the node gets an engine per node, the
+``source`` backend's over a shared module and bytecode.
 """
 
 from __future__ import annotations
@@ -54,13 +55,18 @@ DEFAULT_BACKEND = "source"
 class Engine(Protocol):
     """What a node needs to run a downloaded program.
 
-    An engine is built for one node and belongs to it.  Its constructor
-    takes that node's context and evaluates the program's top-level
-    ``val``s there, once, in declaration order (every backend through
+    An engine holds compiled code and the program's globals, never a
+    node's protocol or channel state: the state is passed in and
+    returned, and the node keeps it.  Its constructor takes a context
+    and evaluates the program's top-level ``val``s there, once, in
+    declaration order (every backend through
     :class:`~repro.interp.interpreter.Interpreter`); nothing evaluates
     them again — a rollback that restores the engine finds its globals
     as it left them.  A ``val`` that raises fails the construction, so
-    the program is refused at install.
+    the program is refused at install.  When the globals are static the
+    context is immaterial and one engine serves every node
+    (:meth:`ProgramCache.engine_artifact`); otherwise the engine is
+    built for one node, against that node's context, and belongs to it.
     """
 
     def initial_channel_state(self, decl: ast.ChannelDecl,
@@ -74,29 +80,31 @@ class Engine(Protocol):
 def make_engine(info: ProgramInfo, backend: str,
                 ctx: ExecutionContext | None = None,
                 artifact: object | None = None) -> Engine:
-    """Instantiate an execution engine for a checked program.
+    """An execution engine for a checked program.
 
-    ``ctx`` is the context of the node the engine is built for, which
-    its top-level ``val``s are evaluated against; a
-    :class:`RecordingContext` is used when omitted.
-    ``artifact`` is an optional cached code-generation product from
-    :meth:`ProgramCache.engine_artifact` for the same ``(info,
-    backend)`` pair.
+    ``artifact`` is what :meth:`ProgramCache.engine_artifact` returned
+    for the same ``(info, backend)`` pair: a static program's engine,
+    which is returned as it is — every node runs that one object — or
+    the ``source`` backend's shared module, which a new engine binds.
+    Otherwise the engine is built here, for the node whose context
+    ``ctx`` is (a :class:`RecordingContext` when omitted): its
+    top-level ``val``s are evaluated against it.
     """
+    if artifact is not None and not isinstance(artifact, SourceArtifact):
+        return artifact  # type: ignore[return-value]
     if ctx is None:
         ctx = RecordingContext()
+    return _build_engine(info, backend, ctx, artifact)
+
+
+def _build_engine(info: ProgramInfo, backend: str, ctx: ExecutionContext,
+                  artifact: SourceArtifact | None) -> Engine:
     if backend == "interpreter":
         return Interpreter(info, ctx)
     if backend == "closure":
-        if isinstance(artifact, ClosureEngine):
-            # Node-independent program: the compiled engine is immutable
-            # after construction and shareable as-is.
-            return artifact
         return ClosureEngine(info, ctx)
     if backend == "source":
-        src_artifact = artifact if isinstance(artifact, SourceArtifact) \
-            else None
-        return CompiledSourceEngine(info, ctx, artifact=src_artifact)
+        return CompiledSourceEngine(info, ctx, artifact=artifact)
     raise ValueError(f"unknown backend {backend!r}; pick from {BACKENDS}")
 
 
@@ -139,8 +147,10 @@ class ProgramCache:
     Entries are keyed by the SHA-256 of the source text, so identical
     programs shipped under different names or to different nodes share
     one front-end pass; diagnostics on shared entries carry the source
-    name of the first download.  :data:`MAX_ENTRIES` bounds each
-    internal map (FIFO eviction).
+    name of the first download.  Code generation is shared per
+    ``(digest, backend)`` under one rule (:meth:`engine_artifact`): a
+    program with static globals has one engine, whichever node asks.
+    :data:`MAX_ENTRIES` bounds each internal map (FIFO eviction).
     """
 
     def __init__(self):
@@ -237,17 +247,21 @@ class ProgramCache:
 
     def engine_artifact(self, key: str, info: ProgramInfo,
                         backend: str) -> object | None:
-        """The shareable part of code generation for ``backend``.
-
-        Returns ``None`` (and counts nothing) for backends with no
-        node-independent product: the interpreter compiles nothing, and
-        a ``closure`` program with top-level ``val``s embeds node state
-        as constants, so it must be re-specialized per node.
+        """The part of code generation for ``backend`` that every node
+        can share, built on the first ask: for a program with static
+        globals the engine itself (built against a
+        :class:`RecordingContext` its ``val``s never read); otherwise
+        the ``source`` backend's module and bytecode, which each node's
+        engine binds over its own globals, and ``None`` (nothing
+        counted) for the engines built whole per node.
         """
-        if backend == "source":
+        if backend not in BACKENDS:
+            return None
+        if info.static_globals:
+            build = lambda: _build_engine(  # noqa: E731
+                info, backend, RecordingContext(), None)
+        elif backend == "source":
             build = lambda: generate_source_artifact(info)  # noqa: E731
-        elif backend == "closure" and not info.program.vals:
-            build = lambda: ClosureEngine(info, RecordingContext())  # noqa: E731
         else:
             return None
         # CODEGEN_REV keys out artifacts emitted by an older generator
@@ -324,8 +338,9 @@ def load_program(source: str, *, backend: str = DEFAULT_BACKEND,
 
     Downloads are content-addressed: identical source already seen by
     ``cache`` (default: the process-wide :data:`PROGRAM_CACHE`) skips
-    parsing, type checking, verification, and the node-independent part
-    of code generation; only per-node engine instantiation remains.
+    parsing, type checking, verification and the shareable part of code
+    generation — all of it when the globals are static, when the node
+    gets the cached engine itself.
     A caller that loads one source on many nodes passes the digest
     (``key``) and ``count_source_lines`` result it already has.
     """

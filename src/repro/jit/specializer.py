@@ -13,7 +13,9 @@ Python closure with every static decision already taken —
 * primitive and user-function bindings are resolved to direct callables;
 * top-level ``val`` globals are evaluated at compile time and embedded as
   constants (run-time specialization: compilation happens at program
-  download, per node, exactly as in the paper).
+  download, as in the paper — per node when a ``val`` reads the node,
+  once for every node when the globals are static; see
+  :meth:`repro.jit.pipeline.ProgramCache.engine_artifact`).
 
 The module mirrors :mod:`repro.interp.interpreter` case-for-case;
 ``tests/jit/test_coverage.py`` fails if a new AST node is handled by one
@@ -64,9 +66,11 @@ class ClosureEngine:
     """A program compiled to a tree of Python closures.
 
     Construction *is* code generation: an interpreter built against the
-    node's context evaluates the globals, then every function and
-    channel body is specialized over them.  Construction time is
-    what the Figure 3 benchmark reports for this backend.
+    given context evaluates the globals, then every function and
+    channel body is specialized over them.  The engine keeps no node
+    state, so one built over static globals serves every node.
+    Construction time is what the Figure 3 benchmark reports for this
+    backend.
     """
 
     backend_name = "closure"

@@ -54,6 +54,13 @@ class ProgramInfo:
     exceptions: set[str] = field(default_factory=set)
     #: channel name -> declarations (several for overloaded ``network``)
     channels: dict[str, list[ast.ChannelDecl]] = field(default_factory=dict)
+    #: are the top-level ``val``s *static* — every initialiser built from
+    #: literals, operators and earlier ``val``s, with no call to a
+    #: primitive or ``fun``?  Then they read nothing of a node (no
+    #: ``thisHost()``, ``random``, ``mkTable``) and hold nothing mutable,
+    #: so they evaluate the same everywhere and one engine serves every
+    #: node (:meth:`repro.jit.pipeline.ProgramCache.engine_artifact`).
+    static_globals: bool = True
 
     def channel_overloads(self, name: str) -> list[ast.ChannelDecl]:
         return self.channels.get(name, [])
@@ -108,6 +115,9 @@ class TypeChecker:
         self._info = ProgramInfo(program)
         #: functions visible so far (enforces declaration-order calls)
         self._visible_funs: dict[str, FunInfo] = {}
+        #: calls checked so far: a ``val`` whose check adds one is not
+        #: static (:attr:`ProgramInfo.static_globals`)
+        self._calls = 0
 
     # -- program ----------------------------------------------------------------
 
@@ -177,6 +187,7 @@ class TypeChecker:
     def _check_val(self, decl: ast.ValDecl, scope: _Scope) -> None:
         if decl.name in self._info.vals:
             raise TypeCheckError(f"duplicate val {decl.name!r}", decl.pos)
+        calls = self._calls
         actual = self._expr(decl.value, scope)
         if not T.compatible(decl.declared, actual):
             raise TypeCheckError(
@@ -184,6 +195,8 @@ class TypeChecker:
                 f"initialiser has type {actual}", decl.pos)
         scope.bind(decl.name, decl.declared)
         self._info.vals[decl.name] = decl.declared
+        if self._calls != calls:
+            self._info.static_globals = False
 
     def _check_exception(self, decl: ast.ExceptionDecl) -> None:
         if decl.name in self._info.exceptions:
@@ -386,6 +399,7 @@ class TypeChecker:
         return t.elems[expr.index - 1]
 
     def _expr_Call(self, expr: ast.Call, scope: _Scope) -> T.Type:
+        self._calls += 1
         if expr.func in EMISSION_PRIMS:
             return self._check_emission(expr, scope)
         if expr.func in self._visible_funs:

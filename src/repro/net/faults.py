@@ -21,7 +21,13 @@ Fault model:
   :class:`repro.runtime.netdeploy.DeploymentService` replays it on
   restart.
 * **Partition** — every medium spanning two of the given node groups
-  goes down; :meth:`FaultController.heal` restores exactly those media.
+  goes down; :meth:`FaultController.heal` lifts it.
+
+A medium is down for one or more reasons — the operator's
+(:meth:`~FaultController.link_down`) and a partition's — and up exactly
+when none is left: :meth:`~FaultController.heal` lifts only the
+partition, :meth:`~FaultController.link_up` only the operator's, so
+neither undoes the other.
 
 Every injected fault and recovery is appended to :attr:`FaultController.log`
 as ``(sim_time, description)`` so drills are observable after the run.
@@ -37,6 +43,9 @@ from .routing import compute_routes
 if TYPE_CHECKING:
     from .node import Node
     from .topology import Network
+
+#: why a medium is down: the operator took it down, or a partition cut it
+OPERATOR, PARTITION = "operator", "partition"
 
 
 class _PoisonedEngine:
@@ -74,8 +83,9 @@ class FaultController:
         self.net = net
         #: (sim_time, description) per injected fault / recovery
         self.log: list[tuple[float, str]] = []
-        #: media taken down by :meth:`partition`, restored by :meth:`heal`
-        self._partitioned: list[Medium] = []
+        #: medium -> the reasons it is down (:data:`OPERATOR`,
+        #: :data:`PARTITION`); a medium is up exactly when it has none
+        self._down: dict[Medium, set[str]] = {}
         #: routing recomputations performed
         self.reconvergences = 0
 
@@ -83,20 +93,21 @@ class FaultController:
 
     def link_down(self, medium: Medium) -> None:
         """Take a link or segment down; traffic sent on it is dropped
-        until :meth:`link_up`.  Routing reconverges around it."""
-        if not medium.up:
+        until :meth:`link_up`, whatever :meth:`heal` does meanwhile.
+        Routing reconverges around it."""
+        if OPERATOR in self._down.get(medium, ()):
             return
-        medium.up = False
+        moved = self._hold(medium, OPERATOR, True)
         self._note(f"link down {medium.name or id(medium)}")
-        self.recompute_routes()
+        if moved:
+            self.recompute_routes()
 
     def link_up(self, medium: Medium) -> None:
-        """Restore a downed link or segment and reconverge routing."""
-        if medium.up:
-            return
-        medium.up = True
-        self._note(f"link up {medium.name or id(medium)}")
-        self.recompute_routes()
+        """Lift the operator's :meth:`link_down`; the medium comes back,
+        and routing reconverges, unless a partition still cuts it."""
+        if self._hold(medium, OPERATOR, False):
+            self._note(f"link up {medium.name or id(medium)}")
+            self.recompute_routes()
 
     # -- node faults ------------------------------------------------------------
 
@@ -135,24 +146,35 @@ class FaultController:
         for medium in self.net.media:
             sides = {index[id(iface.node)] for iface in medium.interfaces
                      if id(iface.node) in index}
-            if len(sides) >= 2 and medium.up:
-                medium.up = False
+            if len(sides) >= 2 and self._hold(medium, PARTITION, True):
                 cut.append(medium)
-                self._partitioned.append(medium)
         self._note(f"partition cut {len(cut)} media")
         self.recompute_routes()
         return cut
 
     def heal(self) -> None:
-        """Undo :meth:`partition`: restore exactly the media it cut."""
+        """Undo :meth:`partition`: the media it cut come back, except
+        those the operator has taken down."""
         restored = 0
-        while self._partitioned:
-            medium = self._partitioned.pop()
-            if not medium.up:
-                medium.up = True
-                restored += 1
+        for medium, reasons in self._down.items():
+            if PARTITION in reasons:
+                restored += self._hold(medium, PARTITION, False)
         self._note(f"heal restored {restored} media")
         self.recompute_routes()
+
+    def _hold(self, medium: Medium, reason: str, down: bool) -> bool:
+        """Add (``down``) or lift one reason for ``medium`` to be down
+        and set it up exactly when none is left; whether it moved."""
+        reasons = self._down.setdefault(medium, set())
+        if down:
+            reasons.add(reason)
+        else:
+            reasons.discard(reason)
+        up = not reasons
+        if medium.up == up:
+            return False
+        medium.up = up
+        return True
 
     # -- ASP faults -------------------------------------------------------------
 

@@ -119,8 +119,9 @@ def matches(packet: Packet, packet_type: T.TupleType) -> bool:
 
 
 class DispatchPlan:
-    """One channel overload's :class:`Layout` plus its compiled
-    decoders, computed once (at install time) instead of per packet.
+    """One packet type's :class:`Layout` plus its compiled decoders,
+    computed once (:func:`dispatch_plan`) instead of per packet or per
+    install.
 
     A packet matches iff its transport header is an instance of
     ``transport_cls`` and ``admits`` its payload length; ``decode`` then
@@ -217,8 +218,7 @@ def _compile_decoder(lay: Layout):
 
 
 #: (transport, views) -> compiled decoder.  A decoder depends on nothing
-#: else, and a deployment asks for the same few layouts once per
-#: overload, per node, per install.
+#: else, and programs share the same few layouts.
 _DECODERS: dict[tuple, object] = {}
 
 
@@ -234,14 +234,28 @@ def make_decoder(packet_type: T.TupleType):
     return decoder
 
 
+#: packet type -> its plan (or None).  A plan is immutable but for the
+#: batch decoder it compiles on first use, so every overload of that
+#: type, on every node and in every install, shares one.
+_PLANS: dict[T.TupleType, DispatchPlan | None] = {}
+
+
 def dispatch_plan(packet_type: T.TupleType) -> DispatchPlan | None:
     """The precomputed matcher+decoder for a channel's packet type, or
-    ``None`` if the layout is malformed (such a channel never matches)."""
+    ``None`` if the layout is malformed (such a channel never matches);
+    one plan per packet type, however often it is asked for."""
+    try:
+        return _PLANS[packet_type]
+    except KeyError:
+        pass
     try:
         lay = layout(packet_type)
     except CodecError:
-        return None
-    return DispatchPlan(lay, make_decoder(packet_type))
+        plan = None
+    else:
+        plan = DispatchPlan(lay, make_decoder(packet_type))
+    _PLANS[packet_type] = plan
+    return plan
 
 
 class BatchDecoder:

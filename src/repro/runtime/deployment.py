@@ -1,15 +1,17 @@
 """ASP deployment management (paper §5's "protocol management").
 
 ``Deployment`` verifies a program once, then installs it on any number of
-nodes — routers and end hosts alike — compiling per node (the paper's
-run-time specialization happens at each downloading node).  Each install
+nodes — routers and end hosts alike.  The paper's run-time
+specialization happens at download: per node when the program's globals
+read the node, once for all of them when they are static.  Each install
 returns a record with the verification report, so operators can audit
 why a program was accepted or rejected.
 
 All front-end work goes through the content-addressed
 :class:`~repro.jit.pipeline.ProgramCache`: an N-node install parses,
 type checks and verifies the source exactly once, and per node only the
-node-dependent remainder of compilation runs.  The record keeps the
+node-dependent remainder of compilation runs (none, for static
+globals: every node gets the one engine).  The record keeps the
 cache hit/miss delta so operators can see the amortization.
 """
 

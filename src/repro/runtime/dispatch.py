@@ -10,6 +10,8 @@ oracle (:mod:`repro.fuzz.pairs`) off one.
   class), built once per install, lists the overloads declared for that
   class in declaration order; the first whose layout admits the payload
   length takes the packet, otherwise the packet is not the program's.
+  An install builds only its :class:`Hit` objects: each packet type's
+  :class:`~repro.runtime.codec.DispatchPlan` is built once and shared.
 * **Grouping** — :func:`group_runs`: a burst splits into maximal runs of
   consecutive packets that hit the same overload, capped.
 * **Execution** — a run of one is one :meth:`DispatchCore.run_one`

@@ -95,6 +95,8 @@ class DeploymentService:
         self.node = node
         self.port = port
         self.installed: list[str] = []
+        #: (transfer id, reason) per refused push, and (source digest,
+        #: reason) per restart whose manifest would not reinstall
         self.rejected: list[tuple[str, str]] = []
         #: source digests re-installed from the layer's manifest after
         #: restarts
@@ -194,7 +196,10 @@ class DeploymentService:
     def _on_restart(self) -> None:
         """Re-install what the layer's manifest says this node should
         run — through the content-addressed program cache, so the
-        re-verify and code generation are warm."""
+        re-verify and code generation are warm.  A program whose
+        globals read the node can still refuse (a ``val`` that divides
+        by a ``random`` draw): the refusal is counted and evented, and
+        the manifest stays, so the next restart tries again."""
         layer = self.node.planp
         assert layer is not None
         program = layer.manifest
@@ -204,7 +209,12 @@ class DeploymentService:
             layer.install(program.source, backend=program.backend,
                           verify=program.verified,
                           source_name="<manifest>")
-        except PlanPError:  # pragma: no cover - verdicts are cached
+        except PlanPError as err:
+            self.rejected.append((program.source_sha, err.message))
+            self.net.obs.events.emit("deploy", node=self.node.name,
+                                     action="reject",
+                                     sha=program.source_sha,
+                                     reason=err.message)
             return
         self.reinstalled.append(program.source_sha)
         self.net.obs.events.emit("deploy", node=self.node.name,

@@ -198,6 +198,53 @@ class TestPartition:
         assert send_one(net, a, b) == 1
 
 
+def line():
+    """a -- r -- b."""
+    net = Network(seed=3)
+    a, r, b = net.add_host("a"), net.add_router("r"), net.add_host("b")
+    net.link(a, r)
+    rb = net.link(r, b)
+    net.finalize()
+    return net, a, r, b, rb
+
+
+class TestDownReasons:
+    """A medium is down while the operator or a partition holds it
+    down; heal lifts only the partition, link_up only the operator."""
+
+    def test_heal_keeps_a_link_the_operator_took_down(self):
+        net, a, r, b, rb = line()
+        net.faults.partition([a, r], [b])
+        net.faults.link_down(rb)
+        net.faults.heal()
+        assert not rb.up
+        assert f"link down {rb.name}" in [t for _, t in net.faults.log]
+        assert send_one(net, a, b) == 0
+        net.faults.link_up(rb)
+        assert rb.up and send_one(net, a, b) == 1
+
+    def test_operator_down_then_partition_then_heal(self):
+        net, a, r, b, rb = line()
+        net.faults.link_down(rb)
+        net.faults.partition([a, r], [b])
+        net.faults.heal()
+        assert not rb.up
+        net.faults.link_up(rb)
+        assert rb.up and send_one(net, a, b) == 1
+
+    def test_link_up_does_not_undo_a_partition(self):
+        net, a, r, b, rb = line()
+        net.faults.partition([a, r], [b])
+        net.faults.link_down(rb)
+        net.faults.link_up(rb)
+        assert not rb.up and send_one(net, a, b) == 0
+        net.faults.heal()
+        assert rb.up and send_one(net, a, b) == 1
+        assert [t for _, t in net.faults.log] == [
+            "partition cut 1 media", f"link down {rb.name}",
+            "heal restored 1 media"]
+
+
 class TestScriptedTimeline:
     def test_scripted_crash_and_restart(self):
         net, a, r1, r2, b, _links = diamond()

@@ -319,3 +319,39 @@ class TestHostClock:
         fast = record()
         self.slow_host(monkeypatch)
         assert record() == fast
+
+
+#: installs unverified, then refuses on about half of its reinstalls:
+#: its second val divides by a draw from the node's stream
+FLAKY_VAL = """
+val d : int = random(2)
+val x : int = 10 / d
+channel network(ps : int, ss : unit, p : ip*udp*blob) is
+  (OnRemote(network, p); (ps + x, ss))
+"""
+
+
+class TestRestartRefusal:
+    def test_a_restart_that_cannot_reinstall_is_counted_and_evented(self):
+        net = Network(seed=0)
+        a, r, b = net.add_host("a"), net.add_router("r"), net.add_host("b")
+        net.link(a, r)
+        net.link(r, b)
+        net.finalize()
+        service = DeploymentService(net, r)
+        r.planp.install(FLAKY_VAL, verify=False)
+        sha = ProgramCache.digest(FLAKY_VAL)
+        for _ in range(6):
+            net.faults.crash(r)
+            net.faults.restart(r)
+            # the manifest survives either way: the next restart retries
+            assert r.planp.manifest.source_sha == sha
+        # every restart either runs the program again or says why not
+        refused = [(sha, "division by zero")] * (6 - len(service.reinstalled))
+        assert service.rejected == refused and refused
+        assert net.obs.snapshot()["deploy.service.r.rejected"] \
+            == len(refused)
+        events = [e.data for e in net.obs.events.filter(kind="deploy")
+                  if e.data.get("action") == "reject"]
+        assert events == [{"action": "reject", "sha": sha,
+                           "reason": "division by zero"}] * len(refused)

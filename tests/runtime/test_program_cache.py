@@ -3,10 +3,12 @@ per-node engine instantiation, shared artifacts where safe."""
 
 import pytest
 
+from repro import asps
 from repro.asps.mpeg import mpeg_monitor_asp
-from repro.jit import pipeline
+from repro.jit import BACKENDS, pipeline
 from repro.jit.pipeline import MAX_ENTRIES, ProgramCache
-from repro.lang import ParseError, VerificationError
+from repro.lang import ParseError, VerificationError, parse
+from repro.lang.typechecker import typecheck
 from repro.net import Network
 from repro.net.packet import tcp_packet
 from repro.runtime import Deployment
@@ -228,3 +230,199 @@ class TestNetDeployCache:
     def test_hits_cover_all_but_the_first_of_16_routers(self):
         # a shipped ASP this time: the Figure 3 connection monitor
         self._assert_one_cold_install(16, mpeg_monitor_asp())
+
+
+#: static globals: a literal and an operator over an earlier val; each
+#: node's channel state is a table of its own, filled per packet
+STATIC_TABLE = """
+val base : int = 3
+val step : int = base - 2
+channel network(ps : int, ss : (int) hash_table, p : ip*tcp*blob)
+  initstate mkTable(8) is
+  (tableSet(ss, tableSize(ss), ps); OnRemote(network, p); (ps + step, ss))
+"""
+
+#: node-dependent globals, one program per way a val reads the node;
+#: each makes the val the channel's initial state or counts through it
+NODE_DEPENDENT = {
+    "thisHost": """
+val me : host = thisHost()
+channel network(ps : int, ss : host, p : ip*tcp*blob) initstate me is
+  (OnRemote(network, p); (ps + 1, ss))
+""",
+    "random": """
+val draw : int = random(1000000)
+channel network(ps : int, ss : int, p : ip*tcp*blob) initstate draw is
+  (OnRemote(network, p); (ps + 1, ss))
+""",
+    "mkTable": """
+val seen : (int) hash_table = mkTable(8)
+channel network(ps : int, ss : unit, p : ip*tcp*blob) is
+  (tableSet(seen, tableSize(seen), 1); OnRemote(network, p);
+   (tableSize(seen), ss))
+""",
+    "fun": """
+fun here(x : int) : host = thisHost()
+val me : host = here(0)
+channel network(ps : int, ss : host, p : ip*tcp*blob) initstate me is
+  (OnRemote(network, p); (ps + 1, ss))
+""",
+}
+
+
+def send(net, a, b, n):
+    for _ in range(n):
+        a.ip_send(tcp_packet(a.address, b.address, 1, 80, b"x"))
+    net.run()
+
+
+class TestStaticGlobals:
+    """One engine per (program, backend) when no val calls anything;
+    what is a node's — protocol and channel state, a poisoned wrapper,
+    a rollback — stays the node's."""
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_static_program_is_one_engine_on_every_node(self, backend):
+        n = 4
+        net, a, routers, b = chain(n)
+        cache = ProgramCache()
+        Deployment(cache=cache).install(STATIC_TABLE, routers,
+                                        backend=backend)
+        assert cache.stats.engine_misses == 1
+        assert cache.stats.engine_hits == n - 1
+        assert len({id(r.planp.engine) for r in routers}) == 1
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_nodes_keep_their_own_state(self, backend):
+        net, a, routers, b = chain(3)
+        deployment = Deployment(cache=ProgramCache())
+        deployment.install(STATIC_TABLE, routers, backend=backend)
+        send(net, a, b, 3)
+        r0, r1, r2 = routers
+        # a fresh install on r0 alone: same engine, fresh state
+        deployment.install(STATIC_TABLE, [r0], backend=backend)
+        assert r0.planp.engine is r1.planp.engine
+        send(net, a, b, 1)
+        assert r0.planp.protocol_state == 1
+        assert r1.planp.protocol_state == r2.planp.protocol_state == 4
+        tables = [next(iter(r.planp.channel_states.values()))
+                  for r in routers]
+        assert len({id(t) for t in tables}) == 3
+        assert [len(t) for t in tables] == [1, 4, 4]
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_poisoning_one_node_leaves_the_others_clean(self, backend):
+        net, a, routers, b = chain(2)
+        Deployment(cache=ProgramCache()).install(STATIC_TABLE, routers,
+                                                 backend=backend)
+        r0, r1 = routers
+        shared = r1.planp.engine
+        net.faults.poison_asp(r0, every=1)
+        send(net, a, b, 2)
+        assert r0.planp.stats.runtime_errors == 2
+        assert r1.planp.stats.runtime_errors == 0
+        assert r1.planp.protocol_state == 2
+        assert r1.planp.engine is shared and r0.planp.engine.inner is shared
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_rollback_on_one_node_restores_that_node_only(self, backend):
+        net, a, routers, b = chain(2)
+        deployment = Deployment(cache=ProgramCache())
+        deployment.install(STATIC_TABLE, routers, backend=backend)
+        send(net, a, b, 2)
+        r0, r1 = routers
+        snap = r0.planp.snapshot_program()
+        deployment.install(FORWARD, [r0], backend=backend)
+        send(net, a, b, 1)
+        r0.planp.restore_program(snap)
+        assert r0.planp.engine is r1.planp.engine
+        assert r0.planp.protocol_state == 2
+        assert r1.planp.protocol_state == 3
+        send(net, a, b, 1)
+        assert r0.planp.protocol_state == 3
+        assert r1.planp.protocol_state == 4
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    @pytest.mark.parametrize("reads", sorted(NODE_DEPENDENT))
+    def test_node_dependent_globals_get_an_engine_per_node(self, backend,
+                                                           reads):
+        n = 3
+        net, a, routers, b = chain(n)
+        Deployment(cache=ProgramCache()).install(
+            NODE_DEPENDENT[reads], routers, backend=backend)
+        assert len({id(r.planp.engine) for r in routers}) == n
+        send(net, a, b, 2)
+        states = [next(iter(r.planp.channel_states.values()))
+                  for r in routers]
+        if reads in ("thisHost", "fun"):
+            assert states == [r.address for r in routers]
+        # each node's table counted its own two packets
+        assert [r.planp.protocol_state for r in routers] == [2] * n
+
+
+def test_nodes_share_dispatch_plans_not_hits():
+    """A packet type's plan is built once; each node's core has hits of
+    its own over it."""
+    net, a, routers, b = chain(3)
+    Deployment(cache=ProgramCache()).install(NODE_DEPENDENT["thisHost"],
+                                             routers)
+    hits = [next(iter(r.planp.core.hits.values())) for r in routers]
+    assert len({id(hit) for hit in hits}) == 3
+    assert len({id(hit.plan) for hit in hits}) == 1
+
+
+def shipped_templates() -> dict[str, str]:
+    """Every template of :mod:`repro.asps`, at its default arguments
+    (the required ones filled in)."""
+    return {
+        "audio_router_asp": asps.audio_router_asp(),
+        "audio_client_asp": asps.audio_client_asp(),
+        "http_gateway_asp": asps.http_gateway_asp(
+            "10.0.0.100", ["10.0.1.2", "10.0.2.2"]),
+        "mpeg_monitor_asp": asps.mpeg_monitor_asp(),
+        "mpeg_client_asp": asps.mpeg_client_asp(),
+        "link_compressor_asp": asps.link_compressor_asp(app_port=7000),
+        "link_decompressor_asp": asps.link_decompressor_asp(
+            app_port=7000),
+        "content_filter_asp": asps.content_filter_asp(
+            "blocked", "10.0.3.2"),
+        "image_distiller_asp": asps.image_distiller_asp(),
+        "firewall_asp": asps.firewall_asp([23, 135, 445]),
+        "shedding_asp": asps.shedding_asp(),
+    }
+
+
+class TestShippedTemplates:
+    """The traffic the sharing rule serves: every shipped ASP."""
+
+    def test_every_template_has_static_globals(self):
+        templates = shipped_templates()
+        assert set(templates) == {name for name in asps.__all__
+                                  if name.endswith("_asp")}
+        dynamic = [name for name, source in templates.items()
+                   if not typecheck(parse(source)).static_globals]
+        assert dynamic == []
+
+    def test_an_install_builds_one_engine_per_template_and_backend(
+            self, monkeypatch):
+        built = []
+        for name in ("Interpreter", "ClosureEngine",
+                     "CompiledSourceEngine"):
+            cls = getattr(pipeline, name)
+            monkeypatch.setattr(
+                pipeline, name,
+                lambda *args, _cls=cls, **kwargs:
+                    built.append(_cls) or _cls(*args, **kwargs))
+        net, a, routers, b = chain(4)
+        accepted = 0
+        for source in shipped_templates().values():
+            for backend in BACKENDS:
+                try:
+                    Deployment(cache=ProgramCache()).install(
+                        source, routers, backend=backend)
+                except VerificationError:
+                    continue
+                accepted += 1
+                assert len({id(r.planp.engine) for r in routers}) == 1
+        assert accepted == 9 * 3
+        assert len(built) == accepted
