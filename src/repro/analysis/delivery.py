@@ -23,10 +23,7 @@ from dataclasses import dataclass
 from ..lang import ast
 from ..lang.errors import VerificationError
 from ..lang.typechecker import ProgramInfo
-from ..interp.primitives import PRIMITIVES
-
-#: Operators that can raise at run time.
-_PARTIAL_OPS = {"/": "DivideByZero", "mod": "DivideByZero"}
+from ..interp.primitives import OPERATORS, PRIMITIVES
 
 
 @dataclass
@@ -84,12 +81,14 @@ class DeliveryAnalysis:
                     out |= body - {node.exn}
                 stack.append(node.handler)
                 continue
-            if kind is ast.BinOp and node.op in _PARTIAL_OPS:
+            if kind is ast.BinOp:
+                entry = OPERATORS[2].get(node.op)
                 # A literal non-zero divisor cannot raise.
                 divisor = node.right
-                if not (isinstance(divisor, ast.IntLit)
-                        and divisor.value != 0):
-                    out.add(_PARTIAL_OPS[node.op])
+                if (entry is not None and entry.raises is not None
+                        and not (isinstance(divisor, ast.IntLit)
+                                 and divisor.value != 0)):
+                    out.add(entry.raises[0])
             elif kind is ast.Call:
                 func = node.func
                 prim = PRIMITIVES.get(func)

@@ -32,6 +32,7 @@ from ..lang import ast
 from ..lang import types as T
 from ..lang.errors import VerificationError
 from ..lang.typechecker import ProgramInfo
+from ..interp.primitives import OPERATORS, Operator
 from ..net.addresses import HostAddr
 
 #: Maximum number of paths enumerated per channel before the analysis
@@ -158,6 +159,21 @@ _TRANSFERRED = frozenset({
 #: Expressions whose abstraction is TOP and that branch nowhere.
 _OPAQUE = frozenset({ast.BoolLit, ast.StringLit, ast.CharLit, ast.UnitLit,
                      ast.Raise})
+
+
+def _operator_value(entry: Operator | None, lval: AbsVal,
+                    rval: AbsVal) -> AbsVal:
+    """A binary operator's abstraction: an int operator that cannot
+    raise is folded through its value function when both operands are
+    known; ``andalso``/``orelse`` (``entry`` None) and every non-int
+    operator are TOP."""
+    if entry is None or entry.operands != "int":
+        return TOP
+    if (entry.raises is None and isinstance(lval, AbsInt)
+            and isinstance(rval, AbsInt) and lval.value is not None
+            and rval.value is not None):
+        return AbsInt(entry.value(lval.value, rval.value))
+    return AbsInt(None)
 
 
 # -- path state ---------------------------------------------------------------
@@ -356,11 +372,11 @@ class PathWalker:
             # a terminal with no further emissions is sound.
             return [(TOP, state)]
         if kind is ast.BinOp:
-            op = expr.op
+            entry = OPERATORS[2].get(expr.op)
             out: _Paths = []
             for (lval, rval), st in self._values((expr.left, expr.right),
                                                  env, state, depth):
-                out.append((self._binop_value(op, lval, rval), st))
+                out.append((_operator_value(entry, lval, rval), st))
             return out
         if kind is ast.UnOp:
             out = []
@@ -425,23 +441,6 @@ class PathWalker:
                     after.append(st2)
             states = after
         return states
-
-    @staticmethod
-    def _binop_value(op: str, lval: AbsVal, rval: AbsVal) -> AbsVal:
-        if op in ("+", "-", "*", "/", "mod"):
-            if (isinstance(lval, AbsInt) and isinstance(rval, AbsInt)
-                    and lval.value is not None and rval.value is not None):
-                try:
-                    if op == "+":
-                        return AbsInt(lval.value + rval.value)
-                    if op == "-":
-                        return AbsInt(lval.value - rval.value)
-                    if op == "*":
-                        return AbsInt(lval.value * rval.value)
-                except OverflowError:  # pragma: no cover
-                    return AbsInt(None)
-            return AbsInt(None)
-        return TOP
 
     def _walk_if(self, expr: ast.If, env: dict[str, AbsVal], state: _State,
                  depth: int) -> _Paths:

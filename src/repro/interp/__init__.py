@@ -7,7 +7,7 @@ from .env import Env
 from .interpreter import Interpreter
 from .primitives import PRIMITIVES, Primitive, register
 from .values import (UNIT, PlanPList, PlanPTable, conforms, default_value,
-                     format_value, values_equal)
+                     format_value)
 
 __all__ = [
     "Emission",
@@ -24,5 +24,4 @@ __all__ = [
     "conforms",
     "default_value",
     "format_value",
-    "values_equal",
 ]

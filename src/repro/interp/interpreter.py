@@ -6,6 +6,9 @@ interpreter: a straightforward environment-passing AST walker.  The JIT
 specialisation case per evaluation case below, and a test
 (`tests/jit/test_coverage.py`) asserts the two stay in sync, reproducing
 the paper's "evolve the interpreter, regenerate the specializer" claim.
+Operators are not cases: each is defined once, in
+:data:`~repro.interp.primitives.OPERATORS`, which every backend reads
+(`test_coverage.py` also holds that table to the parser).
 
 New functionality is debugged here first (paper §1: "new functionalities
 can be tested within the interpreter, as long as good performance is not
@@ -23,8 +26,8 @@ from .context import ExecutionContext
 if TYPE_CHECKING:  # avoid a cycle: typechecker imports the primitives
     from ..lang.typechecker import ProgramInfo
 from .env import Env
-from .primitives import PRIMITIVES
-from .values import UNIT, values_equal
+from .primitives import OPERATORS, PRIMITIVES
+from .values import UNIT
 
 
 class Interpreter:
@@ -100,10 +103,8 @@ class Interpreter:
         if kind is ast.BinOp:
             return self._eval_binop(expr, env, ctx)
         if kind is ast.UnOp:
-            operand = self.eval(expr.operand, env, ctx)
-            if expr.op == "not":
-                return not operand
-            return -operand  # type: ignore[operator]
+            return OPERATORS[1][expr.op].value(
+                self.eval(expr.operand, env, ctx))
         if kind is ast.If:
             if self.eval(expr.cond, env, ctx):
                 return self.eval(expr.then, env, ctx)
@@ -147,41 +148,13 @@ class Interpreter:
         if op == "orelse":
             return (self.eval(expr.left, env, ctx)
                     or self.eval(expr.right, env, ctx))
+        entry = OPERATORS[2][op]
         left = self.eval(expr.left, env, ctx)
         right = self.eval(expr.right, env, ctx)
-        if op == "+":
-            return left + right  # type: ignore[operator]
-        if op == "-":
-            return left - right  # type: ignore[operator]
-        if op == "*":
-            return left * right  # type: ignore[operator]
-        if op == "/":
-            if right == 0:
-                raise PlanPRuntimeError("division by zero", expr.pos,
-                                        exception_name="DivideByZero")
-            return _sml_div(left, right)  # type: ignore[arg-type]
-        if op == "mod":
-            if right == 0:
-                raise PlanPRuntimeError("mod by zero", expr.pos,
-                                        exception_name="DivideByZero")
-            return left % right  # type: ignore[operator]
-        if op == "^":
-            return left + right  # type: ignore[operator]
-        if op == "=":
-            return values_equal(left, right)
-        if op == "<>":
-            return not values_equal(left, right)
-        if op == "<":
-            return left < right  # type: ignore[operator]
-        if op == ">":
-            return left > right  # type: ignore[operator]
-        if op == "<=":
-            return left <= right  # type: ignore[operator]
-        if op == ">=":
-            return left >= right  # type: ignore[operator]
-        if op == "::":
-            return right.cons(left)  # type: ignore[union-attr]
-        raise TypeError(f"unknown operator {op!r}")
+        if entry.raises is not None and right == 0:
+            exn, message = entry.raises
+            raise PlanPRuntimeError(message, expr.pos, exception_name=exn)
+        return entry.value(left, right)
 
     def _eval_call(self, expr: ast.Call, env: Env,
                    ctx: ExecutionContext) -> object:
@@ -207,12 +180,3 @@ class Interpreter:
         prim = PRIMITIVES[name]
         args = [self.eval(a, env, ctx) for a in expr.args]
         return prim.impl(ctx, args)
-
-
-def _sml_div(left: int, right: int) -> int:
-    """Integer division truncating toward zero (C semantics, matching the
-    paper's C interpreter) rather than Python's floor division."""
-    q = abs(left) // abs(right)
-    if (left < 0) != (right < 0):
-        return -q
-    return q

@@ -9,6 +9,12 @@ expression template, pastes the expression its implementation is
 derived from), reproducing the "extend the interpreter, then
 regenerate the specializer" workflow.
 
+The operators are defined the same way, once each, in :data:`OPERATORS`:
+an operand class the type checker reads, a value function the
+interpreter and the closure backend call, a template the source backend
+pastes, and the raise rule of ``/`` and ``mod`` that every backend and
+the delivery analysis read.
+
 The emission primitives ``OnRemote`` and ``OnNeighbor`` are *not* in this
 registry: their first argument is a channel name, not a value, so the
 type checker, interpreter, specializer and analyses treat them as syntax
@@ -18,6 +24,7 @@ type checker, interpreter, specializer and analyses treat them as syntax
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import Callable
 
@@ -32,12 +39,32 @@ from .values import UNIT, PlanPList, PlanPTable, format_value
 TypeRule = Callable[[list[T.Type], SourcePos], T.Type]
 Impl = Callable[[ExecutionContext, list[object]], object]
 
-#: What an ``inline=`` template may name besides its arguments and the
-#: Python builtins; the source backend puts the same names in the
-#: namespace of every generated module.
+
+def sml_div(left: int, right: int) -> int:
+    """Integer division truncating toward zero (C semantics, matching the
+    paper's C interpreter) rather than Python's floor division."""
+    q = abs(left) // abs(right)
+    if (left < 0) != (right < 0):
+        return -q
+    return q
+
+
+def c_mod(left: int, right: int) -> int:
+    """The remainder of :func:`sml_div`: zero or the sign of ``left``
+    (C semantics), so ``(a / b) * b + a mod b = a``."""
+    rem = left % right  # Python's floor remainder has the sign of right
+    if rem and (left < 0) != (right < 0):
+        return rem - right
+    return rem
+
+
+#: What an ``inline=`` or operator template may name besides its
+#: arguments and the Python builtins; the source backend puts the same
+#: names in the namespace of every generated module.
 INLINE_NAMES: dict[str, object] = {
     "IpHeader": IpHeader, "TcpHeader": TcpHeader, "UdpHeader": UdpHeader,
-    "PlanPList": PlanPList, "PlanPTable": PlanPTable}
+    "PlanPList": PlanPList, "PlanPTable": PlanPTable,
+    "sml_div": sml_div, "c_mod": c_mod}
 
 #: Names of channel-argument emission primitives, special-cased everywhere.
 EMISSION_PRIMS = ("OnRemote", "OnNeighbor")
@@ -93,6 +120,56 @@ def register(name: str, type_rule: TypeRule, impl: Impl | None = None, *,
     PRIMITIVES[name] = Primitive(name, type_rule, impl, may_raise=may_raise,
                                  is_exit=is_exit, effectful=effectful,
                                  inline=inline)
+
+
+@dataclass(frozen=True)
+class Operator:
+    """One operator, as every consumer reads it."""
+
+    #: what the type checker asks of the operands: one of
+    #: :data:`repro.lang.typechecker.OPERAND_CLASSES`
+    operands: str
+    #: the result, over operands already evaluated left to right
+    value: Callable[..., object]
+    #: the source backend's expression over atomic operands ``{0}``, ``{1}``
+    template: str
+    #: ``(exception, message)`` raised, before ``value`` runs, when the
+    #: right operand is zero
+    raises: tuple[str, str] | None = None
+
+
+#: Every operator the parser produces, by arity, then text: unary minus
+#: is ``OPERATORS[1]["-"]``.  ``andalso``/``orelse`` are not here:
+#: whether their right operand runs at all is control flow, an AST case
+#: of each backend.
+OPERATORS: dict[int, dict[str, Operator]] = {
+    2: {
+        "+": Operator("int", operator.add, "({0} + {1})"),
+        "-": Operator("int", operator.sub, "({0} - {1})"),
+        "*": Operator("int", operator.mul, "({0} * {1})"),
+        "/": Operator("int", sml_div, "sml_div({0}, {1})",
+                      raises=("DivideByZero", "division by zero")),
+        "mod": Operator("int", c_mod, "c_mod({0}, {1})",
+                        raises=("DivideByZero", "mod by zero")),
+        "^": Operator("string", operator.add, "({0} + {1})"),
+        # Python ``==`` is PLAN-P structural equality: the type checker
+        # admits only equality types, and each is represented by a
+        # value (int, bool, str, bytes, HostAddr, UNIT, tuple,
+        # PlanPList) whose ``==`` compares structure.
+        "=": Operator("equality", operator.eq, "({0} == {1})"),
+        "<>": Operator("equality", operator.ne, "({0} != {1})"),
+        "<": Operator("ordered", operator.lt, "({0} < {1})"),
+        ">": Operator("ordered", operator.gt, "({0} > {1})"),
+        "<=": Operator("ordered", operator.le, "({0} <= {1})"),
+        ">=": Operator("ordered", operator.ge, "({0} >= {1})"),
+        "::": Operator("cons", lambda head, tail: tail.cons(head),
+                       "{1}.cons({0})"),
+    },
+    1: {
+        "not": Operator("bool", operator.not_, "(not {0})"),
+        "-": Operator("int", operator.neg, "(-{0})"),
+    },
+}
 
 
 def _raise(exn: str, message: str) -> PlanPRuntimeError:

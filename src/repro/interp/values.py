@@ -242,11 +242,3 @@ def conforms(value: object, ty: T.Type) -> bool:
                 and all(conforms(v, ty.elem) for v in value.items))
     return False
 
-
-def values_equal(a: object, b: object) -> bool:
-    """PLAN-P structural equality (``=``).
-
-    The type checker guarantees both operands share an equality type, so a
-    plain ``==`` is sound for every representation we use.
-    """
-    return a == b

@@ -33,26 +33,15 @@ from ..lang import ast
 from ..lang.errors import PlanPRuntimeError
 from ..lang.typechecker import ProgramInfo
 from ..interp.context import ExecutionContext
-from ..interp.interpreter import Interpreter, _sml_div
-from ..interp.primitives import INLINE_NAMES, PRIMITIVES
+from ..interp.interpreter import Interpreter
+from ..interp.primitives import INLINE_NAMES, OPERATORS, PRIMITIVES
 from ..interp.values import UNIT, default_value
 from ..net.addresses import HostAddr
 
 #: Bumped whenever the shape of the generated code changes (new entry
 #: points, different lowering), so the content-addressed program cache
 #: never serves artifacts emitted by an older generator.
-CODEGEN_REV = 6
-
-_SIMPLE_BINOPS = {
-    "+": "+",
-    "-": "-",
-    "*": "*",
-    "<": "<",
-    ">": ">",
-    "<=": "<=",
-    ">=": ">=",
-    "^": "+",
-}
+CODEGEN_REV = 7
 
 
 def _planp_raise(exn: str, message: str) -> PlanPRuntimeError:
@@ -223,9 +212,7 @@ class _CodeGenerator:
             return self._binop(em, expr)
         if kind is ast.UnOp:
             operand = self._pinned(em, expr.operand)
-            if expr.op == "not":
-                return f"(not {operand})"
-            return f"(-{operand})"
+            return OPERATORS[1][expr.op].template.format(operand)
         if kind is ast.If:
             cond = self._expr(em, expr.cond)
             out = self._fresh()
@@ -300,28 +287,18 @@ class _CodeGenerator:
             em.emit(f"{out} = {right}")
             em.pop()
             return out
+        entry = OPERATORS[2][op]
         left = self._pinned(em, expr.left)
         right = self._pinned(em, expr.right)
-        if op in _SIMPLE_BINOPS:
-            return f"({left} {_SIMPLE_BINOPS[op]} {right})"
-        # ``=``/``<>`` are ``values_equal``, which is ``==`` on every
-        # representation an equality type has
-        if op == "=":
-            return f"({left} == {right})"
-        if op == "<>":
-            return f"({left} != {right})"
-        if op in ("/", "mod"):
-            message = ("division by zero" if op == "/" else "mod by zero")
+        if entry.raises is not None:
+            exn, message = entry.raises
             em.emit(f"if {right} == 0:")
             em.push()
-            em.emit(f"planp_raise('DivideByZero', {message!r})")
+            em.emit(f"planp_raise({exn!r}, {message!r})")
             em.pop()
-            if op == "/":
-                return f"sml_div({left}, {right})"
-            return f"({left} % {right})"
-        if op == "::":
-            return f"{right}.cons({left})"
-        raise TypeError(f"unknown operator {op!r}")
+        # The operands are atomic, so the template evaluates each once,
+        # in order, as the interpreter does.
+        return entry.template.format(left, right)
 
     def _call(self, em: _Emitter, expr: ast.Call) -> str:
         name = expr.func
@@ -409,7 +386,6 @@ class CompiledSourceEngine:
         global constants and the small run-time support surface."""
         namespace: dict[str, object] = {
             "UNIT": UNIT,
-            "sml_div": _sml_div,
             "planp_raise": _planp_raise,
             "PlanPRuntimeError": PlanPRuntimeError,
             **INLINE_NAMES,

@@ -19,7 +19,9 @@ Python closure with every static decision already taken —
 
 The module mirrors :mod:`repro.interp.interpreter` case-for-case;
 ``tests/jit/test_coverage.py`` fails if a new AST node is handled by one
-and not the other.
+and not the other.  Operators are not mirrored: the interpreter and
+this module read each one's value function and raise rule from
+:data:`~repro.interp.primitives.OPERATORS`.
 """
 
 from __future__ import annotations
@@ -30,9 +32,9 @@ from ..lang import ast
 from ..lang.errors import PlanPRuntimeError
 from ..lang.typechecker import ProgramInfo
 from ..interp.context import ExecutionContext
-from ..interp.interpreter import Interpreter, _sml_div
-from ..interp.primitives import PRIMITIVES
-from ..interp.values import UNIT, default_value, values_equal
+from ..interp.interpreter import Interpreter
+from ..interp.primitives import OPERATORS, PRIMITIVES
+from ..interp.values import UNIT, default_value
 from ..net.addresses import HostAddr
 
 #: A compiled expression: (frame, ctx) -> value.
@@ -189,9 +191,8 @@ class ClosureEngine:
             return self._compile_binop(expr, scope)  # type: ignore[arg-type]
         if kind is ast.UnOp:
             operand = self._compile(expr.operand, scope)  # type: ignore[attr-defined]
-            if expr.op == "not":  # type: ignore[attr-defined]
-                return lambda frame, ctx: not operand(frame, ctx)
-            return lambda frame, ctx: -operand(frame, ctx)  # type: ignore[operator]
+            unary = OPERATORS[1][expr.op].value  # type: ignore[attr-defined]
+            return lambda frame, ctx: unary(operand(frame, ctx))
         if kind is ast.If:
             cond = self._compile(expr.cond, scope)  # type: ignore[attr-defined]
             then = self._compile(expr.then, scope)  # type: ignore[attr-defined]
@@ -256,49 +257,22 @@ class ClosureEngine:
             return lambda f, c: left(f, c) and right(f, c)
         if op == "orelse":
             return lambda f, c: left(f, c) or right(f, c)
-        if op == "+":
-            return lambda f, c: left(f, c) + right(f, c)  # type: ignore[operator]
-        if op == "-":
-            return lambda f, c: left(f, c) - right(f, c)  # type: ignore[operator]
-        if op == "*":
-            return lambda f, c: left(f, c) * right(f, c)  # type: ignore[operator]
-        if op in ("/", "mod"):
-            pos = expr.pos
-            message = "division by zero" if op == "/" else "mod by zero"
+        entry = OPERATORS[2][op]
+        value = entry.value
+        if entry.raises is None:
+            # Python evaluates call arguments left to right.
+            return lambda f, c: value(left(f, c), right(f, c))
+        exn, message = entry.raises
+        pos = expr.pos
 
-            def run_div(f: list, c: ExecutionContext) -> object:
-                # left first, as written: both sides may have effects
-                dividend = left(f, c)
-                divisor = right(f, c)
-                if divisor == 0:
-                    raise PlanPRuntimeError(
-                        message, pos, exception_name="DivideByZero")
-                if op == "/":
-                    return _sml_div(dividend, divisor)  # type: ignore[arg-type]
-                return dividend % divisor  # type: ignore[operator]
+        def run_partial(f: list, c: ExecutionContext) -> object:
+            dividend = left(f, c)
+            divisor = right(f, c)
+            if divisor == 0:
+                raise PlanPRuntimeError(message, pos, exception_name=exn)
+            return value(dividend, divisor)
 
-            return run_div
-        if op == "^":
-            return lambda f, c: left(f, c) + right(f, c)  # type: ignore[operator]
-        if op == "=":
-            return lambda f, c: values_equal(left(f, c), right(f, c))
-        if op == "<>":
-            return lambda f, c: not values_equal(left(f, c), right(f, c))
-        if op == "<":
-            return lambda f, c: left(f, c) < right(f, c)  # type: ignore[operator]
-        if op == ">":
-            return lambda f, c: left(f, c) > right(f, c)  # type: ignore[operator]
-        if op == "<=":
-            return lambda f, c: left(f, c) <= right(f, c)  # type: ignore[operator]
-        if op == ">=":
-            return lambda f, c: left(f, c) >= right(f, c)  # type: ignore[operator]
-        if op == "::":
-            def run_cons(f: list, c: ExecutionContext) -> object:
-                head = left(f, c)  # head before list, as written
-                return right(f, c).cons(head)  # type: ignore[union-attr]
-
-            return run_cons
-        raise TypeError(f"unknown operator {op!r}")
+        return run_partial
 
     def _compile_let(self, expr: ast.Let, scope: _Scope) -> Compiled:
         inner = scope.clone()

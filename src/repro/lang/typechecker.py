@@ -28,11 +28,9 @@ from dataclasses import dataclass, field
 from . import ast
 from . import types as T
 from .errors import SourcePos, TypeCheckError
-from ..interp.primitives import BUILTIN_EXCEPTIONS, EMISSION_PRIMS, PRIMITIVES
+from ..interp.primitives import (BUILTIN_EXCEPTIONS, EMISSION_PRIMS,
+                                 OPERATORS, PRIMITIVES)
 
-_ARITH_OPS = ("+", "-", "*", "/", "mod")
-_CMP_OPS = ("<", ">", "<=", ">=")
-_EQ_OPS = ("=", "<>")
 _BOOL_OPS = ("andalso", "orelse")
 _ORDERED_TYPES = (T.INT, T.STRING, T.CHAR)
 
@@ -86,6 +84,14 @@ def _join(a: T.Type, b: T.Type, pos: SourcePos, what: str) -> T.Type:
     if isinstance(a, T.ListType) and isinstance(b, T.ListType):
         return T.ListType(_join(a.elem, b.elem, pos, what))
     return a
+
+
+#: The operand classes of :data:`~repro.interp.primitives.OPERATORS`
+#: that name one type: every operand, and the result, has it.
+_ONE_TYPE = {"int": T.INT, "string": T.STRING, "bool": T.BOOL}
+
+#: Every operand class :meth:`TypeChecker._expr_BinOp` has a rule for.
+OPERAND_CLASSES = (*_ONE_TYPE, "equality", "ordered", "cons")
 
 
 class _Scope:
@@ -297,60 +303,54 @@ class TypeChecker:
         lt = self._expr(expr.left, scope)
         rt = self._expr(expr.right, scope)
         op = expr.op
-        if op in _ARITH_OPS:
-            if not (T.compatible(T.INT, lt) and T.compatible(T.INT, rt)):
+        entry = OPERATORS[2].get(op)
+        if entry is not None:
+            operands = entry.operands
+        elif op in _BOOL_OPS:
+            operands = "bool"
+        else:
+            raise TypeCheckError(f"unknown operator {op!r}", expr.pos)
+        ty = _ONE_TYPE.get(operands)
+        if ty is not None:
+            if T.compatible(ty, lt) and T.compatible(ty, rt):
+                return ty
+            raise TypeCheckError(
+                f"operator {op!r} needs {ty} operands, got {lt} and {rt}",
+                expr.pos)
+        if operands == "cons":
+            if not isinstance(rt, T.ListType):
                 raise TypeCheckError(
-                    f"operator {op!r} needs int operands, got {lt} and {rt}",
-                    expr.pos)
-            return T.INT
-        if op == "^":
-            if not (T.compatible(T.STRING, lt)
-                    and T.compatible(T.STRING, rt)):
-                raise TypeCheckError(
-                    f"operator '^' needs string operands, got {lt} and {rt}",
-                    expr.pos)
-            return T.STRING
-        if op in _BOOL_OPS:
-            if not (T.compatible(T.BOOL, lt) and T.compatible(T.BOOL, rt)):
-                raise TypeCheckError(
-                    f"operator {op!r} needs bool operands, got {lt} and {rt}",
-                    expr.pos)
-            return T.BOOL
-        if op in _EQ_OPS:
-            joined = _join(lt, rt, expr.pos, f"operands of {op!r}")
+                    f"'::' needs a list right operand, got {rt}", expr.pos)
+            return T.ListType(_join(lt, rt.elem, expr.pos, "cons operands"))
+        joined = _join(lt, rt, expr.pos, f"operands of {op!r}")
+        if operands == "equality":
             if not T.is_equality_type(joined):
                 raise TypeCheckError(
                     f"type {joined} does not admit equality", expr.pos)
             return T.BOOL
-        if op in _CMP_OPS:
-            joined = _join(lt, rt, expr.pos, f"operands of {op!r}")
-            if joined not in _ORDERED_TYPES and not isinstance(
-                    joined, T.AnyType):
-                raise TypeCheckError(
-                    f"operator {op!r} needs int, string or char operands, "
-                    f"got {joined}", expr.pos)
-            return T.BOOL
-        if op == "::":
-            if not isinstance(rt, T.ListType):
-                raise TypeCheckError(
-                    f"'::' needs a list right operand, got {rt}", expr.pos)
-            elem = _join(lt, rt.elem, expr.pos, "cons operands")
-            return T.ListType(elem)
-        raise TypeCheckError(f"unknown operator {op!r}", expr.pos)
+        # "ordered"
+        if joined not in _ORDERED_TYPES and not isinstance(joined,
+                                                           T.AnyType):
+            raise TypeCheckError(
+                f"operator {op!r} needs int, string or char operands, "
+                f"got {joined}", expr.pos)
+        return T.BOOL
 
     def _expr_UnOp(self, expr: ast.UnOp, scope: _Scope) -> T.Type:
         t = self._expr(expr.operand, scope)
-        if expr.op == "not":
-            if not T.compatible(T.BOOL, t):
-                raise TypeCheckError(f"'not' needs a bool, got {t}",
-                                     expr.pos)
-            return T.BOOL
-        if expr.op == "-":
-            if not T.compatible(T.INT, t):
-                raise TypeCheckError(f"unary '-' needs an int, got {t}",
-                                     expr.pos)
-            return T.INT
-        raise TypeCheckError(f"unknown unary operator {expr.op!r}", expr.pos)
+        entry = OPERATORS[1].get(expr.op)
+        if entry is None:
+            raise TypeCheckError(f"unknown unary operator {expr.op!r}",
+                                 expr.pos)
+        ty = _ONE_TYPE[entry.operands]
+        if not T.compatible(ty, t):
+            # unary '-' is told apart from binary '-'
+            what = (f"unary {expr.op!r}" if expr.op in OPERATORS[2]
+                    else repr(expr.op))
+            article = "an" if ty == T.INT else "a"
+            raise TypeCheckError(f"{what} needs {article} {ty}, got {t}",
+                                 expr.pos)
+        return ty
 
     def _expr_If(self, expr: ast.If, scope: _Scope) -> T.Type:
         cond = self._expr(expr.cond, scope)

@@ -293,10 +293,6 @@ class Rollout:
     #: health-window extensions granted to silent canaries
     extensions: int = 0
 
-    @property
-    def decided(self) -> bool:
-        return self.state in (RolloutState.PROMOTED, RolloutState.ABORTED)
-
 
 class LifecycleManager:
     """Operates ASPs across one network: rollout, quarantine, rollback."""

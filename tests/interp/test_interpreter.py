@@ -4,7 +4,7 @@ import pytest
 
 from repro.interp import Interpreter, RecordingContext
 from repro.interp.env import Env
-from repro.interp.interpreter import _sml_div
+from repro.interp.primitives import sml_div
 from repro.interp.values import PlanPList
 from repro.lang import PlanPRuntimeError, parse, typecheck
 
@@ -34,12 +34,17 @@ class TestLiteralsAndOperators:
         assert eval_expr("7 / (0 - 2)")[0] == -3
 
     def test_sml_div_helper(self):
-        assert _sml_div(-7, 2) == -3
-        assert _sml_div(7, -2) == -3
-        assert _sml_div(-7, -2) == 3
+        assert sml_div(-7, 2) == -3
+        assert sml_div(7, -2) == -3
+        assert sml_div(-7, -2) == 3
 
     def test_mod(self):
         assert eval_expr("10 mod 3")[0] == 1
+
+    def test_mod_truncates_toward_zero(self):
+        # the remainder of the truncating ``/``: the sign of the dividend
+        assert eval_expr("(0 - 7) mod 2")[0] == -1
+        assert eval_expr("7 mod (0 - 2)")[0] == 1
 
     def test_division_by_zero_raises(self):
         with pytest.raises(PlanPRuntimeError) as err:

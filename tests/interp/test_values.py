@@ -2,8 +2,9 @@
 
 import pytest
 
+from repro.interp.primitives import OPERATORS
 from repro.interp.values import (UNIT, PlanPList, PlanPTable, conforms,
-                                 default_value, format_value, values_equal)
+                                 default_value, format_value)
 from repro.lang import types as T
 from repro.net.addresses import HostAddr
 from repro.net.packet import IpHeader, TcpHeader, UdpHeader
@@ -160,5 +161,9 @@ class TestFormatValue:
         assert format_value(b"abcd") == "<blob 4B>"
 
     def test_values_equal_structural(self):
-        assert values_equal((1, "a"), (1, "a"))
-        assert not values_equal((1,), (2,))
+        equal = OPERATORS[2]["="].value
+        assert equal((1, "a"), (1, "a"))
+        assert not equal((1,), (2,))
+        assert equal(PlanPList((1, 2)), PlanPList((1, 2)))
+        assert equal(HostAddr.parse("10.0.0.1"), HostAddr.parse("10.0.0.1"))
+        assert equal(UNIT, UNIT)

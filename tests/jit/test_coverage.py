@@ -5,15 +5,18 @@ regenerating the specializer keeps them in sync.  This test enforces the
 analogue mechanically — every AST node type the interpreter evaluates
 must be handled by both JIT backends (by source inspection), so adding a
 construct to one layer without the others fails CI rather than diverging
-silently.
+silently.  Operators are not mirrored but defined once, in ``OPERATORS``;
+the table must hold every operator the parser produces, each with an
+operand class the type checker has a rule for.
 """
 
 import inspect
 
 from repro import jit
 from repro.interp import interpreter
+from repro.interp.primitives import OPERATORS
 from repro.jit import codegen, specializer
-from repro.lang import ast
+from repro.lang import ast, parser, typechecker
 
 #: Every expression node of the language.
 EXPR_NODES = [
@@ -74,3 +77,18 @@ def test_children_covers_every_composite_node():
 
 def test_backend_registry():
     assert set(jit.BACKENDS) == {"interpreter", "closure", "source"}
+
+
+def test_operator_table_is_the_grammar():
+    """An operator the parser produces but the table lacks would fail
+    only at run time, with ``unknown operator``."""
+    binary = {op for op, _level in parser._BINARY.values()}
+    assert binary == set(OPERATORS[2]) | {"andalso", "orelse"}
+    assert set(OPERATORS[1]) == {"not", "-"}  # the prefixes
+    assert set(OPERATORS) == {1, 2}
+
+
+def test_every_operand_class_has_a_type_rule():
+    for arity, ops in OPERATORS.items():
+        for op, entry in ops.items():
+            assert entry.operands in typechecker.OPERAND_CLASSES, (op, arity)

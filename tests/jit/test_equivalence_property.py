@@ -12,10 +12,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.interp import RecordingContext
-from repro.interp.primitives import PRIMITIVES
+from repro.interp.primitives import OPERATORS, PRIMITIVES
 from repro.interp.values import PlanPTable, default_value
 from repro.jit import BACKENDS, make_engine
-from repro.lang import parse, typecheck
+from repro.lang import PlanPRuntimeError, parse, typecheck
 from repro.lang import types as T
 
 from ..conftest import tcp_packet_value
@@ -50,7 +50,7 @@ def test_engines_agree_on_random_programs(source):
 
 
 # ---------------------------------------------------------------------------
-# Inlined primitives and the lowered ``=``: one operation at a time
+# Inlined primitives and operators: one operation at a time
 # ---------------------------------------------------------------------------
 
 #: the key type of generated tables (their own type does not say)
@@ -133,6 +133,9 @@ def _outcome(engine, decl, operands):
     try:
         _ps, result = engine.run_channel(decl, operands, None,
                                          PACKETS[0], RecordingContext())
+    except PlanPRuntimeError as err:
+        # the source backend's raises carry no source position
+        return PlanPRuntimeError, err.exception_name, err.message
     except Exception as err:
         return type(err), str(err)
     if isinstance(result, PlanPTable):  # compares by identity
@@ -164,16 +167,74 @@ def test_inlined_primitive_agrees_with_its_impl(name):
     check()
 
 
-@pytest.mark.parametrize("op", ["=", "<>"])
-@pytest.mark.parametrize("ty", EQUALITY_TYPES)
-def test_lowered_equality_agrees(ty, op):
-    engines, decl, operands = _one_operation(
-        [ty, ty], "bool", lambda xs: f"{xs[0]} {op} {xs[1]}")
-    assert "values_equal(" not in engines["source"].generated_source
+#: each operand class of OPERATORS at concrete types: (left, right,
+#: result); a unary operator takes the left one.  ``=``/``<>`` run at
+#: every equality shape in test_lowered_equality_agrees.
+_SIGNATURES = {
+    "int": [("int", "int", "int")],
+    "string": [("string", "string", "string")],
+    "bool": [("bool", "bool", "bool")],
+    "equality": [("int", "int", "bool")],
+    "ordered": [(ty, ty, "bool") for ty in ("int", "string", "char")],
+    "cons": [("int", _LIST, _LIST)],
+}
 
-    @given(st.one_of(operands, operands.map(lambda v: (v[0], v[0]))))
+
+def _check_operator(op: str, arity: int, left: str, right: str,
+                    result: str) -> None:
+    """The interpreter, the closure backend (both calling the entry's
+    value function) and the source backend (pasting its template) give
+    one outcome, raises included; equal operands are drawn often."""
+    if arity == 1:
+        engines, decl, operands = _one_operation(
+            [left], result, lambda xs: f"{op} {xs[0]}")
+    else:
+        engines, decl, operands = _one_operation(
+            [left, right], result, lambda xs: f"{xs[0]} {op} {xs[1]}")
+        if left == right:
+            operands = st.one_of(operands, operands.map(
+                lambda v: (v[0], v[0])))
+        if OPERATORS[arity][op].raises is not None:
+            operands = st.one_of(operands, operands.map(
+                lambda v: (v[0], 0)))
+
+    @given(operands)
     @settings(max_examples=40, deadline=None)
     def check(value):
         _assert_backends_agree(engines, decl, value)
+
+    check()
+
+
+@pytest.mark.parametrize("arity,op", sorted(
+    (arity, op) for arity, ops in OPERATORS.items() for op in ops))
+def test_operator_agrees(arity, op):
+    for left, right, result in _SIGNATURES[OPERATORS[arity][op].operands]:
+        _check_operator(op, arity, left, right, result)
+
+
+@pytest.mark.parametrize("op", ["=", "<>"])
+@pytest.mark.parametrize("ty", EQUALITY_TYPES)
+def test_lowered_equality_agrees(ty, op):
+    _check_operator(op, 2, ty, ty, "bool")
+
+
+def test_mod_is_the_remainder_of_division():
+    """``/`` truncates toward zero and ``mod`` is its remainder, zero or
+    the sign of the dividend (docs/LANGUAGE.md), on every backend: for
+    ``b`` not 0, ``(a / b) * b + a mod b = a``."""
+    engines, decl, _operands = _one_operation(
+        ["int", "int"], "int*int",
+        lambda xs: f"(({xs[0]} / {xs[1]}) * {xs[1]} + {xs[0]} mod {xs[1]}, "
+                   f"{xs[0]} mod {xs[1]})")
+
+    @given(st.integers(), st.integers().filter(bool))
+    @settings(max_examples=200, deadline=None)
+    def check(a, b):
+        for backend, engine in engines.items():
+            _ps, (back, rem) = engine.run_channel(
+                decl, (a, b), None, PACKETS[0], RecordingContext())
+            assert back == a, backend
+            assert rem == 0 or (rem < 0) == (a < 0), backend
 
     check()
