@@ -11,10 +11,22 @@ Package map:
 * :mod:`repro.jit` — the JIT generated from the interpreter;
 * :mod:`repro.analysis` — the four install-time safety analyses;
 * :mod:`repro.net` — the deterministic network simulator;
-* :mod:`repro.runtime` — the IP/PLAN-P layer and deployment;
-* :mod:`repro.asps` — the paper's five ASP programs;
-* :mod:`repro.apps` — the audio / HTTP / MPEG applications;
-* :mod:`repro.experiments` — benchmark harness helpers.
+* :mod:`repro.runtime` — the IP/PLAN-P layer, deployment, lifecycle;
+* :mod:`repro.asps` — the eleven shipped ASP templates (Figure 3's five
+  and six more);
+* :mod:`repro.apps` — the audio / HTTP / MPEG / image applications;
+* :mod:`repro.experiments` — experiment helpers (Figure 3 table, scale
+  ring, upgrade, web and chaos drills, micro-benchmarks);
+* :mod:`repro.harness` — the scenario registry, runner and result store;
+* :mod:`repro.obs` — events and metrics;
+* :mod:`repro.fuzz` — differential fuzzing of the engines;
+* :mod:`repro.tools` — the ``planpc``, ``runx``, ``obsdump`` and
+  ``fuzzx`` command lines.
+
+The ``analysis``, ``apps.audio``, ``apps.http``, ``experiments``,
+``jit``, ``net`` and ``runtime`` packages resolve their names on first
+access (:mod:`repro._lazy`), so an import loads only what its importer
+uses.
 """
 
 __version__ = "1.0.0"

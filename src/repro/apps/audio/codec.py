@@ -12,11 +12,13 @@ format  encoding          payload bytes per sample
 1       16-bit monaural   2
 2       8-bit monaural    1
 ======  ================  ==========================
+
+Framing needs no numpy; the functions that compute samples import it
+themselves, and :class:`~repro.apps.audio.source.AudioSource` loads it
+when it is built (DESIGN §13c).
 """
 
 from __future__ import annotations
-
-import numpy as np
 
 from ...asps.audio import (FMT_MONO16, FMT_MONO8, FMT_STEREO16,
                            FRAME_HEADER_BYTES)
@@ -38,6 +40,8 @@ BYTES_PER_SAMPLE = {FMT_STEREO16: 4, FMT_MONO16: 2, FMT_MONO8: 1}
 
 def generate_pcm_stereo16(seq: int, n_samples: int) -> bytes:
     """A deterministic stereo sine frame (the 'CD audio' stand-in)."""
+    import numpy as np
+
     t0 = seq * n_samples
     t = (np.arange(t0, t0 + n_samples) / SAMPLE_RATE)
     left = (np.sin(2 * np.pi * TONE_HZ * t) * 12000).astype("<i2")
@@ -62,6 +66,8 @@ def decode_frame(payload: bytes) -> tuple[int, int, bytes]:
 
 def degrade(pcm: bytes, from_fmt: int, to_fmt: int) -> bytes:
     """Reference implementation of the router ASP's transform chain."""
+    import numpy as np
+
     if to_fmt <= from_fmt:
         return pcm
     data = pcm
@@ -78,6 +84,8 @@ def degrade(pcm: bytes, from_fmt: int, to_fmt: int) -> bytes:
 
 def restore_to_stereo16(pcm: bytes, fmt: int) -> bytes:
     """Reference implementation of the client ASP's restoration chain."""
+    import numpy as np
+
     data = pcm
     if fmt == FMT_MONO8:
         samples = np.frombuffer(data, dtype=np.uint8)

@@ -21,6 +21,9 @@ class AudioSource:
 
     def __init__(self, net: Network, host: Host, group: HostAddr,
                  port: int = AUDIO_PORT):
+        # Every frame is computed inside the run; loading numpy here
+        # keeps its import in set-up, with the rest of the source.
+        import numpy  # noqa: F401
         self.net = net
         self.host = host
         self.group = group

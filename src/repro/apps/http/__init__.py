@@ -1,34 +1,16 @@
-"""Extensible HTTP server with load balancing (paper 3.2)."""
+"""Extensible HTTP server with load balancing (paper 3.2).
 
-from .client import CompletedRequest, HttpClientWorker, OpenLoopClient
-from .cluster import ClusterManager, HealthResponder
-from .experiment import (MODES, Fig8SweepResult, HttpExperimentResult,
-                         run_fig8_sweep, run_http_experiment)
-from .gateway_c import BuiltinGateway, GatewayStats
-from .server import HTTP_PORT, HttpServer, ServedRequest
-from .trace import (TimedRequest, Trace, TraceEntry, flood_times,
-                    generate_trace, open_loop_arrivals)
+Names resolve on first access (:mod:`repro._lazy`)."""
 
-__all__ = [
-    "BuiltinGateway",
-    "ClusterManager",
-    "HealthResponder",
-    "CompletedRequest",
-    "Fig8SweepResult",
-    "GatewayStats",
-    "HTTP_PORT",
-    "HttpClientWorker",
-    "HttpExperimentResult",
-    "HttpServer",
-    "MODES",
-    "OpenLoopClient",
-    "ServedRequest",
-    "TimedRequest",
-    "Trace",
-    "TraceEntry",
-    "flood_times",
-    "generate_trace",
-    "open_loop_arrivals",
-    "run_fig8_sweep",
-    "run_http_experiment",
-]
+from ..._lazy import exports
+
+__all__, __getattr__, __dir__ = exports(__name__, globals(), {
+    "client": ("CompletedRequest", "HttpClientWorker", "OpenLoopClient"),
+    "cluster": ("ClusterManager", "HealthResponder"),
+    "experiment": ("MODES", "Fig8SweepResult", "HttpExperimentResult",
+                   "run_fig8_sweep", "run_http_experiment"),
+    "gateway_c": ("BuiltinGateway", "GatewayStats"),
+    "server": ("HTTP_PORT", "HttpServer", "ServedRequest"),
+    "trace": ("TimedRequest", "Trace", "TraceEntry", "flood_times",
+              "generate_trace", "open_loop_arrivals"),
+})

@@ -13,8 +13,6 @@ import math
 import random
 from dataclasses import dataclass
 
-import numpy as np
-
 
 @dataclass(frozen=True)
 class TraceEntry:
@@ -86,6 +84,8 @@ def generate_trace(n_requests: int = 80_000, *, seed: int = 0) -> Trace:
     Document ranks beyond ``N_FILES`` wrap around, keeping the
     catalogue finite.
     """
+    import numpy as np
+
     rng = np.random.default_rng(seed)
     file_sizes = np.exp(rng.normal(np.log(MEDIAN_SIZE), SIZE_SIGMA,
                                    size=N_FILES))

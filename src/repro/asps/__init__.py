@@ -1,6 +1,6 @@
-"""The Application-Specific Protocols of the paper's experiments.
+"""The Application-Specific Protocols this reproduction ships.
 
-Five PLAN-P programs, matching the lineup of Figure 3:
+Eleven PLAN-P templates.  Five match the lineup of Figure 3:
 
 =====================  =============================================
 ``audio_router_asp``   bandwidth adaptation in routers      (§3.1)
@@ -9,6 +9,14 @@ Five PLAN-P programs, matching the lineup of Figure 3:
 ``mpeg_monitor_asp``   connection monitor / query responder (§3.3)
 ``mpeg_client_asp``    packet capture at MPEG clients       (§3.3)
 =====================  =============================================
+
+The other six carry the paper's §5 future work and the overload
+experiments: ``content_filter_asp``, ``firewall_asp``,
+``link_compressor_asp`` and ``link_decompressor_asp`` (:mod:`.filters`),
+``image_distiller_asp`` (:mod:`.images`) and ``shedding_asp``
+(:mod:`.overload`).  ``firewall_asp`` and ``shedding_asp`` drop packets,
+so the delivery analysis refuses them unless they are installed with
+``verify=False``.
 
 Each is a template function returning PLAN-P source specialised with the
 deployment's addresses and policy parameters — the paper's point that

@@ -1,25 +1,14 @@
-"""Experiment helpers shared by the registry, tests and examples."""
+"""Experiment helpers shared by the registry, tests and examples.
 
-from .fig3 import Fig3Row, fig3_codegen_table, format_fig3_table
-from .microbench import (BRIDGE_ASP, make_bridge_packets,
-                         run_engine_microbench)
-from .result import ExperimentResult, deterministic_metrics, jsonify
-from .upgrade import UpgradeResult, run_upgrade_experiment
-from .web import ATTACKS, WebResult, run_web_experiment
+Names resolve on first access (:mod:`repro._lazy`)."""
 
-__all__ = [
-    "ATTACKS",
-    "BRIDGE_ASP",
-    "ExperimentResult",
-    "Fig3Row",
-    "UpgradeResult",
-    "WebResult",
-    "deterministic_metrics",
-    "fig3_codegen_table",
-    "format_fig3_table",
-    "jsonify",
-    "make_bridge_packets",
-    "run_engine_microbench",
-    "run_upgrade_experiment",
-    "run_web_experiment",
-]
+from .._lazy import exports
+
+__all__, __getattr__, __dir__ = exports(__name__, globals(), {
+    "fig3": ("Fig3Row", "fig3_codegen_table", "format_fig3_table"),
+    "microbench": ("BRIDGE_ASP", "make_bridge_packets",
+                   "run_engine_microbench"),
+    "result": ("ExperimentResult", "deterministic_metrics", "jsonify"),
+    "upgrade": ("UpgradeResult", "run_upgrade_experiment"),
+    "web": ("ATTACKS", "WebResult", "run_web_experiment"),
+})

@@ -24,17 +24,22 @@ paper cites implicitly via "image distillation"):
 
 Registering these extends the interpreter, the type checker and both
 JIT backends at once — the §2.3 extension story in action, which
-``tests/interp/test_image_prims.py`` checks explicitly.
+``tests/interp/test_image_prims.py`` checks explicitly.  The functions
+that compute with numpy import it themselves, so registering the
+primitives does not load it (DESIGN §13c).
 """
 
 from __future__ import annotations
 
-import numpy as np
+from typing import TYPE_CHECKING
 
 from ..lang import types as T
 from ..lang.errors import PlanPRuntimeError
 from .context import ExecutionContext
 from .primitives import register, sig
+
+if TYPE_CHECKING:
+    import numpy as np
 
 MAGIC = b"SIMG"
 HEADER_BYTES = 9
@@ -42,6 +47,8 @@ HEADER_BYTES = 9
 
 def encode_image(pixels: np.ndarray, bits: int = 8) -> bytes:
     """Build a SIMG blob from a 2-D uint8 array."""
+    import numpy as np
+
     if pixels.ndim != 2:
         raise ValueError("pixels must be a 2-D array")
     if not 1 <= bits <= 8:
@@ -54,6 +61,8 @@ def encode_image(pixels: np.ndarray, bits: int = 8) -> bytes:
 
 def decode_image(blob: bytes) -> tuple[np.ndarray, int]:
     """Parse a SIMG blob into (pixels, bits); raises BadPacket."""
+    import numpy as np
+
     if len(blob) < HEADER_BYTES or blob[:4] != MAGIC:
         raise PlanPRuntimeError("not a SIMG image",
                                 exception_name="BadPacket")
@@ -75,6 +84,8 @@ def decode_image(blob: bytes) -> tuple[np.ndarray, int]:
 
 def downscale(pixels: np.ndarray) -> np.ndarray:
     """2x2 box filter; odd edges are dropped (like the classic pyramid)."""
+    import numpy as np
+
     height, width = pixels.shape
     height -= height % 2
     width -= width % 2
@@ -88,6 +99,8 @@ def downscale(pixels: np.ndarray) -> np.ndarray:
 
 def quantize(pixels: np.ndarray, bits: int) -> np.ndarray:
     """Keep the top ``bits`` bits of each pixel (left-aligned)."""
+    import numpy as np
+
     shift = 8 - bits
     return ((pixels >> shift) << shift).astype(np.uint8)
 

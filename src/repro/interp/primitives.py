@@ -26,15 +26,16 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
-from typing import Callable
-
-import numpy as np
+from typing import TYPE_CHECKING, Callable
 
 from ..lang import types as T
 from ..lang.errors import PlanPRuntimeError, SourcePos, TypeCheckError
 from ..net.packet import IpHeader, TcpHeader, UdpHeader
 from .context import ExecutionContext
 from .values import UNIT, PlanPList, PlanPTable, format_value
+
+if TYPE_CHECKING:
+    import numpy as np
 
 TypeRule = Callable[[list[T.Type], SourcePos], T.Type]
 Impl = Callable[[ExecutionContext, list[object]], object]
@@ -592,10 +593,14 @@ register("listMem", _rule_list_mem, inline="{0} in {1}.items")
 #
 # Payloads are raw PCM: signed 16-bit little-endian samples, interleaved
 # L/R when stereo; or unsigned 8-bit samples after 16->8 degradation.
+# The bodies import numpy themselves: a process that installs or checks
+# an audio ASP without running one never loads it (DESIGN §13c).
 # ---------------------------------------------------------------------------
 
 
 def _pcm16(blob: bytes) -> np.ndarray:
+    import numpy as np
+
     if len(blob) % 2:
         raise _raise("BadPacket", "odd-length 16-bit PCM payload")
     return np.frombuffer(blob, dtype="<i2")
@@ -603,6 +608,8 @@ def _pcm16(blob: bytes) -> np.ndarray:
 
 def _impl_audio_stereo_to_mono(ctx: ExecutionContext,
                                a: list[object]) -> object:
+    import numpy as np
+
     samples = _pcm16(a[0])
     if len(samples) % 2:
         raise _raise("BadPacket", "stereo PCM with odd sample count")
@@ -613,16 +620,22 @@ def _impl_audio_stereo_to_mono(ctx: ExecutionContext,
 
 def _impl_audio_mono_to_stereo(ctx: ExecutionContext,
                                a: list[object]) -> object:
+    import numpy as np
+
     samples = _pcm16(a[0])
     return np.repeat(samples, 2).astype("<i2").tobytes()
 
 
 def _impl_audio_16_to_8(ctx: ExecutionContext, a: list[object]) -> object:
+    import numpy as np
+
     samples = _pcm16(a[0])
     return ((samples.astype(np.int32) >> 8) + 128).astype(np.uint8).tobytes()
 
 
 def _impl_audio_8_to_16(ctx: ExecutionContext, a: list[object]) -> object:
+    import numpy as np
+
     samples = np.frombuffer(a[0], dtype=np.uint8)
     return ((samples.astype(np.int32) - 128) << 8).astype("<i2").tobytes()
 

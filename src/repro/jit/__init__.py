@@ -7,26 +7,16 @@ Two backends reproduce the paper's Tempo-generated JIT:
 * :class:`repro.jit.codegen.CompiledSourceEngine` — Python source
   emission compiled with ``compile()`` (the machine-code-template
   analogue).
+
+Names resolve on first access (:mod:`repro._lazy`).
 """
 
-from .codegen import CompiledSourceEngine, SourceArtifact
-from .pipeline import (BACKENDS, DEFAULT_BACKEND, PROGRAM_CACHE, CacheStats,
-                       Engine, LoadedProgram, ProgramCache,
-                       count_source_lines, load_program, make_engine)
-from .specializer import ClosureEngine
+from .._lazy import exports
 
-__all__ = [
-    "BACKENDS",
-    "DEFAULT_BACKEND",
-    "PROGRAM_CACHE",
-    "CacheStats",
-    "ClosureEngine",
-    "CompiledSourceEngine",
-    "Engine",
-    "LoadedProgram",
-    "ProgramCache",
-    "SourceArtifact",
-    "count_source_lines",
-    "load_program",
-    "make_engine",
-]
+__all__, __getattr__, __dir__ = exports(__name__, globals(), {
+    "codegen": ("CompiledSourceEngine", "SourceArtifact"),
+    "pipeline": ("BACKENDS", "DEFAULT_BACKEND", "PROGRAM_CACHE",
+                 "CacheStats", "Engine", "LoadedProgram", "ProgramCache",
+                 "count_source_lines", "load_program", "make_engine"),
+    "specializer": ("ClosureEngine",),
+})

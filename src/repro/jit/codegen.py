@@ -30,7 +30,7 @@ from types import CodeType
 from typing import Callable
 
 from ..lang import ast
-from ..lang.errors import PlanPRuntimeError
+from ..lang.errors import PlanPRuntimeError, SourcePos
 from ..lang.typechecker import ProgramInfo
 from ..interp.context import ExecutionContext
 from ..interp.interpreter import Interpreter
@@ -41,11 +41,13 @@ from ..net.addresses import HostAddr
 #: Bumped whenever the shape of the generated code changes (new entry
 #: points, different lowering), so the content-addressed program cache
 #: never serves artifacts emitted by an older generator.
-CODEGEN_REV = 7
+CODEGEN_REV = 8
 
 
-def _planp_raise(exn: str, message: str) -> PlanPRuntimeError:
-    raise PlanPRuntimeError(message, exception_name=exn)
+def _planp_raise(exn: str, message: str, line: int,
+                 column: int) -> PlanPRuntimeError:
+    raise PlanPRuntimeError(message, SourcePos(line, column),
+                            exception_name=exn)
 
 
 def _mangle(name: str) -> str:
@@ -264,9 +266,10 @@ class _CodeGenerator:
             em.pop()
             return out
         if kind is ast.Raise:
+            line, column = expr.pos
             tmp = self._fresh()
             em.emit(f"{tmp} = planp_raise({expr.exn!r}, "
-                    f"'exception {expr.exn}')")
+                    f"'exception {expr.exn}', {line}, {column})")
             return tmp
         raise TypeError(f"codegen cannot compile {kind.__name__}")
 
@@ -294,7 +297,8 @@ class _CodeGenerator:
             exn, message = entry.raises
             em.emit(f"if {right} == 0:")
             em.push()
-            em.emit(f"planp_raise({exn!r}, {message!r})")
+            line, column = expr.pos
+            em.emit(f"planp_raise({exn!r}, {message!r}, {line}, {column})")
             em.pop()
         # The operands are atomic, so the template evaluates each once,
         # in order, as the interpreter does.

@@ -29,8 +29,10 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Protocol
+from typing import Protocol
 
+from ..analysis.verifier import VerificationReport, verify_report
+from ..analysis.wire import WIRE_REV, WireSummary, wire_summary
 from ..lang import ast, parse
 from ..lang.errors import VerificationError
 from ..lang.typechecker import ProgramInfo, typecheck
@@ -40,10 +42,6 @@ from ..obs import GLOBAL
 from .codegen import CODEGEN_REV, CompiledSourceEngine, SourceArtifact, \
     generate_source_artifact
 from .specializer import ClosureEngine
-
-if TYPE_CHECKING:
-    from ..analysis.verifier import VerificationReport
-    from ..analysis.wire import WireSummary
 
 BACKENDS = ("interpreter", "closure", "source")
 
@@ -206,8 +204,6 @@ class ProgramCache:
             self.stats.verify_hits += 1
             return report
         self.stats.verify_misses += 1
-        from ..analysis.verifier import verify_report
-
         report = verify_report(info)
         self._put(self._reports, key, report)
         return report
@@ -233,8 +229,6 @@ class ProgramCache:
         entry is keyed with ``WIRE_REV`` so summaries derived by an
         older revision of the checker are keyed out.
         """
-        from ..analysis.wire import WIRE_REV, wire_summary
-
         wkey = (key, WIRE_REV)
         summary = self._wire.get(wkey)
         if summary is not None:

@@ -1,50 +1,22 @@
-"""The simulated network substrate (DESIGN.md §2: testbed substitution)."""
+"""The simulated network substrate (DESIGN.md §2: testbed substitution).
 
-from .addresses import ANY_ADDR, BROADCAST_ADDR, AddressAllocator, HostAddr, addr
-from .faults import FaultController
-from .link import Link, Segment
-from .monitor import LinkStats, LoadMonitor
-from .node import Host, Interface, Node, NodeStats, Router
-from .packet import (IpHeader, Packet, TcpHeader, UdpHeader, tcp_packet,
-                     udp_packet)
-from .routing import RoutingTable, compute_routes
-from .sim import PeriodicTask, Simulator
-from .tcp import TcpConnection, TcpListener, TcpStack
-from .topology import Network
-from .trace import PacketTracer
-from .udp import UdpSocket, UdpStack
+Names resolve on first access (:mod:`repro._lazy`)."""
 
-__all__ = [
-    "ANY_ADDR",
-    "BROADCAST_ADDR",
-    "AddressAllocator",
-    "FaultController",
-    "Host",
-    "HostAddr",
-    "Interface",
-    "IpHeader",
-    "Link",
-    "LinkStats",
-    "LoadMonitor",
-    "Network",
-    "PacketTracer",
-    "Node",
-    "NodeStats",
-    "Packet",
-    "PeriodicTask",
-    "Router",
-    "RoutingTable",
-    "Segment",
-    "Simulator",
-    "TcpConnection",
-    "TcpHeader",
-    "TcpListener",
-    "TcpStack",
-    "UdpHeader",
-    "UdpSocket",
-    "UdpStack",
-    "addr",
-    "compute_routes",
-    "tcp_packet",
-    "udp_packet",
-]
+from .._lazy import exports
+
+__all__, __getattr__, __dir__ = exports(__name__, globals(), {
+    "addresses": ("ANY_ADDR", "BROADCAST_ADDR", "AddressAllocator",
+                  "HostAddr", "addr"),
+    "faults": ("FaultController",),
+    "link": ("Link", "Segment"),
+    "monitor": ("LinkStats", "LoadMonitor"),
+    "node": ("Host", "Interface", "Node", "NodeStats", "Router"),
+    "packet": ("IpHeader", "Packet", "TcpHeader", "UdpHeader", "tcp_packet",
+               "udp_packet"),
+    "routing": ("RoutingTable", "compute_routes"),
+    "sim": ("PeriodicTask", "Simulator"),
+    "tcp": ("TcpConnection", "TcpListener", "TcpStack"),
+    "topology": ("Network",),
+    "trace": ("PacketTracer",),
+    "udp": ("UdpSocket", "UdpStack"),
+})

@@ -111,7 +111,7 @@ def golden() -> dict:
 
 
 def test_codegen_rev_unchanged(golden):
-    assert CODEGEN_REV == golden["codegen_rev"] == 7
+    assert CODEGEN_REV == golden["codegen_rev"] == 8
 
 
 def test_same_programs(golden):

@@ -134,8 +134,7 @@ def _outcome(engine, decl, operands):
         _ps, result = engine.run_channel(decl, operands, None,
                                          PACKETS[0], RecordingContext())
     except PlanPRuntimeError as err:
-        # the source backend's raises carry no source position
-        return PlanPRuntimeError, err.exception_name, err.message
+        return PlanPRuntimeError, err.exception_name, str(err)
     except Exception as err:
         return type(err), str(err)
     if isinstance(result, PlanPTable):  # compares by identity
@@ -217,6 +216,34 @@ def test_operator_agrees(arity, op):
 @pytest.mark.parametrize("ty", EQUALITY_TYPES)
 def test_lowered_equality_agrees(ty, op):
     _check_operator(op, 2, ty, ty, "bool")
+
+
+@pytest.mark.parametrize("token,exn,message", [
+    ("/", "DivideByZero", "division by zero"),
+    ("mod", "DivideByZero", "mod by zero"),
+    ("raise", "Oops", "exception Oops"),
+])
+def test_raise_reads_the_same_on_every_backend(token, exn, message):
+    """A fault names its source position (the operator's, or the
+    ``raise``'s) on every backend: the same ``PlanPRuntimeError`` text
+    reaches ``PlanPLayer``'s ``error`` event whichever engine ran the
+    packet."""
+    body = "raise Oops" if token == "raise" else f"#1 ps {token} #2 ps"
+    line = f"  (ps, {body})"
+    info = typecheck(parse(
+        "exception Oops\n"
+        "channel network(ps : int*int, ss : int, p : ip*tcp*blob) is\n"
+        f"{line}\n"))
+    decl = info.channels["network"][0]
+    texts = set()
+    for backend in BACKENDS:
+        engine = make_engine(info, backend, RecordingContext())
+        with pytest.raises(PlanPRuntimeError) as caught:
+            engine.run_channel(decl, (7, 0), None, PACKETS[0],
+                               RecordingContext())
+        assert caught.value.exception_name == exn, backend
+        texts.add(str(caught.value))
+    assert texts == {f"3:{line.index(token) + 1}: {message}"}
 
 
 def test_mod_is_the_remainder_of_division():
