@@ -135,10 +135,6 @@ class WireSummary:
                 return ch
         return None
 
-    @property
-    def names(self) -> tuple[str, ...]:
-        return tuple(ch.name for ch in self.channels)
-
     def emitted_to(self) -> set[str]:
         """Channel names some channel of this program sends to."""
         out: set[str] = set()

@@ -6,8 +6,7 @@ from ..._lazy import exports
 
 __all__, __getattr__, __dir__ = exports(__name__, globals(), {
     "client": ("AudioClient", "BandwidthSample", "SilentPeriod"),
-    "codec": ("decode_frame", "degrade", "encode_frame", "frame_kbps",
-              "generate_pcm_stereo16", "restore_to_stereo16"),
+    "codec": ("decode_frame", "encode_frame", "generate_pcm_stereo16"),
     "experiment": ("AUDIO_GROUP", "FIG6_SCHEDULE", "AudioExperimentResult",
                    "GapSweepResult", "run_audio_experiment",
                    "run_gap_sweep"),

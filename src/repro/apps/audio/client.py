@@ -23,10 +23,6 @@ class SilentPeriod:
     end: float
     frames_missed: int
 
-    @property
-    def duration(self) -> float:
-        return self.end - self.start
-
 
 @dataclass
 class BandwidthSample:
@@ -60,7 +56,6 @@ class AudioClient:
         self.last_arrival: float | None = None
         self.silent_periods: list[SilentPeriod] = []
         self.quality_seen: dict[int, int] = {}
-        self._buckets: dict[int, tuple[int, dict[int, int]]] = {}
 
         socket = net.udp(host).bind(port)
         socket.on_datagram = self._on_frame
@@ -78,10 +73,6 @@ class AudioClient:
         self._check_gap(now, seq)
         self.frames_received += 1
         self.quality_seen[fmt] = self.quality_seen.get(fmt, 0) + 1
-        bucket = int(now / BUCKET_S)
-        nbytes, fmts = self._buckets.get(bucket, (0, {}))
-        fmts[fmt] = fmts.get(fmt, 0) + 1
-        self._buckets[bucket] = (nbytes + len(payload), fmts)
         self.last_seq = seq
         self.last_arrival = now
 
@@ -97,18 +88,6 @@ class AudioClient:
                 frames_missed=max(missed, 0)))
 
     # -- reporting ----------------------------------------------------------------
-
-    def bandwidth_series(self) -> list[BandwidthSample]:
-        """Received-bandwidth samples (the series of figure 6)."""
-        samples = []
-        for bucket in sorted(self._buckets):
-            nbytes, fmts = self._buckets[bucket]
-            dominant = max(fmts.items(), key=lambda kv: kv[1])[0]
-            samples.append(BandwidthSample(
-                time=bucket * BUCKET_S,
-                kbps=nbytes * 8 / BUCKET_S / 1000,
-                quality=dominant, formats=dict(fmts)))
-        return samples
 
     def quality_fraction(self, fmt: int) -> float:
         if not self.frames_received:

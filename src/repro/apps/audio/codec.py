@@ -63,41 +63,3 @@ def decode_frame(payload: bytes) -> tuple[int, int, bytes]:
     seq = int.from_bytes(payload[1:5], "big")
     return fmt, seq, payload[FRAME_HEADER_BYTES:]
 
-
-def degrade(pcm: bytes, from_fmt: int, to_fmt: int) -> bytes:
-    """Reference implementation of the router ASP's transform chain."""
-    import numpy as np
-
-    if to_fmt <= from_fmt:
-        return pcm
-    data = pcm
-    if from_fmt == FMT_STEREO16 and to_fmt >= FMT_MONO16:
-        samples = np.frombuffer(data, dtype="<i2").reshape(-1, 2)
-        data = (samples.astype(np.int32).sum(axis=1) // 2) \
-            .astype("<i2").tobytes()
-    if to_fmt == FMT_MONO8:
-        samples = np.frombuffer(data, dtype="<i2")
-        data = ((samples.astype(np.int32) >> 8) + 128) \
-            .astype(np.uint8).tobytes()
-    return data
-
-
-def restore_to_stereo16(pcm: bytes, fmt: int) -> bytes:
-    """Reference implementation of the client ASP's restoration chain."""
-    import numpy as np
-
-    data = pcm
-    if fmt == FMT_MONO8:
-        samples = np.frombuffer(data, dtype=np.uint8)
-        data = ((samples.astype(np.int32) - 128) << 8) \
-            .astype("<i2").tobytes()
-        fmt = FMT_MONO16
-    if fmt == FMT_MONO16:
-        samples = np.frombuffer(data, dtype="<i2")
-        data = np.repeat(samples, 2).astype("<i2").tobytes()
-    return data
-
-
-def frame_kbps(fmt: int) -> float:
-    """Nominal payload bandwidth of a format, in kbit/s."""
-    return SAMPLE_RATE * BYTES_PER_SAMPLE[fmt] * 8 / 1000

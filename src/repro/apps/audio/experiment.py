@@ -113,14 +113,6 @@ class AudioExperimentResult(ExperimentResult):
                 if start <= s.time < end]
         return sum(vals) / len(vals) if vals else 0.0
 
-    def qualities_between(self, start: float, end: float) -> set[int]:
-        """Every format observed on the wire in a time window."""
-        out: set[int] = set()
-        for s in self.figures["bandwidth_series"]:
-            if start <= s.time < end:
-                out.update(s.formats)
-        return out
-
 
 def run_audio_experiment(*, adaptation: bool = True,
                          duration: float = 450.0,

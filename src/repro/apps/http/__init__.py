@@ -7,10 +7,9 @@ from ..._lazy import exports
 __all__, __getattr__, __dir__ = exports(__name__, globals(), {
     "client": ("CompletedRequest", "HttpClientWorker", "OpenLoopClient"),
     "cluster": ("ClusterManager", "HealthResponder"),
-    "experiment": ("MODES", "Fig8SweepResult", "HttpExperimentResult",
-                   "run_fig8_sweep", "run_http_experiment"),
+    "experiment": ("MODES", "HttpExperimentResult", "run_http_experiment"),
     "gateway_c": ("BuiltinGateway", "GatewayStats"),
-    "server": ("HTTP_PORT", "HttpServer", "ServedRequest"),
+    "server": ("HTTP_PORT", "HttpServer"),
     "trace": ("TimedRequest", "Trace", "TraceEntry", "flood_times",
               "generate_trace", "open_loop_arrivals"),
 })

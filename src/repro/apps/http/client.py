@@ -231,20 +231,6 @@ class HttpClientWorker:
         self._backoff.bump()
         self.host.sim.schedule(delay, self._next_request)
 
-    # -- reporting ---------------------------------------------------------------
-
-    def throughput(self, window: tuple[float, float]) -> float:
-        start, end = window
-        count = sum(1 for r in self.completed
-                    if start <= r.completed < end)
-        return count / (end - start) if end > start else 0.0
-
-    def mean_latency(self, window: tuple[float, float]) -> float:
-        start, end = window
-        lats = [r.latency for r in self.completed
-                if start <= r.completed < end]
-        return sum(lats) / len(lats) if lats else 0.0
-
 
 class OpenLoopClient:
     """Open-loop request generation: one independent connection per

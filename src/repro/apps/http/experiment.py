@@ -26,7 +26,7 @@ from ...runtime.deployment import Deployment
 from .client import HttpClientWorker
 from .gateway_c import BuiltinGateway
 from .server import HttpServer
-from .trace import Trace, generate_trace
+from .trace import generate_trace
 
 MODES = ("single", "asp", "builtin", "disjoint")
 
@@ -63,7 +63,6 @@ N_SERVERS = 2
 
 def run_http_experiment(*, mode: str, n_clients: int,
                         duration: float = 30.0, warmup: float = 5.0,
-                        trace: Trace | None = None,
                         seed: int = 11,
                         obs: Observability | None = None,
                         tracer: Callable[[Network], object]
@@ -71,8 +70,7 @@ def run_http_experiment(*, mode: str, n_clients: int,
     """Run one figure 8 configuration at one offered load level."""
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}; pick from {MODES}")
-    if trace is None:
-        trace = generate_trace(8000, seed=seed)
+    trace = generate_trace(8000, seed=seed)
 
     net = Network(seed=seed, obs=obs)
     gateway = net.add_router("gateway")
@@ -145,27 +143,3 @@ def run_http_experiment(*, mode: str, n_clients: int,
             "failures": sum(w.failures for w in workers),
         })
 
-
-class Fig8SweepResult(ExperimentResult):
-    """Unified result of the figure 8 sweep.  ``figures["curves"]``
-    maps mode to a list of per-load summaries (client count,
-    throughput, latency, balance)."""
-
-    _EXPERIMENT = "http_fig8_sweep"
-
-    def curve(self, mode: str) -> list[dict[str, object]]:
-        return self.figures["curves"][mode]
-
-
-def run_fig8_sweep(*, client_counts: list[int],
-                   modes: tuple[str, ...] = ("single", "asp", "builtin"),
-                   seed: int = 11) -> dict[str, list[HttpExperimentResult]]:
-    """The full figure 8 sweep: throughput vs offered load per mode."""
-    trace = generate_trace(8000, seed=seed)
-    curves: dict[str, list[HttpExperimentResult]] = {}
-    for mode in modes:
-        curves[mode] = [
-            run_http_experiment(mode=mode, n_clients=n, trace=trace,
-                                seed=seed)
-            for n in client_counts]
-    return curves

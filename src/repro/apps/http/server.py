@@ -12,7 +12,6 @@ Apache's 5-10 child processes.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 
 from ...net.node import Host
 from ...net.overload import AdmissionController
@@ -26,14 +25,6 @@ BASE_CPU_S = 0.004
 PER_BYTE_CPU_S = 2.0e-7
 #: requests in service at once; the rest wait in the backlog
 WORKERS = 8
-
-
-@dataclass
-class ServedRequest:
-    path: str
-    size: int
-    arrived: float
-    completed: float
 
 
 class HttpServer:
@@ -63,7 +54,6 @@ class HttpServer:
         self.shed = 0
         #: 503s sent at dequeue: the deadline passed while queued
         self.expired = 0
-        self.served: list[ServedRequest] = []
         self._cpu_busy_until = 0.0
         self._active_workers = 0
         self._backlog: deque[tuple[TcpConnection, str, float]] = deque()
@@ -151,10 +141,9 @@ class HttpServer:
             self._cpu_busy_until = start + cpu
             done_at = self._cpu_busy_until
 
-            def finish(conn=conn, path=path, size=size,
-                       arrived=arrived) -> None:
+            def finish(conn=conn, path=path, size=size) -> None:
                 self._active_workers -= 1
-                self._finish_request(conn, path, size, arrived)
+                self._finish_request(conn, path, size)
                 if self.admission is not None:
                     self.admission.on_healthy()
                 self._maybe_start_worker()
@@ -179,8 +168,8 @@ class HttpServer:
                                  where="http-server", action="expired")
         self._respond(conn, 503, b"expired")
 
-    def _finish_request(self, conn: TcpConnection, path: str, size: int,
-                        arrived: float) -> None:
+    def _finish_request(self, conn: TcpConnection, path: str,
+                        size: int) -> None:
         if path not in self.sizes:
             self.errors += 1
             self._respond(conn, 404, b"not found")
@@ -199,9 +188,6 @@ class HttpServer:
             return
         self.requests_served += 1
         self.bytes_served += len(body)
-        self.served.append(ServedRequest(path=path, size=size,
-                                         arrived=arrived,
-                                         completed=self.host.sim.now))
 
     @staticmethod
     def _body_for(path: str, size: int) -> bytes:
@@ -227,9 +213,3 @@ class HttpServer:
         self.net.obs.events.emit("error", node=self.host.name,
                                  where="http-server", path=path,
                                  detail=str(err))
-
-    def throughput(self, window: tuple[float, float]) -> float:
-        """Requests completed per second inside a time window."""
-        start, end = window
-        count = sum(1 for r in self.served if start <= r.completed < end)
-        return count / (end - start) if end > start else 0.0

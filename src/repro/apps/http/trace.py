@@ -35,12 +35,6 @@ class Trace:
     entries: list[TraceEntry]
     sizes: dict[str, int]
 
-    def __len__(self) -> int:
-        return len(self.entries)
-
-    def __getitem__(self, i: int) -> TraceEntry:
-        return self.entries[i]
-
     def request_stream(self, start: int = 0):
         """An infinite, wrapping iterator over the trace (clients issue
         requests continuously in the paper's measurement)."""
@@ -49,14 +43,6 @@ class Trace:
         while True:
             yield self.entries[i % n]
             i += 1
-
-    @property
-    def total_bytes(self) -> int:
-        return sum(e.size for e in self.entries)
-
-    @property
-    def mean_size(self) -> float:
-        return self.total_bytes / len(self.entries)
 
 
 #: Zipf shape of document popularity (numpy's parameter, must be > 1):

@@ -65,10 +65,6 @@ class ChaosResult(ExperimentResult):
 
     _EXPERIMENT = "chaos"
 
-    @property
-    def healthy(self) -> bool:
-        return bool(self.figures.get("healthy"))
-
 
 def run_chaos_experiment(*, profile: str = "drill", seed: int = 5,
                          n_routers: int = 16, duration: float = 12.0,

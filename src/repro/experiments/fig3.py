@@ -71,16 +71,3 @@ def fig3_codegen_table() -> list[Fig3Row]:
                             codegen_ms=measured))
     return rows
 
-
-def format_fig3_table(rows: list[Fig3Row]) -> str:
-    backends = list(rows[0].codegen_ms) if rows else []
-    header = (f"{'program':34s} {'lines':>5s} {'paper-lines':>11s} "
-              f"{'paper-ms':>8s}"
-              + "".join(f" {b + '-ms':>10s}" for b in backends))
-    lines = [header, "-" * len(header)]
-    for row in rows:
-        lines.append(
-            f"{row.name:34s} {row.lines:5d} {row.paper_lines:11d} "
-            f"{row.paper_codegen_ms:8.1f}"
-            + "".join(f" {row.codegen_ms[b]:10.2f}" for b in backends))
-    return "\n".join(lines)

@@ -6,8 +6,9 @@ shape it can hash, store and compare byte-for-byte.  This module
 defines that shape:
 
 * :class:`ExperimentResult` — ``name`` / ``params`` / ``seed`` /
-  ``metrics`` / ``figures``, with ``to_json()`` / ``from_json()``
-  producing canonical (sorted, compact) JSON;
+  ``metrics`` / ``figures``, with ``to_json()`` producing canonical
+  (sorted, compact) JSON and ``from_record()`` reading a stored record
+  back;
 * per-experiment subclasses (``AudioExperimentResult`` & co., defined
   next to their experiments) that add domain helpers
   (``dominant_quality_between``, ``balance_ratio`` …) over
@@ -144,10 +145,6 @@ class ExperimentResult:
             figures=dict(record.get("figures", {})))
         result._rehydrate()
         return result
-
-    @classmethod
-    def from_json(cls, text: str) -> "ExperimentResult":
-        return cls.from_record(json.loads(text))
 
     def _rehydrate(self) -> None:
         """Hook for subclasses: convert jsonified figures back to their

@@ -63,10 +63,6 @@ class UpgradeResult(ExperimentResult):
 
     _EXPERIMENT = "upgrade"
 
-    @property
-    def healthy(self) -> bool:
-        return bool(self.figures.get("healthy"))
-
 
 def run_upgrade_experiment(*, seed: int = 5, n_routers: int = 16,
                            duration: float = 8.0,

@@ -72,10 +72,6 @@ class WebResult(ExperimentResult):
 
     _EXPERIMENT = "web"
 
-    @property
-    def goodput(self) -> float:
-        return float(self.figures.get("goodput_rps", 0.0))
-
 
 def run_web_experiment(*, attack: str = "none", shedding: bool = False,
                        duration: float = 10.0, warmup: float = 2.5,

@@ -25,7 +25,7 @@ from ..experiments.result import ExperimentResult
 from .cache import cache_key, code_fingerprint
 from .matrix import (FULL, MATRICES, QUICK, Scale, chaos_matrix, matrix,
                      report_matrix, smoke_matrix, standard_matrix)
-from .registry import get, names, rehydrate, run
+from .registry import get, rehydrate, run
 from .runner import (Runner, SweepReport, relabel_line,
                      run_scenario_line)
 from .scenario import Scenario, filter_scenarios
@@ -47,7 +47,6 @@ __all__ = [
     "filter_scenarios",
     "get",
     "matrix",
-    "names",
     "rehydrate",
     "relabel_line",
     "report_matrix",

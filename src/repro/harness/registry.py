@@ -52,10 +52,6 @@ def get(name: str) -> RegisteredExperiment:
                        f"{sorted(_REGISTRY)}") from None
 
 
-def names() -> list[str]:
-    return sorted(_REGISTRY)
-
-
 def run(scenario: Scenario, *,
         obs: Observability | None = None) -> ExperimentResult:
     """Run one scenario and stamp the result with its identity.  An
@@ -91,9 +87,7 @@ def _register_all() -> None:
                                          GapSweepResult,
                                          run_audio_experiment,
                                          run_gap_sweep)
-    from ..apps.http.experiment import (Fig8SweepResult,
-                                        HttpExperimentResult,
-                                        run_fig8_sweep,
+    from ..apps.http.experiment import (HttpExperimentResult,
                                         run_http_experiment)
     from ..apps.images.service import (ImageExperimentResult,
                                        run_image_experiment)
@@ -125,25 +119,6 @@ def _register_all() -> None:
     register("http", result_cls=HttpExperimentResult,
              description="one figure 8 HTTP cluster configuration"
              )(run_http_experiment)
-
-    @register("http_fig8_sweep", result_cls=Fig8SweepResult,
-              description="figure 8 throughput-vs-load sweep per mode")
-    def _fig8(*, seed: int, client_counts: list[int],
-              modes: list[str] = ("single", "asp", "builtin"),
-              **params) -> ExperimentResult:
-        curves = run_fig8_sweep(client_counts=client_counts,
-                                modes=tuple(modes), seed=seed, **params)
-        return Fig8SweepResult(
-            seed=seed,
-            figures={"curves": {
-                mode: [{"n_clients": r.params["n_clients"],
-                        "throughput_rps": r.figures["throughput_rps"],
-                        "mean_latency_s": r.figures["mean_latency_s"],
-                        "balance_ratio": r.balance_ratio,
-                        "completed": r.figures["completed"],
-                        "failures": r.figures["failures"]}
-                       for r in results]
-                for mode, results in curves.items()}})
 
     register("mpeg", result_cls=MpegExperimentResult,
              description="§3.3 point-to-point→multipoint MPEG run"

@@ -73,9 +73,6 @@ class SweepReport:
     wall_s: float = 0.0
     workers: int = 1
 
-    def records_by_name(self) -> dict[str, dict[str, Any]]:
-        return {line["scenario"]: line["record"] for line in self.lines}
-
     def summary(self) -> str:
         return (f"{len(self.lines)} scenarios: {len(self.ran)} ran, "
                 f"{len(self.cached)} cached "

@@ -6,8 +6,7 @@ from . import image_prims  # noqa: F401  (registers the image primitives)
 from .env import Env
 from .interpreter import Interpreter
 from .primitives import PRIMITIVES, Primitive, register
-from .values import (UNIT, PlanPList, PlanPTable, conforms, default_value,
-                     format_value)
+from .values import UNIT, PlanPList, PlanPTable, default_value, format_value
 
 __all__ = [
     "Emission",
@@ -21,7 +20,6 @@ __all__ = [
     "UNIT",
     "PlanPList",
     "PlanPTable",
-    "conforms",
     "default_value",
     "format_value",
 ]

@@ -133,13 +133,3 @@ class RecordingContext:
 
     def output(self, text: str) -> None:
         self.printed.append(text)
-
-    # -- test helpers ------------------------------------------------------------
-
-    @property
-    def remote_emissions(self) -> list[Emission]:
-        return [e for e in self.emissions if e.kind == "remote"]
-
-    @property
-    def delivered(self) -> list[Emission]:
-        return [e for e in self.emissions if e.kind == "deliver"]

@@ -191,54 +191,3 @@ def default_value(ty: T.Type) -> object:
     if isinstance(ty, T.ListType):
         return PlanPList()
     raise ValueError(f"no default value for type {ty}")
-
-
-_TYPE_OF_PYTHON = {
-    bool: T.BOOL,   # must precede int: bool is a subclass of int
-    int: T.INT,
-    str: T.STRING,
-    bytes: T.BLOB,
-    HostAddr: T.HOST,
-    IpHeader: T.IP,
-    TcpHeader: T.TCP,
-    UdpHeader: T.UDP,
-}
-
-
-def conforms(value: object, ty: T.Type) -> bool:
-    """True if ``value`` is a legal inhabitant of ``ty``.
-
-    Used by the runtime to dispatch raw packets onto overloaded
-    ``network`` channels and to validate states handed across the
-    host/ASP boundary.
-    """
-    if ty == T.UNIT:
-        return value is UNIT
-    if ty == T.BOOL:
-        return isinstance(value, bool)
-    if ty == T.INT:
-        return isinstance(value, int) and not isinstance(value, bool)
-    if ty == T.CHAR:
-        return isinstance(value, str) and len(value) == 1
-    if ty == T.STRING:
-        return isinstance(value, str)
-    if ty == T.BLOB:
-        return isinstance(value, bytes)
-    if ty == T.HOST:
-        return isinstance(value, HostAddr)
-    if ty == T.IP:
-        return isinstance(value, IpHeader)
-    if ty == T.TCP:
-        return isinstance(value, TcpHeader)
-    if ty == T.UDP:
-        return isinstance(value, UdpHeader)
-    if isinstance(ty, T.TupleType):
-        return (isinstance(value, tuple) and len(value) == len(ty.elems)
-                and all(conforms(v, e) for v, e in zip(value, ty.elems)))
-    if isinstance(ty, T.HashTableType):
-        return isinstance(value, PlanPTable)
-    if isinstance(ty, T.ListType):
-        return (isinstance(value, PlanPList)
-                and all(conforms(v, ty.elem) for v in value.items))
-    return False
-

@@ -162,13 +162,6 @@ class ProgramCache:
     def digest(source: str) -> str:
         return hashlib.sha256(source.encode("utf-8")).hexdigest()
 
-    def clear(self) -> None:
-        self._frontend.clear()
-        self._reports.clear()
-        self._artifacts.clear()
-        self._wire.clear()
-        self.stats = CacheStats()
-
     def _put(self, table: dict, key, value) -> None:
         if key not in table and len(table) >= MAX_ENTRIES:
             table.pop(next(iter(table)))

@@ -256,16 +256,8 @@ class Program:
         return [d for d in self.decls if isinstance(d, ChannelDecl)]
 
     @property
-    def functions(self) -> list[FunDecl]:
-        return [d for d in self.decls if isinstance(d, FunDecl)]
-
-    @property
     def vals(self) -> list[ValDecl]:
         return [d for d in self.decls if isinstance(d, ValDecl)]
-
-    @property
-    def exceptions(self) -> list[ExceptionDecl]:
-        return [d for d in self.decls if isinstance(d, ExceptionDecl)]
 
 
 # ---------------------------------------------------------------------------

@@ -287,12 +287,6 @@ class Link(Medium):
     def transmit(self, packet: Packet, sender: "Interface") -> None:
         self._tx[id(sender)].send(packet, sender)
 
-    def other_end(self, iface: "Interface") -> "Interface":
-        for other in self._ifaces:
-            if other is not iface:
-                return other
-        raise RuntimeError("link has no other end attached")
-
     def tx_queue(self, sender: "Interface") -> _TxQueue:
         return self._tx[id(sender)]
 

@@ -111,9 +111,3 @@ class LinkStats:
     bytes_dropped: int = 0
     packets_lost: int = 0
     bytes_lost: int = 0
-
-    def drop_rate(self) -> float:
-        total = self.packets_sent + self.packets_dropped
-        if total == 0:
-            return 0.0
-        return self.packets_dropped / total

@@ -172,9 +172,6 @@ class Node:
             raise ValueError(f"{group} is not a multicast address")
         self.multicast_groups.add(group)
 
-    def leave_group(self, group: HostAddr) -> None:
-        self.multicast_groups.discard(group)
-
     # -- observability --------------------------------------------------------------
 
     def _drop(self, packet: Packet, reason: str) -> None:

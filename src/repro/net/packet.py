@@ -53,9 +53,6 @@ class IpHeader:
     def with_src(self, src: HostAddr) -> "IpHeader":
         return IpHeader(src, self.dst, self.ttl, self.proto, self.tos)
 
-    def with_ttl(self, ttl: int) -> "IpHeader":
-        return IpHeader(self.src, self.dst, ttl, self.proto, self.tos)
-
     def decremented(self) -> "IpHeader":
         """The header after one hop (ttl - 1)."""
         return IpHeader(self.src, self.dst, self.ttl - 1, self.proto,
@@ -93,12 +90,6 @@ class TcpHeader:
 
     def swapped(self) -> "TcpHeader":
         return self._with_ports(self.dst_port, self.src_port)
-
-    @property
-    def flags(self) -> int:
-        """Flags packed as in a real header: FIN|SYN|RST|ACK bit positions."""
-        return (int(self.fin) | (int(self.syn) << 1) | (int(self.rst) << 2)
-                | (int(self.ack_flag) << 4))
 
 
 @slot_init

@@ -22,8 +22,7 @@ class RoutingTable:
 
     Keyed on the address's integer ``value``: a lookup per forwarded
     packet then hashes an ``int`` instead of calling the address
-    dataclass's ``__hash__``.  :meth:`entries` still speaks
-    :class:`HostAddr`."""
+    dataclass's ``__hash__``."""
 
     def __init__(self):
         self._routes: dict[int, "Interface"] = {}
@@ -44,13 +43,6 @@ class RoutingTable:
         if route is not None:
             return route
         return self._default
-
-    def __len__(self) -> int:
-        return len(self._routes)
-
-    def entries(self) -> dict[HostAddr, "Interface"]:
-        return {HostAddr(value): iface
-                for value, iface in self._routes.items()}
 
 
 Adjacency = dict["Node", dict["Node", "Interface"]]

@@ -201,10 +201,6 @@ class Simulator:
         return SchedulingContext(f"{name}#{lp}", lp, self.seed)
 
     @property
-    def current_context(self) -> SchedulingContext:
-        return self._current
-
-    @property
     def current_event_key(self) -> EventKey | None:
         """The key of the event being dispatched (None outside
         dispatch), its microtasks included.  Observers record it to
@@ -476,7 +472,3 @@ class SerialResource:
         start = max(self._sim.now, self._busy_until)
         self._busy_until = start + cost
         self._sim.at(self._busy_until, fn)
-
-    @property
-    def backlog_s(self) -> float:
-        return max(0.0, self._busy_until - self._sim.now)

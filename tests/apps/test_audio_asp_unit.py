@@ -3,15 +3,17 @@ RecordingContext with controlled link readings)."""
 
 import pytest
 
-from repro.apps.audio.codec import (decode_frame, degrade, encode_frame,
-                                    generate_pcm_stereo16,
-                                    restore_to_stereo16)
+from repro.apps.audio.codec import (decode_frame, encode_frame,
+                                    generate_pcm_stereo16)
 from repro.asps import audio_client_asp, audio_router_asp
 from repro.asps.audio import FMT_MONO16, FMT_MONO8, FMT_STEREO16
 from repro.interp import Interpreter, RecordingContext
 from repro.lang import parse, typecheck
 from repro.net.addresses import HostAddr
 from repro.net.packet import IpHeader, UdpHeader
+
+from ..conftest import delivered, remote_emissions
+from ._reference_audio import degrade, restore_to_stereo16
 
 GROUP = HostAddr.parse("224.1.1.1")
 
@@ -31,8 +33,8 @@ def run_router(packet, *, load, bandwidth=2000, **thresholds):
     decl = info.channels["network"][0]
     ss = interp.initial_channel_state(decl, ctx)
     interp.run_channel(decl, 0, ss, packet, ctx)
-    assert len(ctx.remote_emissions) == 1
-    return ctx.remote_emissions[0].packet_value
+    assert len(remote_emissions(ctx)) == 1
+    return remote_emissions(ctx)[0].packet_value
 
 
 class TestRouterAsp:
@@ -93,7 +95,7 @@ class TestRouterAsp:
         other = (IpHeader(dst=HostAddr.parse("10.0.0.2")),
                  UdpHeader(src_port=1, dst_port=53), b"dns?")
         interp.run_channel(decl, 0, None, other, ctx)
-        assert ctx.remote_emissions[0].packet_value == other
+        assert remote_emissions(ctx)[0].packet_value == other
 
 
 class TestClientAsp:
@@ -103,8 +105,8 @@ class TestClientAsp:
         interp = Interpreter(info, ctx)
         decl = info.channels["network"][0]
         interp.run_channel(decl, 0, None, packet, ctx)
-        assert len(ctx.delivered) == 1
-        return ctx.delivered[0].packet_value
+        assert len(delivered(ctx)) == 1
+        return delivered(ctx)[0].packet_value
 
     @pytest.mark.parametrize("fmt", [FMT_STEREO16, FMT_MONO16,
                                      FMT_MONO8])

@@ -9,11 +9,14 @@ unbounded behavior, which ``test_http.py`` continues to cover.
 """
 
 from repro.apps.http import HttpClientWorker, HttpServer, OpenLoopClient
-from repro.apps.http.server import BASE_CPU_S, PER_BYTE_CPU_S, WORKERS
+from repro.apps.http.client import OPEN_LOOP_TIMEOUT_S
+from repro.apps.http.server import (BASE_CPU_S, HTTP_PORT, PER_BYTE_CPU_S,
+                                    WORKERS)
 from repro.apps.http.trace import TimedRequest, Trace, TraceEntry
 from repro.net import Network
 from repro.net.overload import AdmissionController
 from repro.net.packet import tcp_packet
+from repro.net.tcp import TcpState
 
 
 def one_doc_trace(size: int = 1000) -> Trace:
@@ -274,3 +277,63 @@ class TestClientRetry:
         assert len(gaps) >= 4
         # exponential growth: later retry gaps dominate earlier ones
         assert max(gaps[2:]) > gaps[0] * 1.5
+
+
+class TestOpenLoopFailures:
+    """An open-loop arrival that never gets its page: the connection
+    fails, or the server never answers and the client's deadline ends
+    it.  Either way it counts once as a failure and never completes."""
+
+    @staticmethod
+    def one_arrival(listen=None):
+        net = Network(seed=9)
+        c = net.add_host("c")
+        s = net.add_host("s")
+        net.link(c, s, bandwidth=100e6)
+        net.finalize()
+        server_stack = net.tcp(s)  # a TCP endpoint either way
+        if listen is not None:
+            server_stack.listen(HTTP_PORT, listen)
+        client = OpenLoopClient(net, c, s.address, arrivals([0.1]))
+        stack = net.tcp(c)
+        conns = []
+        connect = stack.connect
+
+        def recording_connect(dst, dst_port):
+            conns.append(connect(dst, dst_port))
+            return conns[-1]
+
+        stack.connect = recording_connect
+        client.start()
+        return net, client, conns
+
+    def test_refused_connection_fails_once_and_cancels_the_deadline(self):
+        # nothing listens on the port: the server's RST fails the
+        # connect within a round trip
+        net, client, conns = self.one_arrival()
+        net.run(until=1.0)
+        (conn,) = conns
+        assert conn.state is TcpState.CLOSED
+        assert client.failures == 1
+        assert client.completed == [] and client.shed_responses == 0
+        # the deadline went with the failure: nothing is left to fire
+        assert net.sim.pending_events == 0
+        net.run(until=OPEN_LOOP_TIMEOUT_S + 1.0)
+        assert client.failures == 1
+
+    def test_silent_server_times_out_once(self):
+        accepted = []
+        net, client, conns = self.one_arrival(listen=accepted.append)
+        net.run(until=OPEN_LOOP_TIMEOUT_S)
+        (conn,) = conns
+        assert conn.state is TcpState.ESTABLISHED  # asked, no answer yet
+        assert client.failures == 0
+        net.run(until=OPEN_LOOP_TIMEOUT_S + 1.0)
+        # the deadline aborted the connection: a RST reached the server,
+        # and the abort's own failure callback did not count again
+        assert conn.state is TcpState.CLOSED
+        assert conn.on_fail is None
+        (server_side,) = accepted
+        assert server_side.state is TcpState.CLOSED
+        assert client.failures == 1
+        assert client.completed == [] and client.shed_responses == 0

@@ -7,6 +7,8 @@ from repro.lang import parse, typecheck
 from repro.net.addresses import HostAddr
 from repro.net.packet import IpHeader, TcpHeader, UdpHeader
 
+from ..conftest import delivered, remote_emissions
+
 SERVER = HostAddr.parse("10.0.5.5")
 CLIENT = HostAddr.parse("10.0.6.6")
 OTHER = HostAddr.parse("10.0.7.7")
@@ -38,12 +40,12 @@ class MonitorHarness:
         packet = (IpHeader(src=src, dst=MONITOR),
                   UdpHeader(src_port=40001, dst_port=9700),
                   f"QRY {file_name}")
-        before = len(self.ctx.remote_emissions)
+        before = len(remote_emissions(self.ctx))
         self.ps, self.states[id(self.udp_chan)] = \
             self.interp.run_channel(self.udp_chan, self.ps,
                                     self.states[id(self.udp_chan)],
                                     packet, self.ctx)
-        reply = self.ctx.remote_emissions[before]
+        reply = remote_emissions(self.ctx)[before]
         return reply.packet_value
 
     def observe_session(self, file_name="movie.mpg", port=9000):
@@ -83,10 +85,10 @@ class TestMonitorAsp:
 
     def test_unrelated_tcp_traffic_ignored_and_forwarded(self):
         harness = MonitorHarness()
-        before = len(harness.ctx.remote_emissions)
+        before = len(remote_emissions(harness.ctx))
         harness.feed_tcp(CLIENT, SERVER, 40000, 80,
                          "GET / HTTP/1.0\r\n\r\n")
-        assert len(harness.ctx.remote_emissions) == before + 1
+        assert len(remote_emissions(harness.ctx)) == before + 1
         assert harness.query("movie.mpg")[2].startswith("MISS")
 
     def test_per_file_tracking(self):
@@ -103,7 +105,7 @@ class TestMonitorAsp:
         harness.interp.run_channel(
             harness.udp_chan, harness.ps,
             harness.states[id(harness.udp_chan)], packet, harness.ctx)
-        emission = harness.ctx.remote_emissions[-1]
+        emission = remote_emissions(harness.ctx)[-1]
         assert emission.packet_value[2] == "QRY"  # passthrough
 
 
@@ -125,13 +127,13 @@ class TestCaptureAsp:
         video = (IpHeader(src=SERVER, dst=OTHER),
                  UdpHeader(src_port=8001, dst_port=9000), b"frame")
         ps, _ = interp.run_channel(video_chan, ps, 0, video, ctx)
-        assert len(ctx.delivered) == 2  # the config echo + the capture
-        assert ctx.delivered[-1].packet_value[2] == b"frame"
+        assert len(delivered(ctx)) == 2  # the config echo + the capture
+        assert delivered(ctx)[-1].packet_value[2] == b"frame"
 
     def test_unregistered_stream_not_captured(self):
         interp, ctx, _config_chan, video_chan, ps = self._harness()
         video = (IpHeader(src=SERVER, dst=OTHER),
                  UdpHeader(src_port=8001, dst_port=9000), b"frame")
         interp.run_channel(video_chan, ps, 0, video, ctx)
-        assert ctx.delivered == []
-        assert len(ctx.remote_emissions) == 1  # forwarded instead
+        assert delivered(ctx) == []
+        assert len(remote_emissions(ctx)) == 1  # forwarded instead

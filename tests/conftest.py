@@ -50,6 +50,21 @@ def tcp_packet_value(src="10.0.1.1", dst="10.0.2.2", sport=5555,
             payload)
 
 
+def records_by_name(report) -> dict:
+    """A sweep's records, by scenario name."""
+    return {line["scenario"]: line["record"] for line in report.lines}
+
+
+def remote_emissions(ctx: RecordingContext) -> list:
+    """What a program sent on through ``OnRemote`` against ``ctx``."""
+    return [e for e in ctx.emissions if e.kind == "remote"]
+
+
+def delivered(ctx: RecordingContext) -> list:
+    """What a program delivered to the host against ``ctx``."""
+    return [e for e in ctx.emissions if e.kind == "deliver"]
+
+
 def udp_packet_value(src="10.0.1.1", dst="10.0.2.2", sport=5555,
                      dport=7000, payload=b"x") -> tuple:
     return (IpHeader(src=HostAddr.parse(src), dst=HostAddr.parse(dst)),

@@ -23,6 +23,8 @@ from repro.net import Network
 from repro.net.packet import tcp_packet, udp_packet
 from repro.runtime import PlanPLayer
 
+from ..conftest import records_by_name
+
 SCENARIOS = [
     Scenario("ident/audio", "audio", {"duration": 2.0}, seed=7),
     Scenario("ident/http", "http",
@@ -44,8 +46,8 @@ def sweep_with_batch_size(batch_size):
 
 class TestBatchingByteIdentity:
     def test_records_byte_identical_on_vs_off(self):
-        on = sweep_with_batch_size(64).records_by_name()
-        off = sweep_with_batch_size(0).records_by_name()
+        on = records_by_name(sweep_with_batch_size(64))
+        off = records_by_name(sweep_with_batch_size(0))
         assert set(on) == set(off) == {s.name for s in SCENARIOS}
         for name in on:
             a = json.dumps(on[name], sort_keys=True,

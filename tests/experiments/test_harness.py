@@ -3,9 +3,9 @@
 import pytest
 
 from repro.experiments import (BRIDGE_ASP, fig3_codegen_table,
-                               format_fig3_table, make_bridge_packets,
-                               run_engine_microbench)
+                               make_bridge_packets, run_engine_microbench)
 from repro.experiments.fig3 import PAPER_PROGRAMS
+from repro.experiments.report import QUICK, section_fig3
 from repro.experiments.microbench import N_FLOWS
 from repro.jit.pipeline import count_source_lines
 
@@ -33,9 +33,12 @@ class TestFig3Harness:
             assert row.lines == count_source_lines(source)
 
     def test_format_produces_one_line_per_program(self):
-        rows = fig3_codegen_table()
-        text = format_fig3_table(rows)
-        assert len(text.splitlines()) == 2 + len(rows)
+        """The report's figure 3 section: title, blank line, header,
+        rule, then one row per program."""
+        lines = section_fig3({}, QUICK).splitlines()
+        assert len(lines) == 4 + len(PAPER_PROGRAMS)
+        assert [line.split(" | ")[0].lstrip("| ") for line in lines[4:]] \
+            == list(PAPER_PROGRAMS)
 
     def test_count_source_lines_skips_comments_and_blanks(self):
         assert count_source_lines("-- c\n\nval x : int = 1\n") == 1

@@ -9,6 +9,8 @@ from hypothesis import strategies as st
 from repro.harness import Runner, Scenario
 from repro.harness.runner import run_scenario_line
 
+from ..conftest import records_by_name
+
 # Cheap parameterizations drawn from every experiment family that the
 # parallel runner fans out (kept tiny: each example runs a full sweep
 # twice, serially and through a process pool).
@@ -50,9 +52,9 @@ class TestSerialParallelEquivalence:
         scenarios = scenarios_from(POOL[:3], seed=7)
         serial = Runner(use_cache=False, workers=1).sweep(scenarios)
         parallel = Runner(use_cache=False, workers=2).sweep(scenarios)
-        assert serial.records_by_name() == parallel.records_by_name()
-        for name, record in serial.records_by_name().items():
-            other = parallel.records_by_name()[name]
+        assert records_by_name(serial) == records_by_name(parallel)
+        for name, record in records_by_name(serial).items():
+            other = records_by_name(parallel)[name]
             assert json.dumps(record, sort_keys=True).encode() \
                 == json.dumps(other, sort_keys=True).encode()
 
@@ -65,7 +67,7 @@ class TestSerialParallelEquivalence:
         scenarios = scenarios_from(picks, seed)
         serial = Runner(use_cache=False, workers=1).sweep(scenarios)
         parallel = Runner(use_cache=False, workers=2).sweep(scenarios)
-        assert serial.records_by_name() == parallel.records_by_name()
+        assert records_by_name(serial) == records_by_name(parallel)
 
     def test_parallel_store_rehydrates_to_serial_json(self, tmp_path):
         from repro.harness import ResultStore, rehydrate

@@ -5,7 +5,7 @@ import json
 import pytest
 
 from repro.apps.audio import run_audio_experiment, run_gap_sweep
-from repro.apps.http import run_fig8_sweep, run_http_experiment
+from repro.apps.http import run_http_experiment
 from repro.apps.mpeg import run_mpeg_experiment
 from repro.experiments import run_engine_microbench
 from repro.experiments.result import (ExperimentResult,
@@ -47,7 +47,7 @@ class TestUnifiedShape:
 
     def test_json_roundtrip_rehydrates_domain_objects(self):
         result = run_audio_experiment(duration=3.0, seed=5)
-        loaded = type(result).from_json(result.to_json())
+        loaded = type(result).from_record(json.loads(result.to_json()))
         assert loaded.to_json() == result.to_json()
         sample = loaded.figures["bandwidth_series"][0]
         assert hasattr(sample, "kbps")  # a BandwidthSample again
@@ -62,7 +62,7 @@ class TestUnifiedShape:
 
     def test_base_from_json_works_without_subclass(self):
         result = run_mpeg_experiment(n_clients=2, duration=4.0)
-        base = ExperimentResult.from_json(result.to_json())
+        base = ExperimentResult.from_record(json.loads(result.to_json()))
         assert base.figures["server_sessions"] \
             == result.figures["server_sessions"]
 
@@ -113,11 +113,10 @@ class TestKeywordOnly:
         lambda: Simulator(7),
         lambda: Network(7),
         lambda: run_http_experiment("single", 2, duration=3.0),
-        lambda: run_fig8_sweep([2], modes=("single",)),
         lambda: run_gap_sweep([1_900_000], duration=2.0),
         lambda: run_engine_microbench("builtin", 100),
     ], ids=["Simulator", "Network", "run_http_experiment",
-            "run_fig8_sweep", "run_gap_sweep", "run_engine_microbench"])
+            "run_gap_sweep", "run_engine_microbench"])
     def test_positional_call_raises(self, call, recwarn):
         with pytest.raises(TypeError, match="positional"):
             call()

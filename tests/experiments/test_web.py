@@ -8,7 +8,14 @@ import pytest
 from repro.experiments.web import WebResult, run_web_experiment
 from repro.harness import Runner, Scenario, registry
 
+from ..conftest import records_by_name
+
 SHORT = dict(duration=4.0, warmup=1.5, seed=17)
+
+
+def goodput(result) -> float:
+    return result.figures["goodput_rps"]
+
 
 #: DESIGN §14's floors, as fractions of no-attack goodput: kept with the
 #: shedder on, and what an undefended cluster must fall under
@@ -33,7 +40,7 @@ def syn_shed():
 
 class TestCells:
     def test_baseline_serves_cleanly(self, baseline):
-        assert baseline.goodput > 50
+        assert goodput(baseline) > 50
         assert baseline.figures["server_shed"] == 0
         assert baseline.figures["gateway_dropped"] == 0
         assert baseline.figures["good_abandoned"] == 0
@@ -46,15 +53,15 @@ class TestCells:
         assert figs["syn_backlog_drops"] > 0
         # ...but the goods still lose: slots are pinned by half-open
         # connections the attackers never complete
-        assert syn_open.goodput < COLLAPSE_CEILING * baseline.goodput
+        assert goodput(syn_open) < COLLAPSE_CEILING * goodput(baseline)
 
     def test_shedding_restores_syn_goodput(self, baseline, syn_open,
                                            syn_shed):
         figs = syn_shed.figures
         # the gateway filter eats the flood before the victim sees it
         assert figs["gateway_dropped"] > 0.9 * figs["flood_sent"]
-        assert syn_shed.goodput > 2 * syn_open.goodput
-        assert syn_shed.goodput >= RETENTION_FLOOR * baseline.goodput
+        assert goodput(syn_shed) > 2 * goodput(syn_open)
+        assert goodput(syn_shed) >= RETENTION_FLOOR * goodput(baseline)
         assert figs["trips"] == 0  # the defense itself stays healthy
 
     def test_elephant_shedding_starves_the_elephant(self, baseline):
@@ -65,11 +72,11 @@ class TestCells:
         # blocked mid-transfer, the elephants time out and give up
         # instead of monopolizing the serial CPU
         assert figs["attacker_completed"] <= 2
-        assert shed.goodput >= RETENTION_FLOOR * baseline.goodput
+        assert goodput(shed) >= RETENTION_FLOOR * goodput(baseline)
         # the control: undefended, the same pile-on takes the goods down
         undefended = run_web_experiment(attack="elephant",
                                         shedding=False, **SHORT)
-        assert undefended.goodput < COLLAPSE_CEILING * baseline.goodput
+        assert goodput(undefended) < COLLAPSE_CEILING * goodput(baseline)
 
     def test_flash_crowd_is_shed_not_crashed(self):
         shed = run_web_experiment(attack="flash", shedding=True,
@@ -77,7 +84,7 @@ class TestCells:
         figs = shed.figures
         assert figs["server_shed"] > 0  # degradation engaged
         assert figs["crowd_shed"] > 0
-        assert shed.goodput > 0  # and the goods survive
+        assert goodput(shed) > 0  # and the goods survive
 
     def test_validates_attack_and_window(self):
         with pytest.raises(ValueError, match="attack"):
@@ -103,8 +110,8 @@ class TestDeterminism:
         ]
         serial = Runner(use_cache=False, workers=1).sweep(scenarios)
         parallel = Runner(use_cache=False, workers=2).sweep(scenarios)
-        for name, record in serial.records_by_name().items():
-            other = parallel.records_by_name()[name]
+        for name, record in records_by_name(serial).items():
+            other = records_by_name(parallel)[name]
             assert json.dumps(record, sort_keys=True) \
                 == json.dumps(other, sort_keys=True)
 
@@ -130,7 +137,7 @@ class TestRegistry:
                                     duration=2.0, warmup=0.5, seed=17)
         back = registry.rehydrate({"record": result.record()})
         assert isinstance(back, WebResult)
-        assert back.goodput == result.goodput
+        assert goodput(back) == goodput(result)
         assert back.record() == result.record()
 
 
@@ -145,7 +152,7 @@ class TestPoisonedShedder:
         assert figs["quarantines"] >= 1
         # ...the gateway degrades to standard IP instead of dying: the
         # drill completes and the goods still finish requests
-        assert result.goodput > 0
+        assert goodput(result) > 0
         # half-open reinstall replaced the poisoned engine by the end
         assert figs["quarantined_at_end"] == 0
         assert figs["healthy"] is True

@@ -143,7 +143,7 @@ class TestPairCampaign:
         assert not report.ok
         assert report.false_accepts > 0
         assert report.findings
-        errors = global_obs.events.filter("error")
+        errors = [e for e in global_obs.events.events if e.kind == "error"]
         assert any(e.data.get("reason") == "false-accept"
                    for e in errors)
         for finding in report.findings:

@@ -9,6 +9,12 @@ from repro.asps.audio import FMT_MONO16, FMT_MONO8, FMT_STEREO16
 from ..engines import installs_on
 
 
+def qualities_between(result, start, end):
+    """Every format observed on the wire in a time window."""
+    return {fmt for s in result.figures["bandwidth_series"]
+            if start <= s.time < end for fmt in s.formats}
+
+
 @pytest.fixture(scope="module")
 def fig6():
     # 45 simulated seconds: phase breakpoints at 10 / 22 / 34 s.
@@ -17,7 +23,7 @@ def fig6():
 
 class TestFig6Shape:
     def test_unloaded_phase_full_stereo(self, fig6):
-        assert fig6.qualities_between(1, 9) == {FMT_STEREO16}
+        assert qualities_between(fig6, 1, 9) == {FMT_STEREO16}
         assert fig6.mean_kbps_between(1, 9) == pytest.approx(176, abs=8)
 
     def test_large_load_forces_8bit_mono(self, fig6):
@@ -25,7 +31,7 @@ class TestFig6Shape:
         assert fig6.mean_kbps_between(12, 21) == pytest.approx(44, abs=8)
 
     def test_medium_load_oscillates(self, fig6):
-        qualities = fig6.qualities_between(24, 33)
+        qualities = qualities_between(fig6, 24, 33)
         assert FMT_MONO8 in qualities and FMT_MONO16 in qualities
         mean = fig6.mean_kbps_between(24, 33)
         assert 44 < mean < 88  # strictly between the two levels

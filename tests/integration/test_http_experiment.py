@@ -20,10 +20,9 @@ GRID = {"single": (4, 8), "asp": (2, 4, 8), "builtin": (2, 4, 8),
 
 @pytest.fixture(scope="module")
 def grid():
-    trace = generate_trace(4000, seed=11)
     return {mode: {n: run_http_experiment(mode=mode, n_clients=n,
                                           duration=DURATION,
-                                          warmup=WARMUP, trace=trace)
+                                          warmup=WARMUP)
                    for n in loads}
             for mode, loads in GRID.items()}
 

@@ -11,6 +11,8 @@ from repro.interp.image_prims import (decode_image, downscale,
 from repro.interp.primitives import PRIMITIVES
 from repro.lang import PlanPRuntimeError
 
+from ..conftest import remote_emissions
+
 
 def call(name, *args):
     return PRIMITIVES[name].impl(RecordingContext(), list(args))
@@ -149,5 +151,5 @@ channel network(ps : int, ss : unit, p : ip*udp*blob) is
             ps, _ss = loaded.engine.run_channel(chan, 0, None, packet,
                                                 ctx)
             assert ps == 1
-            emitted = ctx.remote_emissions[0].packet_value[2]
+            emitted = remote_emissions(ctx)[0].packet_value[2]
             assert len(emitted) <= 500

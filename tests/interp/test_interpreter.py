@@ -8,7 +8,8 @@ from repro.interp.primitives import sml_div
 from repro.interp.values import PlanPList
 from repro.lang import PlanPRuntimeError, parse, typecheck
 
-from ..conftest import FORWARD_SRC, run_packet, tcp_packet_value
+from ..conftest import (FORWARD_SRC, remote_emissions, run_packet,
+                        tcp_packet_value)
 
 
 def eval_expr(source: str, expected_type=None):
@@ -154,7 +155,7 @@ class TestChannelExecution:
         ps, _ss, ctx = run_packet(FORWARD_SRC, tcp_packet_value(),
                                   repeat=3)
         assert ps == 3
-        assert len(ctx.remote_emissions) == 3
+        assert len(remote_emissions(ctx)) == 3
 
     def test_initstate_evaluated_once_per_install(self):
         src = ("channel network(ps : int, ss : (int) hash_table, "
@@ -176,7 +177,7 @@ class TestChannelExecution:
                "(OnRemote(network, (ipDestSet(#1 p, target), #2 p, #3 p));"
                " (ps, ss))")
         _ps, _ss, ctx = run_packet(src, tcp_packet_value())
-        assert str(ctx.remote_emissions[0].packet_value[0].dst) == \
+        assert str(remote_emissions(ctx)[0].packet_value[0].dst) == \
             "9.9.9.9"
 
     def test_onneighbor_records_neighbor(self):

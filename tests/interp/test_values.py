@@ -1,13 +1,17 @@
 """Run-time value domain tests."""
 
 import pytest
+from hypothesis import given, settings
 
 from repro.interp.primitives import OPERATORS
-from repro.interp.values import (UNIT, PlanPList, PlanPTable, conforms,
+from repro.interp.values import (UNIT, PlanPList, PlanPTable,
                                  default_value, format_value)
 from repro.lang import types as T
 from repro.net.addresses import HostAddr
 from repro.net.packet import IpHeader, TcpHeader, UdpHeader
+
+from ..strategies import values
+from ._reference_values import conforms
 
 
 class TestUnit:
@@ -144,6 +148,21 @@ class TestConforms:
     def test_list_elements_checked(self):
         assert conforms(PlanPList((1, 2)), T.ListType(T.INT))
         assert not conforms(PlanPList((1, "x")), T.ListType(T.INT))
+
+    @pytest.mark.parametrize("ty", [
+        T.INT, T.BOOL, T.CHAR, T.STRING, T.UNIT, T.HOST, T.BLOB, T.IP,
+        T.TCP, T.UDP, T.TupleType((T.IP, T.UDP, T.BLOB)),
+        T.ListType(T.ListType(T.INT)), T.HashTableType(T.STRING)])
+    def test_generated_values_inhabit_their_type(self, ty):
+        """The operand strategy the engine-equivalence properties draw
+        from stays inside the value domain."""
+
+        @given(values(ty, key=T.INT))
+        @settings(max_examples=30, deadline=None)
+        def check(value):
+            assert conforms(value, ty)
+
+        check()
 
 
 class TestFormatValue:

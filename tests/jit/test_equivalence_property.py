@@ -19,6 +19,7 @@ from repro.lang import PlanPRuntimeError, parse, typecheck
 from repro.lang import types as T
 
 from ..conftest import tcp_packet_value
+from ..interp._reference_values import conforms
 from ..strategies import programs, values
 
 PACKETS = [tcp_packet_value(payload=b"abcdef"),
@@ -137,6 +138,7 @@ def _outcome(engine, decl, operands):
         return PlanPRuntimeError, err.exception_name, str(err)
     except Exception as err:
         return type(err), str(err)
+    assert conforms(result, decl.channel_state_type), result
     if isinstance(result, PlanPTable):  # compares by identity
         return PlanPTable, result.capacity, list(result.items())
     return type(result), result

@@ -32,7 +32,7 @@ CALLER_DIRS = ("src", "bench", "examples")
 
 #: defaulted public parameters under ``src/repro``; lower it when one
 #: goes, never raise it without a caller to show
-MAX_DEFAULTED = 256
+MAX_DEFAULTED = 253
 
 #: why nobody in the tree has to set it -> ``(owner, parameter)`` entries
 ALLOWED: dict[str, list[tuple[str, str]]] = {

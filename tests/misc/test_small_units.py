@@ -5,6 +5,8 @@ import pytest
 from repro.lang.errors import (PlanPRuntimeError, SourcePos,
                                VerificationError)
 
+from ..conftest import delivered, remote_emissions
+
 
 class TestErrors:
     def test_source_pos_formatting(self):
@@ -111,8 +113,8 @@ class TestContextDefaults:
         pkt = (IpHeader(), UdpHeader(), b"")
         ctx.emit_remote("network", pkt)
         ctx.deliver(pkt)
-        assert len(ctx.remote_emissions) == 1
-        assert len(ctx.delivered) == 1
+        assert len(remote_emissions(ctx)) == 1
+        assert len(delivered(ctx)) == 1
 
 
 class TestTopologyGuards:

@@ -66,7 +66,8 @@ class TestQueueing:
         stats = link.tx_queue(a.interfaces[0]).stats
         assert stats.packets_dropped == 7  # 1 in flight + 2 queued kept
         assert len(received) == 3
-        assert stats.drop_rate() == pytest.approx(0.7)
+        offered = stats.packets_sent + stats.packets_dropped
+        assert stats.packets_dropped / offered == pytest.approx(0.7)
 
     def test_a_zero_limit_still_carries_one_packet_at_a_time(self):
         """``queue_limit`` bounds the waiting room, not the serializer:

@@ -74,14 +74,18 @@ def build(plan):
 
 
 def tables(compute, net, defaults):
-    """What ``compute`` leaves in every node's table, starting each node
+    """The interface each node's table picks for every address in the
+    network, and its default, after ``compute`` — starting each node
     from an empty table carrying its pre-set default."""
     for node in net.nodes:
         node.routes = RoutingTable()
         if node in defaults:
             node.routes.set_default(defaults[node])
     compute(net.nodes)
-    return {node.name: (node.routes.entries(), node.routes.default)
+    addresses = [iface.address for other in net.nodes
+                 for iface in other.interfaces]
+    return {node.name: ([node.routes.lookup(a) for a in addresses],
+                        node.routes.default)
             for node in net.nodes}
 
 

@@ -108,7 +108,7 @@ class TestRaisingEvent:
     def test_state_restored_and_the_next_run_goes_on(self, raiser):
         sim = Simulator()
         ctx = sim.context("boom")
-        caller = sim.current_context
+        caller = sim._current
         log = []
 
         def boom():
@@ -130,14 +130,14 @@ class TestRaisingEvent:
             sim.run()
         assert log == ["a", "boom"]
         assert sim.now == 2.0
-        assert sim.current_context is caller
+        assert sim._current is caller
         assert sim.current_event_key is None
         assert sim._microtasks == []
         # outside an event, call_soon runs at once again
         sim.call_soon(lambda: log.append("sync"))
         assert sim.run() == 2
         assert log == ["a", "boom", "sync", "c", "d"]
-        assert sim.current_context is caller
+        assert sim._current is caller
         assert sim.current_event_key is None
 
 
@@ -269,11 +269,16 @@ class TestSerialResource:
         assert done == [1.0, 2.0, 3.0]
 
     def test_backlog_reported(self):
+        """Work submitted at t=1 behind two queued 2 s items waits out
+        their backlog and finishes at 4 + 2."""
         sim = Simulator()
         cpu = serial(sim, 2.0)
+        done = []
         cpu.submit(lambda: None)
         cpu.submit(lambda: None)
-        assert cpu.backlog_s == pytest.approx(4.0)
+        sim.schedule(1.0, lambda: cpu.submit(lambda: done.append(sim.now)))
+        sim.run()
+        assert done == [6.0]
 
     def test_idle_gap_resets(self):
         sim = Simulator()

@@ -108,11 +108,11 @@ class TestContextAttribution:
 
         def outer():
             sim.schedule(0.1, lambda: seen.append(
-                sim.current_context.name))
+                sim.current_event_key[1]))
 
         sim.schedule(0.0, outer, context=ctx)
         sim.run()
-        assert seen == [ctx.name]
+        assert seen == [ctx.lp]
 
 
 PORT = 6000

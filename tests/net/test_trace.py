@@ -23,7 +23,7 @@ def traced_line():
 
 
 def records(net, kind, **fields):
-    return [e for e in net.obs.events.filter(kind)
+    return [e for e in net.obs.events.events if e.kind == kind
             if all(e.data[k] == v for k, v in fields.items())]
 
 
@@ -116,7 +116,7 @@ class TestSendAndDropTracing:
             a.ip_send(packet)
             dropped.append(packet.uid)
         net.run()
-        drops = net.obs.events.filter("drop")
+        drops = [e for e in net.obs.events.events if e.kind == "drop"]
         assert drops and all(e.data["reason"] == "queue" for e in drops)
         assert {e.data["uid"] for e in drops} <= set(dropped)
         text = tracer.render()
@@ -132,7 +132,7 @@ class TestSendAndDropTracing:
             uids.append(packet.uid)
         net.run()
         per_uid = Counter(e.data["uid"]
-                          for e in net.obs.events.filter("drop"))
+                          for e in net.obs.events.events if e.kind == "drop")
         assert per_uid == {uid: 1 for uid in uids}
         assert tracer.render().count("reason=no-route") == 3
 
@@ -143,7 +143,7 @@ class TestSendAndDropTracing:
         net.media[0].up = False  # the a--r link
         a.ip_send(udp_packet(a.address, b.address, 1, 2, b"x"))
         net.run()
-        (drop,) = net.obs.events.filter("drop")
+        (drop,) = [e for e in net.obs.events.events if e.kind == "drop"]
         assert drop.node == "a"
         assert drop.data["reason"] == "down"
 
@@ -152,7 +152,7 @@ class TestSendAndDropTracing:
         net.faults.link_down(net.media[0])  # recomputes routes too
         a.ip_send(udp_packet(a.address, b.address, 1, 2, b"x"))
         net.run()
-        (drop,) = net.obs.events.filter("drop")
+        (drop,) = [e for e in net.obs.events.events if e.kind == "drop"]
         assert drop.node == "a"
         assert drop.data["reason"] == "no-route"
 

@@ -77,7 +77,7 @@ class TestDropAccounting:
         net.run()
         snap = net.obs.snapshot()
         assert snap["drops_total"] > 0
-        drops = net.obs.events.filter(kind="drop")
+        drops = [e for e in net.obs.events.events if e.kind == "drop"]
         assert snap["drops_total"] == len(drops)
         (reasons, sites) = ({e.data["reason"] for e in drops},
                             {e.data["site"] for e in drops})
@@ -94,7 +94,7 @@ class TestDropAccounting:
                               1, 2, b"x")
         a.ip_send(stranger)
         net.run()
-        drops = net.obs.events.filter(kind="drop")
+        drops = [e for e in net.obs.events.events if e.kind == "drop"]
         assert len(drops) == 1
         assert drops[0].data["reason"] == "no-route"
         assert drops[0].data["site"] == "node"
@@ -109,7 +109,7 @@ class TestFaultEvents:
         snap = net.obs.snapshot()
         assert snap["faults_total"] == 2
         details = [e.data["detail"]
-                   for e in net.obs.events.filter(kind="fault")]
+                   for e in net.obs.events.events if e.kind == "fault"]
         assert any("down" in d for d in details)
         assert any("up" in d or "restored" in d for d in details)
 
@@ -131,7 +131,7 @@ class TestDeployEvents:
         net.run(until=5.0)
 
         actions = [e.data["action"]
-                   for e in net.obs.events.filter(kind="deploy")]
+                   for e in net.obs.events.events if e.kind == "deploy"]
         assert "push" in actions
         assert "install" in actions
         assert "push-ok" in actions
@@ -188,7 +188,7 @@ class TestErrorCounting:
         snap = net.obs.snapshot()
         assert snap["http.errors_total"] == 1
         assert server.errors == 1
-        (event,) = net.obs.events.filter(kind="error")
+        (event,) = [e for e in net.obs.events.events if e.kind == "error"]
         assert event.data["where"] == "http-server"
         assert event.data["path"] == "/x"
 
@@ -204,7 +204,7 @@ class TestErrorCounting:
         assert client.failures == 1
         snap = net.obs.snapshot()
         assert snap["images.errors_total"] == 1
-        (event,) = net.obs.events.filter(kind="error")
+        (event,) = [e for e in net.obs.events.events if e.kind == "error"]
         assert event.data["where"] == "image-client"
         assert event.data["image"] == "pic"
 

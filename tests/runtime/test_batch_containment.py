@@ -102,7 +102,7 @@ class TestMalformedRowContainment:
 
     def test_decode_reason_and_breaker_feed(self):
         net, r, layer, _got = self.run_corrupted()
-        errors = list(net.obs.events.filter(kind="error"))
+        errors = [e for e in net.obs.events.events if e.kind == "error"]
         assert len(errors) == 1
         assert errors[0].data["reason"] == "decode"
         assert errors[0].node == "r"
@@ -199,8 +199,8 @@ class TestBreakerTripMidBatch:
         rb, lb, mb, got_b = self.run_stream(BATCH, bad)
         rs, ls, ms, got_s = self.run_stream(0, bad)
         assert lb.stats.fastpath_batches == 1
-        assert mb.of(rb).breaker.trips == 1
-        assert ms.of(rs).breaker.trips == 1
+        assert mb.nodes[rb.name].breaker.trips == 1
+        assert ms.nodes[rs.name].breaker.trips == 1
         assert len(got_b) == len(got_s) == BATCH  # nothing lost
         for field in ("packets_processed", "runtime_errors"):
             assert getattr(lb.stats, field) \

@@ -265,7 +265,7 @@ class TestHistory:
         manager.rollout(GOOD, routers, force=True, source_name="v1")
         manager.rollout(GOOD_V2, routers, force=True, source_name="v2")
         for r in routers:
-            nl = manager.of(r)
+            nl = manager.nodes[r.name]
             assert [g.number for g in nl.generations] == [1, 2]
             assert nl.current.loaded.source_sha == ProgramCache.digest(GOOD_V2)
 
@@ -278,7 +278,7 @@ class TestHistory:
         processed = routers[0].planp.stats.packets_processed
         assert processed > 0
         manager.rollout(GOOD_V2, routers, force=True)
-        nl = manager.of(routers[0])
+        nl = manager.nodes[routers[0].name]
         snap = nl.generations[0].snapshot
         assert snap is not None
         assert snap.protocol_state == processed  # ps counted packets
@@ -297,7 +297,7 @@ class TestHistory:
         manager = manager_for(net, routers)
         with pytest.raises(VerificationError):
             manager.rollout(UNSAFE, routers)
-        assert all(manager.of(r).current is None for r in routers)
+        assert all(manager.nodes[r.name].current is None for r in routers)
         assert all(r.planp.loaded is None for r in routers)
 
     def test_verified_install_is_stamped_verified_everywhere(self):
@@ -312,7 +312,7 @@ class TestHistory:
         assert record.verified and record.report.passed
         for r in routers:
             assert r.planp.loaded.verified
-            assert manager.of(r).current.loaded.verified
+            assert manager.nodes[r.name].current.loaded.verified
         assert cache.stats.verify_misses == 1
 
 
@@ -349,7 +349,7 @@ class TestRollout:
         good_sha = ProgramCache.digest(GOOD)
         # Canary back on generation 1; the rest never saw the bad one.
         for r in routers:
-            nl = manager.of(r)
+            nl = manager.nodes[r.name]
             assert nl.current.loaded.source_sha == good_sha
             assert not nl.quarantined
         assert manager.aborted == 1
@@ -362,13 +362,14 @@ class TestRollout:
         manager = manager_for(net, routers)
         manager.rollout(GOOD, routers, force=True)
         rollouts = list(manager.rollouts)
-        events = net.obs.events.filter("rollout")
+        events = [e for e in net.obs.events.events if e.kind == "rollout"]
         with pytest.raises(ParseError):
             manager.rollout("channel network(", routers, verify=False)
         assert manager.rollouts == rollouts
-        assert net.obs.events.filter("rollout") == events
+        again = [e for e in net.obs.events.events if e.kind == "rollout"]
+        assert again == events
         good_sha = ProgramCache.digest(GOOD)
-        assert all(manager.of(r).current.loaded.source_sha == good_sha
+        assert all(manager.nodes[r.name].current.loaded.source_sha == good_sha
                    for r in routers)
 
     def test_silent_canary_aborts_after_extensions(self):
@@ -410,7 +411,7 @@ class TestQuarantine:
                               probation_packets=5,
                               rollback_after_trips=99)
         manager.rollout(BAD, routers, verify=False, force=True)
-        nl = manager.of(routers[0])
+        nl = manager.nodes[routers[0].name]
         counter = traffic(net, src, dst)
         net.run(until=0.4)
         assert nl.quarantined
@@ -441,7 +442,7 @@ class TestQuarantine:
         assert manager.rollbacks >= 1
         good_sha = ProgramCache.digest(GOOD)
         for r in routers:
-            nl = manager.of(r)
+            nl = manager.nodes[r.name]
             assert nl.current.loaded.source_sha == good_sha
             assert not nl.quarantined
             assert nl.rolled_back  # the bad generation is audited
@@ -457,9 +458,9 @@ class TestQuarantine:
         net.run(until=6.0)
         assert not manager.quarantined_nodes()
         for r in routers:
-            assert manager.of(r).current is None
+            assert manager.nodes[r.name].current is None
             assert r.planp.loaded is None
-            assert not manager.of(r).quarantined
+            assert not manager.nodes[r.name].quarantined
 
     def test_operator_rollback(self):
         net, src, routers, dst = chain_net(2)
@@ -469,7 +470,7 @@ class TestQuarantine:
         rolled = manager.rollback(ProgramCache.digest(GOOD_V2))
         assert sorted(rolled) == ["r0", "r1"]
         good_sha = ProgramCache.digest(GOOD)
-        assert all(manager.of(r).current.loaded.source_sha == good_sha
+        assert all(manager.nodes[r.name].current.loaded.source_sha == good_sha
                    for r in routers)
 
     def test_rollback_restores_snapshot_state(self):
@@ -511,12 +512,12 @@ class TestWireVeto:
         # Vetoed before any install: every node still runs gen 1 and
         # never saw the candidate.
         for r in routers:
-            nl = manager.of(r)
+            nl = manager.nodes[r.name]
             assert len(nl.generations) == 1
             assert nl.current.loaded.source_sha != rollout.sha
         assert rollout.wire_verdicts  # one verdict per running gen
         actions = [e.data.get("action")
-                   for e in net.obs.events.filter(kind="rollout")]
+                   for e in net.obs.events.events if e.kind == "rollout"]
         assert "veto" in actions
         assert "canary" not in actions
 
@@ -525,7 +526,7 @@ class TestWireVeto:
         manager = manager_for(net, routers)
         manager.rollout(GOOD, routers, force=True)
         manager.rollout(INCOMPAT, routers)
-        (veto,) = [e for e in net.obs.events.filter(kind="rollout")
+        (veto,) = [e for e in net.obs.events.events if e.kind == "rollout"
                    if e.data.get("action") == "veto"]
         assert "incompatible" in veto.data["verdict"]
         assert veto.data["nodes"] == 2
@@ -537,8 +538,8 @@ class TestWireVeto:
         rollout = manager.rollout(INCOMPAT, routers, force=True)
         assert rollout.state is RolloutState.PROMOTED
         assert manager.vetoes == 0
-        assert all(manager.of(r).current.loaded.source_sha == rollout.sha
-                   for r in routers)
+        assert all(manager.nodes[r.name].current.loaded.source_sha
+                   == rollout.sha for r in routers)
 
     def test_policy_can_disable_wire_check(self):
         net, src, routers, dst = chain_net(4)
@@ -579,9 +580,9 @@ class TestRollbackAudit:
         rolled = manager.rollback("0" * 64)
         assert rolled == []
         good_sha = ProgramCache.digest(GOOD)
-        assert all(manager.of(r).current.loaded.source_sha == good_sha
+        assert all(manager.nodes[r.name].current.loaded.source_sha == good_sha
                    for r in routers)
-        skips = [e for e in net.obs.events.filter(kind="rollback")
+        skips = [e for e in net.obs.events.events if e.kind == "rollback"
                  if e.data.get("action") == "skip"]
         assert len(skips) == 1
         assert skips[0].data["nodes"] == 0
@@ -595,10 +596,10 @@ class TestRollbackAudit:
         rolled = manager.rollback(v2_sha)
         assert rolled == ["r0"]
         good_sha = ProgramCache.digest(GOOD)
-        assert manager.of("r0").current.loaded.source_sha == good_sha
-        assert manager.of("r1").current.loaded.source_sha == good_sha
-        assert len(manager.of("r1").generations) == 1  # untouched
-        skips = [e for e in net.obs.events.filter(kind="rollback")
+        assert manager.nodes["r0"].current.loaded.source_sha == good_sha
+        assert manager.nodes["r1"].current.loaded.source_sha == good_sha
+        assert len(manager.nodes["r1"].generations) == 1  # untouched
+        skips = [e for e in net.obs.events.events if e.kind == "rollback"
                  if e.data.get("action") == "skip"]
         assert [e.node for e in skips] == ["r1"]
         assert skips[0].data["current"] == good_sha[:12]
@@ -620,15 +621,15 @@ class TestRollbackAudit:
         # The failing node is contained; the rest of the fleet rolls.
         assert rolled == ["r0", "r2"]
         good_sha = ProgramCache.digest(GOOD)
-        assert manager.of("r0").current.loaded.source_sha == good_sha
-        assert manager.of("r2").current.loaded.source_sha == good_sha
+        assert manager.nodes["r0"].current.loaded.source_sha == good_sha
+        assert manager.nodes["r2"].current.loaded.source_sha == good_sha
         # The failed node reverted to standard IP with an emptied,
         # audited history — no half-rolled mixed state.
-        nl = manager.of("r1")
+        nl = manager.nodes["r1"]
         assert nl.current is None
         assert nl.layer.loaded is None
         assert not nl.quarantined
-        failures = [e for e in net.obs.events.filter(kind="rollback")
+        failures = [e for e in net.obs.events.events if e.kind == "rollback"
                     if e.data.get("action") == "node-failed"]
         assert [e.node for e in failures] == ["r1"]
         assert "disk on fire" in failures[0].data["error"]
@@ -661,14 +662,14 @@ class TestCleanReinstall:
         traffic(net, src, dst)
         net.run(until=0.4)
         layer = routers[0].planp
-        assert manager.of(routers[0]).quarantined
+        assert manager.nodes[routers[0].name].quarantined
         assert layer.channel_states == {}  # quarantine dropped state
         assert layer.protocol_state is None
         # A fresh install starts from the program's own initial state —
         # nothing leaks from the quarantined incarnation.
         manager.rollout(GOOD, routers, force=True)
         assert layer.protocol_state == 0
-        assert not manager.of(routers[0]).quarantined
+        assert not manager.nodes[routers[0].name].quarantined
         assert len(layer.channel_states) == 1
         layer.uninstall()
         manager.rollout(GOOD_V2, routers, force=True)
@@ -688,7 +689,7 @@ class TestCleanReinstall:
         manager.rollout(BAD, routers, verify=False, force=True)
         traffic(net, src, dst)
         net.run(until=0.4)
-        nl = manager.of(routers[0])
+        nl = manager.nodes[routers[0].name]
         assert nl.quarantined and manager.trips == 1
         manager.deployment.install(BAD, routers, verify=False)
         assert nl.breaker.state is BreakerState.HALF_OPEN
@@ -709,7 +710,7 @@ class TestCleanReinstall:
         traffic(net, src, dst)
         net.run(until=0.4)
         layer = routers[0].planp
-        assert manager.of(routers[0]).quarantined
+        assert manager.nodes[routers[0].name].quarantined
         processed = layer.stats.packets_processed
         net.run(until=0.8)
         # Quarantine gate: no further ASP processing happens.
@@ -745,7 +746,7 @@ class TestCrashRecovery:
         net.faults.crash(r0)
         net.faults.restart(r0)
         good, v2 = ProgramCache.digest(GOOD), ProgramCache.digest(GOOD_V2)
-        nl = manager.of(r0)
+        nl = manager.nodes[r0.name]
         assert r0.planp.current_sha == good
         assert [(g.number, g.loaded.source_sha)
                 for g in nl.generations] == [(1, good)]
@@ -759,7 +760,7 @@ class TestCrashRecovery:
         start = net.now
         traffic(net, src, dst)
         net.run(until=start + 0.41)
-        nl = manager.of(r0)
+        nl = manager.nodes[r0.name]
         assert nl.quarantined and manager.trips == 1
         if crash:
             net.faults.crash(r0)

@@ -299,8 +299,9 @@ class TestHostClock:
         xfer = manager.push(FORWARD, [routers[0].address])
         net.run(until=1.0)
         status = manager.status(xfer)[routers[0].address]
-        (terminal_at,) = [e.t for e in net.obs.events.filter(kind="deploy")
-                          if e.data["action"] == "push-ok"]
+        (terminal_at,) = [e.t for e in net.obs.events.events
+                          if e.kind == "deploy"
+                          and e.data["action"] == "push-ok"]
         return (net.obs.snapshot(),
                 (status.ok, status.cache_hit, terminal_at),
                 services[0].installed)
@@ -351,7 +352,7 @@ class TestRestartRefusal:
         assert service.rejected == refused and refused
         assert net.obs.snapshot()["deploy.service.r.rejected"] \
             == len(refused)
-        events = [e.data for e in net.obs.events.filter(kind="deploy")
+        events = [e.data for e in net.obs.events.events if e.kind == "deploy"
                   if e.data.get("action") == "reject"]
         assert events == [{"action": "reject", "sha": sha,
                            "reason": "division by zero"}] * len(refused)

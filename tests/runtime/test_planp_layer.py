@@ -292,7 +292,7 @@ class TestDecodeContainment:
         packet.payload = b""
         layer.process(packet, None, hit)
         net.sim.run()
-        errors = [e for e in net.obs.events.filter(kind="error")]
+        errors = [e for e in net.obs.events.events if e.kind == "error"]
         assert len(errors) == 1
         assert errors[0].data["reason"] == "decode"
         assert errors[0].node == "r"
@@ -322,7 +322,7 @@ class TestDecodeContainment:
         net.run()
         assert layer.stats.runtime_errors == 1
         assert len(got) == 1
-        errors = [e for e in net.obs.events.filter(kind="error")]
+        errors = [e for e in net.obs.events.events if e.kind == "error"]
         assert errors and errors[0].data["reason"] == "runtime"
 
     def test_stale_deferred_classification_is_not_an_error(self):

@@ -192,18 +192,19 @@ class TestLoadProgramFlags:
         assert cold.source_sha == warm.source_sha \
             == ProgramCache.digest(FORWARD)
 
-    def test_default_cache_is_module_global(self):
-        pipeline.PROGRAM_CACHE.clear()
-        before = pipeline.PROGRAM_CACHE.stats.loads
+    def test_default_cache_is_module_global(self, monkeypatch):
+        monkeypatch.setattr(pipeline, "PROGRAM_CACHE", ProgramCache())
         pipeline.load_program(FORWARD)
-        assert pipeline.PROGRAM_CACHE.stats.loads == before + 1
-        pipeline.PROGRAM_CACHE.clear()
+        assert pipeline.PROGRAM_CACHE.stats.loads == 1
 
 
 class TestNetDeployCache:
+    @pytest.fixture(autouse=True)
+    def _cold_cache(self, monkeypatch):
+        monkeypatch.setattr(pipeline, "PROGRAM_CACHE", ProgramCache())
+
     @staticmethod
     def _assert_one_cold_install(n_routers, source):
-        pipeline.PROGRAM_CACHE.clear()
         net = Network(seed=41)
         admin = net.add_host("admin")
         routers = [net.add_router(f"r{i}") for i in range(n_routers)]
@@ -222,7 +223,6 @@ class TestNetDeployCache:
         assert hits.count(False) == 1  # exactly one cold install
         assert hits.count(True) == len(routers) - 1
         assert all(s.installed == [xfer] for s in services)
-        pipeline.PROGRAM_CACHE.clear()
 
     def test_push_acks_carry_cache_hit_flag(self):
         self._assert_one_cold_install(4, FORWARD)
