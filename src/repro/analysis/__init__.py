@@ -7,6 +7,7 @@ from .._lazy import exports
 __all__, __getattr__, __dir__ = exports(__name__, globals(), {
     "delivery": ("DeliveryReport", "check_delivery"),
     "duplication": ("DuplicationReport", "check_duplication"),
+    "effects": ("EffectWalk", "Effects"),
     "paths": ("PathSummary", "channel_paths", "program_paths"),
     "termination": ("GlobalTerminationReport", "check_global_termination",
                     "check_local_termination"),

@@ -24,10 +24,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from ..lang import ast
 from ..lang.errors import VerificationError
 from ..lang.typechecker import ProgramInfo
 from ..net.routing import bfs_parents
+from .effects import EffectWalk
 from .paths import (Dst, DstKind, Emission, Port, PortKind, ProgramPaths,
                     program_paths)
 
@@ -41,14 +41,15 @@ def check_local_termination(info: ProgramInfo) -> None:
     """Verify the structural restrictions that guarantee local
     termination: a DAG of function calls (one walk per function body)
     and no loop constructs."""
+    effects = EffectWalk(info)
     order = {name: i for i, name in enumerate(info.funs)}
-    for name, fun in info.funs.items():
-        for call in ast.calls_in(fun.decl.body):
+    for name in info.funs:
+        for call in effects.of_fun(name).fun_calls:
             if call.func == name:
                 raise VerificationError(
                     f"function {name!r} calls itself; recursion breaks "
                     f"local termination", call.pos, analysis="termination")
-            if call.func in order and order[call.func] >= order[name]:
+            if order[call.func] >= order[name]:
                 raise VerificationError(
                     f"function {name!r} calls {call.func!r}, declared "
                     f"later; forward calls admit recursion", call.pos,

@@ -17,8 +17,9 @@ checked :class:`~repro.lang.typechecker.ProgramInfo`:
   decoder; and
 * the **emission topology** — which channels each channel (or a helper
   function it calls) sends to via ``OnRemote``/``OnNeighbor``, and
-  whether it ``deliver``\\ s — the same syntactic walk the delivery
-  analysis performs, made total (no path budgets, no raising).
+  whether it ``deliver``\\ s — the ``emits`` and ``delivers`` of the
+  structural walk the delivery analysis reads
+  (:mod:`repro.analysis.effects`), total (no path budgets, no raising).
 
 :func:`check_compatible` compares two summaries and returns a verdict
 on a three-point lattice::
@@ -44,17 +45,15 @@ import enum
 import hashlib
 from dataclasses import dataclass, field
 
-from ..lang import ast
 from ..lang.typechecker import ProgramInfo
 from ..runtime.codec import CodecError, layout
 from ..lang import types as T
+from .effects import EffectWalk
 
 #: Bump when the summary derivation or comparison semantics change, so
 #: cached summaries from an older revision are keyed out (the
 #: ``CODEGEN_REV`` idiom of ``jit.pipeline``).
 WIRE_REV = 1
-
-_EMIT_FUNCS = ("OnRemote", "OnNeighbor")
 
 
 # ---------------------------------------------------------------------------
@@ -154,49 +153,10 @@ def _shape_of(packet_type: T.TupleType) -> OverloadShape:
                          fixed=lay.fixed, has_tail=lay.has_tail)
 
 
-class _EmissionWalk:
-    """Syntactic send/deliver topology with helper-fun inlining.
-
-    Unlike ``analysis.paths.channel_paths`` this never raises: it is a
-    plain transitive call walk (memoized per function), total over any
-    type-checked program — which is what a summary consulted on the
-    rollout path needs.
-    """
-
-    def __init__(self, info: ProgramInfo):
-        self._info = info
-        self._fun_cache: dict[str, tuple[set[str], bool]] = {}
-
-    def of(self, expr: ast.Expr) -> tuple[set[str], bool]:
-        targets: set[str] = set()
-        delivers = False
-        for call in ast.calls_in(expr):
-            if call.func in _EMIT_FUNCS:
-                if call.args and isinstance(call.args[0], ast.Var):
-                    targets.add(call.args[0].name)
-            elif call.func == "deliver":
-                delivers = True
-            elif call.func in self._info.funs:
-                sub_targets, sub_delivers = self._of_fun(call.func)
-                targets |= sub_targets
-                delivers = delivers or sub_delivers
-        return targets, delivers
-
-    def _of_fun(self, name: str) -> tuple[set[str], bool]:
-        cached = self._fun_cache.get(name)
-        if cached is not None:
-            return cached
-        # Pre-seed to terminate on (ill-typed but conceivable) cycles.
-        self._fun_cache[name] = (set(), False)
-        result = self.of(self._info.funs[name].decl.body)
-        self._fun_cache[name] = result
-        return result
-
-
 def wire_summary(info: ProgramInfo) -> WireSummary:
     """Derive the wire summary of a checked program.  Total: never
     raises for any program the type checker accepts."""
-    walk = _EmissionWalk(info)
+    effects = EffectWalk(info)
     channels: list[ChannelSummary] = []
     for name in sorted(info.channels):
         decls = info.channel_overloads(name)
@@ -204,27 +164,23 @@ def wire_summary(info: ProgramInfo) -> WireSummary:
         targets: set[str] = set()
         delivers = False
         for d in decls:
-            t, dv = walk.of(d.body)
-            targets |= t
-            delivers = delivers or dv
-            if d.initstate is not None:
-                t, dv = walk.of(d.initstate)
-                targets |= t
-                delivers = delivers or dv
+            for body in (d.body, d.initstate):
+                if body is not None:
+                    facts = effects.of(body)
+                    targets |= facts.emits
+                    delivers = delivers or facts.delivers
         channels.append(ChannelSummary(
             name=name,
             tag=None if name == "network" else name,
             shapes=shapes,
             emits=tuple(sorted(targets)),
             delivers=delivers))
-    summary = WireSummary(channels=tuple(channels))
-    return WireSummary(channels=summary.channels,
-                       digest=_digest(summary))
+    return WireSummary(channels=tuple(channels), digest=_digest(channels))
 
 
-def _digest(summary: WireSummary) -> str:
+def _digest(channels: list[ChannelSummary]) -> str:
     h = hashlib.sha256()
-    for ch in summary.channels:
+    for ch in channels:
         h.update(repr((ch.name, ch.tag, ch.shapes, ch.emits,
                        ch.delivers)).encode("utf-8"))
     return h.hexdigest()

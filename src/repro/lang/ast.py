@@ -301,8 +301,3 @@ def walk(expr: Expr) -> list[Expr]:
             kids.reverse()
             stack += kids
     return out
-
-
-def calls_in(expr: Expr) -> list[Call]:
-    """All ``Call`` nodes under ``expr``, pre-order."""
-    return [n for n in walk(expr) if type(n) is Call]

@@ -128,9 +128,8 @@ class Packet:
 
     ``channel`` is the PLAN-P channel tag for packets sent on user-defined
     channels (``None`` for ordinary application traffic).  ``uid`` is a
-    simulator-level trace id, fresh per packet object; copies made by
-    packet duplication get fresh uids with the original recorded in
-    ``copied_from``.
+    simulator-level trace id, fresh per packet object: a router hop keeps
+    it, a multicast fan-out's copies get fresh ones.
     """
 
     ip: IpHeader
@@ -138,7 +137,6 @@ class Packet:
     payload: bytes = b""
     channel: str | None = None
     uid: int = field(default_factory=next_uid)
-    copied_from: int | None = None
     created_at: float = 0.0
 
     def __post_init__(self) -> None:
@@ -154,16 +152,14 @@ class Packet:
         return _HEADER_BYTES[self.transport.__class__] + len(self.payload)
 
     def copy(self) -> "Packet":
-        """A duplicate with a fresh uid (used by multicast and by ASPs)."""
-        dup = dataclasses.replace(self, uid=next_uid(),
-                                  copied_from=self.uid)
-        return dup
+        """A duplicate with a fresh uid, one per extra interface of a
+        multicast fan-out (:class:`~repro.net.node.Node`)."""
+        return dataclasses.replace(self, uid=next_uid())
 
     def hop(self) -> "Packet":
         """The packet after traversing one router (ttl decremented)."""
         return Packet(self.ip.decremented(), self.transport, self.payload,
-                      self.channel, self.uid, self.copied_from,
-                      self.created_at)
+                      self.channel, self.uid, self.created_at)
 
     def __repr__(self) -> str:
         kind = type(self.transport).__name__ if self.transport else "raw"

@@ -506,5 +506,4 @@ def encode(value: tuple, *, channel: str | None = None,
                 raise CodecError(
                     f"cannot encode {type(part).__name__} into a payload")
         payload = b"".join(chunks)
-    return Packet(ip, transport, payload, channel, next_uid(), None,
-                  created_at)
+    return Packet(ip, transport, payload, channel, next_uid(), created_at)

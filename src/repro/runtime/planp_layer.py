@@ -440,7 +440,7 @@ class PlanPLayer:
             # build, without building the payload again.  The original
             # transmission is already on the arrival wire.
             packet = Packet(orig.ip, orig.transport, orig.payload, tag,
-                            next_uid(), None, now)
+                            next_uid(), now)
             exclude = iface
         else:
             packet = codec.encode(packet_value, channel=tag, created_at=now)

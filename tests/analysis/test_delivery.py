@@ -2,7 +2,9 @@
 
 import pytest
 
-from repro.analysis import check_delivery
+from repro.analysis import (check_delivery, check_local_termination,
+                            wire_summary)
+from repro.analysis.effects import EffectWalk
 from repro.lang import VerificationError, parse, typecheck
 
 
@@ -69,6 +71,15 @@ class TestDrops:
             "if tcpDst(#2 p) = 7 then (drop(p); deliver(p); (ps, ss)) "
             "else (OnRemote(network, p); (ps, ss))",
             "intentionally drops")
+
+    def test_the_first_drop_is_named(self):
+        rejected(
+            "channel network(ps : int, ss : unit, p : ip*tcp*blob) is\n"
+            "  (if tcpDst(#2 p) = 7 then drop(p) else ();\n"
+            "   OnRemote(network, p);\n"
+            "   if tcpDst(#2 p) = 8 then drop(p) else ();\n"
+            "   (ps, ss))",
+            r"intentionally drops packets \(line 2\)")
 
     def test_drop_inside_fun_rejected(self):
         rejected(
@@ -182,42 +193,40 @@ def doubling_chain(depth: int, bottom: str) -> str:
 
 
 class TestCallChains:
-    """The analysis asks each question of a ``fun`` body once.  It used
-    to re-analyse a callee at every call site, so a 40-line download of
-    doubling helpers would have taken 2^39 body walks: the verifier hung
-    on a program it should refuse or accept in microseconds."""
+    """Every reader of the effect walk walks a ``fun`` body once.  The
+    delivery analysis used to re-analyse a callee at every call site, so
+    a 40-line download of doubling helpers would have taken 2^39 body
+    walks: the verifier hung on a program it should refuse or accept in
+    microseconds."""
 
     @staticmethod
     def spy_on_bodies(monkeypatch, info):
-        """Fail on the second analysis of any function body by any
-        method that takes one: ``scan`` (escapes and drops in one walk)
-        and ``always_exits``, or the separate ``escaping`` and
-        ``drop_sites`` walks of an analysis that has those instead."""
-        from repro.analysis.delivery import DeliveryAnalysis
-
+        """Fail on a walk's second visit of any function body; returns
+        the function bodies each walk visited, by walk."""
         bodies = {id(f.decl.body): name for name, f in info.funs.items()}
-        seen = set()
-        for method in ("scan", "escaping", "drop_sites", "always_exits"):
-            original = getattr(DeliveryAnalysis, method, None)
-            if original is None:
-                continue
+        walks: dict[EffectWalk, list[str]] = {}
+        original = EffectWalk.of
 
-            def spy(self, expr, _original=original, _method=method):
-                name = bodies.get(id(expr))
-                if name is not None:
-                    assert (_method, name) not in seen, \
-                        f"{_method} analysed the body of {name} twice"
-                    seen.add((_method, name))
-                return _original(self, expr)
+        def spy(self, expr):
+            name = bodies.get(id(expr))
+            if name is not None:
+                seen = walks.setdefault(self, [])
+                assert name not in seen, f"the body of {name} was walked twice"
+                seen.append(name)
+            return original(self, expr)
 
-            monkeypatch.setattr(DeliveryAnalysis, method, spy)
-        return seen
+        monkeypatch.setattr(EffectWalk, "of", spy)
+        return walks
 
     def test_each_function_body_is_analysed_once(self, monkeypatch):
         info = check(doubling_chain(40, "print(\"x\")"))
-        seen = self.spy_on_bodies(monkeypatch, info)
+        walks = self.spy_on_bodies(monkeypatch, info)
         assert check_delivery(info).exits_verified == 1
-        assert {name for _, name in seen} == set(info.funs)
+        assert wire_summary(info).channel("network").emits == ("network",)
+        check_local_termination(info)
+        assert len(walks) == 3
+        for seen in walks.values():
+            assert sorted(seen) == sorted(info.funs)
 
     def test_a_drop_at_the_bottom_is_named_once(self, monkeypatch):
         info = check(doubling_chain(40, "drop(p)"))

@@ -204,6 +204,32 @@ class TestExpressions:
         fails(self._expr_program("(int) list", "1 :: 2"),
               "list right operand")
 
+    def test_table_remove(self):
+        table = "let val t : (int) hash_table = mkTable(4) in "
+        check(self._expr_program("unit", table + "tableRemove(t, 3) end"))
+        check(self._expr_program("unit",
+                                 table + 'tableRemove(t, "k") end'))
+        fails(self._expr_program("unit", table + "tableRemove(t) end"),
+              r"tableRemove expects 2 argument\(s\), got 1")
+        fails(self._expr_program("unit", "tableRemove(listNew(), 3)"),
+              "tableRemove expects a hash_table first argument")
+        fails(self._expr_program("unit", table + "tableRemove(t, #2 p) end"),
+              "tableRemove key type tcp does not admit equality")
+        fails(self._expr_program("int", table + "tableRemove(t, 3) end"),
+              "declared int")
+
+    def test_list_head(self):
+        check(self._expr_program("int", "listHead(1 :: listNew())"))
+        check(self._expr_program("string", 'listHead("a" :: listNew())'))
+        fails(self._expr_program("int", "listHead()"),
+              r"listHead expects 1 argument\(s\), got 0")
+        fails(self._expr_program("int", "listHead(1 :: listNew(), 2)"),
+              r"listHead expects 1 argument\(s\), got 2")
+        fails(self._expr_program("int", "listHead(mkTable(4))"),
+              "listHead expects a list")
+        fails(self._expr_program("bool", "listHead(1 :: listNew())"),
+              "declared bool")
+
     def test_mktable_flows_into_declared_type(self):
         check(self._expr_program("(host) hash_table", "mkTable(16)"))
 

@@ -133,12 +133,11 @@ class TestPacket:
         b = udp_packet(ANY_ADDR, ANY_ADDR, 0, 0, b"")
         assert a.uid != b.uid
 
-    def test_copy_tracks_provenance(self):
+    def test_copy_gets_a_fresh_uid(self):
         a = udp_packet(ANY_ADDR, ANY_ADDR, 0, 0, b"data")
         c = a.copy()
         assert c.uid != a.uid
-        assert c.copied_from == a.uid
-        assert c.payload == a.payload
+        assert replace(c, uid=a.uid) == a
 
     def test_hop_decrements_ttl(self):
         a = udp_packet(ANY_ADDR, ANY_ADDR, 0, 0, b"")
@@ -150,10 +149,10 @@ class TestPacket:
                                b"body", seq=5), channel="chan").copy()
         a.created_at = 1.25
         hopped = a.hop()
-        # Dataclass equality covers every field: uid, copied_from and
-        # created_at ride along unchanged.
+        # Dataclass equality covers every field: uid and created_at ride
+        # along unchanged.
         assert hopped == replace(a, ip=replace(a.ip, ttl=a.ip.ttl - 1))
-        assert (hopped.uid, hopped.copied_from) == (a.uid, a.copied_from)
+        assert hopped.uid == a.uid
         assert hopped.transport is a.transport
         assert hopped.payload is a.payload
 

@@ -242,6 +242,29 @@ class TestMulticast:
         net.run()
         assert got == []
 
+    @pytest.mark.parametrize("sender", ["src", "r"])
+    def test_fan_out_over_two_links_sends_copies(self, sender):
+        """A node with two tree interfaces sends the packet on one and a
+        copy with a fresh uid on the other, whether it forwards the
+        packet (``src``) or originates it (``r``)."""
+        net = Network(seed=0)
+        src = net.add_host("src")
+        r = net.add_router("r")
+        c1 = net.add_host("c1")
+        c2 = net.add_host("c2")
+        for h in (src, c1, c2):
+            net.link(r, h)
+        net.finalize()
+        origin = {"src": src, "r": r}[sender]
+        group = net.multicast_group("224.5.5.5", origin, [c1, c2])
+        got = []
+        for h in (c1, c2):
+            h.delivery_taps.append(got.append)
+        origin.ip_send(udp_packet(origin.address, group, 1, 2, b"m"))
+        net.run()
+        assert [p.payload for p in got] == [b"m", b"m"]
+        assert got[0].uid != got[1].uid
+
     def test_join_validation(self):
         net, src, *_ = self.multicast_net()
         from repro.net.addresses import HostAddr

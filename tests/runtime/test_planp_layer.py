@@ -228,6 +228,32 @@ class TestEmission:
         assert b.stats.delivered == 0
 
 
+class TestQueueLen:
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_reads_the_queue_toward_a_host_on_a_real_node(self, backend):
+        """``queueLen`` through the layer, the node and the interface:
+        a -- r is fast, r -- b slow, so each packet the ASP on r forwards
+        waits behind the ones before it; nothing waits toward a."""
+        net = Network(seed=5)
+        a = net.add_host("a")
+        r = net.add_router("r")
+        b = net.add_host("b")
+        net.link(a, r)
+        net.link(r, b, bandwidth=8e3)
+        net.finalize()
+        layer = PlanPLayer(r)
+        layer.install(
+            "channel network(ps : int, ss : unit, p : ip*udp*blob) is "
+            "(print(intToString(queueLen(ipDst(#1 p))) ^ \"/\" ^ "
+            "intToString(queueLen(ipSrc(#1 p)))); "
+            "OnRemote(network, p); (ps, ss))", backend=backend)
+        for _ in range(4):
+            a.ip_send(udp_packet(a.address, b.address, 1, 2, b"x" * 100))
+        net.run()
+        assert layer.console == ["0/0", "1/0", "2/0", "3/0"]
+        assert b.stats.delivered == 4
+
+
 class TestDeployment:
     def test_install_on_many_nodes(self):
         net, a, r, b, _layer = router_between()
